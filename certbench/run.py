@@ -12,8 +12,7 @@ a traced run) go to .certbench/out/ in the checkout.
 One closed loop: one caller, one process, one Python thread; each item
 waits for the previous one. The timed phase repeats passes over the
 workload's items until --seconds have elapsed (always at least one pass).
-Item and pass times are reported in seconds at a reference host speed
-(hostspeed.py, README.md); the raw seconds are printed and kept as well.
+All times are wall-clock seconds as measured.
 """
 
 from __future__ import annotations
@@ -35,11 +34,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 OUT_DIR = os.path.join(ROOT, ".certbench", "out")
 WORK_DIR = os.path.join(ROOT, ".certbench", "work")
-SETUP_SAMPLES = 5
-PROBE_EVERY_S = 0.5
-# how set-up time follows the host-speed probe (fitted like the workloads'
-# HOST_SENSITIVITY, over 260 set-ups of grid-ladder and small-many)
-SETUP_SENSITIVITY = 0.8
+SETUP_SAMPLES = 9
 # COARSE_LAB_THREADS only acts through threadpoolctl, which may be absent,
 # so the BLAS pool is sized here, before numpy loads
 BLAS_THREADS = 1
@@ -50,7 +45,6 @@ sys.path[:0] = [os.path.join(ROOT, "src"), HERE]
 # numpy loads only after the BLAS setting above
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
-from hostspeed import REFERENCE_PROBE_S, probe_seconds  # noqa: E402
 
 END_TO_END_UNITS = {"setup_s": "s", "run_s": "s", "item_s.p50": "s", "item_s.p90": "s",
                     "peak_rss_mb": "MB"}
@@ -116,24 +110,10 @@ def per_layer_units() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _probe() -> float:
-    return statistics.median(probe_seconds() for _ in range(3))
-
-
-def run_pass(items, records: list, pass_no: int, sensitivity: float, mutate=None,
-             tracer=None) -> dict:
-    """Certify and check every item once.
-
-    The host-speed probe runs before the first item, after the last one and
-    between items at least every PROBE_EVERY_S. Each item's time is
-    multiplied by (REFERENCE_PROBE_S / p) ** sensitivity, p the mean of the
-    probes on either side of it. Returns the pass's raw wall time (probes
-    excluded) and its time rescaled to the reference speed.
-    """
+def run_pass(items, records: list, pass_no: int, mutate=None, tracer=None) -> float:
+    """Certify and check every item once; returns the pass's wall time."""
     gc.collect()
-    last_probe = _probe()
-    probed_at = time.perf_counter()
-    pending, wall, scaled = [], 0.0, 0.0
+    started = time.perf_counter()
     for idx, item in enumerate(items):
         if tracer is not None:
             tracer.item_id = idx
@@ -144,7 +124,7 @@ def run_pass(items, records: list, pass_no: int, sensitivity: float, mutate=None
             outputs, error = None, f"raised {type(exc).__name__}: {exc}"
         else:
             error = None
-        t1 = time.perf_counter()
+        seconds = time.perf_counter() - t0
         if error is None:
             try:
                 problems, dig = item.check(outputs, mutate)
@@ -152,40 +132,27 @@ def run_pass(items, records: list, pass_no: int, sensitivity: float, mutate=None
                 problems, dig = [f"check raised {type(exc).__name__}: {exc}"], None
         else:
             problems, dig = [error], None
-        rec = {"item": item.id, "index": idx, "pass": pass_no, "traced": tracer is not None,
-               "raw_s": t1 - t0, "check_s": time.perf_counter() - t1,
-               "problems": problems, "digest": dig}
-        records.append(rec)
-        pending.append(rec)
-        if idx == len(items) - 1 or time.perf_counter() - probed_at >= PROBE_EVERY_S:
-            probe = _probe()
-            scale = (REFERENCE_PROBE_S / ((last_probe + probe) / 2)) ** sensitivity
-            for r in pending:
-                r["seconds"] = r["raw_s"] * scale
-                wall += r["raw_s"] + r["check_s"]
-                scaled += (r["raw_s"] + r["check_s"]) * scale
-            pending, last_probe, probed_at = [], probe, time.perf_counter()
-    return {"raw_s": wall, "seconds": scaled}
+        records.append({"item": item.id, "index": idx, "pass": pass_no,
+                        "traced": tracer is not None, "seconds": seconds,
+                        "problems": problems, "digest": dig})
+    return time.perf_counter() - started
 
 
-def _setup_times(workload: str, seed: int, size: str, workdir: str) -> list:
-    """(raw, rescaled) wall times of fresh processes that import coarselab,
-    draw the inputs and write the JSON files: what every CLI invocation
-    pays. Each is rescaled like an item, with the probes just before and
-    after it."""
-    times = []
-    for k in range(SETUP_SAMPLES):
-        target = os.path.join(workdir, f"setup-{k}")
-        os.makedirs(target)
-        before = _probe()
-        t0 = time.perf_counter()
-        subprocess.run([sys.executable, os.path.abspath(__file__), "--workload", workload,
-                        "--seed", str(seed), "--size", size, "--setup-only", target],
-                       check=True, stdout=subprocess.DEVNULL, timeout=120)
-        raw = time.perf_counter() - t0
-        scale = (REFERENCE_PROBE_S / ((before + _probe()) / 2)) ** SETUP_SENSITIVITY
-        times.append((raw, raw * scale))
-    return times
+def _setup_time(workload: str, seed: int, size: str, target: str) -> float:
+    """Wall time of a fresh process that imports coarselab, draws the
+    inputs and writes the JSON files into target: what every CLI invocation
+    pays.
+
+    The child reports the time from the parent's clock reading just before
+    it was started (CLOCK_MONOTONIC is shared by all processes) to the end
+    of its set-up, because a wait with a timeout polls only every 50 ms."""
+    os.makedirs(target)
+    started = time.monotonic()
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--workload", workload,
+                           "--seed", str(seed), "--size", size, "--setup-only", target,
+                           "--started", repr(started)],
+                          check=True, stdout=subprocess.PIPE, text=True, timeout=120)
+    return float(proc.stdout.split()[-1])
 
 
 def percentile(values, q: float) -> float:
@@ -247,7 +214,7 @@ def layer_metrics(tracer, items, traced_passes: int, overhead: float) -> dict:
                 sizes.append(statistics.mean(items[i].points for i in idx))
                 secs.append(value)
             out[f"{metric}.self_s.{rung}"] = value
-        # 0 where the kernel does not run at every rung, or off the ladders
+        # 0 where the kernel does not run at every rung, or off grid-ladder
         fit = len(secs) == 3 and min(secs) > 0
         out[f"{metric}.exponent"] = (float(np.polyfit(np.log(sizes), np.log(secs), 1)[0])
                                      if fit else 0.0)
@@ -270,51 +237,52 @@ def measure(workload: str, seed: int, seconds: float, trace: bool, size: str = "
             mutate=None) -> dict:
     """Set up, run the timed phase and compute the metrics."""
     from tracer import Tracer
-    from workloads import HOST_SENSITIVITY, WORKLOADS
+    from workloads import WORKLOADS
 
     prepare = WORKLOADS[workload]
-    beta = HOST_SENSITIVITY[workload]
     workdir = os.path.join(WORK_DIR, f"{workload}-{os.getpid()}")
     os.makedirs(workdir)
     try:
-        setup = [] if trace else _setup_times(workload, seed, size, workdir)
         items = prepare(seed, workdir, size)
-        records, plain, traced = [], [], []
+        records, plain, traced, setup = [], [], [], []
         tracer = Tracer() if trace else None
+
+        def add_setup():
+            setup.append(_setup_time(workload, seed, size,
+                                     os.path.join(workdir, f"setup-{len(setup)}")))
+
         started = time.perf_counter()
         while True:
-            plain.append(run_pass(items, records, len(plain) + len(traced), beta, mutate))
+            # set-ups alternate with untraced passes, so that their samples
+            # spread over the whole run and not over one spell of host speed
+            if not trace:
+                add_setup()
+            plain.append(run_pass(items, records, len(plain) + len(traced), mutate))
             if tracer is not None:
                 tracer.install()
                 try:
-                    traced.append(run_pass(items, records, len(plain) + len(traced), beta,
-                                           mutate, tracer))
+                    traced.append(run_pass(items, records, len(plain) + len(traced), mutate,
+                                           tracer))
                 finally:
                     tracer.uninstall()
             if time.perf_counter() - started >= seconds:
                 break
+        while not trace and len(setup) < SETUP_SAMPLES:
+            add_setup()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
     failed = sum(1 for r in records if r["problems"])
     result = {"correct": failed == 0, "attempted": len(records), "failed": failed}
-    def median_pass(passes, key="seconds"):
-        return statistics.median(p[key] for p in passes)
-
-    raw_times = [r["raw_s"] for r in records]
-    raw = {"run_s": median_pass(plain, "raw_s"), "item_s.p50": statistics.median(raw_times),
-           "item_s.p90": percentile(raw_times, 0.9)}
-    if setup:
-        raw["setup_s"] = statistics.median(t for t, _ in setup)
     if trace:
-        overhead = median_pass(traced) / median_pass(plain)
+        overhead = statistics.median(traced) / statistics.median(plain)
         result["metrics"] = layer_metrics(tracer, items, len(traced), overhead)
         units = per_layer_units()
     else:
         times = [r["seconds"] for r in records]
         result["metrics"] = {
-            "setup_s": statistics.median(t for _, t in setup),
-            "run_s": median_pass(plain),
+            "setup_s": statistics.median(setup),
+            "run_s": statistics.median(plain),
             "item_s.p50": statistics.median(times),
             "item_s.p90": percentile(times, 0.9),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
@@ -328,8 +296,7 @@ def measure(workload: str, seed: int, seconds: float, trace: bool, size: str = "
         "workload": workload, "seed": seed, "size": size, "env": environment(),
         "fail_ratio": failed / len(records), "item_samples": len(records),
         "passes": {"untraced": plain, "traced": traced}, "setup_samples_s": setup,
-        "raw_s": raw,
-        "items": [{k: r[k] for k in ("item", "pass", "traced", "raw_s", "seconds")}
+        "items": [{k: r[k] for k in ("item", "pass", "traced", "seconds")}
                   for r in records],
         "failures": [r for r in records if r["problems"]][:20],
         "digests": first,
@@ -355,8 +322,6 @@ def _print_report(result: dict) -> None:
           f"item samples {info['item_samples']}")
     passes = info["passes"]
     print(f"passes untraced {len(passes['untraced'])} traced {len(passes['traced'])}")
-    print("raw seconds, before rescaling to the reference host speed: " +
-          " ".join(f"{k} {v:.6g}" for k, v in info["raw_s"].items()))
     for rec in info["failures"]:
         print(f"FAILED {rec['item']} pass {rec['pass']}: {'; '.join(rec['problems'][:3])}")
     changed = info["digests_changed"]
@@ -371,8 +336,8 @@ def _print_report(result: dict) -> None:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--workload", required=True, choices=["grid-ladder", "tree-ladder",
-                                                         "corona-band", "small-many"])
+    p.add_argument("--workload", required=True,
+                   choices=["grid-ladder", "corona-band", "small-many"])
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seconds", type=float, default=10.0)
     p.add_argument("--trace", type=int, choices=[0, 1], default=0)
@@ -380,6 +345,8 @@ def main(argv=None) -> int:
                    help="tiny: the self-test's reduced inputs")
     p.add_argument("--setup-only", metavar="DIR",
                    help="only draw the inputs into DIR (used to time set-up)")
+    p.add_argument("--started", type=float,
+                   help="with --setup-only: print the seconds since this time.monotonic()")
     args = p.parse_args(argv)
     src = os.path.join(ROOT, "src")
     try:
@@ -394,6 +361,8 @@ def main(argv=None) -> int:
     if args.setup_only:
         from workloads import WORKLOADS
         WORKLOADS[args.workload](args.seed, args.setup_only, args.size)
+        if args.started is not None:
+            print(time.monotonic() - args.started)
         return 0
     result = measure(args.workload, args.seed, args.seconds, bool(args.trace), args.size)
     _print_report(result)

@@ -16,8 +16,7 @@ import run  # noqa: E402  (puts src/ on sys.path and sizes the BLAS pool)
 
 with open(os.path.join(ROOT, "BENCHMARK.json"), "r", encoding="utf-8") as _fh:
     BENCH = json.load(_fh)
-# tree-ladder is runnable by hand but not in BENCHMARK.json (README.md)
-WORKLOADS = [w["name"] for w in BENCH["workloads"]] + ["tree-ladder"]
+WORKLOADS = [w["name"] for w in BENCH["workloads"]]
 
 
 @pytest.mark.parametrize("trace", [0, 1])

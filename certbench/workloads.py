@@ -1,4 +1,4 @@
-"""The four certify workloads.
+"""The certify workloads.
 
 Each workload has a set-up step, `prepare(seed, workdir, size)`, that draws
 every input from the seed with coarselab's splitmix generator and the
@@ -26,20 +26,27 @@ from coarselab.prng import SplitMix64
 from checks import cover_problems, digest, guarantee_problems
 
 GRID_SIDES = {"full": (27, 39, 54), "tiny": (8, 11, 15)}
-TREE_SIZES = {"full": (700, 1400, 2800), "tiny": (60, 120, 240)}
 RUNGS = ("small", "mid", "large")
-# L per tree item (small, mid, large, deep): fixed, because a smaller L
-# means more classes and a slower class separation, and a seed-dependent L
-# would make the seed, not the program, move the time
-TREE_LS = (1.0, 1.5, 2.0, 2.5)
-# corona-band keeps points^2 x (depth + 11) near 720^2 x 131 (the appetite
-# scan costs about that much), so the seed changes the shape of the band
-# cover and not the amount of work
-CORONA_WORK = {"full": 720 * 720 * 131, "tiny": 100 * 100 * 41}
-SMALL_MIX = {  # items per pass in small-many
-    "full": {"grid": 24, "partition": 8, "merge": 16, "product": 5, "support": 60},
+# corona-band: bands per pass, the circle sizes the seed draws from
+# (lo + step * k, k in 0..8; every one was checked to certify) and the
+# product points (circle x (depth + 1)) each band keeps near, so the seed
+# changes the shape of a band and not the amount of work
+CORONA_BANDS = {"full": (6, 224, 4, 16_000), "tiny": (2, 48, 4, 1_000)}
+# Items per pass in small-many. Sorted by time, the full mix is 42 support
+# trials (2-5 ms on the defining machine), 56 merges (5-10 ms), 25 colorize
+# and product items (10-25 ms), 6 colorize runs on 2-d grids (about 60 ms),
+# 6 of them followed by expand (about 100 ms) and 5 items of 0.15-0.7 s. The counts put the
+# median in the middle of the merges and the 90th percentile (140 items,
+# 14 above it) in the middle of the 2-d colorize runs, so that neither
+# falls on the edge between two groups of unlike items.
+SMALL_MIX = {
+    "full": {"grid": 24, "partition": 8, "merge": 56, "product": 5, "support": 42},
     "tiny": {"grid": 2, "partition": 1, "merge": 1, "product": 1, "support": 2},
 }
+# small-many's two tree items: (vertices, L) of a random recursive tree and
+# of a deep one; L is fixed because a smaller L means more classes and a
+# slower class separation
+SMALL_TREES = {"full": ((400, 1.5), (300, 2.5)), "tiny": ((40, 1.5), (30, 2.5))}
 
 
 class Item:
@@ -167,7 +174,7 @@ def prepare_grid_ladder(seed: int, workdir: str, size: str) -> list:
     return items
 
 
-def _tree_chain(item_id, path, edges, L, rung):
+def _tree_chain(item_id, path, edges, L):
     n = len(edges) + 1
     space = _write(path, {"kind": "tree", "edges": edges})
     cover = path.replace(".json", "-cover.json")
@@ -182,28 +189,7 @@ def _tree_chain(item_id, path, edges, L, rung):
         Step("cover stats", ["cover", "stats", "--space", space, "--cover", cover],
              lambda doc, result, prev: _stats_check(result, prev, n)),
     ]
-    return cli_chain(item_id, steps, rung, n)
-
-
-def prepare_tree_ladder(seed: int, workdir: str, size: str) -> list:
-    """witness tree + stats on random recursive trees at three rungs, plus
-    one deep tree at the middle rung."""
-    rng = SplitMix64(seed)
-    sizes = TREE_SIZES[size]
-    items = []
-    for k, (rung, n) in enumerate(zip(RUNGS, sizes)):
-        edges = [[rng.randint(0, v - 1), v] for v in range(1, n)]
-        L = TREE_LS[k]
-        items.append(_tree_chain(f"tree-{rung}-n{n}-L{L}",
-                                 os.path.join(workdir, f"tree-{rung}.json"),
-                                 edges, L, rung))
-    n = sizes[1]
-    # each parent among the previous four vertices: depth about 2n/5
-    edges = [[rng.randint(max(0, v - 4), v - 1), v] for v in range(1, n)]
-    L = TREE_LS[3]
-    items.append(_tree_chain(f"tree-deep-n{n}-L{L}", os.path.join(workdir, "tree-deep.json"),
-                             edges, L, "deep"))
-    return items
+    return cli_chain(item_id, steps, points=n)
 
 
 def _model_doc(model) -> dict:
@@ -212,35 +198,36 @@ def _model_doc(model) -> dict:
 
 
 def prepare_corona_band(seed: int, workdir: str, size: str) -> list:
-    """The corona-full work: band cover of circle x levels, and the
+    """The corona-full work: band covers of circle x levels, and the
     roundtrip bounds on an interval and a disk model."""
     rng = SplitMix64(seed)
-    if size == "full":
-        points = 704 + 8 * rng.randint(0, 4)
-    else:
-        points = 90 + 4 * rng.randint(0, 5)
-    depth = round(CORONA_WORK[size] / points ** 2) - 11
-    sched = _write(os.path.join(workdir, "schedule.json"),
-                   {"kind": "circle_arcs", "points": points})
-    band = os.path.join(workdir, "band.json")
+    bands, lo, step, work = CORONA_BANDS[size]
+    items = []
+    for k in range(bands):
+        points = lo + step * rng.randint(0, 8)
+        depth = round(work / points) - 1
+        product_points = points * (depth + 1)
+        sched = _write(os.path.join(workdir, f"schedule-{k}.json"),
+                       {"kind": "circle_arcs", "points": points})
+        band = os.path.join(workdir, f"band-{k}.json")
+
+        def band_check(doc, result, prev, n=product_points):
+            return cover_problems(doc, n, 3, reported={"sets": result.get("sets")})
+
+        items.append(cli_chain(f"band{k}-p{points}-d{depth}", [
+            Step("corona dimcover", ["--out", band, "corona", "dimcover", "--schedule", sched,
+                                     "--depth", depth], band_check, band)],
+            points=product_points))
     # the roundtrip models of pipeline corona-full; their cost grows fast
     # with their size, so they stay fixed
     interval = _write(os.path.join(workdir, "interval.json"),
                       _model_doc(fixtures.unit_interval_model(1.0 / 200)))
     disk = _write(os.path.join(workdir, "disk.json"), _model_doc(fixtures.disk_model()))
-    product_points = points * (depth + 1)
-
-    def band_check(doc, result, prev):
-        return cover_problems(doc, product_points, 3, reported={"sets": result.get("sets")})
 
     def equiv_check(doc, result, prev):
         return [] if result.get("checked", 0) > 0 else ["no band bound was checked"]
 
-    return [
-        cli_chain(f"band-p{points}-d{depth}", [
-            Step("corona dimcover", ["--out", band, "corona", "dimcover", "--schedule", sched,
-                                     "--depth", depth], band_check, band)],
-            points=product_points),
+    return items + [
         cli_chain("equiv-interval-200", [
             Step("corona equiv", ["corona", "equiv", "--model", interval], equiv_check)]),
         cli_chain("equiv-disk-20x36", [
@@ -484,29 +471,22 @@ def prepare_small_many(seed: int, workdir: str, size: str) -> list:
     items += [_line_product_item(k, rng) for k in range(mix["product"])]
     items.append(_line_grid_product_item())
     items += [_support_item(k, rng) for k in range(mix["support"])]
+    (n_tree, L_tree), (n_deep, L_deep) = SMALL_TREES[size]
+    edges = [[rng.randint(0, v - 1), v] for v in range(1, n_tree)]
+    items.append(_tree_chain(f"tree-n{n_tree}-L{L_tree}", os.path.join(workdir, "tree.json"),
+                             edges, L_tree))
+    # each parent among the previous four vertices: depth about 2n/5
+    # instead of about e ln n
+    edges = [[rng.randint(max(0, v - 4), v - 1), v] for v in range(1, n_deep)]
+    items.append(_tree_chain(f"tree-deep-n{n_deep}-L{L_deep}",
+                             os.path.join(workdir, "tree-deep.json"), edges, L_deep))
     items.append(_hyperbolic_item(seed))
     items.append(_lower_bound_item())
     return items
 
 
-# How strongly each workload's time follows the host-speed probe: the slope
-# of log item time against log probe time over minutes of alternating items
-# and probes, on the machine where the benchmark was defined. Numpy-bound
-# grid-ladder follows it about half as much as the probe; interpreter-bound
-# corona-band and small-many one for one. tree-ladder's slope ranged from
-# 0.6 in quiet windows to 1.3 in the slowest; it shares the 1.0 of the
-# other interpreter-bound workloads. Item times are rescaled by
-# (reference / probe) ** slope.
-HOST_SENSITIVITY = {
-    "grid-ladder": 0.5,
-    "tree-ladder": 1.0,
-    "corona-band": 1.0,
-    "small-many": 1.0,
-}
-
 WORKLOADS = {
     "grid-ladder": prepare_grid_ladder,
-    "tree-ladder": prepare_tree_ladder,
     "corona-band": prepare_corona_band,
     "small-many": prepare_small_many,
 }
