@@ -35,10 +35,11 @@ CORONA_BANDS = {"full": (6, 224, 4, 16_000), "tiny": (2, 48, 4, 1_000)}
 # Items per pass in small-many. Sorted by time, the full mix is 42 support
 # trials (2-5 ms on the defining machine), 56 merges (5-10 ms), 25 colorize
 # and product items (10-25 ms), 6 colorize runs on 2-d grids (about 60 ms),
-# 6 of them followed by expand (about 100 ms) and 5 items of 0.15-0.7 s. The counts put the
-# median in the middle of the merges and the 90th percentile (140 items,
-# 14 above it) in the middle of the 2-d colorize runs, so that neither
-# falls on the edge between two groups of unlike items.
+# 6 of them followed by expand (about 100 ms) and 5 items of 0.15-0.7 s.
+# The counts put the median in the middle of the merges and the 90th
+# percentile (140 items, 14 above it) in the middle of the 2-d colorize
+# runs, so that neither falls on the edge between two groups of unlike
+# items.
 SMALL_MIX = {
     "full": {"grid": 24, "partition": 8, "merge": 56, "product": 5, "support": 42},
     "tiny": {"grid": 2, "partition": 1, "merge": 1, "product": 1, "support": 2},
@@ -189,7 +190,7 @@ def _tree_chain(item_id, path, edges, L):
         Step("cover stats", ["cover", "stats", "--space", space, "--cover", cover],
              lambda doc, result, prev: _stats_check(result, prev, n)),
     ]
-    return cli_chain(item_id, steps, points=n)
+    return cli_chain(item_id, steps)
 
 
 def _model_doc(model) -> dict:
@@ -216,8 +217,7 @@ def prepare_corona_band(seed: int, workdir: str, size: str) -> list:
 
         items.append(cli_chain(f"band{k}-p{points}-d{depth}", [
             Step("corona dimcover", ["--out", band, "corona", "dimcover", "--schedule", sched,
-                                     "--depth", depth], band_check, band)],
-            points=product_points))
+                                     "--depth", depth], band_check, band)]))
     # the roundtrip models of pipeline corona-full; their cost grows fast
     # with their size, so they stay fixed
     interval = _write(os.path.join(workdir, "interval.json"),
