@@ -26,8 +26,9 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 
-from .covers import Cover, multiplicity
+from .covers import Cover, first_container, multiplicity
 from .errors import ContractViolationError, InvalidInputError
 from .spaces import Entourage, Space
 from .transforms import _claim, _ensure
@@ -333,24 +334,12 @@ def corona_dim_cover(schedule: CoronaCoverSchedule, deltas: Sequence[float],
     phi: dict[int, list[int]] = {}
     for j in range(1, i_max + 2):
         fine, coarse = covers[j], covers[j - 1]
-        coarse_sets = [set(v) for v in coarse.sets]
-        table = []
-        for w in fine.sets:
-            if not w:
-                table.append(0)
-                continue
-            hit = None
-            ws = set(w)
-            for vi, v in enumerate(coarse_sets):
-                if ws <= v:
-                    hit = vi
-                    break
-            if hit is None:
-                raise ContractViolationError(
-                    f"scale chain broke: a set of scale {scales[j]} fits in no set "
-                    f"of scale {scales[j - 1]}", witness=(j, w))
-            table.append(hit)
-        phi[j] = table
+        table = first_container(fine.incidence(), coarse.incidence())
+        if np.any(table < 0):
+            raise ContractViolationError(
+                f"scale chain broke: a set of scale {scales[j]} fits in no set "
+                f"of scale {scales[j - 1]}", witness=(j, fine.sets[int(np.argmin(table))]))
+        phi[j] = table.tolist()
 
     def family_of(cover: Cover, set_index: int) -> int:
         for fi, fam in enumerate(cover.families):
@@ -443,32 +432,37 @@ def _band_appetite_witness(cover: Cover, schedule: CoronaCoverSchedule,
                            deltas, win: Entourage, width: int, depth: int):
     """Exhaustive appetite scan against the relation reconstructed from the
     deltas and the window: (x,a) ~ (y,b) iff (a,b) in the window and
-    d(x, y) < delta_{max(a,b)-1}.
+    d(x, y) < delta_{max(a,b)-1}. Returns the failing (x, m) with the
+    smallest x * width + m, or None.
 
-    Any set swallowing the ball of (x, m) must contain (x, m) itself, so
-    only the few sets incident to the point are candidates.
+    The ball of (x, m) must fit inside a set incident to (x, m). Checking
+    all sets instead is equivalent: a non-empty ball holds its centre
+    already, since each member (y, b) has d(x, y) < delta_{max(m,b)-1} <=
+    delta_{m-1} as the deltas are non-increasing. Each query still gets its
+    centre added, so that an empty ball at an uncovered point fails as
+    before and the tolerance on non-increase cannot matter.
+
+    The balls are built one level m at a time, over the columns of m's
+    window partners only, so memory holds one level's balls at a time.
     """
     corona = schedule.corona_space
-    member_sets = [set(s) for s in cover.sets]
-    incident: dict[int, list[int]] = {}
-    for si, s in enumerate(cover.sets):
-        for p in s:
-            incident.setdefault(p, []).append(si)
-    level_partners = [sorted(win.image([m])) for m in range(depth + 1)]
-    for c in range(corona.n):
-        row = corona.dist_row(c)
-        for m in range(depth + 1):
-            ball = set()
-            for b in level_partners[m]:
-                if b > depth:
-                    continue
-                cut = deltas[max(m, b) - 1] if max(m, b) >= 1 else math.inf
-                for y in np.nonzero(row < cut - TOL)[0]:
-                    ball.add(int(y) * width + b)
-            point = c * width + m
-            if not any(ball <= member_sets[si] for si in incident.get(point, [])):
-                return (c, m)
-    return None
+    nc = corona.n
+    dist = np.array([corona.dist_row(c) for c in range(nc)]).reshape(nc, nc)
+    sets = cover.incidence().tocsc()
+    first = None
+    for m in range(depth + 1):
+        partners = [b for b in sorted(win.image([m])) if b <= depth]
+        balls = np.empty((nc, nc, len(partners)), dtype=bool)
+        for t, b in enumerate(partners):
+            cut = deltas[max(m, b) - 1] if max(m, b) >= 1 else math.inf
+            balls[:, :, t] = dist < cut - TOL
+        balls[np.arange(nc), np.arange(nc), partners.index(m)] = True
+        cols = (np.arange(nc)[:, None] * width + np.array(partners)[None, :]).ravel()
+        hits = first_container(sparse.csr_matrix(balls.reshape(nc, -1)), sets[:, cols])
+        failed = np.nonzero(hits < 0)[0]
+        if failed.size and (first is None or failed[0] * width + m < first):
+            first = int(failed[0]) * width + m
+    return None if first is None else divmod(first, width)
 
 
 def _band_bookkeeping(cover: Cover, schedule: CoronaCoverSchedule, scales,

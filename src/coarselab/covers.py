@@ -12,16 +12,22 @@ the dimension machinery hinges on:
 The discrete Lebesgue number uses non-strict containment of sampled balls
 and is a lower-bound estimator of the continuum Lebesgue number whenever
 the sample is a fine net of the continuum space.
+
+first_container is the one set-containment test ("which covering set holds
+this set") behind appetite, refinement checks, the lower bound's deep-set
+table and the corona band cover.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 
-from .errors import ContractViolationError, InvalidInputError
+from .errors import InvalidInputError, ResourceLimitError
 from .spaces import Entourage, Space, PAIR_CAP
 
 
@@ -89,17 +95,14 @@ class Cover:
                     hit[p] = si
         return None
 
-    def membership_counts(self) -> np.ndarray:
-        counts = np.zeros(self.space.n, dtype=np.int64)
-        for s in self.sets:
-            counts[list(s)] += 1
-        return counts
-
-    def set_masks(self) -> np.ndarray:
-        masks = np.zeros((len(self.sets), self.space.n), dtype=bool)
-        for k, s in enumerate(self.sets):
-            masks[k, list(s)] = True
-        return masks
+    def incidence(self) -> sparse.csr_matrix:
+        """The sets x points boolean CSR matrix; row k holds set k."""
+        indptr = np.zeros(len(self.sets) + 1, dtype=np.int64)
+        np.cumsum([len(s) for s in self.sets], out=indptr[1:])
+        indices = np.fromiter(chain.from_iterable(self.sets), dtype=np.int64,
+                              count=int(indptr[-1]))
+        return sparse.csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr),
+                                 shape=(len(self.sets), self.space.n))
 
     def empty_set_indices(self) -> list[int]:
         return [k for k, s in enumerate(self.sets) if not s]
@@ -160,18 +163,16 @@ def lebesgue_number(cover: Cover) -> float:
     if not cover.space.is_metric_backed():
         raise InvalidInputError("lebesgue number needs a metric-backed space")
     n = cover.space.n
-    if n == 0:
-        return math.inf
-    masks = cover.set_masks()
-    full = [k for k in range(len(cover.sets)) if masks[k].all()]
-    if full:
+    if n == 0 or any(len(s) == n for s in cover.sets):
         return math.inf
     best = np.zeros(n)
-    for k in range(len(cover.sets)):
-        comp = np.nonzero(~masks[k])[0]
-        members = np.nonzero(masks[k])[0]
-        if members.size == 0:
+    for s in cover.sets:
+        if not s:
             continue
+        members = np.array(s, dtype=np.int64)
+        outside = np.ones(n, dtype=bool)
+        outside[members] = False
+        comp = np.nonzero(outside)[0]
         chunk = max(1, (1 << 21) // max(comp.size, 1))
         for at in range(0, members.size, chunk):
             rows = members[at:at + chunk]
@@ -180,25 +181,39 @@ def lebesgue_number(cover: Cover) -> float:
     return math.sqrt(float(best.min()))
 
 
+def first_container(queries: sparse.spmatrix, sets: sparse.spmatrix) -> np.ndarray:
+    """For each query row, the lowest index of a row of sets containing it,
+    or -1 if there is none.
+
+    Both arguments are boolean CSR matrices over the same columns. An empty
+    query counts as contained in row 0 whenever a set exists. One sparse
+    product gives the overlap counts |query & set|; a set contains the query
+    exactly when its overlap equals the query's size.
+    """
+    n_sets = sets.shape[0]
+    queries = sparse.csr_matrix(queries, dtype=np.int32)
+    overlap = queries @ sparse.csr_matrix(sets.T, dtype=np.int32)
+    size = np.diff(queries.indptr)
+    row = np.repeat(np.arange(queries.shape[0]), np.diff(overlap.indptr))
+    hit = overlap.data == size[row]
+    first = np.where(size == 0, 0, n_sets).astype(np.int64)
+    np.minimum.at(first, row[hit], overlap.indices[hit])
+    return np.where(first < n_sets, first, -1)
+
+
 def has_appetite(cover: Cover, entourage: Entourage) -> bool:
     return appetite_witness(cover, entourage) is None
 
 
 def appetite_witness(cover: Cover, entourage: Entourage) -> Optional[int]:
-    """None if every E(x) fits inside some covering set, else a failing x."""
+    """None if every E(x) fits inside some covering set, else the first
+    failing x. Points with an empty E(x) never fail. A radius entourage is
+    materialized under the pair cap."""
     if entourage.space is not cover.space:
         raise InvalidInputError("entourage must live over the cover's space")
-    masks = cover.set_masks()
-    n = cover.space.n
-    ball = np.zeros(n, dtype=bool)
-    for x in range(n):
-        ball[:] = False
-        ball[list(entourage.image([x]))] = True
-        if not ball.any():
-            continue
-        if not np.any(np.all(masks[:, ball], axis=1)):
-            return x
-    return None
+    balls = entourage.matrix().T.tocsr()
+    bad = (first_container(balls, cover.incidence()) < 0) & (np.diff(balls.indptr) > 0)
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def cover_entourage(cover: Cover, cap: int = PAIR_CAP) -> Entourage:
@@ -210,8 +225,8 @@ def cover_entourage(cover: Cover, cap: int = PAIR_CAP) -> Entourage:
     n = cover.space.n
     total = sum(len(s) ** 2 for s in set(cover.sets))
     if total > cap:
-        raise ContractViolationError(
-            f"cover entourage would exceed the {cap} pair cap", witness=total)
+        raise ResourceLimitError(
+            f"cover entourage would exceed the {cap} pair cap ({total} pairs)")
     chunks = []
     for s in set(cover.sets):
         if not s:

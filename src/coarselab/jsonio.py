@@ -70,15 +70,6 @@ def load_entourage(doc: dict, space: Space) -> Entourage:
     raise InvalidInputError(f"unknown entourage kind {kind!r}")
 
 
-def dump_entourage(entourage: Entourage) -> dict:
-    if entourage.kind == "radius":
-        out = {"kind": "radius", "r": entourage.r}
-        if entourage.closed:
-            out["closed"] = True
-        return out
-    return {"kind": "pairs", "pairs": [list(p) for p in entourage.pairs()]}
-
-
 def load_cover(doc: dict, space: Space, require_covering: bool = True) -> Cover:
     families = doc.get("families")
     if families is not None:

@@ -40,17 +40,3 @@ class SplitMix64:
             raise ValueError("empty range")
         span = hi - lo + 1
         return lo + self.next_u64() % span
-
-    def choice(self, seq):
-        return seq[self.randint(0, len(seq) - 1)]
-
-    def shuffle(self, seq: list) -> None:
-        for i in range(len(seq) - 1, 0, -1):
-            j = self.randint(0, i)
-            seq[i], seq[j] = seq[j], seq[i]
-
-    def sample_indices(self, n: int, k: int) -> list[int]:
-        """k distinct indices from range(n), order randomized."""
-        idx = list(range(n))
-        self.shuffle(idx)
-        return idx[:k]

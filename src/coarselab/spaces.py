@@ -335,6 +335,17 @@ class Entourage:
         keys = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
         return Entourage.from_keys(self.space, keys)
 
+    def matrix(self) -> sparse.csr_matrix:
+        """The n x n boolean CSR matrix with a True at (i, j) for each pair.
+
+        A radius relation is materialized first, under the pair cap.
+        """
+        n = self.space.n
+        k = self.keys()
+        indptr = np.searchsorted(k, np.arange(n + 1, dtype=np.int64) * n)
+        return sparse.csr_matrix((np.ones(k.size, dtype=bool), k % n, indptr),
+                                 shape=(n, n))
+
     def pair_count(self) -> int:
         return int(self.keys().size)
 
@@ -432,15 +443,7 @@ class Entourage:
         """
         _check_same_space(self, other)
         n = self.space.n
-        a = self.keys()
-        b = other.keys()
-        if a.size == 0 or b.size == 0:
-            return Entourage.from_keys(self.space, np.empty(0, dtype=np.int64))
-        m1 = sparse.coo_matrix(
-            (np.ones(a.size, dtype=np.uint8), (a // n, a % n)), shape=(n, n)).tocsr()
-        m2 = sparse.coo_matrix(
-            (np.ones(b.size, dtype=np.uint8), (b // n, b % n)), shape=(n, n)).tocsr()
-        prod = (m1 @ m2).tocoo()
+        prod = (self.matrix() @ other.matrix()).tocoo()
         if prod.nnz > cap:
             raise ResourceLimitError(f"composition would exceed the {cap} pair cap")
         keys = prod.row.astype(np.int64) * n + prod.col.astype(np.int64)
@@ -524,19 +527,6 @@ class PointMap:
 
     def __call__(self, i: int) -> int:
         return int(self.table[i])
-
-
-def compose(e1: Entourage, e2: Entourage) -> Entourage:
-    """Composition of entourages; radius inputs are materialized first."""
-    return e1.compose(e2)
-
-
-def inverse(e: Entourage) -> Entourage:
-    return e.inverse()
-
-
-def image(e: Entourage, indices: Iterable[int]) -> frozenset[int]:
-    return e.image(indices)
 
 
 def transport(f: PointMap, e: Entourage, direction: str) -> Entourage:

@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .covers import Cover, appetite_witness, cover_entourage, multiplicity
+from .covers import Cover, appetite_witness, cover_entourage, first_container, multiplicity
 from .errors import ContractViolationError, InvalidInputError
 from .spaces import Entourage, PointMap, Space, transport
 
@@ -166,6 +166,13 @@ def _shared_point_tuples(sets: list[tuple[int, ...]], size: int, n: int) -> list
     return sorted(found)
 
 
+def _intersections(sets: list[tuple[int, ...]], size: int, n: int) -> list[set[int]]:
+    """The intersections of the shared-point size-tuples of sets, in tuple
+    order; each is non-empty since its sets share a point."""
+    return [set(sets[combo[0]]).intersection(*(sets[si] for si in combo[1:]))
+            for combo in _shared_point_tuples(sets, size, n)]
+
+
 def colorize(cover: Cover, entourage: Entourage, n: int):
     """Rebuild a multiplicity-(n+1) cover with appetite L^{n+1} as n+1
     L-disjoint families.
@@ -193,12 +200,7 @@ def colorize(cover: Cover, entourage: Entourage, n: int):
         power = L.power(n + 2 - depth)
         mask_union = np.zeros(space_n, dtype=bool)
         level = []
-        for combo in _shared_point_tuples(base, depth, space_n):
-            cut = set(base[combo[0]])
-            for si in combo[1:]:
-                cut &= set(base[si])
-            if not cut:
-                continue
+        for cut in _intersections(base, depth, space_n):
             core = interior(cut, power)
             if core:
                 level.append(core)
@@ -236,12 +238,10 @@ def colorize(cover: Cover, entourage: Entourage, n: int):
 
 
 def _refines(fine: Cover, coarse: Cover) -> bool:
-    coarse_sets = [set(s) for s in coarse.sets]
-    for s in fine.sets:
-        ss = set(s)
-        if ss and not any(ss <= c for c in coarse_sets):
-            return False
-    return True
+    """Every non-empty set of fine lies inside some set of coarse."""
+    queries = fine.incidence()
+    found = first_container(queries, coarse.incidence()) >= 0
+    return bool(np.all(found | (np.diff(queries.indptr) == 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +428,10 @@ def product_refine(cover_x: Cover, cover_y: Cover, entourage: Entourage,
             mask[x * ny + ys_arr] = True
         return mask
 
-    # candidate intersections per total depth k, represented as index sets
+    # the factor intersections of p X-sets and of q Y-sets, p, q <= total + 1;
+    # their products are the candidate sets at total depth k = p + q
+    cuts_x = {p: _intersections(sx, p, nx) for p in range(1, total + 2)}
+    cuts_y = {q: _intersections(sy, q, ny) for q in range(1, total + 2)}
     levels: dict[int, list[frozenset[int]]] = {}
     shield: dict[int, np.ndarray] = {}
     for k in range(2, total + 3):
@@ -436,21 +439,8 @@ def product_refine(cover_x: Cover, cover_y: Cover, entourage: Entourage,
         union_mask = np.zeros(n_prod, dtype=bool)
         out_level = []
         for p in range(1, k):
-            q = k - p
-            if p > len(sx) or q > len(sy):
-                continue
-            for cx in _shared_point_tuples(sx, p, nx):
-                cut_x = set(sx[cx[0]])
-                for si in cx[1:]:
-                    cut_x &= set(sx[si])
-                if not cut_x:
-                    continue
-                for cy in _shared_point_tuples(sy, q, ny):
-                    cut_y = set(sy[cy[0]])
-                    for si in cy[1:]:
-                        cut_y &= set(sy[si])
-                    if not cut_y:
-                        continue
+            for cut_x in cuts_x[p]:
+                for cut_y in cuts_y[k - p]:
                     cell = np.nonzero(prod_mask(cut_x, cut_y))[0]
                     core = interior(cell, power)
                     if core:

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .covers import Cover, appetite_witness, cover_entourage, lebesgue_number, mesh, multiplicity
+from .covers import Cover, cover_entourage, first_container, lebesgue_number, mesh, multiplicity
 from .errors import (ContractViolationError, InternalCheckError, InvalidInputError,
                      ResourceLimitError)
 from .spaces import Entourage, Space, RADIUS_TOL
@@ -237,9 +237,6 @@ class IntervalRelation:
             js = np.arange(self.lo[i], self.hi[i] + 1, dtype=np.int64)
             chunks.append(np.int64(i) * n + js)
         return Entourage.from_keys(space, np.concatenate(chunks))
-
-    def contains(self, i: int, j: int) -> bool:
-        return self.lo[i] <= j <= self.hi[i]
 
 
 def ray_cell_cover(n: int, e: Entourage, bound: float):
@@ -731,9 +728,12 @@ def simplex_lower_bound_check(cover: Cover, n: int) -> dict:
     if abs(round(1.0 / step) - 1.0 / step) > FLOAT_TOL:
         raise InvalidInputError("sample step must divide 1")
 
+    # deep-set table: for each sample point, the first set swallowing its
+    # closed unit ball; a point without one shows the unit appetite fails
     unit = Entourage.radius(space, 1.0, closed=True)
-    aw = appetite_witness(cover, unit)
-    if aw is not None:
+    deep = first_container(unit.matrix().T, cover.incidence())
+    if np.any(deep < 0):
+        aw = int(np.argmax(deep < 0))
         raise ContractViolationError(
             f"cover lacks unit appetite at sample point {aw}", witness=aw)
 
@@ -774,36 +774,20 @@ def simplex_lower_bound_check(cover: Cover, n: int) -> dict:
     corners[n, n - 1] = 1.0
 
     faces = _face_predicates(n, r)
-    masks = cover.set_masks()
     simplex_pts = _in_simplex_mask(coords, corners)
 
-    assignment: dict[int, int] = {}
-    for si in range(len(cover.sets)):
-        if not np.any(masks[si] & simplex_pts):
-            continue
-        label = None
+    def face_label(si: int) -> int:
+        """The first face level that covering set si misses."""
+        pts = coords[list(cover.sets[si])]
         for i, pred in enumerate(faces):
-            if not np.any(pred(coords[masks[si]])):
-                label = i
-                break
-        if label is None:
-            raise InternalCheckError(
-                f"covering set {si} meets every face level; this contradicts "
-                "the spanning bound")
-        assignment[si] = label
+            if not np.any(pred(pts)):
+                return i
+        raise InternalCheckError(
+            f"covering set {si} meets every face level; this contradicts "
+            "the spanning bound")
 
-    # deep-set table: for each sample point, the first set swallowing its
-    # closed unit ball
-    deep = np.full(space.n, -1, dtype=np.int64)
-    for x in range(space.n):
-        ball = np.zeros(space.n, dtype=bool)
-        ball[list(unit.image([x]))] = True
-        for si in range(len(cover.sets)):
-            if np.all(masks[si, ball]):
-                deep[x] = si
-                break
-    if np.any(deep < 0):
-        raise InternalCheckError("appetite check passed but deep-set table has holes")
+    assignment = {si: face_label(si) for si, s in enumerate(cover.sets)
+                  if np.any(simplex_pts[list(s)])}
 
     coord_index = {tuple(np.round(c, 9)): i for i, c in enumerate(coords)}
 
@@ -820,15 +804,7 @@ def simplex_lower_bound_check(cover: Cover, n: int) -> dict:
         if si not in assignment:
             # the anchor's deep set may sit partly outside the simplex; it
             # still gets a face label by the same spanning argument
-            label = None
-            for i, pred in enumerate(faces):
-                if not np.any(pred(coords[masks[si]])):
-                    label = i
-                    break
-            if label is None:
-                raise InternalCheckError(
-                    f"covering set {si} meets every face level")
-            assignment[si] = label
+            assignment[si] = face_label(si)
         anchors[vid] = si
         labeling[vid] = assignment[si]
     grid.labeling = labeling
@@ -841,7 +817,7 @@ def simplex_lower_bound_check(cover: Cover, n: int) -> dict:
         raise InternalCheckError("fully-labeled cell does not span n+1 distinct sets")
 
     bary = np.mean([grid.vertex_point(v) for v in cell], axis=0)
-    witness_point = _search_common_point(coords, masks, cell_sets, bary)
+    witness_point = _search_common_point(coords, cover.sets, cell_sets, bary)
     if witness_point is None:
         raise InternalCheckError("no sample point realizes the n+1-fold overlap")
 
@@ -922,9 +898,6 @@ def _snap_to_sample(v: np.ndarray, support: frozenset[int], n: int, r: float,
     x = np.round(v / step) * step
     # restore exact face memberships broken by rounding
     if n >= 2:
-        if n not in support:
-            # missing corner n means the point lies where x_{n-1} tracks x_n
-            pass
         if 0 not in support:
             x[0] = 0.0
         for j in range(1, n - 1):
@@ -950,10 +923,10 @@ def _snap_to_sample(v: np.ndarray, support: frozenset[int], n: int, r: float,
     return None
 
 
-def _search_common_point(coords: np.ndarray, masks: np.ndarray,
+def _search_common_point(coords: np.ndarray, sets: Sequence[tuple[int, ...]],
                          wanted: list[int], center: np.ndarray) -> Optional[int]:
-    inter = np.all(masks[wanted], axis=0)
-    cands = np.nonzero(inter)[0]
+    common = set(sets[wanted[0]]).intersection(*(sets[si] for si in wanted[1:]))
+    cands = np.array(sorted(common), dtype=np.int64)
     if cands.size == 0:
         return None
     d = np.linalg.norm(coords[cands] - center, axis=1)

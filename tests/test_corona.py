@@ -1,15 +1,19 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarselab.corona import (CompactificationModel, CoronaCoverSchedule,
-                              check_cc_entourage, corona_dim_cover, map_f, map_g,
-                              roundtrip_bounds)
+                              _band_appetite_witness, check_cc_entourage, corona_dim_cover,
+                              map_f, map_g, roundtrip_bounds)
 from coarselab.covers import Cover, multiplicity
 from coarselab.errors import InvalidInputError
 from coarselab.spaces import Entourage, Space
 from coarselab.transforms import ColoredCover
+from oracles import band_appetite_scan
 
 
 def unit_interval_model(step=1.0 / 400):
@@ -219,3 +223,45 @@ class TestDimCover:
         d = info["d_sequence"]
         assert all(d[i] >= d[i + 1] - 1e-12 for i in range(len(d) - 1))
         assert d[-1] < d[0]
+
+
+@lru_cache(maxsize=None)
+def small_band():
+    """A certified band cover of a 48-point circle to depth 30, with the
+    remaining arguments of the band appetite scan."""
+    depth = 30
+    space = circle_space(48)
+    build, leb = arc_cover_builder(space)
+    sched = CoronaCoverSchedule(space, 2, build, leb)
+    levels = Space.line(0, depth + 10, 1.0)
+    shift = Entourage.from_pairs(levels, [(i, i + 1) for i in range(depth + 10)])
+    deltas = [4.0 / (m + 1) ** 1.5 for m in range(depth + 11)]
+    cov, _, _ = corona_dim_cover(sched, deltas, shift, depth)
+    win = shift.union(Entourage.diagonal(levels))
+    win = win.union(win.inverse())
+    return cov, (sched, deltas, win, depth + 1, depth)
+
+
+class TestBandAppetite:
+    def test_certified_band_passes_both_scans(self):
+        cov, args = small_band()
+        assert _band_appetite_witness(cov, *args) is None
+        assert band_appetite_scan(cov, *args) is None
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_removed_point_gives_the_old_witness(self, data):
+        cov, args = small_band()
+        si = data.draw(st.integers(0, len(cov.sets) - 1))
+        drop = data.draw(st.sampled_from(cov.sets[si]))
+        sets = [tuple(p for p in s if p != drop) if k == si else s
+                for k, s in enumerate(cov.sets)]
+        broken = Cover(cov.space, sets, require_covering=False, canonicalize=False)
+        assert _band_appetite_witness(broken, *args) == band_appetite_scan(broken, *args)
+
+    def test_removed_point_fails(self):
+        cov, args = small_band()
+        sets = [s[1:] if k == 0 else s for k, s in enumerate(cov.sets)]
+        broken = Cover(cov.space, sets, require_covering=False, canonicalize=False)
+        got = _band_appetite_witness(broken, *args)
+        assert got is not None and got == band_appetite_scan(broken, *args)

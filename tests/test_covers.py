@@ -3,12 +3,17 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import sparse
 
-from coarselab.covers import (Cover, appetite_witness, cover_entourage, has_appetite,
-                              lebesgue_number, mesh, multiplicity, stats)
-from coarselab.errors import InvalidInputError
+from coarselab.covers import (Cover, appetite_witness, cover_entourage, first_container,
+                              has_appetite, lebesgue_number, mesh, multiplicity, stats)
+from coarselab.errors import InvalidInputError, ResourceLimitError
 from coarselab.spaces import Entourage, Space
 from coarselab.witnesses import cube_cover
+from oracles import appetite_witness_loop, first_container_brute
 
 
 def brute_multiplicity(cover):
@@ -108,7 +113,64 @@ class TestAppetite:
         assert has_appetite(cov, Entourage.radius(grid, 1.0))
 
 
+class TestFirstContainer:
+    @given(data=st.data(), cols=st.integers(0, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force(self, data, cols):
+        # zero-row shapes and all-False rows give empty queries and empty sets
+        queries = data.draw(arrays(bool, (data.draw(st.integers(0, 6)), cols)))
+        sets = data.draw(arrays(bool, (data.draw(st.integers(0, 6)), cols)))
+        got = first_container(sparse.csr_matrix(queries), sparse.csr_matrix(sets))
+        assert got.tolist() == first_container_brute(queries, sets)
+
+    def test_incidence_rows_are_the_sets(self):
+        sp = Space.line(0, 6, 1.0)
+        c = Cover(sp, [[0, 1, 2], [], [2, 3, 4, 5, 6]])
+        inc = c.incidence()
+        assert inc.dtype == bool and inc.shape == (3, 7)
+        assert [tuple(inc[k].indices.tolist()) for k in range(3)] == list(c.sets)
+
+
+@st.composite
+def cover_and_relation(draw):
+    """A small line sample, any family of sets on it (covering or not, with
+    empty sets allowed) and a pair or radius relation."""
+    n = draw(st.integers(1, 12))
+    sp = Space.line(0, n - 1, 1.0)
+    sets = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=n), max_size=6))
+    cover = Cover(sp, sets, require_covering=False)
+    if draw(st.booleans()):
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3 * n))
+        rel = Entourage.from_pairs(sp, pairs, symmetrize=draw(st.booleans()))
+    else:
+        rel = Entourage.radius(sp, draw(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])),
+                               closed=draw(st.booleans()))
+    return cover, rel
+
+
+class TestAppetiteOracle:
+    @given(case=cover_and_relation())
+    @settings(max_examples=200, deadline=None)
+    def test_witness_matches_loop(self, case):
+        cover, rel = case
+        assert appetite_witness(cover, rel) == appetite_witness_loop(cover, rel)
+
+    def test_failing_witness_matches_loop(self):
+        sp = Space.line(0, 19, 1.0)
+        c = Cover(sp, [list(range(0, 8)), list(range(6, 14)), list(range(13, 20))])
+        e = Entourage.radius(sp, 2.5)
+        assert appetite_witness(c, e) == appetite_witness_loop(c, e) == 6
+
+
 class TestCoverEntourage:
+    def test_pair_cap_is_a_resource_limit(self):
+        sp = Space.line(0, 9, 1.0)
+        c = Cover(sp, [list(range(6)), list(range(4, 10))])
+        assert cover_entourage(c, cap=72).pair_count() == 68
+        with pytest.raises(ResourceLimitError):
+            cover_entourage(c, cap=71)
+
     def test_singleton_cover_gives_diagonal(self):
         sp = Space.line(0, 9, 1.0)
         c = Cover(sp, [[i] for i in range(10)])

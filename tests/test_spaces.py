@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarselab.errors import InvalidInputError, ResourceLimitError
-from coarselab.spaces import (Entourage, PointMap, Space, compose, image, inverse,
-                              transport, uniformity_modulus, word_metric_ball)
+from coarselab.spaces import (Entourage, PointMap, Space, transport, uniformity_modulus,
+                              word_metric_ball)
 
 
 def small_relation(n_points=20):
@@ -121,9 +121,9 @@ class TestEntourageAlgebra:
 
     def test_radius_ball_and_strictness(self):
         e = Entourage.radius(self.line, 2.0)
-        assert image(e, [5]) == frozenset({4, 5, 6})
+        assert e.image([5]) == frozenset({4, 5, 6})
         closed = Entourage.radius(self.line, 2.0, closed=True)
-        assert image(closed, [5]) == frozenset({3, 4, 5, 6, 7})
+        assert closed.image([5]) == frozenset({3, 4, 5, 6, 7})
 
     def test_triangle_composition_of_radius(self):
         grid = Space.grid(2, [0, 0], [9, 9], 1.0)
@@ -142,7 +142,28 @@ class TestEntourageAlgebra:
         e = Entourage.from_pairs(self.line, [(0, 1)])
         f = Entourage.from_pairs(other, [(0, 1)])
         with pytest.raises(InvalidInputError):
-            compose(e, f)
+            e.compose(f)
+
+    def test_compose_counts_every_path_multiplicity(self):
+        # 256 paths join each pair; the product must not drop them
+        sp = Space.discrete(256)
+        full = Entourage.from_keys(sp, np.arange(256 * 256))
+        assert full.compose(full).pair_count() == 256 * 256
+
+    def test_compose_of_closed_radius_relations(self):
+        line = Space.line(0, 600, 1)
+        half = Entourage.radius(line, 128, closed=True).materialize()
+        whole = Entourage.radius(line, 256, closed=True).materialize()
+        assert np.array_equal(half.compose(half).keys(), whole.keys())
+
+    @given(pairs=small_relation())
+    @settings(max_examples=40, deadline=None)
+    def test_matrix_matches_pairs(self, pairs):
+        sp = Space.line(0, 19, 1.0)
+        e = Entourage.from_pairs(sp, pairs, symmetrize=False)
+        m = e.matrix().tocoo()
+        assert m.dtype == bool
+        assert sorted(zip(m.row.tolist(), m.col.tolist())) == e.pairs()
 
 
 class TestTransport:
