@@ -50,6 +50,7 @@ class CompactificationModel:
         self.ambient = ambient
         self.interior = interior
         self.corona = corona
+        self._interior_arr = np.array(interior, dtype=np.int64)
         corona_arr = np.array(corona, dtype=np.int64)
         self._corona_dist = np.array(
             [float(ambient.dist_row(i)[corona_arr].min()) for i in interior])
@@ -69,8 +70,7 @@ class CompactificationModel:
         """X_i as positions into the interior list."""
         if i <= 0:
             return []
-        return [p for p in range(len(self.interior))
-                if self._corona_dist[p] >= 1.0 / i - TOL]
+        return np.flatnonzero(self._corona_dist >= 1.0 / i - TOL).tolist()
 
     def widths(self) -> list[float]:
         """a_i = max over corona points of d(X_i, corona point), per level."""
@@ -98,9 +98,9 @@ def map_f(model: CompactificationModel, corona_index: int, n: int) -> int:
     if c is None:
         raise InvalidInputError("corona index out of range")
     row = model.ambient.dist_row(c)
-    cand = [model.interior[p] for p in xn]
-    best = min(cand, key=lambda idx: (row[idx], idx))
-    return int(best)
+    # candidates ascend, so argmin's first minimum is the lowest index
+    cand = model._interior_arr[xn]
+    return int(cand[np.argmin(row[cand])])
 
 
 def map_g(model: CompactificationModel, interior_index: int) -> tuple[int, int]:
@@ -111,8 +111,7 @@ def map_g(model: CompactificationModel, interior_index: int) -> tuple[int, int]:
     pos = model.interior.index(interior_index)
     level = model.filtration_index(pos)
     row = model.ambient.dist_row(interior_index)
-    best = min(range(len(model.corona)), key=lambda ci: (row[model.corona[ci]], ci))
-    return (int(best), int(level))
+    return (int(np.argmin(row[model.corona])), int(level))
 
 
 def roundtrip_bounds(model: CompactificationModel) -> dict:
@@ -376,6 +375,9 @@ def corona_dim_cover(schedule: CoronaCoverSchedule, deltas: Sequence[float],
     for j in range(1, i_max + 1):
         fine, coarse = covers[j], covers[j - 1]
         k_lo, k_hi = cuts[j - 1], cuts[j]
+        children: list[list[int]] = [[] for _ in fine.sets]
+        for wi, p in enumerate(phi[j + 1]):
+            children[p].append(wi)
         for si, w in enumerate(fine.sets):
             j_w = family_of(fine, si)
             parent = phi[j][si]
@@ -383,8 +385,7 @@ def corona_dim_cover(schedule: CoronaCoverSchedule, deltas: Sequence[float],
             a_band = sorted(K(k_hi) - K(k_lo + 2 * j_parent - 2))
             b_band = sorted(K(k_hi + 2 * j_w) - K(k_hi))
             piece = set(prod_set(w, a_band))
-            breve = [wi for wi, p in enumerate(phi[j + 1]) if p == si]
-            for wi in breve:
+            for wi in children[si]:
                 piece.update(prod_set(covers[j + 1].sets[wi], b_band))
             if piece:
                 sets.append(tuple(sorted(piece)))

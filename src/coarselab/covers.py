@@ -217,25 +217,18 @@ def appetite_witness(cover: Cover, entourage: Entourage) -> Optional[int]:
 
 
 def cover_entourage(cover: Cover, cap: int = PAIR_CAP) -> Entourage:
-    """The union of U x U over all covering sets, as a pairs entourage.
+    """The union of U x U over all covering sets, as a pairs entourage:
+    M^T M for the sets x points incidence matrix M.
 
     Uniform boundedness against a bound D is the predicate
     cover_entourage(C).is_subset_of(D).
     """
-    n = cover.space.n
     total = sum(len(s) ** 2 for s in set(cover.sets))
     if total > cap:
         raise ResourceLimitError(
             f"cover entourage would exceed the {cap} pair cap ({total} pairs)")
-    chunks = []
-    for s in set(cover.sets):
-        if not s:
-            continue
-        idx = np.array(s, dtype=np.int64)
-        grid = idx[:, None] * n + idx[None, :]
-        chunks.append(grid.ravel())
-    keys = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    return Entourage.from_keys(cover.space, keys)
+    m = cover.incidence()
+    return Entourage.from_matrix(cover.space, m.T @ m)
 
 
 def stats(cover: Cover, entourage: Optional[Entourage] = None) -> dict:

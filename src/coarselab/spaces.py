@@ -5,6 +5,11 @@ sample. A Space is an ordered list of points with a symmetric, non-negative
 distance function (a pseudometric: distinct points at distance zero are
 allowed). Entourages are relations on point indices, either explicit pair
 sets or lazily evaluated radius relations {(x, y) | d(x, y) < r}.
+
+A pair set is stored as its n x n boolean CSR matrix, so the relation
+algebra is sparse matrix algebra: union is A + B, inverse A^T, composition
+A @ B, inclusion reads A > B, the image of a set is A @ mask, and transport
+along a map with graph matrix G is G^T A G (push) or G A G^T (pull).
 """
 
 from __future__ import annotations
@@ -258,25 +263,41 @@ class Entourage:
     """A relation on the indices of a Space.
 
     Two kinds:
-      - "pairs": an explicit set of index pairs, stored as sorted encoded keys
-        i * n + j. Pair sets handed in by users are symmetric-closed by
-        default; operation outputs (composition, transport) are raw.
+      - "pairs": an explicit set of index pairs, stored only as the n x n
+        boolean CSR matrix with a True at (i, j) for each pair, in canonical
+        form (sorted column indices, no duplicates, no explicit zeros).
+        Row-major CSR order is ascending order of the keys i * n + j, so
+        pairs() lists and first_pair_outside() picks pairs in key order, as
+        when the keys themselves were stored. Pair sets handed in by
+        users are symmetric-closed by default; operation outputs
+        (composition, transport) are raw.
       - "radius": the relation {(x, y) | d(x, y) < r} evaluated lazily,
         materialized on demand with a documented cap of 10**7 pairs. The
         strict inequality is implemented as d < r - 1e-12; a closed variant
         (d <= r + 1e-12) is available for constructions that need it.
     """
 
-    def __init__(self, space: Space, kind: str, keys: Optional[np.ndarray] = None,
+    def __init__(self, space: Space, kind: str, m: Optional[sparse.csr_matrix] = None,
                  r: Optional[float] = None, closed: bool = False):
         self.space = space
         self.kind = kind
-        self._keys = keys
+        self._m = m
         self.r = r
         self.closed = closed
         self._power_cache: dict[int, "Entourage"] = {}
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def from_matrix(cls, space: Space, m) -> "Entourage":
+        """The pairs relation holding (i, j) wherever the n x n matrix m has
+        a non-zero entry."""
+        m = sparse.csr_matrix(m, dtype=bool)
+        if m.shape != (space.n, space.n):
+            raise InvalidInputError("relation matrix must be n x n over its space")
+        m.sum_duplicates()
+        m.eliminate_zeros()
+        return cls(space, "pairs", m=m)
 
     @classmethod
     def from_pairs(cls, space: Space, pairs: Iterable[tuple[int, int]],
@@ -285,15 +306,15 @@ class Entourage:
         arr = np.array([(int(i), int(j)) for i, j in pairs], dtype=np.int64).reshape(-1, 2)
         if arr.size and (arr.min() < 0 or arr.max() >= n):
             raise InvalidInputError("pair index out of range")
-        keys = arr[:, 0] * n + arr[:, 1]
         if symmetrize:
-            keys = np.concatenate([keys, arr[:, 1] * n + arr[:, 0]])
-        keys = np.unique(keys)
-        return cls(space, "pairs", keys=keys)
+            arr = np.concatenate([arr, arr[:, ::-1]])
+        return cls.from_matrix(space, _bool_matrix(arr[:, 0], arr[:, 1], (n, n)))
 
     @classmethod
     def from_keys(cls, space: Space, keys: np.ndarray) -> "Entourage":
-        return cls(space, "pairs", keys=np.unique(np.asarray(keys, dtype=np.int64)))
+        keys = np.asarray(keys, dtype=np.int64)
+        n = space.n
+        return cls.from_matrix(space, _bool_matrix(keys // n, keys % n, (n, n)))
 
     @classmethod
     def radius(cls, space: Space, r: float, closed: bool = False) -> "Entourage":
@@ -305,25 +326,45 @@ class Entourage:
 
     @classmethod
     def diagonal(cls, space: Space) -> "Entourage":
-        idx = np.arange(space.n, dtype=np.int64)
-        return cls(space, "pairs", keys=idx * space.n + idx)
+        return cls.from_matrix(space, sparse.identity(space.n, dtype=bool, format="csr"))
 
     # -- basics ------------------------------------------------------------
 
-    def _radius_hits(self, i: int) -> np.ndarray:
-        row = self.space.dist_row(i)
+    def _within(self, d):
+        """Whether distances d fall inside this radius relation."""
         if self.closed:
-            return np.nonzero(row <= self.r + RADIUS_TOL)[0]
-        return np.nonzero(row < self.r - RADIUS_TOL)[0]
+            return d <= self.r + RADIUS_TOL
+        return d < self.r - RADIUS_TOL
+
+    def _radius_hits(self, i: int) -> np.ndarray:
+        return np.nonzero(self._within(self.space.dist_row(i)))[0]
+
+    def matrix(self) -> sparse.csr_matrix:
+        """The n x n boolean CSR matrix with a True at (i, j) for each pair,
+        in canonical form; shared, so callers must not modify it.
+
+        A radius relation is materialized first, under the pair cap.
+        """
+        return self.materialize()._m
 
     def keys(self) -> np.ndarray:
-        return self.materialize()._keys
+        """The pairs as ascending int64 keys i * n + j."""
+        m = self.matrix()
+        n = self.space.n
+        return np.repeat(np.arange(n, dtype=np.int64), np.diff(m.indptr)) * n + m.indices
+
+    # certbench/tracer.py reads `ret._keys.size` to count the pairs that
+    # materialize, compose and cover_entourage return; keep this read-only
+    # view for it.
+    @property
+    def _keys(self) -> np.ndarray:
+        return self.keys()
 
     def materialize(self, cap: int = PAIR_CAP) -> "Entourage":
         if self.kind == "pairs":
             return self
         n = self.space.n
-        chunks = []
+        rows = []
         total = 0
         for i in range(n):
             hits = self._radius_hits(i)
@@ -331,110 +372,75 @@ class Entourage:
             if total > cap:
                 raise ResourceLimitError(
                     f"radius entourage would exceed the {cap} pair cap")
-            chunks.append(i * n + hits)
-        keys = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-        return Entourage.from_keys(self.space, keys)
-
-    def matrix(self) -> sparse.csr_matrix:
-        """The n x n boolean CSR matrix with a True at (i, j) for each pair.
-
-        A radius relation is materialized first, under the pair cap.
-        """
-        n = self.space.n
-        k = self.keys()
-        indptr = np.searchsorted(k, np.arange(n + 1, dtype=np.int64) * n)
-        return sparse.csr_matrix((np.ones(k.size, dtype=bool), k % n, indptr),
-                                 shape=(n, n))
+            rows.append(hits)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum([h.size for h in rows], out=indptr[1:])
+        indices = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+        return Entourage.from_matrix(self.space, sparse.csr_matrix(
+            (np.ones(indices.size, dtype=bool), indices, indptr), shape=(n, n)))
 
     def pair_count(self) -> int:
-        return int(self.keys().size)
+        return int(self.matrix().nnz)
 
     def pairs(self) -> list[tuple[int, int]]:
-        n = self.space.n
-        k = self.keys()
-        return [(int(a), int(b)) for a, b in zip(k // n, k % n)]
+        m = self.matrix().tocoo()
+        return list(zip(m.row.tolist(), m.col.tolist()))
 
     def contains_pair(self, i: int, j: int) -> bool:
         if self.kind == "radius":
-            d = self.space.dist(i, j)
-            return d <= self.r + RADIUS_TOL if self.closed else d < self.r - RADIUS_TOL
-        key = np.int64(i) * self.space.n + j
-        pos = np.searchsorted(self._keys, key)
-        return pos < self._keys.size and self._keys[pos] == key
+            return bool(self._within(self.space.dist(i, j)))
+        return bool(self._m[i, j])
+
+    def _outside(self, other: "Entourage") -> sparse.csr_matrix:
+        """The pairs of self that other lacks, as a CSR matrix. A radius
+        relation on the right is tested by distance and never materialized."""
+        a = self.matrix()
+        if other.kind == "pairs":
+            return a > other.matrix()
+        d = np.empty(a.nnz)
+        for i in np.flatnonzero(np.diff(a.indptr)):
+            at = slice(a.indptr[i], a.indptr[i + 1])
+            d[at] = self.space.dist_row(int(i))[a.indices[at]]
+        out = sparse.csr_matrix((~other._within(d), a.indices, a.indptr),
+                                shape=a.shape, copy=True)
+        out.eliminate_zeros()
+        return out
 
     def is_subset_of(self, other: "Entourage") -> bool:
         if other.kind == "radius" and self.kind == "radius":
             if self.space is other.space and not self.closed and not other.closed:
                 return self.r <= other.r
-        mine = self.keys()
-        if other.kind == "radius":
-            n = self.space.n
-            d = np.array([self.space.dist(int(k // n), int(k % n)) for k in mine])
-            if other.closed:
-                return bool(np.all(d <= other.r + RADIUS_TOL))
-            return bool(np.all(d < other.r - RADIUS_TOL))
-        theirs = other.keys()
-        if theirs.size == 0:
-            return mine.size == 0
-        pos = np.searchsorted(theirs, mine)
-        ok = (pos < theirs.size)
-        ok &= theirs[np.minimum(pos, theirs.size - 1)] == mine
-        return bool(np.all(ok))
+        return self._outside(other).nnz == 0
 
     def first_pair_outside(self, other: "Entourage") -> Optional[tuple[int, int]]:
-        """A witness pair of self not contained in other, or None."""
-        n = self.space.n
-        mine = self.keys()
-        theirs = other.materialize()._keys if other.kind == "pairs" else None
-        for k in mine:
-            i, j = int(k // n), int(k % n)
-            if theirs is not None:
-                pos = np.searchsorted(theirs, k)
-                inside = pos < theirs.size and theirs[pos] == k
-            else:
-                inside = other.contains_pair(i, j)
-            if not inside:
-                return (i, j)
-        return None
+        """The pair of self with the smallest key i * n + j that other
+        lacks, or None."""
+        out = self._outside(other)
+        if out.nnz == 0:
+            return None
+        i = int(np.flatnonzero(np.diff(out.indptr))[0])
+        return (i, int(out.indices[out.indptr[i]:out.indptr[i + 1]].min()))
 
     def is_symmetric(self) -> bool:
         if self.kind == "radius":
             return True
-        n = self.space.n
-        k = self._keys
-        inv = (k % n) * n + (k // n)
-        return bool(np.array_equal(np.sort(inv), k))
+        return (self._m != self._m.T).nnz == 0
 
     def contains_diagonal(self) -> bool:
         if self.kind == "radius":
             return self.closed or self.r > RADIUS_TOL
-        if self._keys.size == 0:
-            return self.space.n == 0
-        idx = np.arange(self.space.n, dtype=np.int64)
-        diag = idx * self.space.n + idx
-        pos = np.searchsorted(self._keys, diag)
-        ok = (pos < self._keys.size)
-        ok &= self._keys[np.minimum(pos, self._keys.size - 1)] == diag
-        return bool(np.all(ok))
+        return bool(self._m.diagonal().all())
 
     # -- algebra -----------------------------------------------------------
 
     def inverse(self) -> "Entourage":
         if self.kind == "radius":
             return self
-        n = self.space.n
-        k = self._keys
-        return Entourage.from_keys(self.space, (k % n) * n + (k // n))
+        return Entourage.from_matrix(self.space, self._m.T)
 
     def union(self, other: "Entourage") -> "Entourage":
         _check_same_space(self, other)
-        return Entourage.from_keys(
-            self.space, np.concatenate([self.keys(), other.keys()]))
-
-    def intersection(self, other: "Entourage") -> "Entourage":
-        _check_same_space(self, other)
-        a, b = self.keys(), other.keys()
-        return Entourage.from_keys(self.space, np.intersect1d(a, b))
+        return Entourage.from_matrix(self.space, self.matrix() + other.matrix())
 
     def compose(self, other: "Entourage", cap: int = PAIR_CAP) -> "Entourage":
         """The relation {(x, z) | exists y with (x, y) in self, (y, z) in other}.
@@ -442,12 +448,10 @@ class Entourage:
         Output is raw: no symmetric closure is applied.
         """
         _check_same_space(self, other)
-        n = self.space.n
-        prod = (self.matrix() @ other.matrix()).tocoo()
+        prod = self.matrix() @ other.matrix()
         if prod.nnz > cap:
             raise ResourceLimitError(f"composition would exceed the {cap} pair cap")
-        keys = prod.row.astype(np.int64) * n + prod.col.astype(np.int64)
-        return Entourage.from_keys(self.space, keys)
+        return Entourage.from_matrix(self.space, prod)
 
     def power(self, k: int, cap: int = PAIR_CAP) -> "Entourage":
         """k-fold composition with itself; k = 0 gives the diagonal.
@@ -477,25 +481,20 @@ class Entourage:
             for i in a:
                 out.update(int(x) for x in self._radius_hits(i))
             return frozenset(out)
-        n = self.space.n
-        k = self._keys
-        cols = k % n
-        mask = np.isin(cols, np.array(a, dtype=np.int64))
-        return frozenset(int(x) for x in np.unique(k[mask] // n))
-
-    def restrict(self, indices: Iterable[int]) -> "Entourage":
-        """Pairs of self with both endpoints in the given index set."""
-        sel = np.array(sorted(set(int(i) for i in indices)), dtype=np.int64)
-        n = self.space.n
-        k = self.keys()
-        mask = np.isin(k // n, sel) & np.isin(k % n, sel)
-        return Entourage.from_keys(self.space, k[mask])
+        mask = np.zeros(self.space.n, dtype=bool)
+        mask[a] = True
+        return frozenset(np.flatnonzero(self._m @ mask).tolist())
 
     def __repr__(self):
         if self.kind == "radius":
             op = "<=" if self.closed else "<"
             return f"Entourage(radius d {op} {self.r}, n={self.space.n})"
-        return f"Entourage(pairs, {self._keys.size} pairs, n={self.space.n})"
+        return f"Entourage(pairs, {self._m.nnz} pairs, n={self.space.n})"
+
+
+def _bool_matrix(rows, cols, shape) -> sparse.csr_matrix:
+    """The boolean CSR matrix with a True at each (rows[k], cols[k])."""
+    return sparse.csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=shape)
 
 
 def _check_same_space(a: Entourage, b: Entourage) -> None:
@@ -533,37 +532,18 @@ def transport(f: PointMap, e: Entourage, direction: str) -> Entourage:
     """Push an entourage forward along f x f, or pull one back.
 
     push: (f x f)(E) over the target space; pull: (f x f)^{-1}(E) over the
-    source space. Outputs are raw pair sets.
+    source space. Outputs are raw pair sets. With G the source x target
+    graph matrix of f, push is G^T E G and pull is G E G^T.
     """
+    graph = _bool_matrix(np.arange(f.source.n), f.table, (f.source.n, f.target.n))
     if direction == "push":
         if e.space is not f.source:
             raise InvalidInputError("push needs an entourage over the source space")
-        n_src, n_tgt = f.source.n, f.target.n
-        k = e.keys()
-        keys = f.table[k // n_src] * n_tgt + f.table[k % n_src]
-        return Entourage.from_keys(f.target, keys)
+        return Entourage.from_matrix(f.target, graph.T @ e.matrix() @ graph)
     if direction == "pull":
         if e.space is not f.target:
             raise InvalidInputError("pull needs an entourage over the target space")
-        n_src = f.source.n
-        out = []
-        # materialized membership test on all source pairs is quadratic; fine
-        # at desk scale and exact
-        em = e.materialize()
-        n_tgt = f.target.n
-        tkeys = em._keys
-        if tkeys.size == 0:
-            return Entourage.from_keys(f.source, np.empty(0, dtype=np.int64))
-        fi = f.table
-        for i in range(n_src):
-            cand = fi[i] * n_tgt + fi
-            pos = np.searchsorted(tkeys, cand)
-            ok = (pos < tkeys.size)
-            ok &= tkeys[np.minimum(pos, tkeys.size - 1)] == cand
-            js = np.nonzero(ok)[0]
-            out.append(np.int64(i) * n_src + js)
-        keys = np.concatenate(out) if out else np.empty(0, dtype=np.int64)
-        return Entourage.from_keys(f.source, keys)
+        return Entourage.from_matrix(f.source, graph @ e.matrix() @ graph.T)
     raise InvalidInputError("direction must be 'push' or 'pull'")
 
 

@@ -23,6 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .covers import Cover, cover_entourage
 from .errors import ContractViolationError, InvalidInputError
 from .spaces import Entourage, Space
 
@@ -51,13 +52,7 @@ class Decomposition:
         self.offsets = tuple(int(x) for x in np.concatenate([[0], np.cumsum(dims)[:-1]]))
         self.total = int(sum(dims))
         if bound is not None:
-            ce_keys = []
-            n = space.n
-            for b in cleaned:
-                idx = np.array(b, dtype=np.int64)
-                if idx.size:
-                    ce_keys.append((idx[:, None] * n + idx[None, :]).ravel())
-            ce = Entourage.from_keys(space, np.concatenate(ce_keys))
+            ce = cover_entourage(Cover(space, cleaned))
             if not ce.is_subset_of(bound):
                 raise ContractViolationError(
                     "blocks are not uniformly bounded by the declared entourage",
@@ -166,7 +161,7 @@ def is_controlled(op: BlockOperator, entourage: Entourage,
     if entourage.space.n != supp.space.n:
         raise InvalidInputError("entourage must live over the block quotient")
     if entourage.space is not supp.space:
-        entourage = Entourage.from_keys(supp.space, entourage.keys())
+        entourage = Entourage.from_matrix(supp.space, entourage.matrix())
     return supp.is_subset_of(entourage)
 
 

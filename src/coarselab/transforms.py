@@ -21,6 +21,7 @@ from itertools import combinations
 from typing import Iterable
 
 import numpy as np
+from scipy import sparse
 
 from .covers import Cover, appetite_witness, cover_entourage, first_container, multiplicity
 from .errors import ContractViolationError, InvalidInputError
@@ -53,8 +54,8 @@ def family_disjoint_witness(cover: Cover, entourage: Entourage):
     if cover.families is None:
         raise InvalidInputError("cover has no families")
     n = cover.space.n
-    keys = entourage.keys()
-    rows, cols = keys // n, keys % n
+    pairs = entourage.matrix().tocoo()
+    rows, cols = pairs.row, pairs.col
     for fam in cover.families:
         owner = np.full(n, -1, dtype=np.int64)
         for si in fam:
@@ -72,15 +73,10 @@ def interior(indices: Iterable[int], entourage: Entourage) -> frozenset[int]:
 
     E(x) = {y | (y, x) in E}; points with empty E(x) are vacuously interior.
     """
-    n = entourage.space.n
-    inside = np.zeros(n, dtype=bool)
-    inside[[int(i) for i in indices]] = True
-    keys = entourage.keys()
-    rows, cols = keys // n, keys % n
-    excluded = np.zeros(n, dtype=bool)
-    bad = ~inside[rows]
-    excluded[cols[bad]] = True
-    return frozenset(int(i) for i in np.nonzero(~excluded)[0])
+    outside = np.ones(entourage.space.n, dtype=bool)
+    outside[[int(i) for i in indices]] = False
+    excluded = entourage.matrix().T @ outside
+    return frozenset(np.flatnonzero(~excluded).tolist())
 
 
 def _require_symmetric_with_diagonal(entourage: Entourage, name: str) -> None:
@@ -281,8 +277,8 @@ def merge_union(cover_a: ColoredCover, cover_b: ColoredCover, entourage: Entoura
             f"cover B families not (L∘D_A∘L∘D_A∘L)-disjoint: {wb}", witness=wb)
 
     n = cover_a.space.n
-    lkeys = L.keys()
-    lrows, lcols = lkeys // n, lkeys % n
+    lpairs = L.matrix().tocoo()
+    lrows, lcols = lpairs.row, lpairs.col
     sets: list[tuple[int, ...]] = []
     families: list[list[int]] = []
     for fam_a, fam_b in zip(cover_a.families, cover_b.families):
@@ -352,24 +348,13 @@ def merge_union(cover_a: ColoredCover, cover_b: ColoredCover, entourage: Entoura
 # ---------------------------------------------------------------------------
 
 
-def _pair_product_keys(product_space: Space, ex: Entourage, ey: Entourage) -> np.ndarray:
-    a: Space = product_space.meta["left"]
-    b: Space = product_space.meta["right"]
-    ka = ex.keys()
-    kb = ey.keys()
-    xi, xj = ka // a.n, ka % a.n
-    yi, yj = kb // b.n, kb % b.n
-    n_prod = product_space.n
-    left = (xi[:, None] * b.n + yi[None, :]).ravel()
-    right = (xj[:, None] * b.n + yj[None, :]).ravel()
-    return left.astype(np.int64) * n_prod + right.astype(np.int64)
-
-
 def make_product_entourage(product_space: Space, ex: Entourage, ey: Entourage) -> Entourage:
-    """The relation {((x,y),(x',y')) | (x,x') in ex and (y,y') in ey}."""
+    """The relation {((x,y),(x',y')) | (x,x') in ex and (y,y') in ey}: the
+    Kronecker product of the two relation matrices, since the point (x, y)
+    has index x * |Y| + y."""
     if product_space.kind != "product":
         raise InvalidInputError("needs a product space")
-    return Entourage.from_keys(product_space, _pair_product_keys(product_space, ex, ey))
+    return Entourage.from_matrix(product_space, sparse.kron(ex.matrix(), ey.matrix()))
 
 
 def _projection_maps(product_space: Space) -> tuple[PointMap, PointMap]:

@@ -14,6 +14,7 @@ from itertools import combinations, permutations, product as iproduct
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .covers import Cover, cover_entourage, first_container, lebesgue_number, mesh, multiplicity
 from .errors import (ContractViolationError, InternalCheckError, InvalidInputError,
@@ -222,21 +223,20 @@ class IntervalRelation:
         idx = np.arange(n)
         lo = np.maximum(idx - extra_steps, 0)
         hi = np.minimum(idx + extra_steps, n - 1)
-        keys = e.keys()
-        for k in keys:
-            i, j = int(k // n), int(k % n)
+        for i, j in e.pairs():
             a, b = (i, j) if i <= j else (j, i)
             lo[a:b + 1] = np.minimum(lo[a:b + 1], a)
             hi[a:b + 1] = np.maximum(hi[a:b + 1], b)
         return cls(lo, hi)
 
     def to_entourage(self, space: Space) -> Entourage:
+        """Row i holds the columns lo[i] .. hi[i]."""
         n = space.n
-        chunks = []
-        for i in range(n):
-            js = np.arange(self.lo[i], self.hi[i] + 1, dtype=np.int64)
-            chunks.append(np.int64(i) * n + js)
-        return Entourage.from_keys(space, np.concatenate(chunks))
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(self.hi - self.lo + 1, out=indptr[1:])
+        indices = np.arange(indptr[-1]) - np.repeat(indptr[:-1] - self.lo, np.diff(indptr))
+        return Entourage.from_matrix(space, sparse.csr_matrix(
+            (np.ones(indices.size, dtype=bool), indices, indptr), shape=(n, n)))
 
 
 def ray_cell_cover(n: int, e: Entourage, bound: float):
@@ -738,9 +738,8 @@ def simplex_lower_bound_check(cover: Cover, n: int) -> dict:
             f"cover lacks unit appetite at sample point {aw}", witness=aw)
 
     # axis relations from the cover spread
-    spread = cover_entourage(cover)
-    keys = spread.keys()
-    rows, cols = keys // space.n, keys % space.n
+    spread = cover_entourage(cover).matrix().tocoo()
+    rows, cols = spread.row, spread.col
     lattice = np.round(coords / step).astype(np.int64)
     width = int(lattice.max()) + 1
 

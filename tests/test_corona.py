@@ -13,7 +13,7 @@ from coarselab.covers import Cover, multiplicity
 from coarselab.errors import InvalidInputError
 from coarselab.spaces import Entourage, Space
 from coarselab.transforms import ColoredCover
-from oracles import band_appetite_scan
+from oracles import band_appetite_scan, filtration_set_loop, map_f_loop, map_g_loop
 
 
 def unit_interval_model(step=1.0 / 400):
@@ -91,6 +91,19 @@ class TestModelAndMaps:
         out = roundtrip_bounds(m)
         assert not out["fg_failures"]
         assert not out["gf_failures"]
+
+    def test_maps_match_the_loops_on_the_disk(self):
+        # the disk centre is equidistant from every corona point, and ties
+        # must still break to the lowest index
+        m = disk_model()
+        for i in range(m.depth + 1):
+            assert m.filtration_set(i) == filtration_set_loop(m, i)
+        for x in m.interior:
+            assert map_g(m, x) == (map_g_loop(m, x), m.filtration_index(m.interior.index(x)))
+        for n in range(1, m.depth + 1):
+            if m.filtration_set(n):
+                for ci in range(len(m.corona)):
+                    assert map_f(m, ci, n) == map_f_loop(m, ci, n)
 
     def test_radial_nearest_point_on_disk(self):
         m = disk_model()

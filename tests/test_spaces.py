@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarselab.covers import Cover, cover_entourage
 from coarselab.errors import InvalidInputError, ResourceLimitError
 from coarselab.spaces import (Entourage, PointMap, Space, transport, uniformity_modulus,
                               word_metric_ball)
+from coarselab.transforms import make_product_entourage
+import oracles
 
 
 def small_relation(n_points=20):
@@ -164,6 +167,106 @@ class TestEntourageAlgebra:
         m = e.matrix().tocoo()
         assert m.dtype == bool
         assert sorted(zip(m.row.tolist(), m.col.tolist())) == e.pairs()
+
+
+def relation_pairs(n):
+    return st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40)
+
+
+def keys_of(pairs, n):
+    return np.unique(np.array([i * n + j for i, j in pairs], dtype=np.int64))
+
+
+class TestAlgebraOracle:
+    """The CSR relation algebra against the sorted-key algebra it replaced."""
+
+    @given(data=st.data(), n=st.integers(1, 20))
+    @settings(max_examples=80, deadline=None)
+    def test_pair_algebra_matches_keys(self, data, n):
+        sp = Space.discrete(n)
+        pa, pb = data.draw(relation_pairs(n)), data.draw(relation_pairs(n))
+        a = Entourage.from_pairs(sp, pa, symmetrize=False)
+        b = Entourage.from_pairs(sp, pb, symmetrize=False)
+        ka, kb = keys_of(pa, n), keys_of(pb, n)
+        assert np.array_equal(a.keys(), ka)
+        assert a.pairs() == [(int(k // n), int(k % n)) for k in ka]
+        assert np.array_equal(a.union(b).keys(), oracles.union_keys(ka, kb))
+        assert np.array_equal(a.inverse().keys(), oracles.inverse_keys(ka, n))
+        assert np.array_equal(a.compose(b).keys(), oracles.compose_keys(ka, kb, n))
+        assert a.is_symmetric() == np.array_equal(oracles.inverse_keys(ka, n), ka)
+        assert a.contains_diagonal() == all(
+            oracles.contains_key(ka, i * n + i) for i in range(n))
+        for x, y, kx, ky in ((a, b, ka, kb), (b, a, kb, ka)):
+            want = oracles.first_pair_outside_keys(
+                kx, n, lambda i, j: oracles.contains_key(ky, i * n + j))
+            assert x.first_pair_outside(y) == want
+            assert x.is_subset_of(y) == (want is None)
+        cols = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
+        assert a.image(cols) == frozenset(int(k // n) for k in ka if k % n in cols)
+
+    @given(data=st.data(), n=st.integers(1, 20), r=st.floats(0, 6),
+           closed=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_subset_of_radius_matches_keys(self, data, n, r, closed):
+        sp = Space.line(0, n - 1, 1.0)
+        pairs = data.draw(relation_pairs(n))
+        e = Entourage.from_pairs(sp, pairs, symmetrize=False)
+        ball = Entourage.radius(sp, r, closed=closed)
+
+        def contains(i, j):
+            d = sp.dist(i, j)
+            return d <= r + 1e-12 if closed else d < r - 1e-12
+
+        want = oracles.first_pair_outside_keys(keys_of(pairs, n), n, contains)
+        assert e.first_pair_outside(ball) == want
+        assert e.is_subset_of(ball) == (want is None)
+
+    @given(data=st.data(), n_src=st.integers(1, 20), n_tgt=st.integers(1, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_transport_matches_keys(self, data, n_src, n_tgt):
+        src, tgt = Space.discrete(n_src), Space.discrete(n_tgt)
+        table = np.array(data.draw(st.lists(st.integers(0, n_tgt - 1),
+                                            min_size=n_src, max_size=n_src)))
+        f = PointMap(src, tgt, table)
+        ps, pt = data.draw(relation_pairs(n_src)), data.draw(relation_pairs(n_tgt))
+        pushed = transport(f, Entourage.from_pairs(src, ps, symmetrize=False), "push")
+        pulled = transport(f, Entourage.from_pairs(tgt, pt, symmetrize=False), "pull")
+        assert pushed.space is tgt and pulled.space is src
+        assert np.array_equal(pushed.keys(),
+                              oracles.push_keys(keys_of(ps, n_src), table, n_src, n_tgt))
+        assert np.array_equal(pulled.keys(),
+                              oracles.pull_keys(keys_of(pt, n_tgt), table, n_src, n_tgt))
+
+    @given(data=st.data(), na=st.integers(1, 6), nb=st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_product_matches_keys(self, data, na, nb):
+        a, b = Space.discrete(na), Space.discrete(nb)
+        pa, pb = data.draw(relation_pairs(na)), data.draw(relation_pairs(nb))
+        e = make_product_entourage(Space.product(a, b),
+                                   Entourage.from_pairs(a, pa, symmetrize=False),
+                                   Entourage.from_pairs(b, pb, symmetrize=False))
+        assert np.array_equal(e.keys(),
+                              oracles.product_keys(keys_of(pa, na), na, keys_of(pb, nb), nb))
+
+    @given(data=st.data(), n=st.integers(1, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_cover_entourage_matches_keys(self, data, n):
+        sp = Space.discrete(n)
+        sets = data.draw(st.lists(st.lists(st.integers(0, n - 1), max_size=8), max_size=6))
+        cover = Cover(sp, sets, require_covering=False)
+        assert np.array_equal(cover_entourage(cover).keys(),
+                              oracles.cover_entourage_keys(cover))
+
+
+class TestTracerHook:
+    # certbench/tracer.py counts the pairs that materialize, compose and
+    # cover_entourage return through `_keys.size`
+    def test_keys_attribute_counts_pairs(self):
+        line = Space.line(0, 29, 1.0)
+        ball = Entourage.radius(line, 2.5).materialize()
+        spread = cover_entourage(Cover(line, [range(0, 12), range(10, 30)]))
+        for e in (ball, ball.compose(ball), spread):
+            assert e._keys.size == e.pair_count() > 0
 
 
 class TestTransport:

@@ -66,6 +66,14 @@ class TestPVM:
         with pytest.raises(InvalidInputError):
             Decomposition(sp, [[0, 1], [1, 2, 3]], [1, 1])
 
+    def test_bound_check_gives_the_first_pair_outside(self):
+        line = Space.line(0, 4, 1.0)
+        blocks = [[0, 1], [2, 3, 4]]
+        Decomposition(line, blocks, [1, 1], bound=Entourage.radius(line, 2.5))
+        with pytest.raises(ContractViolationError) as err:
+            Decomposition(line, blocks, [1, 1], bound=Entourage.radius(line, 1.5))
+        assert err.value.witness == (2, 4)
+
 
 class TestSupports:
     def test_zero_vector(self):

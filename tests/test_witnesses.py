@@ -8,7 +8,7 @@ from coarselab.covers import (Cover, has_appetite, lebesgue_number, mesh,
 from coarselab.errors import ContractViolationError, InvalidInputError
 from coarselab.prng import SplitMix64
 from coarselab.spaces import Entourage, Space
-from coarselab.witnesses import (SimplexGrid, SimplicialComplex,
+from coarselab.witnesses import (IntervalRelation, SimplexGrid, SimplicialComplex,
                                  constant_interior_labeling, cube_cover,
                                  nearest_corner_labeling, pn_sample,
                                  random_admissible_labeling, ray_cell_cover,
@@ -93,6 +93,13 @@ class TestTreeCover:
 
 
 class TestRayCellCover:
+    def test_interval_relation_rows_run_from_lo_to_hi(self):
+        line = Space.line(0, 9, 1.0)
+        e = Entourage.from_pairs(line, [(1, 4), (7, 8)])
+        rel = IntervalRelation.from_entourage(e, 1)
+        assert rel.to_entourage(line).pairs() == [
+            (i, j) for i in range(10) for j in range(rel.lo[i], rel.hi[i] + 1)]
+
     def test_one_factor_bands(self):
         line = Space.grid(1, [0], [30], 0.5)
         e = Entourage.from_pairs(line, [])
