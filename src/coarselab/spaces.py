@@ -10,6 +10,10 @@ A pair set is stored as its n x n boolean CSR matrix, so the relation
 algebra is sparse matrix algebra: union is A + B, inverse A^T, composition
 A @ B, inclusion reads A > B, the image of a set is A @ mask, and transport
 along a map with graph matrix G is G^T A G (push) or G A G^T (pull).
+
+A radius relation on a grid or cloud sample is materialized through a cell
+list, in time linear in the points plus the candidate pairs it proposes;
+other backings scan one full distance row per point.
 """
 
 from __future__ import annotations
@@ -25,6 +29,10 @@ from .errors import InvalidInputError, ResourceLimitError
 METRIC_TOL = 1e-9
 RADIUS_TOL = 1e-12
 PAIR_CAP = 10**7
+# the cell list of a grid or cloud buckets at most this many axes, and hands
+# out candidate pairs in chunks of at most this many
+_CELL_AXES = 3
+_PAIR_CHUNK = 1 << 17
 
 
 class Space:
@@ -274,7 +282,11 @@ class Entourage:
       - "radius": the relation {(x, y) | d(x, y) < r} evaluated lazily,
         materialized on demand with a documented cap of 10**7 pairs. The
         strict inequality is implemented as d < r - 1e-12; a closed variant
-        (d <= r + 1e-12) is available for constructions that need it.
+        (d <= r + 1e-12) is available for constructions that need it. On
+        grid and cloud samples, materialize buckets the points into cells of
+        side just over r on the first three axes and measures only pairs in
+        neighbouring cells, each exactly as dist_row does, so the relation
+        is bit-identical to a scan of every distance row.
     """
 
     def __init__(self, space: Space, kind: str, m: Optional[sparse.csr_matrix] = None,
@@ -360,24 +372,51 @@ class Entourage:
     def _keys(self) -> np.ndarray:
         return self.keys()
 
+    def _radius_pairs(self):
+        """Yield the pairs of this radius relation as (rows, cols) index
+        arrays, a bounded chunk at a time.
+
+        On grid and cloud samples a cell list proposes the candidates and
+        each is kept by the distance dist_row computes, the same float
+        operations in the same order, so the pairs are exactly those of the
+        row scan. Other backings, and coordinates or radii too large for
+        cells, scan one distance row per point.
+        """
+        sp = self.space
+        # every pair inside the relation is closer than reach on each axis,
+        # with room for the rounding of the distance itself
+        reach = (self.r + RADIUS_TOL) * (1 + 1e-9) + 1e-12
+        if sp.kind in ("grid", "cloud"):
+            coords = sp.meta["coords"]
+            if (coords.size and np.isfinite(reach)
+                    and np.isfinite(np.ptp(coords[:, :_CELL_AXES], axis=0)).all()):
+                for i, j in _cell_candidates(coords[:, :_CELL_AXES], reach):
+                    keep = self._within(np.linalg.norm(coords[j] - coords[i], axis=1))
+                    yield i[keep], j[keep]
+                return
+        for i in range(sp.n):
+            hits = self._radius_hits(i)
+            yield np.full(hits.size, i, dtype=np.int64), hits
+
     def materialize(self, cap: int = PAIR_CAP) -> "Entourage":
+        """This relation as a pairs relation; a radius relation of more than
+        cap pairs raises ResourceLimitError, which is checked chunk by chunk
+        so the pairs of an over-cap relation are never all held."""
         if self.kind == "pairs":
             return self
-        n = self.space.n
-        rows = []
+        rows = [np.empty(0, dtype=np.int64)]
+        cols = [np.empty(0, dtype=np.int64)]
         total = 0
-        for i in range(n):
-            hits = self._radius_hits(i)
-            total += hits.size
+        for i, j in self._radius_pairs():
+            total += j.size
             if total > cap:
                 raise ResourceLimitError(
                     f"radius entourage would exceed the {cap} pair cap")
-            rows.append(hits)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum([h.size for h in rows], out=indptr[1:])
-        indices = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-        return Entourage.from_matrix(self.space, sparse.csr_matrix(
-            (np.ones(indices.size, dtype=bool), indices, indptr), shape=(n, n)))
+            rows.append(i)
+            cols.append(j)
+        n = self.space.n
+        return Entourage.from_matrix(self.space, _bool_matrix(
+            np.concatenate(rows), np.concatenate(cols), (n, n)))
 
     def pair_count(self) -> int:
         return int(self.matrix().nnz)
@@ -495,6 +534,82 @@ class Entourage:
 def _bool_matrix(rows, cols, shape) -> sparse.csr_matrix:
     """The boolean CSR matrix with a True at each (rows[k], cols[k])."""
     return sparse.csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=shape)
+
+
+def _axis_cells(x: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bucket one coordinate axis into cells of side at least reach.
+
+    Returns each point's cell rank and, for each rank but the last, whether
+    the next rank is the adjacent cell. The cell floor((x - min) / side) is
+    monotone in x, so checking the farthest value within reach of each value
+    shows that no two values less than reach apart are more than one cell
+    apart. Rounding can break that only at many millions of cells across,
+    and the side is then doubled until it holds.
+    """
+    w, inv = np.unique(x, return_inverse=True)
+    top = np.searchsorted(w, w + reach, side="right") - 1
+    side = reach
+    while True:
+        q = np.floor((w - w[0]) / side)
+        if np.all(q[top] - q <= 1):
+            break
+        side *= 2
+    cells, rank = np.unique(q, return_inverse=True)
+    return rank[inv], np.diff(cells) == 1
+
+
+def _cell_candidates(coords: np.ndarray, reach: float):
+    """Yield candidate pairs (rows, cols), at most _PAIR_CHUNK at a time:
+    each ordered pair of points that lie in the same or adjacent cells on
+    every axis of coords, once. That includes every pair closer than reach
+    on every axis (fixed-radius near neighbours by bucketing: Bentley,
+    Stanat & Williams, IPL 1977).
+
+    A cell is a tuple of axis ranks. The ranks are folded into one cell id
+    an axis at a time, re-ranking the occupied prefixes after each axis, so
+    no key exceeds n**2 and the neighbours of a cell are found by
+    searchsorted.
+    """
+    axes = [_axis_cells(coords[:, a], reach) for a in range(coords.shape[1])]
+    prefixes = []
+    key = np.zeros(coords.shape[0], dtype=np.int64)
+    for rank, adjacent in axes:
+        occupied, key = np.unique(key * (adjacent.size + 1) + rank, return_inverse=True)
+        prefixes.append(occupied)
+    order = np.argsort(key)
+    ncells = prefixes[-1].size
+    start = np.searchsorted(key[order], np.arange(ncells + 1))
+    size = np.diff(start)
+    first = order[start[:-1]]
+    links = [(rank[first], np.append(adjacent, False), np.insert(adjacent, 0, False),
+              adjacent.size + 1, occupied)
+             for (rank, adjacent), occupied in zip(axes, prefixes)]
+    block = max(1, _PAIR_CHUNK // 3 ** len(axes))
+    for c0 in range(0, ncells, block):
+        cells = np.arange(c0, min(c0 + block, ncells))
+        nbrs = [(np.zeros(cells.size, dtype=np.int64), np.ones(cells.size, dtype=bool))]
+        for cell_rank, up, down, width, occupied in links:
+            r = cell_rank[cells]
+            steps = ((r - 1, down[r]), (r, True), (r + 1, up[r]))
+            nxt = []
+            for prefix, ok in nbrs:
+                for r2, linked in steps:
+                    k2 = prefix * width + r2
+                    pos = np.searchsorted(occupied, k2)
+                    found = occupied[np.minimum(pos, occupied.size - 1)] == k2
+                    nxt.append((pos, ok & linked & found))
+            nbrs = nxt
+        src = np.concatenate([cells[ok] for _, ok in nbrs])
+        dst = np.concatenate([pos[ok] for pos, ok in nbrs])
+        count = size[src] * size[dst]
+        end = np.cumsum(count)
+        for t0 in range(0, int(end[-1]), _PAIR_CHUNK):
+            t = np.arange(t0, min(t0 + _PAIR_CHUNK, int(end[-1])), dtype=np.int64)
+            e = np.searchsorted(end, t, side="right")
+            within = t - (end[e] - count[e])
+            width = size[dst[e]]
+            yield (order[start[src[e]] + within // width],
+                   order[start[dst[e]] + within % width])
 
 
 def _check_same_space(a: Entourage, b: Entourage) -> None:

@@ -627,12 +627,11 @@ class SimplexGrid:
                     f"label {lab[vid]} outside support {sorted(self.support(vid))}")
 
     def cell_mesh(self) -> float:
-        worst = 0.0
-        for cell in self.cells:
-            pts = np.array([self.vertex_point(v) for v in cell])
-            for i in range(len(pts)):
-                worst = max(worst, float(np.linalg.norm(pts - pts[i], axis=1).max()))
-        return worst
+        """The largest distance between two vertices of one cell."""
+        verts = np.array([self.vertex_point(v) for v in range(len(self.vertices))])
+        pts = verts[np.array(self.cells)]
+        i, j = np.triu_indices(self.n + 1, 1)
+        return float(np.linalg.norm(pts[:, j] - pts[:, i], axis=-1).max(initial=0.0))
 
     def fully_labeled_cells(self) -> list[tuple[int, ...]]:
         lab = self.labeling

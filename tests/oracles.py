@@ -2,8 +2,10 @@
 
 `covers.first_container` answers every "is this set inside some covering
 set" question with one sparse product, and a pairs `Entourage` is its
-boolean CSR matrix, so the relation algebra is sparse matrix algebra. The
-direct loops and the sorted-key algebra they replaced are kept here,
+boolean CSR matrix, so the relation algebra is sparse matrix algebra. Radius
+relations on grids and clouds come from a cell list, and the mesh of a
+simplex subdivision from one vectorized norm. The direct loops and the
+sorted-key algebra they replaced are kept here,
 unchanged in their logic, as oracles for differential tests: they are slow,
 but each step is plain to check by eye. A relation over n points is given
 as its sorted unique int64 keys i * n + j.
@@ -12,6 +14,9 @@ as its sorted unique int64 keys i * n + j.
 import math
 
 import numpy as np
+
+from coarselab.errors import ResourceLimitError
+from coarselab.spaces import PAIR_CAP, RADIUS_TOL
 
 TOL = 1e-9
 
@@ -77,6 +82,23 @@ def band_appetite_scan(cover, schedule, deltas, win, width: int, depth: int):
 # ---------------------------------------------------------------------------
 # The relation algebra on sorted keys i * n + j
 # ---------------------------------------------------------------------------
+
+
+def materialize_rows_loop(entourage, cap=PAIR_CAP):
+    """The keys of a radius relation from one full distance row per point,
+    raising ResourceLimitError as soon as the running count passes cap."""
+    space, r = entourage.space, entourage.r
+    n = space.n
+    rows = [np.empty(0, dtype=np.int64)]
+    total = 0
+    for i in range(n):
+        d = space.dist_row(i)
+        hits = np.nonzero(d <= r + RADIUS_TOL if entourage.closed else d < r - RADIUS_TOL)[0]
+        total += hits.size
+        if total > cap:
+            raise ResourceLimitError(f"radius entourage would exceed the {cap} pair cap")
+        rows.append(np.int64(i) * n + hits)
+    return np.concatenate(rows)
 
 
 def union_keys(ka, kb):
@@ -168,3 +190,17 @@ def map_f_loop(model, corona_index, n):
 def map_g_loop(model, interior_index):
     row = model.ambient.dist_row(interior_index)
     return int(min(range(len(model.corona)), key=lambda ci: (row[model.corona[ci]], ci)))
+
+
+# ---------------------------------------------------------------------------
+# The simplex subdivision, cell by cell
+# ---------------------------------------------------------------------------
+
+
+def cell_mesh_loop(grid):
+    worst = 0.0
+    for cell in grid.cells:
+        pts = np.array([grid.vertex_point(v) for v in cell])
+        for i in range(len(pts)):
+            worst = max(worst, float(np.linalg.norm(pts - pts[i], axis=1).max()))
+    return worst

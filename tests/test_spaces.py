@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coarselab
 from coarselab.covers import Cover, cover_entourage
 from coarselab.errors import InvalidInputError, ResourceLimitError
 from coarselab.spaces import (Entourage, PointMap, Space, transport, uniformity_modulus,
@@ -256,6 +261,124 @@ class TestAlgebraOracle:
         cover = Cover(sp, sets, require_covering=False)
         assert np.array_equal(cover_entourage(cover).keys(),
                               oracles.cover_entourage_keys(cover))
+
+
+# (r, x0, a, b): a and b lie within r of each other, but with x0 the smallest
+# value, floor((x - x0) / reach) rounds them into cells two apart, so the
+# cell side must be doubled
+ROUNDING_STRADDLES = [
+    (0.3, -67827920.36698191, 60671667.46237432, 60671667.76237432),
+    (0.001, -540904.7639361742, 348370.8477316526, 348370.8487316526),
+    (7.77, -88221818760951.34, 79797892336991.8, 79797892336999.56),
+    (1e-13, -25007.80277018577, 6569.09987358589, 6569.099873585891),
+]
+
+
+@st.composite
+def lattice_clouds(draw):
+    """Offset lattice points, with duplicates and pairs exactly one step
+    apart, plus some free points."""
+    dim = draw(st.integers(1, 5))
+    step = draw(st.sampled_from([1.0, 0.25, 0.1, 3.0]))
+    offset = draw(st.sampled_from([0.0, -7.5, 1e6, -3.3e9]))
+    cells = draw(st.lists(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
+                          min_size=1, max_size=25))
+    free = draw(st.lists(st.lists(st.floats(-4, 4), min_size=dim, max_size=dim), max_size=5))
+    coords = offset + step * np.array(cells + free, dtype=float)
+    return Space.cloud(coords), step
+
+
+@st.composite
+def lattice_grids(draw):
+    dim = draw(st.integers(1, 3))
+    step = draw(st.sampled_from([0.5, 0.3, 2.5, 0.1]))
+    mins = draw(st.lists(st.sampled_from([0.0, -1.7, 1e4]), min_size=dim, max_size=dim))
+    counts = draw(st.lists(st.integers(1, 6), min_size=dim, max_size=dim))
+    maxs = [lo + (c - 1) * step for lo, c in zip(mins, counts)]
+    return Space.grid(dim, mins, maxs, step), step
+
+
+class TestMaterializeOracle:
+    """The cell-list materialize against one full distance row per point."""
+
+    def check(self, sp, r):
+        for closed in (False, True):
+            e = Entourage.radius(sp, r, closed=closed)
+            assert np.array_equal(e.materialize().keys(), oracles.materialize_rows_loop(e))
+
+    @given(data=st.data(), sample=st.one_of(lattice_clouds(), lattice_grids()))
+    @settings(max_examples=150, deadline=None)
+    def test_radius_relation_matches_rows(self, data, sample):
+        sp, step = sample
+        beyond = 2 * float(np.ptp(sp.meta["coords"], axis=0).sum()) + 1
+        r = data.draw(st.sampled_from(
+            [0.0, 1e-13, step, step - 1e-12, step + 1e-12, 2 * step, beyond]))
+        self.check(sp, r)
+
+    @pytest.mark.parametrize("r,x0,a,b", ROUNDING_STRADDLES)
+    def test_rounding_straddles_across_cells(self, r, x0, a, b):
+        self.check(Space.cloud([[x0], [a], [b]]), r)
+        self.check(Space.cloud([[x0, 0.0], [a, 1.0], [b, 1.0]]), r)
+
+    @pytest.mark.parametrize("coords,r", [
+        ([[0.0], [np.inf], [np.nan], [1.0]], 2.0),
+        ([[0.0, 1.0], [1.0, np.inf], [2.0, 0.0]], np.inf),
+        ([[0.0], [1e308], [-1e308], [1e308]], 1.0),
+        ([[0.0, 0.0, 0.0, np.inf], [0.0, 0.0, 0.0, 1.0], [0.5, 0.0, 0.0, 1.0]], 1.0),
+    ])
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_non_finite_coordinates_and_radii(self, coords, r):
+        self.check(Space.cloud(coords), r)
+
+    def test_empty_cloud(self):
+        self.check(Space.cloud(np.zeros((0, 2))), 1.0)
+        self.check(Space.cloud(np.zeros((4, 0))), 1.0)
+
+    @pytest.mark.parametrize("sp", [Space.grid(2, [0, 0], [9, 9], 0.5),
+                                    Space.tree([(i, i + 1) for i in range(60)])],
+                             ids=["grid", "tree"])
+    def test_cap_is_exact(self, sp):
+        e = Entourage.radius(sp, 1.2)
+        count = e.materialize().pair_count()
+        assert e.materialize(cap=count).pair_count() == count
+        assert oracles.materialize_rows_loop(e, cap=count).size == count
+        message = rf"^radius entourage would exceed the {count - 1} pair cap$"
+        for build in (e.materialize, lambda cap: oracles.materialize_rows_loop(e, cap)):
+            with pytest.raises(ResourceLimitError, match=message):
+                build(cap=count - 1)
+
+    def test_over_cap_stops_before_all_candidates(self):
+        n = 3000
+        sp = Space.cloud(np.random.default_rng(3).uniform(0, 10, (n, 2)))
+        e = Entourage.radius(sp, 100.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError):
+                e.materialize(cap=10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one int64 index array over all n**2 candidates would take 72 MB
+        assert peak < n * n * 8 // 2
+
+    def test_large_grid_unit_neighbours(self):
+        s = 317
+        grid = Space.grid(2, [0, 0], [s - 1, s - 1], 1.0)
+        e = Entourage.radius(grid, 1.000001).materialize()
+        assert e.pair_count() == grid.n + 4 * s * (s - 1)
+
+    def test_no_scipy_spatial_import(self):
+        # scipy.spatial costs about 13 MB of resident memory per process
+        code = ("import sys, coarselab.cli\n"
+                "from coarselab.spaces import Entourage, Space\n"
+                "Entourage.radius(Space.grid(2, [0, 0], [30, 30], 1.0), 2.5).materialize()\n"
+                "print('scipy.spatial' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(coarselab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "False"
 
 
 class TestTracerHook:

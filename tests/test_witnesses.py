@@ -14,6 +14,7 @@ from coarselab.witnesses import (IntervalRelation, SimplexGrid, SimplicialComple
                                  random_admissible_labeling, ray_cell_cover,
                                  simplex_lower_bound_check, sperner_find,
                                  star_cover, star_lebesgue_bound, tree_cover)
+import oracles
 
 
 class TestCubeCover:
@@ -219,6 +220,14 @@ class TestSperner:
     def test_cell_count_matches_resolution(self):
         grid = SimplexGrid(self.unit_corners(2), 4)
         assert len(grid.cells) == 16
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("resolution", [1, 2, 3, 7, 12])
+    def test_cell_mesh_matches_the_loop(self, n, resolution):
+        skew = np.random.default_rng(n * 100 + resolution).normal(size=(n + 1, n))
+        for corners in (self.unit_corners(n) * 4.5, skew * 3.0 + 50.0):
+            grid = SimplexGrid(corners, resolution)
+            assert grid.cell_mesh() == oracles.cell_mesh_loop(grid)
 
 
 class TestLowerBound:
