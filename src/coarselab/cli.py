@@ -11,6 +11,7 @@ resource cap, 2 on a contract violation, 64 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -494,12 +495,19 @@ def _pipeline(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _parser() -> Parser:
+    """The parser of run, built once per process: parsing never modifies
+    it, and it has no mutable defaults."""
+    return build_parser()
+
+
 def run(argv) -> tuple[int, dict]:
     """Dispatch and build the report; returns (exit_code, report)."""
     report: dict = {"command": list(argv)}
     started = time.monotonic()
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except UsageError as err:
         report["error"] = {"kind": "usage", "message": str(err)}
         return EXIT_USAGE, report

@@ -13,6 +13,18 @@ The discrete Lebesgue number uses non-strict containment of sampled balls
 and is a lower-bound estimator of the continuum Lebesgue number whenever
 the sample is a fine net of the continuum space.
 
+On a grid both the Lebesgue number and the mesh measure distances against
+lattice boundaries only, and still equal a scan of every distance row bit
+for bit. A grid coordinate is monotone in its axis index, and the computed
+distance sums per-axis terms fl(fl(x_a - y_a)^2), each monotone in the
+index distance along its axis. So stepping a point outside a set one
+lattice step towards a member x never lengthens its distance to x; the
+walk meets the set, so some outside point next to a member (the outer
+boundary) is nearest to x. And stepping a member away from another member
+never shortens their distance while it stays in the set; it stops at a
+member with a lattice neighbour outside the set or off the grid (the inner
+boundary), so some pair of inner-boundary points spans the diameter.
+
 first_container is the one set-containment test ("which covering set holds
 this set") behind appetite, refinement checks, the lower bound's deep-set
 table and the corona band cover.
@@ -131,16 +143,54 @@ def multiplicity(cover: Cover) -> int:
     return int(counts.max()) if cover.space.n else 0
 
 
+def _lattice_counts(cover: Cover) -> tuple[sparse.csr_matrix, sparse.csr_matrix, int]:
+    """(M, T, full) for a cover of a grid: M the incidence matrix, T = M A
+    with A the n x n lattice-neighbour matrix, so T[k, x] counts the members
+    of set k next to point x, and full the number of lattice neighbours of
+    a point off the grid's faces (two per axis of more than one point)."""
+    shape = cover.space.meta["shape"]
+    n = cover.space.n
+    idx = np.arange(n, dtype=np.int64)
+    heads, tails = [], []
+    stride = 1
+    for count in reversed(shape):
+        lo = idx[(idx // stride) % count < count - 1]
+        heads += [lo, lo + stride]
+        tails += [lo + stride, lo]
+        stride *= count
+    heads, tails = np.concatenate(heads), np.concatenate(tails)
+    adj = sparse.csr_matrix((np.ones(heads.size, dtype=np.int32), (heads, tails)),
+                            shape=(n, n))
+    m = cover.incidence()
+    full = 2 * sum(count > 1 for count in shape)
+    return m, sparse.csr_matrix(m, dtype=np.int32) @ adj, full
+
+
+def _row(m: sparse.csr_matrix, k: int) -> np.ndarray:
+    return m.indices[m.indptr[k]:m.indptr[k + 1]]
+
+
 def mesh(cover: Cover) -> float:
-    """Largest diameter of a covering set; empty sets contribute 0."""
+    """Largest diameter of a covering set; empty sets contribute 0.
+
+    On a grid each distinct set is measured on its inner boundary only: the
+    members with a lattice neighbour outside the set or off the grid (see
+    the module docstring for why that is exact).
+    """
     if not cover.space.is_metric_backed():
         raise InvalidInputError("mesh needs a metric-backed space")
-    return max((set_diameter(cover.space, s) for s in set(cover.sets)),
+    distinct = {s: k for k, s in enumerate(cover.sets)}
+    if cover.space.kind != "grid":
+        return max((set_diameter(cover.space, s) for s in distinct), default=0.0)
+    m, t, full = _lattice_counts(cover)
+    # the one point of a one-point grid is its own boundary
+    inner = m > (t == full) if full else m
+    return max((set_diameter(cover.space, _row(inner, k)) for k in distinct.values()),
                default=0.0)
 
 
-def set_diameter(space: Space, s: Iterable[int]) -> float:
-    idx = np.array(sorted(set(int(i) for i in s)), dtype=np.int64)
+def set_diameter(space: Space, s: Sequence[int]) -> float:
+    idx = np.unique(np.asarray(s, dtype=np.int64))
     if idx.size < 2:
         return 0.0
     worst = 0.0
@@ -159,20 +209,30 @@ def lebesgue_number(cover: Cover) -> float:
     of these over x. If some set contains every sample point the result is
     +inf. On a fine sample this lower-bounds the continuum Lebesgue number,
     never overshoots it by more than the sample spacing.
+
+    On a grid the points outside a set are taken from its outer boundary
+    only: the non-members next to a member (see the module docstring).
     """
     if not cover.space.is_metric_backed():
         raise InvalidInputError("lebesgue number needs a metric-backed space")
     n = cover.space.n
     if n == 0 or any(len(s) == n for s in cover.sets):
         return math.inf
+    outer = None
+    if cover.space.kind == "grid":
+        m, t, _ = _lattice_counts(cover)
+        outer = t.astype(bool) > m
     best = np.zeros(n)
-    for s in cover.sets:
+    for k, s in enumerate(cover.sets):
         if not s:
             continue
         members = np.array(s, dtype=np.int64)
-        outside = np.ones(n, dtype=bool)
-        outside[members] = False
-        comp = np.nonzero(outside)[0]
+        if outer is None:
+            outside = np.ones(n, dtype=bool)
+            outside[members] = False
+            comp = np.flatnonzero(outside)
+        else:
+            comp = _row(outer, k)
         chunk = max(1, (1 << 21) // max(comp.size, 1))
         for at in range(0, members.size, chunk):
             rows = members[at:at + chunk]

@@ -50,13 +50,21 @@ class Space:
     Instances are immutable and safe to share.
     """
 
-    def __init__(self, kind: str, points: list, dist_fn, meta: Optional[dict] = None):
+    def __init__(self, kind: str, points: Optional[list], dist_fn, meta: Optional[dict] = None):
         self.kind = kind
-        self.points = points
-        self.n = len(points)
-        self._dist_fn = dist_fn
         self.meta = meta or {}
+        self._points = points
+        self.n = len(points) if points is not None else len(self.meta["coords"])
+        self._dist_fn = dist_fn
         self._row_cache: dict[int, np.ndarray] = {}
+
+    @property
+    def points(self) -> list:
+        """The sample points; a grid or cloud builds its coordinate tuples
+        on first access, as its distances read only meta["coords"]."""
+        if self._points is None:
+            self._points = [tuple(row) for row in self.meta["coords"]]
+        return self._points
 
     # -- constructors ------------------------------------------------------
 
@@ -86,8 +94,10 @@ class Space:
             axes.append(np.array([lo + k * step for k in range(count)]))
         mesh = np.meshgrid(*axes, indexing="ij")
         coords = np.stack([m.ravel() for m in mesh], axis=1)
-        points = [tuple(row) for row in coords]
-        return cls("grid", points, None, {"coords": coords, "step": step, "dim": dim})
+        # points run in C order over the axis counts in shape, so lattice
+        # neighbours along axis a are prod(shape[a + 1:]) indices apart
+        return cls("grid", None, None, {"coords": coords, "step": step, "dim": dim,
+                                        "shape": tuple(a.size for a in axes)})
 
     @classmethod
     def line(cls, lo: float, hi: float, step: float) -> "Space":
@@ -133,8 +143,7 @@ class Space:
         arr = np.asarray(coords, dtype=float)
         if arr.ndim != 2:
             raise InvalidInputError("cloud coordinates must be a 2-d array")
-        points = [tuple(row) for row in arr]
-        return cls("cloud", points, None, {"coords": arr, "dim": arr.shape[1]})
+        return cls("cloud", None, None, {"coords": arr, "dim": arr.shape[1]})
 
     @classmethod
     def discrete(cls, n: int) -> "Space":
@@ -156,7 +165,7 @@ class Space:
             row = self.meta["matrix"][i]
         elif self.kind in ("grid", "cloud"):
             coords = self.meta["coords"]
-            row = np.linalg.norm(coords - coords[i], axis=1)
+            row = np.sqrt(_squared_distances(coords, coords[i]))
         elif self.kind == "tree":
             row = _bfs_depths(self.meta["adj"], i).astype(float)
         elif self.kind == "hyperbolic_polar":
@@ -184,18 +193,17 @@ class Space:
 
         With squared=True euclidean backings skip the square root (callers
         reducing with min/max can take it after the reduction).
+
+        On grid and cloud samples each entry is computed as dist_row
+        computes it (_squared_distances), so it is bit-identical to
+        dist_row(i)[j] whatever the block's shape and however far the points
+        lie from the origin.
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         if self.kind in ("grid", "cloud"):
             coords = self.meta["coords"]
-            sq = self.meta.get("sqnorm")
-            if sq is None:
-                sq = np.einsum("ij,ij->i", coords, coords)
-                self.meta["sqnorm"] = sq
-            gram = coords[rows] @ coords[cols].T
-            d2 = sq[rows][:, None] + sq[cols][None, :] - 2.0 * gram
-            np.maximum(d2, 0.0, out=d2)
+            d2 = _squared_distances(coords[rows][:, None, :], coords[cols][None, :, :])
             return d2 if squared else np.sqrt(d2)
         if self.kind == "matrix":
             block = self.meta["matrix"][np.ix_(rows, cols)]
@@ -216,6 +224,25 @@ class Space:
 
     def __repr__(self):
         return f"Space(kind={self.kind!r}, n={self.n})"
+
+
+def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The squared euclidean distances between the coordinate rows (last
+    axis) of x and y, broadcast against each other.
+
+    The one float recipe of every grid and cloud distance: the squared
+    differences are summed axis by axis in axis order, so a distance has the
+    same bits whichever kernel computes it. For fewer than 8 axes numpy's
+    np.linalg.norm(x - y, axis=-1) sums in the same order. The Gram form
+    |x|^2 + |y|^2 - 2<x, y> is never formed: it cancels away from the
+    origin.
+    """
+    total = np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
+    for a in range(x.shape[-1]):
+        t = x[..., a] - y[..., a]
+        t *= t
+        total += t
+    return total
 
 
 def _validate_pseudometric(d: np.ndarray) -> None:
@@ -391,7 +418,7 @@ class Entourage:
             if (coords.size and np.isfinite(reach)
                     and np.isfinite(np.ptp(coords[:, :_CELL_AXES], axis=0)).all()):
                 for i, j in _cell_candidates(coords[:, :_CELL_AXES], reach):
-                    keep = self._within(np.linalg.norm(coords[j] - coords[i], axis=1))
+                    keep = self._within(np.sqrt(_squared_distances(coords[j], coords[i])))
                     yield i[keep], j[keep]
                 return
         for i in range(sp.n):

@@ -53,22 +53,7 @@ def cube_cover(space: Space, n: int, a: float):
         raise InvalidInputError(
             f"grid step {step} too coarse; need step <= a/(2(n+1)) = {a / (2 * (n + 1))}")
 
-    sets: list[tuple[int, ...]] = []
-    families: list[list[int]] = []
-    for i in range(n + 1):
-        offset = a * i / (n + 1)
-        u = (coords - offset) / a
-        z = np.round(u)
-        inside = np.all(np.abs(u - z) < 0.5 - RADIUS_TOL, axis=1)
-        fam: list[int] = []
-        buckets: dict[tuple, list[int]] = {}
-        for idx in np.nonzero(inside)[0]:
-            buckets.setdefault(tuple(int(v) for v in z[idx]), []).append(int(idx))
-        for key in sorted(buckets):
-            fam.append(len(sets))
-            sets.append(tuple(buckets[key]))
-        families.append(fam)
-
+    sets, families = _cube_sets(coords, n, a)
     out = ColoredCover(space, sets, families, Entourage.diagonal(space),
                        require_covering=True, canonicalize=False)
     guarantees = []
@@ -82,6 +67,28 @@ def cube_cover(space: Space, n: int, a: float):
     guarantees.append(_claim("cube_cover.mesh", f"<= {mb}", msh, msh <= mb + FLOAT_TOL))
     _ensure(guarantees)
     return out, guarantees
+
+
+def _cube_sets(coords: np.ndarray, n: int, a: float) -> tuple[list, list]:
+    """The sets and families of cube_cover: family i, in lexicographic
+    order of the integer cube index z, the points strictly inside the cube
+    a*(z + i/(n+1)*(1,...,1)) of edge a, each set in ascending order."""
+    sets: list[list[int]] = []
+    families: list[list[int]] = []
+    for i in range(n + 1):
+        offset = a * i / (n + 1)
+        u = (coords - offset) / a
+        z = np.round(u)
+        inside = np.flatnonzero(np.all(np.abs(u - z) < 0.5 - RADIUS_TOL, axis=1))
+        # lexsort is stable and its last key leads: equal cubes keep their
+        # points in ascending order
+        order = np.lexsort(z[inside].T[::-1])
+        members, keys = inside[order], z[inside[order]]
+        cuts = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
+        groups = np.split(members, cuts) if members.size else []
+        families.append(list(range(len(sets), len(sets) + len(groups))))
+        sets += [g.tolist() for g in groups]
+    return sets, families
 
 
 def _min_positive_gap(coords: np.ndarray) -> float:

@@ -9,6 +9,12 @@ sorted-key algebra they replaced are kept here,
 unchanged in their logic, as oracles for differential tests: they are slow,
 but each step is plain to check by eye. A relation over n points is given
 as its sorted unique int64 keys i * n + j.
+
+The Lebesgue number and the mesh of a grid cover measure only lattice
+boundaries, in the difference form of dist_block; the dense loops over
+every point outside or inside a set, with the Gram-form block they used,
+and a scan of every distance row are kept as their references. So is the
+per-point bucketing loop of the cube cover.
 """
 
 import math
@@ -204,3 +210,112 @@ def cell_mesh_loop(grid):
         for i in range(len(pts)):
             worst = max(worst, float(np.linalg.norm(pts - pts[i], axis=1).max()))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Lebesgue number and mesh
+# ---------------------------------------------------------------------------
+
+
+def gram_block(space, rows, cols):
+    """Squared euclidean distances in the Gram form |x|^2 + |y|^2 - 2<x, y>,
+    clamped at 0: exact on small integer coordinates, but it cancels away
+    from the origin and depends on the block's shape."""
+    coords = space.meta["coords"]
+    sq = np.einsum("ij,ij->i", coords, coords)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    d2 = sq[rows][:, None] + sq[cols][None, :] - 2.0 * (coords[rows] @ coords[cols].T)
+    np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def set_diameter_loop(space, s, block=gram_block):
+    idx = np.array(sorted(set(int(i) for i in s)), dtype=np.int64)
+    if idx.size < 2:
+        return 0.0
+    worst = 0.0
+    chunk = max(1, (1 << 21) // max(idx.size, 1))
+    for at in range(0, idx.size, chunk):
+        worst = max(worst, float(block(space, idx[at:at + chunk], idx).max()))
+    return math.sqrt(worst)
+
+
+def mesh_loop(cover, block=gram_block):
+    """Each distinct set against all its members."""
+    return max((set_diameter_loop(cover.space, s, block) for s in set(cover.sets)),
+               default=0.0)
+
+
+def lebesgue_number_loop(cover, block=gram_block):
+    """Each set's members against every point outside it."""
+    n = cover.space.n
+    if n == 0 or any(len(s) == n for s in cover.sets):
+        return math.inf
+    best = np.zeros(n)
+    for s in cover.sets:
+        if not s:
+            continue
+        members = np.array(s, dtype=np.int64)
+        outside = np.ones(n, dtype=bool)
+        outside[members] = False
+        comp = np.nonzero(outside)[0]
+        chunk = max(1, (1 << 21) // max(comp.size, 1))
+        for at in range(0, members.size, chunk):
+            rows = members[at:at + chunk]
+            d = block(cover.space, rows, comp).min(axis=1)
+            np.maximum.at(best, rows, d)
+    return math.sqrt(float(best.min()))
+
+
+def lebesgue_number_rows(cover):
+    """From one full distance row per point: the best set's distance to its
+    nearest outside point, minimized over the points."""
+    n = cover.space.n
+    if n == 0 or any(len(s) == n for s in cover.sets):
+        return math.inf
+    sets = [np.array(s, dtype=np.int64) for s in cover.sets if s]
+    worst = math.inf
+    for x in range(n):
+        row = cover.space.dist_row(x)
+        best = 0.0
+        for s in sets:
+            if x in s:
+                outside = np.ones(n, dtype=bool)
+                outside[s] = False
+                best = max(best, float(row[outside].min()))
+        worst = min(worst, best)
+    return worst
+
+
+def mesh_rows(cover):
+    """From one full distance row per member of each set."""
+    worst = 0.0
+    for s in set(cover.sets):
+        for x in s:
+            worst = max(worst, float(cover.space.dist_row(x)[list(s)].max()))
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# Cube covers
+# ---------------------------------------------------------------------------
+
+
+def cube_sets_loop(coords, n, a):
+    """The sets and families of cube_cover, bucketing point by point."""
+    sets, families = [], []
+    for i in range(n + 1):
+        offset = a * i / (n + 1)
+        u = (coords - offset) / a
+        z = np.round(u)
+        inside = np.all(np.abs(u - z) < 0.5 - RADIUS_TOL, axis=1)
+        fam = []
+        buckets = {}
+        for idx in np.nonzero(inside)[0]:
+            buckets.setdefault(tuple(int(v) for v in z[idx]), []).append(int(idx))
+        for key in sorted(buckets):
+            fam.append(len(sets))
+            sets.append(tuple(buckets[key]))
+        families.append(fam)
+    return sets, families

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from coarselab import cli
 from coarselab.cli import EXIT_CONTRACT, EXIT_INVALID, EXIT_OK, EXIT_USAGE, render, run
 from coarselab.jsonio import write_json
 
@@ -141,6 +142,19 @@ class TestDeterminism:
         out1 = render(run(argv)[1], "json")
         out2 = render(run(argv)[1], "json")
         assert out1 == out2
+
+    def test_shared_parser_survives_usage_errors(self, tmp_json):
+        assert cli._parser() is cli._parser()
+        space = tmp_json("s.json", {"kind": "grid", "dim": 1, "min": [0],
+                                    "max": [9], "step": 1.0})
+        cover = tmp_json("c.json", {"sets": [[i] for i in range(10)]})
+        argv = ["cover", "stats", "--space", space, "--cover", cover]
+        first = run(argv)
+        for bad in (["cover", "stats", "--bogus", "x"], ["cover", "stats", "--space", space],
+                    ["witness", "cube", "--n", "two"], []):
+            assert run(bad)[0] == EXIT_USAGE
+            assert run(argv) == first
+        assert first[0] == EXIT_OK and first[1]["result"]["multiplicity"] == 1
 
     def test_pipeline_seeded_determinism(self):
         argv = ["pipeline", "support-suite", "--seed", "7", "--trials", "5"]

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
@@ -13,6 +13,7 @@ from coarselab.covers import (Cover, appetite_witness, cover_entourage, first_co
 from coarselab.errors import InvalidInputError, ResourceLimitError
 from coarselab.spaces import Entourage, Space
 from coarselab.witnesses import cube_cover
+import oracles
 from oracles import appetite_witness_loop, first_container_brute
 
 
@@ -93,6 +94,86 @@ class TestLebesgue:
         c = Cover(sp, [list(range(0, 25)), list(range(18, 41))])
         L = lebesgue_number(c)
         assert has_appetite(c, Entourage.radius(sp, L))
+
+
+@st.composite
+def grid_cover(draw):
+    """A grid of dim 1-3 (axes of one point included) at a step and offset
+    from the given lists, and a random family of sets on it: scattered
+    subsets and lattice boxes, maybe an empty set and the whole space, and
+    maybe points left uncovered."""
+    dim = draw(st.integers(1, 3))
+    step = draw(st.sampled_from([0.3, 0.5, 1.0, 2.5]))
+    offset = draw(st.sampled_from([0.0, -7.5, 1e6, 1e15]))
+    counts = draw(st.lists(st.integers(1, (12, 7, 5)[dim - 1]), min_size=dim, max_size=dim))
+    sp = Space.grid(dim, [offset] * dim, [offset + (c - 1) * step for c in counts], step)
+    shape = sp.meta["shape"]
+    sets = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            sets.append(np.flatnonzero(draw(arrays(bool, sp.n))).tolist())
+        else:
+            lo = [draw(st.integers(0, c - 1)) for c in shape]
+            hi = [draw(st.integers(a, c - 1)) for a, c in zip(lo, shape)]
+            box = np.ix_(*[np.arange(a, b + 1) for a, b in zip(lo, hi)])
+            sets.append(np.arange(sp.n).reshape(shape)[box].ravel().tolist())
+    if draw(st.booleans()):
+        sets.append([])
+    if draw(st.booleans()):
+        sets.append(list(range(sp.n)))
+    return Cover(sp, sets, require_covering=False)
+
+
+def halves(kind, step, offset):
+    """Two halves, split at x = 1.5 after the offset, of the 2-d lattice of
+    the given step on [0, 3]^2 shifted by the offset, as a grid or a cloud."""
+    sp = Space.grid(2, [offset] * 2, [offset + 3] * 2, step)
+    if kind == "cloud":
+        sp = Space.cloud(sp.meta["coords"])
+    left = sp.meta["coords"][:, 0] < offset + 1.5 + step / 2
+    return Cover(sp, [np.flatnonzero(left).tolist(), np.flatnonzero(~left).tolist()])
+
+
+class TestLatticeBoundaries:
+    """The boundary-only Lebesgue number and mesh against a scan of every
+    distance row, and against the dense Gram-form loops they replaced."""
+
+    @given(cover=grid_cover())
+    @example(cover=Cover(Space.grid(2, [0, 0], [2, 4], 1.0), [[0], list(range(1, 15))]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_distance_rows(self, cover):
+        leb, msh = lebesgue_number(cover), mesh(cover)
+        assert leb == oracles.lebesgue_number_rows(cover)
+        assert msh == oracles.mesh_rows(cover)
+        coords = cover.space.meta["coords"]
+        if np.array_equal(coords, np.round(coords)) and np.abs(coords).max() <= 2**20:
+            assert leb == oracles.lebesgue_number_loop(cover)
+            assert msh == oracles.mesh_loop(cover)
+
+    def test_cube_cover_matches_the_dense_loops(self):
+        grid = Space.grid(2, [3, 3], [40, 25], 1.0)
+        cov, _ = cube_cover(grid, 2, 21.0)
+        assert lebesgue_number(cov) == oracles.lebesgue_number_loop(cov)
+        assert mesh(cov) == oracles.mesh_loop(cov)
+
+
+class TestFarFromOrigin:
+    """Distances of points far from the origin: the Gram form cancelled,
+    0.29974 or 0.25 for a 0.3 gap and 0.0 for a 0.5 gap."""
+
+    @pytest.mark.parametrize("kind", ["grid", "cloud"])
+    @pytest.mark.parametrize("offset", [1e6, 1e7])
+    def test_lebesgue_of_a_step_0_3_lattice(self, kind, offset):
+        c = halves(kind, 0.3, offset)
+        assert lebesgue_number(c) == oracles.lebesgue_number_rows(c)
+        assert lebesgue_number(c) == pytest.approx(0.3, abs=1e-8)
+
+    @pytest.mark.parametrize("kind", ["grid", "cloud"])
+    def test_mesh_and_lebesgue_of_a_step_0_5_lattice(self, kind):
+        c = halves(kind, 0.5, 1e8)
+        assert mesh(c) == oracles.mesh_rows(c)
+        assert mesh(c) == pytest.approx(math.hypot(1.5, 3.0), abs=1e-8)
+        assert lebesgue_number(c) == pytest.approx(0.5, abs=1e-8)
 
 
 class TestAppetite:

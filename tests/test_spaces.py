@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import coarselab
 from coarselab.covers import Cover, cover_entourage
@@ -379,6 +380,37 @@ class TestMaterializeOracle:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=120)
         assert out.stdout.strip() == "False"
+
+
+class TestDistBlock:
+    @given(data=st.data(), dim=st.integers(1, 9), n=st.integers(1, 12),
+           offset=st.sampled_from([0.0, -7.5, 1e6, 1e8, 1e15]))
+    @settings(max_examples=150, deadline=None)
+    def test_entries_are_distance_rows(self, data, dim, n, offset):
+        # the Gram form |x|^2 + |y|^2 - 2<x, y> cancelled away from the
+        # origin and changed with the block's shape
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        sp = Space.cloud(offset + rng.uniform(-50, 50, (n, dim)))
+        index = st.lists(st.integers(0, n - 1), max_size=8)
+        rows = np.array(data.draw(index), dtype=np.int64)
+        cols = np.array(data.draw(index), dtype=np.int64)
+        want = np.array([[sp.dist_row(i)[j] for j in cols] for i in rows]).reshape(
+            rows.size, cols.size)
+        assert np.array_equal(sp.dist_block(rows, cols), want)
+        assert np.array_equal(np.sqrt(sp.dist_block(rows, cols, squared=True)), want)
+        part = data.draw(arrays(bool, cols.size))
+        assert np.array_equal(sp.dist_block(rows, cols[part]), want[:, part])
+        assert sorted(sp.meta) == ["coords", "dim"]
+
+    def test_grid_and_cloud_points_are_built_on_first_access(self):
+        g = Space.grid(3, [0, 0, 0], [2, 0, 1], 1.0)
+        assert g._points is None and g.n == 6 and g.meta["shape"] == (3, 1, 2)
+        assert g.points == [(0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0),
+                            (1.0, 0.0, 1.0), (2.0, 0.0, 0.0), (2.0, 0.0, 1.0)]
+        assert g.points is g.points
+        c = Space.cloud([[0.5, 1.0], [2.0, -1.0]])
+        assert c._points is None and c.n == 2
+        assert c.points == [(0.5, 1.0), (2.0, -1.0)]
 
 
 class TestTracerHook:

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from coarselab.covers import (Cover, has_appetite, lebesgue_number, mesh,
                               multiplicity)
 from coarselab.errors import ContractViolationError, InvalidInputError
 from coarselab.prng import SplitMix64
 from coarselab.spaces import Entourage, Space
-from coarselab.witnesses import (IntervalRelation, SimplexGrid, SimplicialComplex,
+from coarselab.witnesses import (IntervalRelation, _cube_sets, SimplexGrid, SimplicialComplex,
                                  constant_interior_labeling, cube_cover,
                                  nearest_corner_labeling, pn_sample,
                                  random_admissible_labeling, ray_cell_cover,
@@ -37,6 +40,21 @@ class TestCubeCover:
         grid = Space.grid(2, [0, 0], [20, 20], 2.0)
         with pytest.raises(InvalidInputError):
             cube_cover(grid, 2, 6.0)
+
+    @given(data=st.data(), n=st.integers(1, 3),
+           h=st.sampled_from([0.25, 0.3, 0.5, 1.0]), a=st.sampled_from([0.7, 1.0, 2.5, 6.0]),
+           offset=st.sampled_from([0.0, -7.5, 1e6]))
+    @settings(max_examples=150, deadline=None)
+    def test_cube_sets_match_the_loop(self, data, n, h, a, offset):
+        # lattice points of step h hit cube faces; rows repeat and run in
+        # any order, and negative keys sort before positive ones
+        k = data.draw(arrays(np.int64, (data.draw(st.integers(0, 40)), n),
+                             elements=st.integers(-30, 30)))
+        coords = offset + k * h
+        sets, families = _cube_sets(coords, n, a)
+        want_sets, want_families = oracles.cube_sets_loop(coords, n, a)
+        assert [tuple(s) for s in sets] == want_sets
+        assert families == want_families
 
 
 def random_tree(rng, n):
