@@ -126,7 +126,6 @@ def build_parser() -> Parser:
     _space_arg(q)
     q.add_argument("--entourage", required=True)
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--bound", type=float, required=True)
     q = wt.add_parser("hyperbolic")
     q.add_argument("--kappa", type=float, required=True)
     q.add_argument("--lam", type=float, required=True)
@@ -226,7 +225,7 @@ def _handle(args, inputs: dict):
             inputs[args.entourage] = _digest(args.entourage)
             if cover.families is None:
                 raise InvalidInputError("expand needs a cover with families")
-            colored = ColoredCover(space, cover.sets, cover.families,
+            colored = ColoredCover(space, cover.incidence(), cover.families,
                                    ent, canonicalize=False)
             out, cert = expand(colored, ent)
             return {"sets": len(out.sets)}, cert, dump_cover(out)
@@ -237,9 +236,9 @@ def _handle(args, inputs: dict):
             inputs[args.entourage] = _digest(args.entourage)
             if cover.families is None or other.families is None:
                 raise InvalidInputError("union needs covers with families")
-            ca = ColoredCover(space, cover.sets, cover.families, ent,
+            ca = ColoredCover(space, cover.incidence(), cover.families, ent,
                               require_covering=False, canonicalize=False)
-            cb = ColoredCover(space, other.sets, other.families, ent,
+            cb = ColoredCover(space, other.incidence(), other.families, ent,
                               require_covering=False, canonicalize=False)
             out, cert = merge_union(ca, cb, ent)
             return {"sets": len(out.sets)}, cert, dump_cover(out)
@@ -302,7 +301,7 @@ def _handle_witness(args, inputs: dict):
         inputs[args.space] = _digest(args.space)
         ent = load_entourage(read_json(args.entourage), space)
         inputs[args.entourage] = _digest(args.entourage)
-        out, cert = ray_cell_cover(args.n, ent, args.bound)
+        out, cert = ray_cell_cover(args.n, ent)
         return {"sets": len(out.sets), "families": len(out.families)}, cert, dump_cover(out)
     if args.op == "hyperbolic":
         rho, N = hyperbolic_params(args.kappa, args.lam, args.mesh_bound,
@@ -412,14 +411,14 @@ def _pipeline(args):
         grid = Space.grid(2, [0, 0], [18, 18], 0.5)
         cov, cert1 = cube_cover(grid, 2, 10.0)
         L = Entourage.radius(grid, 0.6).materialize()
-        colored, cert2 = colorize(Cover(grid, cov.sets), L, 2)
+        colored, cert2 = colorize(Cover(grid, cov.incidence()), L, 2)
         expanded, cert3 = expand(colored, L)
         result = stats(expanded, L)
         return result, cert1 + cert2 + cert3, None
     if name == "asdim-lower":
         space = pn_sample(2, 16.0, 0.5)
         cov, _ = cube_cover(space, 2, 8.0)
-        cert = simplex_lower_bound_check(Cover(space, cov.sets), 2)
+        cert = simplex_lower_bound_check(Cover(space, cov.incidence()), 2)
         guarantee = [{"id": "lower_bound.certificate", "claimed": 3,
                       "measured": len(cert["all_containing_sets"]),
                       "pass": len(cert["all_containing_sets"]) >= 3}]

@@ -1,7 +1,12 @@
 """Covers of finite sampled spaces and their quality metrics.
 
 A Cover is a family of index sets over a Space, optionally partitioned into
-color classes ("families") of pairwise disjoint sets. The four metrics that
+color classes ("families") of pairwise disjoint sets. It is stored as one
+sets x points boolean CSR incidence matrix M, and every set-wise question
+is a reduction over M or a sparse product with it: which points no set
+holds (column counts of zero), which sets are empty (row sizes), the
+multiplicity (column sums over the distinct rows), the owner of each point
+within a family (one gather of the family's rows). The four metrics that
 the dimension machinery hinges on:
 
   multiplicity   largest number of sets sharing a point
@@ -33,6 +38,8 @@ table and the corona band cover.
 from __future__ import annotations
 
 import math
+from collections.abc import Sized
+from functools import cmp_to_key
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
@@ -44,37 +51,44 @@ from .spaces import Entourage, Space, PAIR_CAP
 
 
 class Cover:
-    """A family of point-index sets covering a Space.
+    """A family of point-index sets covering a Space, stored as one sets x
+    points boolean CSR incidence matrix M: row k holds set k, with sorted
+    column indices, no duplicates and no explicit zeros.
 
-    Sets are stored as sorted, deduplicated index tuples; the set list is
-    canonicalized lexicographically so serialization is deterministic.
-    Empty sets are allowed (transform outputs produce them naturally) and
-    are flagged in stats reports rather than rejected.
+    The constructor takes a sequence of index iterables or a sparse matrix
+    and builds M once. With canonicalize on, the rows are put in
+    lexicographic order of their index tuples (a prefix sorts first, an
+    empty set before everything, ties stable) and the families are remapped
+    through that rank, so serialization is deterministic. Empty sets are
+    allowed (transform outputs produce them naturally) and are flagged in
+    stats reports rather than rejected.
     """
 
-    def __init__(self, space: Space, sets: Sequence[Iterable[int]],
+    def __init__(self, space: Space, sets: Sequence[Iterable[int]] | sparse.spmatrix,
                  families: Optional[Sequence[Iterable[int]]] = None,
                  require_covering: bool = True, canonicalize: bool = True):
-        cleaned = [tuple(sorted(set(int(i) for i in s))) for s in sets]
-        for s in cleaned:
-            if s and (s[0] < 0 or s[-1] >= space.n):
-                raise InvalidInputError("cover set index out of range")
+        m = _incidence_matrix(sets, space.n)
+        k = m.shape[0]
         fams = None
         if families is not None:
             fams = [tuple(int(i) for i in fam) for fam in families]
             used = sorted(i for fam in fams for i in fam)
-            if used != sorted(set(used)) or (used and (used[0] < 0 or used[-1] >= len(cleaned))):
+            if used != sorted(set(used)) or (used and (used[0] < 0 or used[-1] >= k)):
                 raise InvalidInputError("families must partition distinct set indices")
-            if len(used) != len(cleaned):
+            if len(used) != k:
                 raise InvalidInputError("families must mention every set exactly once")
         if canonicalize:
-            order = sorted(range(len(cleaned)), key=lambda k: cleaned[k])
-            rank = {old: new for new, old in enumerate(order)}
-            cleaned = [cleaned[k] for k in order]
+            order = _lex_order(m)[0]
+            if np.any(order != np.arange(k)):
+                m = m[order]
             if fams is not None:
-                fams = [tuple(sorted(rank[i] for i in fam)) for fam in fams]
+                rank = np.empty(k, dtype=np.int64)
+                rank[order] = np.arange(k)
+                fams = [tuple(sorted(rank[np.asarray(fam, dtype=np.int64)].tolist()))
+                        for fam in fams]
         self.space = space
-        self.sets = tuple(cleaned)
+        self._m = m
+        self._sets = None
         self.families = tuple(fams) if fams is not None else None
         if require_covering:
             missing = self.uncovered_points()
@@ -89,39 +103,171 @@ class Cover:
 
     # -- structure ---------------------------------------------------------
 
+    def incidence(self) -> sparse.csr_matrix:
+        """The sets x points boolean CSR matrix M; row k holds set k. Shared,
+        so callers must not modify it."""
+        return self._m
+
+    @property
+    def sets(self) -> tuple[tuple[int, ...], ...]:
+        """The sets as sorted tuples of indices, built from M on first
+        access; a read-only view for serialization and set-wise readers."""
+        if self._sets is None:
+            flat = self._m.indices.tolist()
+            ptr = self._m.indptr.tolist()
+            self._sets = tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
+        return self._sets
+
     def uncovered_points(self) -> list[int]:
         seen = np.zeros(self.space.n, dtype=bool)
-        for s in self.sets:
-            seen[list(s)] = True
-        return [int(i) for i in np.nonzero(~seen)[0]]
+        seen[self._m.indices] = True
+        return np.flatnonzero(~seen).tolist()
 
     def family_overlap_witness(self):
+        """None if the sets of each family are disjoint, else (first set,
+        second set, point) for the first point met twice while walking each
+        family's sets in order and each set's points in ascending order."""
         if self.families is None:
             return None
+        m = self._m
         for fam in self.families:
-            hit = {}
-            for si in fam:
-                for p in self.sets[si]:
-                    if p in hit:
-                        return (hit[p], si, p)
-                    hit[p] = si
+            fam = np.asarray(fam, dtype=np.int64)
+            points = _row_indices(m, fam)
+            seen = np.zeros(self.space.n, dtype=bool)
+            seen[points] = True
+            if np.count_nonzero(seen) == points.size:
+                continue
+            steps = np.arange(points.size)
+            first = np.full(self.space.n, points.size)
+            np.minimum.at(first, points, steps)
+            j = np.flatnonzero(first[points] != steps)[0]
+            owner = np.repeat(fam, np.diff(m.indptr)[fam])
+            return (int(owner[first[points[j]]]), int(owner[j]), int(points[j]))
         return None
 
-    def incidence(self) -> sparse.csr_matrix:
-        """The sets x points boolean CSR matrix; row k holds set k."""
-        indptr = np.zeros(len(self.sets) + 1, dtype=np.int64)
-        np.cumsum([len(s) for s in self.sets], out=indptr[1:])
-        indices = np.fromiter(chain.from_iterable(self.sets), dtype=np.int64,
-                              count=int(indptr[-1]))
-        return sparse.csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr),
-                                 shape=(len(self.sets), self.space.n))
-
     def empty_set_indices(self) -> list[int]:
-        return [k for k, s in enumerate(self.sets) if not s]
+        return np.flatnonzero(np.diff(self._m.indptr) == 0).tolist()
 
     def __repr__(self):
         fam = f", families={len(self.families)}" if self.families is not None else ""
-        return f"Cover({len(self.sets)} sets over n={self.space.n}{fam})"
+        return f"Cover({self._m.shape[0]} sets over n={self.space.n}{fam})"
+
+
+def _incidence_matrix(sets, n: int) -> sparse.csr_matrix:
+    """The canonical boolean CSR matrix of a sequence of index iterables or
+    of a sparse matrix with one column per point."""
+    if sparse.issparse(sets):
+        m = sparse.csr_matrix(sets, dtype=bool)
+        if m.shape[1] != n:
+            raise InvalidInputError("cover incidence needs one column per point")
+        m.sum_duplicates()
+        m.eliminate_zeros()
+        return m
+    rows = [s if isinstance(s, Sized) else list(s) for s in sets]
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)), out=indptr[1:])
+    try:
+        indices = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1]))
+    except OverflowError:
+        raise InvalidInputError("cover set index out of range") from None
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        raise InvalidInputError("cover set index out of range")
+    # index arrays cast up front to the dtype scipy would pick for them,
+    # which spares it a scan of their contents
+    dtype = np.int32 if max(n, indices.size) < 2 ** 31 else np.int64
+    m = sparse.csr_matrix((np.ones(indices.size, dtype=bool), indices.astype(dtype),
+                           indptr.astype(dtype)), shape=(len(rows), n))
+    m.sum_duplicates()
+    return m
+
+
+# _lex_order packs up to _LEX_WIDTH columns into one sort key per round,
+# which bounds its scratch arrays at that many int64s a row, and runs at most
+# _LEX_ROUNDS vectorized rounds; rows still tied after them share a long
+# prefix and are finished by comparison.
+_LEX_WIDTH = 4
+_LEX_ROUNDS = 8
+
+
+def _lex_order(m: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """(order, repeat): the stable order of m's rows as tuples of their
+    column indices (a prefix sorts before its extensions, so an empty row
+    sorts first), and whether each row of that order equals the one before.
+
+    An MSD refinement: the rows are sorted by their first few columns, then
+    only the groups that still tie are sorted by their next few, a round at
+    a time, so the work stays O(nnz). Each round packs as many columns into
+    one int64 key as fit, column c as digit c + 1 and 0 once a row has
+    ended; a tied group whose rows end inside the window holds equal rows.
+    """
+    k, n = m.shape
+    indptr, indices = m.indptr, m.indices
+    sizes = np.diff(indptr)
+    order = np.arange(k)
+    repeat = np.zeros(k, dtype=bool)
+    if not m.nnz:
+        repeat[1:] = True
+        return order, repeat
+    width = 1
+    while width < _LEX_WIDTH and (n + 1) ** (width + 1) < 2 ** 62:
+        width += 1
+    digits = (n + 1) ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    pos = np.arange(k)  # positions in order still tied with a neighbour
+    start = np.zeros(k, dtype=np.int64)  # the first position of their group
+    for t in range(0, _LEX_ROUNDS * width, width):
+        if not pos.size:
+            return order, repeat
+        rows = order[pos]
+        window = t + np.arange(width)
+        inside = window < sizes[rows][:, None]
+        at = np.minimum(indptr[rows][:, None] + window, m.nnz - 1)
+        key = np.where(inside, indices[at] + 1, 0) @ digits
+        sub = np.lexsort((key, start))
+        order[pos] = rows = rows[sub]
+        key, start = key[sub], start[sub]
+        new = np.ones(pos.size, dtype=bool)
+        new[1:] = (start[1:] != start[:-1]) | (key[1:] != key[:-1])
+        ended = sizes[rows] < t + width
+        repeat[pos[~new & ended]] = True
+        run = np.cumsum(new) - 1
+        tied = (np.bincount(run)[run] > 1) & ~ended
+        start = np.maximum.accumulate(np.where(new, pos, 0))[tied]
+        pos = pos[tied]
+
+    def row(r):
+        return indices[indptr[r]:indptr[r + 1]]
+
+    def compare(a, b):
+        x, y = row(a), row(b)
+        common = min(x.size, y.size)
+        diff = np.flatnonzero(x[:common] != y[:common])
+        if diff.size:
+            return -1 if x[diff[0]] < y[diff[0]] else 1
+        return (x.size > y.size) - (x.size < y.size)
+
+    for group in np.split(pos, np.flatnonzero(np.diff(start)) + 1):
+        if group.size:
+            ranked = sorted(order[group].tolist(), key=cmp_to_key(compare))
+            order[group] = ranked
+            repeat[group[1:]] = [compare(a, b) == 0 for a, b in zip(ranked, ranked[1:])]
+    return order, repeat
+
+
+def _row_indices(m: sparse.csr_matrix, rows: np.ndarray) -> np.ndarray:
+    """The column indices of the given rows of m, concatenated in the order
+    given: one numpy gather, no sparse matrix built."""
+    starts = m.indptr[rows]
+    sizes = m.indptr[rows + 1] - starts
+    ends = np.cumsum(sizes, dtype=m.indptr.dtype)
+    at = np.repeat(starts - ends + sizes, sizes)
+    at += np.arange(at.size, dtype=at.dtype)
+    return m.indices[at]
+
+
+def _distinct_rows(m: sparse.csr_matrix) -> np.ndarray:
+    """The rows of m whose contents no earlier row has, in row order."""
+    order, repeat = _lex_order(m)
+    return np.sort(order[~repeat])
 
 
 # ---------------------------------------------------------------------------
@@ -130,16 +276,11 @@ class Cover:
 
 
 def multiplicity(cover: Cover) -> int:
-    """Largest number of covering sets containing a common point.
-
-    Duplicated set contents count once because sets are deduplicated by
-    content at construction.
-    """
-    unique_sets = set(cover.sets)
-    counts = np.zeros(cover.space.n, dtype=np.int64)
-    for s in unique_sets:
-        if s:
-            counts[list(s)] += 1
+    """Largest number of covering sets containing a common point: the
+    largest column sum over the distinct rows of the incidence matrix, so
+    duplicated set contents count once."""
+    m = cover.incidence()
+    counts = np.bincount(_row_indices(m, _distinct_rows(m)), minlength=cover.space.n)
     return int(counts.max()) if cover.space.n else 0
 
 
@@ -179,14 +320,14 @@ def mesh(cover: Cover) -> float:
     """
     if not cover.space.is_metric_backed():
         raise InvalidInputError("mesh needs a metric-backed space")
-    distinct = {s: k for k, s in enumerate(cover.sets)}
+    distinct = _distinct_rows(cover.incidence())
     if cover.space.kind != "grid":
-        return max((set_diameter(cover.space, s) for s in distinct), default=0.0)
-    m, t, full = _lattice_counts(cover)
-    # the one point of a one-point grid is its own boundary
-    inner = m > (t == full) if full else m
-    return max((set_diameter(cover.space, _row(inner, k)) for k in distinct.values()),
-               default=0.0)
+        inner = cover.incidence()
+    else:
+        m, t, full = _lattice_counts(cover)
+        # the one point of a one-point grid is its own boundary
+        inner = m > (t == full) if full else m
+    return max((set_diameter(cover.space, _row(inner, k)) for k in distinct), default=0.0)
 
 
 def set_diameter(space: Space, s: Sequence[int]) -> float:
@@ -216,17 +357,17 @@ def lebesgue_number(cover: Cover) -> float:
     if not cover.space.is_metric_backed():
         raise InvalidInputError("lebesgue number needs a metric-backed space")
     n = cover.space.n
-    if n == 0 or any(len(s) == n for s in cover.sets):
+    m = cover.incidence()
+    sizes = np.diff(m.indptr)
+    if n == 0 or np.any(sizes == n):
         return math.inf
     outer = None
     if cover.space.kind == "grid":
         m, t, _ = _lattice_counts(cover)
         outer = t.astype(bool) > m
     best = np.zeros(n)
-    for k, s in enumerate(cover.sets):
-        if not s:
-            continue
-        members = np.array(s, dtype=np.int64)
+    for k in np.flatnonzero(sizes):
+        members = _row(m, k).astype(np.int64)
         if outer is None:
             outside = np.ones(n, dtype=bool)
             outside[members] = False
@@ -283,11 +424,14 @@ def cover_entourage(cover: Cover, cap: int = PAIR_CAP) -> Entourage:
     Uniform boundedness against a bound D is the predicate
     cover_entourage(C).is_subset_of(D).
     """
-    total = sum(len(s) ** 2 for s in set(cover.sets))
+    m = cover.incidence()
+    sizes = np.diff(m.indptr).astype(np.int64)
+    total = int((sizes ** 2).sum())
+    if total > cap:  # a duplicated set adds no pairs
+        total = int((sizes[_distinct_rows(m)] ** 2).sum())
     if total > cap:
         raise ResourceLimitError(
             f"cover entourage would exceed the {cap} pair cap ({total} pairs)")
-    m = cover.incidence()
     return Entourage.from_matrix(cover.space, m.T @ m)
 
 
@@ -295,7 +439,7 @@ def stats(cover: Cover, entourage: Optional[Entourage] = None) -> dict:
     """The summary emitted by the `cover stats` CLI subcommand."""
     out = {
         "multiplicity": multiplicity(cover),
-        "sets": len(cover.sets),
+        "sets": cover.incidence().shape[0],
         "empty_sets": len(cover.empty_set_indices()),
     }
     if cover.space.is_metric_backed():

@@ -27,18 +27,26 @@ from .transforms import ColoredCover
 
 
 def load_space(doc: dict) -> Space:
-    kind = doc.get("kind")
+    kind = _object(doc, "space").get("kind")
     if kind == "matrix":
-        return Space.from_matrix(np.asarray(doc["dist"], dtype=float))
+        return Space.from_matrix(_floats(_field(doc, "dist", "matrix space"), "dist"))
     if kind == "grid":
-        return Space.grid(int(doc["dim"]), doc["min"], doc["max"], float(doc["step"]))
+        bounds = [_floats(_field(doc, key, "grid space"), key) for key in ("min", "max")]
+        if any(b.ndim != 1 for b in bounds):
+            raise InvalidInputError("grid min and max must be lists of numbers")
+        return Space.grid(_integer(_field(doc, "dim", "grid space"), "dim"),
+                          bounds[0].tolist(), bounds[1].tolist(),
+                          _number(_field(doc, "step", "grid space"), "step"))
     if kind == "tree":
-        return Space.tree([tuple(e) for e in doc["edges"]])
+        return Space.tree(_pairs(_field(doc, "edges", "tree space"), "tree edges"))
     if kind == "hyperbolic_polar":
-        return Space.hyperbolic_polar(float(doc["kappa"]),
-                                      [tuple(p) for p in doc["points"]])
+        points = _floats(_field(doc, "points", "hyperbolic space"), "points")
+        if points.size and (points.ndim != 2 or points.shape[1] != 2):
+            raise InvalidInputError("hyperbolic points must be [r, phi] pairs")
+        return Space.hyperbolic_polar(_number(_field(doc, "kappa", "hyperbolic space"), "kappa"),
+                                      [tuple(p) for p in points.reshape(-1, 2).tolist()])
     if kind == "cloud":
-        return Space.cloud(np.asarray(doc["points"], dtype=float))
+        return Space.cloud(_floats(_field(doc, "points", "cloud space"), "points"))
     raise InvalidInputError(f"unknown space kind {kind!r}")
 
 
@@ -62,21 +70,24 @@ def dump_space(space: Space) -> dict:
 
 
 def load_entourage(doc: dict, space: Space) -> Entourage:
-    kind = doc.get("kind")
+    kind = _object(doc, "entourage").get("kind")
     if kind == "radius":
-        return Entourage.radius(space, float(doc["r"]), closed=bool(doc.get("closed", False)))
+        return Entourage.radius(space, _number(_field(doc, "r", "radius entourage"), "r"),
+                                closed=bool(doc.get("closed", False)))
     if kind == "pairs":
-        return Entourage.from_pairs(space, [tuple(p) for p in doc["pairs"]])
+        return Entourage.from_pairs(space, _pairs(_field(doc, "pairs", "pairs entourage"),
+                                                  "entourage pairs"))
     raise InvalidInputError(f"unknown entourage kind {kind!r}")
 
 
 def load_cover(doc: dict, space: Space, require_covering: bool = True) -> Cover:
+    sets = _index_lists(_field(doc, "sets", "cover"), "cover sets")
     families = doc.get("families")
     if families is not None:
-        return ColoredCover(space, doc["sets"], families,
+        return ColoredCover(space, sets, _index_lists(families, "cover families"),
                             Entourage.diagonal(space),
                             require_covering=require_covering)
-    return Cover(space, doc["sets"], require_covering=require_covering)
+    return Cover(space, sets, require_covering=require_covering)
 
 
 def dump_cover(cover: Cover) -> dict:
@@ -104,10 +115,69 @@ def load_operator(doc: dict, decomposition: Decomposition) -> BlockOperator:
 
 def read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as err:  # malformed JSON or text that is not UTF-8
+            raise InvalidInputError(f"{path} is not a JSON document: {err}") from None
 
 
 def write_json(path: str, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
+
+
+# ---------------------------------------------------------------------------
+# Document checks: a malformed document is invalid input, never a crash
+# ---------------------------------------------------------------------------
+
+
+def _object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"a {what} document must be a JSON object")
+    return doc
+
+
+def _field(doc: dict, key: str, what: str):
+    if key not in doc:
+        raise InvalidInputError(f"a {what} document needs {key!r}")
+    return doc[key]
+
+
+def _number(value, what: str) -> float:
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        return float(value)
+    raise InvalidInputError(f"{what} must be a number, got {value!r}")
+
+
+def _floats(value, what: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise InvalidInputError(f"{what} must be an array of numbers: {err}") from None
+
+
+def _integer(value, what: str) -> int:
+    """Integers, numpy integers and integral floats pass; bools, fractional
+    floats, strings and the rest are rejected."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise InvalidInputError(f"{what}: expected an integer, got {value!r}")
+
+
+def _index_lists(value, what: str) -> list:
+    """A list of lists of integer indices."""
+    if not isinstance(value, list) or not all(isinstance(row, (list, tuple)) for row in value):
+        raise InvalidInputError(f"{what} must be a list of lists of integers")
+    if all(type(v) is int for row in value for v in row):
+        return value
+    return [[_integer(v, what) for v in row] for row in value]
+
+
+def _pairs(value, what: str) -> list[tuple[int, int]]:
+    rows = _index_lists(value, what)
+    if any(len(row) != 2 for row in rows):
+        raise InvalidInputError(f"{what} must be pairs [i, j]")
+    return [tuple(row) for row in rows]

@@ -54,16 +54,31 @@ class Space:
         self.kind = kind
         self.meta = meta or {}
         self._points = points
-        self.n = len(points) if points is not None else len(self.meta["coords"])
+        if points is not None:
+            self.n = len(points)
+        elif kind == "product":
+            self.n = self.meta["left"].n * self.meta["right"].n
+        elif kind == "discrete":
+            self.n = self.meta["n"]
+        else:
+            self.n = len(self.meta["coords"])
         self._dist_fn = dist_fn
         self._row_cache: dict[int, np.ndarray] = {}
 
     @property
     def points(self) -> list:
-        """The sample points; a grid or cloud builds its coordinate tuples
-        on first access, as its distances read only meta["coords"]."""
+        """The sample points. Grid, cloud, discrete and product samples
+        build theirs on first access, as their distances never read them:
+        coordinate tuples, indices, and index pairs (i, j) for the point
+        i * right.n + j of a product."""
         if self._points is None:
-            self._points = [tuple(row) for row in self.meta["coords"]]
+            if self.kind == "product":
+                right = self.meta["right"].n
+                self._points = [divmod(i, right) for i in range(self.n)]
+            elif self.kind == "discrete":
+                self._points = list(range(self.n))
+            else:
+                self._points = [tuple(row) for row in self.meta["coords"]]
         return self._points
 
     # -- constructors ------------------------------------------------------
@@ -147,13 +162,12 @@ class Space:
 
     @classmethod
     def discrete(cls, n: int) -> "Space":
-        return cls("discrete", list(range(n)), None, {})
+        return cls("discrete", None, None, {"n": max(int(n), 0)})
 
     @classmethod
     def product(cls, a: "Space", b: "Space") -> "Space":
         """Product sample with the sum metric d((x,y),(x',y')) = d(x,x') + d(y,y')."""
-        points = [(i, j) for i in range(a.n) for j in range(b.n)]
-        return cls("product", points, None, {"left": a, "right": b})
+        return cls("product", None, None, {"left": a, "right": b})
 
     # -- distances ---------------------------------------------------------
 
@@ -177,7 +191,7 @@ class Space:
             row[i] = 0.0
         elif self.kind == "product":
             a, b = self.meta["left"], self.meta["right"]
-            ia, ib = self.points[i]
+            ia, ib = divmod(i, b.n)
             row = (np.repeat(a.dist_row(ia), b.n) + np.tile(b.dist_row(ib), a.n))
         else:
             raise InvalidInputError(f"unknown backing {self.kind}")
@@ -348,12 +362,6 @@ class Entourage:
         if symmetrize:
             arr = np.concatenate([arr, arr[:, ::-1]])
         return cls.from_matrix(space, _bool_matrix(arr[:, 0], arr[:, 1], (n, n)))
-
-    @classmethod
-    def from_keys(cls, space: Space, keys: np.ndarray) -> "Entourage":
-        keys = np.asarray(keys, dtype=np.int64)
-        n = space.n
-        return cls.from_matrix(space, _bool_matrix(keys // n, keys % n, (n, n)))
 
     @classmethod
     def radius(cls, space: Space, r: float, closed: bool = False) -> "Entourage":

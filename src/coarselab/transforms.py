@@ -13,17 +13,24 @@ Four constructions live here:
 
 Each returns (result, guarantees) where guarantees is a list of verified
 claim records; callers can embed them in reports unchanged.
+
+Every step works on incidence matrices (rows are sets, columns points), a
+whole level of sets at a time: intersections are one product of a combos x
+sets indicator with the sets, interiors one product with the relation,
+fattening one product with its transpose, products of cuts one Kronecker
+product, and the attach step of merge_union one product of an attach
+matrix with the A-sets.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable
 
 import numpy as np
 from scipy import sparse
 
-from .covers import Cover, appetite_witness, cover_entourage, first_container, multiplicity
+from .covers import (Cover, _distinct_rows, _row_indices, appetite_witness,
+                     cover_entourage, first_container, multiplicity)
 from .errors import ContractViolationError, InvalidInputError
 from .spaces import Entourage, PointMap, Space, transport
 
@@ -41,11 +48,22 @@ class ColoredCover(Cover):
                          canonicalize=canonicalize)
         self.disjointness_entourage = disjointness_entourage
 
-    def verify_disjointness(self) -> None:
-        w = family_disjoint_witness(self, self.disjointness_entourage)
-        if w is not None:
-            raise ContractViolationError(
-                f"family sets {w[0]} and {w[1]} are joined by pair {w[2]}", witness=w)
+
+def _family_owners(cover: Cover):
+    """For each family in turn, owner[x] = the set of the family holding x,
+    or -1 (the sets of a family are disjoint)."""
+    m = cover.incidence()
+    for fam in cover.families:
+        fam = np.asarray(fam, dtype=np.int64)
+        owner = np.full(cover.space.n, -1, dtype=np.int64)
+        owner[_row_indices(m, fam)] = np.repeat(fam, np.diff(m.indptr)[fam])
+        yield owner
+
+
+def _pair_arrays(entourage: Entourage) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (rows, cols) of a relation, in key order."""
+    m = entourage.matrix()
+    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices
 
 
 def family_disjoint_witness(cover: Cover, entourage: Entourage):
@@ -53,13 +71,8 @@ def family_disjoint_witness(cover: Cover, entourage: Entourage):
     witness (set_index_a, set_index_b, (x, y))."""
     if cover.families is None:
         raise InvalidInputError("cover has no families")
-    n = cover.space.n
-    pairs = entourage.matrix().tocoo()
-    rows, cols = pairs.row, pairs.col
-    for fam in cover.families:
-        owner = np.full(n, -1, dtype=np.int64)
-        for si in fam:
-            owner[list(cover.sets[si])] = si
+    rows, cols = _pair_arrays(entourage)
+    for owner in _family_owners(cover):
         a, b = owner[rows], owner[cols]
         bad = (a >= 0) & (b >= 0) & (a != b)
         if np.any(bad):
@@ -68,15 +81,35 @@ def family_disjoint_witness(cover: Cover, entourage: Entourage):
     return None
 
 
-def interior(indices: Iterable[int], entourage: Entourage) -> frozenset[int]:
-    """The E-interior {x | E(x) is contained in the given set}.
+def _entries(m: sparse.csr_matrix, keep: np.ndarray) -> sparse.csr_matrix:
+    """The boolean matrix of the stored entries of m where keep holds."""
+    out = sparse.csr_matrix((keep, m.indices, m.indptr), shape=m.shape)
+    out.eliminate_zeros()
+    return out
 
-    E(x) = {y | (y, x) in E}; points with empty E(x) are vacuously interior.
+
+def interior(cuts: sparse.spmatrix, entourage: Entourage) -> sparse.csr_matrix:
+    """The E-interiors {x | E(x) is contained in the row} of every row of
+    the rows x points matrix cuts, as one boolean matrix of the same shape.
+
+    E(x) = {y | (y, x) in E}. x lies in row k's interior when the count
+    (cuts @ E)[k, x] of its E-neighbours in the row equals its column
+    degree in E; points with empty E(x) are vacuously interior to every row.
     """
-    outside = np.ones(entourage.space.n, dtype=bool)
-    outside[[int(i) for i in indices]] = False
-    excluded = entourage.matrix().T @ outside
-    return frozenset(np.flatnonzero(~excluded).tolist())
+    if not cuts.shape[0]:
+        return sparse.csr_matrix(cuts.shape, dtype=bool)
+    e = sparse.csr_matrix(entourage.matrix(), dtype=np.int32)
+    degree = np.bincount(e.indices, minlength=e.shape[1])
+    counts = sparse.csr_matrix(cuts, dtype=np.int32) @ e
+    inside = _entries(counts, counts.data == degree[counts.indices])
+    free = np.flatnonzero(degree == 0)
+    if free.size:
+        k = inside.shape[0]
+        everywhere = sparse.csr_matrix(
+            (np.ones(k * free.size, dtype=bool), np.tile(free, k),
+             np.arange(k + 1) * free.size), shape=inside.shape)
+        inside = (inside + everywhere).tocsr()
+    return inside
 
 
 def _require_symmetric_with_diagonal(entourage: Entourage, name: str) -> None:
@@ -113,7 +146,7 @@ def expand(cover: ColoredCover, entourage: Entourage):
         raise ContractViolationError(
             f"input family is not L^2-disjoint: sets {w[0]}, {w[1]} via pair {w[2]}",
             witness=w)
-    new_sets = [sorted(L.image(s)) for s in cover.sets]
+    new_sets = cover.incidence() @ L.matrix().T
     out = ColoredCover(cover.space, new_sets, cover.families, L,
                        require_covering=True, canonicalize=False)
     guarantees = []
@@ -134,39 +167,70 @@ def expand(cover: ColoredCover, entourage: Entourage):
 # ---------------------------------------------------------------------------
 
 
-def _distinct_contents(cover: Cover) -> list[tuple[int, ...]]:
-    seen = set()
-    out = []
-    for s in cover.sets:
-        if s and s not in seen:
-            seen.add(s)
-            out.append(s)
-    return out
+def _distinct_contents(cover: Cover) -> sparse.csr_matrix:
+    """The distinct non-empty rows of the incidence matrix, in row order."""
+    m = cover.incidence()
+    rows = _distinct_rows(m)
+    return m[rows[np.diff(m.indptr)[rows] > 0]]
 
 
-def _shared_point_tuples(sets: list[tuple[int, ...]], size: int, n: int) -> list[tuple[int, ...]]:
-    """All size-subsets of distinct sets that share at least one point.
+def _unique_rows(a: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-d integer array, in lexicographic order."""
+    a = a[np.lexsort(a.T[::-1])]
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = np.any(a[1:] != a[:-1], axis=1)
+    return a[keep]
 
-    Enumerated through the point-to-set incidence lists; intersections of
-    sets with no common point are empty and contribute nothing downstream.
+
+def _shared_point_tuples(sets: sparse.csr_matrix, size: int) -> np.ndarray:
+    """All size-subsets of the rows of sets that share at least one point,
+    as the ascending rows of a (combos x size) array in lexicographic order.
+
+    The sets holding a point form its column of sets, read point by point
+    from the CSC form of sets, in ascending order. Identical point
+    patterns are merged first; the size-subsets of the remaining patterns
+    with at least size sets are then taken all at once for each pattern
+    length.
     """
-    incidence: list[list[int]] = [[] for _ in range(n)]
-    for si, s in enumerate(sets):
-        for p in s:
-            incidence[p].append(si)
-    found = set()
-    for lst in incidence:
-        if len(lst) >= size:
-            for combo in combinations(lst, size):
-                found.add(combo)
-    return sorted(found)
+    by_point = sets.tocsc()
+    holders, starts, counts = by_point.indices, by_point.indptr[:-1], np.diff(by_point.indptr)
+    found = [np.empty((0, size), dtype=np.int64)]
+    for length in np.unique(counts[counts >= size]):
+        patterns = _unique_rows(holders[starts[counts == length][:, None] + np.arange(length)])
+        pick = np.array(list(combinations(range(length), size)), dtype=np.int64)
+        found.append(patterns[:, pick].reshape(-1, size))
+    return _unique_rows(np.concatenate(found))
 
 
-def _intersections(sets: list[tuple[int, ...]], size: int, n: int) -> list[set[int]]:
-    """The intersections of the shared-point size-tuples of sets, in tuple
-    order; each is non-empty since its sets share a point."""
-    return [set(sets[combo[0]]).intersection(*(sets[si] for si in combo[1:]))
-            for combo in _shared_point_tuples(sets, size, n)]
+def _intersections(sets: sparse.csr_matrix, size: int) -> sparse.csr_matrix:
+    """The intersections of the shared-point size-tuples of the rows of
+    sets, one row each in tuple order: with K the combos x sets indicator,
+    the entries of K @ sets that count size. Each is non-empty since its
+    sets share a point."""
+    combos = _shared_point_tuples(sets, size)
+    if not combos.size:
+        return sparse.csr_matrix((0, sets.shape[1]), dtype=bool)
+    k = sparse.csr_matrix(
+        (np.ones(combos.size, dtype=np.int32), combos.ravel(),
+         np.arange(0, combos.size + 1, size)), shape=(combos.shape[0], sets.shape[0]))
+    counts = k @ sparse.csr_matrix(sets, dtype=np.int32)
+    return _entries(counts, counts.data == size)
+
+
+def _shield_and_trim(levels: list) -> tuple[sparse.csr_matrix, list[list[int]]]:
+    """Each level's cores minus the points of the next level's cores, empty
+    rows dropped, stacked level by level: the sets, and one family per
+    level but the last (which only shields)."""
+    kept, families, count = [], [], 0
+    for cores, deeper in zip(levels, levels[1:]):
+        free = np.ones(cores.shape[1], dtype=bool)
+        free[deeper.indices] = False
+        trimmed = _entries(cores, free[cores.indices])
+        trimmed = trimmed[np.flatnonzero(np.diff(trimmed.indptr))]
+        families.append(list(range(count, count + trimmed.shape[0])))
+        count += trimmed.shape[0]
+        kept.append(trimmed)
+    return sparse.vstack(kept, format="csr"), families
 
 
 def colorize(cover: Cover, entourage: Entourage, n: int):
@@ -189,32 +253,9 @@ def colorize(cover: Cover, entourage: Entourage, n: int):
             f"cover lacks appetite L^{n + 1}; uncovered ball at point {aw}", witness=aw)
 
     base = _distinct_contents(cover)
-    space_n = cover.space.n
-    interiors: dict[int, list[frozenset[int]]] = {}
-    unions: dict[int, np.ndarray] = {}
-    for depth in range(1, n + 3):
-        power = L.power(n + 2 - depth)
-        mask_union = np.zeros(space_n, dtype=bool)
-        level = []
-        for cut in _intersections(base, depth, space_n):
-            core = interior(cut, power)
-            if core:
-                level.append(core)
-                mask_union[list(core)] = True
-        interiors[depth] = level
-        unions[depth] = mask_union
-
-    sets: list[tuple[int, ...]] = []
-    families: list[list[int]] = []
-    for depth in range(1, n + 2):
-        fam = []
-        shield = unions.get(depth + 1, np.zeros(space_n, dtype=bool))
-        for core in interiors.get(depth, []):
-            trimmed = tuple(sorted(p for p in core if not shield[p]))
-            if trimmed:
-                fam.append(len(sets))
-                sets.append(trimmed)
-        families.append(fam)
+    sets, families = _shield_and_trim(
+        [interior(_intersections(base, depth), L.power(n + 2 - depth))
+         for depth in range(1, n + 3)])
 
     out = ColoredCover(cover.space, sets, families, L,
                        require_covering=False, canonicalize=False)
@@ -243,6 +284,51 @@ def _refines(fine: Cover, coarse: Cover) -> bool:
 # ---------------------------------------------------------------------------
 # merge_union
 # ---------------------------------------------------------------------------
+
+
+def _attach(cover_a: Cover, cover_b: Cover, L: Entourage) -> tuple[sparse.csr_matrix, list]:
+    """merge_union's sets and families: per family, each B-set grown by the
+    A-sets of that family it touches through L, then the A-sets touched by
+    none. Raises ContractViolationError for the first A-set, in order of
+    first contact, that touches two B-sets."""
+    ma, mb = cover_a.incidence(), cover_b.incidence()
+    na, nb = ma.shape[0], mb.shape[0]
+    lrows, lcols = _pair_arrays(L)
+    # L-pairs from an A-set into a B-set of the same family attach that
+    # A-set to the B-set; the hits run family by family, in pair order
+    hit_a, hit_b = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for owner_a, owner_b in zip(_family_owners(cover_a), _family_owners(cover_b)):
+        pa, pb = owner_a[lrows], owner_b[lcols]
+        hit = (pa >= 0) & (pb >= 0)
+        hit_a.append(pa[hit])
+        hit_b.append(pb[hit])
+    pa, pb = np.concatenate(hit_a), np.concatenate(hit_b)
+    links = np.unique(pa * nb + pb)
+    link_a, link_b = links // nb, links % nb
+    touches = np.bincount(link_a, minlength=na)
+    if np.any(touches > 1):
+        ais, first = np.unique(pa, return_index=True)
+        twice = touches[ais] > 1
+        ai = int(ais[twice][np.argmin(first[twice])])
+        bis = link_b[link_a == ai].tolist()
+        raise ContractViolationError(
+            f"A-set {ai} meets two B-sets {bis} in one family; "
+            "the disjointness preconditions have drifted",
+            witness=(ai, bis))
+    # the (B sets x A sets) attach matrix grows each B-set by its A-sets
+    attach = sparse.csr_matrix((np.ones(links.size, dtype=bool), (link_b, link_a)),
+                               shape=(nb, na))
+    grown = sparse.vstack([attach @ ma + mb, ma], format="csr")
+    picks = [np.empty(0, dtype=np.int64)]
+    families: list[list[int]] = []
+    count = 0
+    for fam_a, fam_b in zip(cover_a.families, cover_b.families):
+        fa = np.asarray(fam_a, dtype=np.int64)
+        pick = np.concatenate([np.asarray(fam_b, dtype=np.int64), nb + fa[touches[fa] == 0]])
+        families.append(list(range(count, count + pick.size)))
+        count += pick.size
+        picks.append(pick)
+    return grown[np.concatenate(picks)], families
 
 
 def merge_union(cover_a: ColoredCover, cover_b: ColoredCover, entourage: Entourage):
@@ -276,56 +362,14 @@ def merge_union(cover_a: ColoredCover, cover_b: ColoredCover, entourage: Entoura
         raise ContractViolationError(
             f"cover B families not (L∘D_A∘L∘D_A∘L)-disjoint: {wb}", witness=wb)
 
-    n = cover_a.space.n
-    lpairs = L.matrix().tocoo()
-    lrows, lcols = lpairs.row, lpairs.col
-    sets: list[tuple[int, ...]] = []
-    families: list[list[int]] = []
-    for fam_a, fam_b in zip(cover_a.families, cover_b.families):
-        fam_out: list[int] = []
-        owner_a = np.full(n, -1, dtype=np.int64)
-        for si in fam_a:
-            owner_a[list(cover_a.sets[si])] = si
-        owner_b = np.full(n, -1, dtype=np.int64)
-        for si in fam_b:
-            owner_b[list(cover_b.sets[si])] = si
-        # L-pairs from an A-set into a B-set attach that A-set to the B-set
-        pa, pb = owner_a[lrows], owner_b[lcols]
-        hit = (pa >= 0) & (pb >= 0)
-        attach: dict[int, set[int]] = {si: set() for si in fam_b}
-        touched_by: dict[int, set[int]] = {}
-        for ai, bi in zip(pa[hit], pb[hit]):
-            attach[int(bi)].add(int(ai))
-            touched_by.setdefault(int(ai), set()).add(int(bi))
-        for ai, bis in touched_by.items():
-            if len(bis) > 1:
-                raise ContractViolationError(
-                    f"A-set {ai} meets two B-sets {sorted(bis)} in one family; "
-                    "the disjointness preconditions have drifted",
-                    witness=(ai, sorted(bis)))
-        for bi in fam_b:
-            merged = set(cover_b.sets[bi])
-            for ai in attach[bi]:
-                merged |= set(cover_a.sets[ai])
-            fam_out.append(len(sets))
-            sets.append(tuple(sorted(merged)))
-        attached_as = set(touched_by.keys())
-        for ai in fam_a:
-            if ai not in attached_as:
-                fam_out.append(len(sets))
-                sets.append(cover_a.sets[ai])
-        families.append(fam_out)
-
+    sets, families = _attach(cover_a, cover_b, L)
     out = ColoredCover(cover_a.space, sets, families, L,
                        require_covering=False, canonicalize=False)
     guarantees = []
-    covered = np.zeros(n, dtype=bool)
-    for s in out.sets:
-        covered[list(s)] = True
-    target = np.zeros(n, dtype=bool)
-    for s in cover_a.sets + cover_b.sets:
-        target[list(s)] = True
-    cov_ok = bool(np.all(covered[target]))
+    covered = np.zeros(cover_a.space.n, dtype=bool)
+    covered[out.incidence().indices] = True
+    cov_ok = bool(covered[cover_a.incidence().indices].all()
+                  and covered[cover_b.incidence().indices].all())
     guarantees.append(_claim("merge_union.covers_union", True, cov_ok, cov_ok))
     dw = family_disjoint_witness(out, L)
     guarantees.append(_claim("merge_union.families_L_disjoint", True, dw is None,
@@ -360,8 +404,9 @@ def make_product_entourage(product_space: Space, ex: Entourage, ey: Entourage) -
 def _projection_maps(product_space: Space) -> tuple[PointMap, PointMap]:
     a: Space = product_space.meta["left"]
     b: Space = product_space.meta["right"]
-    px = PointMap(product_space, a, [p[0] for p in product_space.points])
-    py = PointMap(product_space, b, [p[1] for p in product_space.points])
+    idx = np.arange(product_space.n)
+    px = PointMap(product_space, a, idx // b.n)
+    py = PointMap(product_space, b, idx % b.n)
     return px, py
 
 
@@ -403,48 +448,21 @@ def product_refine(cover_x: Cover, cover_y: Cover, entourage: Entourage,
 
     sx = _distinct_contents(cover_x)
     sy = _distinct_contents(cover_y)
-    nx, ny = cover_x.space.n, cover_y.space.n
-    n_prod = prod.n
-
-    def prod_mask(xs: Iterable[int], ys: Iterable[int]) -> np.ndarray:
-        mask = np.zeros(n_prod, dtype=bool)
-        ys_arr = np.array(sorted(ys), dtype=np.int64)
-        for x in xs:
-            mask[x * ny + ys_arr] = True
-        return mask
-
-    # the factor intersections of p X-sets and of q Y-sets, p, q <= total + 1;
-    # their products are the candidate sets at total depth k = p + q
-    cuts_x = {p: _intersections(sx, p, nx) for p in range(1, total + 2)}
-    cuts_y = {q: _intersections(sy, q, ny) for q in range(1, total + 2)}
-    levels: dict[int, list[frozenset[int]]] = {}
-    shield: dict[int, np.ndarray] = {}
+    # the factor intersections of p X-sets and of q Y-sets, p, q <= total + 1,
+    # stacked by p and by q; the candidate sets at total depth k = p + q are
+    # the Kronecker products of the rows of the p block and of the q block,
+    # X-cut major
+    cuts_x = [_intersections(sx, p) for p in range(1, total + 2)]
+    cuts_y = [_intersections(sy, q) for q in range(1, total + 2)]
+    at_x = np.cumsum([0] + [c.shape[0] for c in cuts_x])
+    at_y = np.cumsum([0] + [c.shape[0] for c in cuts_y])
+    cells = sparse.kron(sparse.vstack(cuts_x), sparse.vstack(cuts_y), format="csr")
+    levels = []
     for k in range(2, total + 3):
-        power = E.power(total + 2 - k)
-        union_mask = np.zeros(n_prod, dtype=bool)
-        out_level = []
-        for p in range(1, k):
-            for cut_x in cuts_x[p]:
-                for cut_y in cuts_y[k - p]:
-                    cell = np.nonzero(prod_mask(cut_x, cut_y))[0]
-                    core = interior(cell, power)
-                    if core:
-                        out_level.append(core)
-                        union_mask[list(core)] = True
-        levels[k] = out_level
-        shield[k] = union_mask
-
-    sets: list[tuple[int, ...]] = []
-    families: list[list[int]] = []
-    for k in range(2, total + 2):
-        fam = []
-        blocker = shield.get(k + 1, np.zeros(n_prod, dtype=bool))
-        for core in levels.get(k, []):
-            trimmed = tuple(sorted(p for p in core if not blocker[p]))
-            if trimmed:
-                fam.append(len(sets))
-                sets.append(trimmed)
-        families.append(fam)
+        rows = [(np.arange(at_x[p - 1], at_x[p])[:, None] * at_y[-1]
+                 + np.arange(at_y[k - p - 1], at_y[k - p])).ravel() for p in range(1, k)]
+        levels.append(interior(cells[np.concatenate(rows)], E.power(total + 2 - k)))
+    sets, families = _shield_and_trim(levels)
 
     out = ColoredCover(prod, sets, families, E,
                        require_covering=False, canonicalize=False)

@@ -69,12 +69,13 @@ def cube_cover(space: Space, n: int, a: float):
     return out, guarantees
 
 
-def _cube_sets(coords: np.ndarray, n: int, a: float) -> tuple[list, list]:
-    """The sets and families of cube_cover: family i, in lexicographic
-    order of the integer cube index z, the points strictly inside the cube
-    a*(z + i/(n+1)*(1,...,1)) of edge a, each set in ascending order."""
-    sets: list[list[int]] = []
-    families: list[list[int]] = []
+def _cube_sets(coords: np.ndarray, n: int, a: float) -> tuple[sparse.csr_matrix, list]:
+    """The incidence matrix and families of cube_cover: family i, in
+    lexicographic order of the integer cube index z, the points strictly
+    inside the cube a*(z + i/(n+1)*(1,...,1)) of edge a, each row in
+    ascending order."""
+    members, starts, families = [], [], []
+    count = filled = 0
     for i in range(n + 1):
         offset = a * i / (n + 1)
         u = (coords - offset) / a
@@ -83,12 +84,18 @@ def _cube_sets(coords: np.ndarray, n: int, a: float) -> tuple[list, list]:
         # lexsort is stable and its last key leads: equal cubes keep their
         # points in ascending order
         order = np.lexsort(z[inside].T[::-1])
-        members, keys = inside[order], z[inside[order]]
+        group, keys = inside[order], z[inside[order]]
         cuts = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
-        groups = np.split(members, cuts) if members.size else []
-        families.append(list(range(len(sets), len(sets) + len(groups))))
-        sets += [g.tolist() for g in groups]
-    return sets, families
+        firsts = np.concatenate([[0], cuts]) if group.size else cuts
+        families.append(list(range(count, count + firsts.size)))
+        count += firsts.size
+        starts.append(filled + firsts)
+        filled += group.size
+        members.append(group)
+    indices = np.concatenate(members)
+    indptr = np.append(np.concatenate(starts), filled)
+    return sparse.csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr),
+                             shape=(count, len(coords))), families
 
 
 def _min_positive_gap(coords: np.ndarray) -> float:
@@ -119,6 +126,8 @@ def tree_cover(space: Space, L: float, root: int = 0):
         raise InvalidInputError("L must be positive")
     adj = space.meta["adj"]
     n = space.n
+    if not 0 <= root < n:
+        raise InvalidInputError(f"root {root} is not a vertex of the {n}-vertex tree")
     lp = int(math.floor(2 * L)) + 1
     depth, parent = _bfs_tree(adj, root)
 
@@ -246,7 +255,7 @@ class IntervalRelation:
             (np.ones(indices.size, dtype=bool), indices, indptr), shape=(n, n)))
 
 
-def ray_cell_cover(n: int, e: Entourage, bound: float):
+def ray_cell_cover(n: int, e: Entourage):
     """Cover the sampled positive cone R_+^n by n+1 families of band products.
 
     The driving relation is the interval completion of E augmented by the

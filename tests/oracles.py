@@ -15,9 +15,17 @@ boundaries, in the difference form of dist_block; the dense loops over
 every point outside or inside a set, with the Gram-form block they used,
 and a scan of every distance row are kept as their references. So is the
 per-point bucketing loop of the cube cover.
+
+A Cover is its incidence matrix, and colorize, product_refine and
+merge_union work a level of sets at a time through sparse products. The
+set-by-set code they replaced is kept here: the tuple constructor with its
+canonical order, the family overlap and disjointness witnesses, interior
+of one set, the shared-point tuples and intersections, the shield-and-trim
+loop and merge's attach step.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -318,4 +326,167 @@ def cube_sets_loop(coords, n, a):
             fam.append(len(sets))
             sets.append(tuple(buckets[key]))
         families.append(fam)
+    return sets, families
+
+
+# ---------------------------------------------------------------------------
+# Covers as tuples of indices, set by set
+# ---------------------------------------------------------------------------
+
+
+def cover_tuples(sets, families, n, canonicalize=True):
+    """The sets and families a Cover holds, built set by set: each set a
+    sorted tuple of distinct indices, the sets in lexicographic tuple order
+    when canonicalize is on (ties stable), families remapped through the
+    rank. Raises ValueError where the constructor raises."""
+    cleaned = [tuple(sorted(set(int(i) for i in s))) for s in sets]
+    for s in cleaned:
+        if s and (s[0] < 0 or s[-1] >= n):
+            raise ValueError("cover set index out of range")
+    fams = None
+    if families is not None:
+        fams = [tuple(int(i) for i in fam) for fam in families]
+        used = sorted(i for fam in fams for i in fam)
+        if used != sorted(set(used)) or (used and (used[0] < 0 or used[-1] >= len(cleaned))):
+            raise ValueError("families must partition distinct set indices")
+        if len(used) != len(cleaned):
+            raise ValueError("families must mention every set exactly once")
+    if canonicalize:
+        order = sorted(range(len(cleaned)), key=lambda k: cleaned[k])
+        rank = {old: new for new, old in enumerate(order)}
+        cleaned = [cleaned[k] for k in order]
+        if fams is not None:
+            fams = [tuple(sorted(rank[i] for i in fam)) for fam in fams]
+    return tuple(cleaned), (tuple(fams) if fams is not None else None)
+
+
+def multiplicity_loop(sets, n):
+    counts = np.zeros(n, dtype=np.int64)
+    for s in set(sets):
+        if s:
+            counts[list(s)] += 1
+    return int(counts.max()) if n else 0
+
+
+def family_overlap_loop(sets, families):
+    """(first set, second set, point) for the first point met twice while
+    walking each family's sets in order, or None."""
+    if families is None:
+        return None
+    for fam in families:
+        hit = {}
+        for si in fam:
+            for p in sets[si]:
+                if p in hit:
+                    return (hit[p], si, p)
+                hit[p] = si
+    return None
+
+
+def family_disjoint_loop(sets, families, n, entourage):
+    """The first pair of the relation, in key order and family by family,
+    joining two sets of one family: (set a, set b, (x, y)), or None."""
+    pairs = entourage.matrix().tocoo()
+    rows, cols = pairs.row, pairs.col
+    for fam in families:
+        owner = np.full(n, -1, dtype=np.int64)
+        for si in fam:
+            owner[list(sets[si])] = si
+        a, b = owner[rows], owner[cols]
+        bad = (a >= 0) & (b >= 0) & (a != b)
+        if np.any(bad):
+            k = int(np.nonzero(bad)[0][0])
+            return (int(a[k]), int(b[k]), (int(rows[k]), int(cols[k])))
+    return None
+
+
+# ---------------------------------------------------------------------------
+# The constructions, cut by cut
+# ---------------------------------------------------------------------------
+
+
+def interior_loop(indices, entourage):
+    """{x | E(x) inside the set}, E(x) = {y | (y, x) in E}, from one
+    mat-vec over the points outside the set."""
+    outside = np.ones(entourage.space.n, dtype=bool)
+    outside[[int(i) for i in indices]] = False
+    excluded = entourage.matrix().T @ outside
+    return frozenset(np.flatnonzero(~excluded).tolist())
+
+
+def shared_point_tuples_loop(sets, size, n):
+    """All size-subsets of the sets that share a point, from one list of
+    incident sets per point."""
+    incidence = [[] for _ in range(n)]
+    for si, s in enumerate(sets):
+        for p in s:
+            incidence[p].append(si)
+    found = set()
+    for lst in incidence:
+        if len(lst) >= size:
+            for combo in combinations(lst, size):
+                found.add(combo)
+    return sorted(found)
+
+
+def intersections_loop(sets, size, n):
+    return [set(sets[combo[0]]).intersection(*(sets[si] for si in combo[1:]))
+            for combo in shared_point_tuples_loop(sets, size, n)]
+
+
+def shield_and_trim_loop(levels, n):
+    """Family by family: each core of a level minus the union of the next
+    level's cores, empty results dropped."""
+    sets, families = [], []
+    for cores, deeper in zip(levels, levels[1:]):
+        shield = np.zeros(n, dtype=bool)
+        for core in deeper:
+            shield[list(core)] = True
+        fam = []
+        for core in cores:
+            trimmed = tuple(sorted(p for p in core if not shield[p]))
+            if trimmed:
+                fam.append(len(sets))
+                sets.append(trimmed)
+        families.append(fam)
+    return sets, families
+
+
+def merge_attach_loop(sets_a, fams_a, sets_b, fams_b, n, relation):
+    """merge_union's sets and families: per family, each B-set absorbs the
+    A-sets it meets through the relation, untouched A-sets survive. Returns
+    ("conflict", (ai, sorted B-sets)) for the first A-set, in order of first
+    contact, that meets two B-sets of one family."""
+    pairs = relation.matrix().tocoo()
+    lrows, lcols = pairs.row, pairs.col
+    sets, families = [], []
+    for fam_a, fam_b in zip(fams_a, fams_b):
+        fam_out = []
+        owner_a = np.full(n, -1, dtype=np.int64)
+        for si in fam_a:
+            owner_a[list(sets_a[si])] = si
+        owner_b = np.full(n, -1, dtype=np.int64)
+        for si in fam_b:
+            owner_b[list(sets_b[si])] = si
+        pa, pb = owner_a[lrows], owner_b[lcols]
+        hit = (pa >= 0) & (pb >= 0)
+        attach = {si: set() for si in fam_b}
+        touched_by = {}
+        for ai, bi in zip(pa[hit], pb[hit]):
+            attach[int(bi)].add(int(ai))
+            touched_by.setdefault(int(ai), set()).add(int(bi))
+        for ai, bis in touched_by.items():
+            if len(bis) > 1:
+                return "conflict", (ai, sorted(bis))
+        for bi in fam_b:
+            merged = set(sets_b[bi])
+            for ai in attach[bi]:
+                merged |= set(sets_a[ai])
+            fam_out.append(len(sets))
+            sets.append(tuple(sorted(merged)))
+        for ai in fam_a:
+            if ai not in touched_by:
+                fam_out.append(len(sets))
+                sets.append(tuple(sets_a[ai]))
+        families.append(fam_out)
     return sets, families

@@ -1,10 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from coarselab import cli
 from coarselab.cli import EXIT_CONTRACT, EXIT_INVALID, EXIT_OK, EXIT_USAGE, render, run
+from coarselab.errors import InvalidInputError
 from coarselab.jsonio import write_json
 
 
@@ -190,3 +192,81 @@ class TestPipelines:
         code, report = run(["pipeline", "asdim-lower", "--seed", "0"])
         text = render(report, "summary")
         assert "lower_bound.certificate" in text
+
+
+LINE4 = {"kind": "grid", "dim": 1, "min": [0], "max": [3], "step": 1.0}
+
+
+class TestMalformedDocuments:
+    """Every malformed document gives one JSON report, kind invalid-input,
+    exit code 1."""
+
+    def one_report(self, argv, capsys):
+        code = cli.main(argv)
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        report = json.loads(lines[0])
+        assert code == EXIT_INVALID and report["error"]["kind"] == "invalid-input"
+        return report
+
+    def test_fractional_set_entry(self, tmp_json, capsys):
+        cover = tmp_json("c.json", {"sets": [[0.7, 1], [1, 2, 3]]})
+        report = self.one_report(["cover", "stats", "--space", tmp_json("s.json", LINE4),
+                                  "--cover", cover], capsys)
+        assert "0.7" in report["error"]["message"]
+
+    def test_string_set_entry(self, tmp_json, capsys):
+        cover = tmp_json("c.json", {"sets": [["a"], [0, 1, 2, 3]]})
+        self.one_report(["cover", "stats", "--space", tmp_json("s.json", LINE4),
+                         "--cover", cover], capsys)
+
+    def test_sets_not_a_list(self, tmp_json, capsys):
+        cover = tmp_json("c.json", {"sets": 5})
+        self.one_report(["cover", "stats", "--space", tmp_json("s.json", LINE4),
+                         "--cover", cover], capsys)
+
+    def test_matrix_space_without_distances(self, tmp_json, capsys):
+        self.one_report(["space", "info", "--space", tmp_json("s.json", {"kind": "matrix"})],
+                        capsys)
+
+    def test_truncated_json_file(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text('{"sets": [[0, 1], [2', encoding="utf-8")
+        self.one_report(["space", "info", "--space", str(path)], capsys)
+
+    @pytest.mark.parametrize("doc", [{"kind": "radius"}, {"kind": "radius", "r": "1"},
+                                     {"kind": "pairs", "pairs": [[0]]}, [1, 2]])
+    def test_malformed_entourage(self, tmp_json, capsys, doc):
+        cover = tmp_json("c.json", {"sets": [[0, 1], [1, 2, 3]]})
+        self.one_report(["cover", "stats", "--space", tmp_json("s.json", LINE4),
+                         "--cover", cover, "--entourage", tmp_json("e.json", doc)], capsys)
+
+    def test_integer_entries_pass_and_others_fail(self):
+        from coarselab.jsonio import load_cover, load_space
+        space = load_space(LINE4)
+        cover = load_cover({"sets": [[np.int64(0), 1.0], [np.int32(1), 2, 3]]}, space)
+        assert cover.sets == ((0, 1), (1, 2, 3))
+        for bad in ([[True, 1], [1, 2, 3]], [[0, 1], [1, 2, 3.5]], [[0, None], [1, 2, 3]]):
+            with pytest.raises(InvalidInputError):
+                load_cover({"sets": bad}, space)
+        with pytest.raises(InvalidInputError):
+            load_cover({"sets": [[0, 1], [2, 3]], "families": [[0], ["1"]]}, space)
+
+    def test_tree_root_out_of_range(self, tmp_json, capsys):
+        space = tmp_json("t.json", {"kind": "tree", "edges": [[0, 1], [1, 2]]})
+        report = self.one_report(["witness", "tree", "--space", space, "--L", "1",
+                                  "--root", "7"], capsys)
+        assert "root 7" in report["error"]["message"]
+
+
+class TestRayWitness:
+    def test_ray_needs_no_bound(self, tmp_json):
+        space = tmp_json("l.json", {"kind": "grid", "dim": 1, "min": [0], "max": [20],
+                                    "step": 1.0})
+        ent = tmp_json("e.json", {"kind": "pairs", "pairs": [[0, 2], [5, 8]]})
+        code, report = run(["witness", "ray", "--space", space, "--entourage", ent,
+                            "--n", "1"])
+        assert code == EXIT_OK and report["result"]["families"] == 2
+        code, _ = run(["witness", "ray", "--space", space, "--entourage", ent, "--n", "1",
+                       "--bound", "30"])
+        assert code == EXIT_USAGE

@@ -292,3 +292,87 @@ class TestCoverValidation:
         c = Cover(sp, [[i] for i in range(10)])
         out = stats(c, Entourage.diagonal(sp))
         assert out["multiplicity"] == 1 and out["appetite"] is True
+
+
+ROW_TYPES = (list, tuple, set, np.array, iter)
+
+
+@st.composite
+def raw_cover(draw):
+    """Sets and families as a caller may hand them in: unsorted rows with
+    repeats, of mixed iterable types, with empty sets, a duplicated set, a
+    whole-space set and uncovered points; families in any order, and
+    possibly overlapping."""
+    n = draw(st.integers(1, 10))
+    sets = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=2 * n), max_size=7))
+    if draw(st.booleans()):
+        sets.insert(draw(st.integers(0, len(sets))), list(range(n))[::-1])
+    if sets and draw(st.booleans()):
+        sets.append(draw(st.permutations(sets[draw(st.integers(0, len(sets) - 1))])))
+    families = None
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.integers(0, 2), min_size=len(sets), max_size=len(sets)))
+        order = draw(st.permutations(range(len(sets))))
+        families = [[k for k in order if labels[k] == f] for f in range(3)]
+        # a family list that misses a set, repeats one or names a stranger
+        families[0] += draw(st.sampled_from([[], [], [], [0], [len(sets)], [-1]]))
+    if sets and draw(st.integers(0, 9)) == 0:
+        sets[-1] = sets[-1] + [draw(st.sampled_from([-1, n]))]
+    rows = [draw(st.sampled_from(ROW_TYPES))(s) for s in sets]
+    return n, sets, rows, families
+
+
+class TestIncidenceOracle:
+    @given(case=raw_cover(), canonicalize=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_constructor_matches_the_tuples(self, case, canonicalize):
+        n, sets, rows, families = case
+        sp = Space.discrete(n)
+        try:
+            want_sets, want_fams = oracles.cover_tuples(sets, families, n, canonicalize)
+        except ValueError as err:
+            with pytest.raises(InvalidInputError, match=str(err)):
+                Cover(sp, rows, families, require_covering=False, canonicalize=canonicalize)
+            return
+        overlap = oracles.family_overlap_loop(want_sets, want_fams)
+        if overlap is not None:
+            with pytest.raises(InvalidInputError) as err:
+                Cover(sp, rows, families, require_covering=False, canonicalize=canonicalize)
+            assert str(err.value) == (f"family sets must be disjoint; sets {overlap[0]} and "
+                                      f"{overlap[1]} share point {overlap[2]}")
+            return
+        c = Cover(sp, rows, families, require_covering=False, canonicalize=canonicalize)
+        assert c.sets == want_sets and c.families == want_fams
+        assert all(type(p) is int for s in c.sets for p in s)
+        again = Cover(sp, c.incidence(), c.families, require_covering=False,
+                      canonicalize=canonicalize)
+        assert again.sets == want_sets and again.families == want_fams
+        assert c.uncovered_points() == [p for p in range(n)
+                                        if not any(p in s for s in want_sets)]
+        assert c.empty_set_indices() == [k for k, s in enumerate(want_sets) if not s]
+        assert multiplicity(c) == oracles.multiplicity_loop(want_sets, n)
+
+    @given(prefix=st.integers(0, 40), tails=st.lists(
+        st.lists(st.integers(40, 60), max_size=4), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_long_shared_prefixes_on_a_large_space(self, prefix, tails):
+        # n = 10^6 packs three columns into a sort key, so prefixes of 24 or
+        # more columns outlast the vectorized rounds
+        sets = [list(range(prefix)) + t for t in tails] + [list(range(prefix))]
+        c = Cover(Space.discrete(10**6), sets, require_covering=False)
+        assert c.sets == oracles.cover_tuples(sets, None, 10**6)[0]
+        assert multiplicity(c) == oracles.multiplicity_loop(c.sets, 10**6)
+
+    def test_sets_view_is_cached_and_read_only(self):
+        c = Cover(Space.line(0, 3, 1.0), [[3, 2], [0, 1, 1]])
+        assert c.sets == ((0, 1), (2, 3)) and c.sets is c.sets
+        with pytest.raises(AttributeError):
+            c.sets = ()
+
+    def test_incidence_input_keeps_its_rows(self):
+        sp = Space.line(0, 4, 1.0)
+        m = sparse.csr_matrix(np.array([[0, 2, 0, 0, 1], [1, 1, 0, 0, 0], [0, 0, 3, 1, 0]]))
+        c = Cover(sp, m, canonicalize=False)
+        assert c.sets == ((1, 4), (0, 1), (2, 3)) and c.incidence().dtype == bool
+        with pytest.raises(InvalidInputError):
+            Cover(sp, m[:, :4])

@@ -156,7 +156,7 @@ class TestEntourageAlgebra:
     def test_compose_counts_every_path_multiplicity(self):
         # 256 paths join each pair; the product must not drop them
         sp = Space.discrete(256)
-        full = Entourage.from_keys(sp, np.arange(256 * 256))
+        full = Entourage.from_matrix(sp, np.ones((256, 256), dtype=bool))
         assert full.compose(full).pair_count() == 256 * 256
 
     def test_compose_of_closed_radius_relations(self):

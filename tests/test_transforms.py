@@ -1,32 +1,42 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from coarselab.covers import (Cover, appetite_witness, has_appetite, multiplicity)
 from coarselab.errors import ContractViolationError, InvalidInputError
 from coarselab.prng import SplitMix64
 from coarselab.spaces import Entourage, Space
-from coarselab.transforms import (ColoredCover, colorize, expand,
+from coarselab.transforms import (ColoredCover, _attach, _distinct_contents, _intersections,
+                                  _shared_point_tuples, _shield_and_trim, colorize, expand,
                                   family_disjoint_witness, interior,
                                   make_product_entourage, merge_union,
                                   product_refine)
 from coarselab.witnesses import cube_cover
 
 
+def interior_of(indices, e):
+    """The E-interior of one set, through the batched interior."""
+    row = Cover(e.space, [list(indices)], require_covering=False).incidence()
+    return frozenset(interior(row, e).indices.tolist())
+
+
 class TestInterior:
     def test_whole_space_stays_whole(self):
         sp = Space.line(0, 10, 1.0)
         e = Entourage.radius(sp, 3.0)
-        assert interior(range(11), e) == frozenset(range(11))
+        assert interior_of(range(11), e) == frozenset(range(11))
 
     def test_diagonal_interior_is_the_set(self):
         sp = Space.line(0, 10, 1.0)
         d = Entourage.diagonal(sp)
-        assert interior([2, 3, 4], d) == frozenset({2, 3, 4})
+        assert interior_of([2, 3, 4], d) == frozenset({2, 3, 4})
 
     def test_interval_shrinks_by_radius(self):
         sp = Space.line(0, 20, 1.0)
         e = Entourage.radius(sp, 2.5, closed=False)
-        got = interior(range(0, 11), e)
+        got = interior_of(range(0, 11), e)
         # ball around index i is {i-2..i+2}; inside [0,10] needs i <= 8,
         # and the left edge keeps 0..2 since the sample stops at 0
         assert got == frozenset(range(0, 9))
@@ -251,3 +261,111 @@ class TestProductRefine:
         for s in set(out.sets):
             counts[list(s)] += 1
         assert counts.max() == multiplicity(out)
+
+
+def rows_of(m):
+    return [tuple(sorted(m[k].indices.tolist())) for k in range(m.shape[0])]
+
+
+def as_matrix(sets, n):
+    return Cover(Space.discrete(n), [sorted(s) for s in sets], require_covering=False,
+                 canonicalize=False).incidence()
+
+
+@st.composite
+def sets_and_relation(draw, max_n=10):
+    """Any sets over a small space and any pair relation on it, which may
+    leave columns of degree 0."""
+    n = draw(st.integers(1, max_n))
+    sets = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=n), max_size=7))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    rel = Entourage.from_pairs(Space.discrete(n), pairs, symmetrize=draw(st.booleans()))
+    return n, sets, rel
+
+
+@st.composite
+def colored_sets(draw, n):
+    """Sets and families over range(n) with disjoint sets in each family (a
+    set may be empty), in shuffled set order."""
+    sets, families = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        labels = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
+        fam = []
+        for lab in range(draw(st.integers(1, 4))):
+            fam.append(len(sets))
+            sets.append([p for p in range(n) if labels[p] == lab])
+        families.append(fam)
+    order = draw(st.permutations(range(len(sets))))
+    rank = {old: new for new, old in enumerate(order)}
+    return [sets[k] for k in order], [[rank[k] for k in fam] for fam in families]
+
+
+class TestSparseConstructionsOracle:
+    @given(case=sets_and_relation())
+    @settings(max_examples=200, deadline=None)
+    def test_batched_interior_matches_the_loop(self, case):
+        n, sets, rel = case
+        got = interior(as_matrix(sets, n), rel)
+        assert got.shape == (len(sets), n)
+        assert [frozenset(r) for r in rows_of(got)] == [oracles.interior_loop(s, rel)
+                                                        for s in sets]
+
+    @given(case=sets_and_relation(), size=st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_shared_point_tuples_and_intersections_match_the_loops(self, case, size):
+        n, sets, _ = case
+        base = _distinct_contents(Cover(Space.discrete(n), sets, require_covering=False,
+                                        canonicalize=False))
+        distinct = rows_of(base)
+        assert [tuple(c) for c in _shared_point_tuples(base, size).tolist()] == \
+            oracles.shared_point_tuples_loop(distinct, size, n)
+        assert [set(r) for r in rows_of(_intersections(base, size))] == \
+            oracles.intersections_loop(distinct, size, n)
+
+    @given(data=st.data(), n=st.integers(1, 10))
+    @settings(max_examples=200, deadline=None)
+    def test_shield_and_trim_matches_the_loop(self, data, n):
+        levels = data.draw(st.lists(st.lists(st.frozensets(st.integers(0, n - 1)), max_size=4),
+                                    min_size=2, max_size=4))
+        sets, families = _shield_and_trim([as_matrix(level, n) for level in levels])
+        assert (rows_of(sets), families) == oracles.shield_and_trim_loop(levels, n)
+
+    @given(data=st.data(), n=st.integers(1, 10))
+    @settings(max_examples=200, deadline=None)
+    def test_family_disjoint_witness_matches_the_loop(self, data, n):
+        sets, families = data.draw(colored_sets(n))
+        sp = Space.discrete(n)
+        cover = Cover(sp, sets, families, require_covering=False, canonicalize=False)
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                   max_size=2 * n))
+        rel = Entourage.from_pairs(sp, pairs, symmetrize=data.draw(st.booleans()))
+        assert family_disjoint_witness(cover, rel) == \
+            oracles.family_disjoint_loop(cover.sets, cover.families, n, rel)
+
+    @given(data=st.data(), n=st.integers(1, 10))
+    @settings(max_examples=300, deadline=None)
+    def test_attach_step_matches_the_loop(self, data, n):
+        sets_a, fams_a = data.draw(colored_sets(n))
+        sets_b, fams_b = data.draw(colored_sets(n))
+        fams = min(len(fams_a), len(fams_b))
+        keep_a = sorted(k for fam in fams_a[:fams] for k in fam)
+        keep_b = sorted(k for fam in fams_b[:fams] for k in fam)
+        sp = Space.discrete(n)
+        ca = Cover(sp, [sets_a[k] for k in keep_a],
+                   [[keep_a.index(k) for k in fam] for fam in fams_a[:fams]],
+                   require_covering=False, canonicalize=False)
+        cb = Cover(sp, [sets_b[k] for k in keep_b],
+                   [[keep_b.index(k) for k in fam] for fam in fams_b[:fams]],
+                   require_covering=False, canonicalize=False)
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                   max_size=2 * n))
+        rel = Entourage.from_pairs(sp, pairs)
+        want = oracles.merge_attach_loop(ca.sets, ca.families, cb.sets, cb.families, n, rel)
+        if want[0] == "conflict":
+            with pytest.raises(ContractViolationError) as err:
+                _attach(ca, cb, rel)
+            assert err.value.witness == want[1]
+            return
+        sets, families = _attach(ca, cb, rel)
+        assert (rows_of(sets), families) == want
