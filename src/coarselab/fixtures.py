@@ -120,7 +120,7 @@ def randomized_grid_cover(rng: SplitMix64, n: int, max_points: int = 400):
     space = Space.grid(n, [offset] * n, [offset + span] * n, step)
     cover, _ = cube_cover(space, n, a)
     L = Entourage.radius(space, step + 1e-6).materialize()
-    return Cover(space, cover.sets), L
+    return Cover(space, cover.incidence()), L
 
 
 def randomized_partition_cover(rng: SplitMix64, points: int = 300):

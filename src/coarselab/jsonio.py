@@ -81,7 +81,7 @@ def load_entourage(doc: dict, space: Space) -> Entourage:
 
 
 def load_cover(doc: dict, space: Space, require_covering: bool = True) -> Cover:
-    sets = _index_lists(_field(doc, "sets", "cover"), "cover sets")
+    sets = _index_lists(_field(_object(doc, "cover"), "sets", "cover"), "cover sets")
     families = doc.get("families")
     if families is not None:
         return ColoredCover(space, sets, _index_lists(families, "cover families"),
@@ -145,7 +145,7 @@ def _field(doc: dict, key: str, what: str):
 
 
 def _number(value, what: str) -> float:
-    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     raise InvalidInputError(f"{what} must be a number, got {value!r}")
 
@@ -158,9 +158,9 @@ def _floats(value, what: str) -> np.ndarray:
 
 
 def _integer(value, what: str) -> int:
-    """Integers, numpy integers and integral floats pass; bools, fractional
-    floats, strings and the rest are rejected."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    """Integers and integral floats pass; bools, fractional floats, strings
+    and the rest are rejected."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, float) and value.is_integer():
         return int(value)
@@ -171,8 +171,6 @@ def _index_lists(value, what: str) -> list:
     """A list of lists of integer indices."""
     if not isinstance(value, list) or not all(isinstance(row, (list, tuple)) for row in value):
         raise InvalidInputError(f"{what} must be a list of lists of integers")
-    if all(type(v) is int for row in value for v in row):
-        return value
     return [[_integer(v, what) for v in row] for row in value]
 
 

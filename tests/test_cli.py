@@ -225,6 +225,13 @@ class TestMalformedDocuments:
         self.one_report(["cover", "stats", "--space", tmp_json("s.json", LINE4),
                          "--cover", cover], capsys)
 
+    @pytest.mark.parametrize("doc", [None, 5, True, "sets"])
+    def test_cover_not_an_object(self, tmp_json, capsys, doc):
+        cover = tmp_json("c.json", doc)
+        report = self.one_report(["cover", "stats", "--space", tmp_json("s.json", LINE4),
+                                  "--cover", cover], capsys)
+        assert "cover document must be a JSON object" in report["error"]["message"]
+
     def test_matrix_space_without_distances(self, tmp_json, capsys):
         self.one_report(["space", "info", "--space", tmp_json("s.json", {"kind": "matrix"})],
                         capsys)
@@ -244,7 +251,7 @@ class TestMalformedDocuments:
     def test_integer_entries_pass_and_others_fail(self):
         from coarselab.jsonio import load_cover, load_space
         space = load_space(LINE4)
-        cover = load_cover({"sets": [[np.int64(0), 1.0], [np.int32(1), 2, 3]]}, space)
+        cover = load_cover({"sets": [[0, 1.0], [1, 2, 3]]}, space)
         assert cover.sets == ((0, 1), (1, 2, 3))
         for bad in ([[True, 1], [1, 2, 3]], [[0, 1], [1, 2, 3.5]], [[0, None], [1, 2, 3]]):
             with pytest.raises(InvalidInputError):
