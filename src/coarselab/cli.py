@@ -22,25 +22,24 @@ import numpy as np
 
 from . import fixtures
 from .corona import (CompactificationModel, check_cc_entourage, corona_dim_cover,
-                     map_f, map_g, roundtrip_bounds)
+                     roundtrip_bounds)
 from .covers import Cover, stats
 from .errors import (ContractViolationError, InternalCheckError,
                      InvalidInputError, ResourceLimitError)
 from .hyperbolic import (SphereAtlas, check_contraction, check_radial_lipschitz,
                          hyperbolic_params, lipschitz_gap_bound, sample_disk,
                          sphere_cover_lift)
-from .jsonio import (dump_cover, load_cover, load_decomposition,
-                     load_entourage, load_operator, load_space, read_json,
-                     write_json)
+from .jsonio import (dump_cover, load_complex, load_cover, load_decomposition,
+                     load_entourage, load_model, load_operator, load_schedule, load_space,
+                     load_vector, read_json, write_json)
 from .prng import SplitMix64
 from .spaces import Entourage, Space
 from .support import BlockOperator, Decomposition, check_calculus
 from .transforms import (ColoredCover, colorize, expand, make_product_entourage,
                          merge_union, product_refine)
-from .witnesses import (SimplexGrid, SimplicialComplex, cube_cover,
-                        nearest_corner_labeling, pn_sample, ray_cell_cover,
-                        simplex_lower_bound_check, sperner_find, star_cover,
-                        tree_cover)
+from .witnesses import (SimplexGrid, cube_cover, nearest_corner_labeling, pn_sample,
+                        ray_cell_cover, simplex_lower_bound_check, sperner_find,
+                        star_cover, tree_cover)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -182,8 +181,7 @@ def build_parser() -> Parser:
 def _load_model(path: str, inputs: dict) -> CompactificationModel:
     doc = read_json(path)
     inputs[path] = _digest(path)
-    space = load_space(doc["space"])
-    return CompactificationModel(space, doc["interior"], doc["corona"])
+    return load_model(doc)
 
 
 def _handle(args, inputs: dict):
@@ -269,7 +267,7 @@ def _handle(args, inputs: dict):
             s_op = load_operator(read_json(args.op_s), dec)
             inputs[args.op_s] = _digest(args.op_s)
         if args.vector:
-            u = np.asarray(read_json(args.vector), dtype=complex)
+            u = load_vector(read_json(args.vector))
             inputs[args.vector] = _digest(args.vector)
         else:
             u = np.zeros(dec.total, dtype=complex)
@@ -316,7 +314,7 @@ def _handle_witness(args, inputs: dict):
     if args.op == "star":
         doc = read_json(args.complex_)
         inputs[args.complex_] = _digest(args.complex_)
-        comp = SimplicialComplex(doc["coordinates"], doc["maximal"])
+        comp = load_complex(doc)
         out, cert = star_cover(comp, args.stability, args.resolution)
         return {"sets": len(out.sets)}, cert, dump_cover(out)
     if args.op == "sperner":
@@ -350,9 +348,7 @@ def _handle_corona(args, inputs: dict):
     if args.op == "equiv":
         model = _load_model(args.model, inputs)
         out = roundtrip_bounds(model)
-        f_table = [map_f(model, ci, min(5, model.depth))
-                   for ci in range(len(model.corona))]
-        g_table = [list(map_g(model, x)) for x in model.interior]
+        f_table = model.f_table(min(5, model.depth))
         guarantees = [
             {"id": "corona.fg_bound", "claimed": "d(f(g(x)),x) <= 2/(i-1)",
              "measured": len(out["fg_failures"]), "pass": not out["fg_failures"]},
@@ -361,7 +357,7 @@ def _handle_corona(args, inputs: dict):
         ]
         result = {"fg_worst_ratio": out["fg_worst_ratio"],
                   "checked": out["gf_checked"],
-                  "f_at_level_5": f_table, "g_table_size": len(g_table)}
+                  "f_at_level_5": f_table, "g_table_size": len(model.interior)}
         return result, guarantees, None
     if args.op == "check":
         model = _load_model(args.model, inputs)
@@ -371,26 +367,10 @@ def _handle_corona(args, inputs: dict):
                                  args.schedule_power)
         return out, [], None
     if args.op == "dimcover":
-        doc = read_json(args.schedule)
+        sched, c, power = load_schedule(read_json(args.schedule))
         inputs[args.schedule] = _digest(args.schedule)
         depth = args.depth
-        if doc.get("kind") == "point":
-            space = Space.cloud(np.zeros((1, 2)))
-            sched = fixtures.CoronaCoverSchedule(
-                space, 1,
-                lambda k: ColoredCover(space, [[0]], [[0]],
-                                       Entourage.diagonal(space),
-                                       canonicalize=False),
-                lambda k: 1.0)
-        elif doc.get("kind") == "circle_arcs":
-            space = fixtures.circle_space(int(doc.get("points", 720)))
-            sched = fixtures.circle_arc_schedule(space,
-                                                 float(doc.get("overlap", 0.95)))
-        else:
-            raise InvalidInputError("schedule kind must be 'point' or 'circle_arcs'")
-        delta = doc.get("delta", {})
-        deltas = fixtures.power_decay_deltas(depth, float(delta.get("c", 4.0)),
-                                             float(delta.get("power", 1.5)))
+        deltas = fixtures.power_decay_deltas(depth, c, power)
         window = fixtures.shift_window(depth)
         out, cert, info = corona_dim_cover(sched, deltas, window, depth)
         result = {"sets": len(out.sets), "layers": info["layers"],

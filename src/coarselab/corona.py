@@ -18,6 +18,13 @@ tail against a declared decay schedule and always returns the raw sequence.
 corona_dim_cover realizes the band construction that covers corona x N with
 multiplicity n+1 while keeping appetite for any relation controlled by a
 given decay sequence delta and a window relation on N.
+
+Both run as array code. A model computes one interior x corona distance
+block; the filtration levels, the widths, f (an argmin over the rows of the
+nested X_n) and g (an argmin along each row) all read it. The band cover is
+assembled as sparse incidence rows, each a schedule set crossed with a
+level band, and its appetite is certified from the margins of its level
+slices (see _band_appetite_witness), without materializing a ball.
 """
 
 from __future__ import annotations
@@ -28,15 +35,24 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import sparse
 
-from .covers import Cover, first_container, multiplicity
-from .errors import ContractViolationError, InvalidInputError
-from .spaces import Entourage, Space
+from .covers import Cover, _lex_order, first_container, multiplicity
+from .errors import ContractViolationError, InvalidInputError, ResourceLimitError
+from .spaces import PAIR_CAP, ZERO_SELF_DISTANCE, Entourage, Space
 from .transforms import _claim, _ensure
 
 TOL = 1e-9
 
 
 class CompactificationModel:
+    """The interior and corona samples of a compactification, with the one
+    interior x corona distance block that the filtration, the widths and
+    the maps f and g all read.
+
+    The block holds the values dist_row gives, bit for bit on every backing
+    but the hyperbolic one, whose block broadcasts the law of cosines. It is
+    capped at PAIR_CAP entries, checked before it is computed.
+    """
+
     def __init__(self, ambient: Space, interior: Sequence[int], corona: Sequence[int],
                  depth: Optional[int] = None):
         interior = sorted(set(int(i) for i in interior))
@@ -47,108 +63,126 @@ class CompactificationModel:
             raise InvalidInputError("interior and corona must exhaust the sample")
         if not corona or not interior:
             raise InvalidInputError("need non-empty interior and corona samples")
+        if len(interior) * len(corona) > PAIR_CAP:
+            raise ResourceLimitError(
+                f"the interior x corona distance block would exceed the {PAIR_CAP} entry "
+                f"cap ({len(interior)} x {len(corona)})")
         self.ambient = ambient
         self.interior = interior
         self.corona = corona
         self._interior_arr = np.array(interior, dtype=np.int64)
-        corona_arr = np.array(corona, dtype=np.int64)
-        self._corona_dist = np.array(
-            [float(ambient.dist_row(i)[corona_arr].min()) for i in interior])
+        self._block = ambient.dist_block(self._interior_arr, np.array(corona, dtype=np.int64))
+        self._corona_dist = self._block.min(axis=1)
+        if np.any(np.isnan(self._corona_dist)):
+            raise InvalidInputError("interior to corona distances must be numbers")
         if np.any(self._corona_dist <= TOL):
             raise InvalidInputError("an interior sample point touches the corona")
+        self._levels = np.maximum(1, np.ceil(1.0 / self._corona_dist - TOL)).astype(np.int64)
         if depth is None:
             depth = int(math.ceil(1.0 / self._corona_dist.min())) + 1
         self.depth = depth
 
     def filtration_index(self, interior_pos: int) -> int:
         """The unique i >= 1 with the point in X_i \\ X_{i-1}."""
-        d = self._corona_dist[interior_pos]
-        i = max(1, int(math.ceil(1.0 / d - TOL)))
-        return i
+        return int(self._levels[interior_pos])
 
     def filtration_set(self, i: int) -> list[int]:
         """X_i as positions into the interior list."""
+        return self._inside(i).tolist()
+
+    def _inside(self, i: int) -> np.ndarray:
         if i <= 0:
-            return []
-        return np.flatnonzero(self._corona_dist >= 1.0 / i - TOL).tolist()
+            return np.empty(0, dtype=np.int64)
+        return np.flatnonzero(self._corona_dist >= 1.0 / i - TOL)
+
+    def _nearest(self, n: int) -> Optional[np.ndarray]:
+        """For each corona point, the position in the interior list of its
+        nearest point of X_n, ties to the lowest index; None if X_n is
+        empty."""
+        inside = self._inside(n)
+        if not inside.size:
+            return None
+        # the rows ascend, so argmin's first minimum is the lowest index
+        return inside[self._block[inside].argmin(axis=0)]
+
+    def f_table(self, n: int) -> list[int]:
+        """f(c, n) for every corona point c, in corona order."""
+        near = self._nearest(n)
+        if near is None:
+            raise InvalidInputError(f"X_{n} is empty on this sample")
+        return self._interior_arr[near].tolist()
 
     def widths(self) -> list[float]:
         """a_i = max over corona points of d(X_i, corona point), per level."""
+        cols = np.arange(len(self.corona))
         out = []
         for i in range(self.depth + 1):
-            xi = [self.interior[p] for p in self.filtration_set(i)]
-            if not xi:
-                out.append(math.inf)
-                continue
-            xi_arr = np.array(xi, dtype=np.int64)
-            worst = 0.0
-            for c in self.corona:
-                worst = max(worst, float(self.ambient.dist_row(c)[xi_arr].min()))
-            out.append(worst)
+            near = self._nearest(i)
+            out.append(math.inf if near is None else float(self._block[near, cols].max()))
         return out
 
 
 def map_f(model: CompactificationModel, corona_index: int, n: int) -> int:
     """The interior sample point of X_n nearest to the given corona point;
     ties break to the lowest index."""
-    xn = model.filtration_set(n)
-    if not xn:
-        raise InvalidInputError(f"X_{n} is empty on this sample")
-    c = model.corona[corona_index] if corona_index < len(model.corona) else None
-    if c is None:
+    table = model.f_table(n)
+    if corona_index >= len(table):
         raise InvalidInputError("corona index out of range")
-    row = model.ambient.dist_row(c)
-    # candidates ascend, so argmin's first minimum is the lowest index
-    cand = model._interior_arr[xn]
-    return int(cand[np.argmin(row[cand])])
+    return table[corona_index]
 
 
 def map_g(model: CompactificationModel, interior_index: int) -> tuple[int, int]:
     """(corona position, filtration level) for an interior sample point;
     the corona point minimizes the ambient distance, ties to lowest index."""
-    if interior_index not in model.interior:
+    pos = int(np.searchsorted(model._interior_arr, interior_index))
+    if pos == len(model.interior) or model.interior[pos] != interior_index:
         raise InvalidInputError("not an interior sample point")
-    pos = model.interior.index(interior_index)
-    level = model.filtration_index(pos)
-    row = model.ambient.dist_row(interior_index)
-    return (int(np.argmin(row[model.corona])), int(level))
+    return (int(np.argmin(model._block[pos])), model.filtration_index(pos))
 
 
 def roundtrip_bounds(model: CompactificationModel) -> dict:
     """Verify d(f(g(x)), x) <= 2/(i-1) for all interior x with i >= 2, and
-    the band bounds on g(f(xbar, k)) wherever the width sequence allows."""
-    worst_ratio = 0.0
-    fg_failures = []
-    for pos, x in enumerate(model.interior):
-        ci, level = map_g(model, x)
-        y = map_f(model, ci, level)
-        d = model.ambient.dist(x, y)
-        if level >= 2:
-            bound = 2.0 / (level - 1)
-            if d > bound + TOL:
-                fg_failures.append((x, level, d, bound))
-            if bound > 0:
-                worst_ratio = max(worst_ratio, d / bound)
+    the band bounds on g(f(xbar, k)) wherever the width sequence allows.
+
+    g of every interior point is one argmin over the rows of the distance
+    block. d(x, f(g(x))) is taken a level at a time, from the block of the
+    level's points against f(., level); together these blocks are no larger
+    than the model's own.
+    """
+    levels = model._levels
+    g_corona = model._block.argmin(axis=1)
+    d = np.empty(levels.size)
+    for level in np.unique(levels).tolist():
+        here = np.flatnonzero(levels == level)
+        block = model.ambient.dist_block(model._interior_arr[here], model.f_table(level))
+        d[here] = block[np.arange(here.size), g_corona[here]]
+    deep = np.flatnonzero(levels >= 2)
+    bound = 2.0 / (levels[deep] - 1)
+    over = d[deep] > bound + TOL
+    fg_failures = [(model.interior[p], int(levels[p]), float(d[p]), b)
+                   for p, b in zip(deep[over].tolist(), bound[over].tolist())]
+    worst_ratio = max([0.0] + (d[deep] / bound).tolist())
 
     widths = model.widths()
     gf_failures = []
     checked = 0
     for k in range(1, model.depth + 1):
-        if not model.filtration_set(k):
+        near = model._nearest(k)
+        if near is None:
             continue
-        a_k = widths[k] if k < len(widths) else math.inf
+        a_k = widths[k]
         n_k = None
         if a_k < 1.0:
             n_k = int(math.floor(1.0 / a_k - TOL)) if a_k > 0 else model.depth
-        for ci in range(len(model.corona)):
-            y = map_f(model, ci, k)
-            pos = model.interior.index(y)
-            k_tilde = model.filtration_index(pos)
-            checked += 1
-            if k_tilde > k:
-                gf_failures.append((ci, k, k_tilde, "above"))
-            if n_k is not None and k_tilde < n_k + 1:
-                gf_failures.append((ci, k, k_tilde, f"below n_k+1 = {n_k + 1}"))
+        k_tilde = levels[near]
+        checked += k_tilde.size
+        above = k_tilde > k
+        below = k_tilde < n_k + 1 if n_k is not None else np.zeros(k_tilde.size, dtype=bool)
+        for ci in np.flatnonzero(above | below).tolist():
+            if above[ci]:
+                gf_failures.append((ci, k, int(k_tilde[ci]), "above"))
+            if below[ci]:
+                gf_failures.append((ci, k, int(k_tilde[ci]), f"below n_k+1 = {n_k + 1}"))
     return {
         "fg_failures": fg_failures,
         "gf_failures": gf_failures,
@@ -260,6 +294,8 @@ def corona_dim_cover(schedule: CoronaCoverSchedule, deltas: Sequence[float],
     the verified multiplicity and appetite.
     """
     levels = window.space
+    if depth < 0:
+        raise InvalidInputError("depth must be non-negative")
     if levels.n < depth + 1:
         raise InvalidInputError("window relation sample is smaller than the depth")
     deltas = [float(d) for d in deltas]
@@ -271,28 +307,33 @@ def corona_dim_cover(schedule: CoronaCoverSchedule, deltas: Sequence[float],
     n_fam = schedule.n_families
     corona = schedule.corona_space
 
-    # prefix sets K_k of the level sample driven by the window relation
+    # prefix sets K_k of the level sample driven by the window relation, as
+    # boolean masks over the levels
     win = window.union(Entourage.diagonal(levels))
     win = win.union(win.inverse())
-    prefixes: list[set[int]] = [{0}]
+    step = win.matrix()
+    reach = np.zeros(levels.n, dtype=bool)
+    reach[0] = True
+    prefixes = [reach]
     while True:
-        nxt = set(prefixes[-1]) | set(win.image(prefixes[-1]))
-        if nxt == prefixes[-1]:
-            if max(prefixes[-1]) < depth:
+        nxt = reach | (step @ reach).astype(bool)
+        if np.array_equal(nxt, reach):
+            last = int(np.flatnonzero(reach)[-1])
+            if last < depth:
                 raise ContractViolationError(
-                    "window relation never reaches the requested depth",
-                    witness=max(prefixes[-1]))
+                    "window relation never reaches the requested depth", witness=last)
             break
         prefixes.append(nxt)
-        if max(nxt) >= levels.n - 1:
+        reach = nxt
+        if reach[-1]:
             break
+    prefixes = np.array(prefixes)
 
-    def K(k: int) -> set[int]:
-        if k < 0:
-            return set()
-        if k < len(prefixes):
-            return prefixes[k]
-        return prefixes[-1]
+    def K(k):
+        """The masks of K_k for an int or an array of ints k: empty for
+        k < 0, the last prefix past the end."""
+        k = np.asarray(k)
+        return prefixes[np.clip(k, 0, len(prefixes) - 1)] & (k >= 0)[..., None]
 
     # scale chain l_i: strictly increasing, with 1/l_{i+1} below the
     # Lebesgue bound of the cover at scale l_i
@@ -320,17 +361,19 @@ def corona_dim_cover(schedule: CoronaCoverSchedule, deltas: Sequence[float],
                 witness=scales[i + 2])
         k_i = max(cuts[i - 1] + 2 * n_fam + 1, thr)
         cuts[i] = k_i
-        if i >= 1 and max(K(k_i)) >= depth:
+        if i >= 1 and K(k_i)[depth:].any():
             break
         i += 1
     i_max = max(cuts)
     ensure_scale(i_max + 1)
 
     covers = {j: schedule.cover_at(scales[j]) for j in range(i_max + 2)}
+    # the color 1..n of every set: one more than the index of its family
+    colors = {j: _colors(cover) for j, cover in covers.items()}
 
     # transfer maps between consecutive scales: first coarse set containing
     # the fine set (guaranteed by the Lebesgue chain)
-    phi: dict[int, list[int]] = {}
+    phi: dict[int, np.ndarray] = {}
     for j in range(1, i_max + 2):
         fine, coarse = covers[j], covers[j - 1]
         table = first_container(fine.incidence(), coarse.incidence())
@@ -338,60 +381,35 @@ def corona_dim_cover(schedule: CoronaCoverSchedule, deltas: Sequence[float],
             raise ContractViolationError(
                 f"scale chain broke: a set of scale {scales[j]} fits in no set "
                 f"of scale {scales[j - 1]}", witness=(j, fine.sets[int(np.argmin(table))]))
-        phi[j] = table.tolist()
-
-    def family_of(cover: Cover, set_index: int) -> int:
-        for fi, fam in enumerate(cover.families):
-            if set_index in fam:
-                return fi + 1  # colors run 1..n
-        raise InvalidInputError("set missing from families")
+        phi[j] = table
 
     # the product carrier: corona position * (depth+1) + level
     width = depth + 1
     product = Space.discrete(corona.n * width)
 
-    def prod_set(cset, band) -> list[int]:
-        out = []
-        band = [m for m in band if m <= depth]
-        for c in cset:
-            for m in band:
-                out.append(c * width + m)
-        return out
+    def bands(k):
+        return K(k)[..., :width]
 
-    sets: list[tuple[int, ...]] = []
-    origins: list[dict] = []
-
-    base_cover = covers[0]
-    u0: set[int] = set()
-    for si, cset in enumerate(base_cover.sets):
-        j_v = family_of(base_cover, si)
-        u0.update(prod_set(cset, sorted(K(cuts[0] + 2 * j_v))))
-    sets.append(tuple(sorted(u0)))
-    origins.append({"layer": 0})
+    # layer 0 is one set: every base set V crossed with K(k_0 + 2*color(V))
+    base = _band_rows(covers[0].incidence(), bands(cuts[0] + 2 * colors[0]), width)
+    pieces = [sparse.csr_matrix(base.sum(axis=0) > 0)]
 
     # layer i >= 1 contributes, per fine set V of scale l_i: V crossed with
     # the band (k_{i-1} + 2*color(parent) - 2, k_i], plus the union of the
     # next-scale sets refining V crossed with (k_i, k_i + 2*color(V)]
     for j in range(1, i_max + 1):
-        fine, coarse = covers[j], covers[j - 1]
+        fine, finer = covers[j].incidence(), covers[j + 1].incidence()
         k_lo, k_hi = cuts[j - 1], cuts[j]
-        children: list[list[int]] = [[] for _ in fine.sets]
-        for wi, p in enumerate(phi[j + 1]):
-            children[p].append(wi)
-        for si, w in enumerate(fine.sets):
-            j_w = family_of(fine, si)
-            parent = phi[j][si]
-            j_parent = family_of(coarse, parent)
-            a_band = sorted(K(k_hi) - K(k_lo + 2 * j_parent - 2))
-            b_band = sorted(K(k_hi + 2 * j_w) - K(k_hi))
-            piece = set(prod_set(w, a_band))
-            for wi in children[si]:
-                piece.update(prod_set(covers[j + 1].sets[wi], b_band))
-            if piece:
-                sets.append(tuple(sorted(piece)))
-                origins.append({"layer": j, "set": si})
+        a_band = bands(k_hi) & ~bands(k_lo + 2 * colors[j - 1][phi[j]] - 2)
+        b_band = bands(k_hi + 2 * colors[j]) & ~bands(k_hi)
+        refine = sparse.csr_matrix(
+            (np.ones(finer.shape[0], dtype=bool), (phi[j + 1], np.arange(finer.shape[0]))),
+            shape=(fine.shape[0], finer.shape[0]))
+        piece = _band_rows(fine, a_band, width) + _band_rows(refine @ finer, b_band, width)
+        pieces.append(piece[np.diff(piece.indptr) > 0])
 
-    out = Cover(product, sets, require_covering=False, canonicalize=False)
+    out = Cover(product, sparse.vstack(pieces, format="csr"), require_covering=False,
+                canonicalize=False)
     guarantees = []
     missing = out.uncovered_points()
     guarantees.append(_claim("dim_cover.covers", True, not missing, not missing,
@@ -404,7 +422,7 @@ def corona_dim_cover(schedule: CoronaCoverSchedule, deltas: Sequence[float],
     guarantees.append(_claim("dim_cover.appetite", True, appetite_fail is None,
                              appetite_fail is None, appetite_fail))
 
-    d_m, proj_ok = _band_bookkeeping(out, schedule, scales, cuts, K, width, depth)
+    d_m, proj_ok = _band_bookkeeping(out, schedule, scales, cuts, bands, width)
     guarantees.append(_claim("dim_cover.projection_bands", True, proj_ok, proj_ok))
     non_inc = all(d_m[m] >= d_m[m + 1] - TOL for m in range(len(d_m) - 1))
     guarantees.append(_claim("dim_cover.d_sequence_non_increasing", True, non_inc, non_inc))
@@ -418,15 +436,38 @@ def corona_dim_cover(schedule: CoronaCoverSchedule, deltas: Sequence[float],
     return out, guarantees, certificate
 
 
+def _colors(cover: Cover) -> np.ndarray:
+    color = np.zeros(cover.incidence().shape[0], dtype=np.int64)
+    for fi, fam in enumerate(cover.families):
+        color[list(fam)] = fi + 1
+    return color
+
+
+def _band_rows(sets: sparse.csr_matrix, bands: np.ndarray, width: int) -> sparse.csr_matrix:
+    """Row r: the corona points of row r of sets crossed with the levels
+    where row r of bands holds, as product points c * width + m, ascending."""
+    k, n = sets.shape
+    band_row, band_level = np.nonzero(bands)
+    per_row = np.bincount(band_row, minlength=k)
+    row = np.repeat(np.arange(k), np.diff(sets.indptr))
+    reps = per_row[row]
+    # entry e's levels start at band_level[cumsum(per_row)[row] - per_row[row]]
+    # and its output at cumsum(reps)[e] - reps[e]
+    start = np.repeat(np.cumsum(per_row)[row] - np.cumsum(reps), reps)
+    cols = np.repeat(sets.indices.astype(np.int64) * width, reps)
+    cols += band_level[start + np.arange(cols.size)]
+    indptr = np.concatenate(([0], np.cumsum(np.diff(sets.indptr) * per_row)))
+    return sparse.csr_matrix((np.ones(cols.size, dtype=bool), cols, indptr),
+                             shape=(k, n * width))
+
+
 def _k_threshold(deltas, scale, K, depth) -> Optional[int]:
     """Smallest k such that every level outside K(k-2) has delta below
     1/scale; None when no such k exists inside the window."""
-    bound = 1.0 / scale
-    for k in range(1, depth + 5):
-        inside = K(k - 2)
-        if all(deltas[m] < bound - TOL for m in range(depth + 1) if m not in inside):
-            return k
-    return None
+    small = np.asarray(deltas[:depth + 1]) < 1.0 / scale - TOL
+    ks = np.arange(1, depth + 5)
+    ok = np.all(small | K(ks - 2)[:, :depth + 1], axis=1)
+    return int(ks[np.argmax(ok)]) if ok.any() else None
 
 
 def _band_appetite_witness(cover: Cover, schedule: CoronaCoverSchedule,
@@ -434,40 +475,110 @@ def _band_appetite_witness(cover: Cover, schedule: CoronaCoverSchedule,
     """Exhaustive appetite scan against the relation reconstructed from the
     deltas and the window: (x,a) ~ (y,b) iff (a,b) in the window and
     d(x, y) < delta_{max(a,b)-1}. Returns the failing (x, m) with the
-    smallest x * width + m, or None.
+    smallest x * width + m, or None."""
+    failed = _band_appetite_failures(cover, schedule, deltas, win, width, depth)
+    return divmod(int(np.argmax(failed)), width) if failed.any() else None
 
-    The ball of (x, m) must fit inside a set incident to (x, m). Checking
-    all sets instead is equivalent: a non-empty ball holds its centre
-    already, since each member (y, b) has d(x, y) < delta_{max(m,b)-1} <=
-    delta_{m-1} as the deltas are non-increasing. Each query still gets its
-    centre added, so that an empty ball at an uncovered point fails as
-    before and the tolerance on non-increase cannot matter.
 
-    The balls are built one level m at a time, over the columns of m's
-    window partners only, so memory holds one level's balls at a time.
+def _band_appetite_failures(cover: Cover, schedule: CoronaCoverSchedule,
+                            deltas, win: Entourage, width: int, depth: int) -> np.ndarray:
+    """Whether the ball of each product point x * width + m, m <= depth,
+    fits inside no set holding the point (so an uncovered point fails).
+
+    No ball is built. The ball of (x, m) at a window partner b <= depth is
+    {y | d(x, y) < cut - TOL}, cut = delta_{max(m,b)-1} (+inf at m = b = 0).
+    It fits in the slice S_b = {y | (y, b) in S} of a set S exactly when
+    out(x, S_b) = min{d(x, y) | y not in S_b} is at least cut - TOL (out is
+    +inf when S_b is the whole corona): the same float comparisons as
+    testing the ball point by point. (x, m) passes when some set S holding
+    it (its column of the incidence matrix, at most the multiplicity many)
+    passes at every partner.
+
+    out is computed once per distinct slice of the cover's (set, level)
+    pairs, at the slice's members only. At x outside S_b, out(x, S_b) is
+    at most d(x, x), which is exactly 0 on the backings in
+    ZERO_SELF_DISTANCE, so out is 0 there; on the others out is computed at
+    every corona point. The cost is the slice margins plus one lookup per
+    incidence entry and partner.
     """
     corona = schedule.corona_space
     nc = corona.n
-    dist = np.array([corona.dist_row(c) for c in range(nc)]).reshape(nc, nc)
-    sets = cover.incidence().tocsc()
-    first = None
-    for m in range(depth + 1):
-        partners = [b for b in sorted(win.image([m])) if b <= depth]
-        balls = np.empty((nc, nc, len(partners)), dtype=bool)
-        for t, b in enumerate(partners):
-            cut = deltas[max(m, b) - 1] if max(m, b) >= 1 else math.inf
-            balls[:, :, t] = dist < cut - TOL
-        balls[np.arange(nc), np.arange(nc), partners.index(m)] = True
-        cols = (np.arange(nc)[:, None] * width + np.array(partners)[None, :]).ravel()
-        hits = first_container(sparse.csr_matrix(balls.reshape(nc, -1)), sets[:, cols])
-        failed = np.nonzero(hits < 0)[0]
-        if failed.size and (first is None or failed[0] * width + m < first):
-            first = int(failed[0]) * width + m
-    return None if first is None else divmod(first, width)
+    m = cover.incidence()
+    owner = np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr))
+    x, level = np.divmod(m.indices.astype(np.int64), width)
+    # row r * width + b of slices holds the slice of set r at level b
+    slices = sparse.csr_matrix((np.ones(m.nnz, dtype=bool), (owner * width + level, x)),
+                               shape=(m.shape[0] * width, nc))
+    slice_id, members = _distinct(slices)
+    if corona.kind in ZERO_SELF_DISTANCE:
+        queries = members
+    else:
+        queries = sparse.csr_matrix(np.ones(members.shape, dtype=bool))
+    margins = np.empty(queries.nnz)
+    for part, d, inside in _member_distances(corona, members, queries):
+        d[inside] = np.inf
+        margins[part] = d.min(axis=1)
+    margin_keys = (np.repeat(np.arange(queries.shape[0], dtype=np.int64),
+                             np.diff(queries.indptr)) * nc + queries.indices)
+
+    # the window partners b <= depth of every level, padded with slots
+    # that always pass (cut -inf)
+    near = sparse.csr_matrix(win.matrix().T)[:depth + 1, :depth + 1]
+    near.sort_indices()
+    count = np.diff(near.indptr)
+    slots = int(count.max(initial=0))
+    partner = np.zeros((depth + 1, slots), dtype=np.int64)
+    cut = np.full((depth + 1, slots), -np.inf)
+    filled = np.arange(slots) < count[:, None]
+    partner[filled] = near.indices
+    top = np.maximum(np.arange(depth + 1)[:, None], partner)
+    deltas = np.asarray(deltas, dtype=float)
+    cut[filled] = np.where(top >= 1, deltas[top - 1], np.inf)[filled] - TOL
+
+    checked = level <= depth
+    owner, x, level = owner[checked], x[checked], level[checked]
+    ok = np.ones(owner.size, dtype=bool)
+    for t in range(slots):
+        keys = slice_id[owner * width + partner[level, t]] * nc + x
+        at = np.searchsorted(margin_keys, keys)
+        hit = at < margin_keys.size
+        hit[hit] = margin_keys[at[hit]] == keys[hit]
+        out = np.zeros(keys.size)
+        out[hit] = margins[at[hit]]
+        ok &= out >= cut[level, t]
+    passed = np.zeros(nc * width, dtype=bool)
+    passed[(x * width + level)[ok]] = True
+    return ~passed & (np.arange(nc * width) % width <= depth)
+
+
+def _distinct(m: sparse.csr_matrix) -> tuple[np.ndarray, sparse.csr_matrix]:
+    """(ids, rows): the distinct rows of m in lexicographic order, and for
+    each row of m the index of its copy among them."""
+    order, repeat = _lex_order(m)
+    ids = np.empty(m.shape[0], dtype=np.int64)
+    ids[order] = np.cumsum(~repeat) - 1
+    return ids, m[order[~repeat]]
+
+
+# _member_distances hands out blocks of at most this many distances
+_DISTANCE_BLOCK = 1 << 16
+
+
+def _member_distances(space: Space, sets: sparse.csr_matrix, queries: sparse.csr_matrix):
+    """For the stored entries (s, x) of queries, in order, a block at a
+    time: (the block's slice of the entries, the distances from each x to
+    every point, and which of those points row s of sets holds)."""
+    n = space.n
+    rows = np.repeat(np.arange(queries.shape[0]), np.diff(queries.indptr))
+    step = max(1, _DISTANCE_BLOCK // max(n, 1))
+    for at in range(0, queries.nnz, step):
+        part = slice(at, at + step)
+        yield (part, space.dist_block(queries.indices[part], np.arange(n)),
+               sets[rows[part]].toarray())
 
 
 def _band_bookkeeping(cover: Cover, schedule: CoronaCoverSchedule, scales,
-                      cuts, K, width: int, depth: int):
+                      cuts, bands, width: int):
     """The per-level diameters d_m and a check that every covering set's
     corona spread stays below the declared diameter at its top level.
 
@@ -475,28 +586,35 @@ def _band_bookkeeping(cover: Cover, schedule: CoronaCoverSchedule, scales,
     two cut bands is only constrained by compactness); past the second cut
     the levels in band (k_{i-1}, k_i] carry d_m = 1/l_{i-2}, which tends to
     the declared floor.
+
+    A spread is the diameter of a set's corona projection, measured once
+    per distinct projection; the whole corona rides along as one more
+    projection, whose diameter is the head value.
     """
     corona = schedule.corona_space
-    head = max(1.0, max(float(corona.dist_row(c).max()) for c in range(corona.n)))
-    ordered = sorted(k for k in cuts if k >= 0)
-    d_m = []
-    for m in range(depth + 1):
-        layer = None
-        for i in ordered:
-            if m in K(cuts[i]):
-                layer = i
-                break
-        if layer is None:
-            layer = ordered[-1]
-        d_m.append(head if layer <= 1 else 1.0 / scales[layer - 2])
-    proj_ok = True
-    for s in cover.sets:
-        top = max(p % width for p in s)
-        cs = sorted({p // width for p in s})
-        spread = 0.0
-        cs_arr = np.array(cs, dtype=np.int64)
-        for c in cs:
-            spread = max(spread, float(corona.dist_row(c)[cs_arr].max()))
-        if spread > d_m[top] + TOL:
-            proj_ok = False
-    return d_m, proj_ok
+    m = cover.incidence()
+    k = m.shape[0]
+    owner = np.repeat(np.arange(k), np.diff(m.indptr))
+    point, level = np.divmod(m.indices.astype(np.int64), width)
+    projections = sparse.vstack([
+        sparse.csr_matrix((np.ones(m.nnz, dtype=bool), (owner, point)), shape=(k, corona.n)),
+        sparse.csr_matrix(np.ones((1, corona.n), dtype=bool))], format="csr")
+    proj_id, distinct = _distinct(projections)
+    reach = np.empty(distinct.nnz)
+    for part, d, inside in _member_distances(corona, distinct, distinct):
+        d[~inside] = -np.inf
+        reach[part] = d.max(axis=1)
+    spread = np.full(distinct.shape[0], -np.inf)
+    np.maximum.at(spread, np.repeat(np.arange(distinct.shape[0]), np.diff(distinct.indptr)),
+                  reach)
+    head = max(1.0, float(spread[proj_id[k]]))
+
+    ordered = sorted(i for i in cuts if i >= 0)
+    layer = np.full(width, ordered[-1])
+    for i in reversed(ordered):
+        layer[bands(cuts[i])] = i
+    d_m = np.where(layer <= 1, head, 1.0 / np.array(scales)[np.maximum(layer - 2, 0)])
+    top = np.full(k, -1)
+    np.maximum.at(top, owner, level)
+    proj_ok = not np.any(spread[proj_id[:k]] > d_m[top] + TOL)
+    return d_m.tolist(), proj_ok

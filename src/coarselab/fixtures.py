@@ -8,12 +8,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import sparse
 
 from .corona import CompactificationModel, CoronaCoverSchedule
 from .covers import Cover
 from .prng import SplitMix64
 from .spaces import Entourage, Space
 from .transforms import ColoredCover
+
+# circle_arc_schedule measures angular distances in blocks of at most this
+# many arcs x points entries
+_ARC_BLOCK = 1 << 16
 
 
 def unit_interval_model(step: float = 1.0 / 400) -> CompactificationModel:
@@ -46,6 +51,16 @@ def circle_space(n_points: int = 720) -> Space:
     return Space.cloud(np.array(pts))
 
 
+def point_schedule() -> CoronaCoverSchedule:
+    """The one-point corona, covered at every scale by its one point."""
+    space = Space.cloud(np.zeros((1, 2)))
+    return CoronaCoverSchedule(
+        space, 1,
+        lambda k: ColoredCover(space, [[0]], [[0]], Entourage.diagonal(space),
+                               canonicalize=False),
+        lambda k: 1.0)
+
+
 def circle_arc_schedule(space: Space, overlap: float = 0.95) -> CoronaCoverSchedule:
     """Two-family arc covers of a circle sample with mesh <= 1/k and arc
     half-width overlap * spacing; the declared Lebesgue bound is the chord
@@ -66,16 +81,23 @@ def circle_arc_schedule(space: Space, overlap: float = 0.95) -> CoronaCoverSched
     def build(k: int) -> Cover:
         m = arc_count(k)
         sigma = 2 * math.pi / m
-        half = overlap * sigma
-        sets, fams = [], [[], []]
-        for j in range(m):
-            center = j * sigma
-            d = np.abs((angles - center + math.pi) % (2 * math.pi) - math.pi)
-            members = [int(p) for p in np.nonzero(d <= half - 1e-12)[0]]
-            fams[j % 2].append(len(sets))
-            sets.append(members)
-        return ColoredCover(space, sets, fams, Entourage.diagonal(space),
-                            require_covering=True, canonicalize=False)
+        limit = overlap * sigma - 1e-12
+        # arc j is centred at j * sigma
+        step = max(1, _ARC_BLOCK // max(n, 1))
+        arcs, points = [], []
+        for lo in range(0, m, step):
+            centers = np.arange(lo, min(lo + step, m))[:, None] * sigma
+            d = np.abs((angles - centers + math.pi) % (2 * math.pi) - math.pi)
+            arc, point = np.nonzero(d <= limit)
+            arcs.append(arc + lo)
+            points.append(point)
+        arcs, points = np.concatenate(arcs), np.concatenate(points)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(arcs, minlength=m))))
+        incidence = sparse.csr_matrix((np.ones(points.size, dtype=bool), points, indptr),
+                                      shape=(m, n))
+        return ColoredCover(space, incidence, [range(0, m, 2), range(1, m, 2)],
+                            Entourage.diagonal(space), require_covering=True,
+                            canonicalize=False)
 
     def lebesgue(k: int) -> float:
         sigma = 2 * math.pi / arc_count(k)

@@ -10,7 +10,13 @@ Formats:
               {"kind":"pairs","pairs":[[i,j],...]}
   cover       {"sets":[[int,...],...],"families":[[int,...],...]?}
   decomposition {"blocks":[[int,...],...],"dims":[int,...]}
-  operator    {"dims":[...],"re":[[...]],"im":[[...]]}
+  operator    {"dims":[...],"re":[[...]],"im":[[...]]}      ("dims" and "im" optional)
+  vector      [x,...]
+  complex     {"coordinates":[[...],...],"maximal":[[int,...],...]}
+  model       {"space":space,"interior":[int,...],"corona":[int,...]}
+  schedule    {"kind":"point"} or {"kind":"circle_arcs","points":n,"overlap":x},
+              each with an optional "delta":{"c":x,"power":p}; "points",
+              "overlap", "c" and "power" default to 720, 0.95, 4.0 and 1.5
 """
 
 from __future__ import annotations
@@ -19,11 +25,14 @@ import json
 
 import numpy as np
 
+from . import fixtures
+from .corona import CompactificationModel, CoronaCoverSchedule
 from .covers import Cover
 from .errors import InvalidInputError
 from .spaces import Entourage, Space
 from .support import BlockOperator, Decomposition
 from .transforms import ColoredCover
+from .witnesses import SimplicialComplex
 
 
 def load_space(doc: dict) -> Space:
@@ -98,19 +107,55 @@ def dump_cover(cover: Cover) -> dict:
 
 
 def load_decomposition(doc: dict) -> Decomposition:
-    blocks = doc["blocks"]
-    total = sum(len(b) for b in blocks)
-    space = Space.discrete(total)
-    return Decomposition(space, blocks, doc["dims"])
+    blocks = _index_lists(_field(_object(doc, "decomposition"), "blocks", "decomposition"),
+                          "decomposition blocks")
+    dims = _indices(_field(doc, "dims", "decomposition"), "decomposition dims")
+    return Decomposition(Space.discrete(sum(len(b) for b in blocks)), blocks, dims)
 
 
 def load_operator(doc: dict, decomposition: Decomposition) -> BlockOperator:
-    re = np.asarray(doc["re"], dtype=float)
-    im = np.asarray(doc.get("im", np.zeros_like(re)), dtype=float)
-    dims = [int(d) for d in doc.get("dims", decomposition.dims)]
-    if tuple(dims) != decomposition.dims:
+    re = _floats(_field(_object(doc, "operator"), "re", "operator"), "operator re")
+    im = _floats(doc["im"], "operator im") if "im" in doc else np.zeros_like(re)
+    if im.shape != re.shape:
+        raise InvalidInputError("operator re and im must have the same shape")
+    if "dims" in doc and tuple(_indices(doc["dims"], "operator dims")) != decomposition.dims:
         raise InvalidInputError("operator dims do not match the decomposition")
     return BlockOperator(decomposition, re + 1j * im)
+
+
+def load_vector(doc) -> np.ndarray:
+    return _floats(doc, "vector").astype(complex)
+
+
+def load_complex(doc: dict) -> SimplicialComplex:
+    coords = _field(_object(doc, "complex"), "coordinates", "complex")
+    return SimplicialComplex(_floats(coords, "complex coordinates"),
+                             _index_lists(_field(doc, "maximal", "complex"),
+                                          "complex maximal simplices"))
+
+
+def load_model(doc: dict) -> CompactificationModel:
+    space = load_space(_field(_object(doc, "model"), "space", "model"))
+    return CompactificationModel(space,
+                                 _indices(_field(doc, "interior", "model"), "model interior"),
+                                 _indices(_field(doc, "corona", "model"), "model corona"))
+
+
+def load_schedule(doc: dict) -> tuple[CoronaCoverSchedule, float, float]:
+    """(schedule, c, power): the band schedule and the constants of its
+    delta sequence c / (m + 1)^power."""
+    kind = _object(doc, "schedule").get("kind")
+    if kind == "point":
+        schedule = fixtures.point_schedule()
+    elif kind == "circle_arcs":
+        space = fixtures.circle_space(_integer(doc.get("points", 720), "schedule points"))
+        schedule = fixtures.circle_arc_schedule(
+            space, _number(doc.get("overlap", 0.95), "schedule overlap"))
+    else:
+        raise InvalidInputError("schedule kind must be 'point' or 'circle_arcs'")
+    delta = _object(doc.get("delta", {}), "schedule delta")
+    return (schedule, _number(delta.get("c", 4.0), "delta c"),
+            _number(delta.get("power", 1.5), "delta power"))
 
 
 def read_json(path: str) -> dict:
@@ -122,9 +167,10 @@ def read_json(path: str) -> dict:
 
 
 def write_json(path: str, doc) -> None:
+    # json.dumps runs the C encoder; json.dump streams through the Python one
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +180,13 @@ def write_json(path: str, doc) -> None:
 
 def _object(doc, what: str) -> dict:
     if not isinstance(doc, dict):
-        raise InvalidInputError(f"a {what} document must be a JSON object")
+        raise InvalidInputError(f"{what} document must be a JSON object")
     return doc
 
 
 def _field(doc: dict, key: str, what: str):
     if key not in doc:
-        raise InvalidInputError(f"a {what} document needs {key!r}")
+        raise InvalidInputError(f"{what} document needs {key!r}")
     return doc[key]
 
 
@@ -165,6 +211,12 @@ def _integer(value, what: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise InvalidInputError(f"{what}: expected an integer, got {value!r}")
+
+
+def _indices(value, what: str) -> list[int]:
+    if not isinstance(value, list):
+        raise InvalidInputError(f"{what} must be a list of integers")
+    return [_integer(v, what) for v in value]
 
 
 def _index_lists(value, what: str) -> list:

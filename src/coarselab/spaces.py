@@ -33,6 +33,11 @@ PAIR_CAP = 10**7
 # out candidate pairs in chunks of at most this many
 _CELL_AXES = 3
 _PAIR_CHUNK = 1 << 17
+# the backings whose dist_row(i)[i] is exactly 0.0: the difference form of
+# _squared_distances, BFS depths and the 0/1 metric. A matrix holds the
+# diagonal it was given (validated only to METRIC_TOL), the hyperbolic law
+# of cosines rounds, and a product inherits from its factors.
+ZERO_SELF_DISTANCE = frozenset({"grid", "cloud", "tree", "discrete"})
 
 
 class Space:

@@ -425,7 +425,7 @@ class SimplicialComplex:
             raise InvalidInputError("coordinates must be a 2-d array")
         self.maximal = [tuple(sorted(set(int(v) for v in s))) for s in maximal]
         for s in self.maximal:
-            if not s or s[-1] >= self.coords.shape[0]:
+            if not s or s[0] < 0 or s[-1] >= self.coords.shape[0]:
                 raise InvalidInputError("maximal simplex has bad vertex index")
         faces: set[tuple[int, ...]] = set()
         for s in self.maximal:

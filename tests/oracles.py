@@ -22,6 +22,13 @@ set-by-set code they replaced is kept here: the tuple constructor with its
 canonical order, the family overlap and disjointness witnesses, interior
 of one set, the shared-point tuples and intersections, the shield-and-trim
 loop and merge's attach step.
+
+The corona module works in arrays: a compactification model reads one
+interior x corona distance block, the arc covers of a circle are built a
+block of arcs at a time, and the band appetite is decided from set margins.
+The point-by-point appetite scan, the arc-by-arc cover, and roundtrip_bounds
+with its distance rows, candidate minima and list.index lookups are kept
+here.
 """
 
 import math
@@ -68,8 +75,14 @@ def appetite_witness_loop(cover, entourage):
 
 
 def band_appetite_scan(cover, schedule, deltas, win, width: int, depth: int):
+    """The first failure of band_appetite_failures, or None."""
+    return next(band_appetite_failures(cover, schedule, deltas, win, width, depth), None)
+
+
+def band_appetite_failures(cover, schedule, deltas, win, width: int, depth: int):
     """The corona band appetite scan point by point: the ball of (c, m) must
-    fit inside one of the sets incident to (c, m)."""
+    fit inside one of the sets incident to (c, m). Yields the failing (c, m)
+    in the order c * width + m."""
     corona = schedule.corona_space
     member_sets = [set(s) for s in cover.sets]
     incident: dict[int, list[int]] = {}
@@ -89,8 +102,7 @@ def band_appetite_scan(cover, schedule, deltas, win, width: int, depth: int):
                     ball.add(int(y) * width + b)
             point = c * width + m
             if not any(ball <= member_sets[si] for si in incident.get(point, [])):
-                return (c, m)
-    return None
+                yield (c, m)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +196,7 @@ def cover_entourage_keys(cover):
 
 
 # ---------------------------------------------------------------------------
-# The corona maps, candidate by candidate
+# The corona maps, candidate by candidate, and the circle arc covers
 # ---------------------------------------------------------------------------
 
 
@@ -204,6 +216,100 @@ def map_f_loop(model, corona_index, n):
 def map_g_loop(model, interior_index):
     row = model.ambient.dist_row(interior_index)
     return int(min(range(len(model.corona)), key=lambda ci: (row[model.corona[ci]], ci)))
+
+
+def corona_dist_loop(model):
+    """d(x, corona) for every interior point, one distance row each."""
+    corona = np.array(model.corona, dtype=np.int64)
+    return np.array([float(model.ambient.dist_row(i)[corona].min()) for i in model.interior])
+
+
+def filtration_index_loop(model, pos):
+    return max(1, int(math.ceil(1.0 / model._corona_dist[pos] - TOL)))
+
+
+def widths_loop(model):
+    out = []
+    for i in range(model.depth + 1):
+        xi = [model.interior[p] for p in filtration_set_loop(model, i)]
+        if not xi:
+            out.append(math.inf)
+            continue
+        xi_arr = np.array(xi, dtype=np.int64)
+        worst = 0.0
+        for c in model.corona:
+            worst = max(worst, float(model.ambient.dist_row(c)[xi_arr].min()))
+        out.append(worst)
+    return out
+
+
+def roundtrip_bounds_loop(model):
+    """roundtrip_bounds point by point, with list.index lookups."""
+    worst_ratio = 0.0
+    fg_failures = []
+    for pos, x in enumerate(model.interior):
+        ci = map_g_loop(model, x)
+        level = filtration_index_loop(model, pos)
+        y = map_f_loop(model, ci, level)
+        d = model.ambient.dist(x, y)
+        if level >= 2:
+            bound = 2.0 / (level - 1)
+            if d > bound + TOL:
+                fg_failures.append((x, level, d, bound))
+            if bound > 0:
+                worst_ratio = max(worst_ratio, d / bound)
+
+    widths = widths_loop(model)
+    gf_failures = []
+    checked = 0
+    for k in range(1, model.depth + 1):
+        if not filtration_set_loop(model, k):
+            continue
+        a_k = widths[k] if k < len(widths) else math.inf
+        n_k = None
+        if a_k < 1.0:
+            n_k = int(math.floor(1.0 / a_k - TOL)) if a_k > 0 else model.depth
+        for ci in range(len(model.corona)):
+            y = map_f_loop(model, ci, k)
+            pos = model.interior.index(y)
+            k_tilde = filtration_index_loop(model, pos)
+            checked += 1
+            if k_tilde > k:
+                gf_failures.append((ci, k, k_tilde, "above"))
+            if n_k is not None and k_tilde < n_k + 1:
+                gf_failures.append((ci, k, k_tilde, f"below n_k+1 = {n_k + 1}"))
+    return {
+        "fg_failures": fg_failures,
+        "gf_failures": gf_failures,
+        "gf_checked": checked,
+        "fg_worst_ratio": worst_ratio,
+    }
+
+
+def arc_cover_loop(n, overlap, k):
+    """(sets, families) of the scale-k arc cover of the n-point circle
+    sample, arc by arc: the fewest arcs m (even, at least 4) whose chord
+    2 sin(min(2pi/m * overlap, pi / 2)) is at most 1/k, and arc j holds the
+    points within overlap * 2pi/m of j * 2pi/m."""
+    reach = 2 * overlap
+
+    def chord(angle):
+        return 2 * math.sin(min(angle / 2, math.pi / 2))
+
+    m = 4
+    while chord(2 * math.pi / m * reach) > 1.0 / k:
+        m += 2
+    angles = np.arange(n) * (2 * math.pi / n)
+    sigma = 2 * math.pi / m
+    half = overlap * sigma
+    sets, fams = [], [[], []]
+    for j in range(m):
+        center = j * sigma
+        d = np.abs((angles - center + math.pi) % (2 * math.pi) - math.pi)
+        members = [int(p) for p in np.nonzero(d <= half - 1e-12)[0]]
+        fams[j % 2].append(len(sets))
+        sets.append(members)
+    return sets, fams
 
 
 # ---------------------------------------------------------------------------

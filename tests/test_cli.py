@@ -259,6 +259,35 @@ class TestMalformedDocuments:
         with pytest.raises(InvalidInputError):
             load_cover({"sets": [[0, 1], [2, 3]], "families": [[0], ["1"]]}, space)
 
+    @pytest.mark.parametrize("argv", [
+        ["corona", "equiv", "--model", ("m.json", {})],
+        ["corona", "equiv", "--model", ("m.json", {"space": LINE4, "interior": "ab",
+                                                   "corona": [3]})],
+        ["corona", "dimcover", "--schedule", ("s.json", [1, 2]), "--depth", "10"],
+        ["corona", "dimcover", "--schedule", ("s.json", {"kind": "circle_arcs", "points": "x"}),
+         "--depth", "10"],
+        ["corona", "dimcover", "--schedule", ("s.json", {"kind": "circle_arcs", "overlap": "a"}),
+         "--depth", "10"],
+        ["corona", "dimcover", "--schedule", ("s.json", {"kind": "point", "delta": [4.0]}),
+         "--depth", "10"],
+        ["corona", "dimcover", "--schedule", ("s.json", {"kind": "point"}), "--depth", "-3"],
+        ["support", "verify", "--decomposition", ("d.json", {}), "--op", ("o.json", {"re": [[1]]})],
+        ["support", "verify", "--decomposition", ("d.json", {"blocks": [[0]], "dims": [1]}),
+         "--op", ("o.json", {})],
+        ["support", "verify", "--decomposition", ("d.json", {"blocks": [[0]], "dims": [1]}),
+         "--op", ("o.json", {"re": [[1]], "im": [1, 2]})],
+        ["support", "verify", "--decomposition", ("d.json", {"blocks": [[0]], "dims": [1]}),
+         "--op", ("o.json", {"re": [[1]]}), "--vector", ("v.json", ["a"])],
+        ["witness", "star", "--complex", ("c.json", {}), "--stability", "1"],
+        ["witness", "star", "--complex", ("c.json", {"coordinates": [[0, 0], [1, 0]],
+                                                     "maximal": [[-1, 0]]}), "--stability", "1"],
+    ], ids=["model-empty", "model-interior-string", "schedule-list", "schedule-points-string",
+            "schedule-overlap-string", "schedule-delta-list", "negative-depth",
+            "decomposition-empty", "operator-empty", "operator-im-shape", "vector-string",
+            "complex-empty", "complex-negative-vertex"])
+    def test_corona_support_and_complex_documents(self, tmp_json, capsys, argv):
+        self.one_report([tmp_json(*a) if isinstance(a, tuple) else a for a in argv], capsys)
+
     def test_tree_root_out_of_range(self, tmp_json, capsys):
         space = tmp_json("t.json", {"kind": "tree", "edges": [[0, 1], [1, 2]]})
         report = self.one_report(["witness", "tree", "--space", space, "--L", "1",

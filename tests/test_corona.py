@@ -1,4 +1,5 @@
 import math
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -6,14 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarselab.corona import (CompactificationModel, CoronaCoverSchedule,
-                              _band_appetite_witness, check_cc_entourage, corona_dim_cover,
-                              map_f, map_g, roundtrip_bounds)
+from coarselab.corona import (TOL, CompactificationModel, CoronaCoverSchedule,
+                              _band_appetite_failures, _band_appetite_witness,
+                              check_cc_entourage, corona_dim_cover, map_f, map_g,
+                              roundtrip_bounds)
 from coarselab.covers import Cover, multiplicity
-from coarselab.errors import InvalidInputError
+from coarselab.errors import InvalidInputError, ResourceLimitError
+from coarselab.fixtures import circle_arc_schedule
 from coarselab.spaces import Entourage, Space
 from coarselab.transforms import ColoredCover
-from oracles import band_appetite_scan, filtration_set_loop, map_f_loop, map_g_loop
+from oracles import (arc_cover_loop, band_appetite_failures, band_appetite_scan,
+                     corona_dist_loop, filtration_index_loop, filtration_set_loop,
+                     map_f_loop, map_g_loop, roundtrip_bounds_loop, widths_loop)
 
 
 def unit_interval_model(step=1.0 / 400):
@@ -116,6 +121,47 @@ class TestModelAndMaps:
         assert np.dot(got, c) > 0
 
 
+@st.composite
+def models(draw):
+    """Interval and disk models at random resolutions, and random point
+    clouds whose corona points sit among the interior ones, sometimes with
+    a depth below the deepest level."""
+    kind = draw(st.sampled_from(["interval", "disk", "cloud"]))
+    if kind == "interval":
+        return unit_interval_model(1.0 / draw(st.integers(10, 300)))
+    if kind == "disk":
+        return disk_model(draw(st.integers(2, 12)), draw(st.integers(3, 24)))
+    pts = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                        min_size=3, max_size=40, unique=True))
+    on = draw(st.lists(st.booleans(), min_size=len(pts), max_size=len(pts)).filter(
+        lambda f: any(f) and not all(f)))
+    return CompactificationModel(Space.cloud(np.array(pts) / 12.0),
+                                 [i for i, f in enumerate(on) if not f],
+                                 [i for i, f in enumerate(on) if f],
+                                 draw(st.none() | st.integers(1, 8)))
+
+
+class TestModelAgainstTheLoops:
+    @given(model=models())
+    @settings(max_examples=40, deadline=None)
+    def test_block_maps_and_bounds_match_the_loops(self, model):
+        assert np.array_equal(model._corona_dist, corona_dist_loop(model))
+        assert model.widths() == widths_loop(model)
+        for pos, x in enumerate(model.interior):
+            assert map_g(model, x) == (map_g_loop(model, x), filtration_index_loop(model, pos))
+        for n in range(1, model.depth + 1):
+            if filtration_set_loop(model, n):
+                want = [map_f_loop(model, ci, n) for ci in range(len(model.corona))]
+                assert model.f_table(n) == want
+                assert map_f(model, len(model.corona) - 1, n) == want[-1]
+        assert roundtrip_bounds(model) == roundtrip_bounds_loop(model)
+
+    def test_distance_block_is_capped_before_it_is_built(self):
+        space = Space.discrete(6400)
+        with pytest.raises(ResourceLimitError):
+            CompactificationModel(space, range(3200), range(3200, 6400))
+
+
 class TestBoundaryControl:
     def test_diagonal_is_controlled(self):
         m = unit_interval_model(1.0 / 100)
@@ -157,6 +203,23 @@ class TestBoundaryControl:
             m, Entourage.from_pairs(m.ambient, small),
             schedule_constant=big["schedule_constant"])
         assert big["controlled"] and lit["controlled"]
+
+
+class TestArcSchedule:
+    @given(n=st.integers(8, 720), overlap=st.floats(0.55, 1.2), k=st.integers(1, 96))
+    @settings(max_examples=30, deadline=None)
+    def test_arc_covers_match_the_loop(self, n, overlap, k):
+        space = circle_space(n)
+        sets, fams = arc_cover_loop(n, overlap, k)
+        try:
+            want = ColoredCover(space, sets, fams, Entourage.diagonal(space),
+                                require_covering=True, canonicalize=False)
+        except InvalidInputError as err:
+            with pytest.raises(InvalidInputError, match=re.escape(str(err))):
+                circle_arc_schedule(space, overlap).cover_at(k)
+            return
+        got = circle_arc_schedule(space, overlap).cover_at(k)
+        assert got.sets == want.sets and got.families == want.families
 
 
 def circle_space(n_points=720):
@@ -278,3 +341,48 @@ class TestBandAppetite:
         broken = Cover(cov.space, sets, require_covering=False, canonicalize=False)
         got = _band_appetite_witness(broken, *args)
         assert got is not None and got == band_appetite_scan(broken, *args)
+
+    @given(band=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_bands_match_the_scan(self, band):
+        cover, args = band.draw(random_bands())
+        width = args[3]
+        failed = [divmod(int(p), width)
+                  for p in np.flatnonzero(_band_appetite_failures(cover, *args))]
+        assert failed == list(band_appetite_failures(cover, *args))
+        assert _band_appetite_witness(cover, *args) == band_appetite_scan(cover, *args)
+
+
+@st.composite
+def random_bands(draw):
+    """Random covers of small corona x level products: coronas with
+    duplicate points, or distance matrices with a nonzero diagonal; deltas
+    at or below TOL; random symmetric windows, with or without the
+    diagonal; uncovered points, empty level slices, levels past the depth."""
+    nc = draw(st.integers(1, 6))
+    depth = draw(st.integers(0, 5))
+    width = depth + 1 + draw(st.integers(0, 1))
+    if draw(st.booleans()):
+        coords = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                               min_size=nc, max_size=nc))
+        corona = Space.cloud(np.array(coords, dtype=float) / 2)
+    else:
+        entries = draw(st.lists(st.sampled_from([0.0, TOL / 2, 0.3, 0.6, 1.2]),
+                                min_size=nc * nc, max_size=nc * nc))
+        d = np.triu(np.array(entries).reshape(nc, nc))
+        corona = Space.from_matrix(d + np.triu(d, 1).T, validate=False)
+    n_levels = depth + 1 + draw(st.integers(0, 2))
+    levels = Space.line(0, n_levels - 1, 1.0)
+    level = st.integers(0, n_levels - 1)
+    win = Entourage.from_pairs(levels, draw(st.lists(st.tuples(level, level),
+                                                     max_size=3 * n_levels)))
+    win = win.union(win.inverse())
+    deltas = draw(st.lists(st.sampled_from([0.0, TOL / 2, TOL, 2 * TOL, 0.25, 0.5, 1.0, 3.0]),
+                           min_size=depth + 1, max_size=depth + 1))
+    n = nc * width
+    # a partition of the points with some dropped, plus a few random sets
+    owner = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
+    sets = [[p for p in range(n) if owner[p] == k] for k in range(4)]
+    sets += draw(st.lists(st.lists(st.integers(0, n - 1), max_size=n), max_size=3))
+    cover = Cover(Space.discrete(n), sets, require_covering=False, canonicalize=False)
+    return cover, (CoronaCoverSchedule(corona, 1, None, None), deltas, win, width, depth)

@@ -13,8 +13,8 @@ from hypothesis.extra.numpy import arrays
 import coarselab
 from coarselab.covers import Cover, cover_entourage
 from coarselab.errors import InvalidInputError, ResourceLimitError
-from coarselab.spaces import (Entourage, PointMap, Space, transport, uniformity_modulus,
-                              word_metric_ball)
+from coarselab.spaces import (ZERO_SELF_DISTANCE, Entourage, PointMap, Space, transport,
+                              uniformity_modulus, word_metric_ball)
 from coarselab.transforms import make_product_entourage
 import oracles
 
@@ -530,3 +530,15 @@ class TestSpaceValidation:
     def test_hyperbolic_distance_law(self):
         sp = Space.hyperbolic_polar(-1.0, [(1.0, 0.0), (1.0, math.pi)])
         assert sp.dist(0, 1) == pytest.approx(2.0, abs=1e-9)
+
+    @given(coords=arrays(np.float64, (5, 3), elements=st.floats(-1e12, 1e12)),
+           edges=st.lists(st.integers(0, 10), min_size=6, max_size=6))
+    @settings(max_examples=30, deadline=None)
+    def test_zero_self_distance_backings(self, coords, edges):
+        tree = Space.tree([(edges[v - 1] % v, v) for v in range(1, 7)])
+        spaces = [Space.cloud(coords), Space.grid(2, [coords[0, 0]] * 2,
+                                                  [coords[0, 0] + 3.0] * 2, 1.5),
+                  tree, Space.discrete(4)]
+        assert {sp.kind for sp in spaces} == ZERO_SELF_DISTANCE
+        for sp in spaces:
+            assert all(sp.dist_row(i)[i] == 0.0 for i in range(sp.n))
