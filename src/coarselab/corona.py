@@ -19,10 +19,11 @@ corona_dim_cover realizes the band construction that covers corona x N with
 multiplicity n+1 while keeping appetite for any relation controlled by a
 given decay sequence delta and a window relation on N.
 
-Both run as array code. A model computes one interior x corona distance
-block; the filtration levels, the widths, f (an argmin over the rows of the
-nested X_n) and g (an argmin along each row) all read it. The band cover is
-assembled as sparse incidence rows, each a schedule set crossed with a
+Everything here runs as array code. A model computes one interior x corona
+distance block; the filtration levels, the widths, f (an argmin over the
+rows of the nested X_n) and g (an argmin along each row) all read it. The
+tail widths are one running maximum over the related pairs. The band cover
+is assembled as sparse incidence rows, each a schedule set crossed with a
 level band, and its appetite is certified from the margins of its level
 slices (see _band_appetite_witness), without materializing a ball.
 """
@@ -41,6 +42,8 @@ from .spaces import PAIR_CAP, ZERO_SELF_DISTANCE, Entourage, Space
 from .transforms import _claim, _ensure
 
 TOL = 1e-9
+# distance rows are computed in blocks of at most this many entries
+_DISTANCE_BLOCK = 1 << 16
 
 
 class CompactificationModel:
@@ -202,28 +205,36 @@ def check_cc_entourage(model: CompactificationModel, entourage: Entourage,
     on the first half (an honest finite-sample proxy for "tends to zero").
     The raw sequence is always returned.
     """
-    interior_set = set(model.interior)
-    pairs = [(i, j) for i, j in entourage.materialize().pairs()
-             if i in interior_set and j in interior_set]
-    pos_of = {x: p for p, x in enumerate(model.interior)}
+    n = model.ambient.n
+    m = entourage.materialize().matrix()
+    pos = np.full(max(n, m.shape[0]), -1, dtype=np.int64)
+    pos[model._interior_arr] = np.arange(len(model.interior))
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    keep = (pos[rows] >= 0) & (pos[m.indices] >= 0)
+    rows, cols = rows[keep], m.indices[keep]
+    # the related pairs of interior points, a block of distance rows at a time
+    d = np.empty(rows.size)
+    starts = np.unique(rows)
+    step = max(1, _DISTANCE_BLOCK // max(n, 1))
+    for at in range(0, starts.size, step):
+        chunk = starts[at:at + step]
+        lo, hi = np.searchsorted(rows, [chunk[0], chunk[-1] + 1])
+        block = model.ambient.dist_block(chunk, np.arange(n))
+        d[lo:hi] = block[np.searchsorted(chunk, rows[lo:hi]), cols[lo:hi]]
     # past the level where the filtration swallows the whole interior
     # sample, every tail width is trivially zero; stop just before it
-    exhaust = model.depth
-    for level in range(1, model.depth + 1):
-        if len(model.filtration_set(level)) == len(model.interior):
-            exhaust = level
-            break
+    full = np.flatnonzero(
+        model._corona_dist.min() >= 1.0 / np.arange(1, model.depth + 1) - TOL)
+    exhaust = int(full[0]) + 1 if full.size else model.depth
     depth_eval = max(2, exhaust - 1)
-    rho = []
-    for level in range(1, depth_eval + 1):
-        cut = 1.0 / level - TOL
-        worst = 0.0
-        for i, j in pairs:
-            if model._corona_dist[pos_of[i]] < cut or model._corona_dist[pos_of[j]] < cut:
-                d = model.ambient.dist(i, j)
-                if d > worst:
-                    worst = d
-        rho.append(worst)
+    # a pair lies outside X_i^2 when its endpoint nearer the corona does, so
+    # rho_i is a running maximum over the pairs in order of that distance
+    # (fmax skips NaN as the comparison d > rho does)
+    near = np.minimum(model._corona_dist[pos[rows]], model._corona_dist[pos[cols]])
+    order = np.argsort(near, kind="stable")
+    running = np.fmax.accumulate(np.concatenate(([0.0], d[order])))
+    cuts = 1.0 / np.arange(1, depth_eval + 1) - TOL
+    rho = running[np.searchsorted(near[order], cuts)].tolist()
     prefix = max(1, depth_eval // 4)
     if schedule_constant is None:
         schedule_constant = 2.0 * max(
@@ -558,10 +569,6 @@ def _distinct(m: sparse.csr_matrix) -> tuple[np.ndarray, sparse.csr_matrix]:
     ids = np.empty(m.shape[0], dtype=np.int64)
     ids[order] = np.cumsum(~repeat) - 1
     return ids, m[order[~repeat]]
-
-
-# _member_distances hands out blocks of at most this many distances
-_DISTANCE_BLOCK = 1 << 16
 
 
 def _member_distances(space: Space, sets: sparse.csr_matrix, queries: sparse.csr_matrix):

@@ -26,9 +26,9 @@ loop and merge's attach step.
 The corona module works in arrays: a compactification model reads one
 interior x corona distance block, the arc covers of a circle are built a
 block of arcs at a time, and the band appetite is decided from set margins.
-The point-by-point appetite scan, the arc-by-arc cover, and roundtrip_bounds
-with its distance rows, candidate minima and list.index lookups are kept
-here.
+The point-by-point appetite scan, the arc-by-arc cover, roundtrip_bounds
+with its distance rows, candidate minima and list.index lookups, and the
+pair-by-pair tail widths of check_cc_entourage are kept here.
 """
 
 import math
@@ -283,6 +283,47 @@ def roundtrip_bounds_loop(model):
         "gf_failures": gf_failures,
         "gf_checked": checked,
         "fg_worst_ratio": worst_ratio,
+    }
+
+
+def check_cc_entourage_loop(model, entourage, schedule_constant=None, schedule_power=1.0):
+    """check_cc_entourage pair by pair and level by level."""
+    interior_set = set(model.interior)
+    pairs = [(i, j) for i, j in entourage.materialize().pairs()
+             if i in interior_set and j in interior_set]
+    pos_of = {x: p for p, x in enumerate(model.interior)}
+    exhaust = model.depth
+    for level in range(1, model.depth + 1):
+        if len(filtration_set_loop(model, level)) == len(model.interior):
+            exhaust = level
+            break
+    depth_eval = max(2, exhaust - 1)
+    rho = []
+    for level in range(1, depth_eval + 1):
+        cut = 1.0 / level - TOL
+        worst = 0.0
+        for i, j in pairs:
+            if model._corona_dist[pos_of[i]] < cut or model._corona_dist[pos_of[j]] < cut:
+                d = model.ambient.dist(i, j)
+                if d > worst:
+                    worst = d
+        rho.append(worst)
+    prefix = max(1, depth_eval // 4)
+    if schedule_constant is None:
+        schedule_constant = 2.0 * max(
+            (level + 1) ** schedule_power * r
+            for level, r in enumerate(rho[:prefix]))
+        schedule_constant = max(schedule_constant, TOL)
+    tail_from = max(prefix + 1, depth_eval // 2 + 1)
+    controlled = all(
+        rho[level - 1] <= schedule_constant / level ** schedule_power + TOL
+        for level in range(tail_from, depth_eval + 1))
+    return {
+        "rho": rho,
+        "depth": depth_eval,
+        "controlled": bool(controlled),
+        "schedule_constant": schedule_constant,
+        "schedule_power": schedule_power,
     }
 
 

@@ -17,8 +17,9 @@ from coarselab.fixtures import circle_arc_schedule
 from coarselab.spaces import Entourage, Space
 from coarselab.transforms import ColoredCover
 from oracles import (arc_cover_loop, band_appetite_failures, band_appetite_scan,
-                     corona_dist_loop, filtration_index_loop, filtration_set_loop,
-                     map_f_loop, map_g_loop, roundtrip_bounds_loop, widths_loop)
+                     check_cc_entourage_loop, corona_dist_loop, filtration_index_loop,
+                     filtration_set_loop, map_f_loop, map_g_loop, roundtrip_bounds_loop,
+                     widths_loop)
 
 
 def unit_interval_model(step=1.0 / 400):
@@ -156,6 +157,21 @@ class TestModelAgainstTheLoops:
                 assert map_f(model, len(model.corona) - 1, n) == want[-1]
         assert roundtrip_bounds(model) == roundtrip_bounds_loop(model)
 
+    @given(model=models(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_tail_widths_match_the_loop(self, model, data):
+        if data.draw(st.booleans()):
+            ent = Entourage.radius(model.ambient, data.draw(st.floats(0.01, 0.8)),
+                                   closed=data.draw(st.booleans()))
+        else:
+            point = st.integers(0, model.ambient.n - 1)
+            ent = Entourage.from_pairs(model.ambient,
+                                       data.draw(st.lists(st.tuples(point, point), max_size=60)))
+        constant = data.draw(st.none() | st.floats(0.1, 4.0))
+        power = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
+        assert (check_cc_entourage(model, ent, constant, power)
+                == check_cc_entourage_loop(model, ent, constant, power))
+
     def test_distance_block_is_capped_before_it_is_built(self):
         space = Space.discrete(6400)
         with pytest.raises(ResourceLimitError):
@@ -191,6 +207,16 @@ class TestBoundaryControl:
         assert out["controlled"]
         for i, r in enumerate(out["rho"], start=1):
             assert r <= 0.5 / i + 1e-9
+
+    def test_pair_exactly_at_the_cut_is_inside(self):
+        # point 0 sits at distance 1/2 - TOL from the corona point 2, which
+        # is exactly the level-2 cut, so the pair (0, 1) lies in X_2^2
+        near = 1.0 / 2 - 1e-9
+        sp = Space.from_matrix([[0.0, 0.7, near], [0.7, 0.0, 1.0], [near, 1.0, 0.0]])
+        m = CompactificationModel(sp, [0, 1], [2])
+        ent = Entourage.from_pairs(sp, [(0, 1)])
+        assert check_cc_entourage(m, ent)["rho"] == [0.7, 0.0]
+        assert check_cc_entourage(m, ent) == check_cc_entourage_loop(m, ent)
 
     def test_monotone_in_relation(self):
         m = unit_interval_model(1.0 / 100)
