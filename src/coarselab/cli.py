@@ -31,15 +31,14 @@ from .hyperbolic import (SphereAtlas, check_contraction, check_radial_lipschitz,
                          sphere_cover_lift)
 from .jsonio import (dump_cover, load_complex, load_cover, load_decomposition,
                      load_entourage, load_model, load_operator, load_schedule, load_space,
-                     load_vector, read_json, write_json)
+                     load_simplex_grid, load_vector, read_json, write_json)
 from .prng import SplitMix64
 from .spaces import Entourage, Space
 from .support import BlockOperator, Decomposition, check_calculus
 from .transforms import (ColoredCover, colorize, expand, make_product_entourage,
                          merge_union, product_refine)
-from .witnesses import (SimplexGrid, cube_cover, nearest_corner_labeling, pn_sample,
-                        ray_cell_cover, simplex_lower_bound_check, sperner_find,
-                        star_cover, tree_cover)
+from .witnesses import (cube_cover, pn_sample, ray_cell_cover, simplex_lower_bound_check,
+                        sperner_find, star_cover, tree_cover)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -320,11 +319,7 @@ def _handle_witness(args, inputs: dict):
     if args.op == "sperner":
         doc = read_json(args.grid)
         inputs[args.grid] = _digest(args.grid)
-        grid = SimplexGrid(doc["corners"], int(doc["resolution"]))
-        if doc.get("labeling"):
-            grid.labeling = {i: int(l) for i, l in enumerate(doc["labeling"])}
-        else:
-            grid.labeling = nearest_corner_labeling(grid)
+        grid = load_simplex_grid(doc)
         found = sperner_find(grid)
         return {"cell": list(found["cell"]), "count": found["count"],
                 "odd": found["count"] % 2 == 1}, [], None

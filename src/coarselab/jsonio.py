@@ -13,6 +13,8 @@ Formats:
   operator    {"dims":[...],"re":[[...]],"im":[[...]]}      ("dims" and "im" optional)
   vector      [x,...]
   complex     {"coordinates":[[...],...],"maximal":[[int,...],...]}
+  simplex grid {"corners":[[...],...],"resolution":int,"labeling":[int,...]?}
+              (no or an empty "labeling": each vertex takes its nearest corner)
   model       {"space":space,"interior":[int,...],"corona":[int,...]}
   schedule    {"kind":"point"} or {"kind":"circle_arcs","points":n,"overlap":x},
               each with an optional "delta":{"c":x,"power":p}; "points",
@@ -32,7 +34,7 @@ from .errors import InvalidInputError
 from .spaces import Entourage, Space
 from .support import BlockOperator, Decomposition
 from .transforms import ColoredCover
-from .witnesses import SimplicialComplex
+from .witnesses import SimplexGrid, SimplicialComplex, nearest_corner_labeling
 
 
 def load_space(doc: dict) -> Space:
@@ -69,7 +71,7 @@ def dump_space(space: Space) -> dict:
                 "max": coords.max(axis=0).tolist(),
                 "step": space.meta["step"]}
     if space.kind == "tree":
-        return {"kind": "tree", "edges": [list(e) for e in space.meta["edges"]]}
+        return {"kind": "tree", "edges": space.meta["edges"].tolist()}
     if space.kind == "hyperbolic_polar":
         return {"kind": "hyperbolic_polar", "kappa": space.meta["kappa"],
                 "points": [list(p) for p in space.points]}
@@ -132,6 +134,20 @@ def load_complex(doc: dict) -> SimplicialComplex:
     return SimplicialComplex(_floats(coords, "complex coordinates"),
                              _index_lists(_field(doc, "maximal", "complex"),
                                           "complex maximal simplices"))
+
+
+def load_simplex_grid(doc: dict) -> SimplexGrid:
+    corners = _floats(_field(_object(doc, "simplex grid"), "corners", "simplex grid"),
+                      "simplex grid corners")
+    if corners.ndim != 2 or not corners.size:
+        raise InvalidInputError("simplex grid corners must be a non-empty list of points")
+    resolution = _integer(_field(doc, "resolution", "simplex grid"), "simplex grid resolution")
+    labeling = doc.get("labeling")
+    labels = _indices(labeling, "simplex grid labeling") if labeling else None
+    grid = SimplexGrid(corners, resolution)
+    grid.labeling = (dict(enumerate(labels)) if labels is not None
+                     else nearest_corner_labeling(grid))
+    return grid
 
 
 def load_model(doc: dict) -> CompactificationModel:

@@ -29,14 +29,17 @@ from .errors import InvalidInputError, ResourceLimitError
 METRIC_TOL = 1e-9
 RADIUS_TOL = 1e-12
 PAIR_CAP = 10**7
+# the most points a grid sample may hold, checked before any is built
+POINT_CAP = 10**7
 # the cell list of a grid or cloud buckets at most this many axes, and hands
 # out candidate pairs in chunks of at most this many
 _CELL_AXES = 3
 _PAIR_CHUNK = 1 << 17
 # the backings whose dist_row(i)[i] is exactly 0.0: the difference form of
-# _squared_distances, BFS depths and the 0/1 metric. A matrix holds the
-# diagonal it was given (validated only to METRIC_TOL), the hyperbolic law
-# of cosines rounds, and a product inherits from its factors.
+# _squared_distances, the tree table's depth[i] + depth[i] - 2 depth[i] and
+# the 0/1 metric. A matrix holds the diagonal it was given (validated only
+# to METRIC_TOL), the hyperbolic law of cosines rounds, and a product
+# inherits from its factors.
 ZERO_SELF_DISTANCE = frozenset({"grid", "cloud", "tree", "discrete"})
 
 
@@ -46,13 +49,17 @@ class Space:
     Backings:
       - "matrix": explicit symmetric distance matrix
       - "grid": an axis-aligned lattice sample of R^d with euclidean distance
-      - "tree": vertices of a tree with unit edge lengths and path distance
+      - "tree": vertices 0..n-1 of a tree with unit edge lengths and path
+        distance; its distances are lookups in a TreeTable built once, which
+        also checks that the edges form a tree
       - "hyperbolic_polar": polar coordinates (r, phi) about a basepoint in
         the hyperbolic plane of curvature kappa < 0
       - "discrete": the 0/1 metric, used as a bare index carrier for
         relation-only computations (e.g. block quotients)
 
-    Instances are immutable and safe to share.
+    Instances are immutable and safe to share. Distance rows of matrix,
+    grid, cloud, hyperbolic, discrete and product spaces of at most 4096
+    points are cached; tree rows are table lookups and are not.
     """
 
     def __init__(self, kind: str, points: Optional[list], dist_fn, meta: Optional[dict] = None):
@@ -106,12 +113,17 @@ class Space:
         maxs = [float(x) for x in maxs]
         if len(mins) != dim or len(maxs) != dim:
             raise InvalidInputError("min/max vectors must have length dim")
-        axes = []
-        for lo, hi in zip(mins, maxs):
-            count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-            if count < 1:
-                raise InvalidInputError("empty grid axis")
-            axes.append(np.array([lo + k * step for k in range(count)]))
+        spans = [(hi - lo) / step + 1e-9 for lo, hi in zip(mins, maxs)]
+        if not all(map(math.isfinite, mins + maxs + spans)):
+            raise InvalidInputError("grid bounds and their distance in steps must be finite")
+        counts = [math.floor(q) + 1 for q in spans]
+        if min(counts) < 1:
+            raise InvalidInputError("empty grid axis")
+        if math.prod(counts) > POINT_CAP:
+            raise ResourceLimitError(f"grid of {math.prod(counts)} points would exceed "
+                                     f"the {POINT_CAP} point cap")
+        axes = [np.array([lo + k * step for k in range(count)])
+                for lo, count in zip(mins, counts)]
         mesh = np.meshgrid(*axes, indexing="ij")
         coords = np.stack([m.ravel() for m in mesh], axis=1)
         # points run in C order over the axis counts in shape, so lattice
@@ -125,25 +137,21 @@ class Space:
 
     @classmethod
     def tree(cls, edges: Sequence[tuple[int, int]]) -> "Space":
-        if not edges:
-            n = 1
-            adj: list[list[int]] = [[]]
-        else:
-            n = max(max(i, j) for i, j in edges) + 1
-            adj = [[] for _ in range(n)]
-            for i, j in edges:
-                if i == j:
-                    raise InvalidInputError("tree edge cannot be a loop")
-                adj[i].append(j)
-                adj[j].append(i)
-        if len(edges) != n - 1:
+        try:
+            arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        except (OverflowError, TypeError, ValueError):
+            raise InvalidInputError("tree edges must be pairs of int64 vertices") from None
+        if arr.size and arr.min() < 0:
+            raise InvalidInputError("tree vertices must be non-negative")
+        n = int(arr.max()) + 1 if arr.size else 1
+        if len(arr) != n - 1:
             raise InvalidInputError("edge count must be n-1 for a tree")
-        space = cls("tree", list(range(n)), None, {"adj": adj, "edges": [tuple(e) for e in edges]})
-        # connectivity check doubles as a cycle check given the edge count
-        if n > 1:
-            seen = _bfs_depths(adj, 0)
-            if np.any(seen < 0):
-                raise InvalidInputError("tree edges do not form a connected tree")
+        if np.any(arr[:, 0] == arr[:, 1]):
+            raise InvalidInputError("tree edge cannot be a loop")
+        space = cls("tree", list(range(n)), None, {"edges": arr})
+        # the Euler tour reaches every vertex exactly when the n-1 edges form
+        # a connected graph, which is then a tree
+        space.meta["table"] = TreeTable(space.adjacency())
         return space
 
     @classmethod
@@ -177,6 +185,8 @@ class Space:
     # -- distances ---------------------------------------------------------
 
     def dist_row(self, i: int) -> np.ndarray:
+        if self.kind == "tree":
+            return self.meta["table"].dist(i, np.arange(self.n)).astype(float)
         row = self._row_cache.get(i)
         if row is not None:
             return row
@@ -185,8 +195,6 @@ class Space:
         elif self.kind in ("grid", "cloud"):
             coords = self.meta["coords"]
             row = np.sqrt(_squared_distances(coords, coords[i]))
-        elif self.kind == "tree":
-            row = _bfs_depths(self.meta["adj"], i).astype(float)
         elif self.kind == "hyperbolic_polar":
             row = hyperbolic_distance(
                 self.meta["kappa"], self.meta["r"][i], self.meta["phi"][i],
@@ -226,6 +234,8 @@ class Space:
             return d2 if squared else np.sqrt(d2)
         if self.kind == "matrix":
             block = self.meta["matrix"][np.ix_(rows, cols)]
+        elif self.kind == "tree":
+            block = self.meta["table"].dist(rows[:, None], cols[None, :]).astype(float)
         elif self.kind == "hyperbolic_polar":
             r, p = self.meta["r"], self.meta["phi"]
             block = hyperbolic_distance(
@@ -234,6 +244,28 @@ class Space:
         else:
             block = np.stack([self.dist_row(int(i))[cols] for i in rows])
         return block ** 2 if squared else block
+
+    def adjacency(self) -> sparse.csr_matrix:
+        """The n x n int32 CSR matrix with a 1 at (x, y) for each pair of
+        neighbours: the two ends of a tree edge, or two grid points one
+        lattice step apart on one axis."""
+        if self.kind == "tree":
+            heads, tails = self.meta["edges"].T
+        elif self.kind == "grid":
+            idx = np.arange(self.n, dtype=np.int64)
+            heads, tails = [], []
+            stride = 1
+            for count in reversed(self.meta["shape"]):
+                lo = idx[(idx // stride) % count < count - 1]
+                heads.append(lo)
+                tails.append(lo + stride)
+                stride *= count
+            heads, tails = np.concatenate(heads), np.concatenate(tails)
+        else:
+            raise InvalidInputError(f"a {self.kind} space has no neighbour graph")
+        return sparse.csr_matrix((np.ones(2 * heads.size, dtype=np.int32),
+                                  (np.concatenate([heads, tails]),
+                                   np.concatenate([tails, heads]))), shape=(self.n, self.n))
 
     def diameter(self) -> float:
         return max(float(self.dist_row(i).max()) for i in range(self.n))
@@ -279,19 +311,78 @@ def _validate_pseudometric(d: np.ndarray) -> None:
                 raise InvalidInputError("triangle inequality violated")
 
 
-def _bfs_depths(adj: list[list[int]], root: int) -> np.ndarray:
-    depths = np.full(len(adj), -1, dtype=np.int64)
-    depths[root] = 0
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if depths[w] < 0:
-                    depths[w] = depths[v] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return depths
+class TreeTable:
+    """Exact path distances of a unit-edge tree through lowest common
+    ancestors (Bender & Farach-Colton, "The LCA Problem Revisited", LATIN
+    2000).
+
+    One iterative depth-first search from vertex 0 records each vertex's
+    depth and the Euler tour: the depths met while walking round the tree,
+    2n - 1 of them, with first[v] the position of v's first visit. The
+    shallowest entry between first[u] and first[v] is the depth of the
+    lowest common ancestor of u and v, so d(u, v) = depth[u] + depth[v] -
+    2 * that minimum. A sparse table of the minima over the 2^k tour
+    entries from each position, built on the first query, gives it with two
+    lookups. A vertex the search never reaches raises InvalidInputError.
+    """
+
+    def __init__(self, adj: sparse.csr_matrix):
+        n = adj.shape[0]
+        ends, nbrs = adj.indptr.tolist(), adj.indices.tolist()
+        nxt = ends[:-1]
+        depth = [-1] * n
+        first = [0] * n
+        depth[0] = 0
+        tour = [0]
+        stack = [0]
+        while stack:
+            v = stack[-1]
+            at = nxt[v]
+            if at < ends[v + 1]:
+                nxt[v] = at + 1
+                w = nbrs[at]
+                if depth[w] < 0:
+                    depth[w] = depth[v] + 1
+                    first[w] = len(tour)
+                    tour.append(depth[w])
+                    stack.append(w)
+            else:
+                stack.pop()
+                if stack:
+                    tour.append(depth[stack[-1]])
+        if min(depth) < 0:
+            raise InvalidInputError("tree edges do not form a connected tree")
+        self.depth = np.array(depth, dtype=np.int64)
+        self.first = np.array(first, dtype=np.int64)
+        self._tour = np.array(tour, dtype=np.int32)
+        self._table = None
+
+    def _minima(self) -> np.ndarray:
+        """The flattened K x m sparse table: entry k * m + i is the least
+        tour depth over positions i .. i + 2^k - 1 wherever those exist."""
+        if self._table is None:
+            m = self._tour.size
+            table = np.empty((m.bit_length(), m), dtype=np.int32)
+            table[0] = self._tour
+            for k in range(1, table.shape[0]):
+                h = 1 << (k - 1)
+                np.minimum(table[k - 1, :m - h], table[k - 1, h:], out=table[k, :m - h])
+                table[k, m - h:] = table[k - 1, m - h:]
+            self._table = table.ravel()
+        return self._table
+
+    def dist(self, u, v) -> np.ndarray:
+        """The int64 distances d(u, v) for vertex indices u and v broadcast
+        against each other."""
+        table = self._minima()
+        a, b = self.first[u], self.first[v]
+        lo = np.minimum(a, b)
+        span = np.abs(a - b) + 1
+        # floor(log2(span)), exact for integers below 2^53
+        k = np.frexp(span)[1] - 1
+        at = lo + k * np.int64(self._tour.size)
+        low = np.minimum(table[at], table[at + span - (1 << k)])
+        return self.depth[u] + self.depth[v] - 2 * low
 
 
 def hyperbolic_distance(kappa: float, r1, phi1, r2, phi2):

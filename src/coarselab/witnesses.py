@@ -16,10 +16,11 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from scipy import sparse
 
-from .covers import Cover, cover_entourage, first_container, lebesgue_number, mesh, multiplicity
+from .covers import (Cover, _row_indices, cover_entourage, first_container, lebesgue_number,
+                     mesh, multiplicity)
 from .errors import (ContractViolationError, InternalCheckError, InvalidInputError,
                      ResourceLimitError)
-from .spaces import Entourage, Space, RADIUS_TOL
+from .spaces import Entourage, Space, RADIUS_TOL, _bool_matrix
 from .transforms import ColoredCover, _claim, _ensure
 
 FLOAT_TOL = 1e-9
@@ -119,46 +120,45 @@ def tree_cover(space: Space, L: float, root: int = 0):
     equivalent when their root geodesics agree at parameter L'*(f - 1/2).
     The classes of even grade form one family, odd grades the other.
     Non-equivalent classes of the same parity sit at distance >= L'.
+
+    Depths come from the tree's distance table, each vertex's parent is its
+    neighbour one step nearer the root, and the ancestors that key the
+    classes are reached by parent steps taken by all vertices at once. The
+    sets, in order of their keys (grade, ancestor), are the classes grown
+    by ceil(L) - 1 sparse products with I + A, A the adjacency matrix.
     """
     if space.kind != "tree":
         raise InvalidInputError("tree cover needs a tree-backed space")
     if L <= 0:
         raise InvalidInputError("L must be positive")
-    adj = space.meta["adj"]
     n = space.n
     if not 0 <= root < n:
         raise InvalidInputError(f"root {root} is not a vertex of the {n}-vertex tree")
     lp = int(math.floor(2 * L)) + 1
-    depth, parent = _bfs_tree(adj, root)
+    adj = space.adjacency()
+    depth = space.meta["table"].dist(root, np.arange(n))
+    heads = np.repeat(np.arange(n), np.diff(adj.indptr))
+    up = depth[adj.indices] < depth[heads]
+    parent = np.full(n, -1, dtype=np.int64)
+    parent[heads[up]] = adj.indices[up]
 
-    def ancestor(v: int, target_depth: int) -> int:
-        while depth[v] > target_depth:
-            v = parent[v]
-        return v
+    grade = depth // lp
+    # grade 0 keys on the root itself, at depth 0
+    target = np.where(grade > 0, np.ceil(lp * (grade - 0.5) - FLOAT_TOL), 0).astype(np.int64)
+    anc = np.arange(n)
+    climbing = np.flatnonzero(depth > target)
+    while climbing.size:
+        anc[climbing] = parent[anc[climbing]]
+        climbing = climbing[depth[anc[climbing]] > target[climbing]]
+    keys, label = np.unique(grade * n + anc, return_inverse=True)
+    parity = keys // n % 2
+    balls = _bool_matrix(label, np.arange(n), (keys.size, n))
+    step = sparse.identity(n, dtype=bool, format="csr") + sparse.csr_matrix(adj, dtype=bool)
+    for _ in range(int(math.ceil(L)) - 1):  # d(x, class) < L on integer distances
+        balls = balls @ step
+    families = [np.flatnonzero(parity == p).tolist() for p in (0, 1)]
 
-    keys: dict[int, tuple] = {}
-    for v in range(n):
-        grade = depth[v] // lp
-        if grade == 0:
-            keys[v] = (0, root)
-        else:
-            tau = lp * (grade - 0.5)
-            keys[v] = (grade, ancestor(v, int(math.ceil(tau - FLOAT_TOL))))
-    classes: dict[tuple, list[int]] = {}
-    for v, key in sorted(keys.items()):
-        classes.setdefault(key, []).append(v)
-
-    hop = int(math.ceil(L)) - 1  # d(x, class) < L on integer distances
-    sets: list[tuple[int, ...]] = []
-    families: list[list[int]] = [[], []]
-    class_list = sorted(classes)
-    for key in class_list:
-        members = classes[key]
-        grown = _bfs_ball(adj, members, hop)
-        families[key[0] % 2].append(len(sets))
-        sets.append(tuple(sorted(grown)))
-
-    out = ColoredCover(space, sets, families, Entourage.diagonal(space),
+    out = ColoredCover(space, balls, families, Entourage.diagonal(space),
                        require_covering=True, canonicalize=False)
     guarantees = []
     mult = multiplicity(out)
@@ -166,56 +166,46 @@ def tree_cover(space: Space, L: float, root: int = 0):
     msh = mesh(out)
     bound = 3 * lp + 2 * L
     guarantees.append(_claim("tree_cover.mesh", f"<= {bound}", msh, msh <= bound + FLOAT_TOL))
-    sep = _class_separation(space, classes, class_list)
+    sep = _class_separation(adj, label, parity)
     guarantees.append(_claim("tree_cover.class_separation", f">= {lp}", sep,
                              sep >= lp - FLOAT_TOL))
     _ensure(guarantees)
     return out, guarantees
 
 
-def _bfs_tree(adj, root):
-    n = len(adj)
-    depth = np.full(n, -1, dtype=np.int64)
-    parent = np.full(n, -1, dtype=np.int64)
-    depth[root] = 0
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if depth[w] < 0:
-                    depth[w] = depth[v] + 1
-                    parent[w] = v
-                    nxt.append(w)
-        frontier = nxt
-    return depth, parent
+def _class_separation(adj: sparse.csr_matrix, label: np.ndarray, parity: np.ndarray) -> float:
+    """The least distance between two vertices of distinct classes of the
+    same parity, or +inf if no parity has two classes.
 
-
-def _bfs_ball(adj, sources: Iterable[int], hops: int) -> set[int]:
-    seen = set(sources)
-    frontier = list(seen)
-    for _ in range(hops):
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen
-
-
-def _class_separation(space: Space, classes: dict, class_list: list) -> float:
-    """Min distance between distinct same-parity classes, exhaustively."""
+    One breadth-first search per parity grows all of its classes at once, a
+    level at a time, each vertex taking the label of the first class to
+    reach it. The least distance between two differently labelled sources
+    is then min d(u) + 1 + d(v) over the edges (u, v) whose ends carry
+    different labels, d the distance to the nearest source: every such edge
+    joins two sources through a path of that length, and on a shortest path
+    between two closest sources of different classes the labels change
+    across some edge whose two ends are no farther from those sources.
+    """
+    n = label.size
+    degree = np.diff(adj.indptr)
+    heads = np.repeat(np.arange(n), degree)
     best = math.inf
-    by_parity: dict[int, list] = {0: [], 1: []}
-    for key in class_list:
-        by_parity[key[0] % 2].append(key)
-    for _, group in sorted(by_parity.items()):
-        for ka, kb in combinations(group, 2):
-            mem_b = np.array(classes[kb], dtype=np.int64)
-            for v in classes[ka]:
-                best = min(best, float(space.dist_row(v)[mem_b].min()))
+    for p in (0, 1):
+        lab = np.where(parity[label] == p, label, -1)
+        dist = np.where(lab >= 0, 0, -1)
+        frontier = np.flatnonzero(lab >= 0)
+        level = 0
+        while frontier.size:
+            level += 1
+            nbrs = _row_indices(adj, frontier)
+            src = np.repeat(frontier, degree[frontier])
+            fresh = lab[nbrs] < 0
+            frontier, first = np.unique(nbrs[fresh], return_index=True)
+            lab[frontier] = lab[src[fresh][first]]
+            dist[frontier] = level
+        cross = (lab[heads] != lab[adj.indices]) & (lab[heads] >= 0)
+        if cross.any():
+            best = min(best, float((dist[heads] + dist[adj.indices])[cross].min() + 1))
     return best
 
 

@@ -29,6 +29,13 @@ block of arcs at a time, and the band appetite is decided from set margins.
 The point-by-point appetite scan, the arc-by-arc cover, roundtrip_bounds
 with its distance rows, candidate minima and list.index lookups, and the
 pair-by-pair tail widths of check_cc_entourage are kept here.
+
+A tree's distances come from an Euler tour and a sparse table of range
+minima, mesh takes a double sweep per set and the Lebesgue number one
+search inward from each set's outer boundary, and the tree cover keys its
+classes and separates them by array steps. The breadth-first searches they
+replaced, one distance row at a time, the exhaustive class separation and
+the vertex-by-vertex tree cover are kept here.
 """
 
 import math
@@ -637,3 +644,122 @@ def merge_attach_loop(sets_a, fams_a, sets_b, fams_b, n, relation):
                 sets.append(tuple(sets_a[ai]))
         families.append(fam_out)
     return sets, families
+
+
+# ---------------------------------------------------------------------------
+# Trees, one breadth-first search at a time
+# ---------------------------------------------------------------------------
+
+
+def tree_adjacency_lists(space):
+    adj = [[] for _ in range(space.n)]
+    for i, j in space.meta["edges"].tolist():
+        adj[i].append(j)
+        adj[j].append(i)
+    return adj
+
+
+def bfs_depths(adj, root):
+    depths = np.full(len(adj), -1, dtype=np.int64)
+    depths[root] = 0
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if depths[w] < 0:
+                    depths[w] = depths[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return depths
+
+
+def bfs_tree(adj, root):
+    n = len(adj)
+    depth = np.full(n, -1, dtype=np.int64)
+    parent = np.full(n, -1, dtype=np.int64)
+    depth[root] = 0
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if depth[w] < 0:
+                    depth[w] = depth[v] + 1
+                    parent[w] = v
+                    nxt.append(w)
+        frontier = nxt
+    return depth, parent
+
+
+def bfs_ball(adj, sources, hops):
+    seen = set(sources)
+    frontier = list(seen)
+    for _ in range(hops):
+        nxt = []
+        for v in frontier:
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return seen
+
+
+def tree_distance_rows(space):
+    """The n x n float distance matrix of a tree, one BFS row per vertex."""
+    adj = tree_adjacency_lists(space)
+    return np.stack([bfs_depths(adj, i) for i in range(space.n)]).astype(float)
+
+
+def tree_set_diameter_rows(rows, s):
+    """A set's diameter from one full distance row per member."""
+    idx = np.array(sorted(set(int(i) for i in s)), dtype=np.int64)
+    return float(rows[np.ix_(idx, idx)].max()) if idx.size > 1 else 0.0
+
+
+def class_separation_loop(rows, classes, class_list):
+    """Min distance between distinct same-parity classes, exhaustively."""
+    best = math.inf
+    by_parity = {0: [], 1: []}
+    for key in class_list:
+        by_parity[key[0] % 2].append(key)
+    for _, group in sorted(by_parity.items()):
+        for ka, kb in combinations(group, 2):
+            mem_b = np.array(classes[kb], dtype=np.int64)
+            for v in classes[ka]:
+                best = min(best, float(rows[v][mem_b].min()))
+    return best
+
+
+def tree_cover_loop(space, L, root=0):
+    """(sets, families, classes, class_list) of tree_cover, vertex by
+    vertex: classes keyed by (grade, ancestor at depth ceil(L'(grade -
+    1/2))), each grown by a BFS ball of ceil(L) - 1 hops."""
+    adj = tree_adjacency_lists(space)
+    lp = int(math.floor(2 * L)) + 1
+    depth, parent = bfs_tree(adj, root)
+
+    def ancestor(v, target_depth):
+        while depth[v] > target_depth:
+            v = parent[v]
+        return v
+
+    keys = {}
+    for v in range(space.n):
+        grade = depth[v] // lp
+        if grade == 0:
+            keys[v] = (0, root)
+        else:
+            tau = lp * (grade - 0.5)
+            keys[v] = (grade, ancestor(v, int(math.ceil(tau - TOL))))
+    classes = {}
+    for v, key in sorted(keys.items()):
+        classes.setdefault(key, []).append(v)
+    hop = int(math.ceil(L)) - 1
+    sets, families = [], [[], []]
+    class_list = sorted(classes)
+    for key in class_list:
+        families[key[0] % 2].append(len(sets))
+        sets.append(tuple(sorted(bfs_ball(adj, classes[key], hop))))
+    return sets, families, classes, class_list

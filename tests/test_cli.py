@@ -82,6 +82,15 @@ class TestWitnessCommands:
         assert code == EXIT_OK
         assert report["result"]["odd"] is True
 
+    def test_sperner_with_a_labeling(self, tmp_json):
+        from coarselab.witnesses import SimplexGrid, nearest_corner_labeling
+        corners = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        labels = nearest_corner_labeling(SimplexGrid(corners, 3))
+        grid = tmp_json("g.json", {"corners": corners, "resolution": 3,
+                                   "labeling": [labels[v] for v in range(len(labels))]})
+        code, report = run(["witness", "sperner", "--grid", grid])
+        assert code == EXIT_OK and report["result"]["odd"] is True
+
     def test_lowerbound(self, tmp_json):
         import numpy as np
         from coarselab.witnesses import pn_sample
@@ -293,6 +302,33 @@ class TestMalformedDocuments:
         report = self.one_report(["witness", "tree", "--space", space, "--L", "1",
                                   "--root", "7"], capsys)
         assert "root 7" in report["error"]["message"]
+
+    def test_negative_tree_vertex(self, tmp_json, capsys):
+        # -1 once aliased the last vertex through negative indexing
+        space = tmp_json("t.json", {"kind": "tree", "edges": [[-1, 1], [0, 2]]})
+        report = self.one_report(["witness", "tree", "--space", space, "--L", "1"], capsys)
+        assert "non-negative" in report["error"]["message"]
+
+    SIMPLEX = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize("doc", [
+        {}, [], {"corners": SIMPLEX}, {"corners": SIMPLEX, "resolution": 2.5},
+        {"corners": SIMPLEX, "resolution": "4"}, {"corners": [1.0, 2.0], "resolution": 2},
+        {"corners": SIMPLEX, "resolution": 1, "labeling": [0, "1", 2]},
+        {"corners": SIMPLEX, "resolution": 1, "labeling": "012"}],
+        ids=["empty", "list", "no-resolution", "fractional-resolution", "string-resolution",
+             "flat-corners", "string-label", "string-labeling"])
+    def test_malformed_simplex_grid(self, tmp_json, capsys, doc):
+        self.one_report(["witness", "sperner", "--grid", tmp_json("g.json", doc)], capsys)
+
+    def test_grid_over_the_point_cap(self, tmp_json, capsys):
+        space = tmp_json("s.json", grid_space_doc(dim=3, lo=0.0, hi=9999.0, step=1.0))
+        code = cli.main(["space", "info", "--space", space])
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and code == EXIT_INVALID
+        error = json.loads(lines[0])["error"]
+        assert error["kind"] == "resource-limit"
+        assert str(10 ** 12) in error["message"]
 
 
 class TestRayWitness:

@@ -67,3 +67,46 @@ def test_corona_reports_match_the_pinned_digests(name, tmp_path):
         with open(out, "rb") as fh:
             h.update(fh.read())
     assert h.hexdigest() == want
+
+
+def _edges(n, seed, reach):
+    """A seeded random recursive tree: vertex v hangs from a vertex among the
+    previous reach ones (all of them when reach is None)."""
+    from coarselab.prng import SplitMix64
+
+    rng = SplitMix64(seed)
+    return [[rng.randint(0 if reach is None else max(0, v - reach), v - 1), v]
+            for v in range(1, n)]
+
+
+# sha256 over `witness tree` then `cover stats`: each report's result and
+# guarantees (sorted keys, compact separators), the tree cover's bytes after
+# the first; recorded with the per-row BFS distances that the tree metric
+# kernels replaced
+TREE_REPORTS = {
+    "random-n2000-L1.0": (2000, None, "1.0",
+                          "e8889518304e358217e674b2607dc55af7d2e960c82b2dc65c71c87cd8df90dc"),
+    "deep-n300-L2.5": (300, 4, "2.5",
+                       "d03e57a12bb609a1fc30c99ba16450cd3784644e9967d4d8ee4f5b69a980b542"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TREE_REPORTS))
+def test_tree_reports_match_the_pinned_digests(name, tmp_path):
+    from coarselab.cli import EXIT_OK, run
+    from coarselab.jsonio import write_json
+
+    n, reach, L, want = TREE_REPORTS[name]
+    space, cover = str(tmp_path / "tree.json"), str(tmp_path / "cover.json")
+    write_json(space, {"kind": "tree", "edges": _edges(n, 8, reach)})
+    h = hashlib.sha256()
+    for argv in (["--out", cover, "witness", "tree", "--space", space, "--L", L],
+                 ["cover", "stats", "--space", space, "--cover", cover]):
+        code, report = run(argv)
+        assert code == EXIT_OK
+        payload = {"result": report["result"], "guarantees": report["guarantees"]}
+        h.update(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode())
+        if argv[0] == "--out":
+            with open(cover, "rb") as fh:
+                h.update(fh.read())
+    assert h.hexdigest() == want

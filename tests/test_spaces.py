@@ -13,8 +13,8 @@ from hypothesis.extra.numpy import arrays
 import coarselab
 from coarselab.covers import Cover, cover_entourage
 from coarselab.errors import InvalidInputError, ResourceLimitError
-from coarselab.spaces import (ZERO_SELF_DISTANCE, Entourage, PointMap, Space, transport,
-                              uniformity_modulus, word_metric_ball)
+from coarselab.spaces import (POINT_CAP, ZERO_SELF_DISTANCE, Entourage, PointMap, Space,
+                              transport, uniformity_modulus, word_metric_ball)
 from coarselab.transforms import make_product_entourage
 import oracles
 
@@ -381,6 +381,24 @@ class TestMaterializeOracle:
                              text=True, check=True, timeout=120)
         assert out.stdout.strip() == "False"
 
+    def test_no_csgraph_import(self):
+        # scipy.sparse.csgraph pulls in scipy.sparse.linalg, about 9 MB of
+        # resident memory per process
+        code = ("import sys, coarselab.cli\n"
+                "from coarselab.covers import lebesgue_number\n"
+                "from coarselab.spaces import Space\n"
+                "from coarselab.witnesses import tree_cover\n"
+                "cover, _ = tree_cover(Space.tree([(v // 2, v) for v in range(1, 200)]), 1.5)\n"
+                "lebesgue_number(cover)\n"
+                "print(sorted(m for m in ('scipy.sparse.csgraph', 'scipy.spatial')"
+                " if m in sys.modules))\n")
+        src = os.path.dirname(os.path.dirname(coarselab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "[]"
+
 
 class TestDistBlock:
     @given(data=st.data(), dim=st.integers(1, 9), n=st.integers(1, 12),
@@ -526,6 +544,37 @@ class TestSpaceValidation:
     def test_cycle_rejected(self):
         with pytest.raises(InvalidInputError):
             Space.tree([(0, 1), (1, 2), (2, 0)])
+
+    @pytest.mark.parametrize("edges", [[(-1, 1), (0, 2)], [(0, -3)], [(0, 1), (1, 2 ** 70)],
+                                       [(0, 1, 2)], [(0, 10 ** 12)]],
+                             ids=["aliased", "negative", "beyond-int64", "triple", "sparse"])
+    def test_malformed_tree_edges_rejected(self, edges):
+        with pytest.raises(InvalidInputError):
+            Space.tree(edges)
+
+    def test_deep_path_tree(self):
+        # the distance table is built without recursion
+        n = 10 ** 5
+        sp = Space.tree([(i + 1, i) for i in range(n - 1)])
+        assert sp.dist(0, n - 1) == n - 1
+        assert np.array_equal(sp.dist_block([n - 1], [0, n // 2, n - 1]),
+                              [[n - 1, n - 1 - n // 2, 0]])
+
+    def test_grid_point_cap_is_checked_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=f"{10 ** 12} points .* {POINT_CAP}"):
+                Space.grid(3, [0.0] * 3, [9999.0] * 3, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("bounds", [([0.0], [math.inf]), ([math.nan], [1.0]),
+                                        ([-1e308], [1e308])])
+    def test_grid_bounds_must_be_finite(self, bounds):
+        with pytest.raises(InvalidInputError):
+            Space.grid(1, *bounds, 1.0)
 
     def test_hyperbolic_distance_law(self):
         sp = Space.hyperbolic_polar(-1.0, [(1.0, 0.0), (1.0, math.pi)])

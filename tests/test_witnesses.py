@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,7 +16,8 @@ from coarselab.witnesses import (IntervalRelation, _cube_sets, SimplexGrid, Simp
                                  nearest_corner_labeling, pn_sample,
                                  random_admissible_labeling, ray_cell_cover,
                                  simplex_lower_bound_check, sperner_find,
-                                 star_cover, star_lebesgue_bound, tree_cover)
+                                 star_cover, star_lebesgue_bound, tree_cover,
+                                 _class_separation)
 import oracles
 
 
@@ -109,6 +110,102 @@ class TestTreeCover:
         line = Space.line(0, 5, 1.0)
         with pytest.raises(InvalidInputError):
             tree_cover(line, 1.0)
+
+
+@st.composite
+def tree_edges(draw):
+    """A random tree as a shuffled edge list: random recursive, deep (each
+    vertex hangs from one of the previous three), a path or a star, built
+    on relabelled vertices so that vertex 0 need not be where it started,
+    each edge in random orientation."""
+    shape = draw(st.sampled_from(["recursive", "deep", "path", "star"]))
+    n = draw(st.integers(1, 48))
+    parents = {"recursive": lambda v: (0, v - 1), "deep": lambda v: (max(0, v - 3), v - 1),
+               "path": lambda v: (v - 1, v - 1), "star": lambda v: (0, 0)}[shape]
+    label = draw(st.permutations(range(n)))
+    edges = []
+    for v in range(1, n):
+        u = draw(st.integers(*parents(v)))
+        edges.append((label[u], label[v]) if draw(st.booleans()) else (label[v], label[u]))
+    return draw(st.permutations(edges))
+
+
+class TestTreeKernelsOracle:
+    """Euler-tour distances, the double-sweep mesh, the inward Lebesgue
+    search, the labelled class separation and the array tree cover against
+    one breadth-first search per distance row."""
+
+    @given(edges=tree_edges(), picks=st.lists(st.integers(0, 10 ** 6), max_size=16))
+    @example(edges=[], picks=[0, 0, 0])
+    @example(edges=[(1, 0)], picks=[1, 0, 1, 1])
+    @settings(max_examples=120, deadline=None)
+    def test_distances_match_the_bfs_rows(self, edges, picks):
+        tree = Space.tree(edges)
+        rows = oracles.tree_distance_rows(tree)
+        picks = [p % tree.n for p in picks]
+        r, c = picks[::2], picks[1::2]
+        want = rows[np.ix_(r, c)]
+        assert np.array_equal(tree.dist_block(r, c), want)
+        assert np.array_equal(tree.dist_block(r, c, squared=True), want ** 2)
+        assert all(np.array_equal(tree.dist_row(i), rows[i]) for i in r)
+
+    @given(edges=tree_edges(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(edges=[], seed=0)
+    @example(edges=[(1, 0)], seed=3)
+    @settings(max_examples=120, deadline=None)
+    def test_mesh_and_lebesgue_of_any_cover_match_the_rows(self, edges, seed):
+        # sets drawn vertex by vertex, so most are disconnected; each vertex
+        # has a home set, and now and then one set takes everything
+        tree = Space.tree(edges)
+        rows = oracles.tree_distance_rows(tree)
+        # the BFS distances as a matrix space, measured by the generic code
+        flat = Space.from_matrix(rows, validate=False)
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 6))
+        masks = rng.random((k, tree.n)) < rng.random()
+        masks[rng.integers(0, k, tree.n), np.arange(tree.n)] = True
+        if rng.random() < 0.1:
+            masks[0] = True
+        cov = Cover(tree, [np.flatnonzero(m) for m in masks])
+        assert mesh(cov) == max(oracles.tree_set_diameter_rows(rows, s) for s in cov.sets)
+        assert mesh(cov) == mesh(Cover(flat, cov.incidence()))
+        assert lebesgue_number(cov) == lebesgue_number(Cover(flat, cov.incidence()))
+
+    @given(edges=tree_edges(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(edges=[], seed=0)
+    @example(edges=[(1, 0)], seed=5)
+    @settings(max_examples=120, deadline=None)
+    def test_class_separation_of_any_labelling_matches_the_loop(self, edges, seed):
+        tree = Space.tree(edges)
+        rows = oracles.tree_distance_rows(tree)
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(1, 7))
+        label = rng.integers(0, count, tree.n)
+        parity = rng.integers(0, 2, count)
+        classes = {(int(parity[c]), c): np.flatnonzero(label == c).tolist()
+                   for c in range(count) if np.any(label == c)}
+        want = oracles.class_separation_loop(rows, classes, sorted(classes))
+        assert _class_separation(tree.adjacency(), label, parity) == want
+
+    @given(edges=tree_edges(), root=st.integers(0, 10 ** 6),
+           L=st.sampled_from([0.4, 1.0, 1.5, 2.0, 2.5, 3.2]))
+    @example(edges=[], root=0, L=1.0)
+    @example(edges=[(1, 0)], root=1, L=0.4)
+    @settings(max_examples=120, deadline=None)
+    def test_tree_cover_matches_the_loop(self, edges, root, L):
+        tree = Space.tree(edges)
+        root %= tree.n
+        cov, cert = tree_cover(tree, L, root)
+        sets, families, classes, class_list = oracles.tree_cover_loop(tree, L, root)
+        assert cov.sets == tuple(sets)
+        assert cov.families == tuple(tuple(f) for f in families)
+        rows = oracles.tree_distance_rows(tree)
+        want_mesh = max(oracles.tree_set_diameter_rows(rows, s) for s in sets)
+        want_sep = oracles.class_separation_loop(rows, classes, class_list)
+        assert [g["measured"] for g in cert] == [multiplicity(cov), want_mesh, want_sep]
+        lp = int(math.floor(2 * L)) + 1
+        assert [g["claimed"] for g in cert] == [2, f"<= {3 * lp + 2 * L}", f">= {lp}"]
+        assert all(g["pass"] for g in cert)
 
 
 class TestRayCellCover:
