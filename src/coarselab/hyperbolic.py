@@ -233,23 +233,24 @@ def sample_disk(kappa: float, max_radius: float, radial_step: float,
 def check_contraction(kappa: float, rho: float, k: int, space: Space,
                       rng, trials: int) -> float:
     """Largest violation of d(theta(x), theta(y)) <= d(x, y) over random
-    sample pairs outside the projection disk; negative means slack."""
-    rr = space.meta["r"]
+    sample pairs outside the projection disk; negative means slack.
+
+    Each trial draws i, then j, from the generator; trials with i == j are
+    skipped. The distances of all pairs, and of their projections onto the
+    circle of radius k*rho, are two array calls.
+    """
+    rr, ph = space.meta["r"], space.meta["phi"]
     outside = np.nonzero(rr >= k * rho - TOL)[0]
     if outside.size < 2:
         raise InvalidInputError("not enough sample points outside the disk")
-    worst = -math.inf
-    for _ in range(trials):
-        i = int(outside[rng.randint(0, outside.size - 1)])
-        j = int(outside[rng.randint(0, outside.size - 1)])
-        if i == j:
-            continue
-        x, y = space.points[i], space.points[j]
-        d = float(hyperbolic_distance(kappa, x[0], x[1], y[0], y[1]))
-        tx, ty = radial_projection(x, k, rho), radial_projection(y, k, rho)
-        dt = float(hyperbolic_distance(kappa, tx[0], tx[1], ty[0], ty[1]))
-        worst = max(worst, dt - d)
-    return worst
+    draws = [rng.randint(0, outside.size - 1) for _ in range(2 * trials)]
+    i, j = outside[np.array(draws, dtype=np.int64).reshape(trials, 2).T]
+    i, j = i[i != j], j[i != j]
+    if not i.size:
+        return -math.inf
+    d = hyperbolic_distance(kappa, rr[i], ph[i], rr[j], ph[j])
+    dt = hyperbolic_distance(kappa, k * rho, ph[i], k * rho, ph[j])
+    return float((dt - d).max())
 
 
 def check_radial_lipschitz(kappa: float, rho: float, k: int, gap: float,
@@ -354,21 +355,39 @@ def sphere_cover_lift(atlas: SphereAtlas, rho: float, N: int, L: float,
 
 
 def _polar_mesh(disk: Space, cover: Cover) -> float:
-    """Mesh of a cover of a polar sample, exact on the sample."""
-    rr = disk.meta["r"]
+    """Mesh of a cover of a polar sample, exact on the sample: the largest
+    distance that hyperbolic_distance computes between two points of a set,
+    each row of a set taken against the whole set.
+
+    Rows are visited in descending radius, and the rest of a set is skipped
+    once a row cannot raise the running maximum. The exact bound
+    d <= r_x + r_y does not serve, since a computed distance can exceed it
+    through rounding; the bound must hold for the computed values. With
+    s = sqrt(-kappa), c = cosh(s r) and h = sinh(s r), every
+    ch = c_x c_y - h_x h_y cos(dphi) computed in row x is at most
+    fl(fl(c_x c_max) + fl(h_x h_max)), c_max and h_max the set's largest
+    values: the computed cosine lies in [-1, 1], h >= 0, and IEEE rounding
+    is monotone. A relative slack of 2^-40 covers the few ulps by which
+    cosh and sinh may differ between numpy's scalar and array paths, and
+    the rounding of arccosh. The bound depends on the law-of-cosines form of
+    hyperbolic_distance and must be derived anew if that formula changes.
+    """
+    rr, ph = disk.meta["r"], disk.meta["phi"]
     kappa = disk.meta["kappa"]
+    s = math.sqrt(-kappa)
+    c, h = np.cosh(rr * s), np.sinh(rr * s)
+    m = cover.incidence()
     worst = 0.0
-    for s in cover.sets:
-        idx = np.array(s, dtype=np.int64)
+    for k in range(m.shape[0]):
+        idx = m.indices[m.indptr[k]:m.indptr[k + 1]]
         if idx.size < 2:
             continue
-        # cheap radial bound first: d(x, y) <= r_x + r_y
-        top = float(rr[idx].max())
-        if 2 * top <= worst:
-            continue
-        ph = disk.meta["phi"][idx]
-        rs = rr[idx]
-        for t in range(idx.size):
-            d = hyperbolic_distance(kappa, rs[t], ph[t], rs, ph)
+        rs, ps = rr[idx], ph[idx]
+        ch = c[idx] * c[idx].max() + h[idx] * h[idx].max()
+        reach = np.arccosh(np.maximum(ch * (1 + 2.0 ** -40), 1.0)) / s
+        for t in np.argsort(-reach, kind="stable"):
+            if reach[t] <= worst:
+                break
+            d = hyperbolic_distance(kappa, rs[t], ps[t], rs, ps)
             worst = max(worst, float(d.max()))
     return worst

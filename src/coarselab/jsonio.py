@@ -18,7 +18,8 @@ Formats:
   model       {"space":space,"interior":[int,...],"corona":[int,...]}
   schedule    {"kind":"point"} or {"kind":"circle_arcs","points":n,"overlap":x},
               each with an optional "delta":{"c":x,"power":p}; "points",
-              "overlap", "c" and "power" default to 720, 0.95, 4.0 and 1.5
+              "overlap", "c" and "power" default to 720, 0.95, 4.0 and 1.5;
+              "points" runs from 1 to the 10^7 point cap
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ import numpy as np
 from . import fixtures
 from .corona import CompactificationModel, CoronaCoverSchedule
 from .covers import Cover
-from .errors import InvalidInputError
-from .spaces import Entourage, Space
+from .errors import InvalidInputError, ResourceLimitError
+from .spaces import POINT_CAP, Entourage, Space
 from .support import BlockOperator, Decomposition
 from .transforms import ColoredCover
 from .witnesses import SimplexGrid, SimplicialComplex, nearest_corner_labeling
@@ -145,8 +146,7 @@ def load_simplex_grid(doc: dict) -> SimplexGrid:
     labeling = doc.get("labeling")
     labels = _indices(labeling, "simplex grid labeling") if labeling else None
     grid = SimplexGrid(corners, resolution)
-    grid.labeling = (dict(enumerate(labels)) if labels is not None
-                     else nearest_corner_labeling(grid))
+    grid.labeling = labels if labels is not None else nearest_corner_labeling(grid)
     return grid
 
 
@@ -164,7 +164,13 @@ def load_schedule(doc: dict) -> tuple[CoronaCoverSchedule, float, float]:
     if kind == "point":
         schedule = fixtures.point_schedule()
     elif kind == "circle_arcs":
-        space = fixtures.circle_space(_integer(doc.get("points", 720), "schedule points"))
+        points = _integer(doc.get("points", 720), "schedule points")
+        if points < 1:
+            raise InvalidInputError(f"schedule points must be at least 1, got {points}")
+        if points > POINT_CAP:
+            raise ResourceLimitError(
+                f"a circle schedule of {points} points is beyond the {POINT_CAP} point cap")
+        space = fixtures.circle_space(points)
         schedule = fixtures.circle_arc_schedule(
             space, _number(doc.get("overlap", 0.95), "schedule overlap"))
     else:

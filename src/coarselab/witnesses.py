@@ -20,7 +20,7 @@ from .covers import (Cover, _row_indices, cover_entourage, first_container, lebe
                      mesh, multiplicity)
 from .errors import (ContractViolationError, InternalCheckError, InvalidInputError,
                      ResourceLimitError)
-from .spaces import Entourage, Space, RADIUS_TOL, _bool_matrix
+from .spaces import POINT_CAP, Entourage, Space, RADIUS_TOL, _bool_matrix
 from .transforms import ColoredCover, _claim, _ensure
 
 FLOAT_TOL = 1e-9
@@ -537,118 +537,145 @@ def _stability_witness(complex_: SimplicialComplex, k: int):
 
 
 class SimplexGrid:
-    """A staircase subdivision of a geometric n-simplex at a given resolution,
-    with an admissible vertex labeling.
+    """Freudenthal's staircase subdivision of a geometric n-simplex at
+    resolution m ("Simplizialzerlegungen von beschraenkter Flachheit",
+    Ann. Math. 43, 1942), with an admissible vertex labeling.
 
-    Vertices carry integer barycentric coordinates summing to the resolution.
+    `vertices` is the int64 array (V, n+1) of integer barycentric
+    coordinates b, each row summing to m, and `points` the float array of
+    their positions. In the monotone chart y_i = b_i + ... + b_n
+    (i = 1..n) the vertices are the lattice points m >= y_1 >= ... >= y_n
+    >= 0, and a cell is a base point plus one permutation of the n unit
+    steps that stays in the chart. Vertex ids number the points by first
+    appearance in the walk over base points (lexicographic), permutations
+    (lexicographic) and steps; `cells` is the int64 array (C, n+1) of each
+    cell's vertex ids, ascending along a row, rows in lexicographic order.
+
     A labeling is admissible when every vertex lying in a face of the big
     simplex is labeled by one of that face's corners, i.e. the label index
-    sits in the support of the barycentric coordinates.
+    sits in the support of the barycentric coordinates. It may be assigned
+    as a dict vertex id -> label or as a sequence, and is kept as an int64
+    array.
+
+    The vertex count C(m+n, n) and the walk's V n! (n+1) chain points are
+    checked against POINT_CAP before anything is built.
     """
 
-    def __init__(self, corners, resolution: int,
-                 labeling: Optional[dict[int, int]] = None):
+    def __init__(self, corners, resolution: int, labeling=None):
         self.corners = np.asarray(corners, dtype=float)
         self.n = self.corners.shape[0] - 1
         if resolution < 1:
             raise InvalidInputError("resolution must be >= 1")
         self.resolution = resolution
-        self.vertices: list[tuple[int, ...]] = []
-        self._vid: dict[tuple[int, ...], int] = {}
-        self.cells: list[tuple[int, ...]] = []
-        self._build()
+        _check_grid_size(resolution, self.n)
+        self.vertices, self.cells = _staircase(resolution, self.n)
+        # one batched product: (1, n+1) @ (n+1, d) per vertex rounds exactly
+        # as the vector-matrix product b @ corners, where a plain B @ corners
+        # may differ in the last bit
+        self.points = np.matmul(self.vertices[:, None, :] / resolution, self.corners)[:, 0]
         self.labeling = labeling
         if labeling is not None:
             self.check_admissible()
 
-    # staircase cells through the monotone-coordinate chart: a lattice point
-    # is y = (y_1 >= ... >= y_n), a cell is a base point plus a permutation
-    # of unit steps that stays monotone
-    def _build(self):
-        m, n = self.resolution, self.n
-        if n == 0:
-            self.vertices = [(m,)]
-            self._vid[(m,)] = 0
-            self.cells = [(0,)]
-            return
+    @property
+    def labeling(self) -> Optional[np.ndarray]:
+        return self._labels
 
-        def y_to_bary(y: tuple[int, ...]) -> tuple[int, ...]:
-            prev = m
-            out = []
-            for val in y:
-                out.append(prev - val)
-                prev = val
-            out.append(prev)
-            return tuple(out)
-
-        def valid(y) -> bool:
-            prev = m
-            for val in y:
-                if val > prev or val < 0:
-                    return False
-                prev = val
-            return True
-
-        def vid(y) -> int:
-            b = y_to_bary(y)
-            got = self._vid.get(b)
-            if got is None:
-                got = len(self.vertices)
-                self._vid[b] = got
-                self.vertices.append(b)
-            return got
-
-        lattice = [y for y in iproduct(range(m + 1), repeat=n) if valid(y)]
-        for y in lattice:
-            for perm in permutations(range(n)):
-                chain = [tuple(y)]
-                ok = True
-                cur = list(y)
-                for axis in perm:
-                    cur[axis] += 1
-                    if not valid(cur):
-                        ok = False
-                        break
-                    chain.append(tuple(cur))
-                if ok:
-                    self.cells.append(tuple(vid(y2) for y2 in chain))
-        self.cells = sorted(set(tuple(sorted(c)) for c in self.cells))
-        self.cells = [c for c in self.cells if len(set(c)) == self.n + 1]
+    @labeling.setter
+    def labeling(self, lab) -> None:
+        if lab is not None:
+            if isinstance(lab, dict):
+                lab = [lab.get(v) for v in range(len(lab))]
+            lab = np.asarray(lab)
+            if lab.shape != (len(self.vertices),) or lab.dtype.kind not in "iu":
+                raise InvalidInputError("labeling must assign a label to every vertex")
+            lab = lab.astype(np.int64)
+        self._labels = lab
 
     def vertex_point(self, vid: int) -> np.ndarray:
-        b = np.array(self.vertices[vid], dtype=float) / self.resolution
-        return b @ self.corners
+        return self.points[vid]
 
     def support(self, vid: int) -> frozenset[int]:
-        return frozenset(i for i, c in enumerate(self.vertices[vid]) if c > 0)
+        return frozenset(np.flatnonzero(self.vertices[vid] > 0).tolist())
 
     def check_admissible(self) -> None:
         lab = self.labeling
-        if lab is None or len(lab) != len(self.vertices):
+        if lab is None:
             raise InvalidInputError("labeling must assign a label to every vertex")
-        for vid in range(len(self.vertices)):
-            if lab[vid] not in self.support(vid):
-                raise InvalidInputError(
-                    f"labeling not admissible at vertex {vid}: "
-                    f"label {lab[vid]} outside support {sorted(self.support(vid))}")
+        ok = (lab >= 0) & (lab <= self.n)
+        ok[ok] = self.vertices[ok, lab[ok]] > 0
+        if not ok.all():
+            vid = int(np.argmin(ok))
+            raise InvalidInputError(
+                f"labeling not admissible at vertex {vid}: "
+                f"label {lab[vid]} outside support {sorted(self.support(vid))}")
 
     def cell_mesh(self) -> float:
         """The largest distance between two vertices of one cell."""
-        verts = np.array([self.vertex_point(v) for v in range(len(self.vertices))])
-        pts = verts[np.array(self.cells)]
+        pts = self.points[self.cells]
         i, j = np.triu_indices(self.n + 1, 1)
         return float(np.linalg.norm(pts[:, j] - pts[:, i], axis=-1).max(initial=0.0))
 
-    def fully_labeled_cells(self) -> list[tuple[int, ...]]:
+    def fully_labeled_cells(self) -> np.ndarray:
+        """The cells whose n+1 labels are 0..n, as rows of vertex ids."""
         lab = self.labeling
         if lab is None:
             raise InvalidInputError("no labeling attached")
-        out = []
-        want = set(range(self.n + 1))
-        for cell in self.cells:
-            if {lab[v] for v in cell} == want:
-                out.append(cell)
-        return out
+        hit = np.all(np.sort(lab[self.cells], axis=1) == np.arange(self.n + 1), axis=1)
+        return self.cells[hit]
+
+
+def _check_grid_size(m: int, n: int) -> None:
+    """Reject a grid whose vertices or walk would pass POINT_CAP."""
+    vertices = math.comb(m + n, n)
+    if vertices > POINT_CAP:
+        raise ResourceLimitError(
+            f"a simplex grid of dimension {n} at resolution {m} has {vertices} vertices, "
+            f"beyond the {POINT_CAP} point cap")
+    walk = vertices * math.factorial(n) * (n + 1)
+    if walk > POINT_CAP:
+        raise ResourceLimitError(
+            f"a simplex grid of dimension {n} at resolution {m} walks {walk} chain points, "
+            f"beyond the {POINT_CAP} point cap")
+
+
+def _staircase(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(vertices, cells) of the staircase subdivision, as in SimplexGrid."""
+    if n == 0:
+        return np.array([[m]], dtype=np.int64), np.zeros((1, 1), dtype=np.int64)
+    # the monotone lattice points, lexicographic: extend each prefix ending
+    # in v by every value 0..v
+    y = np.arange(m + 1, dtype=np.int64)[:, None]
+    for _ in range(1, n):
+        counts = y[:, -1] + 1
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        y = np.column_stack([np.repeat(y, counts, axis=0),
+                             np.arange(starts.size, dtype=np.int64) - starts])
+    bary = -np.diff(np.column_stack([np.full(len(y), m), y, np.zeros(len(y), np.int64)]),
+                    axis=1)
+    # partial step sums of each permutation, (n!, n+1, n)
+    perms = np.array(list(permutations(range(n))), dtype=np.int64)
+    steps = np.zeros((len(perms), n + 1, n), dtype=np.int64)
+    for t in range(n):
+        steps[:, t + 1] = steps[:, t]
+        steps[np.arange(len(perms)), t + 1, perms[:, t]] += 1
+    # y + s stays in the chart iff b_0 >= s_1 and b_i >= s_{i+1} - s_i: the
+    # chain from base y by permutation p does iff b[:n] >= need[p]
+    need = np.diff(steps, axis=2, prepend=0).max(axis=1)
+    ok = np.all(bary[:, None, :n] >= need[None], axis=2)
+    # a point's mixed-radix key is linear in y, so chain keys are sums
+    radix = (m + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    keys = y @ radix
+    base, perm = np.nonzero(ok)
+    walk = np.searchsorted(keys, keys[base][:, None] + (steps @ radix)[perm])
+    seen, first = np.unique(walk, return_index=True)
+    order = seen[np.argsort(first)]
+    vid = np.empty(len(y), dtype=np.int64)
+    vid[order] = np.arange(order.size)
+    # each (base, permutation) pair is a distinct cell: its base is the
+    # smallest point and its steps order the rest
+    cells = np.sort(vid[walk], axis=1)
+    return bary[order], cells[np.lexsort(cells.T[::-1])]
 
 
 def sperner_find(grid: SimplexGrid) -> dict:
@@ -660,37 +687,31 @@ def sperner_find(grid: SimplexGrid) -> dict:
     """
     grid.check_admissible()
     hits = grid.fully_labeled_cells()
-    if not hits:
+    if not len(hits):
         raise InternalCheckError("no fully-labeled cell found for an admissible labeling")
-    return {"cell": hits[0], "count": len(hits),
-            "labels": [grid.labeling[v] for v in hits[0]]}
+    return {"cell": tuple(hits[0].tolist()), "count": len(hits),
+            "labels": grid.labeling[hits[0]].tolist()}
 
 
-def nearest_corner_labeling(grid: SimplexGrid) -> dict[int, int]:
-    """Label each subdivision vertex by its heaviest barycentric coordinate."""
-    lab = {}
-    for vid, b in enumerate(grid.vertices):
-        best = max(range(len(b)), key=lambda i: (b[i], -i))
-        lab[vid] = best
-    return lab
+def nearest_corner_labeling(grid: SimplexGrid) -> list[int]:
+    """Label each subdivision vertex by its heaviest barycentric coordinate,
+    the lowest index on ties."""
+    return np.argmax(grid.vertices, axis=1).tolist()
 
 
-def constant_interior_labeling(grid: SimplexGrid, label: int = 0) -> dict[int, int]:
+def constant_interior_labeling(grid: SimplexGrid, label: int = 0) -> list[int]:
     """Interior vertices all get one label; face vertices take their lowest
     admissible corner."""
-    lab = {}
-    for vid in range(len(grid.vertices)):
-        sup = grid.support(vid)
-        lab[vid] = label if len(sup) == grid.n + 1 else min(sup)
-    return lab
+    support = grid.vertices > 0
+    return np.where(support.all(axis=1), label, np.argmax(support, axis=1)).tolist()
 
 
-def random_admissible_labeling(grid: SimplexGrid, rng) -> dict[int, int]:
-    lab = {}
-    for vid in range(len(grid.vertices)):
-        sup = sorted(grid.support(vid))
-        lab[vid] = sup[rng.randint(0, len(sup) - 1)]
-    return lab
+def random_admissible_labeling(grid: SimplexGrid, rng) -> list[int]:
+    """Each vertex draws, in vertex order, a uniform corner of its support."""
+    support = np.cumsum(grid.vertices > 0, axis=1)
+    picks = np.array([rng.randint(0, k - 1) for k in support[:, -1].tolist()],
+                     dtype=np.int64)
+    return np.argmax(support > picks[:, None], axis=1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -742,29 +763,21 @@ def simplex_lower_bound_check(cover: Cover, n: int) -> dict:
         raise ContractViolationError(
             f"cover lacks unit appetite at sample point {aw}", witness=aw)
 
-    # axis relations from the cover spread
+    # axis relations from the cover spread: the chain of images of 0
     spread = cover_entourage(cover).matrix().tocoo()
-    rows, cols = spread.row, spread.col
     lattice = np.round(coords / step).astype(np.int64)
-    width = int(lattice.max()) + 1
 
-    axis_rel: list[set[tuple[int, int]]] = []
-    for ax in range(n):
-        pr = lattice[rows, ax]
-        pc = lattice[cols, ax]
-        axis_rel.append(set(zip(pr.tolist(), pc.tolist())))
-
-    def rel_image(rel: set, vals: set) -> set:
-        return {a for a, b in rel if b in vals}
+    def image(ax: int, vals: np.ndarray) -> np.ndarray:
+        """{a : (a, b) in the spread's axis-ax relation, b in vals}"""
+        return np.unique(lattice[spread.row, ax][np.isin(lattice[spread.col, ax], vals)])
 
     unit_lat = int(round(1.0 / step))
-    chain = {0}
+    chain = np.zeros(1, dtype=np.int64)
     for ax in range(n - 1):
-        chain = rel_image(axis_rel[ax], chain)
-        chain.add(0)
-    chain = {v + d for v in chain for d in range(-unit_lat, unit_lat + 1) if v + d >= 0}
-    chain = rel_image(axis_rel[n - 1], chain) | chain
-    top = max(chain) if chain else 0
+        chain = np.union1d(image(ax, chain), [0])
+    chain = np.unique(chain[:, None] + np.arange(-unit_lat, unit_lat + 1))
+    chain = chain[chain >= 0]
+    top = int(np.union1d(image(n - 1, chain), chain).max())
     r_lat = max(top + 1, unit_lat + 1)
     r = r_lat * step
     if r > coords[:, -1].max() + FLOAT_TOL:
@@ -777,67 +790,58 @@ def simplex_lower_bound_check(cover: Cover, n: int) -> dict:
         corners[j, j:] = r
     corners[n, n - 1] = 1.0
 
-    faces = _face_predicates(n, r)
-    simplex_pts = _in_simplex_mask(coords, corners)
+    # face label of every set: the first face level it misses, -1 if none
+    inc = cover.incidence()
+    on_face = np.column_stack([pred(coords) for pred in _face_predicates(n, r)])
+    meets = (inc @ on_face.astype(np.int32)) > 0
+    face = np.where(meets.all(axis=1), -1, np.argmin(meets, axis=1))
 
-    def face_label(si: int) -> int:
-        """The first face level that covering set si misses."""
-        pts = coords[list(cover.sets[si])]
-        for i, pred in enumerate(faces):
-            if not np.any(pred(pts)):
-                return i
-        raise InternalCheckError(
+    def spanning(si: int) -> InternalCheckError:
+        return InternalCheckError(
             f"covering set {si} meets every face level; this contradicts "
             "the spanning bound")
 
-    assignment = {si: face_label(si) for si, s in enumerate(cover.sets)
-                  if np.any(simplex_pts[list(s)])}
+    in_simplex = (inc @ _in_simplex_mask(coords, corners).astype(np.int32)) > 0
+    if np.any(in_simplex & (face < 0)):
+        raise spanning(int(np.argmax(in_simplex & (face < 0))))
 
-    coord_index = {tuple(np.round(c, 9)): i for i, c in enumerate(coords)}
-
+    # each vertex is labeled by the face label of the deep set of its anchor
+    # sample point; that set may sit partly outside the simplex, and it still
+    # gets a face label by the same spanning argument
     grid = _subdivide_to_mesh(corners, target=0.45)
-    labeling: dict[int, int] = {}
-    anchors: dict[int, int] = {}
-    for vid in range(len(grid.vertices)):
-        v = grid.vertex_point(vid)
-        sup = grid.support(vid)
-        anchor = _snap_to_sample(v, sup, n, r, step, coord_index)
-        if anchor is None:
+    anchor = _snap_to_sample(grid.points, grid.vertices > 0, n, r, step, coords)
+    vertex_set = deep[np.maximum(anchor, 0)]
+    bad = (anchor < 0) | (face[vertex_set] < 0)
+    if np.any(bad):
+        vid = int(np.argmax(bad))
+        if anchor[vid] < 0:
             raise InternalCheckError(f"no sample anchor near subdivision vertex {vid}")
-        si = int(deep[anchor])
-        if si not in assignment:
-            # the anchor's deep set may sit partly outside the simplex; it
-            # still gets a face label by the same spanning argument
-            assignment[si] = face_label(si)
-        anchors[vid] = si
-        labeling[vid] = assignment[si]
-    grid.labeling = labeling
-    grid.check_admissible()
+        raise spanning(int(vertex_set[vid]))
+    grid.labeling = face[vertex_set]
 
     found = sperner_find(grid)
-    cell = found["cell"]
-    cell_sets = sorted({anchors[v] for v in cell})
+    cell = list(found["cell"])
+    cell_sets = np.unique(vertex_set[cell]).tolist()
     if len(cell_sets) != n + 1:
         raise InternalCheckError("fully-labeled cell does not span n+1 distinct sets")
 
-    bary = np.mean([grid.vertex_point(v) for v in cell], axis=0)
-    witness_point = _search_common_point(coords, cover.sets, cell_sets, bary)
+    bary = np.mean(grid.points[cell], axis=0)
+    witness_point = _search_common_point(coords, inc, cell_sets, bary)
     if witness_point is None:
         raise InternalCheckError("no sample point realizes the n+1-fold overlap")
 
-    # independent re-verification from raw cover data
-    containing = [si for si in range(len(cover.sets))
-                  if witness_point in set(cover.sets[si])]
+    # independent re-verification from the incidence column of the point
+    containing = np.flatnonzero(inc[:, witness_point].toarray()[:, 0]).tolist()
     if len(containing) < n + 1:
         raise InternalCheckError("certificate failed the raw recount")
 
     return {
         "point": int(witness_point),
-        "sets": [int(s) for s in cell_sets],
+        "sets": cell_sets,
         "all_containing_sets": containing,
         "r": r,
         "corners": corners.tolist(),
-        "cell": [int(v) for v in cell],
+        "cell": cell,
         "fully_labeled_count": found["count"],
     }
 
@@ -869,18 +873,12 @@ def _face_predicates(n: int, r: float):
 
 
 def _in_simplex_mask(coords: np.ndarray, corners: np.ndarray) -> np.ndarray:
-    """Membership of sample points in the closed simplex, via least squares
-    on barycentric coordinates."""
-    n = corners.shape[1]
+    """Membership of sample points in the closed simplex: barycentric
+    coordinates of all points from one least-squares solve."""
     A = np.vstack([corners.T, np.ones(corners.shape[0])])
-    mask = np.zeros(coords.shape[0], dtype=bool)
-    for i, x in enumerate(coords):
-        b = np.concatenate([x, [1.0]])
-        lam, res, *_ = np.linalg.lstsq(A, b, rcond=None)
-        recon = A @ lam
-        if np.linalg.norm(recon - b) < 1e-7 and np.all(lam > -1e-9):
-            mask[i] = True
-    return mask
+    b = np.vstack([coords.T, np.ones(coords.shape[0])])
+    lam = np.linalg.lstsq(A, b, rcond=None)[0]
+    return (np.linalg.norm(A @ lam - b, axis=0) < 1e-7) & np.all(lam > -1e-9, axis=0)
 
 
 def _subdivide_to_mesh(corners: np.ndarray, target: float) -> SimplexGrid:
@@ -895,42 +893,54 @@ def _subdivide_to_mesh(corners: np.ndarray, target: float) -> SimplexGrid:
     return grid
 
 
-def _snap_to_sample(v: np.ndarray, support: frozenset[int], n: int, r: float,
-                    step: float, coord_index: dict) -> Optional[int]:
-    """Round a subdivision vertex to a feasible sample point that still sits
-    on every face level the vertex sits on."""
+def _snap_to_sample(v: np.ndarray, support: np.ndarray, n: int, r: float,
+                    step: float, coords: np.ndarray) -> np.ndarray:
+    """Round subdivision vertices (rows of v, with boolean barycentric
+    supports) to feasible sample points that still sit on every face level
+    the vertex sits on: the index of each vertex's sample point, or -1 when
+    the rounded point is no sample point or lies farther than 1 away."""
     x = np.round(v / step) * step
     # restore exact face memberships broken by rounding
     if n >= 2:
-        if 0 not in support:
-            x[0] = 0.0
+        x[~support[:, 0], 0] = 0.0
         for j in range(1, n - 1):
-            if j not in support:
-                x[j - 1] = x[j]
-        if (n - 1) not in support:
-            diff = x[n - 1] - x[n - 2]
-            x[n - 1] = x[n - 2] + min(max(diff, 0.0), 1.0)
-        if n not in support:
-            x[n - 1] = r
+            off = ~support[:, j]
+            x[off, j - 1] = x[off, j]
+        off = ~support[:, n - 1]
+        diff = x[off, n - 1] - x[off, n - 2]
+        x[off, n - 1] = x[off, n - 2] + np.minimum(np.maximum(diff, 0.0), 1.0)
+        x[~support[:, n], n - 1] = r
     else:
-        if 0 not in support:
-            x[0] = min(max(x[0], step), 1.0)
-        if 1 not in support:
-            x[0] = r
+        off = ~support[:, 0]
+        x[off, 0] = np.minimum(np.maximum(x[off, 0], step), 1.0)
+        x[~support[:, 1], 0] = r
     # feasibility: inside the cone, positive last coordinate
-    x[n - 1] = max(x[n - 1], step)
+    x[:, n - 1] = np.maximum(x[:, n - 1], step)
     for i in range(n - 1):
-        x[i] = min(max(x[i], 0.0), x[n - 1])
-    got = coord_index.get(tuple(np.round(x, 9)))
-    if got is not None and np.linalg.norm(x - v) <= 1.0:
-        return got
-    return None
+        x[:, i] = np.minimum(np.maximum(x[:, i], 0.0), x[:, n - 1])
+    got = _row_lookup(np.round(coords, 9), np.round(x, 9))
+    # |x - v| as np.linalg.norm takes it for one vector: sqrt of a dot product
+    d = x - v
+    near = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0]) <= 1.0
+    return np.where(near, got, -1)
 
 
-def _search_common_point(coords: np.ndarray, sets: Sequence[tuple[int, ...]],
-                         wanted: list[int], center: np.ndarray) -> Optional[int]:
-    common = set(sets[wanted[0]]).intersection(*(sets[si] for si in wanted[1:]))
-    cands = np.array(sorted(common), dtype=np.int64)
+def _row_lookup(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """For each query row, the last table row equal to it (== on floats, so
+    -0.0 matches 0.0), or -1: one sort of the table and query rows."""
+    _, group = np.unique(np.vstack([table, queries]), axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    last = np.full(group.max() + 1, -1, dtype=np.int64)
+    np.maximum.at(last, group[:len(table)], np.arange(len(table)))
+    return last[group[len(table):]]
+
+
+def _search_common_point(coords: np.ndarray, inc: sparse.csr_matrix, wanted: list[int],
+                         center: np.ndarray) -> Optional[int]:
+    """The point of all the wanted sets nearest to center, the lowest index
+    on ties, or None when they share no point."""
+    counts = np.asarray(inc[wanted].sum(axis=0)).ravel()
+    cands = np.flatnonzero(counts == len(wanted))
     if cands.size == 0:
         return None
     d = np.linalg.norm(coords[cands] - center, axis=1)

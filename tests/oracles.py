@@ -36,10 +36,22 @@ search inward from each set's outer boundary, and the tree cover keys its
 classes and separates them by array steps. The breadth-first searches they
 replaced, one distance row at a time, the exhaustive class separation and
 the vertex-by-vertex tree cover are kept here.
+
+The Sperner lower bound and the hyperbolic lift's checks work in arrays: a
+simplex grid is built from the monotone lattice points and the permutation
+step tables at once, its vertices are snapped to the sample together, the
+simplex mask is one least-squares solve, the polar mesh skips the rows that
+provably cannot raise it, and the contraction check measures all its pairs
+in two calls. The vertex-by-vertex grid walk, snap and labelings, the
+per-point least-squares mask, the row-by-row polar mesh, the pair-by-pair
+contraction loop and the whole lower-bound certificate built from them are
+kept here. The polar mesh oracle scans every row: the old loop skipped a
+set once 2 max r <= the running maximum, which a computed distance can
+break by rounding.
 """
 
 import math
-from itertools import combinations
+from itertools import combinations, permutations, product as iproduct
 
 import numpy as np
 
@@ -371,6 +383,304 @@ def cell_mesh_loop(grid):
         pts = np.array([grid.vertex_point(v) for v in cell])
         for i in range(len(pts)):
             worst = max(worst, float(np.linalg.norm(pts - pts[i], axis=1).max()))
+    return worst
+
+
+class SimplexGridLoop:
+    """The staircase subdivision built by walking every lattice tuple, base
+    point by base point, permutation by permutation, step by step; vertices
+    are tuples numbered in order of first appearance, cells sorted tuples."""
+
+    def __init__(self, corners, resolution):
+        self.corners = np.asarray(corners, dtype=float)
+        self.n = self.corners.shape[0] - 1
+        self.resolution = resolution
+        self.vertices = []
+        self._vid = {}
+        self.cells = []
+        self._build()
+
+    def _build(self):
+        m, n = self.resolution, self.n
+        if n == 0:
+            self.vertices = [(m,)]
+            self._vid[(m,)] = 0
+            self.cells = [(0,)]
+            return
+
+        def y_to_bary(y):
+            prev = m
+            out = []
+            for val in y:
+                out.append(prev - val)
+                prev = val
+            out.append(prev)
+            return tuple(out)
+
+        def valid(y):
+            prev = m
+            for val in y:
+                if val > prev or val < 0:
+                    return False
+                prev = val
+            return True
+
+        def vid(y):
+            b = y_to_bary(y)
+            got = self._vid.get(b)
+            if got is None:
+                got = len(self.vertices)
+                self._vid[b] = got
+                self.vertices.append(b)
+            return got
+
+        lattice = [y for y in iproduct(range(m + 1), repeat=n) if valid(y)]
+        for y in lattice:
+            for perm in permutations(range(n)):
+                chain = [tuple(y)]
+                ok = True
+                cur = list(y)
+                for axis in perm:
+                    cur[axis] += 1
+                    if not valid(cur):
+                        ok = False
+                        break
+                    chain.append(tuple(cur))
+                if ok:
+                    self.cells.append(tuple(vid(y2) for y2 in chain))
+        self.cells = sorted(set(tuple(sorted(c)) for c in self.cells))
+        self.cells = [c for c in self.cells if len(set(c)) == self.n + 1]
+
+    def vertex_point(self, vid):
+        b = np.array(self.vertices[vid], dtype=float) / self.resolution
+        return b @ self.corners
+
+    def support(self, vid):
+        return frozenset(i for i, c in enumerate(self.vertices[vid]) if c > 0)
+
+
+def fully_labeled_cells_loop(grid, lab):
+    want = set(range(grid.n + 1))
+    return [cell for cell in grid.cells if {lab[v] for v in cell} == want]
+
+
+def nearest_corner_labeling_loop(grid):
+    return {vid: max(range(len(b)), key=lambda i: (b[i], -i))
+            for vid, b in enumerate(grid.vertices)}
+
+
+def constant_interior_labeling_loop(grid, label=0):
+    lab = {}
+    for vid in range(len(grid.vertices)):
+        sup = grid.support(vid)
+        lab[vid] = label if len(sup) == grid.n + 1 else min(sup)
+    return lab
+
+
+def random_admissible_labeling_loop(grid, rng):
+    lab = {}
+    for vid in range(len(grid.vertices)):
+        sup = sorted(grid.support(vid))
+        lab[vid] = sup[rng.randint(0, len(sup) - 1)]
+    return lab
+
+
+def in_simplex_mask_loop(coords, corners):
+    """Barycentric coordinates by one least-squares solve per point."""
+    A = np.vstack([corners.T, np.ones(corners.shape[0])])
+    mask = np.zeros(coords.shape[0], dtype=bool)
+    for i, x in enumerate(coords):
+        b = np.concatenate([x, [1.0]])
+        lam, res, *_ = np.linalg.lstsq(A, b, rcond=None)
+        recon = A @ lam
+        if np.linalg.norm(recon - b) < 1e-7 and np.all(lam > -1e-9):
+            mask[i] = True
+    return mask
+
+
+def snap_to_sample_loop(v, support, n, r, step, coord_index):
+    """One vertex at a time; coord_index maps rounded coordinate tuples to
+    sample indices."""
+    x = np.round(v / step) * step
+    if n >= 2:
+        if 0 not in support:
+            x[0] = 0.0
+        for j in range(1, n - 1):
+            if j not in support:
+                x[j - 1] = x[j]
+        if (n - 1) not in support:
+            diff = x[n - 1] - x[n - 2]
+            x[n - 1] = x[n - 2] + min(max(diff, 0.0), 1.0)
+        if n not in support:
+            x[n - 1] = r
+    else:
+        if 0 not in support:
+            x[0] = min(max(x[0], step), 1.0)
+        if 1 not in support:
+            x[0] = r
+    x[n - 1] = max(x[n - 1], step)
+    for i in range(n - 1):
+        x[i] = min(max(x[i], 0.0), x[n - 1])
+    got = coord_index.get(tuple(np.round(x, 9)))
+    if got is not None and np.linalg.norm(x - v) <= 1.0:
+        return got
+    return None
+
+
+def subdivide_to_mesh_loop(corners, target):
+    diam = 0.0
+    for i in range(corners.shape[0]):
+        diam = max(diam, float(np.linalg.norm(corners - corners[i], axis=1).max()))
+    res = max(2, int(math.ceil(diam * max(1, corners.shape[1]) / target)))
+    grid = SimplexGridLoop(corners, res)
+    while cell_mesh_loop(grid) > target and res < 4000:
+        res = int(res * 1.5) + 1
+        grid = SimplexGridLoop(corners, res)
+    return grid
+
+
+def simplex_lower_bound_loop(cover, n):
+    """The lower-bound certificate with set-based axis relations, one snap
+    and one face label per vertex, and the raw recount over Python sets."""
+    from coarselab.covers import cover_entourage, first_container
+    from coarselab.errors import ContractViolationError, InternalCheckError, InvalidInputError
+    from coarselab.spaces import Entourage
+    from coarselab.witnesses import FLOAT_TOL, _face_predicates, _min_positive_gap
+
+    space = cover.space
+    if space.kind not in ("cloud", "grid"):
+        raise InvalidInputError("needs a coordinate-backed sample")
+    coords = space.meta["coords"]
+    if coords.shape[1] != n:
+        raise InvalidInputError("sample dimension does not match n")
+    step = _min_positive_gap(coords)
+    if abs(round(1.0 / step) - 1.0 / step) > FLOAT_TOL:
+        raise InvalidInputError("sample step must divide 1")
+    unit = Entourage.radius(space, 1.0, closed=True)
+    deep = first_container(unit.matrix().T, cover.incidence())
+    if np.any(deep < 0):
+        aw = int(np.argmax(deep < 0))
+        raise ContractViolationError(
+            f"cover lacks unit appetite at sample point {aw}", witness=aw)
+    spread = cover_entourage(cover).matrix().tocoo()
+    rows, cols = spread.row, spread.col
+    lattice = np.round(coords / step).astype(np.int64)
+    axis_rel = [set(zip(lattice[rows, ax].tolist(), lattice[cols, ax].tolist()))
+                for ax in range(n)]
+
+    def rel_image(rel, vals):
+        return {a for a, b in rel if b in vals}
+
+    unit_lat = int(round(1.0 / step))
+    chain = {0}
+    for ax in range(n - 1):
+        chain = rel_image(axis_rel[ax], chain)
+        chain.add(0)
+    chain = {v + d for v in chain for d in range(-unit_lat, unit_lat + 1) if v + d >= 0}
+    chain = rel_image(axis_rel[n - 1], chain) | chain
+    top = max(chain) if chain else 0
+    r_lat = max(top + 1, unit_lat + 1)
+    r = r_lat * step
+    if r > coords[:, -1].max() + FLOAT_TOL:
+        raise ContractViolationError(
+            "cover is not uniformly bounded relative to the sampled region: "
+            f"the level r = {r} does not fit", witness=r)
+    corners = np.zeros((n + 1, n))
+    for j in range(n):
+        corners[j, j:] = r
+    corners[n, n - 1] = 1.0
+    faces = _face_predicates(n, r)
+    simplex_pts = in_simplex_mask_loop(coords, corners)
+
+    def face_label(si):
+        pts = coords[list(cover.sets[si])]
+        for i, pred in enumerate(faces):
+            if not np.any(pred(pts)):
+                return i
+        raise InternalCheckError(
+            f"covering set {si} meets every face level; this contradicts "
+            "the spanning bound")
+
+    assignment = {si: face_label(si) for si, s in enumerate(cover.sets)
+                  if np.any(simplex_pts[list(s)])}
+    coord_index = {tuple(np.round(c, 9)): i for i, c in enumerate(coords)}
+    grid = subdivide_to_mesh_loop(corners, target=0.45)
+    labeling, anchors = {}, {}
+    for vid in range(len(grid.vertices)):
+        anchor = snap_to_sample_loop(grid.vertex_point(vid), grid.support(vid), n, r, step,
+                                     coord_index)
+        if anchor is None:
+            raise InternalCheckError(f"no sample anchor near subdivision vertex {vid}")
+        si = int(deep[anchor])
+        if si not in assignment:
+            assignment[si] = face_label(si)
+        anchors[vid] = si
+        labeling[vid] = assignment[si]
+    for vid in range(len(grid.vertices)):
+        if labeling[vid] not in grid.support(vid):
+            raise InvalidInputError(
+                f"labeling not admissible at vertex {vid}: "
+                f"label {labeling[vid]} outside support {sorted(grid.support(vid))}")
+    hits = fully_labeled_cells_loop(grid, labeling)
+    if not hits:
+        raise InternalCheckError("no fully-labeled cell found for an admissible labeling")
+    cell = hits[0]
+    cell_sets = sorted({anchors[v] for v in cell})
+    if len(cell_sets) != n + 1:
+        raise InternalCheckError("fully-labeled cell does not span n+1 distinct sets")
+    bary = np.mean([grid.vertex_point(v) for v in cell], axis=0)
+    common = set(cover.sets[cell_sets[0]]).intersection(*(cover.sets[si] for si in cell_sets[1:]))
+    cands = np.array(sorted(common), dtype=np.int64)
+    if cands.size == 0:
+        raise InternalCheckError("no sample point realizes the n+1-fold overlap")
+    witness_point = int(cands[int(np.argmin(np.linalg.norm(coords[cands] - bary, axis=1)))])
+    containing = [si for si in range(len(cover.sets)) if witness_point in set(cover.sets[si])]
+    if len(containing) < n + 1:
+        raise InternalCheckError("certificate failed the raw recount")
+    return {"point": witness_point, "sets": [int(s) for s in cell_sets],
+            "all_containing_sets": containing, "r": r, "corners": corners.tolist(),
+            "cell": [int(v) for v in cell], "fully_labeled_count": len(hits)}
+
+
+# ---------------------------------------------------------------------------
+# The hyperbolic lift's checks, row by row and pair by pair
+# ---------------------------------------------------------------------------
+
+
+def polar_mesh_rows(disk, cover):
+    """Every row of every set against the whole set."""
+    from coarselab.spaces import hyperbolic_distance
+
+    rr, ph = disk.meta["r"], disk.meta["phi"]
+    worst = 0.0
+    for s in cover.sets:
+        idx = np.array(s, dtype=np.int64)
+        if idx.size < 2:
+            continue
+        rs, ps = rr[idx], ph[idx]
+        for t in range(idx.size):
+            d = hyperbolic_distance(disk.meta["kappa"], rs[t], ps[t], rs, ps)
+            worst = max(worst, float(d.max()))
+    return worst
+
+
+def check_contraction_loop(kappa, rho, k, space, rng, trials):
+    from coarselab.hyperbolic import TOL, radial_projection
+    from coarselab.spaces import hyperbolic_distance
+
+    rr = space.meta["r"]
+    outside = np.nonzero(rr >= k * rho - TOL)[0]
+    worst = -math.inf
+    for _ in range(trials):
+        i = int(outside[rng.randint(0, outside.size - 1)])
+        j = int(outside[rng.randint(0, outside.size - 1)])
+        if i == j:
+            continue
+        x, y = space.points[i], space.points[j]
+        d = float(hyperbolic_distance(kappa, x[0], x[1], y[0], y[1]))
+        tx, ty = radial_projection(x, k, rho), radial_projection(y, k, rho)
+        dt = float(hyperbolic_distance(kappa, tx[0], tx[1], ty[0], ty[1]))
+        worst = max(worst, dt - d)
     return worst
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,6 +330,43 @@ class TestMalformedDocuments:
         error = json.loads(lines[0])["error"]
         assert error["kind"] == "resource-limit"
         assert str(10 ** 12) in error["message"]
+
+
+    def resource_limit(self, argv, capsys):
+        """One JSON report, kind resource-limit, exit code 1, with a
+        tracemalloc peak under 1 MB."""
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and code == EXIT_INVALID
+        error = json.loads(lines[0])["error"]
+        assert error["kind"] == "resource-limit"
+        assert peak < 2 ** 20
+        return error["message"]
+
+    @pytest.mark.parametrize("points", [0, -5])
+    def test_circle_schedule_without_points(self, tmp_json, capsys, points):
+        schedule = tmp_json("s.json", {"kind": "circle_arcs", "points": points})
+        report = self.one_report(["corona", "dimcover", "--schedule", schedule,
+                                  "--depth", "10"], capsys)
+        assert f"schedule points must be at least 1, got {points}" in report["error"]["message"]
+
+    def test_circle_schedule_over_the_point_cap(self, tmp_json, capsys):
+        schedule = tmp_json("s.json", {"kind": "circle_arcs", "points": 10 ** 9})
+        message = self.resource_limit(["corona", "dimcover", "--schedule", schedule,
+                                       "--depth", "10"], capsys)
+        assert str(10 ** 9) in message and str(10 ** 7) in message
+
+    def test_simplex_grid_over_the_point_cap(self, tmp_json, capsys):
+        # C(10^6 + 2, 2) = 500001500001 vertices; the old walk looped over
+        # 10^12 lattice tuples
+        grid = tmp_json("g.json", {"corners": self.SIMPLEX, "resolution": 10 ** 6})
+        message = self.resource_limit(["witness", "sperner", "--grid", grid], capsys)
+        assert "500001500001 vertices" in message and str(10 ** 7) in message
 
 
 class TestRayWitness:

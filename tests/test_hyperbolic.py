@@ -2,16 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coarselab.covers import lebesgue_number, mesh, multiplicity
+from coarselab.covers import Cover, lebesgue_number, mesh, multiplicity
 from coarselab.errors import InvalidInputError
-from coarselab.hyperbolic import (SphereAtlas, angle_for_chord, check_contraction,
+from coarselab.hyperbolic import (SphereAtlas, _polar_mesh, angle_for_chord, check_contraction,
                                   check_radial_lipschitz, chord_on_circle,
                                   hyperbolic_params, lipschitz_gap_bound,
                                   radial_projection, sample_disk,
                                   sphere_cover_lift)
 from coarselab.prng import SplitMix64
 from coarselab.spaces import Space, hyperbolic_distance
+import oracles
 
 
 class TestDistances:
@@ -142,3 +145,67 @@ class TestSphereCoverLift:
         # the core ball of radius (N+2)*rho > 30 swallows the whole sample
         assert len(cov.sets) == 1
         assert multiplicity(cov) == 1
+
+
+class TestLiftArrayKernels:
+    """The pruned polar mesh and the array contraction check against the
+    row-by-row and pair-by-pair loops in oracles, exact equality."""
+
+    @given(data=st.data(), kappa=st.sampled_from([-1.0, -0.25, -4.0, -2.7]))
+    @settings(max_examples=150, deadline=None)
+    def test_polar_mesh_matches_every_row(self, data, kappa):
+        # radii up to 60, where the law of cosines cancels, repeated rings,
+        # near-antipodal pairs and sets whose largest radius is off the top
+        top = data.draw(st.floats(0.0, 60.0))
+        count = data.draw(st.integers(1, 30))
+        radius = st.one_of(st.floats(0.0, top), st.sampled_from([0.0, top / 3, top / 2, top]))
+        radii = data.draw(st.lists(radius, min_size=count, max_size=count))
+        base = data.draw(st.floats(0.0, 2 * math.pi))
+        angle = st.one_of(st.floats(0.0, 2 * math.pi),
+                          st.sampled_from([0.0, 1e-15, -1e-9, 1e-9]).map(
+                              lambda e: base + math.pi + e),
+                          st.just(base))
+        angles = data.draw(st.lists(angle, min_size=count, max_size=count))
+        sets = data.draw(st.lists(st.lists(st.integers(0, count - 1), max_size=12), max_size=6))
+        disk = Space.hyperbolic_polar(kappa, list(zip(radii, angles)))
+        cover = Cover(disk, sets, require_covering=False)
+        assert _polar_mesh(disk, cover) == oracles.polar_mesh_rows(disk, cover)
+
+    @pytest.mark.parametrize("radius, step, angles, L", [(14.0, 1.0 / 3.0, 72, 0.5),
+                                                         (30.0, 1.0, 48, 5.0),
+                                                         (40.0, 1.0, 24, 0.5)])
+    def test_polar_mesh_of_lifts(self, radius, step, angles, L):
+        rho, N = hyperbolic_params(-1.0, 0.2, 1.0, L, 2)
+        disk = sample_disk(-1.0, radius, step, angles)
+        cov, _, _ = sphere_cover_lift(SphereAtlas(-1.0, rho, 0.2, 1.0), rho, N, L, disk,
+                                      verify=False)
+        assert _polar_mesh(disk, cov) == oracles.polar_mesh_rows(disk, cov)
+
+    @given(seed=st.integers(0, 2 ** 64 - 1), trials=st.integers(0, 400),
+           k=st.integers(1, 3), rho=st.sampled_from([0.5, 1.0, 3.0, 4.6]),
+           radius=st.sampled_from([3.0, 7.0, 14.0]), angles=st.integers(1, 40),
+           kappa=st.sampled_from([-1.0, -0.3, -2.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_contraction_matches_the_pair_loop(self, seed, trials, k, rho, radius, angles,
+                                               kappa):
+        # few points outside the disk make many i == j trials
+        disk = sample_disk(kappa, radius, 1.0, angles)
+        if np.count_nonzero(disk.meta["r"] >= k * rho - 1e-9) < 2:
+            return
+        new, old = SplitMix64(seed), SplitMix64(seed)
+        got = check_contraction(kappa, rho, k, disk, new, trials)
+        assert got == oracles.check_contraction_loop(kappa, rho, k, disk, old, trials)
+        assert new.next_u64() == old.next_u64()
+
+    def test_polar_mesh_above_the_radial_bound(self):
+        # at radius R the computed distance of an antipodal pair exceeds 2R
+        # by rounding; a first set whose pair computes to just above 2R must
+        # not hide it, as a prune by d <= r_x + r_y (or the set skip
+        # 2 max r <= worst) would
+        R, near = 0.34947570647885673, 3.141592621978793
+        first = float(hyperbolic_distance(-1.0, R, 0.0, R, near))
+        far = float(hyperbolic_distance(-1.0, R, 0.0, R, math.pi))
+        assert 2 * R <= first < far
+        disk = Space.hyperbolic_polar(-1.0, [(R, 0.0), (R, near), (R, 0.0), (R, math.pi)])
+        cover = Cover(disk, [[0, 1], [2, 3]])
+        assert _polar_mesh(disk, cover) == oracles.polar_mesh_rows(disk, cover) == far

@@ -110,3 +110,93 @@ def test_tree_reports_match_the_pinned_digests(name, tmp_path):
             with open(cover, "rb") as fh:
                 h.update(fh.read())
     assert h.hexdigest() == want
+
+
+def _sperner_grid(n, resolution, labeled):
+    """A skewed n-simplex; labeled grids carry an explicit labeling that
+    picks, at vertex v, entry v mod |support| of the sorted support."""
+    corners = [[0.0] * n] + [[(1.5 + 0.25 * i) if j == i else 0.1 * (i + j)
+                              for j in range(n)] for i in range(n)]
+    doc = {"corners": corners, "resolution": resolution}
+    if labeled:
+        from coarselab.witnesses import SimplexGrid
+
+        labels = []
+        for v, b in enumerate(SimplexGrid(corners, resolution).vertices):
+            support = [i for i, c in enumerate(b) if c > 0]
+            labels.append(support[v % len(support)])
+        doc["labeling"] = labels
+    return doc
+
+
+def _band_cover(points, width=4.0, overlap=1.5):
+    """Overlapping intervals [lo - overlap, lo + width] over a sampled ray."""
+    sets, lo = [], 0.0
+    while lo <= max(points):
+        sets.append([i for i, x in enumerate(points)
+                     if lo - overlap - 1e-9 <= x <= lo + width + 1e-9])
+        lo += width
+    return {"sets": sets}
+
+
+_RAY = [0.5 * k for k in range(1, 49)]
+
+# sha256 of each report's result and guarantees (sorted keys, compact
+# separators), followed by the bytes of the cover it wrote, if any; recorded
+# with the per-row polar mesh, the per-vertex simplex grid walk and snap, and
+# the per-point least-squares simplex mask that the array kernels replaced
+WITNESS_REPORTS = {
+    "pipeline-asdim-lower": ({}, ["pipeline", "asdim-lower", "--seed", "1"],
+                             "706836ffcb5d8d806741093087bd46780ae854df6a878516e208004f126940da"),
+    "pipeline-hyperbolic-full": ({}, ["pipeline", "hyperbolic-full", "--seed", "1"],
+                                 "3f2733af0f619def1558b1da41c074843fdc643eb45a27623f4"
+                                 "604461f373e21"),
+    "hyperbolic-readme": ({}, ["--out", "{out}", "witness", "hyperbolic", "--kappa", "-1",
+                               "--lam", "0.2", "--mesh-bound", "1", "--L", "5",
+                               "--disk-radius", "30", "--radial-step", "1",
+                               "--angles", "48"],
+                          "f5b9dddbb97149c8e0a471b03fb33d48aad9e55bab1923d9eed137517d6fe77a"),
+    "lowerbound-n1": ({"space": {"kind": "cloud", "points": [[x] for x in _RAY]},
+                       "cover": _band_cover(_RAY)},
+                      ["witness", "lowerbound", "--space", "{space}", "--cover", "{cover}",
+                       "--n", "1"],
+                      "7d0c0a76511f75535c5474e50ec28421417a9d139c77984469996a08c16f29aa"),
+}
+SPERNER_DIGESTS = {
+    "sperner-n1-m9": "e1bcba5ec382f8e8abe2f749fd1b81b828f98d4ebc9bbc82514d270715b9d8da",
+    "sperner-n1-m9-labeled": "4a3b6a9a6f04a23994152115abfe5ab6cb4b843b9cd44e6d55ba2e7a50e59ac3",
+    "sperner-n2-m7": "3c9fe90c8ee7fe8eadf8f3af768d2d148cb669627379720aad4541ffd1d6e885",
+    "sperner-n2-m7-labeled": "416ad36e0c40ca5e7e649dad86afba2f3832f9778110e35ed5a41869c9518657",
+    "sperner-n3-m4": "579f9a2c519a0320ebbdb399e551b1bd7152744c38633ceeefaf4c238c09c53d",
+    "sperner-n3-m4-labeled": "0c5e6825fa53ca51971d27de32fddbb3a583b267c8b07605eb9ce2f45b8859d1",
+}
+for _n, _m in ((1, 9), (2, 7), (3, 4)):
+    for _labeled in (False, True):
+        _name = f"sperner-n{_n}-m{_m}" + ("-labeled" if _labeled else "")
+        WITNESS_REPORTS[_name] = (
+            {"grid": _sperner_grid(_n, _m, _labeled)},
+            ["witness", "sperner", "--grid", "{grid}"], SPERNER_DIGESTS[_name])
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_REPORTS))
+def test_witness_reports_match_the_pinned_digests(name, tmp_path):
+    assert _witness_report_digest(name, tmp_path) == WITNESS_REPORTS[name][2]
+
+
+def _witness_report_digest(name, tmp_path):
+    from coarselab.cli import EXIT_OK, run
+    from coarselab.jsonio import write_json
+
+    docs, argv, _ = WITNESS_REPORTS[name]
+    paths = {"out": str(tmp_path / "out.json")}
+    for key, doc in docs.items():
+        paths[key] = str(tmp_path / f"{key}.json")
+        write_json(paths[key], doc)
+    code, report = run([arg.format(**paths) for arg in argv])
+    assert code == EXIT_OK
+    payload = {"result": report["result"], "guarantees": report["guarantees"]}
+    h = hashlib.sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode())
+    if "{out}" in argv:
+        with open(paths["out"], "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()

@@ -1,17 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from coarselab.covers import (Cover, has_appetite, lebesgue_number, mesh,
                               multiplicity)
-from coarselab.errors import ContractViolationError, InvalidInputError
+from coarselab.errors import ContractViolationError, InvalidInputError, ResourceLimitError
 from coarselab.prng import SplitMix64
 from coarselab.spaces import Entourage, Space
-from coarselab.witnesses import (IntervalRelation, _cube_sets, SimplexGrid, SimplicialComplex,
+from coarselab.witnesses import (IntervalRelation, _cube_sets, _in_simplex_mask, _snap_to_sample,
+                                 _subdivide_to_mesh, SimplexGrid, SimplicialComplex,
                                  constant_interior_labeling, cube_cover,
                                  nearest_corner_labeling, pn_sample,
                                  random_admissible_labeling, ray_cell_cover,
@@ -343,6 +345,173 @@ class TestSperner:
         for corners in (self.unit_corners(n) * 4.5, skew * 3.0 + 50.0):
             grid = SimplexGrid(corners, resolution)
             assert grid.cell_mesh() == oracles.cell_mesh_loop(grid)
+
+
+def lower_bound_corners(n, r):
+    """The simplex of the lower bound at level r."""
+    c = np.zeros((n + 1, n))
+    for j in range(n):
+        c[j, j:] = r
+    c[n, n - 1] = 1.0
+    return c
+
+
+def same_outcome(new, old):
+    """Run both; they must return equal values or raise the same error."""
+    try:
+        want = old()
+    except Exception as err:  # noqa: BLE001 - the type is compared below
+        with pytest.raises(type(err)) as got:
+            new()
+        assert str(got.value) == str(err)
+        return None
+    assert new() == want
+    return want
+
+
+class TestSimplexArrayKernels:
+    """The array grid build, labelings, snap, simplex mask and certificate
+    against the vertex-by-vertex loops in oracles, exact equality."""
+
+    @given(data=st.data(), n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_grid_matches_the_walk(self, data, n, seed):
+        m = data.draw(st.integers(1, {1: 60, 2: 16, 3: 7}[n]))
+        corners = data.draw(st.one_of(
+            arrays(np.float64, (n + 1, n), elements=st.floats(-60, 60, width=32)),
+            st.integers(2, 40).map(lambda k: lower_bound_corners(n, k / 4))))
+        grid, loop = SimplexGrid(corners, m), oracles.SimplexGridLoop(corners, m)
+        assert list(map(tuple, grid.vertices.tolist())) == loop.vertices
+        assert list(map(tuple, grid.cells.tolist())) == loop.cells
+        pts = np.array([loop.vertex_point(v) for v in range(len(loop.vertices))])
+        assert grid.points.tobytes() == pts.tobytes()
+        assert [grid.support(v) for v in range(len(loop.vertices))] == \
+            [loop.support(v) for v in range(len(loop.vertices))]
+        label = data.draw(st.integers(0, n))
+        for new, old in (
+                (nearest_corner_labeling(grid), oracles.nearest_corner_labeling_loop(loop)),
+                (constant_interior_labeling(grid, label),
+                 oracles.constant_interior_labeling_loop(loop, label)),
+                (random_admissible_labeling(grid, SplitMix64(seed)),
+                 oracles.random_admissible_labeling_loop(loop, SplitMix64(seed)))):
+            assert new == [old[v] for v in range(len(old))]
+            grid.labeling = old
+            assert list(map(tuple, grid.fully_labeled_cells().tolist())) == \
+                oracles.fully_labeled_cells_loop(loop, old)
+
+    @given(data=st.data(), n=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_admissibility_matches_the_support_test(self, data, n):
+        grid = SimplexGrid(lower_bound_corners(n, 3.0), data.draw(st.integers(1, 6)))
+        labels = data.draw(st.lists(st.integers(-1, n + 1), min_size=len(grid.vertices),
+                                    max_size=len(grid.vertices)))
+        grid.labeling = dict(enumerate(labels))
+        bad = [v for v, lab in enumerate(labels) if lab not in grid.support(v)]
+        if not bad:
+            grid.check_admissible()
+            return
+        v = bad[0]
+        with pytest.raises(InvalidInputError) as err:
+            grid.check_admissible()
+        assert str(err.value) == (f"labeling not admissible at vertex {v}: label {labels[v]} "
+                                  f"outside support {sorted(grid.support(v))}")
+
+    @given(data=st.data(), n=st.integers(1, 3), q=st.sampled_from([1, 2, 4]))
+    @settings(max_examples=80, deadline=None)
+    def test_snap_and_mask_match_the_loops(self, data, n, q):
+        # lower-bound simplices on a lattice of step 1/q: vertices land on
+        # half steps (r = 15, m = 92 puts one at 7.5 steps); sample points
+        # go missing or repeat
+        step = 1.0 / q
+        r = data.draw(st.integers(q + 1, {1: 24, 2: 12, 3: 5}[n] * q)) * step
+        coords = pn_sample(n, r + data.draw(st.sampled_from([0.0, 1.0])), step).meta["coords"]
+        keep = data.draw(arrays(np.bool_, len(coords), elements=st.booleans()
+                                | st.just(True)))
+        repeat = data.draw(st.lists(st.integers(0, len(coords) - 1), max_size=8))
+        coords = np.vstack([coords[keep], coords[repeat], coords[repeat][:, ::-1]])
+        corners = lower_bound_corners(n, r)
+        m = data.draw(st.integers(1, {1: 120, 2: 40, 3: 10}[n]))
+        grid, loop = SimplexGrid(corners, m), oracles.SimplexGridLoop(corners, m)
+        index = {tuple(np.round(c, 9)): i for i, c in enumerate(coords)}
+        want = [oracles.snap_to_sample_loop(loop.vertex_point(v), loop.support(v), n, r, step,
+                                            index) for v in range(len(loop.vertices))]
+        got = _snap_to_sample(grid.points, grid.vertices > 0, n, r, step, coords)
+        assert got.tolist() == [-1 if a is None else a for a in want]
+        probe = np.vstack([coords, data.draw(arrays(np.float64, (8, n),
+                                                    elements=st.floats(-2, r + 2)))])
+        assert np.array_equal(_in_simplex_mask(probe, corners),
+                              oracles.in_simplex_mask_loop(probe, corners))
+
+    def test_snap_on_half_steps(self):
+        # r = 15, m = 92: b_0 = 23 puts x_0 = 3.75 on 7.5 steps of 0.5, and
+        # rounding there must match the vertex-by-vertex snap
+        grid = SimplexGrid(lower_bound_corners(2, 15.0), 92)
+        assert np.any(grid.points[grid.vertices[:, 0] == 23, 0] / 0.5 == 7.5)
+        coords = pn_sample(2, 16.0, 0.5).meta["coords"]
+        index = {tuple(np.round(c, 9)): i for i, c in enumerate(coords)}
+        want = [oracles.snap_to_sample_loop(grid.points[v], grid.support(v), 2, 15.0, 0.5, index)
+                for v in range(len(grid.vertices))]
+        got = _snap_to_sample(grid.points, grid.vertices > 0, 2, 15.0, 0.5, coords)
+        assert got.tolist() == [-1 if a is None else a for a in want]
+
+    @given(data=st.data(), n=st.integers(1, 2))
+    @settings(max_examples=25, deadline=None)
+    def test_certificate_matches_the_loop(self, data, n):
+        step = data.draw(st.sampled_from([0.5] if n == 2 else [0.25, 0.5, 1.0]))
+        space = pn_sample(n, data.draw(st.sampled_from([12.0, 16.0, 20.0])), step)
+        if n == 1:
+            coords = space.meta["coords"][:, 0]
+            width = data.draw(st.sampled_from([3.0, 4.0, 6.0]))
+            overlap = data.draw(st.sampled_from([1.5, 2.0, 2.5]))
+            sets, lo = [], 0.0
+            while lo <= coords.max():
+                mask = (coords >= lo - overlap - 1e-9) & (coords <= lo + width + 1e-9)
+                sets.append(np.flatnonzero(mask).tolist())
+                lo += width
+        else:
+            sets = list(cube_cover(space, 2, data.draw(st.sampled_from([6.0, 7.0, 8.0, 9.0])))[0]
+                        .sets)
+        # drop a few points from a few sets: appetite or the cover may fail
+        for k in data.draw(st.lists(st.integers(0, len(sets) - 1), max_size=2)):
+            sets[k] = [p for p in sets[k] if data.draw(st.integers(0, 9)) > 0]
+        try:
+            cover = Cover(space, sets)
+        except InvalidInputError:
+            return
+        cert = same_outcome(lambda: simplex_lower_bound_check(cover, n),
+                            lambda: oracles.simplex_lower_bound_loop(cover, n))
+        event("certified" if cert else "rejected")
+
+    @pytest.mark.parametrize("n, xmax, step, a, overlap", [
+        (1, 30.0, 0.5, 4.0, 1.5), (1, 40.0, 0.5, 6.0, 2.0), (2, 16.0, 0.5, 8.0, None),
+        (2, 20.0, 0.5, 7.0, None), (2, 24.0, 0.5, 9.0, None), (2, 16.0, 0.25, 8.0, None)])
+    def test_certificate_matches_the_loop_on_working_covers(self, n, xmax, step, a, overlap):
+        space = pn_sample(n, xmax, step)
+        if n == 1:
+            cover = TestLowerBound().band_cover(space, width=a, overlap=overlap)
+        else:
+            cover = Cover(space, cube_cover(space, 2, a)[0].sets)
+        cert = same_outcome(lambda: simplex_lower_bound_check(cover, n),
+                            lambda: oracles.simplex_lower_bound_loop(cover, n))
+        assert len(cert["all_containing_sets"]) >= n + 1
+
+    def test_grid_over_the_point_cap_allocates_nothing(self):
+        unit = TestSperner().unit_corners
+        for corners, m, count in ((unit(2), 10 ** 6, "500001500001 vertices"),
+                                  (unit(2), 1825, "10008306 chain points"),
+                                  (unit(11), 1, "5748019200 chain points")):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceLimitError, match=f"{count}, beyond the {10 ** 7}"):
+                    SimplexGrid(corners, m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 ** 20
+
+    def test_subdivision_over_the_point_cap(self):
+        with pytest.raises(ResourceLimitError, match="point cap"):
+            _subdivide_to_mesh(lower_bound_corners(2, 5000.0), target=0.45)
 
 
 class TestLowerBound:
