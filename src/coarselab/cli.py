@@ -21,14 +21,14 @@ from typing import Optional
 import numpy as np
 
 from . import fixtures
-from .corona import (CompactificationModel, check_cc_entourage, corona_dim_cover,
-                     roundtrip_bounds)
+from .certificates import at_most, claim, count_at_most
+from .corona import check_cc_entourage, corona_dim_cover, roundtrip_bounds
 from .covers import Cover, stats
 from .errors import (ContractViolationError, InternalCheckError,
                      InvalidInputError, ResourceLimitError)
-from .hyperbolic import (SphereAtlas, check_contraction, check_radial_lipschitz,
-                         hyperbolic_params, lipschitz_gap_bound, sample_disk,
-                         sphere_cover_lift)
+from .hyperbolic import (ARC_COLORS, SphereAtlas, check_contraction,
+                         check_radial_lipschitz, hyperbolic_params, lipschitz_gap_bound,
+                         sample_disk, sphere_cover_lift)
 from .jsonio import (dump_cover, load_complex, load_cover, load_decomposition,
                      load_entourage, load_model, load_operator, load_schedule, load_space,
                      load_simplex_grid, load_vector, read_json, write_json)
@@ -129,7 +129,6 @@ def build_parser() -> Parser:
     q.add_argument("--lam", type=float, required=True)
     q.add_argument("--mesh-bound", type=float, required=True)
     q.add_argument("--L", type=float, required=True)
-    q.add_argument("--n", type=int, default=2)
     q.add_argument("--disk-radius", type=float, required=True)
     q.add_argument("--radial-step", type=float, default=1.0)
     q.add_argument("--angles", type=int, default=48)
@@ -177,49 +176,46 @@ def build_parser() -> Parser:
 # ---------------------------------------------------------------------------
 
 
-def _load_model(path: str, inputs: dict) -> CompactificationModel:
+def _load(path: str, inputs: dict):
+    """The JSON document at path, its digest recorded in inputs once it
+    parses."""
     doc = read_json(path)
     inputs[path] = _digest(path)
-    return load_model(doc)
+    return doc
+
+
+def _lower_bound_guarantee(cert: dict, n: int) -> dict:
+    found = len(cert["all_containing_sets"])
+    return claim("lower_bound.certificate", n + 1, found, found >= n + 1)
 
 
 def _handle(args, inputs: dict):
     """Returns (result, guarantees, artifact)."""
     if args.group == "space":
-        doc = read_json(args.space)
-        inputs[args.space] = _digest(args.space)
-        space = load_space(doc)
+        space = load_space(_load(args.space, inputs))
         info = {"kind": space.kind, "points": space.n}
         if space.is_metric_backed() and space.n <= 2000:
             info["diameter"] = space.diameter()
         return info, [], None
 
     if args.group == "cover":
-        doc = read_json(args.space)
-        inputs[args.space] = _digest(args.space)
-        space = load_space(doc)
-        cover = load_cover(read_json(args.cover), space)
-        inputs[args.cover] = _digest(args.cover)
+        space = load_space(_load(args.space, inputs))
+        cover = load_cover(_load(args.cover, inputs), space)
         ent = None
         if args.entourage:
-            ent = load_entourage(read_json(args.entourage), space)
-            inputs[args.entourage] = _digest(args.entourage)
+            ent = load_entourage(_load(args.entourage, inputs), space)
         return stats(cover, ent), [], None
 
     if args.group == "transform":
-        space = load_space(read_json(args.space))
-        inputs[args.space] = _digest(args.space)
-        cover = load_cover(read_json(args.cover), space,
+        space = load_space(_load(args.space, inputs))
+        cover = load_cover(_load(args.cover, inputs), space,
                            require_covering=args.op not in ("union",))
-        inputs[args.cover] = _digest(args.cover)
         if args.op == "colorize":
-            ent = load_entourage(read_json(args.entourage), space)
-            inputs[args.entourage] = _digest(args.entourage)
+            ent = load_entourage(_load(args.entourage, inputs), space)
             out, cert = colorize(cover, ent, args.n)
             return {"families": len(out.families)}, cert, dump_cover(out)
         if args.op == "expand":
-            ent = load_entourage(read_json(args.entourage), space)
-            inputs[args.entourage] = _digest(args.entourage)
+            ent = load_entourage(_load(args.entourage, inputs), space)
             if cover.families is None:
                 raise InvalidInputError("expand needs a cover with families")
             colored = ColoredCover(space, cover.incidence(), cover.families,
@@ -227,10 +223,8 @@ def _handle(args, inputs: dict):
             out, cert = expand(colored, ent)
             return {"sets": len(out.sets)}, cert, dump_cover(out)
         if args.op == "union":
-            other = load_cover(read_json(args.cover2), space, require_covering=False)
-            inputs[args.cover2] = _digest(args.cover2)
-            ent = load_entourage(read_json(args.entourage), space)
-            inputs[args.entourage] = _digest(args.entourage)
+            other = load_cover(_load(args.cover2, inputs), space, require_covering=False)
+            ent = load_entourage(_load(args.entourage, inputs), space)
             if cover.families is None or other.families is None:
                 raise InvalidInputError("union needs covers with families")
             ca = ColoredCover(space, cover.incidence(), cover.families, ent,
@@ -240,14 +234,10 @@ def _handle(args, inputs: dict):
             out, cert = merge_union(ca, cb, ent)
             return {"sets": len(out.sets)}, cert, dump_cover(out)
         if args.op == "product":
-            space2 = load_space(read_json(args.space2))
-            inputs[args.space2] = _digest(args.space2)
-            cover2 = load_cover(read_json(args.cover2), space2)
-            inputs[args.cover2] = _digest(args.cover2)
-            ex = load_entourage(read_json(args.ex), space).materialize()
-            ey = load_entourage(read_json(args.ey), space2).materialize()
-            inputs[args.ex] = _digest(args.ex)
-            inputs[args.ey] = _digest(args.ey)
+            space2 = load_space(_load(args.space2, inputs))
+            cover2 = load_cover(_load(args.cover2, inputs), space2)
+            ex = load_entourage(_load(args.ex, inputs), space).materialize()
+            ey = load_entourage(_load(args.ey, inputs), space2).materialize()
             prod = Space.product(space, space2)
             e = make_product_entourage(prod, ex, ey)
             out, cert = product_refine(cover, cover2, e, args.n, args.m)
@@ -257,17 +247,13 @@ def _handle(args, inputs: dict):
         return _handle_witness(args, inputs)
 
     if args.group == "support":
-        dec = load_decomposition(read_json(args.decomposition))
-        inputs[args.decomposition] = _digest(args.decomposition)
-        t_op = load_operator(read_json(args.op_t), dec)
-        inputs[args.op_t] = _digest(args.op_t)
+        dec = load_decomposition(_load(args.decomposition, inputs))
+        t_op = load_operator(_load(args.op_t, inputs), dec)
         s_op = t_op
         if args.op_s:
-            s_op = load_operator(read_json(args.op_s), dec)
-            inputs[args.op_s] = _digest(args.op_s)
+            s_op = load_operator(_load(args.op_s, inputs), dec)
         if args.vector:
-            u = load_vector(read_json(args.vector))
-            inputs[args.vector] = _digest(args.vector)
+            u = load_vector(_load(args.vector, inputs))
         else:
             u = np.zeros(dec.total, dtype=complex)
             if dec.total:
@@ -289,20 +275,17 @@ def _handle_witness(args, inputs: dict):
         out, cert = cube_cover(space, args.n, args.a)
         return {"sets": len(out.sets), "families": len(out.families)}, cert, dump_cover(out)
     if args.op == "tree":
-        space = load_space(read_json(args.space))
-        inputs[args.space] = _digest(args.space)
+        space = load_space(_load(args.space, inputs))
         out, cert = tree_cover(space, args.L, args.root)
         return {"sets": len(out.sets)}, cert, dump_cover(out)
     if args.op == "ray":
-        space = load_space(read_json(args.space))
-        inputs[args.space] = _digest(args.space)
-        ent = load_entourage(read_json(args.entourage), space)
-        inputs[args.entourage] = _digest(args.entourage)
+        space = load_space(_load(args.space, inputs))
+        ent = load_entourage(_load(args.entourage, inputs), space)
         out, cert = ray_cell_cover(args.n, ent)
         return {"sets": len(out.sets), "families": len(out.families)}, cert, dump_cover(out)
     if args.op == "hyperbolic":
         rho, N = hyperbolic_params(args.kappa, args.lam, args.mesh_bound,
-                                   args.L, args.n)
+                                   args.L, ARC_COLORS)
         atlas = SphereAtlas(args.kappa, rho, args.lam, args.mesh_bound)
         disk = sample_disk(args.kappa, args.disk_radius, args.radial_step,
                            args.angles)
@@ -311,59 +294,48 @@ def _handle_witness(args, inputs: dict):
                   "layers": sorted({k for k, _ in labels})}
         return result, cert, dump_cover(out)
     if args.op == "star":
-        doc = read_json(args.complex_)
-        inputs[args.complex_] = _digest(args.complex_)
-        comp = load_complex(doc)
+        comp = load_complex(_load(args.complex_, inputs))
         out, cert = star_cover(comp, args.stability, args.resolution)
         return {"sets": len(out.sets)}, cert, dump_cover(out)
     if args.op == "sperner":
-        doc = read_json(args.grid)
-        inputs[args.grid] = _digest(args.grid)
-        grid = load_simplex_grid(doc)
+        grid = load_simplex_grid(_load(args.grid, inputs))
         found = sperner_find(grid)
         return {"cell": list(found["cell"]), "count": found["count"],
                 "odd": found["count"] % 2 == 1}, [], None
     if args.op == "lowerbound":
-        space = load_space(read_json(args.space))
-        inputs[args.space] = _digest(args.space)
-        cover = load_cover(read_json(args.cover), space)
-        inputs[args.cover] = _digest(args.cover)
+        space = load_space(_load(args.space, inputs))
+        cover = load_cover(_load(args.cover, inputs), space)
         cert = simplex_lower_bound_check(cover, args.n)
         result = {"certificate": {"point": cert["point"], "sets": cert["sets"]},
                   "fully_labeled_count": cert["fully_labeled_count"],
                   "level": cert["r"]}
-        guarantee = [{"id": "lower_bound.certificate", "claimed": args.n + 1,
-                      "measured": len(cert["all_containing_sets"]),
-                      "pass": len(cert["all_containing_sets"]) >= args.n + 1}]
-        return result, guarantee, None
+        return result, [_lower_bound_guarantee(cert, args.n)], None
     raise UsageError(f"unknown witness op {args.op}")
 
 
 def _handle_corona(args, inputs: dict):
     if args.op == "equiv":
-        model = _load_model(args.model, inputs)
+        model = load_model(_load(args.model, inputs))
         out = roundtrip_bounds(model)
         f_table = model.f_table(min(5, model.depth))
         guarantees = [
-            {"id": "corona.fg_bound", "claimed": "d(f(g(x)),x) <= 2/(i-1)",
-             "measured": len(out["fg_failures"]), "pass": not out["fg_failures"]},
-            {"id": "corona.gf_bands", "claimed": "n_k+1 <= level <= k",
-             "measured": len(out["gf_failures"]), "pass": not out["gf_failures"]},
+            claim("corona.fg_bound", "d(f(g(x)),x) <= 2/(i-1)",
+                  len(out["fg_failures"]), not out["fg_failures"]),
+            claim("corona.gf_bands", "n_k+1 <= level <= k",
+                  len(out["gf_failures"]), not out["gf_failures"]),
         ]
         result = {"fg_worst_ratio": out["fg_worst_ratio"],
                   "checked": out["gf_checked"],
                   "f_at_level_5": f_table, "g_table_size": len(model.interior)}
         return result, guarantees, None
     if args.op == "check":
-        model = _load_model(args.model, inputs)
-        ent = load_entourage(read_json(args.entourage), model.ambient)
-        inputs[args.entourage] = _digest(args.entourage)
+        model = load_model(_load(args.model, inputs))
+        ent = load_entourage(_load(args.entourage, inputs), model.ambient)
         out = check_cc_entourage(model, ent, args.schedule_constant,
                                  args.schedule_power)
         return out, [], None
     if args.op == "dimcover":
-        sched, c, power = load_schedule(read_json(args.schedule))
-        inputs[args.schedule] = _digest(args.schedule)
+        sched, c, power = load_schedule(_load(args.schedule, inputs))
         depth = args.depth
         deltas = fixtures.power_decay_deltas(depth, c, power)
         window = fixtures.shift_window(depth)
@@ -394,27 +366,21 @@ def _pipeline(args):
         space = pn_sample(2, 16.0, 0.5)
         cov, _ = cube_cover(space, 2, 8.0)
         cert = simplex_lower_bound_check(Cover(space, cov.incidence()), 2)
-        guarantee = [{"id": "lower_bound.certificate", "claimed": 3,
-                      "measured": len(cert["all_containing_sets"]),
-                      "pass": len(cert["all_containing_sets"]) >= 3}]
         return ({"certificate": {"point": cert["point"], "sets": cert["sets"]},
                  "odd_count": cert["fully_labeled_count"] % 2 == 1},
-                guarantee, None)
+                [_lower_bound_guarantee(cert, 2)], None)
     if name == "hyperbolic-full":
-        kappa, lam, mesh_bound, L, n = -1.0, 0.2, 1.0, 5.0, 2
-        rho, N = hyperbolic_params(kappa, lam, mesh_bound, L, n)
+        kappa, lam, mesh_bound, L = -1.0, 0.2, 1.0, 5.0
+        rho, N = hyperbolic_params(kappa, lam, mesh_bound, L, ARC_COLORS)
         atlas = SphereAtlas(kappa, rho, lam, mesh_bound)
         disk = sample_disk(kappa, 30.0, 1.0, 48)
         cov, cert, _ = sphere_cover_lift(atlas, rho, N, L, disk)
         worst = check_contraction(kappa, rho, 1, disk, rng, 2000)
-        cert = list(cert)
-        cert.append({"id": "hyperbolic.contraction", "claimed": "<= 0",
-                     "measured": worst, "pass": worst <= 1e-9})
         delta = 0.5
         gap = lipschitz_gap_bound(kappa, delta) + 0.3
         ratio = check_radial_lipschitz(kappa, rho, 1, gap, delta, 720)
-        cert.append({"id": "hyperbolic.radial_lipschitz", "claimed": f"<= {delta}",
-                     "measured": ratio, "pass": ratio <= delta + 1e-9})
+        cert = cert + [at_most("hyperbolic.contraction", worst, 0),
+                       at_most("hyperbolic.radial_lipschitz", ratio, delta)]
         return {"rho": rho, "N": N, "stats": stats(cov)}, cert, None
     if name == "corona-full":
         model = fixtures.unit_interval_model(1.0 / 200)
@@ -427,13 +393,9 @@ def _pipeline(args):
         cov, cert, info = corona_dim_cover(
             sched, fixtures.power_decay_deltas(depth),
             fixtures.shift_window(depth), depth)
-        guarantees = list(cert)
-        guarantees.append({"id": "corona.fg_bound_interval", "claimed": 0,
-                           "measured": len(out1["fg_failures"]),
-                           "pass": not out1["fg_failures"]})
-        guarantees.append({"id": "corona.fg_bound_disk", "claimed": 0,
-                           "measured": len(out2["fg_failures"]),
-                           "pass": not out2["fg_failures"]})
+        guarantees = cert + [
+            count_at_most("corona.fg_bound_interval", len(out1["fg_failures"]), 0),
+            count_at_most("corona.fg_bound_disk", len(out2["fg_failures"]), 0)]
         return {"depth": depth, "d_floor": info["d_sequence"][-1]}, guarantees, None
     if name == "support-suite":
         fails = 0
@@ -458,9 +420,8 @@ def _pipeline(args):
             if not report["all_pass"]:
                 fails += 1
             sensitive += len(report["tolerance_sensitive"])
-        guarantee = [{"id": "support.calculus_inclusions", "claimed": 0,
-                      "measured": fails, "pass": fails == 0}]
-        return {"trials": args.trials, "tolerance_sensitive": sensitive}, guarantee, None
+        return ({"trials": args.trials, "tolerance_sensitive": sensitive},
+                [count_at_most("support.calculus_inclusions", fails, 0)], None)
     raise UsageError(f"unknown pipeline {name}")
 
 

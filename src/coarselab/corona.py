@@ -36,10 +36,10 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import sparse
 
+from .certificates import certify, count_at_most, holds
 from .covers import Cover, _lex_order, first_container, multiplicity
 from .errors import ContractViolationError, InvalidInputError, ResourceLimitError
 from .spaces import PAIR_CAP, ZERO_SELF_DISTANCE, Entourage, Space
-from .transforms import _claim, _ensure
 
 TOL = 1e-9
 # distance rows are computed in blocks of at most this many entries
@@ -421,23 +421,18 @@ def corona_dim_cover(schedule: CoronaCoverSchedule, deltas: Sequence[float],
 
     out = Cover(product, sparse.vstack(pieces, format="csr"), require_covering=False,
                 canonicalize=False)
-    guarantees = []
     missing = out.uncovered_points()
-    guarantees.append(_claim("dim_cover.covers", True, not missing, not missing,
-                             missing[:3] if missing else None))
     mult = multiplicity(out)
-    guarantees.append(_claim("dim_cover.multiplicity", n_fam + 1, mult,
-                             mult <= n_fam + 1))
-
     appetite_fail = _band_appetite_witness(out, schedule, deltas, win, width, depth)
-    guarantees.append(_claim("dim_cover.appetite", True, appetite_fail is None,
-                             appetite_fail is None, appetite_fail))
-
     d_m, proj_ok = _band_bookkeeping(out, schedule, scales, cuts, bands, width)
-    guarantees.append(_claim("dim_cover.projection_bands", True, proj_ok, proj_ok))
-    non_inc = all(d_m[m] >= d_m[m + 1] - TOL for m in range(len(d_m) - 1))
-    guarantees.append(_claim("dim_cover.d_sequence_non_increasing", True, non_inc, non_inc))
-    _ensure(guarantees)
+    guarantees = certify([
+        holds("dim_cover.covers", not missing, missing[:3] if missing else None),
+        count_at_most("dim_cover.multiplicity", mult, n_fam + 1),
+        holds("dim_cover.appetite", appetite_fail is None, appetite_fail),
+        holds("dim_cover.projection_bands", proj_ok),
+        holds("dim_cover.d_sequence_non_increasing",
+              all(d_m[m] >= d_m[m + 1] - TOL for m in range(len(d_m) - 1))),
+    ])
     certificate = {
         "d_sequence": d_m,
         "cuts": {str(k): v for k, v in sorted(cuts.items())},

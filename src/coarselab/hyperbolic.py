@@ -16,12 +16,14 @@ import math
 
 import numpy as np
 
+from .certificates import at_least, at_most, certify, count_at_most
 from .covers import Cover, lebesgue_number, multiplicity
 from .errors import ContractViolationError, InvalidInputError
 from .spaces import Space, hyperbolic_distance
-from .transforms import _claim, _ensure
 
 TOL = 1e-9
+# the number of alternating arc families on each circle of a SphereAtlas
+ARC_COLORS = 2
 
 
 def sqrt_minus_kappa(kappa: float) -> float:
@@ -130,7 +132,7 @@ class SphereAtlas:
         self.rho = float(rho)
         self.lam = float(lam)
         self.mesh_bound = float(mesh_bound)
-        self.n_colors = 2
+        self.n_colors = ARC_COLORS
         self._layout: dict[int, tuple[int, float, float, float]] = {}
 
     def layout(self, k: int) -> tuple[int, float, float, float]:
@@ -339,19 +341,14 @@ def sphere_cover_lift(atlas: SphereAtlas, rho: float, N: int, L: float,
     labels = sorted(members)
     sets = [tuple(sorted(set(members[key]))) for key in labels]
     out = Cover(disk, sets, require_covering=True, canonicalize=False)
-    guarantees = []
-    if verify:
-        mult = multiplicity(out)
-        guarantees.append(_claim("sphere_lift.multiplicity", n + 1, mult, mult <= n + 1))
-        mesh_bound = 2 * (N + 2 * n) * rho + atlas.mesh_bound
-        msh = _polar_mesh(disk, out)
-        guarantees.append(_claim("sphere_lift.mesh", f"<= {mesh_bound}", msh,
-                                 msh <= mesh_bound + TOL))
-        leb = lebesgue_number(out)
-        guarantees.append(_claim("sphere_lift.lebesgue", f">= {L}", leb,
-                                 leb >= L - TOL))
-        _ensure(guarantees)
-    return out, guarantees, labels
+    if not verify:
+        return out, [], labels
+    return out, certify([
+        count_at_most("sphere_lift.multiplicity", multiplicity(out), n + 1),
+        at_most("sphere_lift.mesh", _polar_mesh(disk, out),
+                2 * (N + 2 * n) * rho + atlas.mesh_bound),
+        at_least("sphere_lift.lebesgue", lebesgue_number(out), L),
+    ]), labels
 
 
 def _polar_mesh(disk: Space, cover: Cover) -> float:

@@ -25,6 +25,7 @@ Formats:
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
@@ -213,24 +214,28 @@ def _field(doc: dict, key: str, what: str):
 
 
 def _number(value, what: str) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    """Finite numbers pass; NaN, the infinities (which Python's JSON reader
+    accepts) and integers beyond the float range are rejected with bools,
+    strings and the rest."""
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
         return float(value)
-    raise InvalidInputError(f"{what} must be a number, got {value!r}")
+    raise InvalidInputError(f"{what} must be a finite number, got {value!r}")
 
 
 def _floats(value, what: str) -> np.ndarray:
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as err:
+    except (OverflowError, TypeError, ValueError) as err:
         raise InvalidInputError(f"{what} must be an array of numbers: {err}") from None
 
 
 def _integer(value, what: str) -> int:
-    """Integers and integral floats pass; bools, fractional floats, strings
-    and the rest are rejected."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int(value)
+    """Integers and integral floats in the int64 range pass; bools,
+    fractional floats, strings and the rest are rejected."""
     if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, int) and not isinstance(value, bool) and -2 ** 63 <= value < 2 ** 63:
         return int(value)
     raise InvalidInputError(f"{what}: expected an integer, got {value!r}")
 

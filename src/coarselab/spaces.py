@@ -180,6 +180,9 @@ class Space:
     @classmethod
     def product(cls, a: "Space", b: "Space") -> "Space":
         """Product sample with the sum metric d((x,y),(x',y')) = d(x,x') + d(y,y')."""
+        if a.n * b.n > POINT_CAP:
+            raise ResourceLimitError(f"a product of {a.n} x {b.n} = {a.n * b.n} points would "
+                                     f"exceed the {POINT_CAP} point cap")
         return cls("product", None, None, {"left": a, "right": b})
 
     # -- distances ---------------------------------------------------------

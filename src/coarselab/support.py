@@ -23,6 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .certificates import check
 from .covers import Cover, cover_entourage
 from .errors import ContractViolationError, InvalidInputError
 from .spaces import Entourage, Space
@@ -189,36 +190,24 @@ def check_calculus(s_op: BlockOperator, t_op: BlockOperator, u,
     supp_u = support_vector(uu, d, threshold)
     tu = t_op.matrix @ uu
 
-    checks = []
-
-    def record(name, ok, witness=None):
-        entry = {"id": name, "pass": bool(ok)}
-        if witness is not None:
-            entry["witness"] = witness
-        checks.append(entry)
-
     sv = support_vector(tu + uu, d, threshold)
     rhs = supp_u | support_vector(tu, d, threshold)
-    record("supp.vector_sum", sv <= rhs, sorted(sv - rhs) or None)
-
     st_sum = support_operator(s_op + t_op, threshold)
     rhs_e = supp_s.union(supp_t)
-    record("supp.operator_sum", st_sum.is_subset_of(rhs_e),
-           st_sum.first_pair_outside(rhs_e))
-
     lhs_tu = support_vector(tu, d, threshold)
     reach = diag.compose(supp_t).compose(diag).image(supp_u)
-    record("supp.apply", lhs_tu <= reach, sorted(lhs_tu - reach) or None)
-
     st = support_operator(s_op @ t_op, threshold)
     rhs_st = diag.compose(supp_s).compose(diag).compose(supp_t).compose(diag)
-    record("supp.compose", st.is_subset_of(rhs_st), st.first_pair_outside(rhs_st))
-
     adj = support_operator(t_op.adjoint(), threshold)
     inv = supp_t.inverse()
-    equal = adj.is_subset_of(inv) and inv.is_subset_of(adj)
-    record("supp.adjoint", equal,
-           adj.first_pair_outside(inv) or inv.first_pair_outside(adj))
+    checks = [
+        check("supp.vector_sum", sv <= rhs, sorted(sv - rhs) or None),
+        check("supp.operator_sum", st_sum.is_subset_of(rhs_e), st_sum.first_pair_outside(rhs_e)),
+        check("supp.apply", lhs_tu <= reach, sorted(lhs_tu - reach) or None),
+        check("supp.compose", st.is_subset_of(rhs_st), st.first_pair_outside(rhs_st)),
+        check("supp.adjoint", adj.is_subset_of(inv) and inv.is_subset_of(adj),
+              adj.first_pair_outside(inv) or inv.first_pair_outside(adj)),
+    ]
 
     sensitive = []
     for op_name, op in (("S", s_op), ("T", t_op)):
@@ -280,10 +269,5 @@ def induce_adjoint(block_map: Sequence[int], phi, t_op: BlockOperator,
     for (b1, b2) in supp_src.pairs():
         mapped.add((fmap[b1], fmap[b2]))
     image_rel = Entourage.from_pairs(_quotient_of(out), sorted(mapped), symmetrize=False)
-    ok = supp_out.is_subset_of(image_rel)
-    report = {
-        "id": "induced.support_containment",
-        "pass": bool(ok),
-        "witness": supp_out.first_pair_outside(image_rel) if not ok else None,
-    }
-    return out, report
+    return out, check("induced.support_containment", supp_out.is_subset_of(image_rel),
+                      supp_out.first_pair_outside(image_rel))

@@ -29,10 +29,11 @@ from itertools import combinations
 import numpy as np
 from scipy import sparse
 
+from .certificates import certify, claim, count_at_most, holds
 from .covers import (Cover, _distinct_rows, _row_indices, appetite_witness,
                      cover_entourage, first_container, multiplicity)
-from .errors import ContractViolationError, InvalidInputError
-from .spaces import Entourage, PointMap, Space, transport
+from .errors import ContractViolationError, InvalidInputError, ResourceLimitError
+from .spaces import PAIR_CAP, Entourage, PointMap, Space, transport
 
 
 class ColoredCover(Cover):
@@ -119,13 +120,6 @@ def _require_symmetric_with_diagonal(entourage: Entourage, name: str) -> None:
         raise InvalidInputError(f"{name} must contain the diagonal")
 
 
-def _claim(name: str, claimed, measured, passed: bool, witness=None) -> dict:
-    out = {"id": name, "claimed": claimed, "measured": measured, "pass": bool(passed)}
-    if witness is not None:
-        out["witness"] = witness
-    return out
-
-
 # ---------------------------------------------------------------------------
 # expand
 # ---------------------------------------------------------------------------
@@ -149,17 +143,14 @@ def expand(cover: ColoredCover, entourage: Entourage):
     new_sets = cover.incidence() @ L.matrix().T
     out = ColoredCover(cover.space, new_sets, cover.families, L,
                        require_covering=True, canonicalize=False)
-    guarantees = []
     overlap = out.family_overlap_witness()
-    guarantees.append(_claim("expand.families_disjoint", True, overlap is None,
-                             overlap is None, overlap))
     aw = appetite_witness(out, L)
-    guarantees.append(_claim("expand.appetite", True, aw is None, aw is None, aw))
     bound = L.compose(cover_entourage(cover)).compose(L.inverse())
-    spread_ok = cover_entourage(out).is_subset_of(bound)
-    guarantees.append(_claim("expand.spread_bound", True, spread_ok, spread_ok))
-    _ensure(guarantees)
-    return out, guarantees
+    return out, certify([
+        holds("expand.families_disjoint", overlap is None, overlap),
+        holds("expand.appetite", aw is None, aw),
+        holds("expand.spread_bound", cover_entourage(out).is_subset_of(bound)),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -259,19 +250,14 @@ def colorize(cover: Cover, entourage: Entourage, n: int):
 
     out = ColoredCover(cover.space, sets, families, L,
                        require_covering=False, canonicalize=False)
-    guarantees = []
     missing = out.uncovered_points()
-    guarantees.append(_claim("colorize.covers", True, not missing, not missing,
-                             missing[:3] if missing else None))
-    guarantees.append(_claim("colorize.family_count", n + 1, len(out.families),
-                             len(out.families) == n + 1))
     dw = family_disjoint_witness(out, L)
-    guarantees.append(_claim("colorize.families_L_disjoint", True, dw is None,
-                             dw is None, dw))
-    refit = _refines(out, cover)
-    guarantees.append(_claim("colorize.refines_input", True, refit, refit))
-    _ensure(guarantees)
-    return out, guarantees
+    return out, certify([
+        holds("colorize.covers", not missing, missing[:3] if missing else None),
+        claim("colorize.family_count", n + 1, len(out.families), len(out.families) == n + 1),
+        holds("colorize.families_L_disjoint", dw is None, dw),
+        holds("colorize.refines_input", _refines(out, cover)),
+    ])
 
 
 def _refines(fine: Cover, coarse: Cover) -> bool:
@@ -365,26 +351,21 @@ def merge_union(cover_a: ColoredCover, cover_b: ColoredCover, entourage: Entoura
     sets, families = _attach(cover_a, cover_b, L)
     out = ColoredCover(cover_a.space, sets, families, L,
                        require_covering=False, canonicalize=False)
-    guarantees = []
     covered = np.zeros(cover_a.space.n, dtype=bool)
     covered[out.incidence().indices] = True
     cov_ok = bool(covered[cover_a.incidence().indices].all()
                   and covered[cover_b.incidence().indices].all())
-    guarantees.append(_claim("merge_union.covers_union", True, cov_ok, cov_ok))
     dw = family_disjoint_witness(out, L)
-    guarantees.append(_claim("merge_union.families_L_disjoint", True, dw is None,
-                             dw is None, dw))
-    guarantees.append(_claim("merge_union.family_count",
-                             max(len(cover_a.families), len(cover_b.families)),
-                             len(out.families),
-                             len(out.families) == len(cover_a.families)))
     delta_b = cover_entourage(cover_b).union(Entourage.diagonal(cover_b.space))
     bound = delta_a.compose(L).compose(delta_b).compose(L).compose(delta_a)
     bound = bound.union(cover_entourage(cover_a))
-    spread_ok = cover_entourage(out).is_subset_of(bound)
-    guarantees.append(_claim("merge_union.spread_bound", True, spread_ok, spread_ok))
-    _ensure(guarantees)
-    return out, guarantees
+    return out, certify([
+        holds("merge_union.covers_union", cov_ok),
+        holds("merge_union.families_L_disjoint", dw is None, dw),
+        claim("merge_union.family_count", max(len(cover_a.families), len(cover_b.families)),
+              len(out.families), len(out.families) == len(cover_a.families)),
+        holds("merge_union.spread_bound", cover_entourage(out).is_subset_of(bound)),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +379,11 @@ def make_product_entourage(product_space: Space, ex: Entourage, ey: Entourage) -
     has index x * |Y| + y."""
     if product_space.kind != "product":
         raise InvalidInputError("needs a product space")
-    return Entourage.from_matrix(product_space, sparse.kron(ex.matrix(), ey.matrix()))
+    mx, my = ex.matrix(), ey.matrix()
+    if mx.nnz * my.nnz > PAIR_CAP:
+        raise ResourceLimitError(f"a product relation of {mx.nnz} x {my.nnz} = "
+                                 f"{mx.nnz * my.nnz} pairs would exceed the {PAIR_CAP} pair cap")
+    return Entourage.from_matrix(product_space, sparse.kron(mx, my))
 
 
 def _projection_maps(product_space: Space) -> tuple[PointMap, PointMap]:
@@ -466,24 +451,12 @@ def product_refine(cover_x: Cover, cover_y: Cover, entourage: Entourage,
 
     out = ColoredCover(prod, sets, families, E,
                        require_covering=False, canonicalize=False)
-    guarantees = []
     missing = out.uncovered_points()
-    guarantees.append(_claim("product_refine.covers", True, not missing,
-                             not missing, missing[:3] if missing else None))
-    guarantees.append(_claim("product_refine.family_count", total,
-                             len(out.families), len(out.families) == total))
     dw = family_disjoint_witness(out, E)
-    guarantees.append(_claim("product_refine.families_E_disjoint", True,
-                             dw is None, dw is None, dw))
-    mult = multiplicity(out)
-    guarantees.append(_claim("product_refine.multiplicity", total, mult,
-                             mult <= total))
-    _ensure(guarantees)
-    return out, guarantees
-
-
-def _ensure(guarantees: list[dict]) -> None:
-    for g in guarantees:
-        if not g["pass"]:
-            raise ContractViolationError(
-                f"guarantee {g['id']} failed", witness=g)
+    return out, certify([
+        holds("product_refine.covers", not missing, missing[:3] if missing else None),
+        claim("product_refine.family_count", total, len(out.families),
+              len(out.families) == total),
+        holds("product_refine.families_E_disjoint", dw is None, dw),
+        count_at_most("product_refine.multiplicity", multiplicity(out), total),
+    ])

@@ -16,12 +16,13 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from scipy import sparse
 
+from .certificates import at_least, at_most, certify, claim, count_at_most, holds
 from .covers import (Cover, _row_indices, cover_entourage, first_container, lebesgue_number,
                      mesh, multiplicity)
 from .errors import (ContractViolationError, InternalCheckError, InvalidInputError,
                      ResourceLimitError)
 from .spaces import POINT_CAP, Entourage, Space, RADIUS_TOL, _bool_matrix
-from .transforms import ColoredCover, _claim, _ensure
+from .transforms import ColoredCover
 
 FLOAT_TOL = 1e-9
 
@@ -57,17 +58,11 @@ def cube_cover(space: Space, n: int, a: float):
     sets, families = _cube_sets(coords, n, a)
     out = ColoredCover(space, sets, families, Entourage.diagonal(space),
                        require_covering=True, canonicalize=False)
-    guarantees = []
-    mult = multiplicity(out)
-    guarantees.append(_claim("cube_cover.multiplicity", n + 1, mult, mult <= n + 1))
-    leb = lebesgue_number(out)
-    lb = a / (2 * (n + 1)) - step
-    guarantees.append(_claim("cube_cover.lebesgue", f">= {lb}", leb, leb >= lb - FLOAT_TOL))
-    msh = mesh(out)
-    mb = a * math.sqrt(n) + step
-    guarantees.append(_claim("cube_cover.mesh", f"<= {mb}", msh, msh <= mb + FLOAT_TOL))
-    _ensure(guarantees)
-    return out, guarantees
+    return out, certify([
+        count_at_most("cube_cover.multiplicity", multiplicity(out), n + 1),
+        at_least("cube_cover.lebesgue", lebesgue_number(out), a / (2 * (n + 1)) - step),
+        at_most("cube_cover.mesh", mesh(out), a * math.sqrt(n) + step),
+    ])
 
 
 def _cube_sets(coords: np.ndarray, n: int, a: float) -> tuple[sparse.csr_matrix, list]:
@@ -160,17 +155,11 @@ def tree_cover(space: Space, L: float, root: int = 0):
 
     out = ColoredCover(space, balls, families, Entourage.diagonal(space),
                        require_covering=True, canonicalize=False)
-    guarantees = []
-    mult = multiplicity(out)
-    guarantees.append(_claim("tree_cover.multiplicity", 2, mult, mult <= 2))
-    msh = mesh(out)
-    bound = 3 * lp + 2 * L
-    guarantees.append(_claim("tree_cover.mesh", f"<= {bound}", msh, msh <= bound + FLOAT_TOL))
-    sep = _class_separation(adj, label, parity)
-    guarantees.append(_claim("tree_cover.class_separation", f">= {lp}", sep,
-                             sep >= lp - FLOAT_TOL))
-    _ensure(guarantees)
-    return out, guarantees
+    return out, certify([
+        count_at_most("tree_cover.multiplicity", multiplicity(out), 2),
+        at_most("tree_cover.mesh", mesh(out), 3 * lp + 2 * L),
+        at_least("tree_cover.class_separation", _class_separation(adj, label, parity), lp),
+    ])
 
 
 def _class_separation(adj: sparse.csr_matrix, label: np.ndarray, parity: np.ndarray) -> float:
@@ -324,21 +313,15 @@ def ray_cell_cover(n: int, e: Entourage):
     rel_ent = rel.to_entourage(line)
     out = ColoredCover(prod_space, sets, families, rel_ent,
                        require_covering=False, canonicalize=False)
-    guarantees = []
     missing = out.uncovered_points()
-    guarantees.append(_claim("ray_cover.covers", True, not missing, not missing,
-                             missing[:3] if missing else None))
+    claims = [holds("ray_cover.covers", not missing, missing[:3] if missing else None)]
     if n >= 1:
         dw = _ray_family_witness(out, rel, strides, m)
-        guarantees.append(_claim("ray_cover.families_disjoint", True, dw is None,
-                                 dw is None, dw))
-        power = rel_ent.power(3 * n + 6)
-        ok = _ray_spread_ok(out, power, strides, m)
-        guarantees.append(_claim("ray_cover.spread_bound", f"power {3 * n + 6}", ok, ok))
-    mult = multiplicity(out)
-    guarantees.append(_claim("ray_cover.multiplicity", n_fam, mult, mult <= n_fam))
-    _ensure(guarantees)
-    return out, guarantees
+        ok = _ray_spread_ok(out, rel_ent.power(3 * n + 6), strides, m)
+        claims += [holds("ray_cover.families_disjoint", dw is None, dw),
+                   claim("ray_cover.spread_bound", f"power {3 * n + 6}", ok, ok)]
+    claims.append(count_at_most("ray_cover.multiplicity", multiplicity(out), n_fam))
+    return out, certify(claims)
 
 
 def _factor_indices(flat: int, strides: list[int], m: int) -> list[int]:
@@ -414,6 +397,8 @@ class SimplicialComplex:
         if self.coords.ndim != 2:
             raise InvalidInputError("coordinates must be a 2-d array")
         self.maximal = [tuple(sorted(set(int(v) for v in s))) for s in maximal]
+        if not self.maximal:
+            raise InvalidInputError("a complex needs at least one maximal simplex")
         for s in self.maximal:
             if not s or s[0] < 0 or s[-1] >= self.coords.shape[0]:
                 raise InvalidInputError("maximal simplex has bad vertex index")
@@ -509,18 +494,13 @@ def star_cover(complex_: SimplicialComplex, stability: int, resolution: int = 12
     for v in vertex_ids:
         sets.append(tuple(i for i, car in enumerate(carriers) if v in car))
     out = Cover(space, sets, require_covering=True, canonicalize=False)
-    guarantees = []
-    msh = mesh(out)
-    guarantees.append(_claim("star_cover.mesh", "<= 2", msh, msh <= 2 + FLOAT_TOL))
-    mult = multiplicity(out)
-    guarantees.append(_claim("star_cover.multiplicity", complex_.dimension + 1, mult,
-                             mult == complex_.dimension + 1))
-    leb = lebesgue_number(out)
-    lam = star_lebesgue_bound(stability)
-    guarantees.append(_claim("star_cover.lebesgue", f">= {lam}", leb,
-                             leb >= lam - FLOAT_TOL))
-    _ensure(guarantees)
-    return out, guarantees
+    msh, mult = mesh(out), multiplicity(out)
+    return out, certify([
+        at_most("star_cover.mesh", msh, 2),
+        claim("star_cover.multiplicity", complex_.dimension + 1, mult,
+              mult == complex_.dimension + 1),
+        at_least("star_cover.lebesgue", lebesgue_number(out), star_lebesgue_bound(stability)),
+    ])
 
 
 def _stability_witness(complex_: SimplicialComplex, k: int):

@@ -368,6 +368,84 @@ class TestMalformedDocuments:
         message = self.resource_limit(["witness", "sperner", "--grid", grid], capsys)
         assert "500001500001 vertices" in message and str(10 ** 7) in message
 
+    def test_product_space_over_the_point_cap(self, tmp_json, capsys):
+        # 3163 x 3163 = 10004569 product points; each factor is small
+        line = tmp_json("l.json", {"kind": "grid", "dim": 1, "min": [0], "max": [3162],
+                                   "step": 1.0})
+        cover = tmp_json("c.json", {"sets": [list(range(3163))]})
+        none = tmp_json("e.json", {"kind": "pairs", "pairs": []})
+        message = self.resource_limit(["transform", "product", "--space", line, "--space2", line,
+                                       "--cover", cover, "--cover2", cover, "--ex", none,
+                                       "--ey", none, "--n", "0", "--m", "0"], capsys)
+        assert "10004569 points" in message and str(10 ** 7) in message
+
+    def test_product_relation_over_the_pair_cap(self, tmp_json, capsys):
+        # 10^4 x 3001 product pairs over 100 x 1001 points
+        spaces, covers = [], []
+        for name, top in (("a", 99), ("b", 1000)):
+            spaces.append(tmp_json(f"{name}.json", {"kind": "grid", "dim": 1, "min": [0],
+                                                    "max": [top], "step": 1.0}))
+            covers.append(tmp_json(f"c{name}.json", {"sets": [list(range(top + 1))]}))
+        message = self.resource_limit([
+            "transform", "product", "--space", spaces[0], "--space2", spaces[1],
+            "--cover", covers[0], "--cover2", covers[1],
+            "--ex", tmp_json("ex.json", {"kind": "radius", "r": 200}),
+            "--ey", tmp_json("ey.json", {"kind": "radius", "r": 1.5}),
+            "--n", "0", "--m", "0"], capsys)
+        assert "10000 x 3001 = 30010000 pairs" in message and str(10 ** 7) in message
+
+
+class TestInputDigests:
+    """A file that parses is listed in the report's inputs, whether or not
+    its loader then accepts it; a file that does not parse is not."""
+
+    @pytest.mark.parametrize("argv, rejected", [
+        (["space", "info", "--space", ("s", {"kind": "matrix"})], "s"),
+        (["cover", "stats", "--space", ("s", LINE4), "--cover", ("c", {"sets": 5})], "c"),
+        (["transform", "colorize", "--space", ("s", {"kind": "matrix"}),
+          "--cover", ("c", {"sets": [[0]]}), "--entourage", ("e", {"kind": "radius", "r": 1}),
+          "--n", "1"], "s"),
+        (["transform", "expand", "--space", ("s", LINE4), "--cover", ("c", {"sets": 5}),
+          "--entourage", ("e", {"kind": "radius", "r": 1})], "c"),
+        (["transform", "union", "--space", ("s", LINE4), "--cover", ("c", {"sets": [[0]]}),
+          "--cover2", ("d", {"sets": [[1]]}), "--entourage", ("e", {"kind": "radius"})], "e"),
+        (["witness", "tree", "--space", ("s", {"kind": "tree", "edges": [[-1, 1], [0, 2]]}),
+          "--L", "1"], "s"),
+        (["witness", "ray", "--space", ("s", LINE4), "--entourage", ("e", {"kind": "radius"}),
+          "--n", "1"], "e"),
+        (["witness", "lowerbound", "--space", ("s", LINE4), "--cover", ("c", {"sets": 5}),
+          "--n", "1"], "c"),
+    ], ids=["space-info", "cover-stats", "colorize", "expand", "union", "tree", "ray",
+            "lowerbound"])
+    def test_rejected_file_is_listed(self, tmp_json, tmp_path, argv, rejected):
+        paths = {a[0]: tmp_json(a[0] + ".json", a[1]) for a in argv if isinstance(a, tuple)}
+        argv = [paths[a[0]] if isinstance(a, tuple) else a for a in argv]
+        files = [a for a in argv if a in paths.values()]
+        code, report = run(argv)
+        assert code == EXIT_INVALID
+        # the files read, in argv order, up to and including the rejected one
+        assert sorted(report["inputs"]) == sorted(files[:files.index(paths[rejected]) + 1])
+        (tmp_path / (rejected + ".json")).write_text("{", encoding="utf-8")
+        code, report = run(argv)
+        assert code == EXIT_INVALID and paths[rejected] not in report["inputs"]
+
+
+class TestHyperbolicWitness:
+    ARGV = ["witness", "hyperbolic", "--kappa", "-1", "--lam", "0.2", "--mesh-bound", "1",
+            "--L", "5", "--disk-radius", "8"]
+
+    def test_parameters_are_those_of_the_atlas_colors(self):
+        from coarselab.hyperbolic import ARC_COLORS, SphereAtlas, hyperbolic_params
+        code, report = run(self.ARGV)
+        assert code == EXIT_OK
+        rho, N = hyperbolic_params(-1, 0.2, 1, 5, ARC_COLORS)
+        assert (report["result"]["rho"], report["result"]["N"]) == (rho, N)
+        assert SphereAtlas(-1, rho, 0.2, 1).n_colors == ARC_COLORS
+
+    def test_color_count_is_not_an_option(self):
+        code, report = run(self.ARGV + ["--n", "3"])
+        assert code == EXIT_USAGE and report["error"]["kind"] == "usage"
+
 
 class TestRayWitness:
     def test_ray_needs_no_bound(self, tmp_json):
