@@ -436,7 +436,6 @@ class Entourage:
         self._m = m
         self.r = r
         self.closed = closed
-        self._power_cache: dict[int, "Entourage"] = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -597,7 +596,12 @@ class Entourage:
     def is_symmetric(self) -> bool:
         if self.kind == "radius":
             return True
-        return (self._m != self._m.T).nnz == 0
+        # both matrices are canonical (a transpose comes out with sorted
+        # indices), so they hold the same pairs exactly when their index
+        # arrays agree
+        t = self._m.T.tocsr()
+        return (np.array_equal(self._m.indptr, t.indptr)
+                and np.array_equal(self._m.indices, t.indices))
 
     def contains_diagonal(self) -> bool:
         if self.kind == "radius":
@@ -625,24 +629,6 @@ class Entourage:
         if prod.nnz > cap:
             raise ResourceLimitError(f"composition would exceed the {cap} pair cap")
         return Entourage.from_matrix(self.space, prod)
-
-    def power(self, k: int, cap: int = PAIR_CAP) -> "Entourage":
-        """k-fold composition with itself; k = 0 gives the diagonal.
-
-        Powers are memoized per entourage instance since the colorize and
-        interior machinery reuses them heavily.
-        """
-        if k < 0:
-            raise InvalidInputError("power must be >= 0")
-        if k == 0:
-            return Entourage.diagonal(self.space)
-        if k == 1:
-            return self
-        cached = self._power_cache.get(k)
-        if cached is None:
-            cached = self.power(k - 1, cap).compose(self, cap)
-            self._power_cache[k] = cached
-        return cached
 
     def image(self, indices: Iterable[int]) -> frozenset[int]:
         """E[A] = {x | (x, a) in E for some a in A}."""

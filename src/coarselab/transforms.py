@@ -20,6 +20,23 @@ sets indicator with the sets, interiors one product with the relation,
 fattening one product with its transpose, products of cuts one Kronecker
 product, and the attach step of merge_union one product of an attach
 matrix with the A-sets.
+
+No power of L, no cover spread M^T M and no composite relation is formed
+to certify a construction; each hypothesis is an inclusion decided from M
+and L themselves:
+
+  interiors    int_{L^k}(U) is k erosions by L (see interior)
+  appetite     L^k(x) fits in a set exactly when x lies in the set's
+               L^k-interior, so the k-fold eroded sets decide it
+  disjointness two sets of a family are R-disjoint exactly when the forward
+               image R[U] = {y | (x, y) in R, x in U} misses V; for R a
+               chain of L and of the spreads delta = M^T M + I that image is
+               a chain of fattenings, rows @ L and rows + (rows @ M^T) @ M
+  spreads      M^T M lies inside N^T N when every row of M lies in a row
+               of N, one first_container call; a set that fails it is
+               tested pair by pair against the bound's rows at its points
+
+Only a failing family builds the relation's pairs, for its witness.
 """
 
 from __future__ import annotations
@@ -33,7 +50,7 @@ from .certificates import certify, claim, count_at_most, holds
 from .covers import (Cover, _distinct_rows, _row_indices, appetite_witness,
                      cover_entourage, first_container, multiplicity)
 from .errors import ContractViolationError, InvalidInputError, ResourceLimitError
-from .spaces import PAIR_CAP, Entourage, PointMap, Space, transport
+from .spaces import PAIR_CAP, Entourage, PointMap, Space, _bool_matrix, transport
 
 
 class ColoredCover(Cover):
@@ -72,13 +89,41 @@ def family_disjoint_witness(cover: Cover, entourage: Entourage):
     witness (set_index_a, set_index_b, (x, y))."""
     if cover.families is None:
         raise InvalidInputError("cover has no families")
+    return _first_joining_pair(entourage, _family_owners(cover))
+
+
+def _first_joining_pair(entourage: Entourage, owners):
+    """The first pair (x, y) of the relation, in key order and owner array
+    by owner array, whose ends have distinct owners: (owner of x, owner of
+    y, (x, y)), or None."""
     rows, cols = _pair_arrays(entourage)
-    for owner in _family_owners(cover):
+    for owner in owners:
         a, b = owner[rows], owner[cols]
         bad = (a >= 0) & (b >= 0) & (a != b)
         if np.any(bad):
             k = int(np.nonzero(bad)[0][0])
             return (int(a[k]), int(b[k]), (int(rows[k]), int(cols[k])))
+    return None
+
+
+def _touching_witness(cover: Cover, images: sparse.csr_matrix, relation):
+    """family_disjoint_witness(cover, R) for the relation R whose forward
+    images of the sets are the rows of images: row k is R[set k] = {y | (x,
+    y) in R for some x in set k}.
+
+    A family is R-disjoint exactly when no set's image meets another set of
+    the family. Only the first family that fails searches the pairs of R,
+    built by relation(), for its witness; the families before it hold no
+    joining pair, so the witness is the one the full pair search finds.
+    """
+    if cover.families is None:
+        raise InvalidInputError("cover has no families")
+    for fam, owner in zip(cover.families, _family_owners(cover)):
+        fam = np.asarray(fam, dtype=np.int64)
+        hit = owner[_row_indices(images, fam)]
+        mine = np.repeat(fam, np.diff(images.indptr)[fam])
+        if np.any((hit >= 0) & (hit != mine)):
+            return _first_joining_pair(relation(), [owner])
     return None
 
 
@@ -89,28 +134,89 @@ def _entries(m: sparse.csr_matrix, keep: np.ndarray) -> sparse.csr_matrix:
     return out
 
 
-def interior(cuts: sparse.spmatrix, entourage: Entourage) -> sparse.csr_matrix:
-    """The E-interiors {x | E(x) is contained in the row} of every row of
-    the rows x points matrix cuts, as one boolean matrix of the same shape.
+def interior(cuts: sparse.spmatrix, entourage: Entourage, times: int = 1) -> sparse.csr_matrix:
+    """The E^times-interiors {x | E^times(x) is contained in the row} of
+    every row of the rows x points matrix cuts, as one boolean matrix of
+    the same shape; times = 0 gives the rows themselves.
 
-    E(x) = {y | (y, x) in E}. x lies in row k's interior when the count
+    E(x) = {y | (y, x) in E}. x lies in row k's E-interior when the count
     (cuts @ E)[k, x] of its E-neighbours in the row equals its column
     degree in E; points with empty E(x) are vacuously interior to every row.
+
+    No power of E is formed. (E∘E)(x) is the union of E(z) over z in E(x),
+    so x lies in int_{E∘E}(U) exactly when E(x) lies in int_E(U), that is
+    when x lies in int_E(int_E(U)); this holds for any relation, an empty
+    E(x) included. So the E^k-interior is k erosions by E, the chain rule
+    for erosion by a dilated structuring element (Haralick, Sternberg &
+    Zhuang, IEEE PAMI 9(4), 1987).
     """
-    if not cuts.shape[0]:
-        return sparse.csr_matrix(cuts.shape, dtype=bool)
+    inside = sparse.csr_matrix(cuts, dtype=bool)
+    if not cuts.shape[0] or not times:
+        return inside
     e = sparse.csr_matrix(entourage.matrix(), dtype=np.int32)
     degree = np.bincount(e.indices, minlength=e.shape[1])
-    counts = sparse.csr_matrix(cuts, dtype=np.int32) @ e
-    inside = _entries(counts, counts.data == degree[counts.indices])
     free = np.flatnonzero(degree == 0)
-    if free.size:
-        k = inside.shape[0]
-        everywhere = sparse.csr_matrix(
-            (np.ones(k * free.size, dtype=bool), np.tile(free, k),
-             np.arange(k + 1) * free.size), shape=inside.shape)
-        inside = (inside + everywhere).tocsr()
+    k = inside.shape[0]
+    for _ in range(times):
+        counts = sparse.csr_matrix(inside, dtype=np.int32) @ e
+        inside = _entries(counts, counts.data == degree[counts.indices])
+        if free.size:
+            everywhere = sparse.csr_matrix(
+                (np.ones(k * free.size, dtype=bool), np.tile(free, k),
+                 np.arange(k + 1) * free.size), shape=inside.shape)
+            inside = (inside + everywhere).tocsr()
     return inside
+
+
+def _appetite_gap(inner: sparse.csr_matrix, entourage: Entourage, times: int):
+    """appetite_witness for E^times without forming it, given the
+    E^times-interiors inner of the covering sets: None if every non-empty
+    E^times(x) fits inside a covering set, else the first failing x.
+
+    E^times(x) lies in a set exactly when x lies in the set's interior.
+    E^times(x) is non-empty when some walk of times steps in E ends at x:
+    the points such walks reach, one forward step of E at a time.
+    """
+    e = entourage.matrix()
+    reached = np.ones(e.shape[0], dtype=bool)
+    for _ in range(times):
+        step = np.zeros_like(reached)
+        step[_row_indices(e, np.flatnonzero(reached))] = True
+        reached = step
+    reached[inner.indices] = False
+    return int(np.argmax(reached)) if reached.any() else None
+
+
+def _spread_image(rows: sparse.spmatrix, m: sparse.csr_matrix) -> sparse.csr_matrix:
+    """The forward images of the rows under delta = M^T M + I, the spread of
+    the cover with incidence m and the diagonal: each row grown by every
+    set that it meets."""
+    return (rows + (rows @ m.T) @ m).tocsr()
+
+
+def _spread_inside(sets: sparse.csr_matrix, containers: sparse.spmatrix, bound_image) -> bool:
+    """Whether W x W lies inside a relation B for every row W of sets, given
+    rows N of containers with N^T N inside B.
+
+    A set inside some row of N passes: its pairs are pairs of N^T N. Any
+    other set W is tested pair by pair: W must lie inside B[x] = {y | (x, y)
+    in B} for every x in W, where bound_image maps unit rows to their
+    forward images under B. Only the points of such sets are imaged.
+    """
+    sizes = np.diff(sets.indptr)
+    rest = np.flatnonzero((first_container(sets, containers) < 0) & (sizes > 0))
+    if not rest.size:
+        return True
+    w = sets[rest]
+    points = np.unique(w.indices)
+    reach = bound_image(_bool_matrix(np.arange(points.size), points,
+                                     (points.size, sets.shape[1])))
+    # overlap[i, j] = |B[points[i]] & W_j|; W_j fits in B[x] when it is |W_j|
+    overlap = (sparse.csr_matrix(reach, dtype=np.int32)
+               @ sparse.csr_matrix(w.T, dtype=np.int32)).tocsr()
+    fits = _entries(overlap, overlap.data == sizes[rest][overlap.indices])
+    members = w[:, points].T
+    return bool(np.all(np.asarray(fits.multiply(members).sum(axis=0)).ravel() == sizes[rest]))
 
 
 def _require_symmetric_with_diagonal(entourage: Entourage, name: str) -> None:
@@ -134,23 +240,32 @@ def expand(cover: ColoredCover, entourage: Entourage):
     """
     L = entourage.materialize()
     _require_symmetric_with_diagonal(L, "expansion entourage")
-    l2 = L.compose(L)
-    w = family_disjoint_witness(cover, l2)
+    m, lm = cover.incidence(), L.matrix()
+    # L is symmetric, so the fattened sets L[U] are also the forward images
+    # of the sets under L, and their images under L are those under L∘L
+    new_sets = m @ lm.T
+    w = _touching_witness(cover, new_sets @ lm, lambda: L.compose(L))
     if w is not None:
         raise ContractViolationError(
             f"input family is not L^2-disjoint: sets {w[0]}, {w[1]} via pair {w[2]}",
             witness=w)
-    new_sets = cover.incidence() @ L.matrix().T
     out = ColoredCover(cover.space, new_sets, cover.families, L,
                        require_covering=True, canonicalize=False)
     overlap = out.family_overlap_witness()
     aw = appetite_witness(out, L)
-    bound = L.compose(cover_entourage(cover)).compose(L.inverse())
     return out, certify([
         holds("expand.families_disjoint", overlap is None, overlap),
         holds("expand.appetite", aw is None, aw),
-        holds("expand.spread_bound", cover_entourage(out).is_subset_of(bound)),
+        holds("expand.spread_bound", _expand_spread_ok(out.incidence(), m, lm, new_sets)),
     ])
+
+
+def _expand_spread_ok(out: sparse.csr_matrix, m: sparse.csr_matrix, lm: sparse.csr_matrix,
+                      fattened: sparse.csr_matrix) -> bool:
+    """Whether the spread of the sets out lies inside L ∘ (M^T M) ∘ L^{-1},
+    M the input incidence. That bound is N^T N for the fattened input sets
+    N = M L^T, and it maps rows forward to rows L M^T M L^T."""
+    return _spread_inside(out, fattened, lambda rows: ((rows @ lm) @ m.T) @ m @ lm.T)
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +353,19 @@ def colorize(cover: Cover, entourage: Entourage, n: int):
     if mult > n + 1:
         raise ContractViolationError(
             f"multiplicity {mult} exceeds n+1 = {n + 1}", witness=mult)
-    aw = appetite_witness(cover, L.power(n + 1))
+    if L.space is not cover.space:
+        raise InvalidInputError("entourage must live over the cover's space")
+    # the deepest interiors, those of the sets themselves under L^{n+1},
+    # also decide the appetite
+    base = _distinct_contents(cover)
+    levels = [interior(_intersections(base, 1), L, n + 1)]
+    aw = _appetite_gap(levels[0], L, n + 1)
     if aw is not None:
         raise ContractViolationError(
             f"cover lacks appetite L^{n + 1}; uncovered ball at point {aw}", witness=aw)
-
-    base = _distinct_contents(cover)
-    sets, families = _shield_and_trim(
-        [interior(_intersections(base, depth), L.power(n + 2 - depth))
-         for depth in range(1, n + 3)])
+    levels += [interior(_intersections(base, depth), L, n + 2 - depth)
+               for depth in range(2, n + 3)]
+    sets, families = _shield_and_trim(levels)
 
     out = ColoredCover(cover.space, sets, families, L,
                        require_covering=False, canonicalize=False)
@@ -341,9 +460,13 @@ def merge_union(cover_a: ColoredCover, cover_b: ColoredCover, entourage: Entoura
     if wa is not None:
         raise ContractViolationError(
             f"cover A families not L-disjoint: {wa}", witness=wa)
-    delta_a = cover_entourage(cover_a).union(Entourage.diagonal(cover_a.space))
-    strong = L.compose(delta_a).compose(L).compose(delta_a).compose(L)
-    wb = family_disjoint_witness(cover_b, strong)
+    ma, mb, lm = cover_a.incidence(), cover_b.incidence(), L.matrix()
+    # the B-sets fattened by L, then by D_A: the containers of the spread
+    # bound, and, fattened by L, D_A and L again, the images of the B-sets
+    # under L∘D_A∘L∘D_A∘L
+    grown_b = _spread_image(mb @ lm, ma)
+    wb = _touching_witness(cover_b, _spread_image(grown_b @ lm, ma) @ lm,
+                           lambda: _strong_relation(cover_a, L))
     if wb is not None:
         raise ContractViolationError(
             f"cover B families not (L∘D_A∘L∘D_A∘L)-disjoint: {wb}", witness=wb)
@@ -356,16 +479,38 @@ def merge_union(cover_a: ColoredCover, cover_b: ColoredCover, entourage: Entoura
     cov_ok = bool(covered[cover_a.incidence().indices].all()
                   and covered[cover_b.incidence().indices].all())
     dw = family_disjoint_witness(out, L)
-    delta_b = cover_entourage(cover_b).union(Entourage.diagonal(cover_b.space))
-    bound = delta_a.compose(L).compose(delta_b).compose(L).compose(delta_a)
-    bound = bound.union(cover_entourage(cover_a))
     return out, certify([
         holds("merge_union.covers_union", cov_ok),
         holds("merge_union.families_L_disjoint", dw is None, dw),
         claim("merge_union.family_count", max(len(cover_a.families), len(cover_b.families)),
               len(out.families), len(out.families) == len(cover_a.families)),
-        holds("merge_union.spread_bound", cover_entourage(out).is_subset_of(bound)),
+        holds("merge_union.spread_bound",
+              _merge_spread_ok(ma, mb, out.incidence(), lm, grown_b)),
     ])
+
+
+def _strong_relation(cover_a: Cover, L: Entourage) -> Entourage:
+    """L∘D_A∘L∘D_A∘L as pairs, D_A the spread of cover A plus the diagonal:
+    built only to find the witness of a family that fails."""
+    delta_a = cover_entourage(cover_a).union(Entourage.diagonal(cover_a.space))
+    return L.compose(delta_a).compose(L).compose(delta_a).compose(L)
+
+
+def _merge_spread_ok(ma: sparse.csr_matrix, mb: sparse.csr_matrix, out: sparse.csr_matrix,
+                     lm: sparse.csr_matrix, grown_b: sparse.csr_matrix) -> bool:
+    """Whether the spread of the sets out lies inside the bound
+    D_A∘L∘D_B∘L∘D_A ∪ M_A^T M_A, D the spreads plus the diagonal.
+
+    grown_b, the B-sets fattened by L and then by D_A, holds N_V x N_V
+    inside D_A∘L∘D_B∘L∘D_A for each B-set V (two points of V are D_B
+    related), and the A-sets hold M_A^T M_A; so these rows stacked on M_A
+    are the containers.
+    """
+    def bound_image(rows):
+        chain = _spread_image(_spread_image(_spread_image(rows, ma) @ lm, mb) @ lm, ma)
+        return chain + (rows @ ma.T) @ ma
+
+    return _spread_inside(out, sparse.vstack([grown_b, ma], format="csr"), bound_image)
 
 
 # ---------------------------------------------------------------------------
@@ -419,20 +564,21 @@ def product_refine(cover_x: Cover, cover_y: Cover, entourage: Entourage,
     ey = ey.union(ey.inverse()).union(Entourage.diagonal(cover_y.space))
 
     total = n + m + 1
+    bases = []
     for cov, bound, which, ent in ((cover_x, n, "X", ex), (cover_y, m, "Y", ey)):
         mult = multiplicity(cov)
         if mult > bound + 1:
             raise ContractViolationError(
                 f"cover of {which} has multiplicity {mult} > {bound + 1}",
                 witness=(which, mult))
-        aw = appetite_witness(cov, ent.power(total))
+        bases.append(_distinct_contents(cov))
+        aw = _appetite_gap(interior(bases[-1], ent, total), ent, total)
         if aw is not None:
             raise ContractViolationError(
                 f"cover of {which} lacks appetite for the {total}-th power; "
                 f"witness point {aw}", witness=(which, aw))
 
-    sx = _distinct_contents(cover_x)
-    sy = _distinct_contents(cover_y)
+    sx, sy = bases
     # the factor intersections of p X-sets and of q Y-sets, p, q <= total + 1,
     # stacked by p and by q; the candidate sets at total depth k = p + q are
     # the Kronecker products of the rows of the p block and of the q block,
@@ -446,7 +592,7 @@ def product_refine(cover_x: Cover, cover_y: Cover, entourage: Entourage,
     for k in range(2, total + 3):
         rows = [(np.arange(at_x[p - 1], at_x[p])[:, None] * at_y[-1]
                  + np.arange(at_y[k - p - 1], at_y[k - p])).ravel() for p in range(1, k)]
-        levels.append(interior(cells[np.concatenate(rows)], E.power(total + 2 - k)))
+        levels.append(interior(cells[np.concatenate(rows)], E, total + 2 - k))
     sets, families = _shield_and_trim(levels)
 
     out = ColoredCover(prod, sets, families, E,

@@ -17,8 +17,8 @@ import numpy as np
 from scipy import sparse
 
 from .certificates import at_least, at_most, certify, claim, count_at_most, holds
-from .covers import (Cover, _row_indices, cover_entourage, first_container, lebesgue_number,
-                     mesh, multiplicity)
+from .covers import (Cover, _row_indices, first_container, lebesgue_number, mesh,
+                     multiplicity)
 from .errors import (ContractViolationError, InternalCheckError, InvalidInputError,
                      ResourceLimitError)
 from .spaces import POINT_CAP, Entourage, Space, RADIUS_TOL, _bool_matrix
@@ -224,6 +224,28 @@ class IntervalRelation:
             hi[a:b + 1] = np.maximum(hi[a:b + 1], b)
         return cls(lo, hi)
 
+    def composed(self, k: int) -> "IntervalRelation":
+        """The k-fold composition of the relation with itself, k >= 0, as
+        reaches lo_k = lo[lo_{k-1}] and hi_k = hi[hi_{k-1}]: k array lookups.
+
+        Each row [lo[i], hi[i]] holds i, and lo and hi are non-decreasing.
+        from_entourage starts from i -+ extra_steps, clipped, which is both,
+        and only widens rows. Raising hi to at least b on [a, b] keeps it
+        non-decreasing: on [a, b] it becomes the maximum of a non-decreasing
+        array and a constant; below a it is unchanged and at most the old
+        hi[a]; above b it is unchanged and at least its own index, so above
+        b and above every old value before it. lo likewise. Row i of the
+        k-th power is the union of the rows [lo[j], hi[j]] over j in row i
+        of the (k-1)-th. Each of those rows holds its j, so the rows of
+        consecutive j meet or abut, and the union runs from the least lo[j]
+        to the greatest hi[j], which monotonicity puts at the ends of
+        [lo_{k-1}[i], hi_{k-1}[i]].
+        """
+        lo, hi = np.arange(self.lo.size), np.arange(self.hi.size)
+        for _ in range(k):
+            lo, hi = self.lo[lo], self.hi[hi]
+        return IntervalRelation(lo, hi)
+
     def to_entourage(self, space: Space) -> Entourage:
         """Row i holds the columns lo[i] .. hi[i]."""
         n = space.n
@@ -317,7 +339,7 @@ def ray_cell_cover(n: int, e: Entourage):
     claims = [holds("ray_cover.covers", not missing, missing[:3] if missing else None)]
     if n >= 1:
         dw = _ray_family_witness(out, rel, strides, m)
-        ok = _ray_spread_ok(out, rel_ent.power(3 * n + 6), strides, m)
+        ok = _ray_spread_ok(out, rel.composed(3 * n + 6), strides, m)
         claims += [holds("ray_cover.families_disjoint", dw is None, dw),
                    claim("ray_cover.spread_bound", f"power {3 * n + 6}", ok, ok)]
     claims.append(count_at_most("ray_cover.multiplicity", multiplicity(out), n_fam))
@@ -362,13 +384,13 @@ def _bands_touch(set_a, set_b, rel: IntervalRelation, strides, m) -> bool:
     return True
 
 
-def _ray_spread_ok(cover: ColoredCover, factor_power: Entourage,
+def _ray_spread_ok(cover: ColoredCover, factor_power: IntervalRelation,
                    strides, m) -> bool:
     for s in cover.sets:
         fa = np.array([_factor_indices(p, strides, m) for p in s])
         for k in range(len(strides)):
             lo, hi = int(fa[:, k].min()), int(fa[:, k].max())
-            if not factor_power.contains_pair(lo, hi):
+            if not factor_power.lo[lo] <= hi <= factor_power.hi[lo]:
                 return False
     return True
 
@@ -743,13 +765,20 @@ def simplex_lower_bound_check(cover: Cover, n: int) -> dict:
         raise ContractViolationError(
             f"cover lacks unit appetite at sample point {aw}", witness=aw)
 
-    # axis relations from the cover spread: the chain of images of 0
-    spread = cover_entourage(cover).matrix().tocoo()
+    # axis relations from the cover spread: the chain of images of 0. Two
+    # points are spread-related when a set holds both, so the image of vals
+    # on an axis is every axis value of the sets holding a value in vals,
+    # read from each set's members without forming the spread's pairs
+    inc = cover.incidence()
     lattice = np.round(coords / step).astype(np.int64)
+    holder = np.repeat(np.arange(inc.shape[0]), np.diff(inc.indptr))
 
     def image(ax: int, vals: np.ndarray) -> np.ndarray:
         """{a : (a, b) in the spread's axis-ax relation, b in vals}"""
-        return np.unique(lattice[spread.row, ax][np.isin(lattice[spread.col, ax], vals)])
+        values = lattice[inc.indices, ax]
+        hit = np.zeros(inc.shape[0], dtype=bool)
+        hit[holder[np.isin(values, vals)]] = True
+        return np.unique(values[hit[holder]])
 
     unit_lat = int(round(1.0 / step))
     chain = np.zeros(1, dtype=np.int64)
@@ -771,7 +800,6 @@ def simplex_lower_bound_check(cover: Cover, n: int) -> dict:
     corners[n, n - 1] = 1.0
 
     # face label of every set: the first face level it misses, -1 if none
-    inc = cover.incidence()
     on_face = np.column_stack([pred(coords) for pred in _face_predicates(n, r)])
     meets = (inc @ on_face.astype(np.int32)) > 0
     face = np.where(meets.all(axis=1), -1, np.argmin(meets, axis=1))

@@ -37,6 +37,15 @@ classes and separates them by array steps. The breadth-first searches they
 replaced, one distance row at a time, the exhaustive class separation and
 the vertex-by-vertex tree cover are kept here.
 
+No certificate forms a power of a relation, a cover spread M^T M or a
+composite bound: interiors under L^k are k erosions by L, appetite L^k is
+read from the k-fold eroded sets, disjointness under L∘L and under
+L∘D_A∘L∘D_A∘L from forward images of the sets, spread bounds from a
+container test on the incidence rows, the lower bound's axis relations
+from each set's members, the ray spread power from interval reaches and a
+decomposition's bound one block at a time. The materialized forms they
+replaced, Entourage.power among them, are kept here.
+
 The Sperner lower bound and the hyperbolic lift's checks work in arrays: a
 simplex grid is built from the monotone lattice points and the permutation
 step tables at once, its vertices are snapped to the sample together, the
@@ -1073,3 +1082,86 @@ def tree_cover_loop(space, L, root=0):
         families[key[0] % 2].append(len(sets))
         sets.append(tuple(sorted(bfs_ball(adj, classes[key], hop))))
     return sets, families, classes, class_list
+
+
+# ---------------------------------------------------------------------------
+# Certificates from materialized relations: powers, spreads, composites
+# ---------------------------------------------------------------------------
+
+
+def relation_power(e, k):
+    """The k-fold composition of e with itself, k = 0 the diagonal, as
+    Entourage.power built it."""
+    from coarselab.spaces import Entourage
+
+    out = Entourage.diagonal(e.space)
+    for _ in range(k):
+        out = out.compose(e)
+    return out
+
+
+def interior_power(cuts, e, k):
+    """The E^k-interiors of the rows of cuts, from the materialized E^k."""
+    from coarselab.transforms import interior
+
+    return interior(cuts, relation_power(e, k))
+
+
+def appetite_power_witness(cover, e, k):
+    """appetite_witness for the materialized E^k."""
+    from coarselab.covers import appetite_witness
+
+    return appetite_witness(cover, relation_power(e, k))
+
+
+def l2_witness(cover, L):
+    """expand's precondition: the witness of L∘L-disjointness, by pairs."""
+    from coarselab.transforms import family_disjoint_witness
+
+    return family_disjoint_witness(cover, L.compose(L))
+
+
+def strong_relation(cover_a, L):
+    """L∘D_A∘L∘D_A∘L with D_A = M_A^T M_A + I, materialized."""
+    from coarselab.covers import cover_entourage
+    from coarselab.spaces import Entourage
+
+    delta_a = cover_entourage(cover_a).union(Entourage.diagonal(cover_a.space))
+    return L.compose(delta_a).compose(L).compose(delta_a).compose(L)
+
+
+def strong_witness(cover_a, cover_b, L):
+    """merge_union's precondition on the B families, by pairs."""
+    from coarselab.transforms import family_disjoint_witness
+
+    return family_disjoint_witness(cover_b, strong_relation(cover_a, L))
+
+
+def expand_spread_ok(cover, out, L):
+    """expand's spread bound: cover_entourage(out) inside L∘(M^T M)∘L^-1."""
+    from coarselab.covers import cover_entourage
+
+    bound = L.compose(cover_entourage(cover)).compose(L.inverse())
+    return cover_entourage(out).is_subset_of(bound)
+
+
+def merge_spread_ok(cover_a, cover_b, out, L):
+    """merge_union's spread bound: cover_entourage(out) inside
+    D_A∘L∘D_B∘L∘D_A ∪ M_A^T M_A."""
+    from coarselab.covers import cover_entourage
+    from coarselab.spaces import Entourage
+
+    delta_a = cover_entourage(cover_a).union(Entourage.diagonal(cover_a.space))
+    delta_b = cover_entourage(cover_b).union(Entourage.diagonal(cover_b.space))
+    bound = delta_a.compose(L).compose(delta_b).compose(L).compose(delta_a)
+    return cover_entourage(out).is_subset_of(bound.union(cover_entourage(cover_a)))
+
+
+def block_pair_outside(space, blocks, bound):
+    """A decomposition's bound check: the first pair of the blocks' spread
+    outside the bound, from the whole spread."""
+    from coarselab.covers import Cover, cover_entourage
+
+    ce = cover_entourage(Cover(space, blocks))
+    return None if ce.is_subset_of(bound) else ce.first_pair_outside(bound)
+

@@ -177,6 +177,28 @@ for _n, _m in ((1, 9), (2, 7), (3, 4)):
             {"grid": _sperner_grid(_n, _m, _labeled)},
             ["witness", "sperner", "--grid", "{grid}"], SPERNER_DIGESTS[_name])
 
+# `witness ray` on a 1-d grid [0, hi] of the given step, n = 0-3; recorded
+# with the materialized (3n+6)-th power of the interval relation that the
+# interval reaches replaced
+RAY_DIGESTS = {
+    (0, 20.0, 0.5, 1.5, False): "5275892ceeeaee94631e718ab0d98958734a300613a8ba34085fdb82334637cb",
+    (1, 30.0, 1.0, 2.0, True): "fe8ecd0826c99baabe98ad4e336ed62acc126bb4b68e8c93bde83a3d783660db",
+    (1, 20.0, 0.25, 0.6, False): "2004840bfddc30b7b31c300a465ff57935a3d1a3a7542caa98580f0832b1151a",
+    (2, 12.0, 0.5, 1.0, True): "2d5c5826af59a64cc1d2d354c14669403c28133eea94b651d391acaf5e4bf1b1",
+    (2, 15.0, 1.0, 2.5, False): "ad009dbb2558797a1c206d2aa0398097a76e843c1354100ffcd41950baf8e8b3",
+    (3, 6.0, 0.5, 0.75, False): "b9c39f552b537c8b7bafc7bed5b3530a8c93160ce5b64fd54fbecaf13ad58452",
+    (3, 8.0, 1.0, 1.5, True): "94fdce077133b2b02e7906524479b758e80cff63fe0980c9849f014da4adf6de",
+}
+for (_n, _hi, _step, _r, _closed), _digest in RAY_DIGESTS.items():
+    _entourage = {"kind": "radius", "r": _r}
+    if _closed:
+        _entourage["closed"] = True
+    WITNESS_REPORTS[f"ray-n{_n}-hi{_hi}-step{_step}-r{_r}" + ("-closed" if _closed else "")] = (
+        {"space": {"kind": "grid", "dim": 1, "min": [0.0], "max": [_hi], "step": _step},
+         "entourage": _entourage},
+        ["--out", "{out}", "witness", "ray", "--space", "{space}", "--entourage",
+         "{entourage}", "--n", str(_n)], _digest)
+
 
 @pytest.mark.parametrize("name", sorted(WITNESS_REPORTS))
 def test_witness_reports_match_the_pinned_digests(name, tmp_path):

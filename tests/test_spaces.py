@@ -200,6 +200,7 @@ class TestAlgebraOracle:
         assert np.array_equal(a.inverse().keys(), oracles.inverse_keys(ka, n))
         assert np.array_equal(a.compose(b).keys(), oracles.compose_keys(ka, kb, n))
         assert a.is_symmetric() == np.array_equal(oracles.inverse_keys(ka, n), ka)
+        assert a.union(a.inverse()).is_symmetric()
         assert a.contains_diagonal() == all(
             oracles.contains_key(ka, i * n + i) for i in range(n))
         for x, y, kx, ky in ((a, b, ka, kb), (b, a, kb, ka)):

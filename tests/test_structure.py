@@ -20,3 +20,34 @@ def test_only_the_certificates_module_builds_guarantee_records():
     elsewhere = {p.name: lines for p in modules if p.name != "certificates.py"
                  for lines in [_pass_records(p)] if lines}
     assert elsewhere == {}
+
+
+def _calls(tree: ast.AST):
+    """(enclosing function names, call node) for every call in a module."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope + (child.name,) if isinstance(child, (ast.FunctionDef,
+                                                                ast.AsyncFunctionDef)) else scope
+            if isinstance(child, ast.Call):
+                yield scope, child
+            yield from walk(child, inner)
+    return walk(tree, ())
+
+
+def _name(call: ast.Call):
+    f = call.func
+    return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+
+
+def test_no_module_forms_a_relation_power():
+    found = [(p.name, call.lineno) for p in sorted(SRC.glob("*.py"))
+             for _, call in _calls(ast.parse(p.read_text(encoding="utf-8")))
+             if isinstance(call.func, ast.Attribute) and call.func.attr == "power"]
+    assert found == []
+
+
+def test_transforms_form_a_cover_spread_only_for_a_witness():
+    tree = ast.parse((SRC / "transforms.py").read_text(encoding="utf-8"))
+    scopes = {scope[-1] if scope else None for scope, call in _calls(tree)
+              if _name(call) == "cover_entourage"}
+    assert scopes == {"_strong_relation"}

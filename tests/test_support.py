@@ -2,6 +2,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from coarselab.errors import ContractViolationError, InvalidInputError
 from coarselab.prng import SplitMix64
@@ -65,6 +69,27 @@ class TestPVM:
         sp = Space.discrete(4)
         with pytest.raises(InvalidInputError):
             Decomposition(sp, [[0, 1], [1, 2, 3]], [1, 1])
+
+    @given(data=st.data(), n=st.integers(1, 12))
+    @settings(max_examples=150, deadline=None)
+    def test_bound_check_matches_the_whole_spread(self, data, n):
+        line = Space.line(0, n - 1, 1.0)
+        labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        blocks = [[p for p in range(n) if labels[p] == b] for b in range(4)]
+        if data.draw(st.booleans()):
+            bound = Entourage.radius(line, data.draw(st.sampled_from([0.5, 1.5, 2.5, 5.0])),
+                                     closed=data.draw(st.booleans()))
+        else:
+            pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                       max_size=3 * n))
+            bound = Entourage.from_pairs(line, pairs, symmetrize=data.draw(st.booleans()))
+        want = oracles.block_pair_outside(line, blocks, bound)
+        if want is None:
+            Decomposition(line, blocks, [1] * 4, bound=bound)
+            return
+        with pytest.raises(ContractViolationError) as err:
+            Decomposition(line, blocks, [1] * 4, bound=bound)
+        assert err.value.witness == want
 
     def test_bound_check_gives_the_first_pair_outside(self):
         line = Space.line(0, 4, 1.0)

@@ -1,15 +1,22 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from scipy import sparse
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from coarselab.covers import (Cover, appetite_witness, has_appetite, multiplicity)
+from coarselab.covers import (Cover, appetite_witness, first_container, has_appetite,
+                              multiplicity)
 from coarselab.errors import ContractViolationError, InvalidInputError
 from coarselab.prng import SplitMix64
 from coarselab.spaces import Entourage, Space
-from coarselab.transforms import (ColoredCover, _attach, _distinct_contents, _intersections,
-                                  _shared_point_tuples, _shield_and_trim, colorize, expand,
+from coarselab import transforms
+from coarselab.transforms import (ColoredCover, _appetite_gap, _attach, _distinct_contents,
+                                  _expand_spread_ok, _intersections, _merge_spread_ok,
+                                  _shared_point_tuples, _shield_and_trim, _spread_image,
+                                  _touching_witness, colorize, expand,
                                   family_disjoint_witness, interior,
                                   make_product_entourage, merge_union,
                                   product_refine)
@@ -285,11 +292,12 @@ def sets_and_relation(draw, max_n=10):
 
 
 @st.composite
-def colored_sets(draw, n):
+def colored_sets(draw, n, family_count=None):
     """Sets and families over range(n) with disjoint sets in each family (a
-    set may be empty), in shuffled set order."""
+    set may be empty), in shuffled set order; one to three families unless
+    family_count is given."""
     sets, families = [], []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(family_count or draw(st.integers(1, 3))):
         labels = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
         fam = []
         for lab in range(draw(st.integers(1, 4))):
@@ -369,3 +377,221 @@ class TestSparseConstructionsOracle:
             return
         sets, families = _attach(ca, cb, rel)
         assert (rows_of(sets), families) == want
+
+
+def symmetric_relation(data, sp, n):
+    """A random symmetric relation on sp holding the diagonal; often just
+    the diagonal."""
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=data.draw(st.sampled_from([0, n, 2 * n]))))
+    return Entourage.from_pairs(sp, pairs).union(Entourage.diagonal(sp))
+
+
+def colored_cover(data, sp, n, family_count=None):
+    sets, families = data.draw(colored_sets(n, family_count))
+    return ColoredCover(sp, sets, families, Entourage.diagonal(sp),
+                        require_covering=False, canonicalize=False)
+
+
+def small_sets_cover(data, sp, n):
+    """Up to six sets of two to four points: their pairwise meets are
+    often single points, so triangles of meets lie in no one set."""
+    sets = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=4),
+                              max_size=6))
+    return Cover(sp, sets, require_covering=False)
+
+
+def fallback_runs(out, containers):
+    """Whether some non-empty set of out lies in no container row, so that
+    the spread test decides it pair by pair."""
+    m = out.incidence()
+    return bool(np.any((first_container(m, containers) < 0) & (np.diff(m.indptr) > 0)))
+
+
+@st.composite
+def queries_over(draw, rows, n):
+    """Sets to test a spread bound with, given the container rows. Either
+    only triangles, a point from each pairwise meet of three rows, whose
+    pairs each share a row while often no row holds all three, or a mix of
+    triangles, subsets of the union of two rows and any sets."""
+    rows = [set(r) for r in rows]
+    triangles = [meets for a, b, c in combinations(rows, 3)
+                 for meets in [(sorted(a & c), sorted(a & b), sorted(b & c))] if all(meets)]
+    only_triangles = bool(triangles) and draw(st.booleans())
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = "meets" if only_triangles else draw(st.sampled_from(["meets", "union", "any"]))
+        if kind == "meets" and triangles:
+            out.append([draw(st.sampled_from(meet)) for meet in draw(st.sampled_from(triangles))])
+        elif kind == "union" and rows:
+            pool = sorted(draw(st.sampled_from(rows)) | draw(st.sampled_from(rows)))
+            out.append(draw(st.lists(st.sampled_from(pool), max_size=len(pool))) if pool else [])
+        else:
+            out.append(draw(st.lists(st.integers(0, n - 1), max_size=n)))
+    return out
+
+
+def outcome(fn):
+    """("ok", result) or ("error", type, witness) of a call."""
+    try:
+        return ("ok", fn())
+    except (ContractViolationError, InvalidInputError) as err:
+        return ("error", type(err), getattr(err, "witness", None))
+
+
+class TestCertificatesAgainstMaterializedForms:
+    """Each certificate decided from M and L alone agrees with the power,
+    spread or composite relation it replaced (tests/oracles.py), witness
+    for witness."""
+
+    @given(case=sets_and_relation(), k=st.integers(0, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_iterated_erosion_is_the_interior_of_the_power(self, case, k):
+        n, sets, rel = case
+        cuts = as_matrix(sets, n)
+        assert rows_of(interior(cuts, rel, k)) == rows_of(oracles.interior_power(cuts, rel, k))
+
+    @given(case=sets_and_relation(), k=st.integers(0, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_appetite_from_eroded_sets_matches_the_power(self, case, k):
+        n, sets, rel = case
+        cover = Cover(rel.space, sets, require_covering=False)
+        inner = interior(cover.incidence(), rel, k)
+        got = _appetite_gap(inner, rel, k)
+        assert got == oracles.appetite_power_witness(cover, rel, k)
+        event("appetite fails" if got is not None else "appetite holds")
+
+    @given(data=st.data(), n=st.integers(1, 10))
+    @settings(max_examples=200, deadline=None)
+    def test_forward_images_decide_disjointness_with_the_pair_witness(self, data, n):
+        sp = Space.discrete(n)
+        cover = colored_cover(data, sp, n)
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                   max_size=2 * n))
+        rel = Entourage.from_pairs(sp, pairs, symmetrize=data.draw(st.booleans()))
+        images = (cover.incidence() @ rel.matrix()).tocsr()
+        got = _touching_witness(cover, images, lambda: rel)
+        assert got == family_disjoint_witness(cover, rel)
+        event("joined" if got is not None else "disjoint")
+
+    @given(data=st.data(), n=st.integers(1, 10))
+    @settings(max_examples=200, deadline=None)
+    def test_expand_precondition_and_spread_match(self, data, n):
+        sp = Space.discrete(n)
+        cover = colored_cover(data, sp, n)
+        L = symmetric_relation(data, sp, n)
+        want = oracles.l2_witness(cover, L)
+        got = outcome(lambda: expand(cover, L))
+        if want is not None:
+            assert got == ("error", ContractViolationError, want)
+        elif got[0] == "ok":
+            out, cert = got[1]
+            assert oracles.expand_spread_ok(cover, out, L)
+            assert cert[-1]["id"] == "expand.spread_bound" and cert[-1]["pass"]
+        event(f"{got[0]}, L^2 witness {want is not None}")
+
+    @given(data=st.data(), n=st.integers(2, 10))
+    @settings(max_examples=300, deadline=None)
+    def test_expand_spread_test_matches_the_pairs(self, data, n):
+        sp = Space.discrete(n)
+        cover = small_sets_cover(data, sp, n)
+        L = symmetric_relation(data, sp, n)
+        m, lm = cover.incidence(), L.matrix()
+        out = Cover(sp, data.draw(queries_over(rows_of(m @ lm.T), n)),
+                    require_covering=False)
+        got = _expand_spread_ok(out.incidence(), m, lm, m @ lm.T)
+        assert got == oracles.expand_spread_ok(cover, out, L)
+        event(f"spread {got}, set by set {fallback_runs(out, m @ lm.T)}")
+
+    @given(data=st.data(), n=st.integers(1, 10))
+    @settings(max_examples=200, deadline=None)
+    def test_merge_preconditions_and_spread_match(self, data, n):
+        sp = Space.discrete(n)
+        ca = colored_cover(data, sp, n)
+        cb = colored_cover(data, sp, n, len(ca.families))
+        L = symmetric_relation(data, sp, n)
+        got = outcome(lambda: merge_union(ca, cb, L))
+        wa = family_disjoint_witness(ca, L)
+        wb = oracles.strong_witness(ca, cb, L)
+        if wa is not None:
+            assert got == ("error", ContractViolationError, wa)
+        elif wb is not None:
+            assert got == ("error", ContractViolationError, wb)
+        elif got[0] == "ok":
+            out, cert = got[1]
+            assert oracles.merge_spread_ok(ca, cb, out, L)
+            assert cert[-1]["id"] == "merge_union.spread_bound" and cert[-1]["pass"]
+        event(f"{got[0]}, strong witness {wb is not None}")
+
+    @given(data=st.data(), n=st.integers(2, 10))
+    @settings(max_examples=300, deadline=None)
+    def test_merge_spread_test_matches_the_pairs(self, data, n):
+        sp = Space.discrete(n)
+        ca, cb = small_sets_cover(data, sp, n), small_sets_cover(data, sp, n)
+        L = symmetric_relation(data, sp, n)
+        ma, mb, lm = ca.incidence(), cb.incidence(), L.matrix()
+        grown_b = _spread_image(mb @ lm, ma)
+        out = Cover(sp, data.draw(queries_over(rows_of(grown_b) + rows_of(ma), n)),
+                    require_covering=False)
+        got = _merge_spread_ok(ma, mb, out.incidence(), lm, grown_b)
+        assert got == oracles.merge_spread_ok(ca, cb, out, L)
+        event(f"spread {got}, set by set "
+              f"{fallback_runs(out, sparse.vstack([grown_b, ma], format='csr'))}")
+
+    def test_spread_holding_only_through_several_sets(self):
+        # {0, 1, 2} lies in no single set, yet each of its pairs shares one:
+        # the set-by-set fallback decides it, and 3 shares a set with no one
+        sp = Space.discrete(4)
+        cover = ColoredCover(sp, [[0, 1], [1, 2], [0, 2], [3]], [[0, 3], [1], [2]],
+                             Entourage.diagonal(sp))
+        m, lm = cover.incidence(), Entourage.diagonal(sp).matrix()
+        for sets, want in (([[0, 1, 2]], True), ([[0, 1, 2], [1, 3]], False)):
+            out = Cover(sp, sets, require_covering=False)
+            assert _expand_spread_ok(out.incidence(), m, lm, m) is want
+            assert oracles.expand_spread_ok(cover, out, Entourage.diagonal(sp)) is want
+
+
+class TestSpreadCertificatesCanFail:
+    """Mutation checks: a set grown past the bound fails each spread
+    certificate, and nothing else."""
+
+    def test_expand_spread_bound_catches_a_grown_set(self, monkeypatch):
+        sp = Space.line(0, 40, 1.0)
+        c = blocks_cover(sp, 4, lambda k: [[i for i in range(k) if i % 2 == 0],
+                                           [i for i in range(k) if i % 2 == 1]])
+        L = Entourage.radius(sp, 1.0, closed=True).materialize()
+
+        class Grown(ColoredCover):
+            def __init__(self, space, sets, *args, **kwargs):
+                # point 22 sits in block 5, of the other family
+                sets = sets.tolil()
+                sets[0, 22] = True
+                super().__init__(space, sets.tocsr(), *args, **kwargs)
+
+        monkeypatch.setattr(transforms, "ColoredCover", Grown)
+        with pytest.raises(ContractViolationError) as err:
+            expand(c, L)
+        assert err.value.witness["id"] == "expand.spread_bound"
+
+    def test_merge_spread_bound_catches_a_grown_set(self, monkeypatch):
+        pieces = TestMergeUnion().make_pieces()
+        sp, a_sets, fam_a, b_sets, fam_b = pieces
+        ca = ColoredCover(sp, a_sets, fam_a, Entourage.diagonal(sp),
+                          require_covering=False, canonicalize=False)
+        cb = ColoredCover(sp, b_sets, fam_b, Entourage.diagonal(sp),
+                          require_covering=False, canonicalize=False)
+        L = Entourage.radius(sp, 1.0, closed=True).materialize()
+        attach = transforms._attach
+
+        def grown(*args):
+            # the first family's first set is the B-set over [50, 75]; point
+            # 100 belongs to the other family's B-set
+            sets, families = attach(*args)
+            sets = sets.tolil()
+            sets[0, 100] = True
+            return sets.tocsr(), families
+
+        monkeypatch.setattr(transforms, "_attach", grown)
+        with pytest.raises(ContractViolationError) as err:
+            merge_union(ca, cb, L)
+        assert err.value.witness["id"] == "merge_union.spread_bound"

@@ -218,6 +218,18 @@ class TestRayCellCover:
         assert rel.to_entourage(line).pairs() == [
             (i, j) for i in range(10) for j in range(rel.lo[i], rel.hi[i] + 1)]
 
+    @given(data=st.data(), m=st.integers(1, 25), k=st.integers(0, 7))
+    @settings(max_examples=100, deadline=None)
+    def test_interval_power_is_the_materialized_power(self, data, m, k):
+        line = Space.line(0, m - 1, 1.0)
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+                                   max_size=m))
+        rel = IntervalRelation.from_entourage(Entourage.from_pairs(line, pairs),
+                                              data.draw(st.integers(0, 2)))
+        assert np.all(np.diff(rel.lo) >= 0) and np.all(np.diff(rel.hi) >= 0)
+        want = oracles.relation_power(rel.to_entourage(line), k)
+        assert rel.composed(k).to_entourage(line).pairs() == want.pairs()
+
     def test_one_factor_bands(self):
         line = Space.grid(1, [0], [30], 0.5)
         e = Entourage.from_pairs(line, [])
