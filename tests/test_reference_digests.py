@@ -222,3 +222,89 @@ def _witness_report_digest(name, tmp_path):
         with open(paths["out"], "rb") as fh:
             h.update(fh.read())
     return h.hexdigest()
+
+
+def _geometry_docs():
+    """Seeded matrix, cloud and hyperbolic_polar space documents, each with
+    a cover by overlapping bands of the first coordinate (scaled to [0, 10))
+    with a few random points thrown in."""
+    from coarselab.prng import SplitMix64
+
+    rng = SplitMix64(12)
+    xy = [[10 * rng.uniform(), 10 * rng.uniform()] for _ in range(9)]
+    cloud = [[10 * rng.uniform(), 10 * rng.uniform()] for _ in range(40)]
+    polar = [[4 * rng.uniform(), 7 * rng.uniform()] for _ in range(30)]
+    docs = {
+        "matrix": {"kind": "matrix",
+                   "dist": [[abs(a[0] - b[0]) + abs(a[1] - b[1]) for b in xy] for a in xy]},
+        "cloud": {"kind": "cloud", "points": cloud},
+        "hyperbolic_polar": {"kind": "hyperbolic_polar", "kappa": -1.7, "points": polar},
+    }
+    covers = {}
+    for kind, keys in (("matrix", [p[0] for p in xy]), ("cloud", [p[0] for p in cloud]),
+                       ("hyperbolic_polar", [2.5 * p[0] for p in polar])):
+        n = len(keys)
+        covers[kind] = {"sets": [sorted({i for i, x in enumerate(keys) if lo - 1 <= x < lo + 3}
+                                        | {rng.randint(0, n - 1)}) for lo in range(0, 10, 2)]}
+    return docs, covers
+
+
+def _payload_digest(report) -> str:
+    payload = {"result": report["result"], "guarantees": report["guarantees"]}
+    return hashlib.sha256(json.dumps(payload, sort_keys=True,
+                                     separators=(",", ":")).encode()).hexdigest()
+
+
+# sha256 of the result and guarantees of `space info` and `cover stats` on
+# each geometry's document from _geometry_docs; recorded with the per-kind
+# distance rows and blocks and the row cache that the metric backends replaced
+GEOMETRY_REPORTS = {
+    ("space info", "matrix"):
+        "9cb69ec7684bebad698097b7c240a820b2e9bd78ca876818fcc843c8497dd22c",
+    ("space info", "cloud"):
+        "0591422ef0e7bed0ee4c17a21736d49cc8b3287fc6fb28f496cc7a04d752d35b",
+    ("space info", "hyperbolic_polar"):
+        "88aa5ae67f56a17199c631715710ab359fc042fec0b65d491a75f0b21a04f027",
+    ("cover stats", "matrix"):
+        "6277dec302dccd860434ebd93aaac449f7d914af0c4b058df127cfb1a90dff93",
+    ("cover stats", "cloud"):
+        "d2332cebde27647d742a81664ff4c0a6abefc18f3e86da0e5f1f30ebd72e6866",
+    ("cover stats", "hyperbolic_polar"):
+        "a86a1d259d89032338d4b73fd0110d77665b2363f716b46c9e7234e2b06f5cc6",
+}
+
+
+@pytest.mark.parametrize("command,kind", sorted(GEOMETRY_REPORTS))
+def test_geometry_reports_match_the_pinned_digests(command, kind, tmp_path):
+    from coarselab.cli import EXIT_OK, run
+    from coarselab.jsonio import write_json
+
+    docs, covers = _geometry_docs()
+    space, cover = str(tmp_path / "space.json"), str(tmp_path / "cover.json")
+    write_json(space, docs[kind])
+    write_json(cover, covers[kind])
+    argv = command.split() + ["--space", space]
+    if command == "cover stats":
+        argv += ["--cover", cover]
+    code, report = run(argv)
+    assert code == EXIT_OK
+    assert _payload_digest(report) == GEOMETRY_REPORTS[command, kind]
+
+
+def test_product_stats_match_the_pinned_digest():
+    """covers.stats over the product of a tree and a cloud, with the
+    appetite of a radius relation; recorded as GEOMETRY_REPORTS were."""
+    from coarselab.covers import Cover, stats
+    from coarselab.prng import SplitMix64
+    from coarselab.spaces import Entourage, Space
+
+    rng = SplitMix64(13)
+    tree = Space.tree([(rng.randint(0, v - 1), v) for v in range(1, 8)])
+    cloud = Space.cloud([[3 * rng.uniform(), 3 * rng.uniform()] for _ in range(10)])
+    prod = Space.product(tree, cloud)
+    sets = [sorted({i for i in range(prod.n) if (i // 10 + i % 10) % 4 == k}
+                   | {rng.randint(0, prod.n - 1) for _ in range(12)}) for k in range(4)]
+    report = stats(Cover(prod, sets), Entourage.radius(prod, 1.5))
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True,
+                                       separators=(",", ":")).encode()).hexdigest()
+    assert digest == "857abccc0a7a9a4cc8ecfc5a48de3209ae86eb0be334d720797065a3fbbfea1e"
