@@ -1,7 +1,8 @@
 """coarselab: computational coarse geometry on finite sampled spaces.
 
 Modules:
-  spaces      pseudometric samples, word metrics, entourage algebra
+  spaces      pseudometric samples, one metric backend per geometry,
+              entourage algebra
   covers      the Cover type and its quality metrics
   transforms  colorize / expand / merge_union / product_refine
   witnesses   cube, tree, ray, star covers; fully-labeled-cell search;

@@ -39,7 +39,7 @@ from scipy import sparse
 from .certificates import certify, count_at_most, holds
 from .covers import Cover, _lex_order, first_container, multiplicity
 from .errors import ContractViolationError, InvalidInputError, ResourceLimitError
-from .spaces import PAIR_CAP, ZERO_SELF_DISTANCE, Entourage, Space
+from .spaces import PAIR_CAP, Entourage, Space
 
 TOL = 1e-9
 # distance rows are computed in blocks of at most this many entries
@@ -502,10 +502,10 @@ def _band_appetite_failures(cover: Cover, schedule: CoronaCoverSchedule,
 
     out is computed once per distinct slice of the cover's (set, level)
     pairs, at the slice's members only. At x outside S_b, out(x, S_b) is
-    at most d(x, x), which is exactly 0 on the backings in
-    ZERO_SELF_DISTANCE, so out is 0 there; on the others out is computed at
-    every corona point. The cost is the slice margins plus one lookup per
-    incidence entry and partner.
+    at most d(x, x), which is exactly 0 on a backend with the
+    zero_self_distance flag, so out is 0 there; on the others out is
+    computed at every corona point. The cost is the slice margins plus one
+    lookup per incidence entry and partner.
     """
     corona = schedule.corona_space
     nc = corona.n
@@ -516,7 +516,7 @@ def _band_appetite_failures(cover: Cover, schedule: CoronaCoverSchedule,
     slices = sparse.csr_matrix((np.ones(m.nnz, dtype=bool), (owner * width + level, x)),
                                shape=(m.shape[0] * width, nc))
     slice_id, members = _distinct(slices)
-    if corona.kind in ZERO_SELF_DISTANCE:
+    if corona.backend.zero_self_distance:
         queries = members
     else:
         queries = sparse.csr_matrix(np.ones(members.shape, dtype=bool))

@@ -18,23 +18,11 @@ The discrete Lebesgue number uses non-strict containment of sampled balls
 and is a lower-bound estimator of the continuum Lebesgue number whenever
 the sample is a fine net of the continuum space.
 
-On a grid both the Lebesgue number and the mesh measure distances against
-lattice boundaries only, and still equal a scan of every distance row bit
-for bit. A grid coordinate is monotone in its axis index, and the computed
-distance sums per-axis terms fl(fl(x_a - y_a)^2), each monotone in the
-index distance along its axis. So stepping a point outside a set one
-lattice step towards a member x never lengthens its distance to x; the
-walk meets the set, so some outside point next to a member (the outer
-boundary) is nearest to x. And stepping a member away from another member
-never shortens their distance while it stays in the set; it stops at a
-member with a lattice neighbour outside the set or off the grid (the inner
-boundary), so some pair of inner-boundary points spans the diameter.
-
-On a tree the Lebesgue number uses the outer boundary too, found by the
-same product with the tree's adjacency matrix: with unit edges, a shortest
-path from a member to its nearest non-member runs through members and
-leaves the set across the outer boundary. The mesh takes a double sweep
-per set, which is exact on trees.
+Mesh and Lebesgue number are measured by the metric backend of the space
+(spaces.Metric and its subclasses), the one place that knows its geometry:
+a scan of distance blocks by default, lattice boundaries on a grid, a
+double sweep and an inward breadth-first search on a tree, and a pruned
+row scan for the mesh of a polar sample.
 
 first_container is the one set-containment test ("which covering set holds
 this set") behind appetite, refinement checks, the lower bound's deep-set
@@ -53,7 +41,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InvalidInputError, ResourceLimitError
-from .spaces import Entourage, Space, PAIR_CAP
+from .spaces import PAIR_CAP, Entourage, Space, _row_indices
 
 
 class Cover:
@@ -259,17 +247,6 @@ def _lex_order(m: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     return order, repeat
 
 
-def _row_indices(m: sparse.csr_matrix, rows: np.ndarray) -> np.ndarray:
-    """The column indices of the given rows of m, concatenated in the order
-    given: one numpy gather, no sparse matrix built."""
-    starts = m.indptr[rows]
-    sizes = m.indptr[rows + 1] - starts
-    ends = np.cumsum(sizes, dtype=m.indptr.dtype)
-    at = np.repeat(starts - ends + sizes, sizes)
-    at += np.arange(at.size, dtype=at.dtype)
-    return m.indices[at]
-
-
 def _distinct_rows(m: sparse.csr_matrix) -> np.ndarray:
     """The rows of m whose contents no earlier row has, in row order."""
     order, repeat = _lex_order(m)
@@ -290,68 +267,13 @@ def multiplicity(cover: Cover) -> int:
     return int(counts.max()) if cover.space.n else 0
 
 
-def _row(m: sparse.csr_matrix, k: int) -> np.ndarray:
-    return m.indices[m.indptr[k]:m.indptr[k + 1]]
-
-
 def mesh(cover: Cover) -> float:
-    """Largest diameter of a covering set; empty sets contribute 0.
-
-    On a grid each distinct set is measured on its inner boundary only: the
-    members with a lattice neighbour outside the set or off the grid (see
-    the module docstring for why that is exact). On a tree each distinct
-    set's diameter is found by a double sweep: the member b farthest from
-    the set's first member, then the member farthest from b. That is exact
-    for any vertex set of a tree (Corneil, Dragan, Habib & Paul, Discrete
-    Applied Mathematics 113, 2001), as a tree metric is 0-hyperbolic.
-    """
+    """Largest diameter of a covering set; empty sets contribute 0. Each
+    distinct set is measured once, by the space's backend."""
     if not cover.space.is_metric_backed():
         raise InvalidInputError("mesh needs a metric-backed space")
-    distinct = _distinct_rows(cover.incidence())
-    if cover.space.kind == "tree":
-        return _tree_mesh(cover.space, cover.incidence(), distinct)
-    if cover.space.kind != "grid":
-        inner = cover.incidence()
-    else:
-        # T = M A counts the members of each set next to each point; a point
-        # off the grid's faces has full lattice neighbours, and the one point
-        # of a one-point grid is its own boundary
-        m = cover.incidence()
-        t = sparse.csr_matrix(m, dtype=np.int32) @ cover.space.adjacency()
-        full = 2 * sum(count > 1 for count in cover.space.meta["shape"])
-        inner = m > (t == full) if full else m
-    return max((set_diameter(cover.space, _row(inner, k)) for k in distinct), default=0.0)
-
-
-def _tree_mesh(space: Space, m: sparse.csr_matrix, rows: np.ndarray) -> float:
-    """The largest diameter of the given rows of a tree cover's incidence
-    matrix: a double sweep of every set at once, two distances per member."""
-    sizes = np.diff(m.indptr)[rows]
-    rows, sizes = rows[sizes > 1], sizes[sizes > 1]
-    if not rows.size:
-        return 0.0
-    members = _row_indices(m, rows)
-    starts = np.cumsum(sizes) - sizes
-    owner = np.repeat(np.arange(rows.size), sizes)
-    ends = members[starts]
-    for _ in range(2):
-        d = space.meta["table"].dist(ends[owner], members)
-        far = np.maximum.reduceat(d, starts)
-        hits = np.flatnonzero(d == far[owner])
-        ends = members[hits[np.searchsorted(hits, starts)]]
-    return float(far.max())
-
-
-def set_diameter(space: Space, s: Sequence[int]) -> float:
-    idx = np.unique(np.asarray(s, dtype=np.int64))
-    if idx.size < 2:
-        return 0.0
-    worst = 0.0
-    chunk = max(1, (1 << 21) // max(idx.size, 1))
-    for at in range(0, idx.size, chunk):
-        block = space.dist_block(idx[at:at + chunk], idx, squared=True)
-        worst = max(worst, float(block.max()))
-    return math.sqrt(worst)
+    m = cover.incidence()
+    return cover.space.backend.mesh(m, _distinct_rows(m))
 
 
 def lebesgue_number(cover: Cover) -> float:
@@ -362,73 +284,13 @@ def lebesgue_number(cover: Cover) -> float:
     of these over x. If some set contains every sample point the result is
     +inf. On a fine sample this lower-bounds the continuum Lebesgue number,
     never overshoots it by more than the sample spacing.
-
-    On a grid or a tree the points outside a set are taken from its outer
-    boundary only: the non-members next to a member. On a grid that is the
-    lattice argument of the module docstring. On a tree, as in any graph
-    with unit edges, a shortest path from a member to the nearest
-    non-member runs through members only, so its last step leaves the set
-    across the outer boundary; the distances are found by one breadth-first
-    search of all sets at once, inward from their outer boundaries.
     """
     if not cover.space.is_metric_backed():
         raise InvalidInputError("lebesgue number needs a metric-backed space")
-    n = cover.space.n
     m = cover.incidence()
-    sizes = np.diff(m.indptr)
-    if n == 0 or np.any(sizes == n):
+    if cover.space.n == 0 or np.any(np.diff(m.indptr) == cover.space.n):
         return math.inf
-    outer = None
-    if cover.space.kind in ("grid", "tree"):
-        adj = cover.space.adjacency()
-        outer = (sparse.csr_matrix(m, dtype=np.int32) @ adj).astype(bool) > m
-    if cover.space.kind == "tree":
-        best = np.zeros(n, dtype=np.int64)
-        np.maximum.at(best, m.indices, _depths_inside(m, outer, adj))
-        return float(best.min())
-    best = np.zeros(n)
-    for k in np.flatnonzero(sizes):
-        members = _row(m, k).astype(np.int64)
-        if outer is None:
-            outside = np.ones(n, dtype=bool)
-            outside[members] = False
-            comp = np.flatnonzero(outside)
-        else:
-            comp = _row(outer, k)
-        chunk = max(1, (1 << 21) // max(comp.size, 1))
-        for at in range(0, members.size, chunk):
-            rows = members[at:at + chunk]
-            d = cover.space.dist_block(rows, comp, squared=True).min(axis=1)
-            np.maximum.at(best, rows, d)
-    return math.sqrt(float(best.min()))
-
-
-def _depths_inside(m: sparse.csr_matrix, outer: sparse.csr_matrix,
-                   adj: sparse.csr_matrix) -> np.ndarray:
-    """For each entry (k, x) of M, in CSR order, the graph distance from x
-    to the nearest point outside set k: a breadth-first search over the
-    entries, whose level t + 1 are the entries next to level t within their
-    set, starting from the outer boundaries at level 0. An entry the search
-    never reaches (a set with no outer boundary) stays 0."""
-    n = m.shape[1]
-
-    def entry_keys(a):  # k * n + x for each entry (k, x), ascending
-        return np.repeat(np.arange(a.shape[0], dtype=np.int64), np.diff(a.indptr)) * n + a.indices
-
-    keys = entry_keys(m)
-    depth = np.zeros(keys.size, dtype=np.int64)
-    frontier = entry_keys(outer)
-    degree = np.diff(adj.indptr)
-    level = 0
-    while frontier.size:
-        level += 1
-        sets, points = np.divmod(frontier, n)
-        step = np.repeat(sets, degree[points]) * n + _row_indices(adj, points)
-        at = np.minimum(np.searchsorted(keys, step), keys.size - 1)
-        at = np.unique(at[(keys[at] == step) & (depth[at] == 0)])
-        depth[at] = level
-        frontier = keys[at]
-    return depth
+    return cover.space.backend.lebesgue(m)
 
 
 def first_container(queries: sparse.spmatrix, sets: sparse.spmatrix) -> np.ndarray:

@@ -17,9 +17,9 @@ import math
 import numpy as np
 
 from .certificates import at_least, at_most, certify, count_at_most
-from .covers import Cover, lebesgue_number, multiplicity
+from .covers import Cover, lebesgue_number, mesh, multiplicity
 from .errors import ContractViolationError, InvalidInputError
-from .spaces import Space, hyperbolic_distance
+from .spaces import PolarMetric, Space, hyperbolic_distance
 
 TOL = 1e-9
 # the number of alternating arc families on each circle of a SphereAtlas
@@ -241,7 +241,7 @@ def check_contraction(kappa: float, rho: float, k: int, space: Space,
     skipped. The distances of all pairs, and of their projections onto the
     circle of radius k*rho, are two array calls.
     """
-    rr, ph = space.meta["r"], space.meta["phi"]
+    rr, ph = space.backend.r, space.backend.phi
     outside = np.nonzero(rr >= k * rho - TOL)[0]
     if outside.size < 2:
         raise InvalidInputError("not enough sample points outside the disk")
@@ -295,11 +295,10 @@ def sphere_cover_lift(atlas: SphereAtlas, rho: float, N: int, L: float,
     bounds. Guarantees: multiplicity <= n+1, mesh <= 2(N+2n)rho + mesh
     bound, discrete Lebesgue >= L.
     """
-    if disk.kind != "hyperbolic_polar":
+    if not isinstance(disk.backend, PolarMetric):
         raise InvalidInputError("lift needs a hyperbolic polar sample")
     n = atlas.n_colors
-    rr = disk.meta["r"]
-    ph = disk.meta["phi"]
+    rr, ph = disk.backend.r, disk.backend.phi
     max_r = float(rr.max())
 
     ks = [0]
@@ -345,46 +344,7 @@ def sphere_cover_lift(atlas: SphereAtlas, rho: float, N: int, L: float,
         return out, [], labels
     return out, certify([
         count_at_most("sphere_lift.multiplicity", multiplicity(out), n + 1),
-        at_most("sphere_lift.mesh", _polar_mesh(disk, out),
+        at_most("sphere_lift.mesh", mesh(out),
                 2 * (N + 2 * n) * rho + atlas.mesh_bound),
         at_least("sphere_lift.lebesgue", lebesgue_number(out), L),
     ]), labels
-
-
-def _polar_mesh(disk: Space, cover: Cover) -> float:
-    """Mesh of a cover of a polar sample, exact on the sample: the largest
-    distance that hyperbolic_distance computes between two points of a set,
-    each row of a set taken against the whole set.
-
-    Rows are visited in descending radius, and the rest of a set is skipped
-    once a row cannot raise the running maximum. The exact bound
-    d <= r_x + r_y does not serve, since a computed distance can exceed it
-    through rounding; the bound must hold for the computed values. With
-    s = sqrt(-kappa), c = cosh(s r) and h = sinh(s r), every
-    ch = c_x c_y - h_x h_y cos(dphi) computed in row x is at most
-    fl(fl(c_x c_max) + fl(h_x h_max)), c_max and h_max the set's largest
-    values: the computed cosine lies in [-1, 1], h >= 0, and IEEE rounding
-    is monotone. A relative slack of 2^-40 covers the few ulps by which
-    cosh and sinh may differ between numpy's scalar and array paths, and
-    the rounding of arccosh. The bound depends on the law-of-cosines form of
-    hyperbolic_distance and must be derived anew if that formula changes.
-    """
-    rr, ph = disk.meta["r"], disk.meta["phi"]
-    kappa = disk.meta["kappa"]
-    s = math.sqrt(-kappa)
-    c, h = np.cosh(rr * s), np.sinh(rr * s)
-    m = cover.incidence()
-    worst = 0.0
-    for k in range(m.shape[0]):
-        idx = m.indices[m.indptr[k]:m.indptr[k + 1]]
-        if idx.size < 2:
-            continue
-        rs, ps = rr[idx], ph[idx]
-        ch = c[idx] * c[idx].max() + h[idx] * h[idx].max()
-        reach = np.arccosh(np.maximum(ch * (1 + 2.0 ** -40), 1.0)) / s
-        for t in np.argsort(-reach, kind="stable"):
-            if reach[t] <= worst:
-                break
-            d = hyperbolic_distance(kappa, rs[t], ps[t], rs, ps)
-            worst = max(worst, float(d.max()))
-    return worst

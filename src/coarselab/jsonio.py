@@ -64,22 +64,7 @@ def load_space(doc: dict) -> Space:
 
 
 def dump_space(space: Space) -> dict:
-    if space.kind == "matrix":
-        return {"kind": "matrix", "dist": space.meta["matrix"].tolist()}
-    if space.kind == "grid":
-        coords = space.meta["coords"]
-        return {"kind": "grid", "dim": space.meta["dim"],
-                "min": coords.min(axis=0).tolist(),
-                "max": coords.max(axis=0).tolist(),
-                "step": space.meta["step"]}
-    if space.kind == "tree":
-        return {"kind": "tree", "edges": space.meta["edges"].tolist()}
-    if space.kind == "hyperbolic_polar":
-        return {"kind": "hyperbolic_polar", "kappa": space.meta["kappa"],
-                "points": [list(p) for p in space.points]}
-    if space.kind == "cloud":
-        return {"kind": "cloud", "points": space.meta["coords"].tolist()}
-    raise InvalidInputError(f"space kind {space.kind!r} has no JSON form")
+    return space.backend.to_json()
 
 
 def load_entourage(doc: dict, space: Space) -> Entourage:

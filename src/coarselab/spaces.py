@@ -1,24 +1,33 @@
-"""Finite pseudometric spaces, word metrics, and the entourage algebra.
+"""Finite pseudometric spaces, their metric backends, and the entourage
+algebra.
 
 Every continuous object handled by this package is represented by a finite
-sample. A Space is an ordered list of points with a symmetric, non-negative
-distance function (a pseudometric: distinct points at distance zero are
-allowed). Entourages are relations on point indices, either explicit pair
-sets or lazily evaluated radius relations {(x, y) | d(x, y) < r}.
+sample. A Space is n points with a symmetric, non-negative distance
+function (a pseudometric: distinct points at distance zero are allowed),
+held by the metric backend of its geometry. Entourages are relations on
+point indices, either explicit pair sets or lazily evaluated radius
+relations {(x, y) | d(x, y) < r}.
+
+Each geometry has one backend class, and this module is the only one that
+knows which geometry a space has: the others call the backend. A backend
+computes blocks of distances, the pairs of a radius relation, and the mesh
+and Lebesgue number of a cover given as its sets x points incidence matrix;
+it writes the space's JSON form and, on grids and trees, its neighbour
+graph. The base class Metric measures by scanning blocks of distances.
+Grid and cloud samples find radius pairs through a cell list,
+and grids and trees measure covers, and polar samples their mesh, by
+kernels of their own (see GridMetric, TreeMetric and PolarMetric).
 
 A pair set is stored as its n x n boolean CSR matrix, so the relation
 algebra is sparse matrix algebra: union is A + B, inverse A^T, composition
 A @ B, inclusion reads A > B, the image of a set is A @ mask, and transport
 along a map with graph matrix G is G^T A G (push) or G A G^T (pull).
-
-A radius relation on a grid or cloud sample is materialized through a cell
-list, in time linear in the points plus the candidate pairs it proposes;
-other backings scan one full distance row per point.
 """
 
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -35,63 +44,34 @@ POINT_CAP = 10**7
 # out candidate pairs in chunks of at most this many
 _CELL_AXES = 3
 _PAIR_CHUNK = 1 << 17
-# the backings whose dist_row(i)[i] is exactly 0.0: the difference form of
-# _squared_distances, the tree table's depth[i] + depth[i] - 2 depth[i] and
-# the 0/1 metric. A matrix holds the diagonal it was given (validated only
-# to METRIC_TOL), the hyperbolic law of cosines rounds, and a product
-# inherits from its factors.
-ZERO_SELF_DISTANCE = frozenset({"grid", "cloud", "tree", "discrete"})
+# a scan of every distance computes whole rows, as many as fit in this many
+# entries: larger blocks slow the tree table's broadcast lookups
+_SCAN_BLOCK = 1 << 12
+# mesh and Lebesgue scans compute blocks of at most this many entries
+_COVER_BLOCK = 1 << 21
 
 
 class Space:
-    """A finite pseudometric space.
-
-    Backings:
-      - "matrix": explicit symmetric distance matrix
-      - "grid": an axis-aligned lattice sample of R^d with euclidean distance
-      - "tree": vertices 0..n-1 of a tree with unit edge lengths and path
-        distance; its distances are lookups in a TreeTable built once, which
-        also checks that the edges form a tree
-      - "hyperbolic_polar": polar coordinates (r, phi) about a basepoint in
-        the hyperbolic plane of curvature kappa < 0
-      - "discrete": the 0/1 metric, used as a bare index carrier for
-        relation-only computations (e.g. block quotients)
-
-    Instances are immutable and safe to share. Distance rows of matrix,
-    grid, cloud, hyperbolic, discrete and product spaces of at most 4096
-    points are cached; tree rows are table lookups and are not.
+    """A finite pseudometric space: n points and the metric backend of its
+    geometry (one of the Metric subclasses below), built by one of the
+    constructors. Instances are immutable and safe to share. Every distance
+    comes from the backend's one dist_block kernel.
     """
 
-    def __init__(self, kind: str, points: Optional[list], dist_fn, meta: Optional[dict] = None):
-        self.kind = kind
-        self.meta = meta or {}
-        self._points = points
-        if points is not None:
-            self.n = len(points)
-        elif kind == "product":
-            self.n = self.meta["left"].n * self.meta["right"].n
-        elif kind == "discrete":
-            self.n = self.meta["n"]
-        else:
-            self.n = len(self.meta["coords"])
-        self._dist_fn = dist_fn
-        self._row_cache: dict[int, np.ndarray] = {}
+    def __init__(self, backend: "Metric"):
+        self.backend = backend
+        self.n = backend.n
 
     @property
-    def points(self) -> list:
-        """The sample points. Grid, cloud, discrete and product samples
-        build theirs on first access, as their distances never read them:
-        coordinate tuples, indices, and index pairs (i, j) for the point
-        i * right.n + j of a product."""
-        if self._points is None:
-            if self.kind == "product":
-                right = self.meta["right"].n
-                self._points = [divmod(i, right) for i in range(self.n)]
-            elif self.kind == "discrete":
-                self._points = list(range(self.n))
-            else:
-                self._points = [tuple(row) for row in self.meta["coords"]]
-        return self._points
+    def kind(self) -> str:
+        """The geometry's name, as space documents spell it."""
+        return self.backend.kind
+
+    @property
+    def meta(self):
+        """A read-only view of the backend's fields by name, such as the
+        coords and step of a grid, for readers outside the package."""
+        return MappingProxyType(vars(self.backend))
 
     # -- constructors ------------------------------------------------------
 
@@ -102,8 +82,7 @@ class Space:
             raise InvalidInputError("distance matrix must be square")
         if validate:
             _validate_pseudometric(d)
-        space = cls("matrix", list(range(d.shape[0])), None, {"matrix": d})
-        return space
+        return cls(MatrixMetric(d))
 
     @classmethod
     def grid(cls, dim: int, mins: Sequence[float], maxs: Sequence[float], step: float) -> "Space":
@@ -126,10 +105,7 @@ class Space:
                 for lo, count in zip(mins, counts)]
         mesh = np.meshgrid(*axes, indexing="ij")
         coords = np.stack([m.ravel() for m in mesh], axis=1)
-        # points run in C order over the axis counts in shape, so lattice
-        # neighbours along axis a are prod(shape[a + 1:]) indices apart
-        return cls("grid", None, None, {"coords": coords, "step": step, "dim": dim,
-                                        "shape": tuple(a.size for a in axes)})
+        return cls(GridMetric(coords, step, tuple(a.size for a in axes)))
 
     @classmethod
     def line(cls, lo: float, hi: float, step: float) -> "Space":
@@ -148,11 +124,7 @@ class Space:
             raise InvalidInputError("edge count must be n-1 for a tree")
         if np.any(arr[:, 0] == arr[:, 1]):
             raise InvalidInputError("tree edge cannot be a loop")
-        space = cls("tree", list(range(n)), None, {"edges": arr})
-        # the Euler tour reaches every vertex exactly when the n-1 edges form
-        # a connected graph, which is then a tree
-        space.meta["table"] = TreeTable(space.adjacency())
-        return space
+        return cls(TreeMetric(arr, n))
 
     @classmethod
     def hyperbolic_polar(cls, kappa: float, points: Sequence[tuple[float, float]]) -> "Space":
@@ -161,9 +133,8 @@ class Space:
         pts = [(float(r), float(phi)) for r, phi in points]
         if any(r < 0 for r, _ in pts):
             raise InvalidInputError("radial coordinates must be non-negative")
-        rr = np.array([p[0] for p in pts])
-        ph = np.array([p[1] for p in pts])
-        return cls("hyperbolic_polar", pts, None, {"kappa": float(kappa), "r": rr, "phi": ph})
+        return cls(PolarMetric(float(kappa), np.array([p[0] for p in pts]),
+                               np.array([p[1] for p in pts])))
 
     @classmethod
     def cloud(cls, coords) -> "Space":
@@ -171,11 +142,11 @@ class Space:
         arr = np.asarray(coords, dtype=float)
         if arr.ndim != 2:
             raise InvalidInputError("cloud coordinates must be a 2-d array")
-        return cls("cloud", None, None, {"coords": arr, "dim": arr.shape[1]})
+        return cls(EuclideanMetric(arr))
 
     @classmethod
     def discrete(cls, n: int) -> "Space":
-        return cls("discrete", None, None, {"n": max(int(n), 0)})
+        return cls(DiscreteMetric(max(int(n), 0)))
 
     @classmethod
     def product(cls, a: "Space", b: "Space") -> "Space":
@@ -183,101 +154,392 @@ class Space:
         if a.n * b.n > POINT_CAP:
             raise ResourceLimitError(f"a product of {a.n} x {b.n} = {a.n * b.n} points would "
                                      f"exceed the {POINT_CAP} point cap")
-        return cls("product", None, None, {"left": a, "right": b})
+        return cls(ProductMetric(a, b))
 
     # -- distances ---------------------------------------------------------
 
+    def dist_block(self, rows, cols) -> np.ndarray:
+        """The distance submatrix d(rows[a], cols[b]), from the backend's
+        one kernel; every other distance is read through it."""
+        return self.backend.dist_block(np.asarray(rows, dtype=np.int64),
+                                       np.asarray(cols, dtype=np.int64))
+
     def dist_row(self, i: int) -> np.ndarray:
-        if self.kind == "tree":
-            return self.meta["table"].dist(i, np.arange(self.n)).astype(float)
-        row = self._row_cache.get(i)
-        if row is not None:
-            return row
-        if self.kind == "matrix":
-            row = self.meta["matrix"][i]
-        elif self.kind in ("grid", "cloud"):
-            coords = self.meta["coords"]
-            row = np.sqrt(_squared_distances(coords, coords[i]))
-        elif self.kind == "hyperbolic_polar":
-            row = hyperbolic_distance(
-                self.meta["kappa"], self.meta["r"][i], self.meta["phi"][i],
-                self.meta["r"], self.meta["phi"])
-        elif self.kind == "discrete":
-            row = np.ones(self.n)
-            row[i] = 0.0
-        elif self.kind == "product":
-            a, b = self.meta["left"], self.meta["right"]
-            ia, ib = divmod(i, b.n)
-            row = (np.repeat(a.dist_row(ia), b.n) + np.tile(b.dist_row(ib), a.n))
-        else:
-            raise InvalidInputError(f"unknown backing {self.kind}")
-        if self.n <= 4096:
-            self._row_cache[i] = row
-        return row
+        return self.dist_block([i], np.arange(self.n))[0]
 
     def dist(self, i: int, j: int) -> float:
-        return float(self.dist_row(i)[j])
-
-    def dist_block(self, rows, cols, squared: bool = False) -> np.ndarray:
-        """Distance submatrix, vectorized per backing.
-
-        With squared=True euclidean backings skip the square root (callers
-        reducing with min/max can take it after the reduction).
-
-        On grid and cloud samples each entry is computed as dist_row
-        computes it (_squared_distances), so it is bit-identical to
-        dist_row(i)[j] whatever the block's shape and however far the points
-        lie from the origin.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        if self.kind in ("grid", "cloud"):
-            coords = self.meta["coords"]
-            d2 = _squared_distances(coords[rows][:, None, :], coords[cols][None, :, :])
-            return d2 if squared else np.sqrt(d2)
-        if self.kind == "matrix":
-            block = self.meta["matrix"][np.ix_(rows, cols)]
-        elif self.kind == "tree":
-            block = self.meta["table"].dist(rows[:, None], cols[None, :]).astype(float)
-        elif self.kind == "hyperbolic_polar":
-            r, p = self.meta["r"], self.meta["phi"]
-            block = hyperbolic_distance(
-                self.meta["kappa"], r[rows][:, None], p[rows][:, None],
-                r[cols][None, :], p[cols][None, :])
-        else:
-            block = np.stack([self.dist_row(int(i))[cols] for i in rows])
-        return block ** 2 if squared else block
-
-    def adjacency(self) -> sparse.csr_matrix:
-        """The n x n int32 CSR matrix with a 1 at (x, y) for each pair of
-        neighbours: the two ends of a tree edge, or two grid points one
-        lattice step apart on one axis."""
-        if self.kind == "tree":
-            heads, tails = self.meta["edges"].T
-        elif self.kind == "grid":
-            idx = np.arange(self.n, dtype=np.int64)
-            heads, tails = [], []
-            stride = 1
-            for count in reversed(self.meta["shape"]):
-                lo = idx[(idx // stride) % count < count - 1]
-                heads.append(lo)
-                tails.append(lo + stride)
-                stride *= count
-            heads, tails = np.concatenate(heads), np.concatenate(tails)
-        else:
-            raise InvalidInputError(f"a {self.kind} space has no neighbour graph")
-        return sparse.csr_matrix((np.ones(2 * heads.size, dtype=np.int32),
-                                  (np.concatenate([heads, tails]),
-                                   np.concatenate([tails, heads]))), shape=(self.n, self.n))
+        return float(self.dist_block([i], [j])[0, 0])
 
     def diameter(self) -> float:
-        return max(float(self.dist_row(i).max()) for i in range(self.n))
+        """The largest distance: the largest of the row maxima, taken in
+        row order with Python's max, so a NaN row maximum counts only in
+        row 0. An empty space raises ValueError."""
+        every = np.arange(self.n, dtype=np.int64)
+        step = max(1, _SCAN_BLOCK // max(self.n, 1))
+        maxima = [self.dist_block(every[at:at + step], every).max(axis=1)
+                  for at in range(0, self.n, step)]
+        return max(np.concatenate([np.empty(0)] + maxima).tolist())
 
     def is_metric_backed(self) -> bool:
         return self.kind != "discrete"
 
     def __repr__(self):
         return f"Space(kind={self.kind!r}, n={self.n})"
+
+
+# ---------------------------------------------------------------------------
+# Metric backends
+# ---------------------------------------------------------------------------
+
+
+class Metric:
+    """The distances of one geometry on the points 0..n-1 and the kernels
+    that use them. A subclass sets n and kind and gives dist_block; the
+    other kernels default to scans over blocks of distances."""
+
+    kind = ""
+    # whether dist_block computes d(x, x) as exactly 0.0 for every point x
+    zero_self_distance = False
+
+    def dist_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The float distances d(rows[a], cols[b]) for int64 index arrays."""
+        raise NotImplementedError
+
+    # mesh and lebesgue reduce blocks by max and min only, so a backend may
+    # reduce an increasing function of its distances and invert it once
+    def _key_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return self.dist_block(rows, cols)
+
+    @staticmethod
+    def _from_key(value: float) -> float:
+        return value
+
+    def radius_pairs(self, within, reach: float):
+        """Yield (rows, cols) index arrays of the pairs whose distances pass
+        the predicate within, a bounded block at a time. Such a pair is
+        closer than reach on each coordinate axis, which a backend may use
+        to propose candidates; this scan of every distance does not."""
+        every = np.arange(self.n, dtype=np.int64)
+        step = max(1, _SCAN_BLOCK // max(self.n, 1))
+        for at in range(0, self.n, step):
+            hits = np.flatnonzero(within(self.dist_block(every[at:at + step], every)))
+            yield at + hits // self.n, hits % self.n
+
+    def mesh(self, m: sparse.csr_matrix, rows: np.ndarray) -> float:
+        """The largest diameter of the given rows of the sets x points
+        incidence matrix m, each row measured against itself a block of
+        rows at a time; a row of fewer than two points counts 0."""
+        worst = 0.0
+        for k in rows:
+            idx = _row(m, k).astype(np.int64)
+            if idx.size < 2:
+                continue
+            chunk = max(1, _COVER_BLOCK // idx.size)
+            for at in range(0, idx.size, chunk):
+                worst = max(worst, float(self._key_block(idx[at:at + chunk], idx).max()))
+        return self._from_key(worst)
+
+    def lebesgue(self, m: sparse.csr_matrix) -> float:
+        """The discrete Lebesgue number of the incidence matrix m, none of
+        whose rows holds every point: over the points x, the least of the
+        largest distance from x to the points outside a set holding x."""
+        return self._lebesgue_scan(m, None)
+
+    def _lebesgue_scan(self, m: sparse.csr_matrix, outer: Optional[sparse.csr_matrix]) -> float:
+        """lebesgue, measuring the members of each set against the points
+        of the same row of outer, or against every point outside the set
+        when outer is None."""
+        n = m.shape[1]
+        best = np.zeros(n)
+        for k in np.flatnonzero(np.diff(m.indptr)):
+            members = _row(m, k).astype(np.int64)
+            if outer is None:
+                outside = np.ones(n, dtype=bool)
+                outside[members] = False
+                comp = np.flatnonzero(outside)
+            else:
+                comp = _row(outer, k).astype(np.int64)
+            chunk = max(1, _COVER_BLOCK // max(comp.size, 1))
+            for at in range(0, members.size, chunk):
+                rows = members[at:at + chunk]
+                np.maximum.at(best, rows, self._key_block(rows, comp).min(axis=1))
+        return self._from_key(float(best.min()))
+
+    def adjacency(self) -> sparse.csr_matrix:
+        """The n x n int32 CSR matrix with a 1 at (x, y) for each pair of
+        neighbours; only grids and trees have one."""
+        raise InvalidInputError(f"a {self.kind} space has no neighbour graph")
+
+    def to_json(self) -> dict:
+        """The space document that jsonio.load_space reads back."""
+        raise InvalidInputError(f"space kind {self.kind!r} has no JSON form")
+
+
+class MatrixMetric(Metric):
+    """An explicit distance matrix. Its diagonal is validated only to
+    METRIC_TOL, so self-distances are not taken to be zero."""
+
+    kind = "matrix"
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        self.n = matrix.shape[0]
+
+    def dist_block(self, rows, cols):
+        return self.matrix[np.ix_(rows, cols)]
+
+    def to_json(self) -> dict:
+        return {"kind": "matrix", "dist": self.matrix.tolist()}
+
+
+class EuclideanMetric(Metric):
+    """A point cloud in R^dim, one row of coords per point. Every distance
+    is the square root of _squared_distances, so it has the same bits
+    whichever kernel computes it; the mesh and Lebesgue scans reduce the
+    squared distances and take one square root at the end, which gives the
+    same float, since fl(x^2) is increasing and sqrt(fl(x^2)) = x for
+    doubles in range."""
+
+    kind = "cloud"
+    zero_self_distance = True
+    # the lattice step, which only a grid has
+    step = None
+
+    def __init__(self, coords: np.ndarray):
+        self.coords = coords
+        self.dim = coords.shape[1]
+        self.n = coords.shape[0]
+
+    def _key_block(self, rows, cols):
+        return _squared_distances(self.coords[rows][:, None, :], self.coords[cols][None, :, :])
+
+    _from_key = staticmethod(math.sqrt)
+
+    def dist_block(self, rows, cols):
+        return np.sqrt(self._key_block(rows, cols))
+
+    def radius_pairs(self, within, reach: float):
+        """A cell list proposes the candidates, each kept by the distance
+        dist_block computes, so the pairs are exactly those of the scan.
+        Coordinates or radii too large for cells fall back to the scan."""
+        coords = self.coords
+        if not (coords.size and np.isfinite(reach)
+                and np.isfinite(np.ptp(coords[:, :_CELL_AXES], axis=0)).all()):
+            yield from super().radius_pairs(within, reach)
+            return
+        for i, j in _cell_candidates(coords[:, :_CELL_AXES], reach):
+            keep = within(np.sqrt(_squared_distances(coords[j], coords[i])))
+            yield i[keep], j[keep]
+
+    def to_json(self) -> dict:
+        return {"kind": "cloud", "points": self.coords.tolist()}
+
+
+class GridMetric(EuclideanMetric):
+    """An axis-aligned lattice of the given step, its points in C order over
+    the axis counts in shape, so that lattice neighbours along axis a are
+    prod(shape[a + 1:]) indices apart.
+
+    Both the Lebesgue number and the mesh measure distances against lattice
+    boundaries only, and still equal a scan of every distance bit for bit.
+    A grid coordinate is monotone in its axis index, and the computed
+    distance sums per-axis terms fl(fl(x_a - y_a)^2), each monotone in the
+    index distance along its axis. So stepping a point outside a set one
+    lattice step towards a member x never lengthens its distance to x; the
+    walk meets the set, so some outside point next to a member (the outer
+    boundary) is nearest to x. And stepping a member away from another
+    member never shortens their distance while it stays in the set; it
+    stops at a member with a lattice neighbour outside the set or off the
+    grid (the inner boundary), so some pair of inner-boundary points spans
+    the diameter.
+    """
+
+    kind = "grid"
+
+    def __init__(self, coords: np.ndarray, step: float, shape: tuple[int, ...]):
+        super().__init__(coords)
+        self.step = step
+        self.shape = shape
+
+    def adjacency(self) -> sparse.csr_matrix:
+        """Two grid points are neighbours when one lattice step apart on one
+        axis."""
+        idx = np.arange(self.n, dtype=np.int64)
+        heads, tails = [], []
+        stride = 1
+        for count in reversed(self.shape):
+            lo = idx[(idx // stride) % count < count - 1]
+            heads.append(lo)
+            tails.append(lo + stride)
+            stride *= count
+        return _neighbour_matrix(np.concatenate(heads), np.concatenate(tails), self.n)
+
+    def mesh(self, m, rows) -> float:
+        # T = M A counts the members of each set next to each point; a point
+        # off the grid's faces has full lattice neighbours, and the one point
+        # of a one-point grid is its own boundary
+        t = sparse.csr_matrix(m, dtype=np.int32) @ self.adjacency()
+        full = 2 * sum(count > 1 for count in self.shape)
+        return super().mesh(m > (t == full) if full else m, rows)
+
+    def lebesgue(self, m) -> float:
+        return self._lebesgue_scan(m, _outer_boundary(m, self.adjacency()))
+
+    def to_json(self) -> dict:
+        return {"kind": "grid", "dim": self.dim,
+                "min": self.coords.min(axis=0).tolist(),
+                "max": self.coords.max(axis=0).tolist(),
+                "step": self.step}
+
+
+class TreeMetric(Metric):
+    """The path metric of a tree with unit edges on the vertices 0..n-1,
+    read from a TreeTable built once, which also checks that the edges form
+    a tree.
+
+    The mesh takes a double sweep per set: the member b farthest from the
+    set's first member, then the member farthest from b. That is exact for
+    any vertex set of a tree (Corneil, Dragan, Habib & Paul, Discrete
+    Applied Mathematics 113, 2001), as a tree metric is 0-hyperbolic. The
+    Lebesgue number uses the outer boundary: with unit edges, a shortest
+    path from a member to its nearest non-member runs through members only
+    and leaves the set across the outer boundary, so one breadth-first
+    search of all sets at once, inward from their outer boundaries, finds
+    every member's distance to the outside.
+    """
+
+    kind = "tree"
+    zero_self_distance = True
+
+    def __init__(self, edges: np.ndarray, n: int):
+        self.edges = edges
+        self.n = n
+        # the Euler tour reaches every vertex exactly when the n-1 edges form
+        # a connected graph, which is then a tree
+        self.table = TreeTable(self.adjacency())
+
+    def dist_block(self, rows, cols):
+        return self.table.dist(rows[:, None], cols[None, :]).astype(float)
+
+    def adjacency(self) -> sparse.csr_matrix:
+        """The two ends of a tree edge are neighbours."""
+        heads, tails = self.edges.T
+        return _neighbour_matrix(heads, tails, self.n)
+
+    def mesh(self, m, rows) -> float:
+        sizes = np.diff(m.indptr)[rows]
+        rows, sizes = rows[sizes > 1], sizes[sizes > 1]
+        if not rows.size:
+            return 0.0
+        members = _row_indices(m, rows)
+        starts = np.cumsum(sizes) - sizes
+        owner = np.repeat(np.arange(rows.size), sizes)
+        ends = members[starts]
+        for _ in range(2):
+            d = self.table.dist(ends[owner], members)
+            far = np.maximum.reduceat(d, starts)
+            hits = np.flatnonzero(d == far[owner])
+            ends = members[hits[np.searchsorted(hits, starts)]]
+        return float(far.max())
+
+    def lebesgue(self, m) -> float:
+        adj = self.adjacency()
+        best = np.zeros(self.n, dtype=np.int64)
+        np.maximum.at(best, m.indices, _depths_inside(m, _outer_boundary(m, adj), adj))
+        return float(best.min())
+
+    def to_json(self) -> dict:
+        return {"kind": "tree", "edges": self.edges.tolist()}
+
+
+class PolarMetric(Metric):
+    """Points (r[i], phi[i]) in polar coordinates about a basepoint of the
+    hyperbolic plane of curvature kappa < 0, measured by hyperbolic_distance.
+    Its law of cosines rounds, so self-distances are not taken to be zero."""
+
+    kind = "hyperbolic_polar"
+
+    def __init__(self, kappa: float, r: np.ndarray, phi: np.ndarray):
+        self.kappa = kappa
+        self.r = r
+        self.phi = phi
+        self.n = r.size
+
+    def dist_block(self, rows, cols):
+        return hyperbolic_distance(self.kappa, self.r[rows][:, None], self.phi[rows][:, None],
+                                   self.r[cols][None, :], self.phi[cols][None, :])
+
+    def mesh(self, m, rows) -> float:
+        """Exact on the sample: the largest distance that hyperbolic_distance
+        computes between two points of a set, each row of a set taken
+        against the whole set.
+
+        Rows are visited in descending radius, and the rest of a set is
+        skipped once a row cannot raise the running maximum. The exact bound
+        d <= r_x + r_y does not serve, since a computed distance can exceed
+        it through rounding; the bound must hold for the computed values.
+        With s = sqrt(-kappa), c = cosh(s r) and h = sinh(s r), every
+        ch = c_x c_y - h_x h_y cos(dphi) computed in row x is at most
+        fl(fl(c_x c_max) + fl(h_x h_max)), c_max and h_max the set's largest
+        values: the computed cosine lies in [-1, 1], h >= 0, and IEEE
+        rounding is monotone. A relative slack of 2^-40 covers the few ulps
+        by which cosh and sinh may differ between numpy's scalar and array
+        paths, and the rounding of arccosh. The bound depends on the
+        law-of-cosines form of hyperbolic_distance and must be derived anew
+        if that formula changes.
+        """
+        s = math.sqrt(-self.kappa)
+        c, h = np.cosh(self.r * s), np.sinh(self.r * s)
+        worst = 0.0
+        for k in rows:
+            idx = _row(m, k)
+            if idx.size < 2:
+                continue
+            rs, ps = self.r[idx], self.phi[idx]
+            ch = c[idx] * c[idx].max() + h[idx] * h[idx].max()
+            reach = np.arccosh(np.maximum(ch * (1 + 2.0 ** -40), 1.0)) / s
+            for t in np.argsort(-reach, kind="stable"):
+                if reach[t] <= worst:
+                    break
+                d = hyperbolic_distance(self.kappa, rs[t], ps[t], rs, ps)
+                worst = max(worst, float(d.max()))
+        return worst
+
+    def to_json(self) -> dict:
+        return {"kind": "hyperbolic_polar", "kappa": self.kappa,
+                "points": np.column_stack([self.r, self.phi]).tolist()}
+
+
+class DiscreteMetric(Metric):
+    """The 0/1 metric on n points, a bare index carrier for relation-only
+    computations (e.g. block quotients)."""
+
+    kind = "discrete"
+    zero_self_distance = True
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def dist_block(self, rows, cols):
+        return (rows[:, None] != cols[None, :]).astype(float)
+
+
+class ProductMetric(Metric):
+    """The sum metric on left x right, the point (x, y) at index
+    x * right.n + y. Self-distances are sums of the factors' and are not
+    taken to be zero."""
+
+    kind = "product"
+
+    def __init__(self, left: Space, right: Space):
+        self.left = left
+        self.right = right
+        self.n = left.n * right.n
+
+    def dist_block(self, rows, cols):
+        b = self.right.n
+        return (self.left.dist_block(rows // b, cols // b)
+                + self.right.dist_block(rows % b, cols % b))
 
 
 def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -312,6 +574,63 @@ def _validate_pseudometric(d: np.ndarray) -> None:
         for k in range(n):
             if np.any(d > d[:, [k]] + d[[k], :] + METRIC_TOL):
                 raise InvalidInputError("triangle inequality violated")
+
+
+def _row(m: sparse.csr_matrix, k: int) -> np.ndarray:
+    return m.indices[m.indptr[k]:m.indptr[k + 1]]
+
+
+def _row_indices(m: sparse.csr_matrix, rows: np.ndarray) -> np.ndarray:
+    """The column indices of the given rows of m, concatenated in the order
+    given: one numpy gather, no sparse matrix built."""
+    starts = m.indptr[rows]
+    sizes = m.indptr[rows + 1] - starts
+    ends = np.cumsum(sizes, dtype=m.indptr.dtype)
+    at = np.repeat(starts - ends + sizes, sizes)
+    at += np.arange(at.size, dtype=at.dtype)
+    return m.indices[at]
+
+
+def _neighbour_matrix(heads: np.ndarray, tails: np.ndarray, n: int) -> sparse.csr_matrix:
+    """The symmetric n x n int32 CSR matrix with a 1 at (heads[k], tails[k])
+    and at (tails[k], heads[k])."""
+    return sparse.csr_matrix((np.ones(2 * heads.size, dtype=np.int32),
+                              (np.concatenate([heads, tails]),
+                               np.concatenate([tails, heads]))), shape=(n, n))
+
+
+def _outer_boundary(m: sparse.csr_matrix, adj: sparse.csr_matrix) -> sparse.csr_matrix:
+    """The outer boundary of each set of the incidence matrix m: the points
+    outside it next to one of its members."""
+    return (sparse.csr_matrix(m, dtype=np.int32) @ adj).astype(bool) > m
+
+
+def _depths_inside(m: sparse.csr_matrix, outer: sparse.csr_matrix,
+                   adj: sparse.csr_matrix) -> np.ndarray:
+    """For each entry (k, x) of M, in CSR order, the graph distance from x
+    to the nearest point outside set k: a breadth-first search over the
+    entries, whose level t + 1 are the entries next to level t within their
+    set, starting from the outer boundaries at level 0. An entry the search
+    never reaches (a set with no outer boundary) stays 0."""
+    n = m.shape[1]
+
+    def entry_keys(a):  # k * n + x for each entry (k, x), ascending
+        return np.repeat(np.arange(a.shape[0], dtype=np.int64), np.diff(a.indptr)) * n + a.indices
+
+    keys = entry_keys(m)
+    depth = np.zeros(keys.size, dtype=np.int64)
+    frontier = entry_keys(outer)
+    degree = np.diff(adj.indptr)
+    level = 0
+    while frontier.size:
+        level += 1
+        sets, points = np.divmod(frontier, n)
+        step = np.repeat(sets, degree[points]) * n + _row_indices(adj, points)
+        at = np.minimum(np.searchsorted(keys, step), keys.size - 1)
+        at = np.unique(at[(keys[at] == step) & (depth[at] == 0)])
+        depth[at] = level
+        frontier = keys[at]
+    return depth
 
 
 class TreeTable:
@@ -425,8 +744,9 @@ class Entourage:
         (d <= r + 1e-12) is available for constructions that need it. On
         grid and cloud samples, materialize buckets the points into cells of
         side just over r on the first three axes and measures only pairs in
-        neighbouring cells, each exactly as dist_row does, so the relation
-        is bit-identical to a scan of every distance row.
+        neighbouring cells, each exactly as dist_block does, so the relation
+        is bit-identical to a scan of every distance; other backends scan
+        blocks of distances.
     """
 
     def __init__(self, space: Space, kind: str, m: Optional[sparse.csr_matrix] = None,
@@ -507,29 +827,11 @@ class Entourage:
 
     def _radius_pairs(self):
         """Yield the pairs of this radius relation as (rows, cols) index
-        arrays, a bounded chunk at a time.
-
-        On grid and cloud samples a cell list proposes the candidates and
-        each is kept by the distance dist_row computes, the same float
-        operations in the same order, so the pairs are exactly those of the
-        row scan. Other backings, and coordinates or radii too large for
-        cells, scan one distance row per point.
-        """
-        sp = self.space
+        arrays, a bounded chunk at a time, from the space's backend."""
         # every pair inside the relation is closer than reach on each axis,
         # with room for the rounding of the distance itself
         reach = (self.r + RADIUS_TOL) * (1 + 1e-9) + 1e-12
-        if sp.kind in ("grid", "cloud"):
-            coords = sp.meta["coords"]
-            if (coords.size and np.isfinite(reach)
-                    and np.isfinite(np.ptp(coords[:, :_CELL_AXES], axis=0)).all()):
-                for i, j in _cell_candidates(coords[:, :_CELL_AXES], reach):
-                    keep = self._within(np.sqrt(_squared_distances(coords[j], coords[i])))
-                    yield i[keep], j[keep]
-                return
-        for i in range(sp.n):
-            hits = self._radius_hits(i)
-            yield np.full(hits.size, i, dtype=np.int64), hits
+        return self.space.backend.radius_pairs(self._within, reach)
 
     def materialize(self, cap: int = PAIR_CAP) -> "Entourage":
         """This relation as a pairs relation; a radius relation of more than
@@ -780,139 +1082,3 @@ def transport(f: PointMap, e: Entourage, direction: str) -> Entourage:
             raise InvalidInputError("pull needs an entourage over the target space")
         return Entourage.from_matrix(f.source, graph @ e.matrix() @ graph.T)
     raise InvalidInputError("direction must be 'push' or 'pull'")
-
-
-def uniformity_modulus(f: PointMap, radii: Sequence[float],
-                       g: Optional[PointMap] = None) -> dict:
-    """Expansion table r -> s(r) of a map between metric-backed spaces.
-
-    s(r) is the largest target distance over source pairs at distance <= r.
-    When a second map g over the same source is supplied, also reports
-    closeness(f, g) = max_x d(f(x), g(x)).
-    """
-    if not radii:
-        raise InvalidInputError("radii list must be non-empty")
-    if not (f.source.is_metric_backed() and f.target.is_metric_backed()):
-        raise InvalidInputError("uniformity modulus needs metric-backed spaces")
-    radii = sorted(float(r) for r in radii)
-    out = {r: 0.0 for r in radii}
-    for i in range(f.source.n):
-        src = f.source.dist_row(i)
-        tgt = f.target.dist_row(f(i))[f.table]
-        for r in radii:
-            mask = src <= r + RADIUS_TOL
-            if np.any(mask):
-                out[r] = max(out[r], float(tgt[mask].max()))
-    result = {"s": out}
-    if g is not None:
-        if g.source is not f.source:
-            raise InvalidInputError("closeness needs maps over the same source")
-        close = 0.0
-        for i in range(f.source.n):
-            close = max(close, f.target.dist(f(i), g(i)))
-        result["closeness"] = close
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Word metrics
-# ---------------------------------------------------------------------------
-
-
-def _reduce_word(word: tuple[int, ...]) -> tuple[int, ...]:
-    out: list[int] = []
-    for letter in word:
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
-
-
-def _group_ops(group: str, rank: int):
-    """Returns (identity, multiply, invert) for the supported group models."""
-    if group == "zn":
-        ident = (0,) * rank
-
-        def mul(a, b):
-            return tuple(x + y for x, y in zip(a, b))
-
-        def inv(a):
-            return tuple(-x for x in a)
-
-    elif group == "free":
-        ident = ()
-
-        def mul(a, b):
-            return _reduce_word(a + b)
-
-        def inv(a):
-            return tuple(-x for x in reversed(a))
-
-    else:
-        raise InvalidInputError("group model must be 'zn' or 'free'")
-    return ident, mul, inv
-
-
-def word_lengths(generators, radius: int, group: str, rank: int) -> dict:
-    """BFS word-length table over the Cayley graph, out to the given radius."""
-    ident, mul, inv = _group_ops(group, rank)
-    gens = set()
-    for g in generators:
-        g = tuple(g)
-        if group == "free":
-            g = _reduce_word(g)
-        gens.add(g)
-        gens.add(inv(g))
-    gens.discard(ident)
-    if not gens:
-        raise InvalidInputError("generator set is empty after symmetrization")
-    lengths = {ident: 0}
-    frontier = [ident]
-    for depth in range(1, radius + 1):
-        nxt = []
-        for el in frontier:
-            for g in sorted(gens):
-                new = mul(el, g)
-                if new not in lengths:
-                    lengths[new] = depth
-                    nxt.append(new)
-        frontier = nxt
-        if not frontier:
-            break
-    return lengths
-
-
-def word_metric_ball(generators, radius: int, group: str = "zn",
-                     rank: Optional[int] = None) -> Space:
-    """The ball of the given radius about the identity, as a matrix Space.
-
-    The group model is Z^rank or the free group of the given rank, both with
-    explicit normal forms; distances are word lengths d(g, h) = |g^{-1} h|
-    computed from a BFS table out to radius 2r. A generator set that fails
-    to generate simply yields a smaller ball; that is not an error.
-    """
-    if radius < 0:
-        raise InvalidInputError("radius must be >= 0")
-    gen_list = [tuple(g) for g in generators]
-    if not gen_list:
-        raise InvalidInputError("generator set must be non-empty")
-    if rank is None:
-        if group == "zn":
-            rank = len(gen_list[0])
-        else:
-            rank = max((abs(l) for g in gen_list for l in g), default=1)
-    ident, mul, inv = _group_ops(group, rank)
-    table = word_lengths(gen_list, 2 * radius, group, rank)
-    ball = sorted(el for el, ln in table.items() if ln <= radius)
-    n = len(ball)
-    d = np.zeros((n, n))
-    for i, g in enumerate(ball):
-        gi = inv(g)
-        for j in range(i + 1, n):
-            diff = mul(gi, ball[j])
-            d[i, j] = d[j, i] = table[diff]
-    space = Space.from_matrix(d, validate=False)
-    space.meta["elements"] = ball
-    space.meta["group"] = group
-    return space

@@ -47,10 +47,11 @@ import numpy as np
 from scipy import sparse
 
 from .certificates import certify, claim, count_at_most, holds
-from .covers import (Cover, _distinct_rows, _row_indices, appetite_witness,
+from .covers import (Cover, _distinct_rows, appetite_witness,
                      cover_entourage, first_container, multiplicity)
 from .errors import ContractViolationError, InvalidInputError, ResourceLimitError
-from .spaces import PAIR_CAP, Entourage, PointMap, Space, _bool_matrix, transport
+from .spaces import (PAIR_CAP, Entourage, PointMap, ProductMetric, Space, _bool_matrix,
+                     _row_indices, transport)
 
 
 class ColoredCover(Cover):
@@ -522,7 +523,7 @@ def make_product_entourage(product_space: Space, ex: Entourage, ey: Entourage) -
     """The relation {((x,y),(x',y')) | (x,x') in ex and (y,y') in ey}: the
     Kronecker product of the two relation matrices, since the point (x, y)
     has index x * |Y| + y."""
-    if product_space.kind != "product":
+    if not isinstance(product_space.backend, ProductMetric):
         raise InvalidInputError("needs a product space")
     mx, my = ex.matrix(), ey.matrix()
     if mx.nnz * my.nnz > PAIR_CAP:
@@ -532,8 +533,7 @@ def make_product_entourage(product_space: Space, ex: Entourage, ey: Entourage) -
 
 
 def _projection_maps(product_space: Space) -> tuple[PointMap, PointMap]:
-    a: Space = product_space.meta["left"]
-    b: Space = product_space.meta["right"]
+    a, b = product_space.backend.left, product_space.backend.right
     idx = np.arange(product_space.n)
     px = PointMap(product_space, a, idx // b.n)
     py = PointMap(product_space, b, idx % b.n)
@@ -551,9 +551,9 @@ def product_refine(cover_x: Cover, cover_y: Cover, entourage: Entourage,
     keeps their E^{n+m+3-k}-interiors minus what deeper intersections claim.
     """
     prod = entourage.space
-    if prod.kind != "product":
+    if not isinstance(prod.backend, ProductMetric):
         raise InvalidInputError("the entourage must live over a product space")
-    if prod.meta["left"] is not cover_x.space or prod.meta["right"] is not cover_y.space:
+    if prod.backend.left is not cover_x.space or prod.backend.right is not cover_y.space:
         raise InvalidInputError("product factors do not match the covers")
     E = entourage.materialize()
     _require_symmetric_with_diagonal(E, "product entourage")

@@ -17,11 +17,12 @@ import numpy as np
 from scipy import sparse
 
 from .certificates import at_least, at_most, certify, claim, count_at_most, holds
-from .covers import (Cover, _row_indices, first_container, lebesgue_number, mesh,
+from .covers import (Cover, first_container, lebesgue_number, mesh,
                      multiplicity)
 from .errors import (ContractViolationError, InternalCheckError, InvalidInputError,
                      ResourceLimitError)
-from .spaces import POINT_CAP, Entourage, Space, RADIUS_TOL, _bool_matrix
+from .spaces import (POINT_CAP, RADIUS_TOL, Entourage, EuclideanMetric, GridMetric, Space,
+                     TreeMetric, _bool_matrix, _row_indices)
 from .transforms import ColoredCover
 
 FLOAT_TOL = 1e-9
@@ -41,14 +42,14 @@ def cube_cover(space: Space, n: int, a: float):
     number at least a/(2(n+1)) minus one grid step, and mesh at most
     a*sqrt(n) plus one grid step.
     """
-    if space.kind not in ("grid", "cloud"):
+    if not isinstance(space.backend, EuclideanMetric):
         raise InvalidInputError("cube cover needs a coordinate-backed space")
-    coords = space.meta["coords"]
+    coords = space.backend.coords
     if coords.shape[1] != n:
         raise InvalidInputError("space dimension does not match n")
     if a <= 0:
         raise InvalidInputError("edge length must be positive")
-    step = space.meta.get("step")
+    step = space.backend.step
     if step is None:
         step = _min_positive_gap(coords)
     if step > a / (2 * (n + 1)) + FLOAT_TOL:
@@ -122,7 +123,7 @@ def tree_cover(space: Space, L: float, root: int = 0):
     sets, in order of their keys (grade, ancestor), are the classes grown
     by ceil(L) - 1 sparse products with I + A, A the adjacency matrix.
     """
-    if space.kind != "tree":
+    if not isinstance(space.backend, TreeMetric):
         raise InvalidInputError("tree cover needs a tree-backed space")
     if L <= 0:
         raise InvalidInputError("L must be positive")
@@ -130,8 +131,8 @@ def tree_cover(space: Space, L: float, root: int = 0):
     if not 0 <= root < n:
         raise InvalidInputError(f"root {root} is not a vertex of the {n}-vertex tree")
     lp = int(math.floor(2 * L)) + 1
-    adj = space.adjacency()
-    depth = space.meta["table"].dist(root, np.arange(n))
+    adj = space.backend.adjacency()
+    depth = space.backend.table.dist(root, np.arange(n))
     heads = np.repeat(np.arange(n), np.diff(adj.indptr))
     up = depth[adj.indices] < depth[heads]
     parent = np.full(n, -1, dtype=np.int64)
@@ -272,12 +273,12 @@ def ray_cell_cover(n: int, e: Entourage):
     if n < 0:
         raise InvalidInputError("n must be >= 0")
     line = e.space
-    if line.kind != "grid" or line.meta["dim"] != 1:
+    if not isinstance(line.backend, GridMetric) or line.backend.dim != 1:
         raise InvalidInputError("ray cover needs a 1-d grid sample")
-    coords = line.meta["coords"][:, 0]
+    coords = line.backend.coords[:, 0]
     if coords[0] < -FLOAT_TOL:
         raise InvalidInputError("ray sample must start at 0")
-    step = line.meta["step"]
+    step = line.backend.step
     unit_steps = int(math.floor(1.0 / step + FLOAT_TOL))
     if unit_steps < 1:
         raise InvalidInputError("sample step must be <= 1")
@@ -747,9 +748,9 @@ def simplex_lower_bound_check(cover: Cover, n: int) -> dict:
     cover data.
     """
     space = cover.space
-    if space.kind not in ("cloud", "grid"):
+    if not isinstance(space.backend, EuclideanMetric):
         raise InvalidInputError("needs a coordinate-backed sample")
-    coords = space.meta["coords"]
+    coords = space.backend.coords
     if coords.shape[1] != n:
         raise InvalidInputError("sample dimension does not match n")
     step = _min_positive_gap(coords)

@@ -37,6 +37,12 @@ classes and separates them by array steps. The breadth-first searches they
 replaced, one distance row at a time, the exhaustive class separation and
 the vertex-by-vertex tree cover are kept here.
 
+Each geometry is one metric backend in coarselab.spaces, with one
+dist_block kernel under dist_row, dist and diameter. The per-kind branches
+of Space.dist_row and Space.dist_block that it replaced, with the squared
+option, and the dense mesh and Lebesgue scans over squared blocks, are
+kept here; the row scans below read distances through them.
+
 No certificate forms a power of a relation, a cover spread M^T M or a
 composite bound: interiors under L^k are k erosions by L, appetite L^k is
 read from the k-fold eroded sets, disjointness under L∘L and under
@@ -134,6 +140,81 @@ def band_appetite_failures(cover, schedule, deltas, win, width: int, depth: int)
 
 
 # ---------------------------------------------------------------------------
+# Distances, one branch per kind
+# ---------------------------------------------------------------------------
+
+
+def _squared_distances(x, y):
+    total = np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
+    for a in range(x.shape[-1]):
+        t = x[..., a] - y[..., a]
+        total += t * t
+    return total
+
+
+def dist_row_by_kind(space, i):
+    """Space.dist_row as a switch on the space's kind."""
+    from coarselab.spaces import hyperbolic_distance
+
+    kind, meta = space.kind, space.meta
+    if kind == "tree":
+        return meta["table"].dist(i, np.arange(space.n)).astype(float)
+    if kind == "matrix":
+        return meta["matrix"][i]
+    if kind in ("grid", "cloud"):
+        coords = meta["coords"]
+        return np.sqrt(_squared_distances(coords, coords[i]))
+    if kind == "hyperbolic_polar":
+        return hyperbolic_distance(meta["kappa"], meta["r"][i], meta["phi"][i],
+                                   meta["r"], meta["phi"])
+    if kind == "discrete":
+        row = np.ones(space.n)
+        row[i] = 0.0
+        return row
+    a, b = meta["left"], meta["right"]
+    ia, ib = divmod(i, b.n)
+    return np.repeat(dist_row_by_kind(a, ia), b.n) + np.tile(dist_row_by_kind(b, ib), a.n)
+
+
+def dist_block_by_kind(space, rows, cols, squared=False):
+    """Space.dist_block as a switch on the space's kind, squaring every
+    kind's distances under squared=True."""
+    from coarselab.spaces import hyperbolic_distance
+
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    kind, meta = space.kind, space.meta
+    if kind in ("grid", "cloud"):
+        coords = meta["coords"]
+        d2 = _squared_distances(coords[rows][:, None, :], coords[cols][None, :, :])
+        return d2 if squared else np.sqrt(d2)
+    if kind == "matrix":
+        block = meta["matrix"][np.ix_(rows, cols)]
+    elif kind == "tree":
+        block = meta["table"].dist(rows[:, None], cols[None, :]).astype(float)
+    elif kind == "hyperbolic_polar":
+        r, p = meta["r"], meta["phi"]
+        block = hyperbolic_distance(meta["kappa"], r[rows][:, None], p[rows][:, None],
+                                    r[cols][None, :], p[cols][None, :])
+    else:
+        block = np.array([dist_row_by_kind(space, int(i))[cols] for i in rows]).reshape(
+            rows.size, cols.size)
+    return block ** 2 if squared else block
+
+
+def diameter_rows(space):
+    return max(float(dist_row_by_kind(space, i).max()) for i in range(space.n))
+
+
+def mesh_squared_blocks(cover):
+    """The largest set diameter from squared dist_block_by_kind blocks of
+    each distinct set against itself, one square root at the end."""
+    def squared(space, rows, cols):
+        return dist_block_by_kind(space, rows, cols, squared=True)
+    return mesh_loop(cover, squared)
+
+
+# ---------------------------------------------------------------------------
 # The relation algebra on sorted keys i * n + j
 # ---------------------------------------------------------------------------
 
@@ -146,7 +227,7 @@ def materialize_rows_loop(entourage, cap=PAIR_CAP):
     rows = [np.empty(0, dtype=np.int64)]
     total = 0
     for i in range(n):
-        d = space.dist_row(i)
+        d = dist_row_by_kind(space, i)
         hits = np.nonzero(d <= r + RADIUS_TOL if entourage.closed else d < r - RADIUS_TOL)[0]
         total += hits.size
         if total > cap:
@@ -673,11 +754,37 @@ def polar_mesh_rows(disk, cover):
     return worst
 
 
+def polar_mesh_pruned(disk, cover):
+    """hyperbolic._polar_mesh as it was: each set's rows in descending
+    reach, stopping at the first that cannot raise the running maximum."""
+    from coarselab.spaces import hyperbolic_distance
+
+    rr, ph = disk.meta["r"], disk.meta["phi"]
+    kappa = disk.meta["kappa"]
+    s = math.sqrt(-kappa)
+    c, h = np.cosh(rr * s), np.sinh(rr * s)
+    m = cover.incidence()
+    worst = 0.0
+    for k in range(m.shape[0]):
+        idx = m.indices[m.indptr[k]:m.indptr[k + 1]]
+        if idx.size < 2:
+            continue
+        rs, ps = rr[idx], ph[idx]
+        ch = c[idx] * c[idx].max() + h[idx] * h[idx].max()
+        reach = np.arccosh(np.maximum(ch * (1 + 2.0 ** -40), 1.0)) / s
+        for t in np.argsort(-reach, kind="stable"):
+            if reach[t] <= worst:
+                break
+            d = hyperbolic_distance(kappa, rs[t], ps[t], rs, ps)
+            worst = max(worst, float(d.max()))
+    return worst
+
+
 def check_contraction_loop(kappa, rho, k, space, rng, trials):
     from coarselab.hyperbolic import TOL, radial_projection
     from coarselab.spaces import hyperbolic_distance
 
-    rr = space.meta["r"]
+    rr, ph = space.meta["r"], space.meta["phi"]
     outside = np.nonzero(rr >= k * rho - TOL)[0]
     worst = -math.inf
     for _ in range(trials):
@@ -685,7 +792,7 @@ def check_contraction_loop(kappa, rho, k, space, rng, trials):
         j = int(outside[rng.randint(0, outside.size - 1)])
         if i == j:
             continue
-        x, y = space.points[i], space.points[j]
+        x, y = (rr[i], ph[i]), (rr[j], ph[j])
         d = float(hyperbolic_distance(kappa, x[0], x[1], y[0], y[1]))
         tx, ty = radial_projection(x, k, rho), radial_projection(y, k, rho)
         dt = float(hyperbolic_distance(kappa, tx[0], tx[1], ty[0], ty[1]))
@@ -758,7 +865,7 @@ def lebesgue_number_rows(cover):
     sets = [np.array(s, dtype=np.int64) for s in cover.sets if s]
     worst = math.inf
     for x in range(n):
-        row = cover.space.dist_row(x)
+        row = dist_row_by_kind(cover.space, x)
         best = 0.0
         for s in sets:
             if x in s:
@@ -774,7 +881,7 @@ def mesh_rows(cover):
     worst = 0.0
     for s in set(cover.sets):
         for x in s:
-            worst = max(worst, float(cover.space.dist_row(x)[list(s)].max()))
+            worst = max(worst, float(dist_row_by_kind(cover.space, x)[list(s)].max()))
     return worst
 
 

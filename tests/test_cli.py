@@ -54,6 +54,17 @@ class TestCoverStats:
         code, report = run(["cover", "stats", "--bogus", "x"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("s", [1e200, 1e-200])
+    def test_matrix_mesh_and_lebesgue_at_extreme_scales(self, tmp_json, s):
+        # squaring these distances before the reduction overflowed to inf at
+        # 1e200 and underflowed to 0 at 1e-200
+        space = tmp_json("s.json", {"kind": "matrix",
+                                    "dist": [[0, s, 2 * s], [s, 0, s], [2 * s, s, 0]]})
+        cover = tmp_json("c.json", {"sets": [[0, 1], [1, 2]]})
+        code, report = run(["cover", "stats", "--space", space, "--cover", cover])
+        assert code == EXIT_OK
+        assert report["result"]["mesh"] == s and report["result"]["lebesgue"] == s
+
 
 class TestWitnessCommands:
     def test_cube_then_stats_end_to_end(self, tmp_json, tmp_path):

@@ -62,7 +62,7 @@ class TestModelAndMaps:
         m = unit_interval_model(1.0 / 400)
         # X_10 = {x <= 0.9}; nearest point of X_10 to the corona point 1.0
         y = map_f(m, 0, 10)
-        assert m.ambient.points[y][0] == pytest.approx(0.9, abs=1e-9)
+        assert m.ambient.meta["coords"][y][0] == pytest.approx(0.9, abs=1e-9)
 
     def test_map_f_empty_level_rejected(self):
         # every interior point sits within 0.5 of the corona, so X_1 is empty
@@ -75,7 +75,7 @@ class TestModelAndMaps:
     def test_map_g_on_interval(self):
         m = unit_interval_model(1.0 / 400)
         x = next(i for i in m.interior
-                 if m.ambient.points[i][0] == pytest.approx(0.9, abs=1e-9))
+                 if m.ambient.meta["coords"][i][0] == pytest.approx(0.9, abs=1e-9))
         ci, level = map_g(m, x)
         assert level == 10
         assert ci == 0
@@ -115,8 +115,8 @@ class TestModelAndMaps:
         m = disk_model()
         ci = 0
         y = map_f(m, ci, 5)
-        c = np.array(m.ambient.points[m.corona[ci]])
-        got = np.array(m.ambient.points[y])
+        c = np.array(m.ambient.meta["coords"][m.corona[ci]])
+        got = np.array(m.ambient.meta["coords"][y])
         # nearest X_5 point to a boundary point sits radially inward
         assert np.linalg.norm(got) == pytest.approx(1 - 1 / 5, abs=0.06)
         assert np.dot(got, c) > 0
@@ -189,7 +189,7 @@ class TestBoundaryControl:
 
     def test_fixed_radius_not_controlled(self):
         m = unit_interval_model(1.0 / 100)
-        pts = [m.ambient.points[i][0] for i in range(m.ambient.n)]
+        pts = [m.ambient.meta["coords"][i][0] for i in range(m.ambient.n)]
         pairs = [(i, j) for i in m.interior for j in m.interior
                  if abs(pts[i] - pts[j]) < 0.3]
         e = Entourage.from_pairs(m.ambient, pairs)
@@ -199,7 +199,7 @@ class TestBoundaryControl:
 
     def test_shrinking_relation_is_controlled(self):
         m = unit_interval_model(1.0 / 100)
-        pts = [m.ambient.points[i][0] for i in range(m.ambient.n)]
+        pts = [m.ambient.meta["coords"][i][0] for i in range(m.ambient.n)]
         pairs = [(i, j) for i in m.interior for j in m.interior
                  if abs(pts[i] - pts[j]) <= 0.5 * (1 - max(pts[i], pts[j])) + 1e-12]
         e = Entourage.from_pairs(m.ambient, pairs)
@@ -220,7 +220,7 @@ class TestBoundaryControl:
 
     def test_monotone_in_relation(self):
         m = unit_interval_model(1.0 / 100)
-        pts = [m.ambient.points[i][0] for i in range(m.ambient.n)]
+        pts = [m.ambient.meta["coords"][i][0] for i in range(m.ambient.n)]
         pairs = [(i, j) for i in m.interior for j in m.interior
                  if abs(pts[i] - pts[j]) <= 0.5 * (1 - max(pts[i], pts[j])) + 1e-12]
         small = [(i, j) for (i, j) in pairs if abs(pts[i] - pts[j]) < 0.05]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from coarselab.covers import Cover, lebesgue_number, mesh, multiplicity
 from coarselab.errors import InvalidInputError
-from coarselab.hyperbolic import (SphereAtlas, _polar_mesh, angle_for_chord, check_contraction,
+from coarselab.hyperbolic import (SphereAtlas, angle_for_chord, check_contraction,
                                   check_radial_lipschitz, chord_on_circle,
                                   hyperbolic_params, lipschitz_gap_bound,
                                   radial_projection, sample_disk,
@@ -147,9 +147,16 @@ class TestSphereCoverLift:
         assert multiplicity(cov) == 1
 
 
+def polar_meshes(cover):
+    """The mesh of a polar cover, then the pruned and the row-by-row polar
+    meshes and the dense scan of squared blocks that it replaced."""
+    return (mesh(cover), oracles.polar_mesh_pruned(cover.space, cover),
+            oracles.polar_mesh_rows(cover.space, cover), oracles.mesh_squared_blocks(cover))
+
+
 class TestLiftArrayKernels:
-    """The pruned polar mesh and the array contraction check against the
-    row-by-row and pair-by-pair loops in oracles, exact equality."""
+    """The polar backend's pruned mesh and the array contraction check
+    against the loops in oracles, exact equality."""
 
     @given(data=st.data(), kappa=st.sampled_from([-1.0, -0.25, -4.0, -2.7]))
     @settings(max_examples=150, deadline=None)
@@ -169,7 +176,7 @@ class TestLiftArrayKernels:
         sets = data.draw(st.lists(st.lists(st.integers(0, count - 1), max_size=12), max_size=6))
         disk = Space.hyperbolic_polar(kappa, list(zip(radii, angles)))
         cover = Cover(disk, sets, require_covering=False)
-        assert _polar_mesh(disk, cover) == oracles.polar_mesh_rows(disk, cover)
+        assert len(set(polar_meshes(cover))) == 1
 
     @pytest.mark.parametrize("radius, step, angles, L", [(14.0, 1.0 / 3.0, 72, 0.5),
                                                          (30.0, 1.0, 48, 5.0),
@@ -179,7 +186,7 @@ class TestLiftArrayKernels:
         disk = sample_disk(-1.0, radius, step, angles)
         cov, _, _ = sphere_cover_lift(SphereAtlas(-1.0, rho, 0.2, 1.0), rho, N, L, disk,
                                       verify=False)
-        assert _polar_mesh(disk, cov) == oracles.polar_mesh_rows(disk, cov)
+        assert len(set(polar_meshes(cov))) == 1
 
     @given(seed=st.integers(0, 2 ** 64 - 1), trials=st.integers(0, 400),
            k=st.integers(1, 3), rho=st.sampled_from([0.5, 1.0, 3.0, 4.6]),
@@ -208,4 +215,4 @@ class TestLiftArrayKernels:
         assert 2 * R <= first < far
         disk = Space.hyperbolic_polar(-1.0, [(R, 0.0), (R, near), (R, 0.0), (R, math.pi)])
         cover = Cover(disk, [[0, 1], [2, 3]])
-        assert _polar_mesh(disk, cover) == oracles.polar_mesh_rows(disk, cover) == far
+        assert set(polar_meshes(cover)) == {far}

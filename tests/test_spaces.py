@@ -13,8 +13,7 @@ from hypothesis.extra.numpy import arrays
 import coarselab
 from coarselab.covers import Cover, cover_entourage
 from coarselab.errors import InvalidInputError, ResourceLimitError
-from coarselab.spaces import (POINT_CAP, ZERO_SELF_DISTANCE, Entourage, PointMap, Space,
-                              transport, uniformity_modulus, word_metric_ball)
+from coarselab.spaces import POINT_CAP, Entourage, PointMap, Space, transport
 from coarselab.transforms import make_product_entourage
 import oracles
 
@@ -23,37 +22,6 @@ def small_relation(n_points=20):
     return st.lists(
         st.tuples(st.integers(0, n_points - 1), st.integers(0, n_points - 1)),
         max_size=25)
-
-
-class TestWordMetric:
-    def test_z2_standard_generators_is_l1(self):
-        sp = word_metric_ball([(1, 0), (0, 1)], 7, group="zn")
-        els = sp.meta["elements"]
-        d = sp.dist(els.index((0, 0)), els.index((3, 4)))
-        assert d == 7
-
-    def test_generator_change_is_bilipschitz(self):
-        # BFS oracle over both generating sets: lambda = 2 works
-        a = word_metric_ball([(1, 0), (0, 1)], 8, group="zn")
-        b = word_metric_ball([(1, 0), (1, 1)], 8, group="zn")
-        common = sorted(set(a.meta["elements"]) & set(b.meta["elements"]))
-        ia = {e: a.meta["elements"].index(e) for e in common}
-        ib = {e: b.meta["elements"].index(e) for e in common}
-        for e in common:
-            for f in common:
-                assert a.dist(ia[e], ia[f]) <= 2 * b.dist(ib[e], ib[f]) + 1e-9
-
-    def test_free_group_ball_size(self):
-        sp = word_metric_ball([(1,), (2,)], 3, group="free")
-        assert sp.n == 1 + 4 + 12 + 36
-
-    def test_partial_ball_is_fine(self):
-        sp = word_metric_ball([(2, 0), (0, 2)], 3, group="zn")
-        assert (1, 1) not in sp.meta["elements"]
-
-    def test_empty_generators_rejected(self):
-        with pytest.raises(InvalidInputError):
-            word_metric_ball([], 3, group="zn")
 
 
 class TestEntourageAlgebra:
@@ -401,6 +369,62 @@ class TestMaterializeOracle:
         assert out.stdout.strip() == "[]"
 
 
+@st.composite
+def geometries(draw, product=True):
+    """A small space of each geometry, and products of two of them."""
+    kinds = ["matrix", "cloud", "grid", "tree", "hyperbolic_polar", "discrete"]
+    kind = draw(st.sampled_from(kinds + ["product"] * product))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 9))
+    if kind == "matrix":
+        pts = rng.uniform(-5, 5, (n, 2))
+        return Space.from_matrix(np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2))
+    if kind == "cloud":
+        offset = draw(st.sampled_from([0.0, -7.5, 1e6]))
+        return Space.cloud(offset + rng.uniform(-5, 5, (draw(st.integers(0, 9)),
+                                                         draw(st.integers(1, 3)))))
+    if kind == "grid":
+        step = draw(st.sampled_from([0.3, 1.0, 2.5]))
+        counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+        return Space.grid(len(counts), [0.0] * len(counts),
+                          [(c - 1) * step for c in counts], step)
+    if kind == "tree":
+        return Space.tree([(int(rng.integers(0, v)), v) for v in range(1, n)])
+    if kind == "hyperbolic_polar":
+        return Space.hyperbolic_polar(draw(st.sampled_from([-1.0, -0.25, -4.0])),
+                                      zip(rng.uniform(0, 12, n), rng.uniform(0, 7, n)))
+    if kind == "discrete":
+        return Space.discrete(draw(st.integers(0, 6)))
+    return Space.product(draw(geometries(product=False)), draw(geometries(product=False)))
+
+
+class TestMetricBackendOracle:
+    """Each geometry's backend against the per-kind branches of dist_row
+    and dist_block that it replaced, bit for bit."""
+
+    @given(data=st.data(), sp=geometries())
+    @settings(max_examples=200, deadline=None)
+    def test_distances_match_the_per_kind_code(self, data, sp):
+        index = st.lists(st.integers(0, max(sp.n - 1, 0)), max_size=8 if sp.n else 0)
+        rows = np.array(data.draw(index), dtype=np.int64)
+        cols = np.array(data.draw(index), dtype=np.int64)
+        block = sp.dist_block(rows, cols)
+        assert block.dtype == np.float64
+        assert np.array_equal(block, oracles.dist_block_by_kind(sp, rows, cols))
+        for i in range(sp.n):
+            assert np.array_equal(sp.dist_row(i), oracles.dist_row_by_kind(sp, i))
+        for i, j in zip(rows, cols):
+            assert sp.dist(i, j) == oracles.dist_row_by_kind(sp, i)[j]
+        if sp.n:
+            assert sp.diameter() == oracles.diameter_rows(sp)
+        if sp.is_metric_backed():
+            near = [float(d) + e for d in block.ravel()[:3] for e in (0.0, -1e-12, 1e-12)]
+            r = data.draw(st.sampled_from([0.0, 1.0, 50.0] + near))
+            for closed in (False, True):
+                e = Entourage.radius(sp, max(r, 0.0), closed=closed)
+                assert np.array_equal(e.materialize().keys(), oracles.materialize_rows_loop(e))
+
+
 class TestDistBlock:
     @given(data=st.data(), dim=st.integers(1, 9), n=st.integers(1, 12),
            offset=st.sampled_from([0.0, -7.5, 1e6, 1e8, 1e15]))
@@ -416,20 +440,18 @@ class TestDistBlock:
         want = np.array([[sp.dist_row(i)[j] for j in cols] for i in rows]).reshape(
             rows.size, cols.size)
         assert np.array_equal(sp.dist_block(rows, cols), want)
-        assert np.array_equal(np.sqrt(sp.dist_block(rows, cols, squared=True)), want)
         part = data.draw(arrays(bool, cols.size))
         assert np.array_equal(sp.dist_block(rows, cols[part]), want[:, part])
-        assert sorted(sp.meta) == ["coords", "dim"]
 
-    def test_grid_and_cloud_points_are_built_on_first_access(self):
+    def test_grid_points_run_in_c_order(self):
         g = Space.grid(3, [0, 0, 0], [2, 0, 1], 1.0)
-        assert g._points is None and g.n == 6 and g.meta["shape"] == (3, 1, 2)
-        assert g.points == [(0.0, 0.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0),
-                            (1.0, 0.0, 1.0), (2.0, 0.0, 0.0), (2.0, 0.0, 1.0)]
-        assert g.points is g.points
+        assert g.n == 6 and g.meta["shape"] == (3, 1, 2) and g.meta["step"] == 1.0
+        assert g.meta["coords"].tolist() == [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                                             [1.0, 0.0, 0.0], [1.0, 0.0, 1.0],
+                                             [2.0, 0.0, 0.0], [2.0, 0.0, 1.0]]
         c = Space.cloud([[0.5, 1.0], [2.0, -1.0]])
-        assert c._points is None and c.n == 2
-        assert c.points == [(0.5, 1.0), (2.0, -1.0)]
+        assert c.n == 2 and c.meta["coords"].tolist() == [[0.5, 1.0], [2.0, -1.0]]
+        assert c.backend.step is None
 
 
 class TestTracerHook:
@@ -488,41 +510,6 @@ class TestTransport:
         e = Entourage.from_pairs(src, [(0, 3), (4, 7), (2, 2)])
         round_trip = transport(f, transport(f, e, "push"), "pull")
         assert np.array_equal(round_trip.keys(), e.keys())
-
-
-class TestUniformityModulus:
-    def test_identity_modulus(self):
-        sp = Space.line(0, 10, 1.0)
-        out = uniformity_modulus(PointMap.identity(sp), [1, 2, 5])
-        assert out["s"][1.0] == 1.0 and out["s"][5.0] == 5.0
-
-    def test_doubling_map(self):
-        src = Space.line(0, 10, 1.0)
-        tgt = Space.line(0, 20, 1.0)
-        double = PointMap(src, tgt, [2 * i for i in range(11)])
-        out = uniformity_modulus(double, [1.0])
-        assert out["s"][1.0] == 2.0
-
-    def test_floor_map_bound(self):
-        src = Space.line(0, 10, 0.25)
-        tgt = Space.line(0, 10, 1.0)
-        table = [int(math.floor(v[0] + 1e-9)) for v in src.points]
-        fl = PointMap(src, tgt, table)
-        for r in (1.0, 2.5, 4.0):
-            out = uniformity_modulus(fl, [r])
-            assert out["s"][r] <= r + 1.0 + 1e-9
-
-    def test_closeness(self):
-        sp = Space.line(0, 10, 1.0)
-        f = PointMap.identity(sp)
-        g = PointMap(sp, sp, [min(10, i + 2) for i in range(11)])
-        out = uniformity_modulus(f, [1.0], g=g)
-        assert out["closeness"] == 2.0
-
-    def test_empty_radii_rejected(self):
-        sp = Space.line(0, 10, 1.0)
-        with pytest.raises(InvalidInputError):
-            uniformity_modulus(PointMap.identity(sp), [])
 
 
 class TestSpaceValidation:
@@ -589,6 +576,9 @@ class TestSpaceValidation:
         spaces = [Space.cloud(coords), Space.grid(2, [coords[0, 0]] * 2,
                                                   [coords[0, 0] + 3.0] * 2, 1.5),
                   tree, Space.discrete(4)]
-        assert {sp.kind for sp in spaces} == ZERO_SELF_DISTANCE
+        assert all(sp.backend.zero_self_distance for sp in spaces)
+        others = [Space.from_matrix(np.zeros((2, 2))), Space.hyperbolic_polar(-1.0, [(1.0, 0.0)]),
+                  Space.product(tree, tree)]
+        assert not any(sp.backend.zero_self_distance for sp in others)
         for sp in spaces:
             assert all(sp.dist_row(i)[i] == 0.0 for i in range(sp.n))

@@ -1,5 +1,6 @@
 """Structure of the source: guarantee records have one format, built in
-coarselab.certificates and nowhere else."""
+coarselab.certificates and nowhere else, and the geometry of a space is
+decided in coarselab.spaces and nowhere else."""
 
 import ast
 import pathlib
@@ -51,3 +52,34 @@ def test_transforms_form_a_cover_spread_only_for_a_witness():
     scopes = {scope[-1] if scope else None for scope, call in _calls(tree)
               if _name(call) == "cover_entourage"}
     assert scopes == {"_strong_relation"}
+
+
+GEOMETRIES = {"matrix", "grid", "cloud", "tree", "hyperbolic_polar", "discrete", "product"}
+
+
+def _strings(node: ast.AST) -> set:
+    """The string constants in an expression, tuples, lists and sets included."""
+    return {n.value for n in ast.walk(node) if isinstance(n, ast.Constant)
+            and isinstance(n.value, str)}
+
+
+def _geometry_switches(path: pathlib.Path) -> list[int]:
+    """The lines of a module that read an attribute .meta or compare an
+    attribute .kind with a geometry name."""
+    lines = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr == "meta":
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if (any(isinstance(o, ast.Attribute) and o.attr == "kind" for o in operands)
+                    and set().union(*map(_strings, operands)) & GEOMETRIES):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_spaces_module_switches_on_the_geometry():
+    assert _geometry_switches(SRC / "spaces.py")
+    elsewhere = {p.name: lines for p in sorted(SRC.glob("*.py")) if p.name != "spaces.py"
+                 for lines in [_geometry_switches(p)] if lines}
+    assert elsewhere == {}

@@ -148,7 +148,6 @@ class TestTreeKernelsOracle:
         r, c = picks[::2], picks[1::2]
         want = rows[np.ix_(r, c)]
         assert np.array_equal(tree.dist_block(r, c), want)
-        assert np.array_equal(tree.dist_block(r, c, squared=True), want ** 2)
         assert all(np.array_equal(tree.dist_row(i), rows[i]) for i in r)
 
     @given(edges=tree_edges(), seed=st.integers(0, 2 ** 32 - 1))
@@ -187,7 +186,7 @@ class TestTreeKernelsOracle:
         classes = {(int(parity[c]), c): np.flatnonzero(label == c).tolist()
                    for c in range(count) if np.any(label == c)}
         want = oracles.class_separation_loop(rows, classes, sorted(classes))
-        assert _class_separation(tree.adjacency(), label, parity) == want
+        assert _class_separation(tree.backend.adjacency(), label, parity) == want
 
     @given(edges=tree_edges(), root=st.integers(0, 10 ** 6),
            L=st.sampled_from([0.4, 1.0, 1.5, 2.0, 2.5, 3.2]))
