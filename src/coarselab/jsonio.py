@@ -24,6 +24,7 @@ Formats:
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 
@@ -54,7 +55,9 @@ def load_space(doc: dict) -> Space:
         return Space.tree(_pairs(_field(doc, "edges", "tree space"), "tree edges"))
     if kind == "hyperbolic_polar":
         points = _floats(_field(doc, "points", "hyperbolic space"), "points")
-        if points.size and (points.ndim != 2 or points.shape[1] != 2):
+        if not points.size:
+            raise InvalidInputError("hyperbolic space needs at least one point")
+        if points.ndim != 2 or points.shape[1] != 2:
             raise InvalidInputError("hyperbolic points must be [r, phi] pairs")
         return Space.hyperbolic_polar(_number(_field(doc, "kappa", "hyperbolic space"), "kappa"),
                                       [tuple(p) for p in points.reshape(-1, 2).tolist()])
@@ -225,9 +228,26 @@ def _integer(value, what: str) -> int:
     raise InvalidInputError(f"{what}: expected an integer, got {value!r}")
 
 
+def _plain_int64(values: list) -> bool:
+    """Whether every entry is an int (no bool, no float) in the int64 range,
+    decided by one scan of the entry types and one int64 conversion. Such
+    entries are what _integer returns unchanged; a document holding any
+    other entry goes entry by entry through _integer, which accepts or
+    rejects each as before and names the first bad one."""
+    if not set(map(type, values)) <= {int}:
+        return False
+    try:
+        np.array(values, dtype=np.int64)
+    except OverflowError:
+        return False
+    return True
+
+
 def _indices(value, what: str) -> list[int]:
     if not isinstance(value, list):
         raise InvalidInputError(f"{what} must be a list of integers")
+    if _plain_int64(value):
+        return list(value)
     return [_integer(v, what) for v in value]
 
 
@@ -235,6 +255,8 @@ def _index_lists(value, what: str) -> list:
     """A list of lists of integer indices."""
     if not isinstance(value, list) or not all(isinstance(row, (list, tuple)) for row in value):
         raise InvalidInputError(f"{what} must be a list of lists of integers")
+    if _plain_int64(list(itertools.chain.from_iterable(value))):
+        return [list(row) for row in value]
     return [[_integer(v, what) for v in row] for row in value]
 
 

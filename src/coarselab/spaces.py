@@ -14,9 +14,11 @@ computes blocks of distances, the pairs of a radius relation, and the mesh
 and Lebesgue number of a cover given as its sets x points incidence matrix;
 it writes the space's JSON form and, on grids and trees, its neighbour
 graph. The base class Metric measures by scanning blocks of distances.
-Grid and cloud samples find radius pairs through a cell list,
-and grids and trees measure covers, and polar samples their mesh, by
-kernels of their own (see GridMetric, TreeMetric and PolarMetric).
+Grids find radius pairs through a lattice stencil and clouds through a
+cell list, and grids and trees measure covers, and polar samples their
+mesh, by kernels of their own (see GridMetric, TreeMetric and PolarMetric).
+Every backend hands out radius pairs in ascending key order i * n + j, so
+a relation's CSR matrix is assembled as they arrive.
 
 A pair set is stored as its n x n boolean CSR matrix, so the relation
 algebra is sparse matrix algebra: union is A + B, inverse A^T, composition
@@ -44,6 +46,9 @@ POINT_CAP = 10**7
 # out candidate pairs in chunks of at most this many
 _CELL_AXES = 3
 _PAIR_CHUNK = 1 << 17
+# a grid's lattice stencil measures blocks of at most this many candidates,
+# small enough that the few float blocks it holds stay in cache
+_STENCIL_CHUNK = 1 << 15
 # a scan of every distance computes whole rows, as many as fit in this many
 # entries: larger blocks slow the tree table's broadcast lookups
 _SCAN_BLOCK = 1 << 12
@@ -214,11 +219,14 @@ class Metric:
     def _from_key(value: float) -> float:
         return value
 
-    def radius_pairs(self, within, reach: float):
+    def radius_pairs(self, within, reach: float, cap: float):
         """Yield (rows, cols) index arrays of the pairs whose distances pass
-        the predicate within, a bounded block at a time. Such a pair is
-        closer than reach on each coordinate axis, which a backend may use
-        to propose candidates; this scan of every distance does not."""
+        the predicate within, a bounded block at a time, in ascending order
+        of the keys rows * n + cols over all blocks. Such a pair is closer
+        than reach on each coordinate axis, which a backend may use to
+        propose candidates; this scan of every distance does not. A backend
+        that must hold pairs before it can yield them in key order raises
+        the pair cap error once it holds more than cap."""
         every = np.arange(self.n, dtype=np.int64)
         step = max(1, _SCAN_BLOCK // max(self.n, 1))
         for at in range(0, self.n, step):
@@ -318,18 +326,27 @@ class EuclideanMetric(Metric):
     def dist_block(self, rows, cols):
         return np.sqrt(self._key_block(rows, cols))
 
-    def radius_pairs(self, within, reach: float):
+    def radius_pairs(self, within, reach: float, cap: float):
         """A cell list proposes the candidates, each kept by the distance
         dist_block computes, so the pairs are exactly those of the scan.
-        Coordinates or radii too large for cells fall back to the scan."""
+        The cells hand out pairs in no useful order, so the kept pairs are
+        held as keys and sorted once. Coordinates or radii too large for
+        cells fall back to the scan."""
         coords = self.coords
         if not (coords.size and np.isfinite(reach)
                 and np.isfinite(np.ptp(coords[:, :_CELL_AXES], axis=0)).all()):
-            yield from super().radius_pairs(within, reach)
+            yield from super().radius_pairs(within, reach, cap)
             return
+        keys, total = [np.empty(0, dtype=np.int64)], 0
         for i, j in _cell_candidates(coords[:, :_CELL_AXES], reach):
             keep = within(np.sqrt(_squared_distances(coords[j], coords[i])))
-            yield i[keep], j[keep]
+            keys.append(i[keep] * self.n + j[keep])
+            total += keys[-1].size
+            if total > cap:
+                raise _pair_cap_error(cap)
+        keys = np.sort(np.concatenate(keys))
+        for at in range(0, keys.size, _PAIR_CHUNK):
+            yield np.divmod(keys[at:at + _PAIR_CHUNK], self.n)
 
     def to_json(self) -> dict:
         return {"kind": "cloud", "points": self.coords.tolist()}
@@ -338,7 +355,12 @@ class EuclideanMetric(Metric):
 class GridMetric(EuclideanMetric):
     """An axis-aligned lattice of the given step, its points in C order over
     the axis counts in shape, so that lattice neighbours along axis a are
-    prod(shape[a + 1:]) indices apart.
+    stride_a = prod(shape[a + 1:]) indices apart, and a point's index is
+    lexicographic in its per-axis indices.
+
+    Radius pairs come from a lattice stencil rather than the cloud's cell
+    list: each point is measured against the points a box of index steps
+    away (see radius_pairs).
 
     Both the Lebesgue number and the mesh measure distances against lattice
     boundaries only, and still equal a scan of every distance bit for bit.
@@ -361,18 +383,83 @@ class GridMetric(EuclideanMetric):
         self.step = step
         self.shape = shape
 
+    def _strides(self) -> np.ndarray:
+        return np.array([math.prod(self.shape[a + 1:]) for a in range(self.dim)],
+                        dtype=np.int64)
+
+    def _stencil(self, size: int, steps_at):
+        """Walk the stencil of size step vectors that steps_at(lo, hi)
+        returns, an int64 (hi - lo) x dim array of per-axis index steps
+        each, in lexicographic order: every grid point i against i + delta .
+        strides for each step delta. Yields (rows, offsets, moves, inside)
+        for a block of rows and a slice of the steps: the offsets delta .
+        strides, per axis a the pair (k, t) of each row's axis-a index k and
+        the candidates' t = k + delta_a (rows x steps), and whether each
+        candidate lies on the grid. Blocks of whole rows are taken while the
+        stencil fits in _STENCIL_CHUNK entries; a wider stencil is taken a
+        slice at a time, one row at a time, so no array holds more than
+        _STENCIL_CHUNK candidates."""
+        width = min(size, _STENCIL_CHUNK)
+        block = max(1, _STENCIL_CHUNK // size)
+        strides = self._strides()
+        whole = steps_at(0, size) if size <= width else None
+        for r0 in range(0, self.n, block):
+            rows = np.arange(r0, min(r0 + block, self.n), dtype=np.int64)
+            at_axis = [rows // stride % count for stride, count in zip(strides, self.shape)]
+            for s0 in range(0, size, width):
+                steps = whole if whole is not None else steps_at(s0, min(s0 + width, size))
+                inside = np.ones((rows.size, steps.shape[0]), dtype=bool)
+                moves = []
+                for a, (k, count) in enumerate(zip(at_axis, self.shape)):
+                    t = k[:, None] + steps[:, a]
+                    # a negative axis index wraps past every count as uint64
+                    inside &= t.view(np.uint64) < count
+                    moves.append((k, t))
+                yield rows, steps @ strides, moves, inside
+
+    def radius_pairs(self, within, reach: float, cap: float):
+        """The lattice stencil: per axis a, K_a = max_k (top_k - k), where
+        top_k is the last index whose axis value is at most fl(w_k + reach),
+        one searchsorted over the axis values w, which are non-decreasing in
+        the index (w_k = fl(lo + fl(k * step)), both roundings monotone).
+        A pair inside the relation is closer than reach on axis a; if its
+        second point lies t >= 0 steps past the first, at index k + t, then
+        w_{k+t} < w_k + reach exactly, so w_{k+t} <= fl(w_k + reach) by
+        monotone rounding, k + t <= top_k and t <= K_a; t < 0 is the same
+        with the two points swapped. So every pair of the relation is a
+        candidate of the box prod_a [-K_a, K_a], enumerated in C order
+        (lexicographic). A candidate on the grid is kept by the arithmetic
+        of within(sqrt(_squared_distances(coords[j], coords[i]))), the test
+        of the cell list, run axis by axis on the axis values, which are
+        the coordinates themselves, so the relation is bit-identical."""
+        strides = self._strides()
+        axes = [self.coords[:count * stride:stride, a]
+                for a, (count, stride) in enumerate(zip(self.shape, strides))]
+        bounds = np.array([(np.searchsorted(w, w + reach, side="right") - 1
+                            - np.arange(w.size)).max() for w in axes])
+        box = tuple(2 * bounds + 1)
+
+        def steps_at(lo, hi):
+            return np.stack(np.unravel_index(np.arange(lo, hi), box), axis=1) - bounds
+
+        for rows, offsets, moves, inside in self._stencil(math.prod(box), steps_at):
+            total = np.zeros(inside.shape)
+            for w, (k, t) in zip(axes, moves):
+                d = w.take(t, mode="clip")
+                d -= w[k][:, None]
+                d *= d
+                total += d
+            yield _kept(rows, offsets, inside & within(np.sqrt(total)))
+
     def adjacency(self) -> sparse.csr_matrix:
         """Two grid points are neighbours when one lattice step apart on one
-        axis."""
-        idx = np.arange(self.n, dtype=np.int64)
-        heads, tails = [], []
-        stride = 1
-        for count in reversed(self.shape):
-            lo = idx[(idx // stride) % count < count - 1]
-            heads.append(lo)
-            tails.append(lo + stride)
-            stride *= count
-        return _neighbour_matrix(np.concatenate(heads), np.concatenate(tails), self.n)
+        axis: the stencil of the unit steps, -e_0, ..., -e_{dim-1}, e_{dim-1},
+        ..., e_0 in lexicographic order."""
+        unit = np.eye(self.dim, dtype=np.int64)
+        steps = np.concatenate([-unit, unit[::-1]])
+        pairs = (_kept(rows, offsets, inside) for rows, offsets, _, inside
+                 in self._stencil(steps.shape[0], lambda lo, hi: steps[lo:hi]))
+        return _key_ordered_csr(pairs, self.n, math.inf, np.int32)
 
     def mesh(self, m, rows) -> float:
         # T = M A counts the members of each set next to each point; a point
@@ -424,7 +511,9 @@ class TreeMetric(Metric):
     def adjacency(self) -> sparse.csr_matrix:
         """The two ends of a tree edge are neighbours."""
         heads, tails = self.edges.T
-        return _neighbour_matrix(heads, tails, self.n)
+        return sparse.csr_matrix((np.ones(2 * heads.size, dtype=np.int32),
+                                  (np.concatenate([heads, tails]),
+                                   np.concatenate([tails, heads]))), shape=(self.n, self.n))
 
     def mesh(self, m, rows) -> float:
         sizes = np.diff(m.indptr)[rows]
@@ -561,6 +650,14 @@ def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return total
 
 
+def _kept(rows: np.ndarray, offsets: np.ndarray, keep: np.ndarray):
+    """The pairs (rows[a], rows[a] + offsets[s]) at the true entries (a, s)
+    of the rows x offsets mask keep, in row-major order."""
+    flat = np.flatnonzero(keep)
+    i = rows[flat // offsets.size]
+    return i, i + offsets[flat % offsets.size]
+
+
 def _validate_pseudometric(d: np.ndarray) -> None:
     n = d.shape[0]
     if np.any(d < -METRIC_TOL):
@@ -589,14 +686,6 @@ def _row_indices(m: sparse.csr_matrix, rows: np.ndarray) -> np.ndarray:
     at = np.repeat(starts - ends + sizes, sizes)
     at += np.arange(at.size, dtype=at.dtype)
     return m.indices[at]
-
-
-def _neighbour_matrix(heads: np.ndarray, tails: np.ndarray, n: int) -> sparse.csr_matrix:
-    """The symmetric n x n int32 CSR matrix with a 1 at (heads[k], tails[k])
-    and at (tails[k], heads[k])."""
-    return sparse.csr_matrix((np.ones(2 * heads.size, dtype=np.int32),
-                              (np.concatenate([heads, tails]),
-                               np.concatenate([tails, heads]))), shape=(n, n))
 
 
 def _outer_boundary(m: sparse.csr_matrix, adj: sparse.csr_matrix) -> sparse.csr_matrix:
@@ -741,12 +830,16 @@ class Entourage:
       - "radius": the relation {(x, y) | d(x, y) < r} evaluated lazily,
         materialized on demand with a documented cap of 10**7 pairs. The
         strict inequality is implemented as d < r - 1e-12; a closed variant
-        (d <= r + 1e-12) is available for constructions that need it. On
-        grid and cloud samples, materialize buckets the points into cells of
-        side just over r on the first three axes and measures only pairs in
-        neighbouring cells, each exactly as dist_block does, so the relation
+        (d <= r + 1e-12) is available for constructions that need it. On a
+        grid, materialize measures each point against a lattice stencil,
+        the index steps that can stay within r on every axis; on a cloud it
+        buckets the points into cells of side just over r on the first
+        three axes and measures only pairs in neighbouring cells. Each
+        candidate is measured exactly as dist_block does, so the relation
         is bit-identical to a scan of every distance; other backends scan
-        blocks of distances.
+        blocks of distances. The backend yields the pairs in key order and
+        materialize writes the canonical CSR matrix from them directly:
+        indptr from each chunk's row counts, int32 indices where n allows.
     """
 
     def __init__(self, space: Space, kind: str, m: Optional[sparse.csr_matrix] = None,
@@ -825,33 +918,24 @@ class Entourage:
     def _keys(self) -> np.ndarray:
         return self.keys()
 
-    def _radius_pairs(self):
-        """Yield the pairs of this radius relation as (rows, cols) index
-        arrays, a bounded chunk at a time, from the space's backend."""
+    def _radius_pairs(self, cap: float):
+        """The (rows, cols) chunks of this radius relation in key order, from
+        the space's backend."""
         # every pair inside the relation is closer than reach on each axis,
         # with room for the rounding of the distance itself
         reach = (self.r + RADIUS_TOL) * (1 + 1e-9) + 1e-12
-        return self.space.backend.radius_pairs(self._within, reach)
+        return self.space.backend.radius_pairs(self._within, reach, cap)
 
     def materialize(self, cap: int = PAIR_CAP) -> "Entourage":
         """This relation as a pairs relation; a radius relation of more than
         cap pairs raises ResourceLimitError, which is checked chunk by chunk
-        so the pairs of an over-cap relation are never all held."""
+        so the pairs of an over-cap relation are never all held. The
+        backend hands out the pairs in key order, so the canonical CSR
+        matrix is assembled from the chunks as they come."""
         if self.kind == "pairs":
             return self
-        rows = [np.empty(0, dtype=np.int64)]
-        cols = [np.empty(0, dtype=np.int64)]
-        total = 0
-        for i, j in self._radius_pairs():
-            total += j.size
-            if total > cap:
-                raise ResourceLimitError(
-                    f"radius entourage would exceed the {cap} pair cap")
-            rows.append(i)
-            cols.append(j)
-        n = self.space.n
-        return Entourage.from_matrix(self.space, _bool_matrix(
-            np.concatenate(rows), np.concatenate(cols), (n, n)))
+        return Entourage(self.space, "pairs",
+                         m=_key_ordered_csr(self._radius_pairs(cap), self.space.n, cap, bool))
 
     def pair_count(self) -> int:
         return int(self.matrix().nnz)
@@ -951,6 +1035,37 @@ class Entourage:
             op = "<=" if self.closed else "<"
             return f"Entourage(radius d {op} {self.r}, n={self.space.n})"
         return f"Entourage(pairs, {self._m.nnz} pairs, n={self.space.n})"
+
+
+def _pair_cap_error(cap) -> ResourceLimitError:
+    return ResourceLimitError(f"radius entourage would exceed the {cap} pair cap")
+
+
+def _key_ordered_csr(pairs, n: int, cap: float, dtype) -> sparse.csr_matrix:
+    """The n x n CSR matrix of dtype with a one at each pair of the
+    (rows, cols) chunks that pairs yields in ascending key order rows * n +
+    cols, across chunks too, so its column indices come out sorted and
+    unique: each chunk adds its row counts to indptr and keeps its columns,
+    as int32 where n allows, and no COO form or canonicalizing copy is
+    made. A chunk that brings the count past cap raises the pair cap error
+    before it is kept."""
+    index = np.int32 if n < 2 ** 31 else np.int64
+    counts = np.zeros(n + 1, dtype=np.int64)
+    cols, total = [np.empty(0, dtype=index)], 0
+    for i, j in pairs:
+        total += j.size
+        if total > cap:
+            raise _pair_cap_error(cap)
+        if j.size:
+            counts[i[0] + 1:i[-1] + 2] += np.bincount(i - i[0])
+            cols.append(j.astype(index))
+    indices = np.concatenate(cols)
+    del cols
+    # scipy stores indptr, and indices with it, as int32 when the count fits
+    m = sparse.csr_matrix((np.ones(total, dtype=dtype), indices, np.cumsum(counts, out=counts)),
+                          shape=(n, n))
+    m.has_canonical_format = True
+    return m
 
 
 def _bool_matrix(rows, cols, shape) -> sparse.csr_matrix:

@@ -63,6 +63,13 @@ contraction loop and the whole lower-bound certificate built from them are
 kept here. The polar mesh oracle scans every row: the old loop skipped a
 set once 2 max r <= the running maximum, which a computed distance can
 break by rounding.
+
+A grid's radius relation and neighbour graph come from a lattice stencil,
+written straight into CSR from chunks in key order, and index lists load
+in bulk when every entry is a plain int64. The head/tail construction of
+the grid's neighbour graph through a COO matrix, and the loaders that
+checked each index entry on its own, are kept here; the row scan
+materialize_rows_loop above is the reference of the stencil.
 """
 
 import math
@@ -70,7 +77,10 @@ from itertools import combinations, permutations, product as iproduct
 
 import numpy as np
 
-from coarselab.errors import ResourceLimitError
+from scipy import sparse
+
+from coarselab.errors import InvalidInputError, ResourceLimitError
+from coarselab.jsonio import _integer
 from coarselab.spaces import PAIR_CAP, RADIUS_TOL
 
 TOL = 1e-9
@@ -1272,3 +1282,34 @@ def block_pair_outside(space, blocks, bound):
     ce = cover_entourage(Cover(space, blocks))
     return None if ce.is_subset_of(bound) else ce.first_pair_outside(bound)
 
+
+
+def grid_adjacency_loop(grid):
+    """The grid's neighbour graph from its lattice edges (lo, lo + stride)
+    along each axis, symmetrized through a COO matrix."""
+    idx = np.arange(grid.n, dtype=np.int64)
+    heads, tails = [], []
+    stride = 1
+    for count in reversed(grid.meta["shape"]):
+        lo = idx[(idx // stride) % count < count - 1]
+        heads.append(lo)
+        tails.append(lo + stride)
+        stride *= count
+    heads, tails = np.concatenate(heads), np.concatenate(tails)
+    return sparse.csr_matrix((np.ones(2 * heads.size, dtype=np.int32),
+                              (np.concatenate([heads, tails]),
+                               np.concatenate([tails, heads]))), shape=(grid.n, grid.n))
+
+
+def indices_loop(value, what):
+    """An index list read entry by entry through jsonio._integer."""
+    if not isinstance(value, list):
+        raise InvalidInputError(f"{what} must be a list of integers")
+    return [_integer(v, what) for v in value]
+
+
+def index_lists_loop(value, what):
+    """A list of index lists read entry by entry through jsonio._integer."""
+    if not isinstance(value, list) or not all(isinstance(row, (list, tuple)) for row in value):
+        raise InvalidInputError(f"{what} must be a list of lists of integers")
+    return [[_integer(v, what) for v in row] for row in value]

@@ -2,13 +2,16 @@ import json
 import math
 import tracemalloc
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from coarselab import cli
+from coarselab import cli, jsonio
 from coarselab.cli import EXIT_CONTRACT, EXIT_INVALID, EXIT_OK, EXIT_USAGE, render, run
 from coarselab.errors import InvalidInputError
 from coarselab.jsonio import write_json
+import oracles
 
 
 def grid_space_doc(dim=2, lo=0.0, hi=20.0, step=0.5):
@@ -253,6 +256,11 @@ class TestMalformedDocuments:
                                   "--cover", cover], capsys)
         assert "cover document must be a JSON object" in report["error"]["message"]
 
+    def test_hyperbolic_space_without_points(self, tmp_json, capsys):
+        space = tmp_json("s.json", {"kind": "hyperbolic_polar", "kappa": -1, "points": []})
+        report = self.one_report(["space", "info", "--space", space], capsys)
+        assert "at least one point" in report["error"]["message"]
+
     def test_matrix_space_without_distances(self, tmp_json, capsys):
         self.one_report(["space", "info", "--space", tmp_json("s.json", {"kind": "matrix"})],
                         capsys)
@@ -404,6 +412,59 @@ class TestMalformedDocuments:
             "--ey", tmp_json("ey.json", {"kind": "radius", "r": 1.5}),
             "--n", "0", "--m", "0"], capsys)
         assert "10000 x 3001 = 30010000 pairs" in message and str(10 ** 7) in message
+
+
+EDGE_INTS = [2 ** 63 - 1, 2 ** 63, -2 ** 63, -2 ** 63 - 1, 2 ** 64, -2 ** 70]
+ODD_ENTRIES = st.one_of(
+    st.sampled_from(EDGE_INTS), st.integers(-2 ** 70, 2 ** 70),
+    st.sampled_from([0.0, -0.0, 3.0, 2.0 ** 62, 2.0 ** 63, -2.0 ** 63, 0.5, 1e300,
+                     math.inf, math.nan]),
+    st.booleans(), st.text(max_size=2), st.none(), st.just([1]))
+
+
+@st.composite
+def index_documents(draw):
+    """Index lists of small ints, mostly, with now and then an entry at an
+    int64 edge, an integral or fractional float, a bool, a string, None or
+    a list, and now and then a row or document that is not a list."""
+    entry = st.integers(-3, 40) | ODD_ENTRIES if draw(st.booleans()) else st.integers(-3, 40)
+    row = st.lists(entry, max_size=6)
+    rows = st.lists(row | st.tuples(entry, entry) | st.sampled_from([5, "ab", None])
+                    if draw(st.integers(0, 4)) == 0 else row, max_size=6)
+    return draw(rows | st.sampled_from([5, None, "sets", {"a": 1}])
+                if draw(st.integers(0, 9)) == 0 else rows)
+
+
+def loaded(load, value):
+    """The loader's result with the type of every entry, or its message."""
+    try:
+        out = load(value, "cover sets")
+    except InvalidInputError as err:
+        return "error", str(err)
+    flat = [x for row in out for x in row] if out and isinstance(out[0], list) else out
+    return "ok", out, [type(x) for x in flat]
+
+
+class TestIndexLoaderOracle:
+    """The bulk index loaders against the entry-by-entry loops: the same
+    lists of ints, or the same error message."""
+
+    @given(doc=index_documents())
+    @settings(max_examples=400, deadline=None)
+    def test_index_lists_match_the_entry_loop(self, doc):
+        assert loaded(jsonio._index_lists, doc) == loaded(oracles.index_lists_loop, doc)
+
+    @given(doc=index_documents())
+    @settings(max_examples=200, deadline=None)
+    def test_indices_match_the_entry_loop(self, doc):
+        flat = doc[0] if isinstance(doc, list) and doc else doc
+        assert loaded(jsonio._indices, flat) == loaded(oracles.indices_loop, flat)
+
+    @pytest.mark.parametrize("entry", EDGE_INTS + [2.0 ** 63, -2.0 ** 63, True, None, "1", 1.5])
+    def test_int64_edges_and_odd_entries(self, entry):
+        for doc in ([[0, 1], [2, entry]], [[entry]]):
+            assert loaded(jsonio._index_lists, doc) == loaded(oracles.index_lists_loop, doc)
+            assert loaded(jsonio._indices, doc[-1]) == loaded(oracles.indices_loop, doc[-1])
 
 
 class TestInputDigests:

@@ -1,7 +1,11 @@
 """Scale: a 10^5-point grid certifies the whole chain cube -> colorize ->
 expand -> stats. Interiors, appetite, disjointness and spreads are decided
 from the incidence matrices and L, so no power of L, no cover spread and no
-composite relation is formed, and none can stop the chain at the pair cap."""
+composite relation is formed, and none can stop the chain at the pair cap.
+The radius relation L itself is assembled straight into CSR, holding at
+most twice its arrays."""
+
+import tracemalloc
 
 import pytest
 
@@ -30,3 +34,16 @@ def test_grid_chain_at_ten_to_the_fifth_points(monkeypatch):
         "expand.families_disjoint", "expand.appetite", "expand.spread_bound"]
     assert stats["multiplicity"] <= 3 and stats["appetite"] is True
     assert stats["lebesgue"] == pytest.approx(2 ** 0.5)
+
+
+def test_grid_materialize_holds_at_most_twice_its_result():
+    grid = Space.grid(2, [0.0, 0.0], [316.0, 316.0], 1.0)
+    e = Entourage.radius(grid, 1.000001)
+    tracemalloc.start()
+    try:
+        m = e.materialize().matrix()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.nnz == grid.n + 4 * 317 * 316
+    assert peak <= 2 * (m.indices.nbytes + m.indptr.nbytes + m.data.nbytes)

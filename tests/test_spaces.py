@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import coarselab
+from coarselab import spaces
 from coarselab.covers import Cover, cover_entourage
 from coarselab.errors import InvalidInputError, ResourceLimitError
-from coarselab.spaces import POINT_CAP, Entourage, PointMap, Space, transport
+from coarselab.spaces import PAIR_CAP, POINT_CAP, Entourage, PointMap, Space, transport
 from coarselab.transforms import make_product_entourage
 import oracles
 
@@ -367,6 +369,96 @@ class TestMaterializeOracle:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=120)
         assert out.stdout.strip() == "[]"
+
+
+@st.composite
+def stencil_grids(draw):
+    """Grids of one to three axes, far from the origin or not, with steps
+    from 1e-7 up; at 1e9 a step of 1e-7 is below one ulp, so axis values
+    repeat."""
+    dim = draw(st.integers(1, 3))
+    step = draw(st.sampled_from([1.0, 0.5, 1 / 3, 0.1, 2.5, 1e-3, 1e-7]))
+    mins = draw(st.lists(st.sampled_from([0.0, -1.7, 1e4, 1e6, -1e9]),
+                         min_size=dim, max_size=dim))
+    counts = draw(st.lists(st.integers(1, {1: 40, 2: 12, 3: 6}[dim]),
+                           min_size=dim, max_size=dim))
+    maxs = [lo + (c - 1) * step for lo, c in zip(mins, counts)]
+    return Space.grid(dim, mins, maxs, step), step
+
+
+def streamed_keys(e):
+    """The keys of the chunks that e's backend yields, in the order given."""
+    n = e.space.n
+    return np.concatenate([np.empty(0, dtype=np.int64)]
+                          + [i * n + j for i, j in e._radius_pairs(PAIR_CAP)])
+
+
+class TestGridStencilOracle:
+    """The grid's lattice stencil against one full distance row per point
+    and against the cloud cell list run on the grid's coordinates."""
+
+    @given(data=st.data(), sample=stencil_grids(), closed=st.booleans(),
+           chunk=st.sampled_from([None, 1, 4, 50]))
+    @settings(max_examples=200, deadline=None)
+    def test_grid_relation_matches_rows_and_cells(self, data, sample, closed, chunk):
+        sp, step = sample
+        coords = sp.meta["coords"]
+        beyond = 2 * float(np.ptp(coords, axis=0).sum()) + 1
+        r = data.draw(st.sampled_from([0.0, 1e-13, step, step - 1e-12, step + 1e-12,
+                                       math.sqrt(2) * step, 2.5 * step, beyond]))
+        e = Entourage.radius(sp, r, closed=closed)
+        # a small chunk slices the stencil, or takes few rows per block
+        with mock.patch.object(spaces, "_STENCIL_CHUNK", chunk or spaces._STENCIL_CHUNK):
+            m = e.materialize().matrix()
+        keys = e.materialize().keys()
+        assert m.indices.dtype == m.indptr.dtype == np.int32
+        assert np.array_equal(keys, oracles.materialize_rows_loop(e))
+        cells = Entourage.radius(Space.cloud(coords), r, closed=closed).materialize()
+        assert np.array_equal(keys, cells.keys())
+
+    @given(sample=stencil_grids())
+    @settings(max_examples=60, deadline=None)
+    def test_adjacency_matches_lattice_edges(self, sample):
+        sp, _ = sample
+        got, want = sp.backend.adjacency(), oracles.grid_adjacency_loop(sp)
+        want.sum_duplicates()
+        for field in ("indptr", "indices", "data"):
+            assert getattr(got, field).dtype == getattr(want, field).dtype
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+
+    @pytest.mark.parametrize("sp", [
+        Space.grid(2, [0.0, -1.0], [3.0, 1.0], 0.5),
+        Space.cloud(np.random.default_rng(5).uniform(0, 4, (40, 2))),
+        Space.cloud([[0.0, 0.0], [np.inf, 1.0], [1.0, 1.0], [0.5, np.nan], [2.0, 0.0]]),
+        Space.tree([(v // 2, v) for v in range(1, 30)]),
+        Space.from_matrix(np.abs(np.subtract.outer(np.arange(12.0), np.arange(12.0)))),
+        Space.hyperbolic_polar(-1.0, [(0.3 * k, 0.7 * k) for k in range(15)]),
+        Space.product(Space.line(0, 4, 1.0), Space.tree([(0, 1), (1, 2), (1, 3)])),
+    ], ids=["grid", "cloud", "cloud-non-finite", "tree", "matrix", "polar", "product"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_every_backend_streams_ascending_keys(self, sp):
+        with mock.patch.multiple(spaces, _PAIR_CHUNK=7, _STENCIL_CHUNK=5, _SCAN_BLOCK=16):
+            for r in (0.0, 1.2, 3.0):
+                e = Entourage.radius(sp, r)
+                keys = streamed_keys(e)
+                assert np.all(np.diff(keys) > 0)
+                assert np.array_equal(keys, oracles.materialize_rows_loop(e))
+
+    def test_grid_over_cap_stops_before_all_candidates(self):
+        line = Space.line(0, 99_999, 1.0)
+        e = Entourage.radius(line, 1e9)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError,
+                               match=r"^radius entourage would exceed the 100000 pair cap$"):
+                e.materialize(cap=10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # each row has a stencil of 2 * 10**5 - 1 steps, so the candidates of
+        # all rows would take 160 GB as int64 indices; the run holds the row
+        # counts (0.8 MB), the kept columns (0.4 MB) and one stencil block
+        assert peak < 8 * 2**20
 
 
 @st.composite

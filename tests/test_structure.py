@@ -1,6 +1,7 @@
 """Structure of the source: guarantee records have one format, built in
-coarselab.certificates and nowhere else, and the geometry of a space is
-decided in coarselab.spaces and nowhere else."""
+coarselab.certificates and nowhere else, the geometry of a space is
+decided in coarselab.spaces and nowhere else, and a radius relation is
+assembled into CSR without a COO step or a canonicalizing copy."""
 
 import ast
 import pathlib
@@ -83,3 +84,23 @@ def test_only_the_spaces_module_switches_on_the_geometry():
     elsewhere = {p.name: lines for p in sorted(SRC.glob("*.py")) if p.name != "spaces.py"
                  for lines in [_geometry_switches(p)] if lines}
     assert elsewhere == {}
+
+
+def test_materialize_builds_no_coo_form_and_no_copy():
+    """Entourage.materialize, and every function of spaces.py it reaches by
+    name, calls none of the COO builders or the canonicalizing copy."""
+    tree = ast.parse((SRC / "spaces.py").read_text(encoding="utf-8"))
+    entourage = next(node for node in tree.body
+                     if isinstance(node, ast.ClassDef) and node.name == "Entourage")
+    defs = {node.name: node for body in (tree.body, entourage.body) for node in body
+            if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), ["materialize"]
+    while todo:
+        name = todo.pop()
+        if name in reached or name not in defs:
+            continue
+        reached.add(name)
+        todo += [_name(call) for _, call in _calls(defs[name])]
+    assert {"materialize", "_radius_pairs", "_key_ordered_csr"} <= reached
+    called = {_name(call) for name in reached for _, call in _calls(defs[name])}
+    assert not called & {"_bool_matrix", "coo_matrix", "tocsr", "from_matrix"}
