@@ -179,7 +179,8 @@ for _n, _m in ((1, 9), (2, 7), (3, 4)):
 
 # `witness ray` on a 1-d grid [0, hi] of the given step, n = 0-3; recorded
 # with the materialized (3n+6)-th power of the interval relation that the
-# interval reaches replaced
+# interval reaches replaced, and the two largest with the set-by-set band
+# builder and set-pair witness that the band tables replaced
 RAY_DIGESTS = {
     (0, 20.0, 0.5, 1.5, False): "5275892ceeeaee94631e718ab0d98958734a300613a8ba34085fdb82334637cb",
     (1, 30.0, 1.0, 2.0, True): "fe8ecd0826c99baabe98ad4e336ed62acc126bb4b68e8c93bde83a3d783660db",
@@ -188,6 +189,8 @@ RAY_DIGESTS = {
     (2, 15.0, 1.0, 2.5, False): "ad009dbb2558797a1c206d2aa0398097a76e843c1354100ffcd41950baf8e8b3",
     (3, 6.0, 0.5, 0.75, False): "b9c39f552b537c8b7bafc7bed5b3530a8c93160ce5b64fd54fbecaf13ad58452",
     (3, 8.0, 1.0, 1.5, True): "94fdce077133b2b02e7906524479b758e80cff63fe0980c9849f014da4adf6de",
+    (2, 60.0, 1.0, 2.0, False): "9bb0f83e06a10484dabe0a0006cb4e72a95a34f92738cbc0da9e0b3777d9aaa2",
+    (3, 20.0, 1.0, 2.0, False): "47fefb69f1447d6fe752c3537d6c68d050f63720db292463f499996454aa1840",
 }
 for (_n, _hi, _step, _r, _closed), _digest in RAY_DIGESTS.items():
     _entourage = {"kind": "radius", "r": _r}
