@@ -212,10 +212,15 @@ def _number(value, what: str) -> float:
 
 
 def _floats(value, what: str) -> np.ndarray:
+    """Arrays of finite numbers pass; as in _number, NaN and the
+    infinities are rejected with the non-numbers."""
     try:
-        return np.asarray(value, dtype=float)
+        arr = np.asarray(value, dtype=float)
     except (OverflowError, TypeError, ValueError) as err:
         raise InvalidInputError(f"{what} must be an array of numbers: {err}") from None
+    if not np.isfinite(arr).all():
+        raise InvalidInputError(f"{what} must be an array of finite numbers")
+    return arr
 
 
 def _integer(value, what: str) -> int:

@@ -10,7 +10,7 @@ extracts a sample point that provably lies in n+1 distinct covering sets.
 from __future__ import annotations
 
 import math
-from itertools import combinations, permutations, product as iproduct
+from itertools import combinations, permutations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -204,6 +204,21 @@ def _class_separation(adj: sparse.csr_matrix, label: np.ndarray, parity: np.ndar
 # ---------------------------------------------------------------------------
 
 
+def _interval_rows(lo: np.ndarray, hi: np.ndarray, columns: int) -> sparse.csr_matrix:
+    """The boolean CSR matrix whose row i holds the columns lo[i] .. hi[i],
+    none when hi[i] = lo[i] - 1."""
+    indptr = np.zeros(lo.size + 1, dtype=np.int64)
+    np.cumsum(hi - lo + 1, out=indptr[1:])
+    indices = np.arange(indptr[-1]) - np.repeat(indptr[:-1] - lo, np.diff(indptr))
+    return sparse.csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr),
+                             shape=(lo.size, columns))
+
+
+def _kron_power(a: sparse.csr_matrix, k: int) -> sparse.csr_matrix:
+    """The Kronecker product of k >= 1 copies of a, in itertools.product order."""
+    return a if k == 1 else sparse.kron(_kron_power(a, k - 1), a, format="csr")
+
+
 class IntervalRelation:
     """A symmetric relation on a sorted 1-d sample, closed under the
     order-interval completion: with (x, y) related, every pair lying between
@@ -215,32 +230,33 @@ class IntervalRelation:
 
     @classmethod
     def from_entourage(cls, e: Entourage, extra_steps: int) -> "IntervalRelation":
+        """The interval completion of e and of the steps up to extra_steps.
+        hi[x] is the greatest b over the pairs {a <= b} with a <= x <= b: a
+        prefix maximum of each b scattered at its a, where the pairs with
+        b < x stay below the start hi[x] >= x. lo is the mirror image."""
         n = e.space.n
         idx = np.arange(n)
+        m = e.matrix()
+        rows = np.repeat(idx, np.diff(m.indptr))
+        a, b = np.minimum(rows, m.indices), np.maximum(rows, m.indices)
         lo = np.maximum(idx - extra_steps, 0)
         hi = np.minimum(idx + extra_steps, n - 1)
-        for i, j in e.pairs():
-            a, b = (i, j) if i <= j else (j, i)
-            lo[a:b + 1] = np.minimum(lo[a:b + 1], a)
-            hi[a:b + 1] = np.maximum(hi[a:b + 1], b)
-        return cls(lo, hi)
+        np.minimum.at(lo, b, a)
+        np.maximum.at(hi, a, b)
+        return cls(np.minimum.accumulate(lo[::-1])[::-1], np.maximum.accumulate(hi))
 
     def composed(self, k: int) -> "IntervalRelation":
         """The k-fold composition of the relation with itself, k >= 0, as
         reaches lo_k = lo[lo_{k-1}] and hi_k = hi[hi_{k-1}]: k array lookups.
 
-        Each row [lo[i], hi[i]] holds i, and lo and hi are non-decreasing.
+        Each row [lo[i], hi[i]] holds i, and lo and hi are non-decreasing:
         from_entourage starts from i -+ extra_steps, clipped, which is both,
-        and only widens rows. Raising hi to at least b on [a, b] keeps it
-        non-decreasing: on [a, b] it becomes the maximum of a non-decreasing
-        array and a constant; below a it is unchanged and at most the old
-        hi[a]; above b it is unchanged and at least its own index, so above
-        b and above every old value before it. lo likewise. Row i of the
-        k-th power is the union of the rows [lo[j], hi[j]] over j in row i
-        of the (k-1)-th. Each of those rows holds its j, so the rows of
-        consecutive j meet or abut, and the union runs from the least lo[j]
-        to the greatest hi[j], which monotonicity puts at the ends of
-        [lo_{k-1}[i], hi_{k-1}[i]].
+        only widens rows, and ends on a suffix minimum and a prefix maximum.
+        Row i of the k-th power is the union of the rows [lo[j], hi[j]] over
+        j in row i of the (k-1)-th. Each of those rows holds its j, so the
+        rows of consecutive j meet or abut, and the union runs from the
+        least lo[j] to the greatest hi[j], which monotonicity puts at the
+        ends of [lo_{k-1}[i], hi_{k-1}[i]].
         """
         lo, hi = np.arange(self.lo.size), np.arange(self.hi.size)
         for _ in range(k):
@@ -249,12 +265,7 @@ class IntervalRelation:
 
     def to_entourage(self, space: Space) -> Entourage:
         """Row i holds the columns lo[i] .. hi[i]."""
-        n = space.n
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(self.hi - self.lo + 1, out=indptr[1:])
-        indices = np.arange(indptr[-1]) - np.repeat(indptr[:-1] - self.lo, np.diff(indptr))
-        return Entourage.from_matrix(space, sparse.csr_matrix(
-            (np.ones(indices.size, dtype=bool), indices, indptr), shape=(n, n)))
+        return Entourage.from_matrix(space, _interval_rows(self.lo, self.hi, space.n))
 
 
 def ray_cell_cover(n: int, e: Entourage):
@@ -266,6 +277,15 @@ def ray_cell_cover(n: int, e: Entourage):
     sets whose index tuples share a residue class mod n+1. Each family is
     disjoint for the n-fold product of the completed relation, and the cover
     spread is bounded by its (3n+6)-th power.
+
+    Each set is a box, one band [bot_i, top_i] per axis. With B the bands x
+    points indicator, a family's sets are the non-empty rows of the n-fold
+    Kronecker power of its bands' rows of B. Boxes touch when their bands
+    touch on every axis, as read from T = (B R B^T) > 0, R the completed
+    relation; so a family's first touching pair in combinations order is
+    the first entry above the diagonal of the Kronecker power of T on its
+    bands. Every non-empty band is an axis band of some set, so the spread
+    holds when each lies in the row of the (3n+6)-th power at its bottom.
 
     For n = 0 the construction degenerates to the partition of the ray into
     consecutive bands K_i \\ K_{i-1}, reported as a single family.
@@ -285,115 +305,66 @@ def ray_cell_cover(n: int, e: Entourage):
     rel = IntervalRelation.from_entourage(e.materialize(), unit_steps)
 
     m = line.n
-    # prefix reach: kappa_{i+1} = max reach over K_i = [0, kappa_i]
-    pref_hi = np.maximum.accumulate(rel.hi)
+    # kappa_{i+1} = reach of K_i = [0, kappa_i], hi being non-decreasing
     kappas = [int(rel.hi[0])]
     while kappas[-1] < m - 1:
-        nxt = int(pref_hi[kappas[-1]])
+        nxt = int(rel.hi[kappas[-1]])
         if nxt <= kappas[-1]:
             raise ResourceLimitError("sample region is not reached by iterated bands")
         kappas.append(nxt)
     # the residue argument may pick a band index up to n-1 past the top of
     # the sample; saturated copies keep those bands non-empty
-    kappas.extend([kappas[-1]] * max(n, 1))
     width = max(n, 1)
-
-    def band(i: int) -> range:
-        top = kappas[i] if i >= 0 else -1
-        bot = kappas[i - width] if i - width >= 0 else -1
-        return range(bot + 1, top + 1)
-
-    bands = [band(i) for i in range(len(kappas))]
+    top = np.array(kappas + [kappas[-1]] * width)
+    bot = np.concatenate([np.zeros(width, dtype=np.int64), top[:-width] + 1])
+    bands = _interval_rows(bot, top, m)
 
     if n <= 1:
         prod_space = line
-        strides = [1]
     else:
         prod_space = Space.grid(n, [0.0] * n, [float(coords[-1])] * n, step)
         if prod_space.n != m ** n:
             raise InvalidInputError("product sample does not match axis sample")
-        strides = [m ** (n - 1 - k) for k in range(n)]
 
-    families: list[list[int]] = []
-    sets: list[tuple[int, ...]] = []
-    n_fam = n + 1 if n >= 1 else 1
-    factors = max(n, 1)
-    for r in range(n_fam):
-        fam: list[int] = []
-        idx_choices = [i for i in range(len(bands)) if i % (n + 1) == r] if n >= 1 \
-            else list(range(len(bands)))
-        for combo in iproduct(*[idx_choices] * factors):
-            members: list[int] = []
-            pieces = [bands[i] for i in combo]
-            if any(len(p) == 0 for p in pieces):
-                continue
-            for tup in iproduct(*pieces):
-                members.append(sum(t * s for t, s in zip(tup, strides)))
-            fam.append(len(sets))
-            sets.append(tuple(sorted(members)))
-        families.append(fam)
+    fam_bands = [np.flatnonzero(np.arange(top.size) % (n + 1) == r) for r in range(n + 1)]
+    boxes = [_kron_power(bands[fb], width) for fb in fam_bands]
+    kept = [np.flatnonzero(np.diff(b.indptr)) for b in boxes]
+    ends = np.cumsum([0] + [k.size for k in kept]).tolist()
+    families = [range(a, b) for a, b in zip(ends, ends[1:])]
 
     rel_ent = rel.to_entourage(line)
-    out = ColoredCover(prod_space, sets, families, rel_ent,
-                       require_covering=False, canonicalize=False)
+    out = ColoredCover(prod_space, sparse.vstack([b[k] for b, k in zip(boxes, kept)]),
+                       families, rel_ent, require_covering=False, canonicalize=False)
     missing = out.uncovered_points()
     claims = [holds("ray_cover.covers", not missing, missing[:3] if missing else None)]
     if n >= 1:
-        dw = _ray_family_witness(out, rel, strides, m)
-        ok = _ray_spread_ok(out, rel.composed(3 * n + 6), strides, m)
+        dw = _first_touching_boxes(bands @ rel_ent.matrix() @ bands.T, fam_bands, kept,
+                                   width, bot)
+        full = bot <= top
+        ok = bool(np.all(top[full] <= rel.composed(3 * n + 6).hi[bot[full]]))
         claims += [holds("ray_cover.families_disjoint", dw is None, dw),
                    claim("ray_cover.spread_bound", f"power {3 * n + 6}", ok, ok)]
-    claims.append(count_at_most("ray_cover.multiplicity", multiplicity(out), n_fam))
+    claims.append(count_at_most("ray_cover.multiplicity", multiplicity(out), n + 1))
     return out, certify(claims)
 
 
-def _factor_indices(flat: int, strides: list[int], m: int) -> list[int]:
-    out = []
-    for s in strides:
-        out.append(flat // s % m)
-    return out
-
-
-def _ray_family_witness(cover: ColoredCover, rel: IntervalRelation,
-                        strides: list[int], m: int):
-    """Check family disjointness against the factor-wise completed relation."""
-    for fam in cover.families:
-        for sa, sb in combinations(fam, 2):
-            a0 = _factor_indices(cover.sets[sa][0], strides, m)
-            b0 = _factor_indices(cover.sets[sb][0], strides, m)
-            # straddling requires every factor pair to be related; factor
-            # bands are intervals so corner representatives suffice,
-            # but verify honestly over all factor pairs of extremes
-            if _bands_touch(cover.sets[sa], cover.sets[sb], rel, strides, m):
-                return (sa, sb, (a0, b0))
+def _first_touching_boxes(touch: sparse.csr_matrix, fam_bands: list, kept: list,
+                          width: int, bot: np.ndarray):
+    """The first same-family pair of boxes, family by family and in
+    combinations order, whose bands touch on every axis: (set a, set b,
+    (per-axis band minima of a, of b)), or None. kept holds each family's
+    non-empty boxes in product order; sets are numbered family by family."""
+    start = 0
+    for fb, k in zip(fam_bands, kept):
+        t = sparse.triu(_kron_power(touch[fb][:, fb], width), k=1, format="coo")
+        if t.nnz:
+            first = np.lexsort((t.col, t.row))[0]
+            pair = np.array([t.row[first], t.col[first]])
+            sa, sb = (start + np.searchsorted(k, pair)).tolist()
+            mins = bot[fb][np.array(np.unravel_index(pair, (fb.size,) * width))]
+            return (sa, sb, (mins[:, 0].tolist(), mins[:, 1].tolist()))
+        start += k.size
     return None
-
-
-def _bands_touch(set_a, set_b, rel: IntervalRelation, strides, m) -> bool:
-    fa = np.array([_factor_indices(p, strides, m) for p in set_a])
-    fb = np.array([_factor_indices(p, strides, m) for p in set_b])
-    for k in range(len(strides)):
-        amin, amax = fa[:, k].min(), fa[:, k].max()
-        bmin, bmax = fb[:, k].min(), fb[:, k].max()
-        touched = False
-        for u in range(amin, amax + 1):
-            if not (rel.hi[u] < bmin or rel.lo[u] > bmax):
-                touched = True
-                break
-        if not touched:
-            return False
-    return True
-
-
-def _ray_spread_ok(cover: ColoredCover, factor_power: IntervalRelation,
-                   strides, m) -> bool:
-    for s in cover.sets:
-        fa = np.array([_factor_indices(p, strides, m) for p in s])
-        for k in range(len(strides)):
-            lo, hi = int(fa[:, k].min()), int(fa[:, k].max())
-            if not factor_power.lo[lo] <= hi <= factor_power.hi[lo]:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -723,16 +694,14 @@ def random_admissible_labeling(grid: SimplexGrid, rng) -> list[int]:
 
 
 def pn_sample(n: int, xmax: float, step: float) -> Space:
-    """Sample of the slab {x_n > 0, x_i <= x_n} inside [0, xmax]^n."""
+    """Sample of the slab {x_n > 0, x_i <= x_n} inside [0, xmax]^n, in
+    lexicographic order."""
     if abs(round(1.0 / step) - 1.0 / step) > FLOAT_TOL:
         raise InvalidInputError("step must divide 1")
     vals = np.arange(0.0, xmax + step / 2, step)
-    pts = []
-    for tup in iproduct(vals, repeat=n):
-        x = np.array(tup)
-        if x[-1] > FLOAT_TOL and np.all(x[:-1] <= x[-1] + FLOAT_TOL):
-            pts.append(x)
-    return Space.cloud(np.array(pts))
+    pts = np.stack(np.meshgrid(*[vals] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    keep = (pts[:, -1] > FLOAT_TOL) & np.all(pts[:, :-1] <= pts[:, -1:] + FLOAT_TOL, axis=1)
+    return Space.cloud(pts[keep])
 
 
 def simplex_lower_bound_check(cover: Cover, n: int) -> dict:

@@ -70,6 +70,14 @@ in bulk when every entry is a plain int64. The head/tail construction of
 the grid's neighbour graph through a COO matrix, and the loaders that
 checked each index entry on its own, are kept here; the row scan
 materialize_rows_loop above is the reference of the stencil.
+
+A ray cover's sets are boxes of bands, built as a Kronecker power of the
+band indicator rows; its family witness reads a band touch table, its
+spread one reach per band, and the interval completion of a relation is a
+prefix maximum and a suffix minimum of scattered pair ends. The member by
+member builder with its set-pair witness, per-axis touch loop and
+set-by-set spread test, the slice-per-pair interval completion and the
+point-by-point sample of the positive cone are kept here.
 """
 
 import math
@@ -1313,3 +1321,160 @@ def index_lists_loop(value, what):
     if not isinstance(value, list) or not all(isinstance(row, (list, tuple)) for row in value):
         raise InvalidInputError(f"{what} must be a list of lists of integers")
     return [[_integer(v, what) for v in row] for row in value]
+
+
+def interval_relation_loop(e, extra_steps):
+    """IntervalRelation.from_entourage, one slice assignment per pair: the
+    reaches (lo, hi)."""
+    n = e.space.n
+    idx = np.arange(n)
+    lo = np.maximum(idx - extra_steps, 0)
+    hi = np.minimum(idx + extra_steps, n - 1)
+    for i, j in e.pairs():
+        a, b = (i, j) if i <= j else (j, i)
+        lo[a:b + 1] = np.minimum(lo[a:b + 1], a)
+        hi[a:b + 1] = np.maximum(hi[a:b + 1], b)
+    return lo, hi
+
+
+def ray_cell_cover_loop(n, e):
+    """ray_cell_cover built member by member, with the set-pair family
+    witness and the set-by-set spread test, on the slice-loop reaches."""
+    from coarselab.certificates import certify, claim, count_at_most, holds
+    from coarselab.covers import multiplicity
+    from coarselab.spaces import GridMetric, Space
+    from coarselab.transforms import ColoredCover
+    from coarselab.witnesses import IntervalRelation
+
+    if n < 0:
+        raise InvalidInputError("n must be >= 0")
+    line = e.space
+    if not isinstance(line.backend, GridMetric) or line.backend.dim != 1:
+        raise InvalidInputError("ray cover needs a 1-d grid sample")
+    coords = line.backend.coords[:, 0]
+    if coords[0] < -TOL:
+        raise InvalidInputError("ray sample must start at 0")
+    step = line.backend.step
+    unit_steps = int(math.floor(1.0 / step + TOL))
+    if unit_steps < 1:
+        raise InvalidInputError("sample step must be <= 1")
+    rel = IntervalRelation(*interval_relation_loop(e.materialize(), unit_steps))
+
+    m = line.n
+    pref_hi = np.maximum.accumulate(rel.hi)
+    kappas = [int(rel.hi[0])]
+    while kappas[-1] < m - 1:
+        nxt = int(pref_hi[kappas[-1]])
+        if nxt <= kappas[-1]:
+            raise ResourceLimitError("sample region is not reached by iterated bands")
+        kappas.append(nxt)
+    kappas.extend([kappas[-1]] * max(n, 1))
+    width = max(n, 1)
+
+    def band(i):
+        top = kappas[i] if i >= 0 else -1
+        bot = kappas[i - width] if i - width >= 0 else -1
+        return range(bot + 1, top + 1)
+
+    bands = [band(i) for i in range(len(kappas))]
+
+    if n <= 1:
+        prod_space = line
+        strides = [1]
+    else:
+        prod_space = Space.grid(n, [0.0] * n, [float(coords[-1])] * n, step)
+        if prod_space.n != m ** n:
+            raise InvalidInputError("product sample does not match axis sample")
+        strides = [m ** (n - 1 - k) for k in range(n)]
+
+    families = []
+    sets = []
+    n_fam = n + 1 if n >= 1 else 1
+    factors = max(n, 1)
+    for r in range(n_fam):
+        fam = []
+        idx_choices = [i for i in range(len(bands)) if i % (n + 1) == r] if n >= 1 \
+            else list(range(len(bands)))
+        for combo in iproduct(*[idx_choices] * factors):
+            members = []
+            pieces = [bands[i] for i in combo]
+            if any(len(p) == 0 for p in pieces):
+                continue
+            for tup in iproduct(*pieces):
+                members.append(sum(t * s for t, s in zip(tup, strides)))
+            fam.append(len(sets))
+            sets.append(tuple(sorted(members)))
+        families.append(fam)
+
+    out = ColoredCover(prod_space, sets, families, rel.to_entourage(line),
+                       require_covering=False, canonicalize=False)
+    missing = out.uncovered_points()
+    claims = [holds("ray_cover.covers", not missing, missing[:3] if missing else None)]
+    if n >= 1:
+        dw = ray_family_witness_loop(out, rel, strides, m)
+        ok = ray_spread_ok_loop(out, rel.composed(3 * n + 6), strides, m)
+        claims += [holds("ray_cover.families_disjoint", dw is None, dw),
+                   claim("ray_cover.spread_bound", f"power {3 * n + 6}", ok, ok)]
+    claims.append(count_at_most("ray_cover.multiplicity", multiplicity(out), n_fam))
+    return out, certify(claims)
+
+
+def _factor_indices(flat, strides, m):
+    return [flat // s % m for s in strides]
+
+
+def ray_family_witness_loop(cover, rel, strides, m):
+    """The first same-family set pair, in combinations order, whose bands
+    touch on every axis: (set a, set b, (per-axis band minima of a, of b)),
+    or None."""
+    for fam in cover.families:
+        for sa, sb in combinations(fam, 2):
+            a0 = _factor_indices(cover.sets[sa][0], strides, m)
+            b0 = _factor_indices(cover.sets[sb][0], strides, m)
+            if bands_touch_loop(cover.sets[sa], cover.sets[sb], rel, strides, m):
+                return (sa, sb, (a0, b0))
+    return None
+
+
+def bands_touch_loop(set_a, set_b, rel, strides, m):
+    """Whether on every axis some u in a's band reaches [lo[u], hi[u]] into
+    b's band."""
+    fa = np.array([_factor_indices(p, strides, m) for p in set_a])
+    fb = np.array([_factor_indices(p, strides, m) for p in set_b])
+    for k in range(len(strides)):
+        amin, amax = fa[:, k].min(), fa[:, k].max()
+        bmin, bmax = fb[:, k].min(), fb[:, k].max()
+        touched = False
+        for u in range(amin, amax + 1):
+            if not (rel.hi[u] < bmin or rel.lo[u] > bmax):
+                touched = True
+                break
+        if not touched:
+            return False
+    return True
+
+
+def ray_spread_ok_loop(cover, factor_power, strides, m):
+    """Whether every set's band on every axis lies in one row of the power."""
+    for s in cover.sets:
+        fa = np.array([_factor_indices(p, strides, m) for p in s])
+        for k in range(len(strides)):
+            lo, hi = int(fa[:, k].min()), int(fa[:, k].max())
+            if not factor_power.lo[lo] <= hi <= factor_power.hi[lo]:
+                return False
+    return True
+
+
+def pn_sample_loop(n, xmax, step):
+    """pn_sample, one candidate point at a time."""
+    from coarselab.spaces import Space
+
+    if abs(round(1.0 / step) - 1.0 / step) > TOL:
+        raise InvalidInputError("step must divide 1")
+    vals = np.arange(0.0, xmax + step / 2, step)
+    pts = []
+    for tup in iproduct(vals, repeat=n):
+        x = np.array(tup)
+        if x[-1] > TOL and np.all(x[:-1] <= x[-1] + TOL):
+            pts.append(x)
+    return Space.cloud(np.array(pts))

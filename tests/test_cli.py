@@ -261,6 +261,19 @@ class TestMalformedDocuments:
         report = self.one_report(["space", "info", "--space", space], capsys)
         assert "at least one point" in report["error"]["message"]
 
+    @pytest.mark.parametrize("text,field", [
+        ('{"kind": "cloud", "points": [[NaN, 0], [1, 1]]}', "points"),
+        ('{"kind": "matrix", "dist": [[0, Infinity], [Infinity, 0]]}', "dist"),
+        ('{"kind": "matrix", "dist": [[0, -Infinity], [-Infinity, 0]]}', "dist"),
+    ], ids=["cloud-nan", "matrix-infinity", "matrix-minus-infinity"])
+    def test_non_finite_number_arrays(self, tmp_path, capsys, text, field):
+        # Python's JSON reader takes NaN and Infinity; a space built on them
+        # reported a NaN or infinite diameter
+        path = tmp_path / "s.json"
+        path.write_text(text, encoding="utf-8")
+        report = self.one_report(["space", "info", "--space", str(path)], capsys)
+        assert report["error"]["message"] == f"{field} must be an array of finite numbers"
+
     def test_matrix_space_without_distances(self, tmp_json, capsys):
         self.one_report(["space", "info", "--space", tmp_json("s.json", {"kind": "matrix"})],
                         capsys)

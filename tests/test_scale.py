@@ -3,7 +3,8 @@ expand -> stats. Interiors, appetite, disjointness and spreads are decided
 from the incidence matrices and L, so no power of L, no cover spread and no
 composite relation is formed, and none can stop the chain at the pair cap.
 The radius relation L itself is assembled straight into CSR, holding at
-most twice its arrays."""
+most twice its arrays. The ray band cover of the cone is built and
+certified from band tables at about 10^5 product points."""
 
 import tracemalloc
 
@@ -12,7 +13,7 @@ import pytest
 from coarselab import covers, transforms
 from coarselab.spaces import Entourage, Space
 from coarselab.transforms import colorize, expand
-from coarselab.witnesses import cube_cover
+from coarselab.witnesses import cube_cover, ray_cell_cover
 
 
 def test_grid_chain_at_ten_to_the_fifth_points(monkeypatch):
@@ -47,3 +48,15 @@ def test_grid_materialize_holds_at_most_twice_its_result():
         tracemalloc.stop()
     assert m.nnz == grid.n + 4 * 317 * 316
     assert peak <= 2 * (m.indices.nbytes + m.indptr.nbytes + m.data.nbytes)
+
+
+@pytest.mark.parametrize("n,top,points", [(2, 316.0, 100_489), (3, 46.0, 103_823)])
+def test_ray_cover_at_ten_to_the_fifth_points(n, top, points):
+    line = Space.grid(1, [0.0], [top], 1.0)
+    cov, cert = ray_cell_cover(n, Entourage.radius(line, 2.0))
+    assert cov.space.n == points and cov.uncovered_points() == []
+    assert len(cov.families) == n + 1 and covers.multiplicity(cov) <= n + 1
+    assert [g["id"] for g in cert] == [
+        "ray_cover.covers", "ray_cover.families_disjoint", "ray_cover.spread_bound",
+        "ray_cover.multiplicity"]
+    assert all(g["pass"] for g in cert)

@@ -1,7 +1,8 @@
 """Structure of the source: guarantee records have one format, built in
 coarselab.certificates and nowhere else, the geometry of a space is
-decided in coarselab.spaces and nowhere else, and a radius relation is
-assembled into CSR without a COO step or a canonicalizing copy."""
+decided in coarselab.spaces and nowhere else, a radius relation is
+assembled into CSR without a COO step or a canonicalizing copy, and no
+module keeps an import it does not use."""
 
 import ast
 import pathlib
@@ -104,3 +105,23 @@ def test_materialize_builds_no_coo_form_and_no_copy():
     assert {"materialize", "_radius_pairs", "_key_ordered_csr"} <= reached
     called = {_name(call) for name in reached for _, call in _calls(defs[name])}
     assert not called & {"_bool_matrix", "coo_matrix", "tocsr", "from_matrix"}
+
+
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    """The names a module imports and never reads: each name an import
+    binds, against the names the module loads anywhere (`np` in
+    `np.zeros` included)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = [alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__" for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_every_imported_name_is_used():
+    """No linter runs on the source, so deletions must not leave dead imports
+    behind; __init__.py imports to re-export and is left out."""
+    unused = {p.name: names for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"
+              for names in [_unused_imports(p)] if names}
+    assert unused == {}

@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from coarselab.covers import (Cover, has_appetite, lebesgue_number, mesh,
 from coarselab.errors import ContractViolationError, InvalidInputError, ResourceLimitError
 from coarselab.prng import SplitMix64
 from coarselab.spaces import Entourage, Space
-from coarselab.witnesses import (IntervalRelation, _cube_sets, _in_simplex_mask, _snap_to_sample,
+from coarselab.witnesses import (IntervalRelation, _cube_sets, _first_touching_boxes,
+                                 _in_simplex_mask, _interval_rows, _kron_power, _snap_to_sample,
                                  _subdivide_to_mesh, SimplexGrid, SimplicialComplex,
                                  constant_interior_labeling, cube_cover,
                                  nearest_corner_labeling, pn_sample,
@@ -209,6 +212,16 @@ class TestTreeKernelsOracle:
         assert all(g["pass"] for g in cert)
 
 
+def _outcome(build, n, e):
+    """The sets, families and certificate of a ray cover, or the record of
+    the guarantee that failed."""
+    try:
+        cov, cert = build(n, e)
+    except ContractViolationError as err:
+        return "fails", err.witness
+    return "certified", cov.space.n, cov.sets, cov.families, cert
+
+
 class TestRayCellCover:
     def test_interval_relation_rows_run_from_lo_to_hi(self):
         line = Space.line(0, 9, 1.0)
@@ -251,6 +264,86 @@ class TestRayCellCover:
         cov, cert = ray_cell_cover(0, e)
         assert multiplicity(cov) == 1
         assert cov.uncovered_points() == []
+
+    @given(data=st.data(), m=st.integers(1, 30), symmetrize=st.booleans(),
+           extra=st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_interval_completion_matches_the_slice_loop(self, data, m, symmetrize, extra):
+        line = Space.line(0, m - 1, 1.0)
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+                                   max_size=2 * m))
+        e = Entourage.from_pairs(line, pairs, symmetrize=symmetrize)
+        rel = IntervalRelation.from_entourage(e, extra)
+        lo, hi = oracles.interval_relation_loop(e, extra)
+        assert rel.lo.tolist() == lo.tolist() and rel.hi.tolist() == hi.tolist()
+        assert rel.lo.dtype == lo.dtype and rel.hi.dtype == hi.dtype
+
+    @given(data=st.data(), n=st.integers(0, 3), closed=st.booleans(),
+           step=st.sampled_from([1.0, 0.5, 0.25, 0.3, 0.1]))
+    @settings(max_examples=150, deadline=None)
+    def test_ray_cover_matches_the_loop(self, data, n, closed, step):
+        # radius relations of any reach, open and closed, and now and then
+        # an explicit pair set, on axes up to 61, 61, 25 and 10 points; now
+        # and then the spread is checked against a power too low to hold
+        points = data.draw(st.integers(1, {0: 61, 1: 61, 2: 25, 3: 10}[n]))
+        line = Space.grid(1, [0.0], [(points - 1) * step], step)
+        if data.draw(st.integers(0, 4)):
+            r = data.draw(st.sampled_from([0.0, step, 1.0, 1.5, 2.0]) | st.floats(0.0, 4.0))
+            e = Entourage.radius(line, r, closed=closed)
+        else:
+            e = Entourage.from_pairs(line, data.draw(st.lists(
+                st.tuples(st.integers(0, line.n - 1), st.integers(0, line.n - 1)), max_size=6)))
+        power = data.draw(st.none() | st.integers(0, 2))
+        composed = IntervalRelation.composed
+        with mock.patch.object(IntervalRelation, "composed", lambda rel, k: composed(
+                rel, k if power is None else power)):
+            got, want = _outcome(ray_cell_cover, n, e), _outcome(oracles.ray_cell_cover_loop, n, e)
+        event("spread fails" if want[0] == "fails" else "certified")
+        assert got == want
+
+    def test_family_witness_takes_the_first_pair_in_combinations_order(self):
+        # bands 0-3 at points 5, 0, 1 and 9 of one family: 5 reaches 9 and
+        # 0 reaches 1, so boxes (0, 3) and (1, 2) touch, and (0, 3) comes
+        # first, though (1, 2) has the lesser second box
+        line = Space.line(0, 9, 1.0)
+        rel = IntervalRelation.from_entourage(Entourage.from_pairs(line, [(5, 9), (0, 1)]), 0)
+        bot = top = np.array([5, 0, 1, 9])
+        bands = _interval_rows(bot, top, 10)
+        touch = bands @ rel.to_entourage(line).matrix() @ bands.T
+        got = _first_touching_boxes(touch, [np.arange(4)], [np.arange(4)], 1, bot)
+        cover = SimpleNamespace(sets=[(5,), (0,), (1,), (9,)], families=[[0, 1, 2, 3]])
+        assert got == oracles.ray_family_witness_loop(cover, rel, [1], 10) == (0, 3, ([5], [9]))
+
+    @given(data=st.data(), width=st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_family_witness_matches_the_set_pair_loop(self, data, width):
+        # a valid ray cover never has touching boxes in one family, so
+        # random bands and relations drive the witness here: bands may be
+        # empty, overlap or repeat, and families take any of them
+        m = data.draw(st.integers(1, {1: 12, 2: 8, 3: 5}[width]))
+        k = data.draw(st.integers(1, 6))
+        bot = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=k, max_size=k)))
+        size = np.array(data.draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)))
+        top = np.minimum(bot + size - 1, m - 1)
+        label = np.array(data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)))
+        fam_bands = [fb for fb in (np.flatnonzero(label == f) for f in range(3)) if fb.size]
+        line = Space.line(0, m - 1, 1.0)
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+                                   max_size=m))
+        rel = IntervalRelation.from_entourage(Entourage.from_pairs(line, pairs),
+                                              data.draw(st.integers(0, 2)))
+        bands = _interval_rows(bot, top, m)
+        touch = bands @ rel.to_entourage(line).matrix() @ bands.T
+        boxes = [_kron_power(bands[fb], width) for fb in fam_bands]
+        kept = [np.flatnonzero(np.diff(b.indptr)) for b in boxes]
+        sets = [tuple(b[int(i)].indices.tolist()) for b, kb in zip(boxes, kept) for i in kb]
+        ends = np.cumsum([0] + [kb.size for kb in kept]).tolist()
+        cover = SimpleNamespace(sets=sets, families=[list(range(a, b))
+                                                     for a, b in zip(ends, ends[1:])])
+        want = oracles.ray_family_witness_loop(cover, rel, [m ** (width - 1 - a)
+                                                            for a in range(width)], m)
+        event("touching" if want else "apart")
+        assert _first_touching_boxes(touch, fam_bands, kept, width, bot) == want
 
 
 class TestStarCover:
@@ -452,6 +545,16 @@ class TestSimplexArrayKernels:
                                                     elements=st.floats(-2, r + 2)))])
         assert np.array_equal(_in_simplex_mask(probe, corners),
                               oracles.in_simplex_mask_loop(probe, corners))
+
+    @given(n=st.integers(1, 3), q=st.sampled_from([1, 2, 3, 4]), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pn_sample_matches_the_loop(self, n, q, data):
+        step = 1.0 / q
+        xmax = data.draw(st.integers(1, {1: 40, 2: 16, 3: 6}[n] * q)) * step \
+            + data.draw(st.sampled_from([0.0, 0.3 * step, -1e-12]))
+        got, want = pn_sample(n, xmax, step).meta["coords"], \
+            oracles.pn_sample_loop(n, xmax, step).meta["coords"]
+        assert got.shape == want.shape and np.array_equal(got, want)
 
     def test_snap_on_half_steps(self):
         # r = 15, m = 92: b_0 = 23 puts x_0 = 3.75 on 7.5 steps of 0.5, and
