@@ -13,24 +13,4 @@ Modules:
   cli         the `coarselab` command-line front end
 """
 
-import os
-
 __version__ = "0.1.0"
-
-
-def _cap_threads() -> None:
-    """Honor COARSE_LAB_THREADS by capping BLAS pools when possible."""
-    cap = os.environ.get("COARSE_LAB_THREADS")
-    if not cap:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(int(cap))
-    except Exception:
-        # numpy without threadpoolctl: BLAS pool size is fixed at import,
-        # which is fine for determinism (results never depend on it)
-        pass
-
-
-_cap_threads()

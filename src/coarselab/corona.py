@@ -24,8 +24,11 @@ distance block; the filtration levels, the widths, f (an argmin over the
 rows of the nested X_n) and g (an argmin along each row) all read it. The
 tail widths are one running maximum over the related pairs. The band cover
 is assembled as sparse incidence rows, each a schedule set crossed with a
-level band, and its appetite is certified from the margins of its level
-slices (see _band_appetite_witness), without materializing a ball.
+level band. Its appetite is certified from the margins of its level slices
+(see _band_appetite_failures), without materializing a ball, and its
+spreads by the corona backend's mesh; the margins and pair distances come
+from the backend too, so no block is computed here but the model's own and
+those of roundtrip_bounds.
 """
 
 from __future__ import annotations
@@ -42,8 +45,6 @@ from .errors import ContractViolationError, InvalidInputError, ResourceLimitErro
 from .spaces import PAIR_CAP, Entourage, Space
 
 TOL = 1e-9
-# distance rows are computed in blocks of at most this many entries
-_DISTANCE_BLOCK = 1 << 16
 
 
 class CompactificationModel:
@@ -205,22 +206,13 @@ def check_cc_entourage(model: CompactificationModel, entourage: Entourage,
     on the first half (an honest finite-sample proxy for "tends to zero").
     The raw sequence is always returned.
     """
-    n = model.ambient.n
     m = entourage.materialize().matrix()
-    pos = np.full(max(n, m.shape[0]), -1, dtype=np.int64)
+    pos = np.full(max(model.ambient.n, m.shape[0]), -1, dtype=np.int64)
     pos[model._interior_arr] = np.arange(len(model.interior))
     rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
     keep = (pos[rows] >= 0) & (pos[m.indices] >= 0)
     rows, cols = rows[keep], m.indices[keep]
-    # the related pairs of interior points, a block of distance rows at a time
-    d = np.empty(rows.size)
-    starts = np.unique(rows)
-    step = max(1, _DISTANCE_BLOCK // max(n, 1))
-    for at in range(0, starts.size, step):
-        chunk = starts[at:at + step]
-        lo, hi = np.searchsorted(rows, [chunk[0], chunk[-1] + 1])
-        block = model.ambient.dist_block(chunk, np.arange(n))
-        d[lo:hi] = block[np.searchsorted(chunk, rows[lo:hi]), cols[lo:hi]]
+    d = model.ambient.pair_distances(rows, cols)
     # past the level where the filtration swallows the whole interior
     # sample, every tail width is trivially zero; stop just before it
     full = np.flatnonzero(
@@ -264,8 +256,8 @@ class CoronaCoverSchedule:
 
     cover_at(k) must return a cover of the corona sample with mesh <= 1/k
     made of n_families disjoint families; lebesgue_at(k) a positive lower
-    bound on its Lebesgue number. Both are verified lazily as requested
-    scales are built.
+    bound on its Lebesgue number. Both are checked as each scale is built;
+    corona_dim_cover asks for each scale once.
     """
 
     def __init__(self, corona_space: Space, n_families: int, builder,
@@ -274,16 +266,12 @@ class CoronaCoverSchedule:
         self.n_families = n_families
         self._builder = builder
         self._lebesgue_fn = lebesgue_fn
-        self._cache: dict[int, Cover] = {}
 
     def cover_at(self, k: int) -> Cover:
-        got = self._cache.get(k)
-        if got is None:
-            got = self._builder(k)
-            if got.families is None or len(got.families) != self.n_families:
-                raise ContractViolationError(
-                    f"schedule cover at scale {k} must carry {self.n_families} families")
-            self._cache[k] = got
+        got = self._builder(k)
+        if got.families is None or len(got.families) != self.n_families:
+            raise ContractViolationError(
+                f"schedule cover at scale {k} must carry {self.n_families} families")
         return got
 
     def lebesgue_at(self, k: int) -> float:
@@ -350,11 +338,10 @@ def corona_dim_cover(schedule: CoronaCoverSchedule, deltas: Sequence[float],
     # Lebesgue bound of the cover at scale l_i
     scales = [1]
 
-    def ensure_scale(idx: int) -> bool:
+    def ensure_scale(idx: int) -> None:
         while len(scales) <= idx:
             leb = schedule.lebesgue_at(scales[-1])
             scales.append(max(scales[-1] + 1, int(math.ceil(1.0 / leb))))
-        return True
 
     # cut points k_i: beyond K_{k_i - 2}, every delta drops below 1/l_{i+2};
     # the extra index step (i+2 rather than i+1) is what lets every related
@@ -500,12 +487,10 @@ def _band_appetite_failures(cover: Cover, schedule: CoronaCoverSchedule,
     it (its column of the incidence matrix, at most the multiplicity many)
     passes at every partner.
 
-    out is computed once per distinct slice of the cover's (set, level)
-    pairs, at the slice's members only. At x outside S_b, out(x, S_b) is
-    at most d(x, x), which is exactly 0 on a backend with the
-    zero_self_distance flag, so out is 0 there; on the others out is
-    computed at every corona point. The cost is the slice margins plus one
-    lookup per incidence entry and partner.
+    out comes from the corona backend's outside_distances, once for each
+    distinct (slice, point) pair looked up, the slices deduplicated first.
+    The cost is those margins plus one lookup per incidence entry and
+    partner slot.
     """
     corona = schedule.corona_space
     nc = corona.n
@@ -516,16 +501,6 @@ def _band_appetite_failures(cover: Cover, schedule: CoronaCoverSchedule,
     slices = sparse.csr_matrix((np.ones(m.nnz, dtype=bool), (owner * width + level, x)),
                                shape=(m.shape[0] * width, nc))
     slice_id, members = _distinct(slices)
-    if corona.backend.zero_self_distance:
-        queries = members
-    else:
-        queries = sparse.csr_matrix(np.ones(members.shape, dtype=bool))
-    margins = np.empty(queries.nnz)
-    for part, d, inside in _member_distances(corona, members, queries):
-        d[inside] = np.inf
-        margins[part] = d.min(axis=1)
-    margin_keys = (np.repeat(np.arange(queries.shape[0], dtype=np.int64),
-                             np.diff(queries.indptr)) * nc + queries.indices)
 
     # the window partners b <= depth of every level, padded with slots
     # that always pass (cut -inf)
@@ -543,15 +518,16 @@ def _band_appetite_failures(cover: Cover, schedule: CoronaCoverSchedule,
 
     checked = level <= depth
     owner, x, level = owner[checked], x[checked], level[checked]
+    # the (slice, point) key of each entry at each partner slot
+    keys = [slice_id[owner * width + partner[level, t]] * nc + x for t in range(slots)]
+    pairs = np.sort(np.concatenate([np.empty(0, dtype=np.int64)] + keys))
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    queries = sparse.csr_matrix((np.ones(pairs.size, dtype=bool), np.divmod(pairs, nc)),
+                                shape=members.shape)
+    margins = corona.backend.outside_distances(queries, members)
     ok = np.ones(owner.size, dtype=bool)
-    for t in range(slots):
-        keys = slice_id[owner * width + partner[level, t]] * nc + x
-        at = np.searchsorted(margin_keys, keys)
-        hit = at < margin_keys.size
-        hit[hit] = margin_keys[at[hit]] == keys[hit]
-        out = np.zeros(keys.size)
-        out[hit] = margins[at[hit]]
-        ok &= out >= cut[level, t]
+    for t, key in enumerate(keys):
+        ok &= margins[np.searchsorted(pairs, key)] >= cut[level, t]
     passed = np.zeros(nc * width, dtype=bool)
     passed[(x * width + level)[ok]] = True
     return ~passed & (np.arange(nc * width) % width <= depth)
@@ -566,50 +542,29 @@ def _distinct(m: sparse.csr_matrix) -> tuple[np.ndarray, sparse.csr_matrix]:
     return ids, m[order[~repeat]]
 
 
-def _member_distances(space: Space, sets: sparse.csr_matrix, queries: sparse.csr_matrix):
-    """For the stored entries (s, x) of queries, in order, a block at a
-    time: (the block's slice of the entries, the distances from each x to
-    every point, and which of those points row s of sets holds)."""
-    n = space.n
-    rows = np.repeat(np.arange(queries.shape[0]), np.diff(queries.indptr))
-    step = max(1, _DISTANCE_BLOCK // max(n, 1))
-    for at in range(0, queries.nnz, step):
-        part = slice(at, at + step)
-        yield (part, space.dist_block(queries.indices[part], np.arange(n)),
-               sets[rows[part]].toarray())
-
-
 def _band_bookkeeping(cover: Cover, schedule: CoronaCoverSchedule, scales,
                       cuts, bands, width: int):
     """The per-level diameters d_m and a check that every covering set's
     corona spread stays below the declared diameter at its top level.
 
-    The head value is the corona diameter (whatever sits inside the first
-    two cut bands is only constrained by compactness); past the second cut
-    the levels in band (k_{i-1}, k_i] carry d_m = 1/l_{i-2}, which tends to
-    the declared floor.
+    The head value is the corona diameter, at least 1 (whatever sits inside
+    the first two cut bands is only constrained by compactness); past the
+    second cut the levels in band (k_{i-1}, k_i] carry d_m = 1/l_{i-2},
+    which tends to the declared floor.
 
-    A spread is the diameter of a set's corona projection, measured once
-    per distinct projection; the whole corona rides along as one more
-    projection, whose diameter is the head value.
+    A spread is the diameter of a set's corona projection, as the backend's
+    mesh counts it (0 for fewer than two points). The sets sharing a bound
+    are checked by one mesh of their distinct projections: the largest
+    spread is within the bound exactly when every spread is.
     """
     corona = schedule.corona_space
     m = cover.incidence()
     k = m.shape[0]
     owner = np.repeat(np.arange(k), np.diff(m.indptr))
     point, level = np.divmod(m.indices.astype(np.int64), width)
-    projections = sparse.vstack([
-        sparse.csr_matrix((np.ones(m.nnz, dtype=bool), (owner, point)), shape=(k, corona.n)),
-        sparse.csr_matrix(np.ones((1, corona.n), dtype=bool))], format="csr")
-    proj_id, distinct = _distinct(projections)
-    reach = np.empty(distinct.nnz)
-    for part, d, inside in _member_distances(corona, distinct, distinct):
-        d[~inside] = -np.inf
-        reach[part] = d.max(axis=1)
-    spread = np.full(distinct.shape[0], -np.inf)
-    np.maximum.at(spread, np.repeat(np.arange(distinct.shape[0]), np.diff(distinct.indptr)),
-                  reach)
-    head = max(1.0, float(spread[proj_id[k]]))
+    proj_id, distinct = _distinct(sparse.csr_matrix(
+        (np.ones(m.nnz, dtype=bool), (owner, point)), shape=(k, corona.n)))
+    head = max(1.0, corona.diameter())
 
     ordered = sorted(i for i in cuts if i >= 0)
     layer = np.full(width, ordered[-1])
@@ -618,5 +573,7 @@ def _band_bookkeeping(cover: Cover, schedule: CoronaCoverSchedule, scales,
     d_m = np.where(layer <= 1, head, 1.0 / np.array(scales)[np.maximum(layer - 2, 0)])
     top = np.full(k, -1)
     np.maximum.at(top, owner, level)
-    proj_ok = not np.any(spread[proj_id[:k]] > d_m[top] + TOL)
+    bound = d_m[top]
+    proj_ok = not any(corona.backend.mesh(distinct, np.unique(proj_id[bound == b])) > b + TOL
+                      for b in np.unique(bound).tolist())
     return d_m.tolist(), proj_ok

@@ -18,11 +18,11 @@ The discrete Lebesgue number uses non-strict containment of sampled balls
 and is a lower-bound estimator of the continuum Lebesgue number whenever
 the sample is a fine net of the continuum space.
 
-Mesh and Lebesgue number are measured by the metric backend of the space
-(spaces.Metric and its subclasses), the one place that knows its geometry:
-a scan of distance blocks by default, lattice boundaries on a grid, a
-double sweep and an inward breadth-first search on a tree, and a pruned
-row scan for the mesh of a polar sample.
+Mesh and Lebesgue number reduce set diameters and distances to the outside
+of sets, measured by the space's metric backend (spaces.Metric), the one
+place that knows its geometry: a scan of distance blocks by default,
+lattice boundaries on a grid, a double sweep and an inward breadth-first
+search on a tree, and a pruned row scan for the mesh of a polar sample.
 
 first_container is the one set-containment test ("which covering set holds
 this set") behind appetite, refinement checks, the lower bound's deep-set
@@ -65,11 +65,15 @@ class Cover:
         k = m.shape[0]
         fams = None
         if families is not None:
-            fams = [tuple(int(i) for i in fam) for fam in families]
-            used = sorted(i for fam in fams for i in fam)
-            if used != sorted(set(used)) or (used and (used[0] < 0 or used[-1] >= k)):
-                raise InvalidInputError("families must partition distinct set indices")
-            if len(used) != k:
+            partition = "families must partition distinct set indices"
+            try:
+                fams = [np.fromiter(fam, dtype=np.int64) for fam in families]
+            except OverflowError:
+                raise InvalidInputError(partition) from None
+            used = np.concatenate([np.empty(0, dtype=np.int64)] + fams)
+            if used.size and (used.min() < 0 or used.max() >= k or np.bincount(used).max() > 1):
+                raise InvalidInputError(partition)
+            if used.size != k:
                 raise InvalidInputError("families must mention every set exactly once")
         if canonicalize:
             order = _lex_order(m)[0]
@@ -78,12 +82,11 @@ class Cover:
             if fams is not None:
                 rank = np.empty(k, dtype=np.int64)
                 rank[order] = np.arange(k)
-                fams = [tuple(sorted(rank[np.asarray(fam, dtype=np.int64)].tolist()))
-                        for fam in fams]
+                fams = [np.sort(rank[fam]) for fam in fams]
         self.space = space
         self._m = m
         self._sets = None
-        self.families = tuple(fams) if fams is not None else None
+        self.families = None if fams is None else tuple(tuple(f.tolist()) for f in fams)
         if require_covering:
             missing = self.uncovered_points()
             if missing:
@@ -283,14 +286,15 @@ def lebesgue_number(cover: Cover) -> float:
     to a sample point outside that set; the Lebesgue number is the minimum
     of these over x. If some set contains every sample point the result is
     +inf. On a fine sample this lower-bounds the continuum Lebesgue number,
-    never overshoots it by more than the sample spacing.
+    never overshoots it by more than the sample spacing. A point no set
+    holds counts 0.
     """
     if not cover.space.is_metric_backed():
         raise InvalidInputError("lebesgue number needs a metric-backed space")
     m = cover.incidence()
-    if cover.space.n == 0 or np.any(np.diff(m.indptr) == cover.space.n):
-        return math.inf
-    return cover.space.backend.lebesgue(m)
+    best = np.zeros(cover.space.n)
+    np.maximum.at(best, m.indices, cover.space.backend.outside_distances(m, m))
+    return float(best.min(initial=math.inf))
 
 
 def first_container(queries: sparse.spmatrix, sets: sparse.spmatrix) -> np.ndarray:

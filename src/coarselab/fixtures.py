@@ -11,7 +11,7 @@ import numpy as np
 from scipy import sparse
 
 from .corona import CompactificationModel, CoronaCoverSchedule
-from .covers import Cover
+from .covers import Cover, lebesgue_number
 from .prng import SplitMix64
 from .spaces import Entourage, Space
 from .transforms import ColoredCover
@@ -158,16 +158,9 @@ def randomized_partition_cover(rng: SplitMix64, points: int = 300):
             for k in range(n_cells)]
     sets = [s for s in sets if s]
     cover = Cover(space, sets)
-    # the largest radius whose balls never straddle two cells
-    best = math.inf
-    for k, s in enumerate(sets):
-        others = [i for i in range(points) if owner[i] != owner[s[0]]]
-        if not others:
-            continue
-        arr = np.array(others)
-        for i in s:
-            best = min(best, float(space.dist_row(i)[arr].min()))
-    r = max(best * 0.9, 1e-3)
+    # the Lebesgue number of a partition is the least distance between
+    # points of different cells, so smaller balls never straddle two cells
+    r = max(lebesgue_number(cover) * 0.9, 1e-3)
     return cover, Entourage.radius(space, r)
 
 

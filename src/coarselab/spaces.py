@@ -9,16 +9,16 @@ point indices, either explicit pair sets or lazily evaluated radius
 relations {(x, y) | d(x, y) < r}.
 
 Each geometry has one backend class, and this module is the only one that
-knows which geometry a space has: the others call the backend. A backend
-computes blocks of distances, the pairs of a radius relation, and the mesh
-and Lebesgue number of a cover given as its sets x points incidence matrix;
-it writes the space's JSON form and, on grids and trees, its neighbour
-graph. The base class Metric measures by scanning blocks of distances.
-Grids find radius pairs through a lattice stencil and clouds through a
-cell list, and grids and trees measure covers, and polar samples their
-mesh, by kernels of their own (see GridMetric, TreeMetric and PolarMetric).
-Every backend hands out radius pairs in ascending key order i * n + j, so
-a relation's CSR matrix is assembled as they arrive.
+knows a space's geometry or whether its self-distances are 0: the others
+call the backend. A backend computes blocks of distances, the pairs of a
+radius relation, the mesh of sets and each point's distance to the outside
+of its set; it writes the space's JSON form and, on grids and trees, its
+neighbour graph. The base class Metric measures by scanning blocks of
+distances. Grids find radius pairs through a lattice stencil and clouds
+through a cell list, and grids and trees measure sets, and polar samples
+their mesh, by kernels of their own (see GridMetric, TreeMetric and
+PolarMetric). Every backend hands out radius pairs in ascending key order
+i * n + j, so a relation's CSR matrix is assembled as they arrive.
 
 A pair set is stored as its n x n boolean CSR matrix, so the relation
 algebra is sparse matrix algebra: union is A + B, inverse A^T, composition
@@ -52,8 +52,10 @@ _STENCIL_CHUNK = 1 << 15
 # a scan of every distance computes whole rows, as many as fit in this many
 # entries: larger blocks slow the tree table's broadcast lookups
 _SCAN_BLOCK = 1 << 12
-# mesh and Lebesgue scans compute blocks of at most this many entries
+# mesh and set-by-set outside scans compute blocks of at most this many entries
 _COVER_BLOCK = 1 << 21
+# blocks of points measured against every point hold at most this many entries
+_ENTRY_BLOCK = 1 << 16
 
 
 class Space:
@@ -175,6 +177,20 @@ class Space:
     def dist(self, i: int, j: int) -> float:
         return float(self.dist_block([i], [j])[0, 0])
 
+    def pair_distances(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The distances d(rows[e], cols[e]) for index arrays whose rows do
+        not decrease, such as the entries of a CSR matrix in order, read
+        from blocks of whole distance rows of at most _ENTRY_BLOCK entries."""
+        d = np.empty(rows.size)
+        starts = np.unique(rows)
+        step = max(1, _ENTRY_BLOCK // max(self.n, 1))
+        for at in range(0, starts.size, step):
+            chunk = starts[at:at + step]
+            lo, hi = np.searchsorted(rows, [chunk[0], chunk[-1] + 1])
+            block = self.dist_block(chunk, np.arange(self.n))
+            d[lo:hi] = block[np.searchsorted(chunk, rows[lo:hi]), cols[lo:hi]]
+        return d
+
     def diameter(self) -> float:
         """The largest distance: the largest of the row maxima, taken in
         row order with Python's max, so a NaN row maximum counts only in
@@ -210,13 +226,14 @@ class Metric:
         """The float distances d(rows[a], cols[b]) for int64 index arrays."""
         raise NotImplementedError
 
-    # mesh and lebesgue reduce blocks by max and min only, so a backend may
-    # reduce an increasing function of its distances and invert it once
+    # mesh and outside_distances reduce blocks by max and min only, so a
+    # backend may reduce an increasing function of its distances and invert
+    # the reduced values (a float or an array of them)
     def _key_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return self.dist_block(rows, cols)
 
     @staticmethod
-    def _from_key(value: float) -> float:
+    def _from_key(value):
         return value
 
     def radius_pairs(self, within, reach: float, cap: float):
@@ -234,44 +251,71 @@ class Metric:
             yield at + hits // self.n, hits % self.n
 
     def mesh(self, m: sparse.csr_matrix, rows: np.ndarray) -> float:
-        """The largest diameter of the given rows of the sets x points
-        incidence matrix m, each row measured against itself a block of
-        rows at a time; a row of fewer than two points counts 0."""
-        worst = 0.0
-        for k in rows:
-            idx = _row(m, k).astype(np.int64)
-            if idx.size < 2:
-                continue
-            chunk = max(1, _COVER_BLOCK // idx.size)
-            for at in range(0, idx.size, chunk):
-                worst = max(worst, float(self._key_block(idx[at:at + chunk], idx).max()))
-        return self._from_key(worst)
+        """The largest diameter of the given rows of the incidence matrix m
+        (0 for fewer than two points); rows whose members' distance rows fit
+        in _SCAN_BLOCK entries share blocks (see _sweep)."""
+        sizes = np.diff(m.indptr)
+        rows = rows[sizes[rows] > 1]
+        rows, points = np.repeat(rows, sizes[rows]), _row_indices(m, rows)
+        reach = self._sweep(rows, points, m, False, sizes[rows] * self.n <= _SCAN_BLOCK,
+                            np.maximum)
+        return float(self._from_key(reach.max(initial=0.0)))
 
-    def lebesgue(self, m: sparse.csr_matrix) -> float:
-        """The discrete Lebesgue number of the incidence matrix m, none of
-        whose rows holds every point: over the points x, the least of the
-        largest distance from x to the points outside a set holding x."""
-        return self._lebesgue_scan(m, None)
+    def outside_distances(self, queries: sparse.csr_matrix,
+                          sets: sparse.csr_matrix) -> np.ndarray:
+        """For each entry (k, x) of queries, in CSR order, the least d(x, y)
+        over the y outside row k of sets (+inf if none), both boolean CSR
+        matrices with sorted indices. At x outside row k that counts d(x, x),
+        known where it is 0: there only members are measured."""
+        keys = _entry_keys(queries)
+        at = np.isin(keys, _entry_keys(sets)) if self.zero_self_distance else slice(None)
+        out = np.zeros(keys.size)
+        out[at] = self._from_key(self._nearest_outside(*np.divmod(keys[at], self.n), sets))
+        return out
 
-    def _lebesgue_scan(self, m: sparse.csr_matrix, outer: Optional[sparse.csr_matrix]) -> float:
-        """lebesgue, measuring the members of each set against the points
-        of the same row of outer, or against every point outside the set
-        when outer is None."""
-        n = m.shape[1]
-        best = np.zeros(n)
-        for k in np.flatnonzero(np.diff(m.indptr)):
-            members = _row(m, k).astype(np.int64)
-            if outer is None:
-                outside = np.ones(n, dtype=bool)
-                outside[members] = False
-                comp = np.flatnonzero(outside)
+    def _nearest_outside(self, rows: np.ndarray, points: np.ndarray,
+                         sets: sparse.csr_matrix) -> np.ndarray:
+        """The least key from points[e] to the points outside row rows[e] of
+        sets, for entries in ascending row order. A set of more than half
+        the points is measured against its smaller complement, smaller sets
+        share blocks: at most twice the complement, and no call per set."""
+        return self._sweep(rows, points, sets, True, 2 * np.diff(sets.indptr)[rows] <= self.n)
+
+    def _sweep(self, rows: np.ndarray, points: np.ndarray, sets: sparse.csr_matrix,
+               outside: bool, shared: np.ndarray, reduce=np.minimum) -> np.ndarray:
+        """For entries grouped by row, the keys from points[e] to the points
+        outside row rows[e] of sets (outside) or in it, reduced by the ufunc
+        reduce, +inf where there are none. Entries where shared holds take
+        blocks of _ENTRY_BLOCK keys against every point, the other points
+        masked (outside takes the minimum) or dropped; the rest go row by
+        row, _COVER_BLOCK keys a block."""
+        sizes = np.diff(sets.indptr)
+        every = np.arange(self.n, dtype=np.int64)
+        out = np.full(rows.size, np.inf)
+        step = max(1, _ENTRY_BLOCK // max(self.n, 1))
+        shared, alone = np.flatnonzero(shared), np.flatnonzero(~shared)
+        for at in range(0, shared.size, step):
+            part = shared[at:at + step]
+            d = self._key_block(points[part], every)
+            count = sizes[rows[part]]
+            held = np.repeat(np.arange(part.size), count), _row_indices(sets, rows[part])
+            if outside:
+                d[held] = np.inf
+                out[part] = d.min(axis=1)
             else:
-                comp = _row(outer, k).astype(np.int64)
-            chunk = max(1, _COVER_BLOCK // max(comp.size, 1))
-            for at in range(0, members.size, chunk):
-                rows = members[at:at + chunk]
-                np.maximum.at(best, rows, self._key_block(rows, comp).min(axis=1))
-        return self._from_key(float(best.min()))
+                out[part] = reduce.reduceat(d[held], np.cumsum(count) - count)
+        starts = np.flatnonzero(np.diff(rows[alone], prepend=-1))
+        for a, b in zip(starts.tolist(), starts[1:].tolist() + [alone.size]):
+            cand = _row(sets, rows[alone[a]])
+            if outside:
+                cand = np.setdiff1d(every, cand, assume_unique=True)
+            if not cand.size:
+                continue
+            chunk = max(1, _COVER_BLOCK // cand.size)
+            for at in range(a, b, chunk):
+                part = alone[at:min(at + chunk, b)]
+                out[part] = reduce.reduce(self._key_block(points[part], cand), axis=1)
+        return out
 
     def adjacency(self) -> sparse.csr_matrix:
         """The n x n int32 CSR matrix with a 1 at (x, y) for each pair of
@@ -321,7 +365,7 @@ class EuclideanMetric(Metric):
     def _key_block(self, rows, cols):
         return _squared_distances(self.coords[rows][:, None, :], self.coords[cols][None, :, :])
 
-    _from_key = staticmethod(math.sqrt)
+    _from_key = staticmethod(np.sqrt)
 
     def dist_block(self, rows, cols):
         return np.sqrt(self._key_block(rows, cols))
@@ -362,18 +406,18 @@ class GridMetric(EuclideanMetric):
     list: each point is measured against the points a box of index steps
     away (see radius_pairs).
 
-    Both the Lebesgue number and the mesh measure distances against lattice
-    boundaries only, and still equal a scan of every distance bit for bit.
-    A grid coordinate is monotone in its axis index, and the computed
-    distance sums per-axis terms fl(fl(x_a - y_a)^2), each monotone in the
-    index distance along its axis. So stepping a point outside a set one
-    lattice step towards a member x never lengthens its distance to x; the
-    walk meets the set, so some outside point next to a member (the outer
-    boundary) is nearest to x. And stepping a member away from another
-    member never shortens their distance while it stays in the set; it
-    stops at a member with a lattice neighbour outside the set or off the
-    grid (the inner boundary), so some pair of inner-boundary points spans
-    the diameter.
+    A member's distance to the outside of its set, and the mesh, measure
+    against lattice boundaries only, and still equal a scan of every
+    distance bit for bit. A grid coordinate is monotone in its axis index,
+    and the computed distance sums per-axis terms fl(fl(x_a - y_a)^2), each
+    monotone in the index distance along its axis. So stepping a point
+    outside a set one lattice step towards a member x never lengthens its
+    distance to x; the walk meets the set, so some outside point next to a
+    member (the outer boundary) is nearest to x. And stepping a member away
+    from another member never shortens their distance while it stays in the
+    set; it stops at a member with a lattice neighbour outside the set or
+    off the grid (the inner boundary), so some pair of inner-boundary points
+    spans the diameter.
     """
 
     kind = "grid"
@@ -469,8 +513,9 @@ class GridMetric(EuclideanMetric):
         full = 2 * sum(count > 1 for count in self.shape)
         return super().mesh(m > (t == full) if full else m, rows)
 
-    def lebesgue(self, m) -> float:
-        return self._lebesgue_scan(m, _outer_boundary(m, self.adjacency()))
+    def _nearest_outside(self, rows, points, sets):
+        outer = _outer_boundary(sets, self.adjacency())
+        return self._sweep(rows, points, outer, False, np.zeros(rows.size, dtype=bool))
 
     def to_json(self) -> dict:
         return {"kind": "grid", "dim": self.dim,
@@ -492,7 +537,8 @@ class TreeMetric(Metric):
     path from a member to its nearest non-member runs through members only
     and leaves the set across the outer boundary, so one breadth-first
     search of all sets at once, inward from their outer boundaries, finds
-    every member's distance to the outside.
+    every member's distance to the outside. The tree is connected, so only
+    a set holding every vertex has no outer boundary.
     """
 
     kind = "tree"
@@ -531,11 +577,11 @@ class TreeMetric(Metric):
             ends = members[hits[np.searchsorted(hits, starts)]]
         return float(far.max())
 
-    def lebesgue(self, m) -> float:
+    def _nearest_outside(self, rows, points, sets):
         adj = self.adjacency()
-        best = np.zeros(self.n, dtype=np.int64)
-        np.maximum.at(best, m.indices, _depths_inside(m, _outer_boundary(m, adj), adj))
-        return float(best.min())
+        depth = _depths_inside(sets, _outer_boundary(sets, adj), adj)
+        at = np.searchsorted(_entry_keys(sets), rows * self.n + points)
+        return np.where(np.diff(sets.indptr)[rows] == self.n, np.inf, depth[at])
 
     def to_json(self) -> dict:
         return {"kind": "tree", "edges": self.edges.tolist()}
@@ -688,6 +734,13 @@ def _row_indices(m: sparse.csr_matrix, rows: np.ndarray) -> np.ndarray:
     return m.indices[at]
 
 
+def _entry_keys(m: sparse.csr_matrix) -> np.ndarray:
+    """k * n + x for each stored entry (k, x) of m, n its column count, in
+    CSR order: ascending when the indices are sorted."""
+    rows = np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr))
+    return rows * m.shape[1] + m.indices
+
+
 def _outer_boundary(m: sparse.csr_matrix, adj: sparse.csr_matrix) -> sparse.csr_matrix:
     """The outer boundary of each set of the incidence matrix m: the points
     outside it next to one of its members."""
@@ -702,13 +755,9 @@ def _depths_inside(m: sparse.csr_matrix, outer: sparse.csr_matrix,
     set, starting from the outer boundaries at level 0. An entry the search
     never reaches (a set with no outer boundary) stays 0."""
     n = m.shape[1]
-
-    def entry_keys(a):  # k * n + x for each entry (k, x), ascending
-        return np.repeat(np.arange(a.shape[0], dtype=np.int64), np.diff(a.indptr)) * n + a.indices
-
-    keys = entry_keys(m)
+    keys = _entry_keys(m)
     depth = np.zeros(keys.size, dtype=np.int64)
-    frontier = entry_keys(outer)
+    frontier = _entry_keys(outer)
     degree = np.diff(adj.indptr)
     level = 0
     while frontier.size:
@@ -894,9 +943,6 @@ class Entourage:
             return d <= self.r + RADIUS_TOL
         return d < self.r - RADIUS_TOL
 
-    def _radius_hits(self, i: int) -> np.ndarray:
-        return np.nonzero(self._within(self.space.dist_row(i)))[0]
-
     def matrix(self) -> sparse.csr_matrix:
         """The n x n boolean CSR matrix with a True at (i, j) for each pair,
         in canonical form; shared, so callers must not modify it.
@@ -907,9 +953,7 @@ class Entourage:
 
     def keys(self) -> np.ndarray:
         """The pairs as ascending int64 keys i * n + j."""
-        m = self.matrix()
-        n = self.space.n
-        return np.repeat(np.arange(n, dtype=np.int64), np.diff(m.indptr)) * n + m.indices
+        return _entry_keys(self.matrix())
 
     # certbench/tracer.py reads `ret._keys.size` to count the pairs that
     # materialize, compose and cover_entourage return; keep this read-only
@@ -944,21 +988,13 @@ class Entourage:
         m = self.matrix().tocoo()
         return list(zip(m.row.tolist(), m.col.tolist()))
 
-    def contains_pair(self, i: int, j: int) -> bool:
-        if self.kind == "radius":
-            return bool(self._within(self.space.dist(i, j)))
-        return bool(self._m[i, j])
-
     def _outside(self, other: "Entourage") -> sparse.csr_matrix:
         """The pairs of self that other lacks, as a CSR matrix. A radius
         relation on the right is tested by distance and never materialized."""
         a = self.matrix()
         if other.kind == "pairs":
             return a > other.matrix()
-        d = np.empty(a.nnz)
-        for i in np.flatnonzero(np.diff(a.indptr)):
-            at = slice(a.indptr[i], a.indptr[i + 1])
-            d[at] = self.space.dist_row(int(i))[a.indices[at]]
+        d = self.space.pair_distances(*np.divmod(_entry_keys(a), a.shape[1]))
         out = sparse.csr_matrix((~other._within(d), a.indices, a.indptr),
                                 shape=a.shape, copy=True)
         out.eliminate_zeros()
@@ -980,26 +1016,20 @@ class Entourage:
         return (i, int(out.indices[out.indptr[i]:out.indptr[i + 1]].min()))
 
     def is_symmetric(self) -> bool:
-        if self.kind == "radius":
-            return True
         # both matrices are canonical (a transpose comes out with sorted
         # indices), so they hold the same pairs exactly when their index
         # arrays agree
-        t = self._m.T.tocsr()
-        return (np.array_equal(self._m.indptr, t.indptr)
-                and np.array_equal(self._m.indices, t.indices))
+        m = self.matrix()
+        t = m.T.tocsr()
+        return np.array_equal(m.indptr, t.indptr) and np.array_equal(m.indices, t.indices)
 
     def contains_diagonal(self) -> bool:
-        if self.kind == "radius":
-            return self.closed or self.r > RADIUS_TOL
-        return bool(self._m.diagonal().all())
+        return bool(self.matrix().diagonal().all())
 
     # -- algebra -----------------------------------------------------------
 
     def inverse(self) -> "Entourage":
-        if self.kind == "radius":
-            return self
-        return Entourage.from_matrix(self.space, self._m.T)
+        return Entourage.from_matrix(self.space, self.matrix().T)
 
     def union(self, other: "Entourage") -> "Entourage":
         _check_same_space(self, other)
@@ -1021,14 +1051,9 @@ class Entourage:
         a = sorted(set(int(i) for i in indices))
         if not a:
             return frozenset()
-        if self.kind == "radius":
-            out: set[int] = set()
-            for i in a:
-                out.update(int(x) for x in self._radius_hits(i))
-            return frozenset(out)
         mask = np.zeros(self.space.n, dtype=bool)
         mask[a] = True
-        return frozenset(np.flatnonzero(self._m @ mask).tolist())
+        return frozenset(np.flatnonzero(self.matrix() @ mask).tolist())
 
     def __repr__(self):
         if self.kind == "radius":

@@ -221,7 +221,8 @@ def _spread_inside(sets: sparse.csr_matrix, containers: sparse.spmatrix, bound_i
 
 
 def _require_symmetric_with_diagonal(entourage: Entourage, name: str) -> None:
-    if not entourage.materialize().is_symmetric():
+    entourage = entourage.materialize()
+    if not entourage.is_symmetric():
         raise InvalidInputError(f"{name} must be symmetric")
     if not entourage.contains_diagonal():
         raise InvalidInputError(f"{name} must contain the diagonal")

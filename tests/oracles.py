@@ -30,6 +30,13 @@ The point-by-point appetite scan, the arc-by-arc cover, roundtrip_bounds
 with its distance rows, candidate minima and list.index lookups, and the
 pair-by-pair tail widths of check_cc_entourage are kept here.
 
+Every distance to the outside of a set, for the Lebesgue number and for
+the band margins, comes from one backend kernel, outside_distances, and a
+band's spreads from the backend's mesh. The set-by-set Lebesgue scan of
+the base backend, the corona module's own block loop over member
+distances with the margins and spreads it computed, and a per-entry row
+scan of the kernel are kept here.
+
 A tree's distances come from an Euler tour and a sparse table of range
 minima, mesh takes a double sweep per set and the Lebesgue number one
 search inward from each set's outer boundary, and the tree cover keys its
@@ -155,6 +162,69 @@ def band_appetite_failures(cover, schedule, deltas, win, width: int, depth: int)
             point = c * width + m
             if not any(ball <= member_sets[si] for si in incident.get(point, [])):
                 yield (c, m)
+
+
+def member_distances(space, sets, queries):
+    """For the stored entries (s, x) of queries, in order, a block at a
+    time: (the block's slice of the entries, the distances from each x to
+    every point, and which of those points row s of sets holds)."""
+    n = space.n
+    rows = np.repeat(np.arange(queries.shape[0]), np.diff(queries.indptr))
+    step = max(1, (1 << 16) // max(n, 1))
+    for at in range(0, queries.nnz, step):
+        part = slice(at, at + step)
+        yield (part, space.dist_block(queries.indices[part], np.arange(n)),
+               sets[rows[part]].toarray())
+
+
+def slice_margins_loop(corona, members):
+    """(queries, margins): the band appetite's margins as the corona module
+    computed them from member_distances, at the members of each slice on a
+    backend with zero self-distance and at every corona point otherwise."""
+    if corona.backend.zero_self_distance:
+        queries = members
+    else:
+        queries = sparse.csr_matrix(np.ones(members.shape, dtype=bool))
+    margins = np.empty(queries.nnz)
+    for part, d, inside in member_distances(corona, members, queries):
+        d[inside] = np.inf
+        margins[part] = d.min(axis=1)
+    return queries, margins
+
+
+def band_bookkeeping_loop(cover, schedule, scales, cuts, bands, width: int):
+    """The band cover's (d_m, proj_ok) as the corona module computed them:
+    the spread of each distinct projection from member_distances, a member's
+    own distance counted, and the whole corona as one more projection whose
+    spread is the head value."""
+    from coarselab.corona import _distinct
+
+    corona = schedule.corona_space
+    m = cover.incidence()
+    k = m.shape[0]
+    owner = np.repeat(np.arange(k), np.diff(m.indptr))
+    point, level = np.divmod(m.indices.astype(np.int64), width)
+    projections = sparse.vstack([
+        sparse.csr_matrix((np.ones(m.nnz, dtype=bool), (owner, point)), shape=(k, corona.n)),
+        sparse.csr_matrix(np.ones((1, corona.n), dtype=bool))], format="csr")
+    proj_id, distinct = _distinct(projections)
+    reach = np.empty(distinct.nnz)
+    for part, d, inside in member_distances(corona, distinct, distinct):
+        d[~inside] = -np.inf
+        reach[part] = d.max(axis=1)
+    spread = np.full(distinct.shape[0], -np.inf)
+    np.maximum.at(spread, np.repeat(np.arange(distinct.shape[0]), np.diff(distinct.indptr)),
+                  reach)
+    head = max(1.0, float(spread[proj_id[k]]))
+    ordered = sorted(i for i in cuts if i >= 0)
+    layer = np.full(width, ordered[-1])
+    for i in reversed(ordered):
+        layer[bands(cuts[i])] = i
+    d_m = np.where(layer <= 1, head, 1.0 / np.array(scales)[np.maximum(layer - 2, 0)])
+    top = np.full(k, -1)
+    np.maximum.at(top, owner, level)
+    proj_ok = not np.any(spread[proj_id[:k]] > d_m[top] + TOL)
+    return d_m.tolist(), proj_ok
 
 
 # ---------------------------------------------------------------------------
@@ -872,6 +942,40 @@ def lebesgue_number_loop(cover, block=gram_block):
             d = block(cover.space, rows, comp).min(axis=1)
             np.maximum.at(best, rows, d)
     return math.sqrt(float(best.min()))
+
+
+def lebesgue_scan(space, m):
+    """The Lebesgue number of the incidence matrix m, none of whose rows
+    holds every point, set by set: each set's members against every point
+    outside it, on the backend's keys, inverted once at the end."""
+    backend = space.backend
+    n = m.shape[1]
+    best = np.zeros(n)
+    for k in np.flatnonzero(np.diff(m.indptr)):
+        members = m.indices[m.indptr[k]:m.indptr[k + 1]].astype(np.int64)
+        outside = np.ones(n, dtype=bool)
+        outside[members] = False
+        comp = np.flatnonzero(outside)
+        chunk = max(1, (1 << 21) // max(comp.size, 1))
+        for at in range(0, members.size, chunk):
+            rows = members[at:at + chunk]
+            np.maximum.at(best, rows, backend._key_block(rows, comp).min(axis=1))
+    return float(backend._from_key(float(best.min())))
+
+
+def outside_distances_rows(space, queries, sets):
+    """For each entry (k, x) of queries, in order, from one distance row
+    per entry: the least distance from x to a point outside row k of sets,
+    +inf when there is none."""
+    n = space.n
+    rows = np.repeat(np.arange(queries.shape[0]), np.diff(queries.indptr))
+    out = []
+    for k, x in zip(rows.tolist(), queries.indices.tolist()):
+        outside = np.ones(n, dtype=bool)
+        outside[sets.indices[sets.indptr[k]:sets.indptr[k + 1]]] = False
+        row = dist_row_by_kind(space, x)
+        out.append(float(row[outside].min()) if outside.any() else math.inf)
+    return np.array(out)
 
 
 def lebesgue_number_rows(cover):

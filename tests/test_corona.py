@@ -1,12 +1,14 @@
 import math
 import re
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarselab import corona as corona_module
 from coarselab.corona import (TOL, CompactificationModel, CoronaCoverSchedule,
                               _band_appetite_failures, _band_appetite_witness,
                               check_cc_entourage, corona_dim_cover, map_f, map_g,
@@ -17,9 +19,9 @@ from coarselab.fixtures import circle_arc_schedule
 from coarselab.spaces import Entourage, Space
 from coarselab.transforms import ColoredCover
 from oracles import (arc_cover_loop, band_appetite_failures, band_appetite_scan,
-                     check_cc_entourage_loop, corona_dist_loop, filtration_index_loop,
-                     filtration_set_loop, map_f_loop, map_g_loop, roundtrip_bounds_loop,
-                     widths_loop)
+                     band_bookkeeping_loop, check_cc_entourage_loop, corona_dist_loop,
+                     filtration_index_loop, filtration_set_loop, map_f_loop, map_g_loop,
+                     roundtrip_bounds_loop, slice_margins_loop, widths_loop)
 
 
 def unit_interval_model(step=1.0 / 400):
@@ -380,23 +382,98 @@ class TestBandAppetite:
 
 
 @st.composite
+def coronas(draw, kinds=("cloud", "matrix", "polar"), most=9):
+    """Small coronas of the kinds the band certificate meets: clouds with
+    duplicate points, distance matrices with a nonzero diagonal, and polar
+    samples, whose computed self-distances need not be 0."""
+    nc = draw(st.integers(1, most))
+    kind = draw(st.sampled_from(kinds))
+    if kind == "cloud":
+        coords = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                               min_size=nc, max_size=nc))
+        return Space.cloud(np.array(coords, dtype=float) / 2)
+    if kind == "matrix":
+        entries = draw(st.lists(st.sampled_from([0.0, TOL / 2, 0.3, 0.6, 1.2]),
+                                min_size=nc * nc, max_size=nc * nc))
+        d = np.triu(np.array(entries).reshape(nc, nc))
+        return Space.from_matrix(d + np.triu(d, 1).T, validate=False)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return Space.hyperbolic_polar(-1.0, zip(rng.uniform(0, 12, nc), rng.uniform(0, 7, nc)))
+
+
+class TestSliceMargins:
+    @given(data=st.data(), corona=coronas())
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_matches_the_member_loop(self, data, corona):
+        """The backend's nearest-outside distances at the pairs the corona
+        module once measured equal its own block loop, bit for bit."""
+        nc = corona.n
+        slices = data.draw(st.lists(st.lists(st.integers(0, nc - 1), max_size=nc),
+                                    min_size=1, max_size=6))
+        members = Cover(corona, slices, require_covering=False).incidence()
+        queries, want = slice_margins_loop(corona, members)
+        assert np.array_equal(corona.backend.outside_distances(queries, members), want)
+
+
+class TestBandSpreads:
+    def spy(self, *args):
+        """The arguments and result of each _band_bookkeeping call made by
+        corona_dim_cover on args."""
+        calls = []
+
+        def record(*a):
+            calls.append((a, real(*a)))
+            return calls[-1][1]
+
+        real = corona_module._band_bookkeeping
+        with mock.patch.object(corona_module, "_band_bookkeeping", record):
+            corona_dim_cover(*args)
+        return calls
+
+    @pytest.mark.parametrize("points,depth", [(48, 200), (224, 60), (256, 120)])
+    def test_grouped_mesh_matches_the_spread_loop(self, points, depth):
+        space = circle_space(points)
+        build, leb = arc_cover_builder(space)
+        levels = Space.line(0, depth + 10, 1.0)
+        shift = Entourage.from_pairs(levels, [(i, i + 1) for i in range(depth + 10)])
+        deltas = [4.0 / (m + 1) ** 1.5 for m in range(depth + 11)]
+        [(args, got)] = self.spy(CoronaCoverSchedule(space, 2, build, leb), deltas, shift,
+                                 depth)
+        assert got == band_bookkeeping_loop(*args) and got[1]
+        cover, schedule, scales, cuts, bands, width = args
+        # bounds fifty times tighter fail, and fail alike
+        tight = (cover, schedule, [50 * s for s in scales], cuts, bands, width)
+        failed = corona_module._band_bookkeeping(*tight)
+        assert failed == band_bookkeeping_loop(*tight) and not failed[1]
+
+    def test_one_point_projection_spreads_zero(self):
+        # a one-point corona whose self-distance is 5: mesh counts a
+        # one-point projection 0, where the old spread took d(x, x) = 5 and
+        # failed every band bound below it
+        pt = Space.from_matrix([[5.0]], validate=False)
+        sched = CoronaCoverSchedule(
+            pt, 1, lambda k: ColoredCover(pt, [[0]], [[0]], Entourage.diagonal(pt),
+                                          canonicalize=False), lambda k: 1.0)
+        depth = 20
+        levels = Space.line(0, depth + 10, 1.0)
+        shift = Entourage.from_pairs(levels, [(i, i + 1) for i in range(depth + 10)])
+        deltas = [1.0 / (m + 1) for m in range(depth + 11)]
+        [(args, (d_m, proj_ok))] = self.spy(sched, deltas, shift, depth)
+        assert d_m[0] == 5.0 and min(d_m) < 5.0
+        assert proj_ok
+        assert band_bookkeeping_loop(*args) == (d_m, False)
+
+
+@st.composite
 def random_bands(draw):
     """Random covers of small corona x level products: coronas with
     duplicate points, or distance matrices with a nonzero diagonal; deltas
     at or below TOL; random symmetric windows, with or without the
     diagonal; uncovered points, empty level slices, levels past the depth."""
-    nc = draw(st.integers(1, 6))
+    corona = draw(coronas(("cloud", "matrix"), 6))
+    nc = corona.n
     depth = draw(st.integers(0, 5))
     width = depth + 1 + draw(st.integers(0, 1))
-    if draw(st.booleans()):
-        coords = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
-                               min_size=nc, max_size=nc))
-        corona = Space.cloud(np.array(coords, dtype=float) / 2)
-    else:
-        entries = draw(st.lists(st.sampled_from([0.0, TOL / 2, 0.3, 0.6, 1.2]),
-                                min_size=nc * nc, max_size=nc * nc))
-        d = np.triu(np.array(entries).reshape(nc, nc))
-        corona = Space.from_matrix(d + np.triu(d, 1).T, validate=False)
     n_levels = depth + 1 + draw(st.integers(0, 2))
     levels = Space.line(0, n_levels - 1, 1.0)
     level = st.integers(0, n_levels - 1)

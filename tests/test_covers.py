@@ -352,6 +352,16 @@ class TestIncidenceOracle:
         assert c.empty_set_indices() == [k for k, s in enumerate(want_sets) if not s]
         assert multiplicity(c) == oracles.multiplicity_loop(want_sets, n)
 
+    @pytest.mark.parametrize("families", [[[0], [2 ** 70]], [[-2 ** 70, 0], [1]],
+                                          [[0, 1], [np.uint64(2 ** 64 - 1)]]])
+    def test_family_entry_beyond_int64(self, families):
+        sets = [[0], [1]]
+        message = "families must partition distinct set indices"
+        with pytest.raises(ValueError, match=message):
+            oracles.cover_tuples(sets, families, 2)
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            Cover(Space.discrete(2), sets, families)
+
     @given(prefix=st.integers(0, 40), tails=st.lists(
         st.lists(st.integers(40, 60), max_size=4), min_size=1, max_size=6))
     @settings(max_examples=60, deadline=None)

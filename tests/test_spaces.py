@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 import coarselab
 from coarselab import spaces
-from coarselab.covers import Cover, cover_entourage
+from coarselab.covers import Cover, cover_entourage, lebesgue_number, mesh
 from coarselab.errors import InvalidInputError, ResourceLimitError
 from coarselab.spaces import PAIR_CAP, POINT_CAP, Entourage, PointMap, Space, transport
 from coarselab.transforms import make_product_entourage
@@ -515,6 +515,42 @@ class TestMetricBackendOracle:
             for closed in (False, True):
                 e = Entourage.radius(sp, max(r, 0.0), closed=closed)
                 assert np.array_equal(e.materialize().keys(), oracles.materialize_rows_loop(e))
+
+
+class TestOutsideDistances:
+    """The nearest-outside kernel and the mesh of every backend against one
+    distance row per queried entry or member, bit for bit, on both sides of
+    their set-size choices."""
+
+    @given(data=st.data(), sp=geometries(), block=st.sampled_from([None, 1, 5]),
+           scan=st.sampled_from([None, 1]))
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_matches_distance_rows(self, data, sp, block, scan):
+        n = sp.n
+        point = st.integers(0, max(n - 1, 0))
+        # scattered sets of either size, an empty set and a whole-space set
+        sets = data.draw(st.lists(st.lists(point, max_size=2 * n if n else 0), max_size=4))
+        sets += [[], list(range(n))]
+        sets = data.draw(st.permutations(sets))
+        m = Cover(sp, sets, require_covering=False, canonicalize=False).incidence()
+        # members, points outside their set and the whole of some rows
+        queries = data.draw(st.lists(st.lists(point, max_size=n), min_size=len(sets),
+                                     max_size=len(sets)) if n else st.just([[]] * len(sets)))
+        queries = [range(n) if data.draw(st.integers(0, 3)) == 0 else q for q in queries]
+        q = Cover(sp, queries, require_covering=False, canonicalize=False).incidence()
+        with mock.patch.multiple(spaces, _ENTRY_BLOCK=block or spaces._ENTRY_BLOCK,
+                                 _SCAN_BLOCK=scan or spaces._SCAN_BLOCK):
+            got = sp.backend.outside_distances(q, m)
+            want = oracles.outside_distances_rows(sp, q, m)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want, equal_nan=True)
+            if sp.is_metric_backed() and n:
+                cover = Cover(sp, [s for s in sets if len(set(s)) < n], require_covering=False)
+                assert lebesgue_number(cover) == oracles.lebesgue_scan(sp, cover.incidence())
+                # one-point sets count 0, where a distance row counts d(x, x)
+                cover = Cover(sp, [s for s in sets if len(set(s)) > 1], require_covering=False)
+                assert mesh(cover) == oracles.mesh_rows(cover)
 
 
 class TestDistBlock:

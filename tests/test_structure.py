@@ -1,8 +1,9 @@
 """Structure of the source: guarantee records have one format, built in
-coarselab.certificates and nowhere else, the geometry of a space is
-decided in coarselab.spaces and nowhere else, a radius relation is
-assembled into CSR without a COO step or a canonicalizing copy, and no
-module keeps an import it does not use."""
+coarselab.certificates and nowhere else, the geometry of a space and
+whether its self-distances are 0 are decided in coarselab.spaces and
+nowhere else, which also computes every distance but a few named blocks,
+a radius relation is assembled into CSR without a COO step or a
+canonicalizing copy, and no module keeps an import it does not use."""
 
 import ast
 import pathlib
@@ -26,11 +27,13 @@ def test_only_the_certificates_module_builds_guarantee_records():
 
 
 def _calls(tree: ast.AST):
-    """(enclosing function names, call node) for every call in a module."""
+    """(enclosing class and function names, call node) for every call in a
+    module."""
     def walk(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope + (child.name,) if isinstance(child, (ast.FunctionDef,
-                                                                ast.AsyncFunctionDef)) else scope
+                                                                ast.AsyncFunctionDef,
+                                                                ast.ClassDef)) else scope
             if isinstance(child, ast.Call):
                 yield scope, child
             yield from walk(child, inner)
@@ -85,6 +88,26 @@ def test_only_the_spaces_module_switches_on_the_geometry():
     elsewhere = {p.name: lines for p in sorted(SRC.glob("*.py")) if p.name != "spaces.py"
                  for lines in [_geometry_switches(p)] if lines}
     assert elsewhere == {}
+
+
+def test_only_the_spaces_module_knows_self_distances():
+    readers = {p.name: node.lineno for p in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr == "zero_self_distance"}
+    assert set(readers) == {"spaces.py"}
+
+
+def test_distances_outside_spaces_are_the_model_and_centre_blocks():
+    """Outside spaces.py, distances to the outside of a set, set diameters
+    and pair distances come from the backend; the only blocks and rows
+    computed elsewhere are the model's interior x corona block, the level
+    blocks of roundtrip_bounds and the partition fixture's centre rows."""
+    found = {(p.name, scope) for p in sorted(SRC.glob("*.py")) if p.name != "spaces.py"
+             for scope, call in _calls(ast.parse(p.read_text(encoding="utf-8")))
+             if _name(call) in ("dist_block", "dist_row")}
+    assert found == {("corona.py", ("CompactificationModel", "__init__")),
+                     ("corona.py", ("roundtrip_bounds",)),
+                     ("fixtures.py", ("randomized_partition_cover",))}
 
 
 def test_materialize_builds_no_coo_form_and_no_copy():
