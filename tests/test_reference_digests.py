@@ -2,8 +2,8 @@
 certify every item and reproduce the digests recorded in
 certbench/reference_digests.json (each digest hashes an item's reports and
 output covers). The corona reports that certbench does not run, the
-corona-full pipeline and band covers over a one-point corona, are pinned
-here."""
+corona-full pipeline, band covers over a one-point corona, and circle bands
+of 7 points and of a non-default overlap, are pinned here."""
 
 import hashlib
 import json
@@ -32,8 +32,9 @@ def test_seed_1_pass_matches_the_reference_digests(workload, tmp_path):
 
 
 # sha256 of a report's result and guarantees (sorted keys, compact
-# separators), followed by the bytes of the cover it wrote, if any; recorded
-# with the corona module's earlier, point-by-point code
+# separators), followed by the bytes of the cover it wrote, if any; the
+# pipeline and point reports were recorded with the corona module's earlier,
+# point-by-point code, the circle bands with the dense arcs x points scan
 CORONA_REPORTS = {
     "corona-full-depth-60": (None, ["pipeline", "corona-full", "--seed", "1", "--depth", "60"],
                              "68ec15c4a49e06e214242ad0413d62095b8c3df6c9f97726cd4dbd8b16e16a46"),
@@ -44,6 +45,11 @@ CORONA_REPORTS = {
     "dimcover-point-delta": ({"kind": "point", "delta": {"c": 2.0, "power": 1.0}},
                              ["--depth", "90"],
                              "864a33055079f9e9bb563bbcc14add66beaf3b1ec6d66873340d41bbb78263fc"),
+    "dimcover-circle-7": ({"kind": "circle_arcs", "points": 7}, ["--depth", "60"],
+                          "ef212c074a4652fe3b18d78a02be0a0219f7d0b1fa60842e131da2ad7c6b6e1e"),
+    "dimcover-circle-120-overlap": ({"kind": "circle_arcs", "points": 120, "overlap": 0.75},
+                                    ["--depth", "120"],
+                                    "c46d624e9344cbad7299690f8adacea9af48b9e0a29f10b47f148139b49888d8"),
 }
 
 
