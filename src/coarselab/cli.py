@@ -221,7 +221,7 @@ def _handle(args, inputs: dict):
             colored = ColoredCover(space, cover.incidence(), cover.families,
                                    ent, canonicalize=False)
             out, cert = expand(colored, ent)
-            return {"sets": len(out.sets)}, cert, dump_cover(out)
+            return {"sets": out.incidence().shape[0]}, cert, dump_cover(out)
         if args.op == "union":
             other = load_cover(_load(args.cover2, inputs), space, require_covering=False)
             ent = load_entourage(_load(args.entourage, inputs), space)
@@ -232,7 +232,7 @@ def _handle(args, inputs: dict):
             cb = ColoredCover(space, other.incidence(), other.families, ent,
                               require_covering=False, canonicalize=False)
             out, cert = merge_union(ca, cb, ent)
-            return {"sets": len(out.sets)}, cert, dump_cover(out)
+            return {"sets": out.incidence().shape[0]}, cert, dump_cover(out)
         if args.op == "product":
             space2 = load_space(_load(args.space2, inputs))
             cover2 = load_cover(_load(args.cover2, inputs), space2)
@@ -273,16 +273,18 @@ def _handle_witness(args, inputs: dict):
         space = Space.grid(args.n, [args.min] * args.n, [args.max] * args.n,
                            args.step)
         out, cert = cube_cover(space, args.n, args.a)
-        return {"sets": len(out.sets), "families": len(out.families)}, cert, dump_cover(out)
+        result = {"sets": out.incidence().shape[0], "families": len(out.families)}
+        return result, cert, dump_cover(out)
     if args.op == "tree":
         space = load_space(_load(args.space, inputs))
         out, cert = tree_cover(space, args.L, args.root)
-        return {"sets": len(out.sets)}, cert, dump_cover(out)
+        return {"sets": out.incidence().shape[0]}, cert, dump_cover(out)
     if args.op == "ray":
         space = load_space(_load(args.space, inputs))
         ent = load_entourage(_load(args.entourage, inputs), space)
         out, cert = ray_cell_cover(args.n, ent)
-        return {"sets": len(out.sets), "families": len(out.families)}, cert, dump_cover(out)
+        result = {"sets": out.incidence().shape[0], "families": len(out.families)}
+        return result, cert, dump_cover(out)
     if args.op == "hyperbolic":
         rho, N = hyperbolic_params(args.kappa, args.lam, args.mesh_bound,
                                    args.L, ARC_COLORS)
@@ -290,13 +292,13 @@ def _handle_witness(args, inputs: dict):
         disk = sample_disk(args.kappa, args.disk_radius, args.radial_step,
                            args.angles)
         out, cert, labels = sphere_cover_lift(atlas, rho, N, args.L, disk)
-        result = {"rho": rho, "N": N, "sets": len(out.sets),
+        result = {"rho": rho, "N": N, "sets": out.incidence().shape[0],
                   "layers": sorted({k for k, _ in labels})}
         return result, cert, dump_cover(out)
     if args.op == "star":
         comp = load_complex(_load(args.complex_, inputs))
         out, cert = star_cover(comp, args.stability, args.resolution)
-        return {"sets": len(out.sets)}, cert, dump_cover(out)
+        return {"sets": out.incidence().shape[0]}, cert, dump_cover(out)
     if args.op == "sperner":
         grid = load_simplex_grid(_load(args.grid, inputs))
         found = sperner_find(grid)
@@ -340,7 +342,7 @@ def _handle_corona(args, inputs: dict):
         deltas = fixtures.power_decay_deltas(depth, c, power)
         window = fixtures.shift_window(depth)
         out, cert, info = corona_dim_cover(sched, deltas, window, depth)
-        result = {"sets": len(out.sets), "layers": info["layers"],
+        result = {"sets": out.incidence().shape[0], "layers": info["layers"],
                   "d_floor": info["d_sequence"][-1], "d_head": info["d_sequence"][0]}
         return result, cert, dump_cover(out)
     raise UsageError(f"unknown corona op {args.op}")

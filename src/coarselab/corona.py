@@ -42,7 +42,7 @@ from scipy import sparse
 from .certificates import certify, count_at_most, holds
 from .covers import Cover, _lex_order, first_container, multiplicity
 from .errors import ContractViolationError, InvalidInputError, ResourceLimitError
-from .spaces import PAIR_CAP, Entourage, Space
+from .spaces import PAIR_CAP, Entourage, Space, _run_heads
 
 TOL = 1e-9
 
@@ -489,8 +489,12 @@ def _band_appetite_failures(cover: Cover, schedule: CoronaCoverSchedule,
 
     out comes from the corona backend's outside_distances, once for each
     distinct (slice, point) pair looked up, the slices deduplicated first.
-    The cost is those margins plus one lookup per incidence entry and
-    partner slot.
+    The keys of an entry's partner slots mostly repeat those of the entry
+    before it (the same set and point at the next level), so only the
+    first key of each run of equal keys is sorted and looked up, and its
+    margin is spread back over the run. On a 244-point band of the
+    corona-band benchmark that is 7,100 runs of 80,226 keys, holding 2,105
+    distinct pairs.
     """
     corona = schedule.corona_space
     nc = corona.n
@@ -518,16 +522,18 @@ def _band_appetite_failures(cover: Cover, schedule: CoronaCoverSchedule,
 
     checked = level <= depth
     owner, x, level = owner[checked], x[checked], level[checked]
-    # the (slice, point) key of each entry at each partner slot
-    keys = [slice_id[owner * width + partner[level, t]] * nc + x for t in range(slots)]
-    pairs = np.sort(np.concatenate([np.empty(0, dtype=np.int64)] + keys))
-    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    # the (slice, point) key of each entry at each partner slot, slot by slot
+    keys = np.concatenate([np.empty(0, dtype=np.int64)] + [
+        slice_id[owner * width + partner[level, t]] * nc + x for t in range(slots)])
+    head = _run_heads(keys)
+    firsts = keys[head]
+    pairs = np.sort(firsts)
+    pairs = pairs[_run_heads(pairs)]
     queries = sparse.csr_matrix((np.ones(pairs.size, dtype=bool), np.divmod(pairs, nc)),
                                 shape=members.shape)
     margins = corona.backend.outside_distances(queries, members)
-    ok = np.ones(owner.size, dtype=bool)
-    for t, key in enumerate(keys):
-        ok &= margins[np.searchsorted(pairs, key)] >= cut[level, t]
+    margin = margins[np.searchsorted(pairs, firsts)][np.cumsum(head) - 1]
+    ok = np.all((margin >= cut[level].T.ravel()).reshape(slots, owner.size), axis=0)
     passed = np.zeros(nc * width, dtype=bool)
     passed[(x * width + level)[ok]] = True
     return ~passed & (np.arange(nc * width) % width <= depth)
@@ -535,11 +541,26 @@ def _band_appetite_failures(cover: Cover, schedule: CoronaCoverSchedule,
 
 def _distinct(m: sparse.csr_matrix) -> tuple[np.ndarray, sparse.csr_matrix]:
     """(ids, rows): the distinct rows of m in lexicographic order, and for
-    each row of m the index of its copy among them."""
-    order, repeat = _lex_order(m)
-    ids = np.empty(m.shape[0], dtype=np.int64)
+    each row of m the index of its copy among them.
+
+    A row equal to the row before it takes that row's id. One comparison
+    of each entry with the entry at its place in the row before finds
+    these runs, and only their first rows are ordered by _lex_order: a
+    band's slices run along the levels of a set, so 709 of the 21,450
+    slice rows of a 244-point band of the corona-band benchmark.
+    """
+    sizes = np.diff(m.indptr)
+    head = _run_heads(sizes)
+    row = np.repeat(np.arange(m.shape[0]), sizes)
+    # in a row as long as the row before, entry e faces entry e - size there
+    # (in row 0 or a row of another length the comparison is moot)
+    faced = np.arange(m.nnz) - sizes[row]
+    head[row[m.indices != m.indices[faced]]] = True
+    heads = np.flatnonzero(head)
+    order, repeat = _lex_order(m[heads])
+    ids = np.empty(heads.size, dtype=np.int64)
     ids[order] = np.cumsum(~repeat) - 1
-    return ids, m[order[~repeat]]
+    return ids[np.cumsum(head) - 1], m[heads[order[~repeat]]]
 
 
 def _band_bookkeeping(cover: Cover, schedule: CoronaCoverSchedule, scales,

@@ -12,13 +12,10 @@ from scipy import sparse
 
 from .corona import CompactificationModel, CoronaCoverSchedule
 from .covers import Cover, lebesgue_number
+from .errors import ResourceLimitError
 from .prng import SplitMix64
-from .spaces import Entourage, Space
+from .spaces import PAIR_CAP, POINT_CAP, Entourage, Space
 from .transforms import ColoredCover
-
-# circle_arc_schedule measures angular distances in blocks of at most this
-# many arcs x points entries
-_ARC_BLOCK = 1 << 16
 
 
 def unit_interval_model(step: float = 1.0 / 400) -> CompactificationModel:
@@ -61,37 +58,89 @@ def point_schedule() -> CoronaCoverSchedule:
         lambda k: 1.0)
 
 
+def _chord(angle: float) -> float:
+    return 2 * math.sin(min(angle / 2, math.pi / 2))
+
+
+def arc_count(overlap: float, k: int) -> int:
+    """The fewest arcs m (even, at least 4) of the circle arc schedule at
+    scale k: the first m whose chord 2 sin(min(2pi/m * 2 overlap, pi) / 2)
+    is at most 1/k. More than POINT_CAP arcs is a resource-limit error.
+
+    For overlap >= 0 this is a bisection over the even m. The angle
+    a(m) = 2pi/m * 2 overlap does not grow with m, as rounding is monotone.
+    The chord can only pass 1/k <= 1 where a(m)/2 is at most about pi/6,
+    and there sin grows by a relative 0.9 of its argument. Two even
+    m < m' <= POINT_CAP differ in a(m)/2 by a relative 2/m' >= 2e-7, far
+    beyond the ulp that sin may be off. So m' passes whenever m does, and
+    the bisection finds the m that stepping m by 2 finds. A negative
+    overlap wraps the sine, which has no such order, so there m is stepped
+    by 2 as it always was, still only up to the cap.
+    """
+    reach = 2 * overlap  # full arc width in spacing units
+
+    def fine(m: int) -> bool:
+        return _chord(2 * math.pi / m * reach) <= 1.0 / k
+
+    if reach < 0:
+        m = next((m for m in range(4, POINT_CAP + 1, 2) if fine(m)), POINT_CAP + 2)
+    else:
+        lo, hi = 2, POINT_CAP // 2 + 1  # m = 2 * lo; past the cap counts as fine
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if fine(2 * mid) else (mid + 1, hi)
+        m = 2 * lo
+    if m > POINT_CAP:
+        raise ResourceLimitError(
+            f"the circle schedule at scale {k} needs more than {POINT_CAP} arcs "
+            f"(overlap {overlap!r})")
+    return m
+
+
 def circle_arc_schedule(space: Space, overlap: float = 0.95) -> CoronaCoverSchedule:
     """Two-family arc covers of a circle sample with mesh <= 1/k and arc
     half-width overlap * spacing; the declared Lebesgue bound is the chord
-    of the angular margin beyond the nearest arc center."""
+    of the angular margin beyond the nearest arc center.
+
+    Arc j of m is centred at c = j * sigma, sigma = 2pi/m, and holds the
+    points p whose angle a_p = p * h, h = 2pi/n, passes
+    |(a_p - c + pi) mod 2pi - pi| <= limit = overlap * sigma - 1e-12. Only
+    the points of a window are tested: p from floor((c - r)/h) - 1 to
+    ceil((c + r)/h) + 1, taken mod n and at most n of them, where r is
+    limit clamped to [-pi, pi].
+
+    The margin: the quotients are below 2n, so rounding moves them by far
+    less than 1, and every point outside a window of fewer than n points
+    lies more than h beyond c - r and c + r, both ways round the circle.
+    For n <= POINT_CAP, h is at least 6e-7, while the computed test value
+    is off from the exact circular distance by a few ulps of 2pi. So no
+    point outside a window passes, and a window capped at n holds every
+    point. The work is one test per window point, the arcs' members plus
+    about four points an arc, and the window total is checked against
+    PAIR_CAP before the windows are laid out.
+    """
     n = space.n
     angles = np.arange(n) * (2 * math.pi / n)
-    reach = 2 * overlap  # full arc width in spacing units
-
-    def chord(angle: float) -> float:
-        return 2 * math.sin(min(angle / 2, math.pi / 2))
-
-    def arc_count(k: int) -> int:
-        m = 4
-        while chord(2 * math.pi / m * reach) > 1.0 / k:
-            m += 2
-        return m
 
     def build(k: int) -> Cover:
-        m = arc_count(k)
+        m = arc_count(overlap, k)
         sigma = 2 * math.pi / m
         limit = overlap * sigma - 1e-12
-        # arc j is centred at j * sigma
-        step = max(1, _ARC_BLOCK // max(n, 1))
-        arcs, points = [], []
-        for lo in range(0, m, step):
-            centers = np.arange(lo, min(lo + step, m))[:, None] * sigma
-            d = np.abs((angles - centers + math.pi) % (2 * math.pi) - math.pi)
-            arc, point = np.nonzero(d <= limit)
-            arcs.append(arc + lo)
-            points.append(point)
-        arcs, points = np.concatenate(arcs), np.concatenate(points)
+        reach = min(max(limit, -math.pi), math.pi)
+        step = 2 * math.pi / n
+        centers = np.arange(m) * sigma
+        first = np.floor((centers - reach) / step).astype(np.int64) - 1
+        count = np.clip(np.ceil((centers + reach) / step).astype(np.int64) + 2 - first, 0, n)
+        total = int(count.sum())
+        if total > PAIR_CAP:
+            raise ResourceLimitError(
+                f"the {m} arc windows of the circle schedule at scale {k} hold {total} "
+                f"points, beyond the {PAIR_CAP} pair cap")
+        arc = np.repeat(np.arange(m), count)
+        point = np.arange(total) + np.repeat(first - (np.cumsum(count) - count), count)
+        point %= n
+        hit = np.abs((angles[point] - centers[arc] + math.pi) % (2 * math.pi) - math.pi) <= limit
+        arcs, points = np.divmod(np.sort(arc[hit] * n + point[hit]), n)
         indptr = np.concatenate(([0], np.cumsum(np.bincount(arcs, minlength=m))))
         incidence = sparse.csr_matrix((np.ones(points.size, dtype=bool), points, indptr),
                                       shape=(m, n))
@@ -100,8 +149,8 @@ def circle_arc_schedule(space: Space, overlap: float = 0.95) -> CoronaCoverSched
                             canonicalize=False)
 
     def lebesgue(k: int) -> float:
-        sigma = 2 * math.pi / arc_count(k)
-        return 0.98 * chord((overlap - 0.5) * sigma)
+        sigma = 2 * math.pi / arc_count(overlap, k)
+        return 0.98 * _chord((overlap - 0.5) * sigma)
 
     return CoronaCoverSchedule(space, 2, build, lebesgue)
 

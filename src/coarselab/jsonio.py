@@ -92,7 +92,9 @@ def load_cover(doc: dict, space: Space, require_covering: bool = True) -> Cover:
 
 
 def dump_cover(cover: Cover) -> dict:
-    out = {"sets": [list(s) for s in cover.sets]}
+    m = cover.incidence()
+    flat, ptr = m.indices.tolist(), m.indptr.tolist()
+    out = {"sets": [flat[a:b] for a, b in zip(ptr, ptr[1:])]}
     if cover.families is not None:
         out["families"] = [list(f) for f in cover.families]
     return out

@@ -182,7 +182,7 @@ class Space:
         not decrease, such as the entries of a CSR matrix in order, read
         from blocks of whole distance rows of at most _ENTRY_BLOCK entries."""
         d = np.empty(rows.size)
-        starts = np.unique(rows)
+        starts = rows[_run_heads(rows)]
         step = max(1, _ENTRY_BLOCK // max(self.n, 1))
         for at in range(0, starts.size, step):
             chunk = starts[at:at + step]
@@ -268,7 +268,7 @@ class Metric:
         matrices with sorted indices. At x outside row k that counts d(x, x),
         known where it is 0: there only members are measured."""
         keys = _entry_keys(queries)
-        at = np.isin(keys, _entry_keys(sets)) if self.zero_self_distance else slice(None)
+        at = _sorted_isin(keys, _entry_keys(sets)) if self.zero_self_distance else slice(None)
         out = np.zeros(keys.size)
         out[at] = self._from_key(self._nearest_outside(*np.divmod(keys[at], self.n), sets))
         return out
@@ -732,6 +732,25 @@ def _row_indices(m: sparse.csr_matrix, rows: np.ndarray) -> np.ndarray:
     at = np.repeat(starts - ends + sizes, sizes)
     at += np.arange(at.size, dtype=at.dtype)
     return m.indices[at]
+
+
+# On sorted int64 keys a scan or a binary search suffices where np.unique and
+# np.isin would hash them (numpy 2.4).
+def _run_heads(keys: np.ndarray) -> np.ndarray:
+    """Whether each key differs from the key before it (the first always
+    does): the first of each run of equal keys, the distinct keys of an
+    ascending array."""
+    head = np.ones(keys.size, dtype=bool)
+    head[1:] = keys[1:] != keys[:-1]
+    return head
+
+
+def _sorted_isin(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Whether each key is in table, an ascending array, by binary search."""
+    at = np.searchsorted(table, keys)
+    found = at < table.size
+    found[found] = table[at[found]] == keys[found]
+    return found
 
 
 def _entry_keys(m: sparse.csr_matrix) -> np.ndarray:

@@ -24,10 +24,13 @@ of one set, the shared-point tuples and intersections, the shield-and-trim
 loop and merge's attach step.
 
 The corona module works in arrays: a compactification model reads one
-interior x corona distance block, the arc covers of a circle are built a
-block of arcs at a time, and the band appetite is decided from set margins.
-The point-by-point appetite scan, the arc-by-arc cover, roundtrip_bounds
-with its distance rows, candidate minima and list.index lookups, and the
+interior x corona distance block, the arc covers of a circle test only
+each arc's window of points, with the arc count found by bisection, and
+the band appetite is decided from set margins, looked up once per run of
+equal keys over slices deduplicated a run at a time. The point-by-point
+appetite scan, the per-key margin lookup over slices ordered all at once,
+the arc-by-arc cover with its step-by-2 arc count, roundtrip_bounds with
+its distance rows, candidate minima and list.index lookups, and the
 pair-by-pair tail widths of check_cc_entourage are kept here.
 
 Every distance to the outside of a set, for the Lebesgue number and for
@@ -190,6 +193,55 @@ def slice_margins_loop(corona, members):
         d[inside] = np.inf
         margins[part] = d.min(axis=1)
     return queries, margins
+
+
+def distinct_rows_lex(m):
+    """(ids, rows): the distinct rows of the CSR matrix m in lexicographic
+    order and each row's index among them, from one _lex_order of every
+    row."""
+    from coarselab.covers import _lex_order
+
+    order, repeat = _lex_order(m)
+    ids = np.empty(m.shape[0], dtype=np.int64)
+    ids[order] = np.cumsum(~repeat) - 1
+    return ids, m[order[~repeat]]
+
+
+def band_appetite_failures_keys(cover, schedule, deltas, win, width: int, depth: int):
+    """The band appetite failures from set margins, every (slice, point) key
+    of every entry and partner slot sorted and looked up on its own."""
+    corona = schedule.corona_space
+    nc = corona.n
+    m = cover.incidence()
+    owner = np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr))
+    x, level = np.divmod(m.indices.astype(np.int64), width)
+    slices = sparse.csr_matrix((np.ones(m.nnz, dtype=bool), (owner * width + level, x)),
+                               shape=(m.shape[0] * width, nc))
+    slice_id, members = distinct_rows_lex(slices)
+    near = sparse.csr_matrix(win.matrix().T)[:depth + 1, :depth + 1]
+    near.sort_indices()
+    count = np.diff(near.indptr)
+    slots = int(count.max(initial=0))
+    partner = np.zeros((depth + 1, slots), dtype=np.int64)
+    cut = np.full((depth + 1, slots), -np.inf)
+    filled = np.arange(slots) < count[:, None]
+    partner[filled] = near.indices
+    top = np.maximum(np.arange(depth + 1)[:, None], partner)
+    deltas = np.asarray(deltas, dtype=float)
+    cut[filled] = np.where(top >= 1, deltas[top - 1], np.inf)[filled] - TOL
+    checked = level <= depth
+    owner, x, level = owner[checked], x[checked], level[checked]
+    keys = [slice_id[owner * width + partner[level, t]] * nc + x for t in range(slots)]
+    pairs = np.unique(np.concatenate([np.empty(0, dtype=np.int64)] + keys))
+    queries = sparse.csr_matrix((np.ones(pairs.size, dtype=bool), np.divmod(pairs, nc)),
+                                shape=members.shape)
+    margins = corona.backend.outside_distances(queries, members)
+    ok = np.ones(owner.size, dtype=bool)
+    for t, key in enumerate(keys):
+        ok &= margins[np.searchsorted(pairs, key)] >= cut[level, t]
+    passed = np.zeros(nc * width, dtype=bool)
+    passed[(x * width + level)[ok]] = True
+    return ~passed & (np.arange(nc * width) % width <= depth)
 
 
 def band_bookkeeping_loop(cover, schedule, scales, cuts, bands, width: int):
@@ -524,11 +576,10 @@ def check_cc_entourage_loop(model, entourage, schedule_constant=None, schedule_p
     }
 
 
-def arc_cover_loop(n, overlap, k):
-    """(sets, families) of the scale-k arc cover of the n-point circle
-    sample, arc by arc: the fewest arcs m (even, at least 4) whose chord
-    2 sin(min(2pi/m * overlap, pi / 2)) is at most 1/k, and arc j holds the
-    points within overlap * 2pi/m of j * 2pi/m."""
+def arc_count_loop(overlap, k):
+    """The fewest arcs m (even, at least 4) whose chord
+    2 sin(min(2pi/m * overlap, pi / 2)) is at most 1/k, stepping m by 2.
+    It never ends where no m passes, as for a huge overlap."""
     reach = 2 * overlap
 
     def chord(angle):
@@ -537,6 +588,15 @@ def arc_cover_loop(n, overlap, k):
     m = 4
     while chord(2 * math.pi / m * reach) > 1.0 / k:
         m += 2
+    return m
+
+
+def arc_cover_loop(n, overlap, k):
+    """(sets, families) of the scale-k arc cover of the n-point circle
+    sample, arc by arc: arc_count_loop arcs, and arc j holds the points
+    within overlap * 2pi/m of j * 2pi/m, each arc measured against every
+    point."""
+    m = arc_count_loop(overlap, k)
     angles = np.arange(n) * (2 * math.pi / n)
     sigma = 2 * math.pi / m
     half = overlap * sigma

@@ -393,6 +393,13 @@ class TestMalformedDocuments:
                                        "--depth", "10"], capsys)
         assert str(10 ** 9) in message and str(10 ** 7) in message
 
+    def test_circle_schedule_overlap_beyond_the_arc_cap(self, tmp_json, capsys):
+        # the arc count never falls below 1/k: stepping it by 2 never ended
+        schedule = tmp_json("s.json", {"kind": "circle_arcs", "points": 40, "overlap": 1e300})
+        message = self.resource_limit(["corona", "dimcover", "--schedule", schedule,
+                                       "--depth", "10"], capsys)
+        assert "more than 10000000 arcs" in message
+
     def test_simplex_grid_over_the_point_cap(self, tmp_json, capsys):
         # C(10^6 + 2, 2) = 500001500001 vertices; the old walk looped over
         # 10^12 lattice tuples

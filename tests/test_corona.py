@@ -5,21 +5,24 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarselab import corona as corona_module
+from coarselab import fixtures
 from coarselab.corona import (TOL, CompactificationModel, CoronaCoverSchedule,
                               _band_appetite_failures, _band_appetite_witness,
                               check_cc_entourage, corona_dim_cover, map_f, map_g,
                               roundtrip_bounds)
 from coarselab.covers import Cover, multiplicity
 from coarselab.errors import InvalidInputError, ResourceLimitError
-from coarselab.fixtures import circle_arc_schedule
-from coarselab.spaces import Entourage, Space
+from coarselab.fixtures import arc_count, circle_arc_schedule
+from coarselab.spaces import POINT_CAP, Entourage, Space
 from coarselab.transforms import ColoredCover
-from oracles import (arc_cover_loop, band_appetite_failures, band_appetite_scan,
-                     band_bookkeeping_loop, check_cc_entourage_loop, corona_dist_loop,
+from oracles import (arc_count_loop, arc_cover_loop, band_appetite_failures,
+                     band_appetite_failures_keys, band_appetite_scan, band_bookkeeping_loop,
+                     check_cc_entourage_loop, corona_dist_loop, distinct_rows_lex,
                      filtration_index_loop, filtration_set_loop, map_f_loop, map_g_loop,
                      roundtrip_bounds_loop, slice_margins_loop, widths_loop)
 
@@ -234,9 +237,7 @@ class TestBoundaryControl:
 
 
 class TestArcSchedule:
-    @given(n=st.integers(8, 720), overlap=st.floats(0.55, 1.2), k=st.integers(1, 96))
-    @settings(max_examples=30, deadline=None)
-    def test_arc_covers_match_the_loop(self, n, overlap, k):
+    def assert_matches_the_loop(self, n, overlap, k):
         space = circle_space(n)
         sets, fams = arc_cover_loop(n, overlap, k)
         try:
@@ -248,6 +249,58 @@ class TestArcSchedule:
             return
         got = circle_arc_schedule(space, overlap).cover_at(k)
         assert got.sets == want.sets and got.families == want.families
+
+    @given(n=st.integers(8, 720), overlap=st.floats(0.55, 1.2), k=st.integers(1, 96))
+    @settings(max_examples=30, deadline=None)
+    def test_arc_covers_match_the_loop(self, n, overlap, k):
+        self.assert_matches_the_loop(n, overlap, k)
+
+    @given(n=st.integers(1, 7), overlap=st.floats(0.01, 3.7), k=st.integers(1, 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_few_points_and_wrapping_windows_match_the_loop(self, n, overlap, k):
+        # a window reaches a point beyond its arc on each side, so on a few
+        # points it can wrap round to every point and be capped at n
+        self.assert_matches_the_loop(n, overlap, k)
+
+    @pytest.mark.parametrize("n,overlap,k", [
+        (1, 0.95, 1), (2, 2.0, 1), (3, 3.7, 1), (5, 0.5, 1000), (16, 0.95, 1000),
+        (720, 0.95, 1000), (97, 1.0, 1000)])
+    def test_edge_cases_match_the_loop(self, n, overlap, k):
+        self.assert_matches_the_loop(n, overlap, k)
+
+    @given(overlap=st.one_of(st.floats(-1.0, 1.0), st.floats(1.0, 1e3)),
+           k=st.integers(1, 10 ** 4))
+    @settings(max_examples=200, deadline=None)
+    def test_arc_count_bisection_matches_the_loop(self, overlap, k):
+        def fine(m):
+            angle = 2 * math.pi / m * (2 * overlap)
+            return 2 * math.sin(min(angle / 2, math.pi / 2)) <= 1.0 / k
+
+        try:
+            got = arc_count(overlap, k)
+        except ResourceLimitError:
+            # stepping by 2 would pass the cap
+            assert not fine(POINT_CAP)
+            return
+        if got <= 20_000:
+            assert got == arc_count_loop(overlap, k)
+        else:
+            # the loop's first passing m, without its 10^4 steps
+            assert fine(got) and not fine(got - 2)
+
+    def test_huge_overlap_is_a_resource_limit(self):
+        with pytest.raises(ResourceLimitError, match="more than 10000000 arcs"):
+            circle_arc_schedule(circle_space(40), 1e300).cover_at(1)
+
+    def test_windows_are_capped_before_they_are_laid_out(self, monkeypatch):
+        # a window holds its arc's members and at most five more points
+        space = circle_space(720)
+        m = circle_arc_schedule(space, 0.95).cover_at(20).incidence()
+        monkeypatch.setattr(fixtures, "PAIR_CAP", m.nnz)
+        with pytest.raises(ResourceLimitError, match="beyond the .* pair cap"):
+            circle_arc_schedule(space, 0.95).cover_at(20)
+        monkeypatch.setattr(fixtures, "PAIR_CAP", m.nnz + 5 * m.shape[0])
+        assert (circle_arc_schedule(space, 0.95).cover_at(20).incidence() != m).nnz == 0
 
 
 def circle_space(n_points=720):
@@ -372,6 +425,20 @@ class TestBandAppetite:
 
     @given(band=st.data())
     @settings(max_examples=200, deadline=None)
+    def test_key_runs_match_the_per_key_lookup(self, band):
+        cover, args = band.draw(random_bands())
+        assert np.array_equal(_band_appetite_failures(cover, *args),
+                              band_appetite_failures_keys(cover, *args))
+
+    def test_circle_band_key_runs_match_the_per_key_lookup(self):
+        cov, args = small_band()
+        for sets in (cov.sets, [s[1:] if k == 0 else s for k, s in enumerate(cov.sets)]):
+            broken = Cover(cov.space, sets, require_covering=False, canonicalize=False)
+            assert np.array_equal(_band_appetite_failures(broken, *args),
+                                  band_appetite_failures_keys(broken, *args))
+
+    @given(band=st.data())
+    @settings(max_examples=200, deadline=None)
     def test_random_bands_match_the_scan(self, band):
         cover, args = band.draw(random_bands())
         width = args[3]
@@ -379,6 +446,34 @@ class TestBandAppetite:
                   for p in np.flatnonzero(_band_appetite_failures(cover, *args))]
         assert failed == list(band_appetite_failures(cover, *args))
         assert _band_appetite_witness(cover, *args) == band_appetite_scan(cover, *args)
+
+
+@st.composite
+def csr_with_runs(draw):
+    """Boolean CSR matrices whose rows are drawn from a few distinct rows,
+    the empty row possibly among them, in runs of equal rows, and with
+    equal rows apart from each other."""
+    n = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.frozensets(st.integers(0, n - 1)), min_size=1, max_size=5))
+    runs = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.integers(1, 4)),
+                         max_size=12))
+    rows = [sorted(pool[i]) for i, length in runs for _ in range(length)]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = np.array([p for r in rows for p in r], dtype=np.int32)
+    return sparse.csr_matrix((np.ones(indices.size, dtype=bool), indices, indptr),
+                             shape=(len(rows), n))
+
+
+class TestDistinctRows:
+    @given(m=csr_with_runs())
+    @settings(max_examples=300, deadline=None)
+    def test_runs_match_the_full_lex_order(self, m):
+        ids, rows = corona_module._distinct(m)
+        want_ids, want_rows = distinct_rows_lex(m)
+        assert np.array_equal(ids, want_ids)
+        assert np.array_equal(rows.indptr, want_rows.indptr)
+        assert np.array_equal(rows.indices, want_rows.indices)
+        assert rows.shape == want_rows.shape
 
 
 @st.composite

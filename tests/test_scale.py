@@ -4,13 +4,18 @@ from the incidence matrices and L, so no power of L, no cover spread and no
 composite relation is formed, and none can stop the chain at the pair cap.
 The radius relation L itself is assembled straight into CSR, holding at
 most twice its arrays. The ray band cover of the cone is built and
-certified from band tables at about 10^5 product points."""
+certified from band tables at about 10^5 product points. A circle arc
+schedule tests only each arc's window of points, so its cover of 10^5
+points at scale 1000 (11,940 arcs) holds a small multiple of its incidence
+arrays, where the arcs x points scan measured 1.2 * 10^9 angles."""
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from coarselab import covers, transforms
+from coarselab.fixtures import circle_arc_schedule, circle_space
 from coarselab.spaces import Entourage, Space
 from coarselab.transforms import colorize, expand
 from coarselab.witnesses import cube_cover, ray_cell_cover
@@ -60,3 +65,15 @@ def test_ray_cover_at_ten_to_the_fifth_points(n, top, points):
         "ray_cover.covers", "ray_cover.families_disjoint", "ray_cover.spread_bound",
         "ray_cover.multiplicity"]
     assert all(g["pass"] for g in cert)
+
+
+def test_circle_arc_schedule_at_ten_to_the_fifth_points():
+    schedule = circle_arc_schedule(circle_space(10 ** 5))
+    tracemalloc.start()
+    try:
+        m = schedule.cover_at(1000).incidence()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.shape == (11_940, 10 ** 5) and np.all(np.diff(m.indptr) > 0)
+    assert peak <= 16 * (m.indices.nbytes + m.indptr.nbytes + m.data.nbytes)

@@ -553,6 +553,16 @@ class TestOutsideDistances:
                 assert mesh(cover) == oracles.mesh_rows(cover)
 
 
+class TestSortedKeys:
+    @given(keys=st.lists(st.integers(-3, 40)), table=st.lists(st.integers(-3, 40)))
+    @settings(max_examples=200, deadline=None)
+    def test_run_heads_and_binary_search_match_numpy(self, keys, table):
+        keys = np.sort(np.array(keys, dtype=np.int64))
+        table = np.unique(np.array(table, dtype=np.int64))
+        assert np.array_equal(keys[spaces._run_heads(keys)], np.unique(keys))
+        assert np.array_equal(spaces._sorted_isin(keys, table), np.isin(keys, table))
+
+
 class TestDistBlock:
     @given(data=st.data(), dim=st.integers(1, 9), n=st.integers(1, 12),
            offset=st.sampled_from([0.0, -7.5, 1e6, 1e8, 1e15]))
