@@ -306,33 +306,16 @@ def corona_dim_cover(schedule: CoronaCoverSchedule, deltas: Sequence[float],
     n_fam = schedule.n_families
     corona = schedule.corona_space
 
-    # prefix sets K_k of the level sample driven by the window relation, as
-    # boolean masks over the levels
+    # prefix sets K_k of the level sample driven by the window relation
     win = window.union(Entourage.diagonal(levels))
     win = win.union(win.inverse())
-    step = win.matrix()
-    reach = np.zeros(levels.n, dtype=bool)
-    reach[0] = True
-    prefixes = [reach]
-    while True:
-        nxt = reach | (step @ reach).astype(bool)
-        if np.array_equal(nxt, reach):
-            last = int(np.flatnonzero(reach)[-1])
-            if last < depth:
-                raise ContractViolationError(
-                    "window relation never reaches the requested depth", witness=last)
-            break
-        prefixes.append(nxt)
-        reach = nxt
-        if reach[-1]:
-            break
-    prefixes = np.array(prefixes)
+    hops, walked = _window_hops(win.matrix(), depth)
 
     def K(k):
         """The masks of K_k for an int or an array of ints k: empty for
-        k < 0, the last prefix past the end."""
+        k < 0, the last prefix past the end of the walk."""
         k = np.asarray(k)
-        return prefixes[np.clip(k, 0, len(prefixes) - 1)] & (k >= 0)[..., None]
+        return (hops <= np.clip(k, 0, walked)[..., None]) & (k >= 0)[..., None]
 
     # scale chain l_i: strictly increasing, with 1/l_{i+1} below the
     # Lebesgue bound of the cover at scale l_i
@@ -427,6 +410,37 @@ def corona_dim_cover(schedule: CoronaCoverSchedule, deltas: Sequence[float],
         "layers": i_max,
     }
     return out, guarantees, certificate
+
+
+def _window_hops(step: sparse.csr_matrix, depth: int) -> tuple[np.ndarray, int]:
+    """(hops, walked): the prefix set K_k holds the levels v with hops[v] <=
+    min(k, walked), the levels within k steps of level 0 under the
+    symmetric relation step (diagonal included), found by one breadth-first
+    walk over its rows. The walk stops at the last level, or where it stops
+    growing, which must be past depth; hops is n at a level never reached.
+    A level sample has a few window partners per level, so the walk is a
+    Python loop over the rows, one visit per entry."""
+    n = step.shape[0]
+    indptr, indices = step.indptr.tolist(), step.indices.tolist()
+    hops = [n] * n
+    hops[0] = 0
+    frontier, walked = [0], 0
+    while hops[-1] > walked:
+        reached = []
+        for u in frontier:
+            for v in indices[indptr[u]:indptr[u + 1]]:
+                if hops[v] == n:
+                    hops[v] = walked + 1
+                    reached.append(v)
+        if not reached:
+            last = max(v for v, h in enumerate(hops) if h <= walked)
+            if last < depth:
+                raise ContractViolationError(
+                    "window relation never reaches the requested depth", witness=last)
+            break
+        walked += 1
+        frontier = reached
+    return np.array(hops), walked
 
 
 def _colors(cover: Cover) -> np.ndarray:

@@ -14,11 +14,13 @@ call the backend. A backend computes blocks of distances, the pairs of a
 radius relation, the mesh of sets and each point's distance to the outside
 of its set; it writes the space's JSON form and, on grids and trees, its
 neighbour graph. The base class Metric measures by scanning blocks of
-distances. Grids find radius pairs through a lattice stencil and clouds
-through a cell list, and grids and trees measure sets, and polar samples
-their mesh, by kernels of their own (see GridMetric, TreeMetric and
-PolarMetric). Every backend hands out radius pairs in ascending key order
-i * n + j, so a relation's CSR matrix is assembled as they arrive.
+distances, and small sets by flat blocks of index pairs. Grids find radius
+pairs through a lattice stencil and clouds through a cell list, clouds
+search a second cell list for the nearest point outside a small set, and
+grids and trees measure sets, and polar samples their mesh, by kernels of
+their own (see EuclideanMetric, GridMetric, TreeMetric and PolarMetric).
+Every backend hands out radius pairs in ascending key order i * n + j, so
+a relation's CSR matrix is assembled as they arrive.
 
 A pair set is stored as its n x n boolean CSR matrix, so the relation
 algebra is sparse matrix algebra: union is A + B, inverse A^T, composition
@@ -28,6 +30,7 @@ along a map with graph matrix G is G^T A G (push) or G A G^T (pull).
 
 from __future__ import annotations
 
+import functools
 import math
 from types import MappingProxyType
 from typing import Iterable, Optional, Sequence
@@ -52,10 +55,22 @@ _STENCIL_CHUNK = 1 << 15
 # a scan of every distance computes whole rows, as many as fit in this many
 # entries: larger blocks slow the tree table's broadcast lookups
 _SCAN_BLOCK = 1 << 12
-# mesh and set-by-set outside scans compute blocks of at most this many entries
+# set-by-set scans compute blocks of at most this many entries
 _COVER_BLOCK = 1 << 21
 # blocks of points measured against every point hold at most this many entries
 _ENTRY_BLOCK = 1 << 16
+# blocks of index pairs hold at most this many pairs: a pair takes about 50
+# bytes in the few arrays of a block, which then stay small
+_PAIR_BLOCK = 1 << 14
+# a row of at most this many points has its (entry, point) pairs laid out
+# flat; a larger row is measured in a block of its own, which costs less per
+# pair than a gather does
+_PAIR_ROW = 32
+# a cloud's cell list aims at this many points per cell, and a ring search
+# hands an entry to the scan once its next ring holds more than 1/_RING_SHARE
+# of the points (in cells or in candidates)
+_CELL_POINTS = 2
+_RING_SHARE = 8
 
 
 class Space:
@@ -232,6 +247,11 @@ class Metric:
     def _key_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return self.dist_block(rows, cols)
 
+    def _key_pairs(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """The keys of the index pairs (p[e], q[e]), each with the bits that
+        _key_block gives it."""
+        raise NotImplementedError
+
     @staticmethod
     def _from_key(value):
         return value
@@ -252,13 +272,12 @@ class Metric:
 
     def mesh(self, m: sparse.csr_matrix, rows: np.ndarray) -> float:
         """The largest diameter of the given rows of the incidence matrix m
-        (0 for fewer than two points); rows whose members' distance rows fit
-        in _SCAN_BLOCK entries share blocks (see _sweep)."""
+        (0 for fewer than two points): each member against its own set's
+        members (see _sweep)."""
         sizes = np.diff(m.indptr)
         rows = rows[sizes[rows] > 1]
         rows, points = np.repeat(rows, sizes[rows]), _row_indices(m, rows)
-        reach = self._sweep(rows, points, m, False, sizes[rows] * self.n <= _SCAN_BLOCK,
-                            np.maximum)
+        reach = self._sweep(rows, points, m, False, np.maximum)
         return float(self._from_key(reach.max(initial=0.0)))
 
     def outside_distances(self, queries: sparse.csr_matrix,
@@ -276,38 +295,52 @@ class Metric:
     def _nearest_outside(self, rows: np.ndarray, points: np.ndarray,
                          sets: sparse.csr_matrix) -> np.ndarray:
         """The least key from points[e] to the points outside row rows[e] of
-        sets, for entries in ascending row order. A set of more than half
-        the points is measured against its smaller complement, smaller sets
-        share blocks: at most twice the complement, and no call per set."""
-        return self._sweep(rows, points, sets, True, 2 * np.diff(sets.indptr)[rows] <= self.n)
+        sets, for entries in ascending row order (see _sweep)."""
+        return self._sweep(rows, points, sets, True)
 
     def _sweep(self, rows: np.ndarray, points: np.ndarray, sets: sparse.csr_matrix,
-               outside: bool, shared: np.ndarray, reduce=np.minimum) -> np.ndarray:
+               outside: bool, reduce=np.minimum) -> np.ndarray:
         """For entries grouped by row, the keys from points[e] to the points
         outside row rows[e] of sets (outside) or in it, reduced by the ufunc
-        reduce, +inf where there are none. Entries where shared holds take
-        blocks of _ENTRY_BLOCK keys against every point, the other points
-        masked (outside takes the minimum) or dropped; the rest go row by
-        row, _COVER_BLOCK keys a block."""
+        reduce, +inf where there are none. Which points an entry is measured
+        against depends on the size of its row:
+        - outside a set of at most half the points: every point, in blocks
+          of _ENTRY_BLOCK keys shared by many sets' entries, each entry's own
+          set masked (its complement is at least as large, and this makes no
+          call per set);
+        - inside a row of at most _PAIR_ROW points: the row's points, as
+          flat (entry, point) pairs measured by _key_pairs, _PAIR_BLOCK
+          pairs a block, and reduced per entry by reduce.reduceat;
+        - any other row is taken row by row against its complement or its
+          points, _COVER_BLOCK keys a block."""
         sizes = np.diff(sets.indptr)
         every = np.arange(self.n, dtype=np.int64)
         out = np.full(rows.size, np.inf)
-        step = max(1, _ENTRY_BLOCK // max(self.n, 1))
-        shared, alone = np.flatnonzero(shared), np.flatnonzero(~shared)
-        for at in range(0, shared.size, step):
-            part = shared[at:at + step]
-            d = self._key_block(points[part], every)
-            count = sizes[rows[part]]
-            held = np.repeat(np.arange(part.size), count), _row_indices(sets, rows[part])
-            if outside:
-                d[held] = np.inf
+        count = sizes[rows]
+        small = 2 * count <= self.n if outside else count <= _PAIR_ROW
+        small, alone = np.flatnonzero(small), np.flatnonzero(~small)
+        if outside:
+            step = max(1, _ENTRY_BLOCK // max(self.n, 1))
+            for at in range(0, small.size, step):
+                part = small[at:at + step]
+                d = self._key_block(points[part], every)
+                d[np.repeat(np.arange(part.size), count[part]),
+                  _row_indices(sets, rows[part])] = np.inf
                 out[part] = d.min(axis=1)
-            else:
-                out[part] = reduce.reduceat(d[held], np.cumsum(count) - count)
+        else:
+            small = small[count[small] > 0]
+            for block in _blocks(count[small], _PAIR_BLOCK):
+                part = small[block]
+                c = count[part]
+                keys = self._key_pairs(np.repeat(points[part], c), _row_indices(sets, rows[part]))
+                out[part] = reduce.reduceat(keys, np.cumsum(c) - c)
         starts = np.flatnonzero(np.diff(rows[alone], prepend=-1))
         for a, b in zip(starts.tolist(), starts[1:].tolist() + [alone.size]):
             cand = _row(sets, rows[alone[a]])
             if outside:
+                # a row holding every point has no outside: +inf
+                if cand.size == self.n:
+                    continue
                 cand = np.setdiff1d(every, cand, assume_unique=True)
             if not cand.size:
                 continue
@@ -340,17 +373,21 @@ class MatrixMetric(Metric):
     def dist_block(self, rows, cols):
         return self.matrix[np.ix_(rows, cols)]
 
+    def _key_pairs(self, p, q):
+        return self.matrix[p, q]
+
     def to_json(self) -> dict:
         return {"kind": "matrix", "dist": self.matrix.tolist()}
 
 
 class EuclideanMetric(Metric):
     """A point cloud in R^dim, one row of coords per point. Every distance
-    is the square root of _squared_distances, so it has the same bits
-    whichever kernel computes it; the mesh and Lebesgue scans reduce the
-    squared distances and take one square root at the end, which gives the
-    same float, since fl(x^2) is increasing and sqrt(fl(x^2)) = x for
-    doubles in range."""
+    is the square root of _squared_distances, or of _key_pairs, which does
+    its arithmetic pair by pair on per-axis coordinate columns, so it has
+    the same bits whichever kernel computes it; the mesh and Lebesgue scans
+    reduce the squared distances and take one square root at the end, which
+    gives the same float, since fl(x^2) is increasing and sqrt(fl(x^2)) = x
+    for doubles in range."""
 
     kind = "cloud"
     zero_self_distance = True
@@ -358,12 +395,24 @@ class EuclideanMetric(Metric):
     step = None
 
     def __init__(self, coords: np.ndarray):
-        self.coords = coords
+        # stored axis by axis, so that each axis is one contiguous column
+        # for the gathers of _key_pairs
+        self.coords = np.asfortranarray(coords)
         self.dim = coords.shape[1]
         self.n = coords.shape[0]
 
     def _key_block(self, rows, cols):
         return _squared_distances(self.coords[rows][:, None, :], self.coords[cols][None, :, :])
+
+    def _key_pairs(self, p, q):
+        # the arithmetic of _squared_distances, axis by axis in axis order
+        total = np.zeros(p.size)
+        for column in self.coords.T:
+            t = column.take(p)
+            t -= column.take(q)
+            t *= t
+            total += t
+        return total
 
     _from_key = staticmethod(np.sqrt)
 
@@ -383,7 +432,7 @@ class EuclideanMetric(Metric):
             return
         keys, total = [np.empty(0, dtype=np.int64)], 0
         for i, j in _cell_candidates(coords[:, :_CELL_AXES], reach):
-            keep = within(np.sqrt(_squared_distances(coords[j], coords[i])))
+            keep = within(np.sqrt(self._key_pairs(j, i)))
             keys.append(i[keep] * self.n + j[keep])
             total += keys[-1].size
             if total > cap:
@@ -391,6 +440,80 @@ class EuclideanMetric(Metric):
         keys = np.sort(np.concatenate(keys))
         for at in range(0, keys.size, _PAIR_CHUNK):
             yield np.divmod(keys[at:at + _PAIR_CHUNK], self.n)
+
+    def _nearest_outside(self, rows, points, sets):
+        """A set of at most half the points is searched for in the cell
+        list, ring by ring around each entry (see _ring_search); a larger
+        set, and a cloud whose points fall in a single cell or whose extent
+        overflows, are measured by the scan."""
+        small = 2 * np.diff(sets.indptr)[rows] <= self.n
+        if self._cell_list is None or not small.any():
+            return super()._nearest_outside(rows, points, sets)
+        out = np.empty(rows.size)
+        if not small.all():
+            out[~small] = super()._nearest_outside(rows[~small], points[~small], sets)
+        out[small] = self._ring_search(rows[small], points[small], sets)
+        return out
+
+    @functools.cached_property
+    def _cell_list(self) -> Optional["_CellList"]:
+        return _CellList.build(self.coords)
+
+    def _ring_search(self, rows, points, sets):
+        """The least key from points[e] to the points outside row rows[e] of
+        sets, for entries in ascending row order, found in the cell list.
+
+        All entries go in lockstep: first through the cells at most one cell
+        away from their own on each bucketed axis, then through ring after
+        ring of the cells one further away, skipping the members of their
+        own set and keeping each entry's least key. After the cells within
+        reach of its own, an entry is done once the bound of _CellList.beyond
+        is at least its least key, since every key of a point further out is
+        at least that bound. An entry whose next ring would take more than
+        1/_RING_SHARE of the points, in cells or in candidates, is measured
+        by the scan instead. Every candidate is measured by _key_pairs, so
+        the result is the scan's bit for bit."""
+        cells, n = self._cell_list, self.n
+        held = _entry_keys(sets)
+        best = np.full(rows.size, np.inf)
+        scan = np.zeros(rows.size, dtype=bool)
+        todo, reach = np.arange(rows.size), 1
+        while todo.size:
+            steps = _ring(reach, cells.axes.size)
+            if steps.shape[0] * _RING_SHARE > n:
+                scan[todo] = True
+                break
+            chunk = max(1, _ENTRY_BLOCK // steps.shape[0])
+            left = []
+            for at in range(0, todo.size, chunk):
+                part = todo[at:at + chunk]
+                home = cells.cell[points[part]]
+                first, count = cells.visit(home, steps)
+                per = count.sum(axis=1)
+                wide = per * _RING_SHARE > n
+                scan[part[wide]] = True
+                count[wide], per[wide] = 0, 0
+                for block in _blocks(per, _PAIR_BLOCK):
+                    own = np.repeat(part[block], per[block])
+                    cand = cells.order[_spans(first[block].ravel(), count[block].ravel())]
+                    # entries come in row order, so a block's sets hold one
+                    # run of the keys
+                    mine = held[sets.indptr[rows[part[block.start]]]:
+                                sets.indptr[rows[part[block.stop - 1]] + 1]]
+                    keep = ~_sorted_isin(rows[own] * n + cand, mine)
+                    own, cand = own[keep], cand[keep]
+                    if own.size:
+                        heads = np.flatnonzero(_run_heads(own))
+                        near = np.minimum.reduceat(self._key_pairs(points[own], cand), heads)
+                        best[own[heads]] = np.minimum(best[own[heads]], near)
+                bound = cells.beyond(self.coords, points[part], home, reach)
+                left.append(part[~wide & (bound < best[part])])
+            todo = np.concatenate(left)
+            reach += 1
+        if scan.any():
+            scan = np.flatnonzero(scan)
+            best[scan] = super()._nearest_outside(rows[scan], points[scan], sets)
+        return best
 
     def to_json(self) -> dict:
         return {"kind": "cloud", "points": self.coords.tolist()}
@@ -473,9 +596,9 @@ class GridMetric(EuclideanMetric):
         with the two points swapped. So every pair of the relation is a
         candidate of the box prod_a [-K_a, K_a], enumerated in C order
         (lexicographic). A candidate on the grid is kept by the arithmetic
-        of within(sqrt(_squared_distances(coords[j], coords[i]))), the test
-        of the cell list, run axis by axis on the axis values, which are
-        the coordinates themselves, so the relation is bit-identical."""
+        of within(sqrt(_key_pairs(j, i))), the test of the cell list, run
+        axis by axis on the axis values, which are the coordinates
+        themselves, so the relation is bit-identical."""
         strides = self._strides()
         axes = [self.coords[:count * stride:stride, a]
                 for a, (count, stride) in enumerate(zip(self.shape, strides))]
@@ -515,7 +638,7 @@ class GridMetric(EuclideanMetric):
 
     def _nearest_outside(self, rows, points, sets):
         outer = _outer_boundary(sets, self.adjacency())
-        return self._sweep(rows, points, outer, False, np.zeros(rows.size, dtype=bool))
+        return self._sweep(rows, points, outer, False)
 
     def to_json(self) -> dict:
         return {"kind": "grid", "dim": self.dim,
@@ -553,6 +676,9 @@ class TreeMetric(Metric):
 
     def dist_block(self, rows, cols):
         return self.table.dist(rows[:, None], cols[None, :]).astype(float)
+
+    def _key_pairs(self, p, q):
+        return self.table.dist(p, q).astype(float)
 
     def adjacency(self) -> sparse.csr_matrix:
         """The two ends of a tree edge are neighbours."""
@@ -603,6 +729,9 @@ class PolarMetric(Metric):
     def dist_block(self, rows, cols):
         return hyperbolic_distance(self.kappa, self.r[rows][:, None], self.phi[rows][:, None],
                                    self.r[cols][None, :], self.phi[cols][None, :])
+
+    def _key_pairs(self, p, q):
+        return hyperbolic_distance(self.kappa, self.r[p], self.phi[p], self.r[q], self.phi[q])
 
     def mesh(self, m, rows) -> float:
         """Exact on the sample: the largest distance that hyperbolic_distance
@@ -658,6 +787,9 @@ class DiscreteMetric(Metric):
     def dist_block(self, rows, cols):
         return (rows[:, None] != cols[None, :]).astype(float)
 
+    def _key_pairs(self, p, q):
+        return (p != q).astype(float)
+
 
 class ProductMetric(Metric):
     """The sum metric on left x right, the point (x, y) at index
@@ -675,6 +807,12 @@ class ProductMetric(Metric):
         b = self.right.n
         return (self.left.dist_block(rows // b, cols // b)
                 + self.right.dist_block(rows % b, cols % b))
+
+    def _key_pairs(self, p, q):
+        b = self.right.n
+        left, right = self.left.backend, self.right.backend
+        return (left._from_key(left._key_pairs(p // b, q // b))
+                + right._from_key(right._key_pairs(p % b, q % b)))
 
 
 def _squared_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -727,11 +865,28 @@ def _row_indices(m: sparse.csr_matrix, rows: np.ndarray) -> np.ndarray:
     """The column indices of the given rows of m, concatenated in the order
     given: one numpy gather, no sparse matrix built."""
     starts = m.indptr[rows]
-    sizes = m.indptr[rows + 1] - starts
-    ends = np.cumsum(sizes, dtype=m.indptr.dtype)
-    at = np.repeat(starts - ends + sizes, sizes)
+    return m.indices[_spans(starts, m.indptr[rows + 1] - starts)]
+
+
+def _spans(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """first[i], first[i] + 1, ..., first[i] + count[i] - 1 for each i, in
+    order."""
+    ends = np.cumsum(count, dtype=first.dtype)
+    at = np.repeat(first - ends + count, count)
     at += np.arange(at.size, dtype=at.dtype)
-    return m.indices[at]
+    return at
+
+
+def _blocks(weights: np.ndarray, limit: int):
+    """Yield slices of consecutive items whose weights sum to at most limit,
+    an item heavier than limit in a slice of its own."""
+    ends = np.cumsum(weights)
+    at = 0
+    while at < weights.size:
+        stop = int(np.searchsorted(ends, ends[at] - weights[at] + limit, side="right"))
+        stop = max(stop, at + 1)
+        yield slice(at, stop)
+        at = stop
 
 
 # On sorted int64 keys a scan or a binary search suffices where np.unique and
@@ -1191,6 +1346,123 @@ def _cell_candidates(coords: np.ndarray, reach: float):
             width = size[dst[e]]
             yield (order[start[src[e]] + within // width],
                    order[start[dst[e]] + within % width])
+
+
+class _CellList:
+    """The points of a cloud bucketed into cubic cells on its first
+    _CELL_AXES axes, for the nearest point outside a set by rings of cells
+    (Bentley, Weide & Yao, "Optimal expected-time algorithms for
+    closest-point problems", ACM TOMS 6, 1980).
+
+    The side makes the cells over the cloud's bounding box hold about
+    _CELL_POINTS points each. An axis on which all points agree, or whose
+    extent is less than a side, is left out, so no kept axis is cut into
+    more than n / _CELL_POINTS cells and the cells number at most
+    2**3 * n / _CELL_POINTS. Points on a curve or a surface crowd the few
+    cells they meet, so the side is halved while the occupied cells hold
+    more than twice _CELL_POINTS points on average and the cells stay fewer
+    than 8n. Point x lies in cell floor(fl(x_a - lo_a) / side) on kept axis
+    a, which is non-decreasing in x_a, as every rounding is monotone.
+
+    Fields: axes, the kept axes; cell, each point's cell on each of them;
+    shape and strides of the cell grid; order, the points by cell id,
+    cell c holding order[starts[c]:starts[c + 1]], and one empty cell past
+    the grid; and per kept axis, upper[a][c], the least value of axis a
+    over the points in cells c and up (+inf past the grid), and lower[a][c +
+    1], the largest over the cells c and down (-inf below 0).
+    """
+
+    @classmethod
+    def build(cls, coords: np.ndarray) -> Optional["_CellList"]:
+        """The cell list, or None where the points fall in one cell, the
+        extent of an axis overflows, or the side underflows among
+        subnormal extents (a cell holds the points x with fl(x_a - lo_a) <=
+        span_a, so the cells on axis a are at most floor(span_a / side) + 1)."""
+        x = coords[:, :_CELL_AXES]
+        n = x.shape[0]
+        span = np.ptp(x, axis=0) if n else np.zeros(0)
+        if not np.isfinite(span).all():
+            return None
+        axes = np.flatnonzero(span > 0)
+        while axes.size:
+            side = math.exp((np.log(span[axes]).sum() + math.log(_CELL_POINTS / n)) / axes.size)
+            if np.all(span[axes] >= side):
+                cells = np.prod(np.floor(span[axes] / side) + 1) if side > 0 else math.inf
+                return cls(x[:, axes], axes, side) if cells <= 8 * n else None
+            axes = axes[span[axes] >= side]
+        return None
+
+    def __init__(self, x: np.ndarray, axes: np.ndarray, side: float):
+        self.axes = axes
+        lo = x.min(axis=0)
+        while True:
+            self.cell = np.floor((x - lo) / side).astype(np.int64)
+            self.shape = self.cell.max(axis=0) + 1
+            self.strides = np.cumprod(np.append(1, self.shape[:0:-1]))[::-1]
+            cid = self.cell @ self.strides
+            total = int(np.prod(self.shape))
+            counts = np.bincount(cid, minlength=total + 1)
+            if (x.shape[0] <= 2 * _CELL_POINTS * np.count_nonzero(counts)
+                    or total << axes.size > 8 * x.shape[0] or not side / 2 > 0):
+                break
+            side /= 2
+        self.order = np.argsort(cid, kind="stable")
+        self.starts = np.concatenate(([0], np.cumsum(counts)))
+        self.upper, self.lower = [], []
+        for a in range(axes.size):
+            by = np.argsort(x[:, a], kind="stable")
+            w, q = x[by, a], self.cell[by, a]
+            c = np.arange(self.shape[a])
+            self.upper.append(np.append(w[np.searchsorted(q, c)], np.inf))
+            self.lower.append(np.append(-np.inf, w[np.searchsorted(q, c, side="right") - 1]))
+
+    def visit(self, home: np.ndarray, steps: np.ndarray):
+        """For cells home (entries x kept axes) and cell steps (steps x kept
+        axes), the start in order and the count of the points of each cell
+        home + step (entries x steps), 0 points off the grid."""
+        cid = np.zeros((home.shape[0], steps.shape[0]), dtype=np.int64)
+        on = np.ones(cid.shape, dtype=bool)
+        for a, (size, stride) in enumerate(zip(self.shape.tolist(), self.strides.tolist())):
+            c = home[:, a, None] + steps[:, a]
+            on &= c.view(np.uint64) < size
+            c *= stride
+            cid += c
+        cid[~on] = self.starts.size - 2
+        first = self.starts[cid]
+        return first, self.starts[cid + 1] - first
+
+    def beyond(self, coords: np.ndarray, points: np.ndarray, home: np.ndarray,
+               reach: int) -> np.ndarray:
+        """For each point, a lower bound on its key to every point more than
+        reach cells from home on some kept axis.
+
+        Such a point y lies in a cell past home_a + reach, or before
+        home_a - reach, on a kept axis a. If past, y_a >= u = upper[a][home_a
+        + reach + 1] > x_a, as cells do not decrease in the coordinate; so
+        fl(y_a - x_a) >= fl(u - x_a) >= 0 and fl(fl(y_a - x_a)^2) >=
+        fl(fl(u - x_a)^2), every rounding being monotone, and the same below
+        with lower. A key sums such per-axis terms, all >= 0, from 0, and a
+        rounded sum of non-negative terms is at least each of them. The
+        bound is the least of these terms over the kept axes, each computed
+        from two sample coordinates exactly as a key computes them, so it
+        needs no rounding margin; where no point lies further out it is
+        +inf."""
+        bound = np.full(points.size, np.inf)
+        for a, axis in enumerate(self.axes):
+            x = coords[:, axis].take(points)
+            above = self.upper[a][np.minimum(home[:, a] + reach + 1, self.shape[a])] - x
+            below = x - self.lower[a][np.maximum(home[:, a] - reach, 0)]
+            bound = np.minimum(bound, np.minimum(above * above, below * below))
+        return bound
+
+
+def _ring(reach: int, k: int) -> np.ndarray:
+    """The steps of k cell indices from a cell to the cells reach away on
+    some axis and at most reach on every axis; for reach 1, also the step
+    0 to the cell itself."""
+    box = np.stack(np.unravel_index(np.arange((2 * reach + 1) ** k), (2 * reach + 1,) * k),
+                   axis=1) - reach
+    return box if reach == 1 else box[np.abs(box).max(axis=1) == reach]
 
 
 def _check_same_space(a: Entourage, b: Entourage) -> None:

@@ -38,7 +38,11 @@ the band margins, comes from one backend kernel, outside_distances, and a
 band's spreads from the backend's mesh. The set-by-set Lebesgue scan of
 the base backend, the corona module's own block loop over member
 distances with the margins and spreads it computed, and a per-entry row
-scan of the kernel are kept here.
+scan of the kernel are kept here. A cloud finds the nearest point outside
+a small set in a cell list, and the base mesh measures a small set by
+flat member pairs; the sweep they replaced, with its blocks shared by
+small sets against every point and its per-set blocks, is kept here too,
+as is the per-level mat-vec loop of the band cover's prefix sets.
 
 A tree's distances come from an Euler tour and a sparse table of range
 minima, mesh takes a double sweep per set and the Lebesgue number one
@@ -97,7 +101,7 @@ import numpy as np
 
 from scipy import sparse
 
-from coarselab.errors import InvalidInputError, ResourceLimitError
+from coarselab.errors import ContractViolationError, InvalidInputError, ResourceLimitError
 from coarselab.jsonio import _integer
 from coarselab.spaces import PAIR_CAP, RADIUS_TOL
 
@@ -242,6 +246,28 @@ def band_appetite_failures_keys(cover, schedule, deltas, win, width: int, depth:
     passed = np.zeros(nc * width, dtype=bool)
     passed[(x * width + level)[ok]] = True
     return ~passed & (np.arange(nc * width) % width <= depth)
+
+
+def window_prefixes_loop(step, depth):
+    """The prefix sets K_0, K_1, ... of corona_dim_cover as boolean masks
+    over the levels, one sparse mat-vec step @ reach per level until the
+    last level is reached or the sets stop growing."""
+    reach = np.zeros(step.shape[0], dtype=bool)
+    reach[0] = True
+    prefixes = [reach]
+    while True:
+        nxt = reach | (step @ reach).astype(bool)
+        if np.array_equal(nxt, reach):
+            last = int(np.flatnonzero(reach)[-1])
+            if last < depth:
+                raise ContractViolationError(
+                    "window relation never reaches the requested depth", witness=last)
+            break
+        prefixes.append(nxt)
+        reach = nxt
+        if reach[-1]:
+            break
+    return np.array(prefixes)
 
 
 def band_bookkeeping_loop(cover, schedule, scales, cuts, bands, width: int):
@@ -1036,6 +1062,80 @@ def outside_distances_rows(space, queries, sets):
         row = dist_row_by_kind(space, x)
         out.append(float(row[outside].min()) if outside.any() else math.inf)
     return np.array(out)
+
+
+def sweep_blocks(backend, rows, points, sets, outside, shared, reduce=np.minimum,
+                 entry_block=1 << 16, cover_block=1 << 21):
+    """The two-mode sweep that the member-pair mesh and the cloud cell list
+    replaced: for entries grouped by row, the keys from points[e] to the
+    points outside row rows[e] of sets (outside) or in it, reduced by the
+    ufunc reduce, +inf where there are none. Entries where shared holds
+    take blocks of entry_block keys against every point, the other points
+    masked (outside takes the minimum) or gathered; the rest go row by row,
+    cover_block keys a block."""
+    n = backend.n
+    sizes = np.diff(sets.indptr)
+    every = np.arange(n, dtype=np.int64)
+    out = np.full(rows.size, np.inf)
+    step = max(1, entry_block // max(n, 1))
+    shared, alone = np.flatnonzero(shared), np.flatnonzero(~shared)
+    for at in range(0, shared.size, step):
+        part = shared[at:at + step]
+        d = backend._key_block(points[part], every)
+        count = sizes[rows[part]]
+        held = (np.repeat(np.arange(part.size), count),
+                np.concatenate([np.empty(0, dtype=np.int64)] + [
+                    sets.indices[sets.indptr[k]:sets.indptr[k + 1]] for k in rows[part]]))
+        if outside:
+            d[held] = np.inf
+            out[part] = d.min(axis=1)
+        else:
+            out[part] = reduce.reduceat(d[held], np.cumsum(count) - count)
+    starts = np.flatnonzero(np.diff(rows[alone], prepend=-1))
+    for a, b in zip(starts.tolist(), starts[1:].tolist() + [alone.size]):
+        k = rows[alone[a]]
+        cand = sets.indices[sets.indptr[k]:sets.indptr[k + 1]].astype(np.int64)
+        if outside:
+            cand = np.setdiff1d(every, cand, assume_unique=True)
+        if not cand.size:
+            continue
+        chunk = max(1, cover_block // cand.size)
+        for at in range(a, b, chunk):
+            part = alone[at:min(at + chunk, b)]
+            out[part] = reduce.reduce(backend._key_block(points[part], cand), axis=1)
+    return out
+
+
+def outside_distances_blocks(space, queries, sets):
+    """outside_distances of a cloud by sweep_blocks: a set of more than half
+    the points against its complement, the members of smaller sets in
+    shared blocks against every point."""
+    backend = space.backend
+    n = space.n
+    keys = np.repeat(np.arange(queries.shape[0], dtype=np.int64), np.diff(queries.indptr)) * n
+    keys += queries.indices
+    held = np.repeat(np.arange(sets.shape[0], dtype=np.int64), np.diff(sets.indptr)) * n
+    at = np.isin(keys, held + sets.indices)
+    rows, points = np.divmod(keys[at], n)
+    out = np.zeros(keys.size)
+    shared = 2 * np.diff(sets.indptr)[rows] <= n
+    out[at] = backend._from_key(sweep_blocks(backend, rows, points, sets, True, shared))
+    return out
+
+
+def mesh_blocks(space, m):
+    """The mesh of the rows of m by sweep_blocks: rows whose members'
+    distance rows fit in 4,096 entries in shared blocks, the members
+    gathered, larger rows one at a time."""
+    backend = space.backend
+    sizes = np.diff(m.indptr)
+    rows = np.flatnonzero(sizes > 1)
+    points = np.concatenate([np.empty(0, dtype=np.int64)] + [
+        m.indices[m.indptr[k]:m.indptr[k + 1]] for k in rows]).astype(np.int64)
+    rows = np.repeat(rows, sizes[rows])
+    reach = sweep_blocks(backend, rows, points, m, False, sizes[rows] * space.n <= 1 << 12,
+                         np.maximum)
+    return float(backend._from_key(reach.max(initial=0.0)))
 
 
 def lebesgue_number_rows(cover):

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 from coarselab import corona as corona_module
 from coarselab import fixtures
 from coarselab.corona import (TOL, CompactificationModel, CoronaCoverSchedule,
-                              _band_appetite_failures, _band_appetite_witness,
+                              _band_appetite_failures, _band_appetite_witness, _window_hops,
                               check_cc_entourage, corona_dim_cover, map_f, map_g,
                               roundtrip_bounds)
 from coarselab.covers import Cover, multiplicity
-from coarselab.errors import InvalidInputError, ResourceLimitError
+from coarselab.errors import ContractViolationError, InvalidInputError, ResourceLimitError
 from coarselab.fixtures import arc_count, circle_arc_schedule
 from coarselab.spaces import POINT_CAP, Entourage, Space
 from coarselab.transforms import ColoredCover
@@ -24,7 +24,8 @@ from oracles import (arc_count_loop, arc_cover_loop, band_appetite_failures,
                      band_appetite_failures_keys, band_appetite_scan, band_bookkeeping_loop,
                      check_cc_entourage_loop, corona_dist_loop, distinct_rows_lex,
                      filtration_index_loop, filtration_set_loop, map_f_loop, map_g_loop,
-                     roundtrip_bounds_loop, slice_margins_loop, widths_loop)
+                     roundtrip_bounds_loop, slice_margins_loop, widths_loop,
+                     window_prefixes_loop)
 
 
 def unit_interval_model(step=1.0 / 400):
@@ -364,6 +365,28 @@ class TestDimCover:
         assert multiplicity(cov) <= 2
         assert cov.uncovered_points() == []
         assert all(g["pass"] for g in cert)
+
+    @given(n=st.integers(1, 40), pairs=st.lists(st.tuples(st.integers(0, 39),
+                                                         st.integers(0, 39)), max_size=60),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_prefix_walk_matches_the_mat_vec_loop(self, n, pairs, data):
+        # chains, jumps, a level cut off from level 0 and isolated levels
+        levels = Space.line(0, n - 1, 1.0)
+        win = Entourage.from_pairs(levels, [(a, b) for a, b in pairs if max(a, b) < n])
+        win = win.union(Entourage.diagonal(levels))
+        step = win.union(win.inverse()).matrix()
+        depth = data.draw(st.integers(0, n - 1))
+        try:
+            want = window_prefixes_loop(step, depth)
+        except ContractViolationError as err:
+            with pytest.raises(ContractViolationError) as got:
+                _window_hops(step, depth)
+            assert got.value.witness == err.witness
+            return
+        hops, walked = _window_hops(step, depth)
+        assert walked == len(want) - 1
+        assert np.array_equal(hops[None, :] <= np.arange(walked + 1)[:, None], want)
 
     def test_circle_corona_depth_200(self):
         space = circle_space(720)

@@ -7,7 +7,9 @@ most twice its arrays. The ray band cover of the cone is built and
 certified from band tables at about 10^5 product points. A circle arc
 schedule tests only each arc's window of points, so its cover of 10^5
 points at scale 1000 (11,940 arcs) holds a small multiple of its incidence
-arrays, where the arcs x points scan measured 1.2 * 10^9 angles."""
+arrays, where the arcs x points scan measured 1.2 * 10^9 angles. A uniform
+cloud of about 2 * 10^4 points certifies cube -> colorize -> stats with its
+Lebesgue numbers found in the cell list, never against every point."""
 
 import tracemalloc
 
@@ -16,7 +18,7 @@ import pytest
 
 from coarselab import covers, transforms
 from coarselab.fixtures import circle_arc_schedule, circle_space
-from coarselab.spaces import Entourage, Space
+from coarselab.spaces import Entourage, EuclideanMetric, Space
 from coarselab.transforms import colorize, expand
 from coarselab.witnesses import cube_cover, ray_cell_cover
 
@@ -40,6 +42,28 @@ def test_grid_chain_at_ten_to_the_fifth_points(monkeypatch):
         "expand.families_disjoint", "expand.appetite", "expand.spread_bound"]
     assert stats["multiplicity"] <= 3 and stats["appetite"] is True
     assert stats["lebesgue"] == pytest.approx(2 ** 0.5)
+
+
+def test_cloud_chain_at_two_times_ten_to_the_fourth_points(monkeypatch):
+    # the Lebesgue numbers come from the cell list and the meshes from
+    # member pairs and per-set blocks: no block of members against every
+    # point is measured
+    every_point = EuclideanMetric._key_block
+
+    def key_block(self, rows, cols):
+        assert cols.size < self.n, "a block against every point was measured"
+        return every_point(self, rows, cols)
+
+    monkeypatch.setattr(EuclideanMetric, "_key_block", key_block)
+    rng = np.random.default_rng(7)
+    cloud = Space.cloud(rng.uniform(0.0, 141.0, (19_881, 2)))
+    L = Entourage.radius(cloud, 1.5).materialize()
+    cube, cert_cube = cube_cover(cloud, 2, 24.0)
+    colored, cert_colorize = colorize(cube, L, 2)
+    stats = covers.stats(colored, L)
+    for cert in (cert_cube, cert_colorize):
+        assert cert and all(g["pass"] for g in cert)
+    assert stats["multiplicity"] <= 3 and stats["lebesgue"] > 0
 
 
 def test_grid_materialize_holds_at_most_twice_its_result():

@@ -523,10 +523,10 @@ class TestOutsideDistances:
     their set-size choices."""
 
     @given(data=st.data(), sp=geometries(), block=st.sampled_from([None, 1, 5]),
-           scan=st.sampled_from([None, 1]))
+           pairs=st.sampled_from([None, 0, 10 ** 6]))
     @settings(max_examples=300, deadline=None)
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
-    def test_matches_distance_rows(self, data, sp, block, scan):
+    def test_matches_distance_rows(self, data, sp, block, pairs):
         n = sp.n
         point = st.integers(0, max(n - 1, 0))
         # scattered sets of either size, an empty set and a whole-space set
@@ -540,7 +540,7 @@ class TestOutsideDistances:
         queries = [range(n) if data.draw(st.integers(0, 3)) == 0 else q for q in queries]
         q = Cover(sp, queries, require_covering=False, canonicalize=False).incidence()
         with mock.patch.multiple(spaces, _ENTRY_BLOCK=block or spaces._ENTRY_BLOCK,
-                                 _SCAN_BLOCK=scan or spaces._SCAN_BLOCK):
+                                 _PAIR_ROW=spaces._PAIR_ROW if pairs is None else pairs):
             got = sp.backend.outside_distances(q, m)
             want = oracles.outside_distances_rows(sp, q, m)
             assert got.dtype == np.float64
@@ -551,6 +551,65 @@ class TestOutsideDistances:
                 # one-point sets count 0, where a distance row counts d(x, x)
                 cover = Cover(sp, [s for s in sets if len(set(s)) > 1], require_covering=False)
                 assert mesh(cover) == oracles.mesh_rows(cover)
+
+
+@st.composite
+def clouds(draw):
+    """Clouds of 0-400 points in 1-5 or 9 dimensions, far from the origin
+    or not: scattered, on a lattice (ties on cell faces), on a lattice of
+    subnormal steps (a cell side that underflows), duplicated, collinear or
+    all one point."""
+    n = draw(st.integers(0, 400))
+    dim = draw(st.sampled_from([1, 2, 3, 4, 5, 9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = draw(st.sampled_from(["uniform", "lattice", "subnormal", "duplicates",
+                                  "collinear", "one"]))
+    x = rng.uniform(-5, 5, (n, dim))
+    if shape == "lattice":
+        x = np.round(x)
+    elif shape == "subnormal":
+        x = np.round(x) * 5e-324
+    elif shape == "duplicates":
+        x = x[rng.integers(0, max(n // 4, 1), n)]
+    elif shape == "collinear":
+        x = rng.uniform(-5, 5, (n, 1)) * rng.uniform(-1, 1, dim) + x[:1]
+    elif shape == "one":
+        x[:] = x[:1]
+    return Space.cloud(draw(st.sampled_from([0.0, 1e6, 1e15])) + x)
+
+
+class TestCloudKernels:
+    """A cloud's cell-list nearest-outside kernel and the member-pair mesh
+    against one distance row per entry or member and against the shared
+    and per-set block sweep they replaced, bit for bit: with the scan
+    hand-off and the pair rows patched to both sides, on sets of every
+    size, boxes whose deep members need ring after ring, an empty set and
+    the whole cloud."""
+
+    @given(data=st.data(), sp=clouds(), share=st.sampled_from([None, 0]),
+           pairs=st.sampled_from([None, 0, 10 ** 6]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_distance_rows_and_the_block_sweep(self, data, sp, share, pairs):
+        n = sp.n
+        x = sp.meta["coords"]
+        point = st.integers(0, max(n - 1, 0))
+        sets = data.draw(st.lists(st.lists(point, max_size=n // 3 if n else 0), max_size=3))
+        for _ in range(data.draw(st.integers(0, 2)) if n else 0):
+            lo = x[data.draw(point)]
+            width = data.draw(st.sampled_from([0.5, 2.0, 6.0]))
+            sets.append(np.flatnonzero(np.all(np.abs(x - lo) <= width, axis=1)).tolist())
+        sets = data.draw(st.permutations(sets + [[], list(range(n))]))
+        m = Cover(sp, sets, require_covering=False, canonicalize=False).incidence()
+        patch = {"_RING_SHARE": spaces._RING_SHARE if share is None else share,
+                 "_PAIR_ROW": spaces._PAIR_ROW if pairs is None else pairs}
+        with mock.patch.multiple(spaces, **patch):
+            got = sp.backend.outside_distances(m, m)
+            spread = sp.backend.mesh(m, np.arange(m.shape[0]))
+        assert np.array_equal(got, oracles.outside_distances_rows(sp, m, m))
+        assert np.array_equal(got, oracles.outside_distances_blocks(sp, m, m))
+        kept = [s for s in sets if len(set(s)) > 1]
+        cover = Cover(sp, kept, require_covering=False)
+        assert spread == oracles.mesh_rows(cover) == oracles.mesh_blocks(sp, m)
 
 
 class TestSortedKeys:

@@ -130,6 +130,46 @@ def test_materialize_builds_no_coo_form_and_no_copy():
     assert not called & {"_bool_matrix", "coo_matrix", "tocsr", "from_matrix"}
 
 
+def test_every_backend_that_reaches_the_base_mesh_measures_pairs():
+    """The base mesh lays out the pairs of small rows for _key_pairs, so
+    every backend class whose mesh is the base one, or calls it through
+    super(), defines _key_pairs or inherits it from a class below Metric."""
+    tree = ast.parse((SRC / "spaces.py").read_text(encoding="utf-8"))
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    parent = {name: node.bases[0].id for name, node in classes.items()
+              if node.bases and isinstance(node.bases[0], ast.Name)}
+
+    def method(name, attr):
+        return next((node for node in classes[name].body
+                     if isinstance(node, ast.FunctionDef) and node.name == attr), None)
+
+    def lineage(name):
+        while name in classes:
+            yield name
+            name = parent.get(name)
+
+    def reaches_base_mesh(name):
+        for owner in lineage(name):
+            mesh = method(owner, "mesh")
+            if owner == "Metric":
+                return True
+            if mesh is not None and not any(
+                    isinstance(call.func, ast.Attribute) and call.func.attr == "mesh"
+                    and isinstance(call.func.value, ast.Call)
+                    and _name(call.func.value) == "super" for _, call in _calls(mesh)):
+                return False
+        return False
+
+    backends = [name for name in classes if name != "Metric" and "Metric" in lineage(name)]
+    reaching = [name for name in backends if reaches_base_mesh(name)]
+    assert {"MatrixMetric", "EuclideanMetric", "GridMetric", "DiscreteMetric",
+            "ProductMetric"} <= set(reaching)
+    missing = [name for name in reaching
+               if not any(method(owner, "_key_pairs") for owner in lineage(name)
+                          if owner != "Metric")]
+    assert missing == []
+
+
 def _unused_imports(path: pathlib.Path) -> list[str]:
     """The names a module imports and never reads: each name an import
     binds, against the names the module loads anywhere (`np` in
