@@ -599,7 +599,8 @@ def _band_bookkeeping(cover: Cover, schedule: CoronaCoverSchedule, scales,
     point, level = np.divmod(m.indices.astype(np.int64), width)
     proj_id, distinct = _distinct(sparse.csr_matrix(
         (np.ones(m.nnz, dtype=bool), (owner, point)), shape=(k, corona.n)))
-    head = max(1.0, corona.diameter())
+    diameter = corona.diameter()
+    head = max(1.0, diameter)
 
     ordered = sorted(i for i in cuts if i >= 0)
     layer = np.full(width, ordered[-1])
@@ -609,6 +610,8 @@ def _band_bookkeeping(cover: Cover, schedule: CoronaCoverSchedule, scales,
     top = np.full(k, -1)
     np.maximum.at(top, owner, level)
     bound = d_m[top]
+    # no projection spreads wider than the corona, so a bound of at least
+    # its diameter (the head's, at least) holds without a mesh
     proj_ok = not any(corona.backend.mesh(distinct, np.unique(proj_id[bound == b])) > b + TOL
-                      for b in np.unique(bound).tolist())
+                      for b in np.unique(bound).tolist() if not b >= diameter)
     return d_m.tolist(), proj_ok

@@ -211,9 +211,6 @@ class SphereAtlas:
             f"no arc on circle {k} accommodates the lambda ball of arc "
             f"{j_high} on circle {k + self.n_colors}", witness=(k, j_high))
 
-    def lebesgue_halfwidth(self, k: int) -> float:
-        return self.layout(k)[3]
-
 
 def _circ_dist(a: float, b: float) -> float:
     return abs((a - b + math.pi) % (2 * math.pi) - math.pi)

@@ -66,10 +66,6 @@ def load_space(doc: dict) -> Space:
     raise InvalidInputError(f"unknown space kind {kind!r}")
 
 
-def dump_space(space: Space) -> dict:
-    return space.backend.to_json()
-
-
 def load_entourage(doc: dict, space: Space) -> Entourage:
     kind = _object(doc, "entourage").get("kind")
     if kind == "radius":

@@ -15,10 +15,12 @@ radius relation, the mesh of sets and each point's distance to the outside
 of its set; it writes the space's JSON form and, on grids and trees, its
 neighbour graph. The base class Metric measures by scanning blocks of
 distances, and small sets by flat blocks of index pairs. Grids find radius
-pairs through a lattice stencil and clouds through a cell list, clouds
-search a second cell list for the nearest point outside a small set, and
-grids and trees measure sets, and polar samples their mesh, by kernels of
-their own (see EuclideanMetric, GridMetric, TreeMetric and PolarMetric).
+pairs through a lattice stencil; clouds find them, and the nearest point
+outside a small set, by one walk ring by ring through one cell list,
+whose cells are ranked on each axis so that empty stretches cost nothing;
+and grids and trees measure sets, and polar samples their mesh, by
+kernels of their own (see EuclideanMetric, GridMetric, TreeMetric and
+PolarMetric).
 Every backend hands out radius pairs in ascending key order i * n + j, so
 a relation's CSR matrix is assembled as they arrive.
 
@@ -45,8 +47,8 @@ RADIUS_TOL = 1e-12
 PAIR_CAP = 10**7
 # the most points a grid sample may hold, checked before any is built
 POINT_CAP = 10**7
-# the cell list of a grid or cloud buckets at most this many axes, and hands
-# out candidate pairs in chunks of at most this many
+# a cloud's cell list buckets at most this many axes, and a cloud hands out
+# radius pairs in chunks of at most this many
 _CELL_AXES = 3
 _PAIR_CHUNK = 1 << 17
 # a grid's lattice stencil measures blocks of at most this many candidates,
@@ -66,9 +68,9 @@ _PAIR_BLOCK = 1 << 14
 # flat; a larger row is measured in a block of its own, which costs less per
 # pair than a gather does
 _PAIR_ROW = 32
-# a cloud's cell list aims at this many points per cell, and a ring search
-# hands an entry to the scan once its next ring holds more than 1/_RING_SHARE
-# of the points (in cells or in candidates)
+# a cloud's cell list aims at this many points per cell, and the
+# nearest-outside walk hands an entry to the scan once its next ring holds
+# more than 1/_RING_SHARE of the points (in cells or in candidates)
 _CELL_POINTS = 2
 _RING_SHARE = 8
 
@@ -420,68 +422,95 @@ class EuclideanMetric(Metric):
         return np.sqrt(self._key_block(rows, cols))
 
     def radius_pairs(self, within, reach: float, cap: float):
-        """A cell list proposes the candidates, each kept by the distance
-        dist_block computes, so the pairs are exactly those of the scan.
-        The cells hand out pairs in no useful order, so the kept pairs are
-        held as keys and sorted once. Coordinates or radii too large for
-        cells fall back to the scan."""
-        coords = self.coords
-        if not (coords.size and np.isfinite(reach)
-                and np.isfinite(np.ptp(coords[:, :_CELL_AXES], axis=0)).all()):
+        """Each point walks the rings of a cell list (see _walk) until the
+        bound beyond them fails within, and each candidate is kept by the
+        distance dist_block computes, so the pairs are exactly those of the
+        scan. The list is the cached one where reach lies between half its
+        side and its side, else one of side reach, or of half that side for
+        a shorter reach (the 3**3 cells around a point of a 3-d cloud hold
+        about 54 points at the cached side). Such a list has at most
+        2**_CELL_AXES times the cells of the cached one, as each of its cells
+        meets at most two of the cached list's on an axis. A cell is at
+        least reach wide, so a walk seldom needs a second ring, and none of
+        its points is handed to the scan: their first ring holds fewer
+        candidates than the scan would measure. The walk hands out pairs in
+        no useful order, so the kept pairs are held as keys and sorted
+        once. A cloud without a cell list, or whose points fall in one cell
+        of side reach, is scanned whole."""
+        n, cells = self.n, self._cell_list
+        if cells is not None and not cells.side / 2 <= reach <= cells.side:
+            cells = _CellList.build(self.coords, max(reach, cells.side / 2))
+        if cells is None:
             yield from super().radius_pairs(within, reach, cap)
             return
         keys, total = [np.empty(0, dtype=np.int64)], 0
-        for i, j in _cell_candidates(coords[:, :_CELL_AXES], reach):
-            keep = within(np.sqrt(self._key_pairs(j, i)))
-            keys.append(i[keep] * self.n + j[keep])
+
+        def measure(own, cand):
+            nonlocal total
+            keep = within(np.sqrt(self._key_pairs(cand, own)))
+            keys.append(own[keep] * n + cand[keep])
             total += keys[-1].size
             if total > cap:
                 raise _pair_cap_error(cap)
+
+        every = np.arange(n, dtype=np.int64)
+        self._walk(cells, every, every, measure, lambda part, bound: ~within(np.sqrt(bound)), 0)
         keys = np.sort(np.concatenate(keys))
         for at in range(0, keys.size, _PAIR_CHUNK):
-            yield np.divmod(keys[at:at + _PAIR_CHUNK], self.n)
+            yield np.divmod(keys[at:at + _PAIR_CHUNK], n)
 
     def _nearest_outside(self, rows, points, sets):
-        """A set of at most half the points is searched for in the cell
-        list, ring by ring around each entry (see _ring_search); a larger
-        set, and a cloud whose points fall in a single cell or whose extent
-        overflows, are measured by the scan."""
+        """An entry whose set holds at most half the points walks the cell
+        list (see _walk), skipping the members of its own set and keeping
+        its least key, until the bound beyond its rings is at least that
+        key. Larger sets, the entries the walk hands to the scan, and every
+        entry of a cloud whose points fall in a single cell or whose extent
+        overflows are measured by the scan."""
         small = 2 * np.diff(sets.indptr)[rows] <= self.n
         if self._cell_list is None or not small.any():
             return super()._nearest_outside(rows, points, sets)
-        out = np.empty(rows.size)
-        if not small.all():
-            out[~small] = super()._nearest_outside(rows[~small], points[~small], sets)
-        out[small] = self._ring_search(rows[small], points[small], sets)
-        return out
+        n, held = self.n, _entry_keys(sets)
+        best = np.full(rows.size, np.inf)
+
+        def measure(own, cand):
+            # entries come in row order, so a block's sets hold one run of
+            # the keys
+            mine = held[sets.indptr[rows[own[0]]]:sets.indptr[rows[own[-1]] + 1]]
+            keep = ~_sorted_isin(rows[own] * n + cand, mine)
+            own, cand = own[keep], cand[keep]
+            heads = np.flatnonzero(_run_heads(own))
+            near = np.minimum.reduceat(self._key_pairs(points[own], cand), heads)
+            best[own[heads]] = np.minimum(best[own[heads]], near)
+
+        scan = self._walk(self._cell_list, points, np.flatnonzero(small), measure,
+                          lambda part, bound: bound >= best[part], _RING_SHARE)
+        scan = np.union1d(scan, np.flatnonzero(~small))
+        if scan.size:
+            best[scan] = super()._nearest_outside(rows[scan], points[scan], sets)
+        return best
 
     @functools.cached_property
     def _cell_list(self) -> Optional["_CellList"]:
         return _CellList.build(self.coords)
 
-    def _ring_search(self, rows, points, sets):
-        """The least key from points[e] to the points outside row rows[e] of
-        sets, for entries in ascending row order, found in the cell list.
-
-        All entries go in lockstep: first through the cells at most one cell
-        away from their own on each bucketed axis, then through ring after
-        ring of the cells one further away, skipping the members of their
-        own set and keeping each entry's least key. After the cells within
-        reach of its own, an entry is done once the bound of _CellList.beyond
-        is at least its least key, since every key of a point further out is
-        at least that bound. An entry whose next ring would take more than
-        1/_RING_SHARE of the points, in cells or in candidates, is measured
-        by the scan instead. Every candidate is measured by _key_pairs, so
-        the result is the scan's bit for bit."""
-        cells, n = self._cell_list, self.n
-        held = _entry_keys(sets)
-        best = np.full(rows.size, np.inf)
-        scan = np.zeros(rows.size, dtype=bool)
-        todo, reach = np.arange(rows.size), 1
+    def _walk(self, cells, points, todo, measure, done, share):
+        """Walk the cell list around points[e] for the ascending entries e
+        of todo, all in lockstep: first through the cells at most one cell
+        away from the entry's own on each kept axis, then through ring after
+        ring of the cells one further away. Each block of at most
+        _PAIR_BLOCK (entry, candidate point) pairs, grouped by entry in
+        ascending order, goes to measure(own, cand). After the cells within
+        reach of their own, the entries part are done where done(part,
+        bound) holds for the bound of _CellList.beyond, which no key of a
+        point further out is below. Returns, in ascending order, the entries
+        whose next ring would take more than 1/share of the points, in cells
+        or in candidates, for the caller to measure by the scan (none for
+        share 0)."""
+        n, scan, reach = self.n, [], 1
         while todo.size:
             steps = _ring(reach, cells.axes.size)
-            if steps.shape[0] * _RING_SHARE > n:
-                scan[todo] = True
+            if steps.shape[0] * share > n:
+                scan.append(todo)
                 break
             chunk = max(1, _ENTRY_BLOCK // steps.shape[0])
             left = []
@@ -490,30 +519,19 @@ class EuclideanMetric(Metric):
                 home = cells.cell[points[part]]
                 first, count = cells.visit(home, steps)
                 per = count.sum(axis=1)
-                wide = per * _RING_SHARE > n
-                scan[part[wide]] = True
+                wide = per * share > n
+                scan.append(part[wide])
                 count[wide], per[wide] = 0, 0
                 for block in _blocks(per, _PAIR_BLOCK):
                     own = np.repeat(part[block], per[block])
-                    cand = cells.order[_spans(first[block].ravel(), count[block].ravel())]
-                    # entries come in row order, so a block's sets hold one
-                    # run of the keys
-                    mine = held[sets.indptr[rows[part[block.start]]]:
-                                sets.indptr[rows[part[block.stop - 1]] + 1]]
-                    keep = ~_sorted_isin(rows[own] * n + cand, mine)
-                    own, cand = own[keep], cand[keep]
                     if own.size:
-                        heads = np.flatnonzero(_run_heads(own))
-                        near = np.minimum.reduceat(self._key_pairs(points[own], cand), heads)
-                        best[own[heads]] = np.minimum(best[own[heads]], near)
+                        measure(own, cells.order[_spans(first[block].ravel(),
+                                                        count[block].ravel())])
                 bound = cells.beyond(self.coords, points[part], home, reach)
-                left.append(part[~wide & (bound < best[part])])
+                left.append(part[~wide & ~done(part, bound)])
             todo = np.concatenate(left)
             reach += 1
-        if scan.any():
-            scan = np.flatnonzero(scan)
-            best[scan] = super()._nearest_outside(rows[scan], points[scan], sets)
-        return best
+        return np.sort(np.concatenate([np.empty(0, dtype=np.int64)] + scan))
 
     def to_json(self) -> dict:
         return {"kind": "cloud", "points": self.coords.tolist()}
@@ -844,6 +862,9 @@ def _kept(rows: np.ndarray, offsets: np.ndarray, keep: np.ndarray):
 
 def _validate_pseudometric(d: np.ndarray) -> None:
     n = d.shape[0]
+    # every comparison below is False at NaN
+    if np.isnan(d).any():
+        raise InvalidInputError("NaN distances")
     if np.any(d < -METRIC_TOL):
         raise InvalidInputError("negative distances")
     if np.any(np.abs(np.diag(d)) > METRIC_TOL):
@@ -1055,14 +1076,15 @@ class Entourage:
         strict inequality is implemented as d < r - 1e-12; a closed variant
         (d <= r + 1e-12) is available for constructions that need it. On a
         grid, materialize measures each point against a lattice stencil,
-        the index steps that can stay within r on every axis; on a cloud it
-        buckets the points into cells of side just over r on the first
-        three axes and measures only pairs in neighbouring cells. Each
-        candidate is measured exactly as dist_block does, so the relation
-        is bit-identical to a scan of every distance; other backends scan
-        blocks of distances. The backend yields the pairs in key order and
-        materialize writes the canonical CSR matrix from them directly:
-        indptr from each chunk's row counts, int32 indices where n allows.
+        the index steps that can stay within r on every axis; on a cloud
+        each point walks a cell list on the first three axes ring by ring,
+        from its own cell out, until the nearest coordinate of any point
+        further out is beyond r. Each candidate is measured exactly as
+        dist_block does, so the relation is bit-identical to a scan of
+        every distance; other backends scan blocks of distances. The
+        backend yields the pairs in key order and materialize writes the
+        canonical CSR matrix from them directly: indptr from each chunk's
+        row counts, int32 indices where n allows.
     """
 
     def __init__(self, space: Space, kind: str, m: Optional[sparse.csr_matrix] = None,
@@ -1154,9 +1176,6 @@ class Entourage:
             return self
         return Entourage(self.space, "pairs",
                          m=_key_ordered_csr(self._radius_pairs(cap), self.space.n, cap, bool))
-
-    def pair_count(self) -> int:
-        return int(self.matrix().nnz)
 
     def pairs(self) -> list[tuple[int, int]]:
         m = self.matrix().tocoo()
@@ -1272,100 +1291,29 @@ def _bool_matrix(rows, cols, shape) -> sparse.csr_matrix:
     return sparse.csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=shape)
 
 
-def _axis_cells(x: np.ndarray, reach: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bucket one coordinate axis into cells of side at least reach.
-
-    Returns each point's cell rank and, for each rank but the last, whether
-    the next rank is the adjacent cell. The cell floor((x - min) / side) is
-    monotone in x, so checking the farthest value within reach of each value
-    shows that no two values less than reach apart are more than one cell
-    apart. Rounding can break that only at many millions of cells across,
-    and the side is then doubled until it holds.
-    """
-    w, inv = np.unique(x, return_inverse=True)
-    top = np.searchsorted(w, w + reach, side="right") - 1
-    side = reach
-    while True:
-        q = np.floor((w - w[0]) / side)
-        if np.all(q[top] - q <= 1):
-            break
-        side *= 2
-    cells, rank = np.unique(q, return_inverse=True)
-    return rank[inv], np.diff(cells) == 1
-
-
-def _cell_candidates(coords: np.ndarray, reach: float):
-    """Yield candidate pairs (rows, cols), at most _PAIR_CHUNK at a time:
-    each ordered pair of points that lie in the same or adjacent cells on
-    every axis of coords, once. That includes every pair closer than reach
-    on every axis (fixed-radius near neighbours by bucketing: Bentley,
-    Stanat & Williams, IPL 1977).
-
-    A cell is a tuple of axis ranks. The ranks are folded into one cell id
-    an axis at a time, re-ranking the occupied prefixes after each axis, so
-    no key exceeds n**2 and the neighbours of a cell are found by
-    searchsorted.
-    """
-    axes = [_axis_cells(coords[:, a], reach) for a in range(coords.shape[1])]
-    prefixes = []
-    key = np.zeros(coords.shape[0], dtype=np.int64)
-    for rank, adjacent in axes:
-        occupied, key = np.unique(key * (adjacent.size + 1) + rank, return_inverse=True)
-        prefixes.append(occupied)
-    order = np.argsort(key)
-    ncells = prefixes[-1].size
-    start = np.searchsorted(key[order], np.arange(ncells + 1))
-    size = np.diff(start)
-    first = order[start[:-1]]
-    links = [(rank[first], np.append(adjacent, False), np.insert(adjacent, 0, False),
-              adjacent.size + 1, occupied)
-             for (rank, adjacent), occupied in zip(axes, prefixes)]
-    block = max(1, _PAIR_CHUNK // 3 ** len(axes))
-    for c0 in range(0, ncells, block):
-        cells = np.arange(c0, min(c0 + block, ncells))
-        nbrs = [(np.zeros(cells.size, dtype=np.int64), np.ones(cells.size, dtype=bool))]
-        for cell_rank, up, down, width, occupied in links:
-            r = cell_rank[cells]
-            steps = ((r - 1, down[r]), (r, True), (r + 1, up[r]))
-            nxt = []
-            for prefix, ok in nbrs:
-                for r2, linked in steps:
-                    k2 = prefix * width + r2
-                    pos = np.searchsorted(occupied, k2)
-                    found = occupied[np.minimum(pos, occupied.size - 1)] == k2
-                    nxt.append((pos, ok & linked & found))
-            nbrs = nxt
-        src = np.concatenate([cells[ok] for _, ok in nbrs])
-        dst = np.concatenate([pos[ok] for pos, ok in nbrs])
-        count = size[src] * size[dst]
-        end = np.cumsum(count)
-        for t0 in range(0, int(end[-1]), _PAIR_CHUNK):
-            t = np.arange(t0, min(t0 + _PAIR_CHUNK, int(end[-1])), dtype=np.int64)
-            e = np.searchsorted(end, t, side="right")
-            within = t - (end[e] - count[e])
-            width = size[dst[e]]
-            yield (order[start[src[e]] + within // width],
-                   order[start[dst[e]] + within % width])
-
-
 class _CellList:
-    """The points of a cloud bucketed into cubic cells on its first
-    _CELL_AXES axes, for the nearest point outside a set by rings of cells
-    (Bentley, Weide & Yao, "Optimal expected-time algorithms for
-    closest-point problems", ACM TOMS 6, 1980).
+    """The points of a cloud bucketed into cells on its first _CELL_AXES
+    axes, for walks ring by ring of cells (Bentley, Weide & Yao, "Optimal
+    expected-time algorithms for closest-point problems", ACM TOMS 6, 1980).
 
-    The side makes the cells over the cloud's bounding box hold about
-    _CELL_POINTS points each. An axis on which all points agree, or whose
-    extent is less than a side, is left out, so no kept axis is cut into
-    more than n / _CELL_POINTS cells and the cells number at most
-    2**3 * n / _CELL_POINTS. Points on a curve or a surface crowd the few
-    cells they meet, so the side is halved while the occupied cells hold
-    more than twice _CELL_POINTS points on average and the cells stay fewer
-    than 8n. Point x lies in cell floor(fl(x_a - lo_a) / side) on kept axis
-    a, which is non-decreasing in x_a, as every rounding is monotone.
+    On kept axis a, point x lies in the cell numbered by the rank of
+    floor(fl(x_a - lo_a) / side) among the values the points take. The
+    rank is non-decreasing in x_a, as every rounding is monotone, and an
+    empty stretch of the axis takes no rank, so a far outlier costs one
+    cell more rather than millions. An axis on which all points agree, or
+    whose extent is less than a side, is left out.
 
-    Fields: axes, the kept axes; cell, each point's cell on each of them;
-    shape and strides of the cell grid; order, the points by cell id,
+    The side is given, or else makes the cells over the cloud's bounding
+    box hold about _CELL_POINTS points each, so no kept axis is cut into
+    more than n / _CELL_POINTS cells and the cells number at most 2**3 * n
+    / _CELL_POINTS. Points on a curve, a surface or in clusters crowd the
+    few cells they meet, so that side is halved while the occupied cells
+    hold more than twice _CELL_POINTS points on average, the cells stay
+    fewer than 8n and halving still splits a cell (it does not once each
+    distinct value has a cell of its own on every kept axis).
+
+    Fields: axes, the kept axes; side; cell, each point's cell on each of
+    them; shape and strides of the cell grid; order, the points by cell id,
     cell c holding order[starts[c]:starts[c + 1]], and one empty cell past
     the grid; and per kept axis, upper[a][c], the least value of axis a
     over the points in cells c and up (+inf past the grid), and lower[a][c +
@@ -1373,48 +1321,61 @@ class _CellList:
     """
 
     @classmethod
-    def build(cls, coords: np.ndarray) -> Optional["_CellList"]:
-        """The cell list, or None where the points fall in one cell, the
-        extent of an axis overflows, or the side underflows among
-        subnormal extents (a cell holds the points x with fl(x_a - lo_a) <=
-        span_a, so the cells on axis a are at most floor(span_a / side) + 1)."""
+    def build(cls, coords: np.ndarray, side: Optional[float] = None) -> Optional["_CellList"]:
+        """The cell list of the given side, or of the side from the point
+        density; None where the points fall in one cell, the extent of an
+        axis overflows, or the side underflows among subnormal extents."""
         x = coords[:, :_CELL_AXES]
         n = x.shape[0]
         span = np.ptp(x, axis=0) if n else np.zeros(0)
         if not np.isfinite(span).all():
             return None
-        axes = np.flatnonzero(span > 0)
-        while axes.size:
-            side = math.exp((np.log(span[axes]).sum() + math.log(_CELL_POINTS / n)) / axes.size)
-            if np.all(span[axes] >= side):
-                cells = np.prod(np.floor(span[axes] / side) + 1) if side > 0 else math.inf
-                return cls(x[:, axes], axes, side) if cells <= 8 * n else None
+        axes, crowd = np.flatnonzero(span > 0), side is None
+        if crowd:
+            while axes.size:
+                side = math.exp((np.log(span[axes]).sum() + math.log(_CELL_POINTS / n))
+                                / axes.size)
+                if np.all(span[axes] >= side):
+                    break
+                axes = axes[span[axes] >= side]
+        else:
             axes = axes[span[axes] >= side]
-        return None
+        return cls(x[:, axes], axes, side, crowd) if axes.size and side > 0 else None
 
-    def __init__(self, x: np.ndarray, axes: np.ndarray, side: float):
+    def __init__(self, x: np.ndarray, axes: np.ndarray, side: float, crowd: bool):
+        n = x.shape[0]
         self.axes = axes
-        lo = x.min(axis=0)
+        by = np.argsort(x, axis=0)
+        w = np.take_along_axis(x, by, axis=0)
+        distinct = w[1:] != w[:-1]
         while True:
-            self.cell = np.floor((x - lo) / side).astype(np.int64)
-            self.shape = self.cell.max(axis=0) + 1
+            self.side = side
+            q = np.floor((w - w[0]) / side)
+            # where each axis, in sorted order, enters a new cell
+            new = q[1:] != q[:-1]
+            rank = np.cumsum(np.concatenate([np.zeros((1, axes.size), dtype=np.int64), new]),
+                             axis=0)
+            self.cell = np.empty_like(rank)
+            np.put_along_axis(self.cell, by, rank, axis=0)
+            self.shape = rank[-1] + 1
             self.strides = np.cumprod(np.append(1, self.shape[:0:-1]))[::-1]
             cid = self.cell @ self.strides
-            total = int(np.prod(self.shape))
+            total = math.prod(self.shape.tolist())
             counts = np.bincount(cid, minlength=total + 1)
-            if (x.shape[0] <= 2 * _CELL_POINTS * np.count_nonzero(counts)
-                    or total << axes.size > 8 * x.shape[0] or not side / 2 > 0):
+            if (not crowd or n <= 2 * _CELL_POINTS * np.count_nonzero(counts)
+                    or total << axes.size > 8 * n or not side / 2 > 0
+                    or np.array_equal(new, distinct)):
                 break
             side /= 2
+        # stable, so a cell lists its points in index order, which keeps the
+        # binary searches of a walk's keys local
         self.order = np.argsort(cid, kind="stable")
         self.starts = np.concatenate(([0], np.cumsum(counts)))
         self.upper, self.lower = [], []
         for a in range(axes.size):
-            by = np.argsort(x[:, a], kind="stable")
-            w, q = x[by, a], self.cell[by, a]
-            c = np.arange(self.shape[a])
-            self.upper.append(np.append(w[np.searchsorted(q, c)], np.inf))
-            self.lower.append(np.append(-np.inf, w[np.searchsorted(q, c, side="right") - 1]))
+            head = np.flatnonzero(np.concatenate(([True], new[:, a])))
+            self.upper.append(np.append(w[head, a], np.inf))
+            self.lower.append(np.concatenate(([-np.inf], w[np.append(head[1:], n) - 1, a])))
 
     def visit(self, home: np.ndarray, steps: np.ndarray):
         """For cells home (entries x kept axes) and cell steps (steps x kept

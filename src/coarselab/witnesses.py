@@ -566,9 +566,6 @@ class SimplexGrid:
             lab = lab.astype(np.int64)
         self._labels = lab
 
-    def vertex_point(self, vid: int) -> np.ndarray:
-        return self.points[vid]
-
     def support(self, vid: int) -> frozenset[int]:
         return frozenset(np.flatnonzero(self.vertices[vid] > 0).tolist())
 

@@ -641,10 +641,12 @@ def arc_cover_loop(n, overlap, k):
 # ---------------------------------------------------------------------------
 
 
-def cell_mesh_loop(grid):
+def cell_mesh_loop(cells, point):
+    """The largest distance between two vertices of a cell, point(v) the
+    coordinates of vertex v."""
     worst = 0.0
-    for cell in grid.cells:
-        pts = np.array([grid.vertex_point(v) for v in cell])
+    for cell in cells:
+        pts = np.array([point(v) for v in cell])
         for i in range(len(pts)):
             worst = max(worst, float(np.linalg.norm(pts - pts[i], axis=1).max()))
     return worst
@@ -797,7 +799,7 @@ def subdivide_to_mesh_loop(corners, target):
         diam = max(diam, float(np.linalg.norm(corners - corners[i], axis=1).max()))
     res = max(2, int(math.ceil(diam * max(1, corners.shape[1]) / target)))
     grid = SimplexGridLoop(corners, res)
-    while cell_mesh_loop(grid) > target and res < 4000:
+    while cell_mesh_loop(grid.cells, grid.vertex_point) > target and res < 4000:
         res = int(res * 1.5) + 1
         grid = SimplexGridLoop(corners, res)
     return grid

@@ -109,7 +109,6 @@ class TestWitnessCommands:
     def test_lowerbound(self, tmp_json):
         import numpy as np
         from coarselab.witnesses import pn_sample
-        from coarselab.jsonio import dump_space
         space_obj = pn_sample(1, 24.0, 0.5)
         coords = space_obj.meta["coords"][:, 0]
         sets, lo = [], 0.0
@@ -117,7 +116,7 @@ class TestWitnessCommands:
             mask = (coords >= lo - 1.5 - 1e-9) & (coords <= lo + 4.0 + 1e-9)
             sets.append([int(i) for i in np.nonzero(mask)[0]])
             lo += 4.0
-        space = tmp_json("p.json", dump_space(space_obj))
+        space = tmp_json("p.json", space_obj.backend.to_json())
         cover = tmp_json("c.json", {"sets": sets})
         code, report = run(["witness", "lowerbound", "--space", space,
                             "--cover", cover, "--n", "1"])

@@ -248,7 +248,7 @@ class TestCoverEntourage:
     def test_pair_cap_is_a_resource_limit(self):
         sp = Space.line(0, 9, 1.0)
         c = Cover(sp, [list(range(6)), list(range(4, 10))])
-        assert cover_entourage(c, cap=72).pair_count() == 68
+        assert cover_entourage(c, cap=72).matrix().nnz == 68
         with pytest.raises(ResourceLimitError):
             cover_entourage(c, cap=71)
 
@@ -261,7 +261,7 @@ class TestCoverEntourage:
     def test_single_set_gives_square(self):
         sp = Space.line(0, 4, 1.0)
         c = Cover(sp, [[0, 1, 2, 3, 4]])
-        assert cover_entourage(c).pair_count() == 25
+        assert cover_entourage(c).matrix().nnz == 25
 
     def test_cube_cover_entourage_inside_mesh_ball(self):
         grid = Space.grid(2, [0, 0], [12, 12], 0.5)

@@ -102,7 +102,7 @@ class TestAtlas:
     def test_arcs_cover_circle_with_lambda_slack(self):
         atlas = SphereAtlas(-1.0, 2.31, 0.2, 1.0)
         for k in (1, 3):
-            half_ball = atlas.lebesgue_halfwidth(k)
+            half_ball = atlas.layout(k)[3]
             phis = np.linspace(0, 2 * math.pi, 500, endpoint=False)
             for phi in phis:
                 ok = any(atlas.arc_contains_interval(k, j, float(phi), half_ball)

@@ -127,7 +127,7 @@ class TestEntourageAlgebra:
         # 256 paths join each pair; the product must not drop them
         sp = Space.discrete(256)
         full = Entourage.from_matrix(sp, np.ones((256, 256), dtype=bool))
-        assert full.compose(full).pair_count() == 256 * 256
+        assert full.compose(full).matrix().nnz == 256 * 256
 
     def test_compose_of_closed_radius_relations(self):
         line = Space.line(0, 600, 1)
@@ -311,8 +311,8 @@ class TestMaterializeOracle:
                              ids=["grid", "tree"])
     def test_cap_is_exact(self, sp):
         e = Entourage.radius(sp, 1.2)
-        count = e.materialize().pair_count()
-        assert e.materialize(cap=count).pair_count() == count
+        count = e.materialize().matrix().nnz
+        assert e.materialize(cap=count).matrix().nnz == count
         assert oracles.materialize_rows_loop(e, cap=count).size == count
         message = rf"^radius entourage would exceed the {count - 1} pair cap$"
         for build in (e.materialize, lambda cap: oracles.materialize_rows_loop(e, cap)):
@@ -337,7 +337,7 @@ class TestMaterializeOracle:
         s = 317
         grid = Space.grid(2, [0, 0], [s - 1, s - 1], 1.0)
         e = Entourage.radius(grid, 1.000001).materialize()
-        assert e.pair_count() == grid.n + 4 * s * (s - 1)
+        assert e.matrix().nnz == grid.n + 4 * s * (s - 1)
 
     def test_no_scipy_spatial_import(self):
         # scipy.spatial costs about 13 MB of resident memory per process
@@ -516,6 +516,19 @@ class TestMetricBackendOracle:
                 e = Entourage.radius(sp, max(r, 0.0), closed=closed)
                 assert np.array_equal(e.materialize().keys(), oracles.materialize_rows_loop(e))
 
+    @given(data=st.data(), sp=geometries())
+    @settings(max_examples=200, deadline=None)
+    def test_key_pairs_match_the_key_block(self, data, sp):
+        # the base mesh, radius_pairs and the cloud walk measure pairs by
+        # _key_pairs where the scans they replace read _key_block
+        index = st.lists(st.integers(0, max(sp.n - 1, 0)), max_size=8 if sp.n else 0)
+        rows = np.array(data.draw(index), dtype=np.int64)
+        cols = np.array(data.draw(index), dtype=np.int64)
+        block = sp.backend._key_block(rows, cols)
+        pairs = sp.backend._key_pairs(np.repeat(rows, cols.size), np.tile(cols, rows.size))
+        assert pairs.dtype == block.dtype == np.float64
+        assert pairs.tobytes() == np.ascontiguousarray(block).tobytes()
+
 
 class TestOutsideDistances:
     """The nearest-outside kernel and the mesh of every backend against one
@@ -611,6 +624,69 @@ class TestCloudKernels:
         cover = Cover(sp, kept, require_covering=False)
         assert spread == oracles.mesh_rows(cover) == oracles.mesh_blocks(sp, m)
 
+    @given(data=st.data(), sp=clouds(), closed=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_radius_pairs_over_many_rings(self, data, sp, closed):
+        """Radius pairs walked ring after ring through the density list, the
+        list of the radius's own side patched away, against one distance
+        row per point."""
+        e = Entourage.radius(sp, data.draw(st.sampled_from([0.3, 1.0, 2.5, 7.0])), closed=closed)
+        build = spaces._CellList.build.__func__
+        density = classmethod(lambda cls, coords, side=None: build(cls, coords))
+        with mock.patch.object(spaces._CellList, "build", density):
+            got = e.materialize().keys()
+        assert np.array_equal(got, oracles.materialize_rows_loop(e))
+
+
+class TestFarOutlier:
+    """A uniform cloud plus one point a million units away. The cell list
+    gives the outlier one cell of its own on each axis rather than
+    crowding the cloud into one cell, so neither cloud kernel reaches the
+    scan of every distance."""
+
+    def setup_method(self):
+        x = np.random.default_rng(11).uniform(0, 50, (2500, 2))
+        self.sp = Space.cloud(np.vstack([x, [[1e6, 1e6]]]))
+        # squares of side 6, the outlier's alone
+        _, cell = np.unique(np.floor(self.sp.meta["coords"] / 6), axis=0, return_inverse=True)
+        self.cover = Cover(self.sp, [np.flatnonzero(cell == c).tolist()
+                                     for c in range(cell.max() + 1)])
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("scan of every distance")
+
+    def walks_alone(self):
+        """A patch under which the cell-list walk may hand no point to the
+        scan."""
+        walk = spaces.EuclideanMetric._walk
+
+        def alone(*args):
+            scan = walk(*args)
+            if scan.size:
+                raise AssertionError("scan of every distance")
+            return scan
+
+        return mock.patch.object(spaces.EuclideanMetric, "_walk", alone)
+
+    def test_radius_relation_without_the_scan(self):
+        e = Entourage.radius(self.sp, 1.5)
+        with self.walks_alone(), mock.patch.object(spaces.Metric, "radius_pairs", self.refuse):
+            got = e.materialize().keys()
+        assert np.array_equal(got, oracles.materialize_rows_loop(e))
+
+    def test_lebesgue_number_without_the_scan(self):
+        sweep = spaces.Metric._sweep
+
+        def inside_only(self, rows, points, sets, outside, reduce=np.minimum):
+            if outside:
+                raise AssertionError("scan of every distance")
+            return sweep(self, rows, points, sets, outside, reduce)
+
+        with self.walks_alone(), mock.patch.object(spaces.Metric, "_sweep", inside_only):
+            got = lebesgue_number(self.cover)
+        assert got == oracles.lebesgue_scan(self.sp, self.cover.incidence()) > 0
+
 
 class TestSortedKeys:
     @given(keys=st.lists(st.integers(-3, 40)), table=st.lists(st.integers(-3, 40)))
@@ -659,7 +735,7 @@ class TestTracerHook:
         ball = Entourage.radius(line, 2.5).materialize()
         spread = cover_entourage(Cover(line, [range(0, 12), range(10, 30)]))
         for e in (ball, ball.compose(ball), spread):
-            assert e._keys.size == e.pair_count() > 0
+            assert e._keys.size == e.matrix().nnz > 0
 
 
 class TestTransport:
@@ -720,6 +796,13 @@ class TestSpaceValidation:
     def test_triangle_violation_rejected(self):
         d = np.array([[0, 1, 5], [1, 0, 1], [5, 1, 0]], dtype=float)
         with pytest.raises(InvalidInputError):
+            Space.from_matrix(d)
+
+    @pytest.mark.parametrize("d", [[[0.0, math.nan], [math.nan, 0.0]], [[math.nan]],
+                                   [[0.0, 1.0, 1.0], [1.0, 0.0, math.nan], [1.0, math.nan, 0.0]]])
+    def test_nan_distances_rejected(self, d):
+        # every comparison of the checks below is False at NaN
+        with pytest.raises(InvalidInputError, match="NaN"):
             Space.from_matrix(d)
 
     def test_tree_space_distances(self):

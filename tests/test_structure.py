@@ -3,7 +3,8 @@ coarselab.certificates and nowhere else, the geometry of a space and
 whether its self-distances are 0 are decided in coarselab.spaces and
 nowhere else, which also computes every distance but a few named blocks,
 a radius relation is assembled into CSR without a COO step or a
-canonicalizing copy, and no module keeps an import it does not use."""
+canonicalizing copy, clouds are bucketed by one cell list and walked by
+one ring walk, and no module keeps an import it does not use."""
 
 import ast
 import pathlib
@@ -50,6 +51,18 @@ def test_no_module_forms_a_relation_power():
              for _, call in _calls(ast.parse(p.read_text(encoding="utf-8")))
              if isinstance(call.func, ast.Attribute) and call.func.attr == "power"]
     assert found == []
+
+
+def test_spaces_buckets_points_in_one_cell_list():
+    """Cloud points are rounded into cells by _CellList alone (the one
+    np.floor call of spaces.py), and both cloud kernels walk its cells
+    ring by ring through EuclideanMetric._walk alone."""
+    calls = list(_calls(ast.parse((SRC / "spaces.py").read_text(encoding="utf-8"))))
+    floors = {scope for scope, call in calls if isinstance(call.func, ast.Attribute)
+              and call.func.attr == "floor" and getattr(call.func.value, "id", None) == "np"}
+    rings = {scope for scope, call in calls if _name(call) == "_ring"}
+    assert floors == {("_CellList", "__init__")}
+    assert rings == {("EuclideanMetric", "_walk")}
 
 
 def test_transforms_form_a_cover_spread_only_for_a_witness():
