@@ -35,8 +35,8 @@ from .jsonio import (dump_cover, load_complex, load_cover, load_decomposition,
 from .prng import SplitMix64
 from .spaces import Entourage, Space
 from .support import BlockOperator, Decomposition, check_calculus
-from .transforms import (ColoredCover, colorize, expand, make_product_entourage,
-                         merge_union, product_refine)
+from .transforms import (colorize, expand, make_product_entourage, merge_union,
+                         product_refine)
 from .witnesses import (cube_cover, pn_sample, ray_cell_cover, simplex_lower_bound_check,
                         sperner_find, star_cover, tree_cover)
 
@@ -218,20 +218,14 @@ def _handle(args, inputs: dict):
             ent = load_entourage(_load(args.entourage, inputs), space)
             if cover.families is None:
                 raise InvalidInputError("expand needs a cover with families")
-            colored = ColoredCover(space, cover.incidence(), cover.families,
-                                   ent, canonicalize=False)
-            out, cert = expand(colored, ent)
+            out, cert = expand(cover, ent)
             return {"sets": out.incidence().shape[0]}, cert, dump_cover(out)
         if args.op == "union":
             other = load_cover(_load(args.cover2, inputs), space, require_covering=False)
             ent = load_entourage(_load(args.entourage, inputs), space)
             if cover.families is None or other.families is None:
                 raise InvalidInputError("union needs covers with families")
-            ca = ColoredCover(space, cover.incidence(), cover.families, ent,
-                              require_covering=False, canonicalize=False)
-            cb = ColoredCover(space, other.incidence(), other.families, ent,
-                              require_covering=False, canonicalize=False)
-            out, cert = merge_union(ca, cb, ent)
+            out, cert = merge_union(cover, other, ent)
             return {"sets": out.incidence().shape[0]}, cert, dump_cover(out)
         if args.op == "product":
             space2 = load_space(_load(args.space2, inputs))

@@ -85,7 +85,7 @@ class Cover:
                 fams = [np.sort(rank[fam]) for fam in fams]
         self.space = space
         self._m = m
-        self._sets = None
+        self._sets = self._owners = None
         self.families = None if fams is None else tuple(tuple(f.tolist()) for f in fams)
         if require_covering:
             missing = self.uncovered_points()
@@ -114,6 +114,20 @@ class Cover:
             ptr = self._m.indptr.tolist()
             self._sets = tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
         return self._sets
+
+    def family_owners(self) -> np.ndarray:
+        """Row f, owner[x], is the set of family f holding x, or -1; built
+        once and shared, so callers must not modify it."""
+        if self.families is None:
+            raise InvalidInputError("cover has no families")
+        if self._owners is None:
+            sizes = np.diff(self._m.indptr)
+            self._owners = np.full((len(self.families), self.space.n), -1,
+                                   dtype=np.int32 if sizes.size < 2 ** 31 else np.int64)
+            for owner, fam in zip(self._owners, self.families):
+                fam = np.asarray(fam, dtype=np.int64)
+                owner[_row_indices(self._m, fam)] = np.repeat(fam, sizes[fam])
+        return self._owners
 
     def uncovered_points(self) -> list[int]:
         seen = np.zeros(self.space.n, dtype=bool)

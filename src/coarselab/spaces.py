@@ -1094,6 +1094,7 @@ class Entourage:
         self._m = m
         self.r = r
         self.closed = closed
+        self._symmetric = self._reflexive = None
 
     # -- constructors ------------------------------------------------------
 
@@ -1209,15 +1210,20 @@ class Entourage:
         return (i, int(out.indices[out.indptr[i]:out.indptr[i + 1]].min()))
 
     def is_symmetric(self) -> bool:
-        # both matrices are canonical (a transpose comes out with sorted
-        # indices), so they hold the same pairs exactly when their index
-        # arrays agree
-        m = self.matrix()
-        t = m.T.tocsr()
-        return np.array_equal(m.indptr, t.indptr) and np.array_equal(m.indices, t.indices)
+        # kept once found, as a relation never changes; both matrices are
+        # canonical (a transpose comes out with sorted indices), so they hold
+        # the same pairs exactly when their index arrays agree
+        if self._symmetric is None:
+            m = self.matrix()
+            t = m.T.tocsr()
+            self._symmetric = (np.array_equal(m.indptr, t.indptr)
+                               and np.array_equal(m.indices, t.indices))
+        return self._symmetric
 
     def contains_diagonal(self) -> bool:
-        return bool(self.matrix().diagonal().all())
+        if self._reflexive is None:
+            self._reflexive = bool(self.matrix().diagonal().all())
+        return self._reflexive
 
     # -- algebra -----------------------------------------------------------
 

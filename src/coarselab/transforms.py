@@ -16,16 +16,17 @@ claim records; callers can embed them in reports unchanged.
 
 Every step works on incidence matrices (rows are sets, columns points), a
 whole level of sets at a time: intersections are one product of a combos x
-sets indicator with the sets, interiors one product with the relation,
-fattening one product with its transpose, products of cuts one Kronecker
-product, and the attach step of merge_union one product of an attach
-matrix with the A-sets.
+sets indicator with the sets, an erosion one product with the relation,
+fattening one product with it, products of cuts one Kronecker product, and
+the attach step of merge_union one product of an attach matrix with the
+A-sets.
 
 No power of L, no cover spread M^T M and no composite relation is formed
 to certify a construction; each hypothesis is an inclusion decided from M
 and L themselves:
 
-  interiors    int_{L^k}(U) is k erosions by L (see interior)
+  interiors    int_{L^k}(U) is k erosions by L, and erosion distributes over
+               intersection (see interior), so colorize erodes the sets once
   appetite     L^k(x) fits in a set exactly when x lies in the set's
                L^k-interior, so the k-fold eroded sets decide it
   disjointness two sets of a family are R-disjoint exactly when the forward
@@ -68,35 +69,18 @@ class ColoredCover(Cover):
         self.disjointness_entourage = disjointness_entourage
 
 
-def _family_owners(cover: Cover):
-    """For each family in turn, owner[x] = the set of the family holding x,
-    or -1 (the sets of a family are disjoint)."""
-    m = cover.incidence()
-    for fam in cover.families:
-        fam = np.asarray(fam, dtype=np.int64)
-        owner = np.full(cover.space.n, -1, dtype=np.int64)
-        owner[_row_indices(m, fam)] = np.repeat(fam, np.diff(m.indptr)[fam])
-        yield owner
-
-
 def _pair_arrays(entourage: Entourage) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (rows, cols) of a relation, in key order."""
     m = entourage.matrix()
-    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices
+    return np.repeat(np.arange(m.shape[0], dtype=m.indices.dtype), np.diff(m.indptr)), m.indices
 
 
 def family_disjoint_witness(cover: Cover, entourage: Entourage):
     """None if every family of the cover is entourage-disjoint, else a
-    witness (set_index_a, set_index_b, (x, y))."""
-    if cover.families is None:
-        raise InvalidInputError("cover has no families")
-    return _first_joining_pair(entourage, _family_owners(cover))
-
-
-def _first_joining_pair(entourage: Entourage, owners):
-    """The first pair (x, y) of the relation, in key order and owner array
-    by owner array, whose ends have distinct owners: (owner of x, owner of
-    y, (x, y)), or None."""
+    witness (set_index_a, set_index_b, (x, y)): the first pair of the
+    relation, in key order and family by family, joining two sets of one
+    family."""
+    owners = cover.family_owners()
     rows, cols = _pair_arrays(entourage)
     for owner in owners:
         a, b = owner[rows], owner[cols]
@@ -113,18 +97,15 @@ def _touching_witness(cover: Cover, images: sparse.csr_matrix, relation):
     y) in R for some x in set k}.
 
     A family is R-disjoint exactly when no set's image meets another set of
-    the family. Only the first family that fails searches the pairs of R,
-    built by relation(), for its witness; the families before it hold no
-    joining pair, so the witness is the one the full pair search finds.
+    the family. Only once a family fails are the pairs of R built, by
+    relation(), and searched for the witness.
     """
-    if cover.families is None:
-        raise InvalidInputError("cover has no families")
-    for fam, owner in zip(cover.families, _family_owners(cover)):
+    for fam, owner in zip(cover.families, cover.family_owners()):
         fam = np.asarray(fam, dtype=np.int64)
         hit = owner[_row_indices(images, fam)]
         mine = np.repeat(fam, np.diff(images.indptr)[fam])
         if np.any((hit >= 0) & (hit != mine)):
-            return _first_joining_pair(relation(), [owner])
+            return family_disjoint_witness(cover, relation())
     return None
 
 
@@ -149,7 +130,8 @@ def interior(cuts: sparse.spmatrix, entourage: Entourage, times: int = 1) -> spa
     when x lies in int_E(int_E(U)); this holds for any relation, an empty
     E(x) included. So the E^k-interior is k erosions by E, the chain rule
     for erosion by a dilated structuring element (Haralick, Sternberg &
-    Zhuang, IEEE PAMI 9(4), 1987).
+    Zhuang, IEEE PAMI 9(4), 1987). And x lies in int_E(U ∩ V) exactly
+    when E(x) lies in U and in V: erosion distributes over intersection.
     """
     inside = sparse.csr_matrix(cuts, dtype=bool)
     if not cuts.shape[0] or not times:
@@ -162,10 +144,8 @@ def interior(cuts: sparse.spmatrix, entourage: Entourage, times: int = 1) -> spa
         counts = sparse.csr_matrix(inside, dtype=np.int32) @ e
         inside = _entries(counts, counts.data == degree[counts.indices])
         if free.size:
-            everywhere = sparse.csr_matrix(
-                (np.ones(k * free.size, dtype=bool), np.tile(free, k),
-                 np.arange(k + 1) * free.size), shape=inside.shape)
-            inside = (inside + everywhere).tocsr()
+            inside = inside + _bool_matrix(np.repeat(np.arange(k), free.size),
+                                           np.tile(free, k), inside.shape)
     return inside
 
 
@@ -221,7 +201,6 @@ def _spread_inside(sets: sparse.csr_matrix, containers: sparse.spmatrix, bound_i
 
 
 def _require_symmetric_with_diagonal(entourage: Entourage, name: str) -> None:
-    entourage = entourage.materialize()
     if not entourage.is_symmetric():
         raise InvalidInputError(f"{name} must be symmetric")
     if not entourage.contains_diagonal():
@@ -243,9 +222,9 @@ def expand(cover: ColoredCover, entourage: Entourage):
     L = entourage.materialize()
     _require_symmetric_with_diagonal(L, "expansion entourage")
     m, lm = cover.incidence(), L.matrix()
-    # L is symmetric, so the fattened sets L[U] are also the forward images
-    # of the sets under L, and their images under L are those under L∘L
-    new_sets = m @ lm.T
+    # L is symmetric, so the fattened sets L[U] are the forward images
+    # m @ L of the sets, and their images under L are those under L∘L
+    new_sets = m @ lm
     w = _touching_witness(cover, new_sets @ lm, lambda: L.compose(L))
     if w is not None:
         raise ContractViolationError(
@@ -266,8 +245,8 @@ def _expand_spread_ok(out: sparse.csr_matrix, m: sparse.csr_matrix, lm: sparse.c
                       fattened: sparse.csr_matrix) -> bool:
     """Whether the spread of the sets out lies inside L ∘ (M^T M) ∘ L^{-1},
     M the input incidence. That bound is N^T N for the fattened input sets
-    N = M L^T, and it maps rows forward to rows L M^T M L^T."""
-    return _spread_inside(out, fattened, lambda rows: ((rows @ lm) @ m.T) @ m @ lm.T)
+    N = M L^T = M L (L is symmetric), mapping rows forward to rows L M^T M L."""
+    return _spread_inside(out, fattened, lambda rows: ((rows @ lm) @ m.T) @ m @ lm)
 
 
 # ---------------------------------------------------------------------------
@@ -328,17 +307,20 @@ def _intersections(sets: sparse.csr_matrix, size: int) -> sparse.csr_matrix:
 def _shield_and_trim(levels: list) -> tuple[sparse.csr_matrix, list[list[int]]]:
     """Each level's cores minus the points of the next level's cores, empty
     rows dropped, stacked level by level: the sets, and one family per
-    level but the last (which only shields)."""
-    kept, families, count = [], [], 0
+    level but the last (which only shields), as one CSR matrix."""
+    cols, sizes, families, count = [], [np.zeros(1, dtype=np.int64)], [], 0
     for cores, deeper in zip(levels, levels[1:]):
         free = np.ones(cores.shape[1], dtype=bool)
         free[deeper.indices] = False
-        trimmed = _entries(cores, free[cores.indices])
-        trimmed = trimmed[np.flatnonzero(np.diff(trimmed.indptr))]
-        families.append(list(range(count, count + trimmed.shape[0])))
-        count += trimmed.shape[0]
-        kept.append(trimmed)
-    return sparse.vstack(kept, format="csr"), families
+        keep = free[cores.indices]
+        kept = np.diff(np.concatenate(([0], np.cumsum(keep)))[cores.indptr])
+        cols.append(cores.indices[keep])
+        sizes.append(kept[kept > 0])
+        families.append(list(range(count, count + sizes[-1].size)))
+        count += sizes[-1].size
+    indptr = np.cumsum(np.concatenate(sizes))
+    return sparse.csr_matrix((np.ones(indptr[-1], dtype=bool), np.concatenate(cols), indptr),
+                             shape=(count, levels[0].shape[1])), families
 
 
 def colorize(cover: Cover, entourage: Entourage, n: int):
@@ -347,7 +329,10 @@ def colorize(cover: Cover, entourage: Entourage, n: int):
 
     Family i collects the deep interiors of i-fold intersections, minus the
     deeper interiors already claimed by (i+1)-fold intersections; the output
-    refines the input and still covers the space.
+    refines the input and still covers the space. The L^{n+2-d}-interiors
+    of d-fold intersections are the intersections of the sets eroded
+    n+2-d times (see interior), so one chain of n+1 erosions serves all; L
+    holds the diagonal, so no point is interior to every set vacuously.
     """
     L = entourage.materialize()
     _require_symmetric_with_diagonal(L, "colorize entourage")
@@ -357,17 +342,22 @@ def colorize(cover: Cover, entourage: Entourage, n: int):
             f"multiplicity {mult} exceeds n+1 = {n + 1}", witness=mult)
     if L.space is not cover.space:
         raise InvalidInputError("entourage must live over the cover's space")
-    # the deepest interiors, those of the sets themselves under L^{n+1},
-    # also decide the appetite
-    base = _distinct_contents(cover)
-    levels = [interior(_intersections(base, 1), L, n + 1)]
-    aw = _appetite_gap(levels[0], L, n + 1)
+    # eroded[k] holds the L^k-interiors of the sets; the deepest, k = n+1,
+    # are level 1 and also decide the appetite
+    eroded = [_distinct_contents(cover)]
+    for _ in range(n + 1):
+        eroded.append(interior(eroded[-1], L))
+    aw = _appetite_gap(eroded[-1], L, n + 1)
     if aw is not None:
         raise ContractViolationError(
             f"cover lacks appetite L^{n + 1}; uncovered ball at point {aw}", witness=aw)
-    levels += [interior(_intersections(base, depth), L, n + 2 - depth)
-               for depth in range(2, n + 3)]
-    sets, families = _shield_and_trim(levels)
+    # level d: the d-fold intersections of the sets eroded n+2-d times; a
+    # tuple meeting only before erosion has an empty interior, trimmed anyway,
+    # and no point lies in n+2 sets, so level n+2, which only shields, is empty
+    sets, families = _shield_and_trim(
+        [eroded[-1]] + [_intersections(eroded[n + 2 - depth], depth)
+                        for depth in range(2, n + 2)] + [eroded[0][:0]])
+    del eroded  # not held through the pair scans of the certificate
 
     out = ColoredCover(cover.space, sets, families, L,
                        require_covering=False, canonicalize=False)
@@ -403,13 +393,9 @@ def _attach(cover_a: Cover, cover_b: Cover, L: Entourage) -> tuple[sparse.csr_ma
     lrows, lcols = _pair_arrays(L)
     # L-pairs from an A-set into a B-set of the same family attach that
     # A-set to the B-set; the hits run family by family, in pair order
-    hit_a, hit_b = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for owner_a, owner_b in zip(_family_owners(cover_a), _family_owners(cover_b)):
-        pa, pb = owner_a[lrows], owner_b[lcols]
-        hit = (pa >= 0) & (pb >= 0)
-        hit_a.append(pa[hit])
-        hit_b.append(pb[hit])
-    pa, pb = np.concatenate(hit_a), np.concatenate(hit_b)
+    pa, pb = cover_a.family_owners()[:, lrows], cover_b.family_owners()[:, lcols]
+    hit = (pa >= 0) & (pb >= 0)
+    pa, pb = pa[hit].astype(np.int64), pb[hit]
     links = np.unique(pa * nb + pb)
     link_a, link_b = links // nb, links % nb
     touches = np.bincount(link_a, minlength=na)

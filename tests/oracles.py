@@ -21,7 +21,9 @@ merge_union work a level of sets at a time through sparse products. The
 set-by-set code they replaced is kept here: the tuple constructor with its
 canonical order, the family overlap and disjointness witnesses, interior
 of one set, the shared-point tuples and intersections, the shield-and-trim
-loop and merge's attach step.
+loop and merge's attach step. colorize erodes the sets once and intersects
+the eroded sets; its per-level recipe, which eroded the intersections of
+every level again, is kept here.
 
 The corona module works in arrays: a compactification model reads one
 interior x corona distance block, the arc covers of a circle test only
@@ -1296,6 +1298,15 @@ def shared_point_tuples_loop(sets, size, n):
 def intersections_loop(sets, size, n):
     return [set(sets[combo[0]]).intersection(*(sets[si] for si in combo[1:]))
             for combo in shared_point_tuples_loop(sets, size, n)]
+
+
+def colorize_levels_loop(base, L, n):
+    """colorize's levels d = 1, ..., n+2, each eroded from the sets again:
+    the L^{n+2-d}-interiors of the d-fold intersections of the rows of base,
+    (n+1)(n+2)/2 erosions in all."""
+    from coarselab.transforms import _intersections, interior
+
+    return [interior(_intersections(base, d), L, n + 2 - d) for d in range(1, n + 3)]
 
 
 def shield_and_trim_loop(levels, n):

@@ -157,6 +157,26 @@ class TestTransformCommands:
         doc = json.loads(open(out).read())
         assert len(doc["families"]) == 2
 
+    @pytest.mark.parametrize("op, covers, message", [
+        ("expand", [{"sets": [[0, 1], [2, 3]]}], "expand needs a cover with families"),
+        ("expand", [{"sets": [[0, 1], [1, 2, 3]], "families": [[0, 1]]}],
+         "family sets must be disjoint"),
+        ("union", [{"sets": [[0, 1]], "families": [[0]]}, {"sets": [[2, 3]]}],
+         "union needs covers with families"),
+        ("union", [{"sets": [[0, 1]], "families": [[0]]},
+                   {"sets": [[1, 2], [2, 3]], "families": [[0, 1]]}],
+         "family sets must be disjoint"),
+    ])
+    def test_expand_and_union_reject_covers_without_disjoint_families(self, tmp_json, op,
+                                                                      covers, message):
+        argv = ["transform", op, "--space", tmp_json("s.json", LINE4),
+                "--cover", tmp_json("c.json", covers[0])]
+        if op == "union":
+            argv += ["--cover2", tmp_json("d.json", covers[1])]
+        ent = tmp_json("e.json", {"kind": "radius", "r": 1.0, "closed": True})
+        code, report = run(argv + ["--entourage", ent])
+        assert code == EXIT_INVALID and message in report["error"]["message"]
+
 
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_json):

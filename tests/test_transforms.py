@@ -7,6 +7,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from coarselab.certificates import claim, holds
 from coarselab.covers import (Cover, appetite_witness, first_container, has_appetite,
                               multiplicity)
 from coarselab.errors import ContractViolationError, InvalidInputError
@@ -595,3 +596,131 @@ class TestSpreadCertificatesCanFail:
         with pytest.raises(ContractViolationError) as err:
             merge_union(ca, cb, L)
         assert err.value.witness["id"] == "merge_union.spread_bound"
+
+
+@st.composite
+def low_multiplicity_case(draw, n):
+    """A cover of at most ten points by up to six sets, each point in one
+    to n+1 of them, and a symmetric relation holding the diagonal: steps
+    between neighbours i, i+1, often with some other pairs."""
+    size = draw(st.integers(1, 10))
+    count = draw(st.integers(1, 6))
+    sets = [[] for _ in range(count)]
+    for p in range(size):
+        for k in draw(st.sets(st.integers(0, count - 1), min_size=1,
+                              max_size=min(n + 1, count))):
+            sets[k].append(p)
+    sp = Space.discrete(size)
+    pairs = [(i, i + 1) for i in range(size - 1) if draw(st.booleans())]
+    pairs += draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)),
+                           max_size=draw(st.sampled_from([0, 0, 2]))))
+    L = Entourage.from_pairs(sp, pairs).union(Entourage.diagonal(sp))
+    return Cover(sp, sets), L
+
+
+def colorize_outcome(cover, L, n):
+    """("ok", sets, families, guarantees) of colorize, or ("error", witness)."""
+    try:
+        out, cert = colorize(cover, L, n)
+    except ContractViolationError as err:
+        return ("error", err.witness)
+    return ("ok", rows_of(out.incidence()), [list(f) for f in out.families], cert)
+
+
+def colorize_by_levels(cover, L, n):
+    """colorize_outcome from the per-level recipe, the shield-and-trim loop
+    and set-by-set guarantees."""
+    size = cover.space.n
+    levels = oracles.colorize_levels_loop(_distinct_contents(cover), L, n)
+    aw = _appetite_gap(levels[0], L, n + 1)
+    if aw is not None:
+        return ("error", aw)
+    event("a tuple meets in the sets but not in their erosions"
+          if any(np.any(np.diff(level.indptr) == 0) for level in levels[1:])
+          else "every tuple still meets")
+    sets, families = oracles.shield_and_trim_loop([rows_of(level) for level in levels], size)
+    missing = sorted(set(range(size)).difference(*sets))
+    dw = oracles.family_disjoint_loop(sets, families, size, L)
+    refines = all(any(set(s) <= set(c) for c in cover.sets) for s in sets)
+    claims = [
+        holds("colorize.covers", not missing, missing[:3] if missing else None),
+        claim("colorize.family_count", n + 1, len(families), len(families) == n + 1),
+        holds("colorize.families_L_disjoint", dw is None, dw),
+        holds("colorize.refines_input", refines),
+    ]
+    failed = [c for c in claims if not c["pass"]]
+    return ("error", failed[0]) if failed else ("ok", sets, families, claims)
+
+
+class TestColorizeErosionChain:
+    """colorize erodes the sets once and intersects the eroded sets; the
+    per-level recipe it replaced (tests/oracles.py) eroded every level's
+    intersections again."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_colorize_matches_the_per_level_recipe(self, n, data):
+        cover, L = data.draw(low_multiplicity_case(n))
+        want = colorize_by_levels(cover, L, n)
+        event(want[0])
+        assert colorize_outcome(cover, L, n) == want
+
+    @given(data=st.data(), n=st.integers(1, 10), k=st.integers(0, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_erosion_distributes_over_intersection(self, data, n, k):
+        # relations of any shape: asymmetric, and with empty E(x) for
+        # points outside every pair's second entry
+        u, v = (data.draw(st.frozensets(st.integers(0, n - 1))) for _ in range(2))
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                   max_size=3 * n))
+        rel = Entourage.from_pairs(Space.discrete(n), pairs, symmetrize=data.draw(st.booleans()))
+        both, inner_u, inner_v = rows_of(interior(as_matrix([u & v, u, v], n), rel, k))
+        assert set(both) == set(inner_u) & set(inner_v)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_colorize_makes_n_plus_one_products_with_L(self, n, monkeypatch):
+        sp = Space.line(0, 60, 1.0)
+        sets = [range(61)] if n == 0 else [range(a, min(a + 16, 61)) for a in range(0, 60, 8)]
+        L = Entourage.radius(sp, 1.0, closed=True).materialize()
+        erosions = []
+
+        def counted(cuts, entourage, times=1):
+            erosions.append(times)
+            return interior(cuts, entourage, times)
+
+        monkeypatch.setattr(transforms, "interior", counted)
+        colorize(Cover(sp, [list(s) for s in sets]), L, n)
+        assert sum(erosions) == n + 1
+
+
+class TestGuards:
+    @given(data=st.data(), n=st.integers(1, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_kept_relation_facts_match_the_transpose(self, data, n):
+        sp = Space.discrete(n)
+        kind = data.draw(st.sampled_from(["symmetric", "asymmetric", "no diagonal"]))
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                   max_size=3 * n))
+        rel = Entourage.from_pairs(sp, pairs, symmetrize=kind != "asymmetric")
+        if kind != "no diagonal":
+            rel = rel.union(Entourage.diagonal(sp))
+        m = rel.matrix().toarray()
+        want = (bool(np.array_equal(m, m.T)), bool(np.all(np.diag(m))))
+        event(f"{kind}: {want}")
+        assert (rel.is_symmetric(), rel.contains_diagonal()) == want
+        rel.matrix = None  # the second answers must be the kept ones
+        assert (rel.is_symmetric(), rel.contains_diagonal()) == want
+
+    @pytest.mark.parametrize("levels", [
+        [[{0, 1}], [{0, 1, 2}], []],
+        [[{0}, {3}], [{1}], [{1, 2}], []],
+        [[{0, 4}, {2}], [set()], [{0, 2, 4}]],
+        [[{0}], [{0}]],
+        [[], [], []],
+    ])
+    def test_shield_and_trim_with_a_level_trimmed_to_nothing(self, levels):
+        sets, families = _shield_and_trim([as_matrix(level, 5) for level in levels])
+        want = oracles.shield_and_trim_loop(levels, 5)
+        assert sets.shape == (len(want[0]), 5)
+        assert (rows_of(sets), families) == want
