@@ -20,9 +20,9 @@ the sample is a fine net of the continuum space.
 
 Mesh and Lebesgue number reduce set diameters and distances to the outside
 of sets, measured by the space's metric backend (spaces.Metric), the one
-place that knows its geometry: a scan of distance blocks by default,
-lattice boundaries on a grid, a double sweep and an inward breadth-first
-search on a tree, and a pruned row scan for the mesh of a polar sample.
+place that knows its geometry: the mesh is pruned by per-member bounds
+where the backend has them, a grid takes full boxes in closed form, and a
+tree takes double sweeps and an inward breadth-first search.
 
 first_container is the one set-containment test ("which covering set holds
 this set") behind appetite, refinement checks, the lower bound's deep-set

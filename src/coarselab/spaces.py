@@ -12,15 +12,16 @@ Each geometry has one backend class, and this module is the only one that
 knows a space's geometry or whether its self-distances are 0: the others
 call the backend. A backend computes blocks of distances, the pairs of a
 radius relation, the mesh of sets and each point's distance to the outside
-of its set; it writes the space's JSON form and, on grids and trees, its
-neighbour graph. The base class Metric measures by scanning blocks of
-distances, and small sets by flat blocks of index pairs. Grids find radius
-pairs through a lattice stencil; clouds find them, and the nearest point
-outside a small set, by one walk ring by ring through one cell list,
+of its set, and on grids and trees its neighbour graph. The base class
+Metric measures by scanning blocks of distances, and small sets by flat
+blocks of index pairs; its one mesh driver skips the members whose
+backend bound (a box on grids and clouds, a law-of-cosines bound on polar
+samples) cannot raise the mesh. Grids find radius pairs through a lattice
+stencil, and the nearest point outside a set in closed form for a full
+box; clouds find both by one walk ring by ring through one cell list,
 whose cells are ranked on each axis so that empty stretches cost nothing;
-and grids and trees measure sets, and polar samples their mesh, by
-kernels of their own (see EuclideanMetric, GridMetric, TreeMetric and
-PolarMetric).
+and trees measure sets by kernels of their own (see EuclideanMetric,
+GridMetric and TreeMetric).
 Every backend hands out radius pairs in ascending key order i * n + j, so
 a relation's CSR matrix is assembled as they arrive.
 
@@ -209,14 +210,17 @@ class Space:
         return d
 
     def diameter(self) -> float:
-        """The largest distance: the largest of the row maxima, taken in
-        row order with Python's max, so a NaN row maximum counts only in
-        row 0. An empty space raises ValueError."""
-        every = np.arange(self.n, dtype=np.int64)
-        step = max(1, _SCAN_BLOCK // max(self.n, 1))
-        maxima = [self.dist_block(every[at:at + step], every).max(axis=1)
-                  for at in range(0, self.n, step)]
-        return max(np.concatenate([np.empty(0)] + maxima).tolist())
+        """The largest distance: the mesh of one set holding every point, so
+        a grid measures a corner, a cloud is pruned by its box bound and a
+        tree takes a double sweep; d(0, 0) for one point, and ValueError for
+        none."""
+        if self.n < 2:
+            if not self.n:
+                raise ValueError("an empty space has no diameter")
+            return self.dist(0, 0)
+        every = sparse.csr_matrix((np.ones(self.n, dtype=bool), np.arange(self.n),
+                                   [0, self.n]), shape=(1, self.n))
+        return self.backend.mesh(every, np.zeros(1, dtype=np.int64))
 
     def is_metric_backed(self) -> bool:
         return self.kind != "discrete"
@@ -274,13 +278,51 @@ class Metric:
 
     def mesh(self, m: sparse.csr_matrix, rows: np.ndarray) -> float:
         """The largest diameter of the given rows of the incidence matrix m
-        (0 for fewer than two points): each member against its own set's
-        members (see _sweep)."""
+        (0 for fewer than two points): each member against its set's
+        members. Where _mesh_bounds bounds every key from a member to its
+        set, members are measured in descending bound, in batches of at most
+        _PAIR_BLOCK pairs (one member at least) taken by partition from a
+        window that grows eightfold; the rest are skipped at the first bound
+        no more than the largest key so far (Malandain & Boissonnat, IJCGA
+        12, 2002). A member whose keys hold a NaN is passed over. Without
+        bounds every member is swept (see _sweep)."""
         sizes = np.diff(m.indptr)
         rows = rows[sizes[rows] > 1]
-        rows, points = np.repeat(rows, sizes[rows]), _row_indices(m, rows)
-        reach = self._sweep(rows, points, m, False, np.maximum)
-        return float(self._from_key(reach.max(initial=0.0)))
+        count, points = sizes[rows], _row_indices(m, rows)
+        starts = np.cumsum(count) - count
+        bound = self._mesh_bounds(points, starts, count)
+        if bound is None:
+            reach = self._sweep(np.repeat(rows, count), points, m, False, np.maximum)
+            return float(self._from_key(reach.max(initial=0.0)))
+        worst, window = 0.0, max(1, _PAIR_BLOCK * rows.size // max(points.size, 1))
+        head = np.flatnonzero(bound > worst)
+        while head.size:
+            if head.size > window:
+                # no bound outside head is larger than one inside it
+                head = head[np.argpartition(-bound[head], window)[:window]]
+            head = head[np.argsort(-bound[head], kind="stable")]
+            own = np.searchsorted(starts, head, side="right") - 1
+            for block in _blocks(count[own], _PAIR_BLOCK):
+                keep = bound[head[block]] > worst
+                if not keep.any():
+                    return float(self._from_key(worst))
+                part, at = head[block][keep], own[block][keep]
+                c, lo = count[at], starts[at]
+                if np.all(at == at[0]):  # one set: a block, cheaper than a gather
+                    near = self._key_block(points[part], points[lo[0]:lo[0] + c[0]]).max(axis=1)
+                else:
+                    keys = self._key_pairs(np.repeat(points[part], c), points[_spans(lo, c)])
+                    near = np.maximum.reduceat(keys, np.cumsum(c) - c)
+                worst = float(np.fmax.reduce(near, initial=worst))
+                bound[part] = -np.inf
+            window *= 8
+            head = np.flatnonzero(bound > worst)
+        return float(self._from_key(worst))
+
+    def _mesh_bounds(self, points, starts, count) -> Optional[np.ndarray]:
+        """For members points grouped by set, the count members of a set
+        from starts, a bound on every key from each member to its set."""
+        return None
 
     def outside_distances(self, queries: sparse.csr_matrix,
                           sets: sparse.csr_matrix) -> np.ndarray:
@@ -338,7 +380,7 @@ class Metric:
                 out[part] = reduce.reduceat(keys, np.cumsum(c) - c)
         starts = np.flatnonzero(np.diff(rows[alone], prepend=-1))
         for a, b in zip(starts.tolist(), starts[1:].tolist() + [alone.size]):
-            cand = _row(sets, rows[alone[a]])
+            cand = sets.indices[sets.indptr[rows[alone[a]]]:sets.indptr[rows[alone[a]] + 1]]
             if outside:
                 # a row holding every point has no outside: +inf
                 if cand.size == self.n:
@@ -357,10 +399,6 @@ class Metric:
         neighbours; only grids and trees have one."""
         raise InvalidInputError(f"a {self.kind} space has no neighbour graph")
 
-    def to_json(self) -> dict:
-        """The space document that jsonio.load_space reads back."""
-        raise InvalidInputError(f"space kind {self.kind!r} has no JSON form")
-
 
 class MatrixMetric(Metric):
     """An explicit distance matrix. Its diagonal is validated only to
@@ -377,9 +415,6 @@ class MatrixMetric(Metric):
 
     def _key_pairs(self, p, q):
         return self.matrix[p, q]
-
-    def to_json(self) -> dict:
-        return {"kind": "matrix", "dist": self.matrix.tolist()}
 
 
 class EuclideanMetric(Metric):
@@ -420,6 +455,23 @@ class EuclideanMetric(Metric):
 
     def dist_block(self, rows, cols):
         return np.sqrt(self._key_block(rows, cols))
+
+    def _mesh_bounds(self, points, starts, count):
+        """The box bound b(x) = sum_a fl(max(fl(x_a - lo_a), fl(hi_a -
+        x_a))^2), summed in axis order, where the set's members span [lo_a,
+        hi_a] on axis a. As rounding is monotone, each term of a key from x
+        to a member is at most the term of b(x), and so is the key, summed
+        in the same order: no margin is needed."""
+        bound = np.zeros(points.size)
+        for column in self.coords.T:
+            x = column.take(points)
+            below = x - np.repeat(np.minimum.reduceat(x, starts), count)
+            above = np.repeat(np.maximum.reduceat(x, starts), count)
+            above -= x
+            np.maximum(below, above, out=below)
+            below *= below
+            bound += below
+        return bound
 
     def radius_pairs(self, within, reach: float, cap: float):
         """Each point walks the rings of a cell list (see _walk) until the
@@ -533,9 +585,6 @@ class EuclideanMetric(Metric):
             reach += 1
         return np.sort(np.concatenate([np.empty(0, dtype=np.int64)] + scan))
 
-    def to_json(self) -> dict:
-        return {"kind": "cloud", "points": self.coords.tolist()}
-
 
 class GridMetric(EuclideanMetric):
     """An axis-aligned lattice of the given step, its points in C order over
@@ -547,18 +596,22 @@ class GridMetric(EuclideanMetric):
     list: each point is measured against the points a box of index steps
     away (see radius_pairs).
 
-    A member's distance to the outside of its set, and the mesh, measure
-    against lattice boundaries only, and still equal a scan of every
-    distance bit for bit. A grid coordinate is monotone in its axis index,
-    and the computed distance sums per-axis terms fl(fl(x_a - y_a)^2), each
-    monotone in the index distance along its axis. So stepping a point
-    outside a set one lattice step towards a member x never lengthens its
-    distance to x; the walk meets the set, so some outside point next to a
-    member (the outer boundary) is nearest to x. And stepping a member away
-    from another member never shortens their distance while it stays in the
-    set; it stops at a member with a lattice neighbour outside the set or
-    off the grid (the inner boundary), so some pair of inner-boundary points
-    spans the diameter.
+    A member's distance to the outside of its set is found in closed form
+    or against lattice boundaries, and still equals a scan of every distance
+    bit for bit. A grid coordinate is monotone in its axis index, and the
+    computed distance sums per-axis terms fl(fl(x_a - y_a)^2), each
+    monotone in the index distance along its axis.
+    - A full box holds every grid point of its index ranges [lo_a, hi_a].
+      A point outside lies below lo_a or above hi_a on some axis a, so its
+      key from a member x is at least fl((w - x_a)^2), w the axis value at
+      lo_a - 1 or hi_a + 1. The grid point that differs from x on axis a
+      alone, there, is outside, and its key is that term exactly. So the
+      least such term over the axes and both sides, a side at a face of
+      the grid left out, is the nearest outside key (+inf for the grid).
+    - For any other set, stepping a point outside it one lattice step
+      towards a member x never lengthens its distance to x; the walk meets
+      the set, so some outside point next to a member (the outer boundary)
+      is nearest to x.
     """
 
     kind = "grid"
@@ -646,23 +699,48 @@ class GridMetric(EuclideanMetric):
                  in self._stencil(steps.shape[0], lambda lo, hi: steps[lo:hi]))
         return _key_ordered_csr(pairs, self.n, math.inf, np.int32)
 
-    def mesh(self, m, rows) -> float:
-        # T = M A counts the members of each set next to each point; a point
-        # off the grid's faces has full lattice neighbours, and the one point
-        # of a one-point grid is its own boundary
-        t = sparse.csr_matrix(m, dtype=np.int32) @ self.adjacency()
-        full = 2 * sum(count > 1 for count in self.shape)
-        return super().mesh(m > (t == full) if full else m, rows)
-
     def _nearest_outside(self, rows, points, sets):
-        outer = _outer_boundary(sets, self.adjacency())
-        return self._sweep(rows, points, outer, False)
-
-    def to_json(self) -> dict:
-        return {"kind": "grid", "dim": self.dim,
-                "min": self.coords.min(axis=0).tolist(),
-                "max": self.coords.max(axis=0).tolist(),
-                "step": self.step}
+        """A set is a full box when its size is the product of its per-axis
+        index spans; its members take the closed form (see the class), the
+        others are swept against their sets' outer boundaries."""
+        heads = np.flatnonzero(_run_heads(rows))
+        held, per = rows[heads], np.diff(heads, append=rows.size)
+        size, end = np.diff(sets.indptr)[held], sets.indptr[held + 1]
+        # a full box runs from its lowest corner, its first member in C order,
+        # to its last: sets whose corners span their size are checked further
+        axes = list(zip(self._strides(), self.shape))
+        lo = [sets.indices[end - size] // stride % count for stride, count in axes]
+        hi = [sets.indices[end - 1] // stride % count for stride, count in axes]
+        full = np.prod(np.subtract(hi, lo) + 1, axis=0) == size
+        maybe = np.flatnonzero(full)
+        members, starts = _row_indices(sets, held[maybe]), np.cumsum(size[maybe]) - size[maybe]
+        for (stride, count), low, high in zip(axes, lo, hi):
+            k = members // stride % count
+            full[maybe] &= ((np.minimum.reduceat(k, starts) == low[maybe])
+                            & (np.maximum.reduceat(k, starts) == high[maybe]))
+        del members, k
+        if not full.any():  # sweep in place, with no copy of the entries
+            return self._sweep(rows, points, _outer_boundary(sets, self.adjacency()), False)
+        best = np.full(rows.size, np.inf)
+        for block in _blocks(per, _ENTRY_BLOCK):
+            box = np.flatnonzero(full[block]) + block.start
+            own, at = np.repeat(box, per[box]), _spans(heads[box], per[box])
+            near = best[at]
+            for a, ((stride, count), low, high) in enumerate(zip(axes, lo, hi)):
+                w, x = self.coords[:count * stride:stride, a], self.coords[points[at], a]
+                for side, face in ((low[own] - 1, -1), (high[own] + 1, count)):
+                    t = w.take(side, mode="clip") - x
+                    t *= t
+                    t[side == face] = np.inf
+                    np.minimum(near, t, out=near)
+            best[at] = near
+        rest = np.flatnonzero(~np.repeat(full, per))
+        if rest.size:
+            partial = np.flatnonzero(~full)
+            outer = _outer_boundary(sets[held[partial]], self.adjacency())
+            best[rest] = self._sweep(np.repeat(np.arange(partial.size), per[partial]),
+                                     points[rest], outer, False)
+        return best
 
 
 class TreeMetric(Metric):
@@ -727,9 +805,6 @@ class TreeMetric(Metric):
         at = np.searchsorted(_entry_keys(sets), rows * self.n + points)
         return np.where(np.diff(sets.indptr)[rows] == self.n, np.inf, depth[at])
 
-    def to_json(self) -> dict:
-        return {"kind": "tree", "edges": self.edges.tolist()}
-
 
 class PolarMetric(Metric):
     """Points (r[i], phi[i]) in polar coordinates about a basepoint of the
@@ -751,45 +826,21 @@ class PolarMetric(Metric):
     def _key_pairs(self, p, q):
         return hyperbolic_distance(self.kappa, self.r[p], self.phi[p], self.r[q], self.phi[q])
 
-    def mesh(self, m, rows) -> float:
-        """Exact on the sample: the largest distance that hyperbolic_distance
-        computes between two points of a set, each row of a set taken
-        against the whole set.
-
-        Rows are visited in descending radius, and the rest of a set is
-        skipped once a row cannot raise the running maximum. The exact bound
-        d <= r_x + r_y does not serve, since a computed distance can exceed
-        it through rounding; the bound must hold for the computed values.
-        With s = sqrt(-kappa), c = cosh(s r) and h = sinh(s r), every
-        ch = c_x c_y - h_x h_y cos(dphi) computed in row x is at most
-        fl(fl(c_x c_max) + fl(h_x h_max)), c_max and h_max the set's largest
-        values: the computed cosine lies in [-1, 1], h >= 0, and IEEE
-        rounding is monotone. A relative slack of 2^-40 covers the few ulps
-        by which cosh and sinh may differ between numpy's scalar and array
-        paths, and the rounding of arccosh. The bound depends on the
-        law-of-cosines form of hyperbolic_distance and must be derived anew
-        if that formula changes.
-        """
+    def _mesh_bounds(self, points, starts, count):
+        """A bound on the computed distances, which can exceed r_x + r_y
+        through rounding. With s = sqrt(-kappa), c = cosh(s r) and h =
+        sinh(s r), every ch = c_x c_y - h_x h_y cos(dphi) computed from
+        member x is at most fl(fl(c_x c_max) + fl(h_x h_max)), c_max and
+        h_max the set's largest values, as the computed cosine lies in [-1,
+        1], h >= 0 and rounding is monotone. A relative slack of 2^-40 covers
+        the ulps by which cosh and sinh may differ between numpy's scalar
+        and array paths, and the rounding of arccosh. The bound must be
+        derived anew if hyperbolic_distance's law of cosines changes."""
         s = math.sqrt(-self.kappa)
-        c, h = np.cosh(self.r * s), np.sinh(self.r * s)
-        worst = 0.0
-        for k in rows:
-            idx = _row(m, k)
-            if idx.size < 2:
-                continue
-            rs, ps = self.r[idx], self.phi[idx]
-            ch = c[idx] * c[idx].max() + h[idx] * h[idx].max()
-            reach = np.arccosh(np.maximum(ch * (1 + 2.0 ** -40), 1.0)) / s
-            for t in np.argsort(-reach, kind="stable"):
-                if reach[t] <= worst:
-                    break
-                d = hyperbolic_distance(self.kappa, rs[t], ps[t], rs, ps)
-                worst = max(worst, float(d.max()))
-        return worst
-
-    def to_json(self) -> dict:
-        return {"kind": "hyperbolic_polar", "kappa": self.kappa,
-                "points": np.column_stack([self.r, self.phi]).tolist()}
+        c, h = np.cosh(self.r[points] * s), np.sinh(self.r[points] * s)
+        ch = (c * np.repeat(np.maximum.reduceat(c, starts), count)
+              + h * np.repeat(np.maximum.reduceat(h, starts), count))
+        return np.arccosh(np.maximum(ch * (1 + 2.0 ** -40), 1.0)) / s
 
 
 class DiscreteMetric(Metric):
@@ -876,10 +927,6 @@ def _validate_pseudometric(d: np.ndarray) -> None:
         for k in range(n):
             if np.any(d > d[:, [k]] + d[[k], :] + METRIC_TOL):
                 raise InvalidInputError("triangle inequality violated")
-
-
-def _row(m: sparse.csr_matrix, k: int) -> np.ndarray:
-    return m.indices[m.indptr[k]:m.indptr[k + 1]]
 
 
 def _row_indices(m: sparse.csr_matrix, rows: np.ndarray) -> np.ndarray:

@@ -10,11 +10,13 @@ unchanged in their logic, as oracles for differential tests: they are slow,
 but each step is plain to check by eye. A relation over n points is given
 as its sorted unique int64 keys i * n + j.
 
-The Lebesgue number and the mesh of a grid cover measure only lattice
-boundaries, in the difference form of dist_block; the dense loops over
-every point outside or inside a set, with the Gram-form block they used,
-and a scan of every distance row are kept as their references. So is the
-per-point bucketing loop of the cube cover.
+The mesh of a grid or cloud cover skips the members whose box bound
+cannot raise it, and a grid's Lebesgue number takes a full box's nearest
+outside point in closed form. The dense loops over every point outside or
+inside a set, with the Gram-form block they used, a scan of every
+distance row, the block sweep of every member, the polar row loops and
+the grid's sweep against outer boundaries are kept as their references.
+So is the per-point bucketing loop of the cube cover.
 
 A Cover is its incidence matrix, and colorize, product_refine and
 merge_union work a level of sets at a time through sparse products. The
@@ -1124,6 +1126,25 @@ def outside_distances_blocks(space, queries, sets):
     out = np.zeros(keys.size)
     shared = 2 * np.diff(sets.indptr)[rows] <= n
     out[at] = backend._from_key(sweep_blocks(backend, rows, points, sets, True, shared))
+    return out
+
+
+def outer_boundary_outside(space, queries, sets):
+    """outside_distances of a grid as it was before full boxes took a
+    closed form: each member entry swept against its set's outer boundary,
+    the points outside it next to a member (0 at an entry outside its
+    set)."""
+    backend = space.backend
+    n = space.n
+    keys = np.repeat(np.arange(queries.shape[0], dtype=np.int64), np.diff(queries.indptr)) * n
+    keys += queries.indices
+    held = np.repeat(np.arange(sets.shape[0], dtype=np.int64), np.diff(sets.indptr)) * n
+    at = np.isin(keys, held + sets.indices)
+    rows, points = np.divmod(keys[at], n)
+    outer = (sparse.csr_matrix(sets, dtype=np.int32) @ backend.adjacency()).astype(bool) > sets
+    out = np.zeros(keys.size)
+    out[at] = np.sqrt(sweep_blocks(backend, rows, points, outer, False,
+                                   np.zeros(rows.size, dtype=bool)))
     return out
 
 

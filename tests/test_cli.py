@@ -116,7 +116,8 @@ class TestWitnessCommands:
             mask = (coords >= lo - 1.5 - 1e-9) & (coords <= lo + 4.0 + 1e-9)
             sets.append([int(i) for i in np.nonzero(mask)[0]])
             lo += 4.0
-        space = tmp_json("p.json", space_obj.backend.to_json())
+        space = tmp_json("p.json", {"kind": "cloud",
+                                    "points": space_obj.meta["coords"].tolist()})
         cover = tmp_json("c.json", {"sets": sets})
         code, report = run(["witness", "lowerbound", "--space", space,
                             "--cover", cover, "--n", "1"])

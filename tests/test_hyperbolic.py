@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from coarselab.hyperbolic import (SphereAtlas, angle_for_chord, check_contractio
                                   hyperbolic_params, lipschitz_gap_bound,
                                   radial_projection, sample_disk,
                                   sphere_cover_lift)
+from coarselab import spaces
 from coarselab.prng import SplitMix64
 from coarselab.spaces import Space, hyperbolic_distance
 import oracles
@@ -155,12 +157,14 @@ def polar_meshes(cover):
 
 
 class TestLiftArrayKernels:
-    """The polar backend's pruned mesh and the array contraction check
-    against the loops in oracles, exact equality."""
+    """The polar backend's pruned mesh, also in batches cut down to one
+    member, and the array contraction check against the loops in oracles,
+    exact equality."""
 
-    @given(data=st.data(), kappa=st.sampled_from([-1.0, -0.25, -4.0, -2.7]))
+    @given(data=st.data(), kappa=st.sampled_from([-1.0, -0.25, -4.0, -2.7]),
+           block=st.sampled_from([None, 1, 40]))
     @settings(max_examples=150, deadline=None)
-    def test_polar_mesh_matches_every_row(self, data, kappa):
+    def test_polar_mesh_matches_every_row(self, data, kappa, block):
         # radii up to 60, where the law of cosines cancels, repeated rings,
         # near-antipodal pairs and sets whose largest radius is off the top
         top = data.draw(st.floats(0.0, 60.0))
@@ -176,7 +180,8 @@ class TestLiftArrayKernels:
         sets = data.draw(st.lists(st.lists(st.integers(0, count - 1), max_size=12), max_size=6))
         disk = Space.hyperbolic_polar(kappa, list(zip(radii, angles)))
         cover = Cover(disk, sets, require_covering=False)
-        assert len(set(polar_meshes(cover))) == 1
+        with mock.patch.object(spaces, "_PAIR_BLOCK", block or spaces._PAIR_BLOCK):
+            assert len(set(polar_meshes(cover))) == 1
 
     @pytest.mark.parametrize("radius, step, angles, L", [(14.0, 1.0 / 3.0, 72, 0.5),
                                                          (30.0, 1.0, 48, 5.0),

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import sparse
 
 import coarselab
 from coarselab import spaces
@@ -509,6 +510,9 @@ class TestMetricBackendOracle:
             assert sp.dist(i, j) == oracles.dist_row_by_kind(sp, i)[j]
         if sp.n:
             assert sp.diameter() == oracles.diameter_rows(sp)
+        else:
+            with pytest.raises(ValueError):
+                sp.diameter()
         if sp.is_metric_backed():
             near = [float(d) + e for d in block.ravel()[:3] for e in (0.0, -1e-12, 1e-12)]
             r = data.draw(st.sampled_from([0.0, 1.0, 50.0] + near))
@@ -636,6 +640,125 @@ class TestCloudKernels:
         with mock.patch.object(spaces._CellList, "build", density):
             got = e.materialize().keys()
         assert np.array_equal(got, oracles.materialize_rows_loop(e))
+
+
+@st.composite
+def coordinate_spaces(draw):
+    """Grids and clouds of 1-5 axes at offsets 0, 1e6 and 1e15: grids of
+    ordinary or subnormal step, clouds scattered, on a lattice, of
+    subnormal spacing or with duplicated points."""
+    dim = draw(st.integers(1, 5))
+    offset = draw(st.sampled_from([0.0, 1e6, 1e15]))
+    if draw(st.booleans()):
+        step = draw(st.sampled_from([1.0, 0.3, 5e-324]))
+        most = {1: 60, 2: 12, 3: 6, 4: 4, 5: 3}[dim]
+        counts = draw(st.lists(st.integers(1, most), min_size=dim, max_size=dim))
+        return Space.grid(dim, [offset] * dim, [offset + (c - 1) * step for c in counts], step)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(0, 150))
+    x = rng.uniform(-5, 5, (n, dim))
+    shape = draw(st.sampled_from(["uniform", "lattice", "subnormal", "duplicates"]))
+    if shape == "lattice":
+        x = np.round(x)
+    elif shape == "subnormal":
+        x = np.round(x) * 5e-324
+    elif shape == "duplicates":
+        x = x[rng.integers(0, max(n // 4, 1), n)]
+    return Space.cloud(offset + x)
+
+
+def box_sets(data, sp):
+    """Sets from boxes of the space's coordinates (full boxes on a grid),
+    boxes with one member taken out, scattered points and one point, with
+    an empty set and one holding every point."""
+    n, x = sp.n, sp.meta["coords"]
+    point = st.integers(0, max(n - 1, 0))
+    sets = data.draw(st.lists(st.lists(point, max_size=n // 2 if n else 0), max_size=2))
+    for _ in range(data.draw(st.integers(0, 4)) if n else 0):
+        ends = x[[data.draw(point), data.draw(point)]]
+        box = np.flatnonzero(np.all((ends.min(axis=0) <= x) & (x <= ends.max(axis=0)), axis=1))
+        kind = data.draw(st.sampled_from(["box", "hole", "one"]))
+        if kind == "hole" and box.size > 1:
+            box = np.delete(box, data.draw(st.integers(0, box.size - 1)))
+        sets.append(box[:1].tolist() if kind == "one" else box.tolist())
+    return data.draw(st.permutations(sets + [[], list(range(n))]))
+
+
+class TestMeshDriver:
+    """The pruned mesh of grids and clouds, and the diameter through it,
+    against the block sweep of every member and one distance row per
+    member, bit for bit, with batches cut down to one member."""
+
+    @given(data=st.data(), sp=coordinate_spaces(), block=st.sampled_from([None, 1, 2, 7, 64]))
+    @settings(max_examples=300, deadline=None)
+    def test_pruned_mesh_matches_the_sweep(self, data, sp, block):
+        sets = box_sets(data, sp)
+        m = Cover(sp, sets, require_covering=False, canonicalize=False).incidence()
+        with mock.patch.object(spaces, "_PAIR_BLOCK", block or spaces._PAIR_BLOCK):
+            got = sp.backend.mesh(m, np.arange(m.shape[0]))
+            diameter = sp.diameter() if sp.n else None
+        assert got == oracles.mesh_blocks(sp, m)
+        kept = Cover(sp, [s for s in sets if len(set(s)) > 1], require_covering=False)
+        assert got == oracles.mesh_rows(kept)
+        if sp.n:
+            assert diameter == oracles.diameter_rows(sp)
+
+    def test_bound_sums_in_axis_order(self):
+        # four terms of 0.49 ulp of 1 and then 1 sum to 1 + 2 ulp in axis
+        # order, and to 1 in reverse. The first set's members of bound 1.25
+        # are measured first, and its diameter is 1; a bound of the second
+        # set summed in reverse would then skip its pair, of key 1 + 2 ulp.
+        t = 0.7 * 2.0 ** -26
+        sp = Space.cloud([[0, 0, 0, 0, 0], [0, 0, 0, 0, 1], [0.5, 0, 0, 0, 0.5],
+                          [0, 0, 0, 0, 0], [t, t, t, t, 1]])
+        m = sparse.csr_matrix(np.array([[1, 1, 1, 0, 0], [0, 0, 0, 1, 1]], dtype=bool))
+        with mock.patch.object(spaces, "_PAIR_BLOCK", 3):
+            got = sp.backend.mesh(m, np.arange(2))
+        assert got == math.sqrt(1 + 2.0 ** -51) == oracles.mesh_blocks(sp, m) > 1
+
+
+class TestGridClosedForm:
+    """A grid's nearest-outside kernel against one distance row per entry
+    and against the sweep of outer boundaries it replaced for full boxes,
+    bit for bit: boxes touching each face of the grid, the whole grid
+    (+inf), axes of one point, one-point sets, and boxes with one hole,
+    whose members alone still reach the sweep."""
+
+    @given(data=st.data(), dim=st.integers(1, 3), offset=st.sampled_from([0.0, 1e6, 1e15]),
+           step=st.sampled_from([1.0, 0.3, 5e-324]))
+    @settings(max_examples=200, deadline=None)
+    def test_full_boxes_match_the_outer_boundary_sweep(self, data, dim, offset, step):
+        counts = data.draw(st.lists(st.integers(1, 7), min_size=dim, max_size=dim))
+        sp = Space.grid(dim, [offset] * dim, [offset + (c - 1) * step for c in counts], step)
+        shape = sp.meta["shape"]
+        index = np.stack(np.unravel_index(np.arange(sp.n), shape), axis=1)
+        sets = [list(range(sp.n))]
+        for a, count in enumerate(shape):
+            for face in (0, count - 1):
+                # a box reaching this face, and perhaps others
+                lo = [data.draw(st.integers(0, c - 1)) for c in shape]
+                hi = [data.draw(st.integers(l, c - 1)) for l, c in zip(lo, shape)]
+                lo[a], hi[a] = min(lo[a], face), max(hi[a], face)
+                box = np.flatnonzero(np.all((lo <= index) & (index <= hi), axis=1))
+                if data.draw(st.booleans()) and box.size > 1:
+                    box = np.delete(box, data.draw(st.integers(0, box.size - 1)))
+                sets.append(box.tolist())
+        sets.append([data.draw(st.integers(0, sp.n - 1))])
+        sets = data.draw(st.permutations(sets))
+        m = Cover(sp, sets, require_covering=False, canonicalize=False).incidence()
+        sweep, swept = spaces.Metric._sweep, []
+
+        def recorded(self, rows, points, *args):
+            swept.append(points.size)
+            return sweep(self, rows, points, *args)
+
+        with mock.patch.object(spaces.Metric, "_sweep", recorded):
+            got = sp.backend.outside_distances(m, m)
+        assert np.array_equal(got, oracles.outside_distances_rows(sp, m, m))
+        assert np.array_equal(got, oracles.outer_boundary_outside(sp, m, m))
+        holed = sum(len(s) for s in sets if np.prod(np.ptp(index[s], axis=0) + 1) > len(s))
+        assert sum(swept) == holed
+        assert len(swept) == (holed > 0)
 
 
 class TestFarOutlier:
