@@ -62,43 +62,8 @@ def _digest(path: str) -> str:
     return h.hexdigest()[:16]
 
 
-_REQ = {"required": True}
-_INT, _FLOAT = dict(_REQ, type=int), dict(_REQ, type=float)
-_SPACE = ("--space", dict(_REQ, help="space JSON file"))
-# the options of each group's subcommands, in the order they are added
-_COMMANDS = {
-    "space": {"info": [_SPACE]},
-    "cover": {"stats": [_SPACE, ("--cover", _REQ), ("--entourage", {})]},
-    "transform": {
-        "colorize": [_SPACE, ("--cover", _REQ), ("--entourage", _REQ), ("--n", _INT)],
-        "expand": [_SPACE, ("--cover", _REQ), ("--entourage", _REQ)],
-        "union": [_SPACE, ("--cover", _REQ), ("--cover2", _REQ), ("--entourage", _REQ)],
-        "product": [_SPACE, ("--space2", _REQ), ("--cover", _REQ), ("--cover2", _REQ),
-                    ("--ex", dict(_REQ, help="factor entourage on the first space")),
-                    ("--ey", dict(_REQ, help="factor entourage on the second space")),
-                    ("--n", _INT), ("--m", _INT)]},
-    "witness": {
-        "cube": [("--n", _INT), ("--a", _FLOAT), ("--min", {"type": float, "default": 0.0}),
-                 ("--max", _FLOAT), ("--step", _FLOAT)],
-        "tree": [_SPACE, ("--L", _FLOAT), ("--root", {"type": int, "default": 0})],
-        "ray": [_SPACE, ("--entourage", _REQ), ("--n", _INT)],
-        "hyperbolic": [("--kappa", _FLOAT), ("--lam", _FLOAT), ("--mesh-bound", _FLOAT),
-                       ("--L", _FLOAT), ("--disk-radius", _FLOAT),
-                       ("--radial-step", {"type": float, "default": 1.0}),
-                       ("--angles", {"type": int, "default": 48})],
-        "star": [("--complex", dict(_REQ, dest="complex_")), ("--stability", _INT),
-                 ("--resolution", {"type": int, "default": 12})],
-        "sperner": [("--grid", _REQ)],
-        "lowerbound": [_SPACE, ("--cover", _REQ), ("--n", _INT)]},
-    "support": {"verify": [("--decomposition", _REQ), ("--op", dict(_REQ, dest="op_t")),
-                           ("--op2", {"dest": "op_s"}), ("--vector", {})]},
-    "corona": {
-        "equiv": [("--model", _REQ)],
-        "check": [("--model", _REQ), ("--entourage", _REQ),
-                  ("--schedule-constant", {"type": float}),
-                  ("--schedule-power", {"type": float, "default": 1.0})],
-        "dimcover": [("--schedule", _REQ), ("--depth", _INT)]},
-}
+def _space_arg(parser, name="--space"):
+    parser.add_argument(name, required=True, help="space JSON file")
 
 
 def build_parser() -> Parser:
@@ -108,12 +73,94 @@ def build_parser() -> Parser:
     p.add_argument("--timing", action="store_true",
                    help="attach wall time (breaks byte stability)")
     sub = p.add_subparsers(dest="group", required=True)
-    for group, commands in _COMMANDS.items():
-        ops = sub.add_parser(group).add_subparsers(dest="op", required=True)
-        for op, options in commands.items():
-            q = ops.add_parser(op)
-            for name, kwargs in options:
-                q.add_argument(name, **kwargs)
+
+    sp = sub.add_parser("space").add_subparsers(dest="op", required=True)
+    q = sp.add_parser("info")
+    _space_arg(q)
+
+    cv = sub.add_parser("cover").add_subparsers(dest="op", required=True)
+    q = cv.add_parser("stats")
+    _space_arg(q)
+    q.add_argument("--cover", required=True)
+    q.add_argument("--entourage")
+
+    tr = sub.add_parser("transform").add_subparsers(dest="op", required=True)
+    q = tr.add_parser("colorize")
+    _space_arg(q)
+    q.add_argument("--cover", required=True)
+    q.add_argument("--entourage", required=True)
+    q.add_argument("--n", type=int, required=True)
+    q = tr.add_parser("expand")
+    _space_arg(q)
+    q.add_argument("--cover", required=True)
+    q.add_argument("--entourage", required=True)
+    q = tr.add_parser("union")
+    _space_arg(q)
+    q.add_argument("--cover", required=True)
+    q.add_argument("--cover2", required=True)
+    q.add_argument("--entourage", required=True)
+    q = tr.add_parser("product")
+    _space_arg(q)
+    q.add_argument("--space2", required=True)
+    q.add_argument("--cover", required=True)
+    q.add_argument("--cover2", required=True)
+    q.add_argument("--ex", required=True, help="factor entourage on the first space")
+    q.add_argument("--ey", required=True, help="factor entourage on the second space")
+    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--m", type=int, required=True)
+
+    wt = sub.add_parser("witness").add_subparsers(dest="op", required=True)
+    q = wt.add_parser("cube")
+    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--a", type=float, required=True)
+    q.add_argument("--min", type=float, default=0.0)
+    q.add_argument("--max", type=float, required=True)
+    q.add_argument("--step", type=float, required=True)
+    q = wt.add_parser("tree")
+    _space_arg(q)
+    q.add_argument("--L", type=float, required=True)
+    q.add_argument("--root", type=int, default=0)
+    q = wt.add_parser("ray")
+    _space_arg(q)
+    q.add_argument("--entourage", required=True)
+    q.add_argument("--n", type=int, required=True)
+    q = wt.add_parser("hyperbolic")
+    q.add_argument("--kappa", type=float, required=True)
+    q.add_argument("--lam", type=float, required=True)
+    q.add_argument("--mesh-bound", type=float, required=True)
+    q.add_argument("--L", type=float, required=True)
+    q.add_argument("--disk-radius", type=float, required=True)
+    q.add_argument("--radial-step", type=float, default=1.0)
+    q.add_argument("--angles", type=int, default=48)
+    q = wt.add_parser("star")
+    q.add_argument("--complex", dest="complex_", required=True)
+    q.add_argument("--stability", type=int, required=True)
+    q.add_argument("--resolution", type=int, default=12)
+    q = wt.add_parser("sperner")
+    q.add_argument("--grid", required=True)
+    q = wt.add_parser("lowerbound")
+    _space_arg(q)
+    q.add_argument("--cover", required=True)
+    q.add_argument("--n", type=int, required=True)
+
+    su = sub.add_parser("support").add_subparsers(dest="op", required=True)
+    q = su.add_parser("verify")
+    q.add_argument("--decomposition", required=True)
+    q.add_argument("--op", dest="op_t", required=True)
+    q.add_argument("--op2", dest="op_s")
+    q.add_argument("--vector")
+
+    co = sub.add_parser("corona").add_subparsers(dest="op", required=True)
+    q = co.add_parser("equiv")
+    q.add_argument("--model", required=True)
+    q = co.add_parser("check")
+    q.add_argument("--model", required=True)
+    q.add_argument("--entourage", required=True)
+    q.add_argument("--schedule-constant", type=float)
+    q.add_argument("--schedule-power", type=float, default=1.0)
+    q = co.add_parser("dimcover")
+    q.add_argument("--schedule", required=True)
+    q.add_argument("--depth", type=int, required=True)
 
     pl = sub.add_parser("pipeline")
     pl.add_argument("name", choices=["asdim-upper", "asdim-lower", "hyperbolic-full",

@@ -211,9 +211,9 @@ class Space:
 
     def diameter(self) -> float:
         """The largest distance: the mesh of one set holding every point, so
-        a grid measures a corner, a cloud is pruned by its box bound and a
-        tree takes a double sweep; d(0, 0) for one point, and ValueError for
-        none."""
+        a grid measures a corner, a cloud is pruned by its box bound, a tree
+        takes a double sweep and a NaN distance measured gives NaN; d(0, 0)
+        for one point, and ValueError for none."""
         if self.n < 2:
             if not self.n:
                 raise ValueError("an empty space has no diameter")
@@ -284,8 +284,9 @@ class Metric:
         _PAIR_BLOCK pairs (one member at least) taken by partition from a
         window that grows eightfold; the rest are skipped at the first bound
         no more than the largest key so far (Malandain & Boissonnat, IJCGA
-        12, 2002). A member whose keys hold a NaN is passed over. Without
-        bounds every member is swept (see _sweep)."""
+        12, 2002). A NaN bound bounds nothing, so its member is measured,
+        and a NaN key makes the mesh NaN. Without bounds every member is
+        swept (see _sweep)."""
         sizes = np.diff(m.indptr)
         rows = rows[sizes[rows] > 1]
         count, points = sizes[rows], _row_indices(m, rows)
@@ -295,6 +296,7 @@ class Metric:
             reach = self._sweep(np.repeat(rows, count), points, m, False, np.maximum)
             return float(self._from_key(reach.max(initial=0.0)))
         worst, window = 0.0, max(1, _PAIR_BLOCK * rows.size // max(points.size, 1))
+        bound[np.isnan(bound)] = np.inf
         head = np.flatnonzero(bound > worst)
         while head.size:
             if head.size > window:
@@ -307,13 +309,10 @@ class Metric:
                 if not keep.any():
                     return float(self._from_key(worst))
                 part, at = head[block][keep], own[block][keep]
-                c, lo = count[at], starts[at]
-                if np.all(at == at[0]):  # one set: a block, cheaper than a gather
-                    near = self._key_block(points[part], points[lo[0]:lo[0] + c[0]]).max(axis=1)
-                else:
-                    keys = self._key_pairs(np.repeat(points[part], c), points[_spans(lo, c)])
-                    near = np.maximum.reduceat(keys, np.cumsum(c) - c)
-                worst = float(np.fmax.reduce(near, initial=worst))
+                c = count[at]
+                keys = self._key_pairs(np.repeat(points[part], c), points[_spans(starts[at], c)])
+                # a NaN worst stops the search: no bound is larger
+                worst = float(np.maximum.reduce(keys, initial=worst))
                 bound[part] = -np.inf
             window *= 8
             head = np.flatnonzero(bound > worst)
@@ -719,9 +718,18 @@ class GridMetric(EuclideanMetric):
             full[maybe] &= ((np.minimum.reduceat(k, starts) == low[maybe])
                             & (np.maximum.reduceat(k, starts) == high[maybe]))
         del members, k
-        if not full.any():  # sweep in place, with no copy of the entries
-            return self._sweep(rows, points, _outer_boundary(sets, self.adjacency()), False)
-        best = np.full(rows.size, np.inf)
+        if full.all():
+            best = np.full(rows.size, np.inf)
+        else:
+            # the full boxes emptied, so that the sweep passes over their
+            # members and takes every entry in place
+            keep = np.ones(sets.shape[0], dtype=bool)
+            keep[held[full]] = False
+            size = np.diff(sets.indptr) * keep
+            partial = sparse.csr_matrix((np.ones(size.sum(), dtype=bool),
+                                         _row_indices(sets, np.flatnonzero(keep)),
+                                         np.concatenate(([0], np.cumsum(size)))), shape=sets.shape)
+            best = self._sweep(rows, points, _outer_boundary(partial, self.adjacency()), False)
         for block in _blocks(per, _ENTRY_BLOCK):
             box = np.flatnonzero(full[block]) + block.start
             own, at = np.repeat(box, per[box]), _spans(heads[box], per[box])
@@ -734,12 +742,6 @@ class GridMetric(EuclideanMetric):
                     t[side == face] = np.inf
                     np.minimum(near, t, out=near)
             best[at] = near
-        rest = np.flatnonzero(~np.repeat(full, per))
-        if rest.size:
-            partial = np.flatnonzero(~full)
-            outer = _outer_boundary(sets[held[partial]], self.adjacency())
-            best[rest] = self._sweep(np.repeat(np.arange(partial.size), per[partial]),
-                                     points[rest], outer, False)
         return best
 
 

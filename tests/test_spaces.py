@@ -716,13 +716,25 @@ class TestMeshDriver:
             got = sp.backend.mesh(m, np.arange(2))
         assert got == math.sqrt(1 + 2.0 ** -51) == oracles.mesh_blocks(sp, m) > 1
 
+    @pytest.mark.parametrize("sp", [
+        # cosh overflows past r = 710: every distance from a point at 800 is
+        # NaN, and its bound is +inf
+        Space.hyperbolic_polar(-1.0, [(800.0, 0.0), (800.0, 1.0), (1.0, 0.0)]),
+        # a NaN coordinate makes every bound of its set NaN
+        Space.cloud([[0.0, 0.0], [np.inf, 1.0], [1.0, 1.0], [0.5, np.nan], [2.0, 0.0]]),
+    ], ids=["polar-overflow", "cloud-non-finite"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered", "ignore:overflow encountered")
+    def test_a_nan_distance_is_not_passed_over(self, sp):
+        assert math.isnan(sp.diameter())
+        assert math.isnan(mesh(Cover(sp, [[0, 1], list(range(1, sp.n))])))
+
 
 class TestGridClosedForm:
     """A grid's nearest-outside kernel against one distance row per entry
     and against the sweep of outer boundaries it replaced for full boxes,
     bit for bit: boxes touching each face of the grid, the whole grid
     (+inf), axes of one point, one-point sets, and boxes with one hole,
-    whose members alone still reach the sweep."""
+    whose members alone the sweep still measures."""
 
     @given(data=st.data(), dim=st.integers(1, 3), offset=st.sampled_from([0.0, 1e6, 1e15]),
            step=st.sampled_from([1.0, 0.3, 5e-324]))
@@ -748,9 +760,10 @@ class TestGridClosedForm:
         m = Cover(sp, sets, require_covering=False, canonicalize=False).incidence()
         sweep, swept = spaces.Metric._sweep, []
 
-        def recorded(self, rows, points, *args):
-            swept.append(points.size)
-            return sweep(self, rows, points, *args)
+        def recorded(self, rows, points, sets, *args):
+            # the entries measured: those whose row is not empty
+            swept.append(np.count_nonzero(np.diff(sets.indptr)[rows]))
+            return sweep(self, rows, points, sets, *args)
 
         with mock.patch.object(spaces.Metric, "_sweep", recorded):
             got = sp.backend.outside_distances(m, m)
