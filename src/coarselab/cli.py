@@ -216,15 +216,11 @@ def _handle(args, inputs: dict):
             return {"families": len(out.families)}, cert, dump_cover(out)
         if args.op == "expand":
             ent = load_entourage(_load(args.entourage, inputs), space)
-            if cover.families is None:
-                raise InvalidInputError("expand needs a cover with families")
             out, cert = expand(cover, ent)
             return {"sets": out.incidence().shape[0]}, cert, dump_cover(out)
         if args.op == "union":
             other = load_cover(_load(args.cover2, inputs), space, require_covering=False)
             ent = load_entourage(_load(args.entourage, inputs), space)
-            if cover.families is None or other.families is None:
-                raise InvalidInputError("union needs covers with families")
             out, cert = merge_union(cover, other, ent)
             return {"sets": out.incidence().shape[0]}, cert, dump_cover(out)
         if args.op == "product":

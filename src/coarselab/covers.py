@@ -1,13 +1,14 @@
 """Covers of finite sampled spaces and their quality metrics.
 
 A Cover is a family of index sets over a Space, optionally partitioned into
-color classes ("families") of pairwise disjoint sets. It is stored as one
-sets x points boolean CSR incidence matrix M, and every set-wise question
-is a reduction over M or a sparse product with it: which points no set
-holds (column counts of zero), which sets are empty (row sizes), the
-multiplicity (column sums over the distinct rows), the owner of each point
-within a family (one gather of the family's rows). The four metrics that
-the dimension machinery hinges on:
+color classes ("families") of pairwise disjoint sets; it is the one cover
+type, colored or not. It is stored as one sets x points boolean CSR
+incidence matrix M, and every set-wise question is a reduction over M or a
+sparse product with it: which points no set holds (column counts of zero),
+which sets are empty (row sizes), the multiplicity (column sums over the
+distinct rows, found once per cover), the owner of each point within a
+family (one gather of the family's rows). The four metrics that the
+dimension machinery hinges on:
 
   multiplicity   largest number of sets sharing a point
   mesh           largest diameter of a covering set
@@ -53,9 +54,10 @@ class Cover:
     and builds M once. With canonicalize on, the rows are put in
     lexicographic order of their index tuples (a prefix sorts first, an
     empty set before everything, ties stable) and the families are remapped
-    through that rank, so serialization is deterministic. Empty sets are
-    allowed (transform outputs produce them naturally) and are flagged in
-    stats reports rather than rejected.
+    through that rank, so serialization is deterministic; that sort also
+    yields the distinct rows, which any other cover sorts for once, on
+    first use. Empty sets are allowed (transform outputs produce them
+    naturally) and are flagged in stats reports rather than rejected.
     """
 
     def __init__(self, space: Space, sets: Sequence[Iterable[int]] | sparse.spmatrix,
@@ -75,17 +77,20 @@ class Cover:
                 raise InvalidInputError(partition)
             if used.size != k:
                 raise InvalidInputError("families must mention every set exactly once")
+        self._sets = self._owners = self._distinct = None
         if canonicalize:
-            order = _lex_order(m)[0]
+            order, repeat = _lex_order(m)
             if np.any(order != np.arange(k)):
                 m = m[order]
+            # equal rows are adjacent in that order, so the first of each run
+            # is the first row with its contents
+            self._distinct = np.flatnonzero(~repeat)
             if fams is not None:
                 rank = np.empty(k, dtype=np.int64)
                 rank[order] = np.arange(k)
                 fams = [np.sort(rank[fam]) for fam in fams]
         self.space = space
         self._m = m
-        self._sets = self._owners = None
         self.families = None if fams is None else tuple(tuple(f.tolist()) for f in fams)
         if require_covering:
             missing = self.uncovered_points()
@@ -114,6 +119,15 @@ class Cover:
             ptr = self._m.indptr.tolist()
             self._sets = tuple(tuple(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
         return self._sets
+
+    def distinct_rows(self) -> np.ndarray:
+        """The rows of M whose contents no earlier row has, in row order;
+        taken from the canonicalizing sort or from one _lex_order on first
+        use, and shared, so callers must not modify it."""
+        if self._distinct is None:
+            order, repeat = _lex_order(self._m)
+            self._distinct = np.sort(order[~repeat])
+        return self._distinct
 
     def family_owners(self) -> np.ndarray:
         """Row f, owner[x], is the set of family f holding x, or -1; built
@@ -264,12 +278,6 @@ def _lex_order(m: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     return order, repeat
 
 
-def _distinct_rows(m: sparse.csr_matrix) -> np.ndarray:
-    """The rows of m whose contents no earlier row has, in row order."""
-    order, repeat = _lex_order(m)
-    return np.sort(order[~repeat])
-
-
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
@@ -279,8 +287,8 @@ def multiplicity(cover: Cover) -> int:
     """Largest number of covering sets containing a common point: the
     largest column sum over the distinct rows of the incidence matrix, so
     duplicated set contents count once."""
-    m = cover.incidence()
-    counts = np.bincount(_row_indices(m, _distinct_rows(m)), minlength=cover.space.n)
+    counts = np.bincount(_row_indices(cover.incidence(), cover.distinct_rows()),
+                         minlength=cover.space.n)
     return int(counts.max()) if cover.space.n else 0
 
 
@@ -289,8 +297,7 @@ def mesh(cover: Cover) -> float:
     distinct set is measured once, by the space's backend."""
     if not cover.space.is_metric_backed():
         raise InvalidInputError("mesh needs a metric-backed space")
-    m = cover.incidence()
-    return cover.space.backend.mesh(m, _distinct_rows(m))
+    return cover.space.backend.mesh(cover.incidence(), cover.distinct_rows())
 
 
 def lebesgue_number(cover: Cover) -> float:
@@ -357,7 +364,7 @@ def cover_entourage(cover: Cover, cap: int = PAIR_CAP) -> Entourage:
     sizes = np.diff(m.indptr).astype(np.int64)
     total = int((sizes ** 2).sum())
     if total > cap:  # a duplicated set adds no pairs
-        total = int((sizes[_distinct_rows(m)] ** 2).sum())
+        total = int((sizes[cover.distinct_rows()] ** 2).sum())
     if total > cap:
         raise ResourceLimitError(
             f"cover entourage would exceed the {cap} pair cap ({total} pairs)")

@@ -1,7 +1,7 @@
 """Deterministic fixture builders shared by the CLI pipelines and the test
 suite: interval and disk compactification models, circle arc schedules,
-random trees, and randomized cover families with prescribed multiplicity
-and appetite. All randomness flows through the splitmix generator."""
+and randomized cover families with prescribed multiplicity and appetite.
+All randomness flows through the splitmix generator."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from .covers import Cover, lebesgue_number
 from .errors import ResourceLimitError
 from .prng import SplitMix64
 from .spaces import PAIR_CAP, POINT_CAP, Entourage, Space
-from .transforms import ColoredCover
 
 
 def unit_interval_model(step: float = 1.0 / 400) -> CompactificationModel:
@@ -53,8 +52,7 @@ def point_schedule() -> CoronaCoverSchedule:
     space = Space.cloud(np.zeros((1, 2)))
     return CoronaCoverSchedule(
         space, 1,
-        lambda k: ColoredCover(space, [[0]], [[0]], Entourage.diagonal(space),
-                               canonicalize=False),
+        lambda k: Cover(space, [[0]], [[0]], canonicalize=False),
         lambda k: 1.0)
 
 
@@ -144,9 +142,7 @@ def circle_arc_schedule(space: Space, overlap: float = 0.95) -> CoronaCoverSched
         indptr = np.concatenate(([0], np.cumsum(np.bincount(arcs, minlength=m))))
         incidence = sparse.csr_matrix((np.ones(points.size, dtype=bool), points, indptr),
                                       shape=(m, n))
-        return ColoredCover(space, incidence, [range(0, m, 2), range(1, m, 2)],
-                            Entourage.diagonal(space), require_covering=True,
-                            canonicalize=False)
+        return Cover(space, incidence, [range(0, m, 2), range(1, m, 2)], canonicalize=False)
 
     def lebesgue(k: int) -> float:
         sigma = 2 * math.pi / arc_count(overlap, k)
@@ -164,11 +160,6 @@ def shift_window(depth: int, slack: int = 10):
 def power_decay_deltas(depth: int, c: float = 4.0, power: float = 1.5,
                        slack: int = 10) -> list[float]:
     return [c / (m + 1) ** power for m in range(depth + slack + 1)]
-
-
-def random_tree_space(rng: SplitMix64, n: int) -> Space:
-    edges = [(rng.randint(0, v - 1), v) for v in range(1, n)]
-    return Space.tree(edges)
 
 
 def randomized_grid_cover(rng: SplitMix64, n: int, max_points: int = 400):
@@ -229,9 +220,7 @@ def two_piece_union_fixture(rng: SplitMix64):
     mid = (split + hi) // 2
     b_sets = [list(range(split, mid + 1)), list(range(mid + 1, hi + 1))]
     fam_b = [[0], [1]]
-    ca = ColoredCover(sp, a_sets, fam_a, Entourage.diagonal(sp),
-                      require_covering=False, canonicalize=False)
-    cb = ColoredCover(sp, b_sets, fam_b, Entourage.diagonal(sp),
-                      require_covering=False, canonicalize=False)
+    ca = Cover(sp, a_sets, fam_a, require_covering=False, canonicalize=False)
+    cb = Cover(sp, b_sets, fam_b, require_covering=False, canonicalize=False)
     L = Entourage.radius(sp, 1.0, closed=True).materialize()
     return ca, cb, L

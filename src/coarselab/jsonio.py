@@ -36,7 +36,6 @@ from .covers import Cover
 from .errors import InvalidInputError, ResourceLimitError
 from .spaces import POINT_CAP, Entourage, Space
 from .support import BlockOperator, Decomposition
-from .transforms import ColoredCover
 from .witnesses import SimplexGrid, SimplicialComplex, nearest_corner_labeling
 
 
@@ -81,10 +80,8 @@ def load_cover(doc: dict, space: Space, require_covering: bool = True) -> Cover:
     sets = _index_lists(_field(_object(doc, "cover"), "sets", "cover"), "cover sets")
     families = doc.get("families")
     if families is not None:
-        return ColoredCover(space, sets, _index_lists(families, "cover families"),
-                            Entourage.diagonal(space),
-                            require_covering=require_covering)
-    return Cover(space, sets, require_covering=require_covering)
+        families = _index_lists(families, "cover families")
+    return Cover(space, sets, families, require_covering=require_covering)
 
 
 def dump_cover(cover: Cover) -> dict:

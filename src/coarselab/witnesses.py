@@ -23,7 +23,6 @@ from .errors import (ContractViolationError, InternalCheckError, InvalidInputErr
                      ResourceLimitError)
 from .spaces import (POINT_CAP, RADIUS_TOL, Entourage, EuclideanMetric, GridMetric, Space,
                      TreeMetric, _bool_matrix, _row_indices)
-from .transforms import ColoredCover
 
 FLOAT_TOL = 1e-9
 
@@ -57,8 +56,7 @@ def cube_cover(space: Space, n: int, a: float):
             f"grid step {step} too coarse; need step <= a/(2(n+1)) = {a / (2 * (n + 1))}")
 
     sets, families = _cube_sets(coords, n, a)
-    out = ColoredCover(space, sets, families, Entourage.diagonal(space),
-                       require_covering=True, canonicalize=False)
+    out = Cover(space, sets, families, canonicalize=False)
     return out, certify([
         count_at_most("cube_cover.multiplicity", multiplicity(out), n + 1),
         at_least("cube_cover.lebesgue", lebesgue_number(out), a / (2 * (n + 1)) - step),
@@ -154,8 +152,7 @@ def tree_cover(space: Space, L: float, root: int = 0):
         balls = balls @ step
     families = [np.flatnonzero(parity == p).tolist() for p in (0, 1)]
 
-    out = ColoredCover(space, balls, families, Entourage.diagonal(space),
-                       require_covering=True, canonicalize=False)
+    out = Cover(space, balls, families, canonicalize=False)
     return out, certify([
         count_at_most("tree_cover.multiplicity", multiplicity(out), 2),
         at_most("tree_cover.mesh", mesh(out), 3 * lp + 2 * L),
@@ -332,14 +329,13 @@ def ray_cell_cover(n: int, e: Entourage):
     ends = np.cumsum([0] + [k.size for k in kept]).tolist()
     families = [range(a, b) for a, b in zip(ends, ends[1:])]
 
-    rel_ent = rel.to_entourage(line)
-    out = ColoredCover(prod_space, sparse.vstack([b[k] for b, k in zip(boxes, kept)]),
-                       families, rel_ent, require_covering=False, canonicalize=False)
+    out = Cover(prod_space, sparse.vstack([b[k] for b, k in zip(boxes, kept)]), families,
+                require_covering=False, canonicalize=False)
     missing = out.uncovered_points()
     claims = [holds("ray_cover.covers", not missing, missing[:3] if missing else None)]
     if n >= 1:
-        dw = _first_touching_boxes(bands @ rel_ent.matrix() @ bands.T, fam_bands, kept,
-                                   width, bot)
+        touch = bands @ rel.to_entourage(line).matrix() @ bands.T
+        dw = _first_touching_boxes(touch, fam_bands, kept, width, bot)
         full = bot <= top
         ok = bool(np.all(top[full] <= rel.composed(3 * n + 6).hi[bot[full]]))
         claims += [holds("ray_cover.families_disjoint", dw is None, dw),
@@ -668,13 +664,6 @@ def nearest_corner_labeling(grid: SimplexGrid) -> list[int]:
     """Label each subdivision vertex by its heaviest barycentric coordinate,
     the lowest index on ties."""
     return np.argmax(grid.vertices, axis=1).tolist()
-
-
-def constant_interior_labeling(grid: SimplexGrid, label: int = 0) -> list[int]:
-    """Interior vertices all get one label; face vertices take their lowest
-    admissible corner."""
-    support = grid.vertices > 0
-    return np.where(support.all(axis=1), label, np.argmax(support, axis=1)).tolist()
 
 
 def random_admissible_labeling(grid: SimplexGrid, rng) -> list[int]:

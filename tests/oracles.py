@@ -1639,9 +1639,8 @@ def ray_cell_cover_loop(n, e):
     """ray_cell_cover built member by member, with the set-pair family
     witness and the set-by-set spread test, on the slice-loop reaches."""
     from coarselab.certificates import certify, claim, count_at_most, holds
-    from coarselab.covers import multiplicity
+    from coarselab.covers import Cover, multiplicity
     from coarselab.spaces import GridMetric, Space
-    from coarselab.transforms import ColoredCover
     from coarselab.witnesses import IntervalRelation
 
     if n < 0:
@@ -1704,8 +1703,7 @@ def ray_cell_cover_loop(n, e):
             sets.append(tuple(sorted(members)))
         families.append(fam)
 
-    out = ColoredCover(prod_space, sets, families, rel.to_entourage(line),
-                       require_covering=False, canonicalize=False)
+    out = Cover(prod_space, sets, families, require_covering=False, canonicalize=False)
     missing = out.uncovered_points()
     claims = [holds("ray_cover.covers", not missing, missing[:3] if missing else None)]
     if n >= 1:

@@ -22,7 +22,7 @@ from coarselab.prng import SplitMix64
 from coarselab.spaces import Entourage, Space
 from coarselab.support import (BlockOperator, Decomposition, check_calculus,
                                induce_adjoint, pvm_projection)
-from coarselab.transforms import (ColoredCover, colorize, expand,
+from coarselab.transforms import (colorize, expand,
                                   family_disjoint_witness,
                                   make_product_entourage, merge_union,
                                   product_refine)
@@ -93,8 +93,7 @@ def test_criterion_02_definition_equivalence():
             fams[(i // width) % 2].append(len(sets))
             sets.append(list(range(i, min(i + width, sp.n))))
             i += width
-        colored = ColoredCover(sp, sets, fams, Entourage.diagonal(sp),
-                               require_covering=True, canonicalize=False)
+        colored = Cover(sp, sets, fams, require_covering=True, canonicalize=False)
         L = Entourage.radius(sp, 1.0, closed=True).materialize()
         out, cert = expand(colored, L)
         assert has_appetite(out, L)
@@ -230,7 +229,7 @@ def test_criterion_06_tree_cover():
     runs = 0
     for trial in range(20):
         size = 200 + rng.randint(0, 1800)
-        tree = fixtures.random_tree_space(rng, size)
+        tree = Space.tree([(rng.randint(0, v - 1), v) for v in range(1, size)])
         L = [1.0, 1.5, 2.0, 2.5][trial % 4]
         lp = int(math.floor(2 * L)) + 1
         cov, cert = tree_cover(tree, L)

@@ -19,7 +19,6 @@ from coarselab.covers import Cover, multiplicity
 from coarselab.errors import ContractViolationError, InvalidInputError, ResourceLimitError
 from coarselab.fixtures import arc_count, circle_arc_schedule
 from coarselab.spaces import POINT_CAP, Entourage, Space
-from coarselab.transforms import ColoredCover
 from oracles import (arc_count_loop, arc_cover_loop, band_appetite_failures,
                      band_appetite_failures_keys, band_appetite_scan, band_bookkeeping_loop,
                      check_cc_entourage_loop, corona_dist_loop, distinct_rows_lex,
@@ -242,8 +241,7 @@ class TestArcSchedule:
         space = circle_space(n)
         sets, fams = arc_cover_loop(n, overlap, k)
         try:
-            want = ColoredCover(space, sets, fams, Entourage.diagonal(space),
-                                require_covering=True, canonicalize=False)
+            want = Cover(space, sets, fams, require_covering=True, canonicalize=False)
         except InvalidInputError as err:
             with pytest.raises(InvalidInputError, match=re.escape(str(err))):
                 circle_arc_schedule(space, overlap).cover_at(k)
@@ -336,8 +334,7 @@ def arc_cover_builder(space: Space):
             members = [int(p) for p in np.nonzero(d <= half - 1e-12)[0]]
             fams[j % 2].append(len(sets))
             sets.append(members)
-        return ColoredCover(space, sets, fams, Entourage.diagonal(space),
-                            require_covering=True, canonicalize=False)
+        return Cover(space, sets, fams, require_covering=True, canonicalize=False)
 
     def lebesgue(k: int) -> float:
         # every angle lies within sigma/2 of a center whose arc reaches
@@ -353,8 +350,7 @@ class TestDimCover:
         pt = Space.cloud(np.zeros((1, 2)))
 
         def build(k):
-            return ColoredCover(pt, [[0]], [[0]], Entourage.diagonal(pt),
-                                canonicalize=False)
+            return Cover(pt, [[0]], [[0]], canonicalize=False)
 
         sched = CoronaCoverSchedule(pt, 1, build, lambda k: 1.0)
         depth = 60
@@ -570,8 +566,7 @@ class TestBandSpreads:
         # failed every band bound below it
         pt = Space.from_matrix([[5.0]], validate=False)
         sched = CoronaCoverSchedule(
-            pt, 1, lambda k: ColoredCover(pt, [[0]], [[0]], Entourage.diagonal(pt),
-                                          canonicalize=False), lambda k: 1.0)
+            pt, 1, lambda k: Cover(pt, [[0]], [[0]], canonicalize=False), lambda k: 1.0)
         depth = 20
         levels = Space.line(0, depth + 10, 1.0)
         shift = Entourage.from_pairs(levels, [(i, i + 1) for i in range(depth + 10)])

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
+from coarselab import covers
 from coarselab.covers import (Cover, appetite_witness, cover_entourage, first_container,
                               has_appetite, lebesgue_number, mesh, multiplicity, stats)
 from coarselab.errors import InvalidInputError, ResourceLimitError
 from coarselab.spaces import Entourage, Space
+from coarselab.transforms import _distinct_contents
 from coarselab.witnesses import cube_cover
 import oracles
 from oracles import appetite_witness_loop, first_container_brute
@@ -29,6 +31,11 @@ def brute_multiplicity(cover):
             if common:
                 best = max(best, k)
     return best
+
+
+def first_rows(sets):
+    """Oracle: the index of the first set with each content, in set order."""
+    return [k for k, s in enumerate(sets) if s not in sets[:k]]
 
 
 class TestMultiplicity:
@@ -351,6 +358,8 @@ class TestIncidenceOracle:
                                         if not any(p in s for s in want_sets)]
         assert c.empty_set_indices() == [k for k, s in enumerate(want_sets) if not s]
         assert multiplicity(c) == oracles.multiplicity_loop(want_sets, n)
+        firsts = first_rows(want_sets)
+        assert c.distinct_rows().tolist() == again.distinct_rows().tolist() == firsts
 
     @pytest.mark.parametrize("families", [[[0], [2 ** 70]], [[-2 ** 70, 0], [1]],
                                           [[0, 1], [np.uint64(2 ** 64 - 1)]]])
@@ -372,6 +381,25 @@ class TestIncidenceOracle:
         c = Cover(Space.discrete(10**6), sets, require_covering=False)
         assert c.sets == oracles.cover_tuples(sets, None, 10**6)[0]
         assert multiplicity(c) == oracles.multiplicity_loop(c.sets, 10**6)
+        raw = Cover(c.space, sets, require_covering=False, canonicalize=False)
+        for d in (c, raw):
+            assert d.distinct_rows().tolist() == first_rows(d.sets)
+
+    @pytest.mark.parametrize("canonicalize, ordered_by_constructor", [(True, 1), (False, 0)])
+    def test_rows_are_ordered_once(self, monkeypatch, canonicalize, ordered_by_constructor):
+        calls = []
+        lex_order = covers._lex_order
+        monkeypatch.setattr(covers, "_lex_order", lambda m: calls.append(m) or lex_order(m))
+        sp = Space.line(0, 9, 1.0)
+        c = Cover(sp, [[3, 4, 5], [0, 1, 2, 3], [6, 7, 8, 9], [0, 1, 2, 3]],
+                  canonicalize=canonicalize)
+        assert len(calls) == ordered_by_constructor
+        # 57 pairs counted with the repeat, 41 without: the cap makes
+        # cover_entourage count the distinct rows
+        cover_entourage(c, cap=50)
+        for reader in (multiplicity, mesh, _distinct_contents):
+            reader(c)
+        assert len(calls) == 1
 
     def test_sets_view_is_cached_and_read_only(self):
         c = Cover(Space.line(0, 3, 1.0), [[3, 2], [0, 1, 1]])

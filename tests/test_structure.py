@@ -4,7 +4,8 @@ whether its self-distances are 0 are decided in coarselab.spaces and
 nowhere else, which also computes every distance but a few named blocks,
 a radius relation is assembled into CSR without a COO step or a
 canonicalizing copy, clouds are bucketed by one cell list and walked by
-one ring walk, and no module keeps an import it does not use."""
+one ring walk, every cover is built as a Cover and its rows ordered in
+covers.py, and no module keeps an import it does not use."""
 
 import ast
 import pathlib
@@ -70,6 +71,32 @@ def test_transforms_form_a_cover_spread_only_for_a_witness():
     scopes = {scope[-1] if scope else None for scope, call in _calls(tree)
               if _name(call) == "cover_entourage"}
     assert scopes == {"_strong_relation"}
+
+
+def _imports_transforms(tree: ast.AST) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            if module == "transforms" or any(a.name == "transforms" for a in node.names):
+                return True
+        elif isinstance(node, ast.Import) and any(a.name.endswith(".transforms")
+                                                  for a in node.names):
+            return True
+    return False
+
+
+def test_one_cover_type_ordered_in_one_place():
+    """Every cover is built as a Cover: no module calls the ColoredCover
+    name, and the modules below the transforms do not import them. Rows are
+    put in lexicographic order only by covers.py and corona._distinct."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    calls = [(name, scope, call) for name, tree in trees.items() for scope, call in _calls(tree)]
+    assert [(name, call.lineno) for name, _, call in calls if _name(call) == "ColoredCover"] == []
+    lex = {(name, scope) for name, scope, call in calls
+           if _name(call) == "_lex_order" and name != "covers.py"}
+    assert lex == {("corona.py", ("_distinct",))}
+    assert [name for name in ("witnesses.py", "fixtures.py", "jsonio.py")
+            if _imports_transforms(trees[name])] == []
 
 
 GEOMETRIES = {"matrix", "grid", "cloud", "tree", "hyperbolic_polar", "discrete", "product"}

@@ -17,7 +17,7 @@ from coarselab.spaces import Entourage, Space
 from coarselab.witnesses import (IntervalRelation, _cube_sets, _first_touching_boxes,
                                  _in_simplex_mask, _interval_rows, _kron_power, _snap_to_sample,
                                  _subdivide_to_mesh, SimplexGrid, SimplicialComplex,
-                                 constant_interior_labeling, cube_cover,
+                                 cube_cover,
                                  nearest_corner_labeling, pn_sample,
                                  random_admissible_labeling, ray_cell_cover,
                                  simplex_lower_bound_check, sperner_find,
@@ -417,7 +417,7 @@ class TestSperner:
 
     def test_constant_interior_labeling(self):
         grid = SimplexGrid(self.unit_corners(2), 5)
-        grid.labeling = constant_interior_labeling(grid, 0)
+        grid.labeling = oracles.constant_interior_labeling_loop(grid, 0)
         found = sperner_find(grid)
         assert found["count"] % 2 == 1
 
@@ -491,11 +491,8 @@ class TestSimplexArrayKernels:
         assert grid.points.tobytes() == pts.tobytes()
         assert [grid.support(v) for v in range(len(loop.vertices))] == \
             [loop.support(v) for v in range(len(loop.vertices))]
-        label = data.draw(st.integers(0, n))
         for new, old in (
                 (nearest_corner_labeling(grid), oracles.nearest_corner_labeling_loop(loop)),
-                (constant_interior_labeling(grid, label),
-                 oracles.constant_interior_labeling_loop(loop, label)),
                 (random_admissible_labeling(grid, SplitMix64(seed)),
                  oracles.random_admissible_labeling_loop(loop, SplitMix64(seed)))):
             assert new == [old[v] for v in range(len(old))]
