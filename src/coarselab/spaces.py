@@ -328,9 +328,12 @@ class Metric:
         """For each entry (k, x) of queries, in CSR order, the least d(x, y)
         over the y outside row k of sets (+inf if none), both boolean CSR
         matrices with sorted indices. At x outside row k that counts d(x, x),
-        known where it is 0: there only members are measured."""
+        known where it is 0: there only members are measured. When queries
+        is sets every entry is a member, and none is searched for."""
         keys = _entry_keys(queries)
-        at = _sorted_isin(keys, _entry_keys(sets)) if self.zero_self_distance else slice(None)
+        at = slice(None)
+        if self.zero_self_distance and queries is not sets:
+            at = _sorted_isin(keys, _entry_keys(sets))
         out = np.zeros(keys.size)
         out[at] = self._from_key(self._nearest_outside(*np.divmod(keys[at], self.n), sets))
         return out

@@ -19,9 +19,15 @@ against the relation passed in, not stored with the cover.
 Every step works on incidence matrices (rows are sets, columns points), a
 whole level of sets at a time: intersections are one product of a combos x
 sets indicator with the sets, an erosion one product with the relation,
-fattening one product with it, products of cuts one Kronecker product, and
-the attach step of merge_union one product of an attach matrix with the
-A-sets.
+fattening one product with it, and products of cuts one Kronecker product.
+merge_union certifies on CSR index arrays (indptr, indices) instead, where
+scipy's fixed cost per call would outweigh the work: a forward image
+gathers the relation's rows at each entry, a spread gathers the sets that
+each entry lies in from the cover's family owners, and each (row, point)
+pair is kept once (_pattern); only an image of more than _PAIR_BLOCK pairs
+is one product. Its attach step grows each B-set by the members of its
+A-sets, and it builds a scipy matrix only for the output cover and the
+container test.
 
 No power of L, no cover spread M^T M and no composite relation is formed
 to certify a construction; each hypothesis is an inclusion decided from M
@@ -34,7 +40,8 @@ and L themselves:
   disjointness two sets of a family are R-disjoint exactly when the forward
                image R[U] = {y | (x, y) in R, x in U} misses V; for R a
                chain of L and of the spreads delta = M^T M + I that image is
-               a chain of fattenings, rows @ L and rows + (rows @ M^T) @ M
+               a chain of fattenings by L and of spreads, each row grown by
+               every set that it meets
   spreads      M^T M lies inside N^T N when every row of M lies in a row
                of N, one first_container call; a set that fails it is
                tested pair by pair against the bound's rows at its points
@@ -45,6 +52,7 @@ Only a failing family builds the relation's pairs, for its witness.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -52,8 +60,8 @@ from scipy import sparse
 from .certificates import certify, claim, count_at_most, holds
 from .covers import Cover, appetite_witness, cover_entourage, first_container, multiplicity
 from .errors import ContractViolationError, InvalidInputError, ResourceLimitError
-from .spaces import (PAIR_CAP, Entourage, PointMap, ProductMetric, Space, _bool_matrix,
-                     _row_indices, transport)
+from .spaces import (_PAIR_BLOCK, PAIR_CAP, Entourage, PointMap, ProductMetric, Space,
+                     _bool_matrix, _row_indices, _run_heads, _sorted_isin, transport)
 
 
 class ColoredCover(Cover):
@@ -88,10 +96,10 @@ def family_disjoint_witness(cover: Cover, entourage: Entourage):
     return None
 
 
-def _touching_witness(cover: Cover, images: sparse.csr_matrix, relation):
+def _touching_witness(cover: Cover, images, relation):
     """family_disjoint_witness(cover, R) for the relation R whose forward
-    images of the sets are the rows of images: row k is R[set k] = {y | (x,
-    y) in R for some x in set k}.
+    images of the sets are the rows of images, a CSR matrix or pattern: row
+    k is R[set k] = {y | (x, y) in R for some x in set k}.
 
     A family is R-disjoint exactly when no set's image meets another set of
     the family. Only once a family fails are the pairs of R built, by
@@ -165,36 +173,109 @@ def _appetite_gap(inner: sparse.csr_matrix, entourage: Entourage, times: int):
     return int(np.argmax(reached)) if reached.any() else None
 
 
-def _spread_image(rows: sparse.spmatrix, m: sparse.csr_matrix) -> sparse.csr_matrix:
-    """The forward images of the rows under delta = M^T M + I, the spread of
-    the cover with incidence m and the diagonal: each row grown by every
-    set that it meets."""
-    return (rows + (rows @ m.T) @ m).tocsr()
+class _Rows(NamedTuple):
+    """A rows x points boolean pattern as CSR index arrays, each row's
+    indices distinct (and ascending, from _pattern); read like a CSR matrix
+    (_row_indices)."""
+    indptr: np.ndarray
+    indices: np.ndarray
 
 
-def _spread_inside(sets: sparse.csr_matrix, containers: sparse.spmatrix, bound_image) -> bool:
+# _pattern marks its pairs in a rows x points boolean array when that array
+# has at most this many entries a pair, and sorts their keys otherwise
+_MARK_SHARE = 4
+
+
+def _row_keys(indptr: np.ndarray, n: int) -> np.ndarray:
+    """k * n for each entry of row k of a CSR pattern with this indptr."""
+    return np.repeat(np.arange(indptr.size - 1, dtype=np.int64) * n, np.diff(indptr))
+
+
+def _pattern(keys: np.ndarray, count: int, n: int) -> _Rows:
+    """The count x n pattern holding the pairs with keys row * n + point,
+    each pair once."""
+    if count * n <= _MARK_SHARE * keys.size:
+        mark = np.zeros(count * n, dtype=bool)
+        mark[keys] = True
+        keys = np.flatnonzero(mark)
+    else:
+        keys = np.sort(keys)
+        keys = keys[_run_heads(keys)]
+    return _Rows(np.searchsorted(keys, np.arange(count + 1, dtype=np.int64) * n), keys % n)
+
+
+def _image(rows, m: sparse.csr_matrix) -> _Rows:
+    """The forward images of the rows (a CSR pattern) under the relation
+    with matrix m: row k becomes {y | (x, y) in m for some x in row k}.
+    Past _PAIR_BLOCK gathered pairs scipy's product, in C, is the faster;
+    its rows are left in its own order, which no reader of an image needs."""
+    count, n = rows.indptr.size - 1, m.shape[1]
+    reach = np.diff(m.indptr)[rows.indices]
+    if reach.sum() > _PAIR_BLOCK:
+        out = _csr(rows, m.shape[0]) @ m
+        return _Rows(out.indptr, out.indices)
+    return _pattern(np.repeat(_row_keys(rows.indptr, n), reach) + _row_indices(m, rows.indices),
+                    count, n)
+
+
+def _spread(rows, cover: Cover) -> _Rows:
+    """The forward images of the rows (a CSR pattern) under D = M^T M + I,
+    the spread of the cover plus the diagonal: each row grown by every set
+    that it meets. Every set lies in one family, so the sets a row meets are
+    read from the family owners, one gather over all families."""
+    m, count = cover.incidence(), rows.indptr.size - 1
+    k, n = m.shape
+    own = np.repeat(np.arange(count, dtype=np.int64), np.diff(rows.indptr))
+    met = cover.family_owners()[:, rows.indices]
+    hit = met >= 0
+    links = _pattern(np.broadcast_to(own * k, met.shape)[hit] + met[hit], count, k)
+    gathered = (np.repeat(_row_keys(links.indptr, n), np.diff(m.indptr)[links.indices])
+                + _row_indices(m, links.indices))
+    return _pattern(np.concatenate([own * n + rows.indices, gathered]), count, n)
+
+
+def _stacked(top, bottom) -> _Rows:
+    """The rows of the CSR pattern top followed by those of bottom."""
+    return _Rows(np.concatenate([top.indptr, top.indptr[-1] + bottom.indptr[1:]]),
+                 np.concatenate([top.indices, bottom.indices]))
+
+
+def _csr(rows, n: int) -> sparse.csr_matrix:
+    """The boolean CSR matrix of a CSR pattern over n points, its index
+    arrays cast up front to the dtype scipy would pick for them, which
+    spares it a scan of their contents."""
+    dtype = np.int32 if max(n, rows.indices.size) < 2 ** 31 else np.int64
+    return sparse.csr_matrix((np.ones(rows.indices.size, dtype=bool), rows.indices.astype(dtype),
+                              rows.indptr.astype(dtype)), shape=(rows.indptr.size - 1, n))
+
+
+def _spread_inside(sets: sparse.csr_matrix, containers: sparse.csr_matrix, bound_image) -> bool:
     """Whether W x W lies inside a relation B for every row W of sets, given
     rows N of containers with N^T N inside B.
 
     A set inside some row of N passes: its pairs are pairs of N^T N. Any
     other set W is tested pair by pair: W must lie inside B[x] = {y | (x, y)
-    in B} for every x in W, where bound_image maps unit rows to their
-    forward images under B. Only the points of such sets are imaged.
+    in B} for every x in W, where bound_image maps ascending points to a
+    CSR pattern of their forward images under B. Only the points of such
+    sets are imaged.
     """
     sizes = np.diff(sets.indptr)
     rest = np.flatnonzero((first_container(sets, containers) < 0) & (sizes > 0))
     if not rest.size:
         return True
-    w = sets[rest]
-    points = np.unique(w.indices)
-    reach = bound_image(_bool_matrix(np.arange(points.size), points,
-                                     (points.size, sets.shape[1])))
-    # overlap[i, j] = |B[points[i]] & W_j|; W_j fits in B[x] when it is |W_j|
-    overlap = (sparse.csr_matrix(reach, dtype=np.int32)
-               @ sparse.csr_matrix(w.T, dtype=np.int32)).tocsr()
-    fits = _entries(overlap, overlap.data == sizes[rest][overlap.indices])
-    members = w[:, points].T
-    return bool(np.all(np.asarray(fits.multiply(members).sum(axis=0)).ravel() == sizes[rest]))
+    n = sets.shape[1]
+    members = _row_indices(sets, rest)
+    owner = np.repeat(rest, sizes[rest])
+    points = np.sort(members)
+    points = points[_run_heads(points)]
+    reach = bound_image(points)
+    # W fits in B[x] when |B[x] & W| = |W|, counted per entry (W, x)
+    at = np.searchsorted(points, members)
+    span = np.diff(reach.indptr)[at]
+    found = _sorted_isin(np.repeat(owner, span) * np.int64(n) + _row_indices(reach, at),
+                         owner * np.int64(n) + members)
+    count = np.bincount(np.repeat(np.arange(members.size), span)[found], minlength=members.size)
+    return bool(np.all(count == sizes[owner]))
 
 
 def _require_symmetric_with_diagonal(entourage: Entourage, name: str) -> None:
@@ -218,6 +299,8 @@ def expand(cover: Cover, entourage: Entourage):
     """
     if cover.families is None:
         raise InvalidInputError("expand needs a cover with families")
+    if entourage.space is not cover.space:
+        raise InvalidInputError("entourage must live over the cover's space")
     L = entourage.materialize()
     _require_symmetric_with_diagonal(L, "expansion entourage")
     m, lm = cover.incidence(), L.matrix()
@@ -244,7 +327,9 @@ def _expand_spread_ok(out: sparse.csr_matrix, m: sparse.csr_matrix, lm: sparse.c
     """Whether the spread of the sets out lies inside L ∘ (M^T M) ∘ L^{-1},
     M the input incidence. That bound is N^T N for the fattened input sets
     N = M L^T = M L (L is symmetric), mapping rows forward to rows L M^T M L."""
-    return _spread_inside(out, fattened, lambda rows: ((rows @ lm) @ m.T) @ m @ lm)
+    return _spread_inside(out, fattened, lambda points: (
+        (_bool_matrix(np.arange(points.size), points, (points.size, m.shape[1])) @ lm) @ m.T)
+        @ m @ lm)
 
 
 # ---------------------------------------------------------------------------
@@ -379,24 +464,32 @@ def _refines(fine: Cover, coarse: Cover) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _attach(cover_a: Cover, cover_b: Cover, L: Entourage) -> tuple[sparse.csr_matrix, list]:
+def _attach(cover_a: Cover, cover_b: Cover, L: Entourage,
+            near_b) -> tuple[sparse.csr_matrix, list]:
     """merge_union's sets and families: per family, each B-set grown by the
     A-sets of that family it touches through L, then the A-sets touched by
-    none. Raises ContractViolationError for the first A-set, in order of
-    first contact, that touches two B-sets."""
+    none. near_b is the CSR pattern of the points x with (x, y) in L for
+    some y in each B-set. Raises ContractViolationError for the first
+    A-set, in order of first contact, that touches two B-sets."""
     ma, mb = cover_a.incidence(), cover_b.incidence()
     na, nb = ma.shape[0], mb.shape[0]
-    lrows, lcols = _pair_arrays(L)
-    # L-pairs from an A-set into a B-set of the same family attach that
-    # A-set to the B-set; the hits run family by family, in pair order
-    pa, pb = cover_a.family_owners()[:, lrows], cover_b.family_owners()[:, lcols]
-    hit = (pa >= 0) & (pb >= 0)
-    pa, pb = pa[hit].astype(np.int64), pb[hit]
-    links = np.unique(pa * nb + pb)
+    family = np.zeros(nb, dtype=np.int64)
+    for f, fam in enumerate(cover_b.families):
+        family[list(fam)] = f
+    # the A-set of a B-set's family at each point near it attaches to it
+    b = np.repeat(np.arange(nb, dtype=np.int64), np.diff(near_b.indptr))
+    a = cover_a.family_owners()[family[b], near_b.indices]
+    near = a >= 0
+    links = np.sort(a[near] * np.int64(nb) + b[near])
+    links = links[_run_heads(links)]
     link_a, link_b = links // nb, links % nb
     touches = np.bincount(link_a, minlength=na)
     if np.any(touches > 1):
-        ais, first = np.unique(pa, return_index=True)
+        # first contact: the L-pairs from an A-set into a B-set of the same
+        # family, family by family, in pair order
+        lrows, lcols = _pair_arrays(L)
+        pa, pb = cover_a.family_owners()[:, lrows], cover_b.family_owners()[:, lcols]
+        ais, first = np.unique(pa[(pa >= 0) & (pb >= 0)], return_index=True)
         twice = touches[ais] > 1
         ai = int(ais[twice][np.argmin(first[twice])])
         bis = link_b[link_a == ai].tolist()
@@ -404,10 +497,11 @@ def _attach(cover_a: Cover, cover_b: Cover, L: Entourage) -> tuple[sparse.csr_ma
             f"A-set {ai} meets two B-sets {bis} in one family; "
             "the disjointness preconditions have drifted",
             witness=(ai, bis))
-    # the (B sets x A sets) attach matrix grows each B-set by its A-sets
-    attach = sparse.csr_matrix((np.ones(links.size, dtype=bool), (link_b, link_a)),
-                               shape=(nb, na))
-    grown = sparse.vstack([attach @ ma + mb, ma], format="csr")
+    # each B-set grown by the members of its A-sets, followed by the A-sets
+    n = ma.shape[1]
+    grown = _stacked(_pattern(np.concatenate([
+        _row_keys(mb.indptr, n) + mb.indices,
+        np.repeat(link_b * n, np.diff(ma.indptr)[link_a]) + _row_indices(ma, link_a)]), nb, n), ma)
     picks = [np.empty(0, dtype=np.int64)]
     families: list[list[int]] = []
     count = 0
@@ -417,7 +511,10 @@ def _attach(cover_a: Cover, cover_b: Cover, L: Entourage) -> tuple[sparse.csr_ma
         families.append(list(range(count, count + pick.size)))
         count += pick.size
         picks.append(pick)
-    return grown[np.concatenate(picks)], families
+    pick = np.concatenate(picks)
+    indptr = np.zeros(pick.size + 1, dtype=np.int64)
+    np.cumsum(np.diff(grown.indptr)[pick], out=indptr[1:])
+    return _csr(_Rows(indptr, _row_indices(grown, pick)), n), families
 
 
 def merge_union(cover_a: Cover, cover_b: Cover, entourage: Entourage):
@@ -433,6 +530,8 @@ def merge_union(cover_a: Cover, cover_b: Cover, entourage: Entourage):
     """
     if cover_a.space is not cover_b.space:
         raise InvalidInputError("merge_union needs covers over one ambient space")
+    if entourage.space is not cover_a.space:
+        raise InvalidInputError("entourage must live over the cover's space")
     if cover_a.families is None or cover_b.families is None:
         raise InvalidInputError("union needs covers with families")
     if len(cover_a.families) != len(cover_b.families):
@@ -444,18 +543,20 @@ def merge_union(cover_a: Cover, cover_b: Cover, entourage: Entourage):
     if wa is not None:
         raise ContractViolationError(
             f"cover A families not L-disjoint: {wa}", witness=wa)
-    ma, mb, lm = cover_a.incidence(), cover_b.incidence(), L.matrix()
+    lm = L.matrix()
     # the B-sets fattened by L, then by D_A: the containers of the spread
     # bound, and, fattened by L, D_A and L again, the images of the B-sets
     # under L∘D_A∘L∘D_A∘L
-    grown_b = _spread_image(mb @ lm, ma)
-    wb = _touching_witness(cover_b, _spread_image(grown_b @ lm, ma) @ lm,
+    near_b = _image(cover_b.incidence(), lm)
+    grown_b = _spread(near_b, cover_a)
+    wb = _touching_witness(cover_b, _image(_spread(_image(grown_b, lm), cover_a), lm),
                            lambda: _strong_relation(cover_a, L))
     if wb is not None:
         raise ContractViolationError(
             f"cover B families not (L∘D_A∘L∘D_A∘L)-disjoint: {wb}", witness=wb)
 
-    sets, families = _attach(cover_a, cover_b, L)
+    # L is symmetric, so the points L-related to a B-set are its L-image
+    sets, families = _attach(cover_a, cover_b, L, near_b)
     out = Cover(cover_a.space, sets, families, require_covering=False, canonicalize=False)
     covered = np.zeros(cover_a.space.n, dtype=bool)
     covered[out.incidence().indices] = True
@@ -468,7 +569,7 @@ def merge_union(cover_a: Cover, cover_b: Cover, entourage: Entourage):
         claim("merge_union.family_count", max(len(cover_a.families), len(cover_b.families)),
               len(out.families), len(out.families) == len(cover_a.families)),
         holds("merge_union.spread_bound",
-              _merge_spread_ok(ma, mb, out.incidence(), lm, grown_b)),
+              _merge_spread_ok(cover_a, cover_b, out.incidence(), lm, grown_b)),
     ])
 
 
@@ -479,21 +580,24 @@ def _strong_relation(cover_a: Cover, L: Entourage) -> Entourage:
     return L.compose(delta_a).compose(L).compose(delta_a).compose(L)
 
 
-def _merge_spread_ok(ma: sparse.csr_matrix, mb: sparse.csr_matrix, out: sparse.csr_matrix,
-                     lm: sparse.csr_matrix, grown_b: sparse.csr_matrix) -> bool:
+def _merge_spread_ok(cover_a: Cover, cover_b: Cover, out: sparse.csr_matrix,
+                     lm: sparse.csr_matrix, grown_b: _Rows) -> bool:
     """Whether the spread of the sets out lies inside the bound
     D_A∘L∘D_B∘L∘D_A ∪ M_A^T M_A, D the spreads plus the diagonal.
 
     grown_b, the B-sets fattened by L and then by D_A, holds N_V x N_V
     inside D_A∘L∘D_B∘L∘D_A for each B-set V (two points of V are D_B
     related), and the A-sets hold M_A^T M_A; so these rows stacked on M_A
-    are the containers.
+    are the containers. L and the D hold the diagonal, so the chain
+    D_A∘L∘D_B∘L∘D_A already holds M_A^T M_A and is the whole bound.
     """
-    def bound_image(rows):
-        chain = _spread_image(_spread_image(_spread_image(rows, ma) @ lm, mb) @ lm, ma)
-        return chain + (rows @ ma.T) @ ma
+    ma = cover_a.incidence()
 
-    return _spread_inside(out, sparse.vstack([grown_b, ma], format="csr"), bound_image)
+    def bound_image(points):
+        unit = _Rows(np.arange(points.size + 1), points)
+        return _spread(_image(_spread(_image(_spread(unit, cover_a), lm), cover_b), lm), cover_a)
+
+    return _spread_inside(out, _csr(_stacked(grown_b, ma), ma.shape[1]), bound_image)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,13 @@ from each set's members, the ray spread power from interval reaches and a
 decomposition's bound one block at a time. The materialized forms they
 replaced, Entourage.power among them, are kept here.
 
+merge_union certifies on CSR index arrays: a spread gathers the sets that
+each row meets from the cover's family owners, a forward image gathers the
+relation's rows, and each (row, point) pair is kept once. The chain of
+sparse products it replaced, rows + (rows @ M^T) @ M for each spread, the
+attach matrix product, and the vstacked containers with their overlap
+product, is kept here as merge_union_products.
+
 The Sperner lower bound and the hyperbolic lift's checks work in arrays: a
 simplex grid is built from the monotone lattice points and the permutation
 step tables at once, its vertices are snapped to the sample together, the
@@ -1578,6 +1585,130 @@ def merge_spread_ok(cover_a, cover_b, out, L):
     delta_b = cover_entourage(cover_b).union(Entourage.diagonal(cover_b.space))
     bound = delta_a.compose(L).compose(delta_b).compose(L).compose(delta_a)
     return cover_entourage(out).is_subset_of(bound.union(cover_entourage(cover_a)))
+
+
+def _spread_image_products(rows, m):
+    """The forward images of the rows under M^T M + I: rows + (rows @ M^T) @ M."""
+    return (rows + (rows @ m.T) @ m).tocsr()
+
+
+def _spread_inside_products(sets, containers, bound_image):
+    """Whether W x W lies inside B for every row W of sets, given containers
+    N with N^T N inside B and bound_image mapping unit rows to their B-rows:
+    a set in no container is tested by one overlap product."""
+    from coarselab.covers import first_container
+    from coarselab.spaces import _bool_matrix
+
+    sizes = np.diff(sets.indptr)
+    rest = np.flatnonzero((first_container(sets, containers) < 0) & (sizes > 0))
+    if not rest.size:
+        return True
+    w = sets[rest]
+    points = np.unique(w.indices)
+    reach = bound_image(_bool_matrix(np.arange(points.size), points,
+                                     (points.size, sets.shape[1])))
+    overlap = (sparse.csr_matrix(reach, dtype=np.int32)
+               @ sparse.csr_matrix(w.T, dtype=np.int32)).tocsr()
+    keep = overlap.data == sizes[rest][overlap.indices]
+    fits = sparse.csr_matrix((keep, overlap.indices, overlap.indptr), shape=overlap.shape)
+    fits.eliminate_zeros()
+    members = w[:, points].T
+    return bool(np.all(np.asarray(fits.multiply(members).sum(axis=0)).ravel() == sizes[rest]))
+
+
+def merge_attach_products(cover_a, cover_b, L):
+    """merge_union's sets and families through an attach matrix: the grown
+    B-sets are attach @ M_A + M_B, stacked on M_A and picked family by
+    family."""
+    from coarselab.transforms import _pair_arrays
+
+    ma, mb = cover_a.incidence(), cover_b.incidence()
+    na, nb = ma.shape[0], mb.shape[0]
+    lrows, lcols = _pair_arrays(L)
+    pa, pb = cover_a.family_owners()[:, lrows], cover_b.family_owners()[:, lcols]
+    hit = (pa >= 0) & (pb >= 0)
+    pa, pb = pa[hit].astype(np.int64), pb[hit]
+    links = np.unique(pa * nb + pb)
+    link_a, link_b = links // nb, links % nb
+    touches = np.bincount(link_a, minlength=na)
+    if np.any(touches > 1):
+        ais, first = np.unique(pa, return_index=True)
+        twice = touches[ais] > 1
+        ai = int(ais[twice][np.argmin(first[twice])])
+        bis = link_b[link_a == ai].tolist()
+        raise ContractViolationError(
+            f"A-set {ai} meets two B-sets {bis} in one family; "
+            "the disjointness preconditions have drifted",
+            witness=(ai, bis))
+    attach = sparse.csr_matrix((np.ones(links.size, dtype=bool), (link_b, link_a)),
+                               shape=(nb, na))
+    grown = sparse.vstack([attach @ ma + mb, ma], format="csr")
+    picks = [np.empty(0, dtype=np.int64)]
+    families, count = [], 0
+    for fam_a, fam_b in zip(cover_a.families, cover_b.families):
+        fa = np.asarray(fam_a, dtype=np.int64)
+        pick = np.concatenate([np.asarray(fam_b, dtype=np.int64), nb + fa[touches[fa] == 0]])
+        families.append(list(range(count, count + pick.size)))
+        count += pick.size
+        picks.append(pick)
+    return grown[np.concatenate(picks)], families
+
+
+def merge_spread_products(ma, mb, out, lm, grown_b):
+    """merge_union's spread bound by sparse products: containers grown_b
+    stacked on M_A, and the bound's rows D_A L D_B L D_A + M_A^T M_A."""
+    def bound_image(rows):
+        chain = _spread_image_products(
+            _spread_image_products(_spread_image_products(rows, ma) @ lm, mb) @ lm, ma)
+        return chain + (rows @ ma.T) @ ma
+
+    return _spread_inside_products(out, sparse.vstack([grown_b, ma], format="csr"), bound_image)
+
+
+def merge_union_products(cover_a, cover_b, entourage):
+    """merge_union with every certificate step a sparse product: the spreads
+    rows + (rows @ M^T) @ M, the B-images a chain of them and of products
+    with L, the attach step attach @ M_A + M_B and the spread bound's
+    containers a vstack. Same checks, results and witnesses."""
+    from coarselab.certificates import certify, claim, holds
+    from coarselab.covers import Cover
+    from coarselab.transforms import (_require_symmetric_with_diagonal, _strong_relation,
+                                      _touching_witness, family_disjoint_witness)
+
+    if cover_a.space is not cover_b.space:
+        raise InvalidInputError("merge_union needs covers over one ambient space")
+    if entourage.space is not cover_a.space:
+        raise InvalidInputError("entourage must live over the cover's space")
+    if cover_a.families is None or cover_b.families is None:
+        raise InvalidInputError("union needs covers with families")
+    if len(cover_a.families) != len(cover_b.families):
+        raise InvalidInputError("family counts differ; pad the smaller cover first")
+    L = entourage.materialize()
+    _require_symmetric_with_diagonal(L, "merge entourage")
+    wa = family_disjoint_witness(cover_a, L)
+    if wa is not None:
+        raise ContractViolationError(f"cover A families not L-disjoint: {wa}", witness=wa)
+    ma, mb, lm = cover_a.incidence(), cover_b.incidence(), L.matrix()
+    grown_b = _spread_image_products(mb @ lm, ma)
+    wb = _touching_witness(cover_b, _spread_image_products(grown_b @ lm, ma) @ lm,
+                           lambda: _strong_relation(cover_a, L))
+    if wb is not None:
+        raise ContractViolationError(
+            f"cover B families not (L∘D_A∘L∘D_A∘L)-disjoint: {wb}", witness=wb)
+    sets, families = merge_attach_products(cover_a, cover_b, L)
+    out = Cover(cover_a.space, sets, families, require_covering=False, canonicalize=False)
+    covered = np.zeros(cover_a.space.n, dtype=bool)
+    covered[out.incidence().indices] = True
+    cov_ok = bool(covered[ma.indices].all() and covered[mb.indices].all())
+    dw = family_disjoint_witness(out, L)
+    return out, certify([
+        holds("merge_union.covers_union", cov_ok),
+        holds("merge_union.families_L_disjoint", dw is None, dw),
+        claim("merge_union.family_count", max(len(cover_a.families), len(cover_b.families)),
+              len(out.families), len(out.families) == len(cover_a.families)),
+        holds("merge_union.spread_bound",
+              merge_spread_products(ma, mb, out.incidence(), lm, grown_b)),
+    ])
 
 
 def block_pair_outside(space, blocks, bound):

@@ -570,6 +570,31 @@ class TestOutsideDistances:
                 assert mesh(cover) == oracles.mesh_rows(cover)
 
 
+    @given(data=st.data(), sp=geometries())
+    @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_sets_as_their_own_queries(self, data, sp):
+        """With queries the very matrix of sets every entry is a member: no
+        member search, and the same distances as through a copy."""
+        n = sp.n
+        point = st.integers(0, max(n - 1, 0))
+        sets = data.draw(st.lists(st.lists(point, max_size=2 * n if n else 0), max_size=4))
+        m = Cover(sp, sets + [[], list(range(n))], require_covering=False,
+                  canonicalize=False).incidence()
+        searches = []
+        isin = spaces._sorted_isin
+
+        def counted(keys, table):
+            searches.append(keys.size)
+            return isin(keys, table)
+
+        with mock.patch.object(spaces, "_sorted_isin", counted):
+            got = sp.backend.outside_distances(m, m)
+            assert not searches
+            want = sp.backend.outside_distances(m, m.copy())
+        assert np.array_equal(got, want, equal_nan=True)
+
+
 @st.composite
 def clouds(draw):
     """Clouds of 0-400 points in 1-5 or 9 dimensions, far from the origin

@@ -14,9 +14,9 @@ from coarselab.errors import ContractViolationError, InvalidInputError
 from coarselab.prng import SplitMix64
 from coarselab.spaces import Entourage, Space
 from coarselab import transforms
-from coarselab.transforms import (_appetite_gap, _attach, _distinct_contents,
-                                  _expand_spread_ok, _intersections, _merge_spread_ok,
-                                  _shared_point_tuples, _shield_and_trim, _spread_image,
+from coarselab.transforms import (_appetite_gap, _attach, _csr, _distinct_contents,
+                                  _expand_spread_ok, _image, _intersections, _merge_spread_ok,
+                                  _shared_point_tuples, _shield_and_trim, _spread,
                                   _touching_witness, colorize, expand,
                                   family_disjoint_witness, interior,
                                   make_product_entourage, merge_union,
@@ -91,6 +91,14 @@ class TestExpand:
         sp = Space.line(0, 3999, 1.0)
         with pytest.raises(InvalidInputError, match="^expand needs a cover with families$"):
             expand(Cover(sp, [range(4000)]), Entourage.radius(sp, 1e9))
+
+    @pytest.mark.parametrize("points", [10, 12])
+    def test_entourage_over_another_space_is_rejected(self, points):
+        sp = Space.line(0, 9, 1.0)
+        c = Cover(sp, [[i] for i in range(10)], [list(range(10))])
+        other = Space.line(0, points - 1, 1.0)
+        with pytest.raises(InvalidInputError, match="^entourage must live over the cover's space"):
+            expand(c, Entourage.radius(other, 1.0, closed=True))
 
 
 class TestColorize:
@@ -196,6 +204,17 @@ class TestMergeUnion:
             merge_union(ca, cb, L)
         with pytest.raises(InvalidInputError, match="^union needs covers with families$"):
             merge_union(ca, Cover(sp, b_sets, require_covering=False), L)
+
+    @pytest.mark.parametrize("points", [101, 150])
+    def test_entourage_over_another_space_is_rejected(self, points):
+        # a relation over a larger space, and a foreign one over a space of
+        # the same size
+        sp, a_sets, fam_a, b_sets, fam_b = self.make_pieces()
+        ca = Cover(sp, a_sets, fam_a, require_covering=False, canonicalize=False)
+        cb = Cover(sp, b_sets, fam_b, require_covering=False, canonicalize=False)
+        other = Space.line(0, points - 1, 1.0)
+        with pytest.raises(InvalidInputError, match="^entourage must live over the cover's space"):
+            merge_union(ca, cb, Entourage.radius(other, 1.0, closed=True).materialize())
 
     def test_the_old_cover_name_ignores_its_relation(self):
         # certbench's merge items build their inputs in this shape
@@ -378,12 +397,13 @@ class TestSparseConstructionsOracle:
                                    max_size=2 * n))
         rel = Entourage.from_pairs(sp, pairs)
         want = oracles.merge_attach_loop(ca.sets, ca.families, cb.sets, cb.families, n, rel)
+        near_b = _image(cb.incidence(), rel.inverse().matrix())
         if want[0] == "conflict":
             with pytest.raises(ContractViolationError) as err:
-                _attach(ca, cb, rel)
+                _attach(ca, cb, rel, near_b)
             assert err.value.witness == want[1]
             return
-        sets, families = _attach(ca, cb, rel)
+        sets, families = _attach(ca, cb, rel, near_b)
         assert (rows_of(sets), families) == want
 
 
@@ -406,6 +426,12 @@ def small_sets_cover(data, sp, n):
     sets = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=2, max_size=4),
                               max_size=6))
     return Cover(sp, sets, require_covering=False)
+
+
+def singleton_families(cover):
+    """The cover with each set a family of its own."""
+    return Cover(cover.space, cover.incidence(), [[k] for k in range(len(cover.sets))],
+                 require_covering=False, canonicalize=False)
 
 
 def fallback_runs(out, containers):
@@ -534,13 +560,14 @@ class TestCertificatesAgainstMaterializedForms:
     @settings(max_examples=300, deadline=None)
     def test_merge_spread_test_matches_the_pairs(self, data, n):
         sp = Space.discrete(n)
-        ca, cb = small_sets_cover(data, sp, n), small_sets_cover(data, sp, n)
+        # each set a family of its own, so that the spreads read family owners
+        ca, cb = (singleton_families(small_sets_cover(data, sp, n)) for _ in range(2))
         L = symmetric_relation(data, sp, n)
-        ma, mb, lm = ca.incidence(), cb.incidence(), L.matrix()
-        grown_b = _spread_image(mb @ lm, ma)
+        ma, lm = ca.incidence(), L.matrix()
+        grown_b = _csr(_spread(_image(cb.incidence(), lm), ca), n)
         out = Cover(sp, data.draw(queries_over(rows_of(grown_b) + rows_of(ma), n)),
                     require_covering=False)
-        got = _merge_spread_ok(ma, mb, out.incidence(), lm, grown_b)
+        got = _merge_spread_ok(ca, cb, out.incidence(), lm, grown_b)
         assert got == oracles.merge_spread_ok(ca, cb, out, L)
         event(f"spread {got}, set by set "
               f"{fallback_runs(out, sparse.vstack([grown_b, ma], format='csr'))}")
@@ -599,6 +626,135 @@ class TestSpreadCertificatesCanFail:
         with pytest.raises(ContractViolationError) as err:
             merge_union(ca, cb, L)
         assert err.value.witness["id"] == "merge_union.spread_bound"
+
+
+@st.composite
+def line_pieces(draw):
+    """Colored covers of two overlapping pieces of an integer line, with
+    the same family count, and a closed radius relation: A by blocks of one
+    width, B by a few wider blocks, the families of each taken in turn. One
+    family, a small width or a large radius often breaks a precondition."""
+    hi = draw(st.integers(4, 60))
+    split = draw(st.integers(1, hi - 1))
+    count = draw(st.integers(1, 3))
+    width = draw(st.integers(1, 6))
+    sp = Space.line(0, hi, 1.0)
+    a_sets = [range(lo, min(lo + width, split + 1)) for lo in range(0, split + 1, width)]
+    cuts = sorted(draw(st.sets(st.integers(split + 1, hi), max_size=4)))
+    bounds = [max(0, split - draw(st.integers(0, 3)))] + cuts + [hi + 1]
+    b_sets = [range(lo, top) for lo, top in zip(bounds, bounds[1:]) if lo < top]
+    ca, cb = (Cover(sp, sets, [list(range(f, len(sets), count)) for f in range(count)],
+                    require_covering=False, canonicalize=False) for sets in (a_sets, b_sets))
+    radius = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    return ca, cb, Entourage.radius(sp, radius, closed=True).materialize()
+
+
+def union_outcome(fn):
+    """The sets, families and guarantees of a union, or its error's type,
+    message and witness."""
+    try:
+        out, cert = fn()
+    except (ContractViolationError, InvalidInputError) as err:
+        return ("error", type(err), str(err), getattr(err, "witness", None))
+    return ("ok", out.sets, out.families, cert)
+
+
+class TestMergeUnionAgainstProducts:
+    """merge_union on CSR index arrays against the chain of sparse products
+    it replaced (oracles.merge_union_products): the same sets, families,
+    guarantees, errors and witnesses."""
+
+    @given(data=st.data(), n=st.integers(1, 10), scipy_images=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_discrete_covers(self, data, n, scipy_images):
+        sp = Space.discrete(n)
+        ca = colored_cover(data, sp, n)
+        cb = colored_cover(data, sp, n, len(ca.families))
+        L = symmetric_relation(data, sp, n)
+        want = union_outcome(lambda: oracles.merge_union_products(ca, cb, L))
+        # a pair block of 0 sends every image through scipy's product
+        with pytest.MonkeyPatch.context() as mp:
+            if scipy_images:
+                mp.setattr(transforms, "_PAIR_BLOCK", 0)
+            assert union_outcome(lambda: merge_union(ca, cb, L)) == want
+        event(f"{want[0]}" + (f": {want[2].split(' ')[1]}" if want[0] == "error" else ""))
+
+    @given(pieces=line_pieces())
+    @settings(max_examples=300, deadline=None)
+    def test_line_pieces(self, pieces):
+        ca, cb, L = pieces
+        want = union_outcome(lambda: oracles.merge_union_products(ca, cb, L))
+        assert union_outcome(lambda: merge_union(ca, cb, L)) == want
+        event(f"{want[0]}" + (f": {want[2].split(' ')[1]}" if want[0] == "error" else ""))
+
+    @given(data=st.data(), n=st.integers(1, 10))
+    @settings(max_examples=300, deadline=None)
+    def test_attach_step_and_its_witness(self, data, n):
+        # without the preconditions checked first, an A-set may touch two
+        # B-sets of its family
+        sp = Space.discrete(n)
+        ca = colored_cover(data, sp, n)
+        cb = colored_cover(data, sp, n, len(ca.families))
+        L = symmetric_relation(data, sp, n)
+        near_b = _image(cb.incidence(), L.matrix())
+        got = outcome(lambda: _attach(ca, cb, L, near_b))
+        want = outcome(lambda: oracles.merge_attach_products(ca, cb, L))
+        if want[0] == "ok":
+            assert got[0] == "ok" and got[1][1] == want[1][1]
+            assert rows_of(got[1][0]) == rows_of(want[1][0])
+        else:
+            assert got == want
+        event("an A-set touches two B-sets" if want[0] == "error" else "attached")
+
+    @given(data=st.data(), n=st.integers(2, 10))
+    @settings(max_examples=300, deadline=None)
+    def test_spread_bound_set_by_set(self, data, n):
+        sp = Space.discrete(n)
+        ca = colored_cover(data, sp, n)
+        cb = colored_cover(data, sp, n, len(ca.families))
+        L = symmetric_relation(data, sp, n)
+        ma, mb, lm = ca.incidence(), cb.incidence(), L.matrix()
+        grown_b = _csr(_spread(_image(mb, lm), ca), n)
+        out = Cover(sp, data.draw(queries_over(rows_of(grown_b) + rows_of(ma), n)),
+                    require_covering=False).incidence()
+        got = _merge_spread_ok(ca, cb, out, lm, grown_b)
+        assert got == oracles.merge_spread_products(ma, mb, out, lm, grown_b)
+        rest = fallback_runs(Cover(sp, out, require_covering=False),
+                             sparse.vstack([grown_b, ma], format="csr"))
+        event(f"spread {got}, set by set {rest}")
+
+    def test_spread_bound_with_a_set_in_no_container(self):
+        # {0, 1, 2} lies in no A-set and B is empty, yet each of its pairs
+        # shares an A-set; 3 shares a set with no one
+        sp = Space.discrete(4)
+        ca = Cover(sp, [[0, 1], [1, 2], [0, 2], [3]], [[0, 3], [1], [2]])
+        cb = Cover(sp, [[], [], []], [[0], [1], [2]], require_covering=False)
+        lm = Entourage.diagonal(sp).matrix()
+        grown_b = _csr(_spread(_image(cb.incidence(), lm), ca), 4)
+        for sets, want in (([[0, 1, 2]], True), ([[0, 1, 2], [1, 3]], False)):
+            out = Cover(sp, sets, require_covering=False).incidence()
+            assert _merge_spread_ok(ca, cb, out, lm, grown_b) is want
+            assert oracles.merge_spread_products(ca.incidence(), cb.incidence(), out, lm,
+                                                 grown_b) is want
+
+    def test_a_small_union_makes_at_most_one_sparse_product(self, monkeypatch):
+        # the certificate works on index arrays; only first_container, in
+        # the spread bound, multiplies
+        sp, a_sets, fam_a, b_sets, fam_b = TestMergeUnion().make_pieces(split=54, hi=107)
+        assert sp.n == 108
+        ca = Cover(sp, a_sets, fam_a, require_covering=False, canonicalize=False)
+        cb = Cover(sp, b_sets, fam_b, require_covering=False, canonicalize=False)
+        L = Entourage.radius(sp, 1.0, closed=True).materialize()
+        products = []
+        for cls in (sparse.csr_matrix, sparse.csc_matrix):
+            def counted(self, other, matmul=cls.__matmul__):
+                products.append(type(self).__name__)
+                return matmul(self, other)
+
+            monkeypatch.setattr(cls, "__matmul__", counted)
+        out, cert = merge_union(ca, cb, L)
+        assert all(g["pass"] for g in cert) and len(out.families) == 2
+        assert len(products) <= 1, products
 
 
 @st.composite
