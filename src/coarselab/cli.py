@@ -22,7 +22,7 @@ import numpy as np
 
 from . import fixtures
 from .certificates import at_most, claim, count_at_most
-from .corona import check_cc_entourage, corona_dim_cover, roundtrip_bounds
+from .corona import check_band_points, check_cc_entourage, corona_dim_cover, roundtrip_bounds
 from .covers import Cover, stats
 from .errors import (ContractViolationError, InternalCheckError,
                      InvalidInputError, ResourceLimitError)
@@ -329,6 +329,7 @@ def _handle_corona(args, inputs: dict):
     if args.op == "dimcover":
         sched, c, power = load_schedule(_load(args.schedule, inputs))
         depth = args.depth
+        check_band_points(sched, depth)
         deltas = fixtures.power_decay_deltas(depth, c, power)
         window = fixtures.shift_window(depth)
         out, cert, info = corona_dim_cover(sched, deltas, window, depth)
@@ -382,6 +383,7 @@ def _pipeline(args):
         space = fixtures.circle_space(720)
         sched = fixtures.circle_arc_schedule(space)
         depth = args.depth
+        check_band_points(sched, depth)
         cov, cert, info = corona_dim_cover(
             sched, fixtures.power_decay_deltas(depth),
             fixtures.shift_window(depth), depth)

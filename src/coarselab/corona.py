@@ -23,12 +23,14 @@ Everything here runs as array code. A model computes one interior x corona
 distance block; the filtration levels, the widths, f (an argmin over the
 rows of the nested X_n) and g (an argmin along each row) all read it. The
 tail widths are one running maximum over the related pairs. The band cover
-is assembled as sparse incidence rows, each a schedule set crossed with a
-level band. Its appetite is certified from the margins of its level slices
-(see _band_appetite_failures), without materializing a ball, and its
-spreads by the corona backend's mesh; the margins and pair distances come
-from the backend too, so no block is computed here but the model's own and
-those of roundtrip_bounds.
+is assembled as sparse incidence rows, each a schedule set crossed with
+level bands, of which a layer has at most n(n+1), n the number of families.
+Its appetite is certified from one margin per segment, a run of a set's
+entries at one corona point over levels that share one slice (see
+_band_appetite_failures), without materializing a ball, and its spreads by
+the corona backend's mesh of the set projections; the margins and pair
+distances come from the backend too, so no block is computed here but the
+model's own and those of roundtrip_bounds.
 """
 
 from __future__ import annotations
@@ -40,9 +42,9 @@ import numpy as np
 from scipy import sparse
 
 from .certificates import certify, count_at_most, holds
-from .covers import Cover, _lex_order, first_container, multiplicity
+from .covers import Cover, first_container, multiplicity
 from .errors import ContractViolationError, InvalidInputError, ResourceLimitError
-from .spaces import PAIR_CAP, Entourage, Space, _run_heads
+from .spaces import PAIR_CAP, POINT_CAP, Entourage, Space
 
 TOL = 1e-9
 
@@ -281,6 +283,16 @@ class CoronaCoverSchedule:
         return val
 
 
+def check_band_points(schedule: CoronaCoverSchedule, depth: int) -> None:
+    """Reject a band cover whose carrier corona x {0..depth} would pass
+    POINT_CAP, before anything of that size is built."""
+    points = schedule.corona_space.n * (depth + 1)
+    if points > POINT_CAP:
+        raise ResourceLimitError(
+            f"a band cover of {schedule.corona_space.n} corona points to depth {depth} has "
+            f"{points} product points, beyond the {POINT_CAP} point cap")
+
+
 def corona_dim_cover(schedule: CoronaCoverSchedule, deltas: Sequence[float],
                      window: Entourage, depth: int):
     """Build the multiplicity-(n+1) cover of corona x {0..depth}.
@@ -295,6 +307,7 @@ def corona_dim_cover(schedule: CoronaCoverSchedule, deltas: Sequence[float],
     levels = window.space
     if depth < 0:
         raise InvalidInputError("depth must be non-negative")
+    check_band_points(schedule, depth)
     if levels.n < depth + 1:
         raise InvalidInputError("window relation sample is smaller than the depth")
     deltas = [float(d) for d in deltas]
@@ -306,16 +319,13 @@ def corona_dim_cover(schedule: CoronaCoverSchedule, deltas: Sequence[float],
     n_fam = schedule.n_families
     corona = schedule.corona_space
 
-    # prefix sets K_k of the level sample driven by the window relation
+    # prefix sets K_k of the level sample driven by the window relation: a
+    # level is in K_k once k reaches its hop count, and never if the walk
+    # did not reach it
     win = window.union(Entourage.diagonal(levels))
     win = win.union(win.inverse())
     hops, walked = _window_hops(win.matrix(), depth)
-
-    def K(k):
-        """The masks of K_k for an int or an array of ints k: empty for
-        k < 0, the last prefix past the end of the walk."""
-        k = np.asarray(k)
-        return (hops <= np.clip(k, 0, walked)[..., None]) & (k >= 0)[..., None]
+    reach = np.where(hops <= walked, hops, np.iinfo(np.int64).max)
 
     # scale chain l_i: strictly increasing, with 1/l_{i+1} below the
     # Lebesgue bound of the cover at scale l_i
@@ -331,10 +341,11 @@ def corona_dim_cover(schedule: CoronaCoverSchedule, deltas: Sequence[float],
     # ball at a level in the band (k_{i-1}, k_i] fit inside a set of the
     # scale-l_i cover
     cuts: dict[int, int] = {-2: 0}
+    level_deltas = np.asarray(deltas[:depth + 1])
     i = -1
     while True:
         ensure_scale(i + 2)
-        thr = _k_threshold(deltas, scales[i + 2], K, depth)
+        thr = _k_threshold(level_deltas, scales[i + 2], reach, depth)
         if thr is None:
             raise ContractViolationError(
                 f"delta sequence never drops below 1/{scales[i + 2]} inside "
@@ -342,7 +353,7 @@ def corona_dim_cover(schedule: CoronaCoverSchedule, deltas: Sequence[float],
                 witness=scales[i + 2])
         k_i = max(cuts[i - 1] + 2 * n_fam + 1, thr)
         cuts[i] = k_i
-        if i >= 1 and K(k_i)[depth:].any():
+        if i >= 1 and k_i >= reach[depth:].min():
             break
         i += 1
     i_max = max(cuts)
@@ -367,30 +378,47 @@ def corona_dim_cover(schedule: CoronaCoverSchedule, deltas: Sequence[float],
     # the product carrier: corona position * (depth+1) + level
     width = depth + 1
     product = Space.discrete(corona.n * width)
+    reach = reach[:width]
 
     def bands(k):
-        return K(k)[..., :width]
+        """The masks of K_k over the levels 0..depth, for an int or an array
+        of ints k."""
+        return reach <= np.asarray(k)[..., None]
 
     # layer 0 is one set: every base set V crossed with K(k_0 + 2*color(V))
-    base = _band_rows(covers[0].incidence(), bands(cuts[0] + 2 * colors[0]), width)
-    pieces = [sparse.csr_matrix(base.sum(axis=0) > 0)]
+    base = covers[0].incidence()
+    cols, _ = _band_rows(base, np.repeat(colors[0] - 1, np.diff(base.indptr)),
+                         bands(cuts[0] + 2 * np.arange(1, n_fam + 1)))
+    union = np.unique(cols)
+    rows, sizes = [union], [np.array([union.size])]
 
     # layer i >= 1 contributes, per fine set V of scale l_i: V crossed with
     # the band (k_{i-1} + 2*color(parent) - 2, k_i], plus the union of the
-    # next-scale sets refining V crossed with (k_i, k_i + 2*color(V)]
+    # next-scale sets refining V crossed with (k_i, k_i + 2*color(V)]. Those
+    # sets lie inside V, and the second band starts where the first ends,
+    # so a point of V in one of them takes the levels (k_{i-1} +
+    # 2*color(parent) - 2, k_i + 2*color(V)]: one of n * (n + 1) bands
+    shift = 2 * np.arange(n_fam + 1)
     for j in range(1, i_max + 1):
         fine, finer = covers[j].incidence(), covers[j + 1].incidence()
         k_lo, k_hi = cuts[j - 1], cuts[j]
-        a_band = bands(k_hi) & ~bands(k_lo + 2 * colors[j - 1][phi[j]] - 2)
-        b_band = bands(k_hi + 2 * colors[j]) & ~bands(k_hi)
-        refine = sparse.csr_matrix(
-            (np.ones(finer.shape[0], dtype=bool), (phi[j + 1], np.arange(finer.shape[0]))),
-            shape=(fine.shape[0], finer.shape[0]))
-        piece = _band_rows(fine, a_band, width) + _band_rows(refine @ finer, b_band, width)
-        pieces.append(piece[np.diff(piece.indptr) > 0])
+        owner = np.repeat(np.arange(fine.shape[0]), np.diff(fine.indptr))
+        keys = owner * corona.n + fine.indices
+        refined = np.zeros(keys.size, dtype=bool)
+        refined[np.searchsorted(keys, np.repeat(phi[j + 1], np.diff(finer.indptr)) * corona.n
+                                + finer.indices)] = True
+        band = ((colors[j - 1][phi[j]][owner] - 1) * (n_fam + 1)
+                + np.where(refined, colors[j][owner], 0))
+        masks = bands(k_hi + shift)[None] & ~bands(k_lo + shift[:-1])[:, None]
+        cols, count = _band_rows(fine, band, masks.reshape(-1, width))
+        rows.append(cols)
+        sizes.append(count[count > 0])
 
-    out = Cover(product, sparse.vstack(pieces, format="csr"), require_covering=False,
-                canonicalize=False)
+    sizes = np.concatenate(sizes)
+    out = Cover(product, sparse.csr_matrix(
+        (np.ones(int(sizes.sum()), dtype=bool), np.concatenate(rows),
+         np.concatenate(([0], np.cumsum(sizes)))), shape=(sizes.size, product.n)),
+        require_covering=False, canonicalize=False)
     missing = out.uncovered_points()
     mult = multiplicity(out)
     appetite_fail = _band_appetite_witness(out, schedule, deltas, win, width, depth)
@@ -450,31 +478,42 @@ def _colors(cover: Cover) -> np.ndarray:
     return color
 
 
-def _band_rows(sets: sparse.csr_matrix, bands: np.ndarray, width: int) -> sparse.csr_matrix:
-    """Row r: the corona points of row r of sets crossed with the levels
-    where row r of bands holds, as product points c * width + m, ascending."""
-    k, n = sets.shape
-    band_row, band_level = np.nonzero(bands)
-    per_row = np.bincount(band_row, minlength=k)
-    row = np.repeat(np.arange(k), np.diff(sets.indptr))
-    reps = per_row[row]
-    # entry e's levels start at band_level[cumsum(per_row)[row] - per_row[row]]
+def _band_rows(sets: sparse.csr_matrix, band: np.ndarray,
+               masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, count): each entry e = (r, c) of sets crossed with the levels
+    m of row band[e] of masks, as product points c * width + m (width the
+    masks' columns), in entry order and ascending levels, so ascending
+    within each row of sets; and how many each row of sets holds. Their
+    total is checked against PAIR_CAP before they are laid out."""
+    width = masks.shape[1]
+    per = masks.sum(axis=1)
+    reps = per[band]
+    total = int(reps.sum())
+    if total > PAIR_CAP:
+        raise ResourceLimitError(
+            f"the level bands hold {total} product entries, beyond the {PAIR_CAP} pair cap")
+    level = np.nonzero(masks)[1]
+    # entry e's levels start at level[cumsum(per)[band[e]] - per[band[e]]]
     # and its output at cumsum(reps)[e] - reps[e]
-    start = np.repeat(np.cumsum(per_row)[row] - np.cumsum(reps), reps)
+    start = np.repeat(np.cumsum(per)[band] - per[band] - np.cumsum(reps) + reps, reps)
     cols = np.repeat(sets.indices.astype(np.int64) * width, reps)
-    cols += band_level[start + np.arange(cols.size)]
-    indptr = np.concatenate(([0], np.cumsum(np.diff(sets.indptr) * per_row)))
-    return sparse.csr_matrix((np.ones(cols.size, dtype=bool), cols, indptr),
-                             shape=(k, n * width))
+    cols += level[start + np.arange(total)]
+    return cols, np.diff(np.concatenate(([0], np.cumsum(reps)))[sets.indptr])
 
 
-def _k_threshold(deltas, scale, K, depth) -> Optional[int]:
-    """Smallest k such that every level outside K(k-2) has delta below
-    1/scale; None when no such k exists inside the window."""
-    small = np.asarray(deltas[:depth + 1]) < 1.0 / scale - TOL
-    ks = np.arange(1, depth + 5)
-    ok = np.all(small | K(ks - 2)[:, :depth + 1], axis=1)
-    return int(ks[np.argmax(ok)]) if ok.any() else None
+def _k_threshold(deltas: np.ndarray, scale: int, reach: np.ndarray, depth: int) -> Optional[int]:
+    """Smallest k in 1..depth+4 such that every level m <= depth outside
+    K(k-2) has delta_m below 1/scale; None when no such k exists.
+
+    Level m is in K(k-2) when k - 2 >= reach[m]. So k is 1 when every delta
+    is below, and otherwise max(2, H + 2), H the largest reach of a level
+    whose delta is not; there is no k when that level is never reached (its
+    reach the int64 maximum) or H + 2 > depth + 4."""
+    wide = reach[:depth + 1][~(deltas < 1.0 / scale - TOL)]
+    if not wide.size:
+        return 1
+    k = max(2, int(wide.max()) + 2)
+    return k if k <= depth + 4 else None
 
 
 def _band_appetite_witness(cover: Cover, schedule: CoronaCoverSchedule,
@@ -501,80 +540,109 @@ def _band_appetite_failures(cover: Cover, schedule: CoronaCoverSchedule,
     it (its column of the incidence matrix, at most the multiplicity many)
     passes at every partner.
 
-    out comes from the corona backend's outside_distances, once for each
-    distinct (slice, point) pair looked up, the slices deduplicated first.
-    The keys of an entry's partner slots mostly repeat those of the entry
-    before it (the same set and point at the next level), so only the
-    first key of each run of equal keys is sorted and looked up, and its
-    margin is spread back over the run. On a 244-point band of the
-    corona-band benchmark that is 7,100 runs of 80,226 keys, holding 2,105
-    distinct pairs.
+    A set's entries at one corona point are adjacent in its row, in
+    ascending level. A segment is a maximal run of them over consecutive
+    levels at which the set's slice stays the same; the slice changes only
+    where some point's run of levels starts or ends. Every entry of a
+    segment has the segment's margin out(x, S_b), so the margins are one
+    outside_distances call whose queries are the slices themselves, one
+    member per segment, and no member is searched for. An entry whose
+    partners all lie in its segment passes exactly when that margin is at
+    least the largest cut of its level. Only an entry with a partner
+    outside its segment looks that partner up: the margin of the segment
+    holding x at level b or, where S_b lacks x, out(x, S_b) from one more
+    call, whose queries hold no member, made only where it can decide a
+    point. On a 244-point band of the corona-band benchmark, 26,742
+    entries form 1,672 segments, and 2,640 entries look partners up, of
+    which 1,624 fall outside their slices; none of those can decide a
+    point, so the band makes the one call.
     """
     corona = schedule.corona_space
     nc = corona.n
     m = cover.incidence()
-    owner = np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr))
-    x, level = np.divmod(m.indices.astype(np.int64), width)
-    # row r * width + b of slices holds the slice of set r at level b
-    slices = sparse.csr_matrix((np.ones(m.nnz, dtype=bool), (owner * width + level, x)),
-                               shape=(m.shape[0] * width, nc))
-    slice_id, members = _distinct(slices)
+    k, cols = m.shape
+    owner = np.repeat(np.arange(k, dtype=np.int64), np.diff(m.indptr))
+    key = owner * cols + m.indices
+    level = m.indices % width
+    # an entry starts a run of levels unless it follows its set's entry at
+    # the same point and the level before
+    start = np.ones(key.size, dtype=bool)
+    start[1:] = (np.diff(key) != 1) | (level[1:] == 0)
+    end = np.ones(key.size, dtype=bool)
+    end[:-1] = start[1:]
+    # row r * width + b is the slice of set r at level b; it differs from
+    # the row before at level 0, where a run starts and past where one ends
+    row = owner * width + level
+    change = np.zeros(k * width + 1, dtype=bool)
+    change[::width] = True
+    change[row[start]] = True
+    change[row[end] + 1] = True
+    heads = np.flatnonzero(start | change[row])
+    size = np.diff(heads, append=key.size)
+    # the slices that start at a change, each a row holding its segments'
+    # points (in entry order within a slice, so in point order)
+    starts = np.flatnonzero(change[:-1])
+    slice_of = np.searchsorted(starts, row[heads])
+    order = np.argsort(slice_of, kind="stable")
+    slices = sparse.csr_matrix(
+        (np.ones(heads.size, dtype=bool), m.indices[heads][order] // width,
+         np.concatenate(([0], np.cumsum(np.bincount(slice_of, minlength=starts.size))))),
+        shape=(starts.size, nc))
+    margin = np.empty(heads.size)
+    margin[order] = corona.backend.outside_distances(slices, slices)
 
-    # the window partners b <= depth of every level, padded with slots
-    # that always pass (cut -inf)
-    near = sparse.csr_matrix(win.matrix().T)[:depth + 1, :depth + 1]
-    near.sort_indices()
-    count = np.diff(near.indptr)
-    slots = int(count.max(initial=0))
-    partner = np.zeros((depth + 1, slots), dtype=np.int64)
-    cut = np.full((depth + 1, slots), -np.inf)
-    filled = np.arange(slots) < count[:, None]
-    partner[filled] = near.indices
-    top = np.maximum(np.arange(depth + 1)[:, None], partner)
+    # the window partners b <= depth of every level m <= depth, with cuts
+    near = win.matrix().tocsc()
+    span = near.indptr[:depth + 2]
+    plevel = np.repeat(np.arange(depth + 1), np.diff(span))
+    partner = near.indices[:span[-1]].astype(np.int64)
+    kept = partner <= depth
+    plevel, partner = plevel[kept], partner[kept]
+    top = np.maximum(plevel, partner)
     deltas = np.asarray(deltas, dtype=float)
-    cut[filled] = np.where(top >= 1, deltas[top - 1], np.inf)[filled] - TOL
+    cut = np.where(top >= 1, deltas[top - 1], np.inf) - TOL
+    # per level: its partner count, lowest and highest partner, largest cut
+    count = np.bincount(plevel, minlength=width)
+    lowest, highest, largest = np.full(width, width), np.full(width, -1), np.full(width, -np.inf)
+    np.minimum.at(lowest, plevel, partner)
+    np.maximum.at(highest, plevel, partner)
+    np.maximum.at(largest, plevel, cut)
 
-    checked = level <= depth
-    owner, x, level = owner[checked], x[checked], level[checked]
-    # the (slice, point) key of each entry at each partner slot, slot by slot
-    keys = np.concatenate([np.empty(0, dtype=np.int64)] + [
-        slice_id[owner * width + partner[level, t]] * nc + x for t in range(slots)])
-    head = _run_heads(keys)
-    firsts = keys[head]
-    pairs = np.sort(firsts)
-    pairs = pairs[_run_heads(pairs)]
-    queries = sparse.csr_matrix((np.ones(pairs.size, dtype=bool), np.divmod(pairs, nc)),
-                                shape=members.shape)
-    margins = corona.backend.outside_distances(queries, members)
-    margin = margins[np.searchsorted(pairs, firsts)][np.cumsum(head) - 1]
-    ok = np.all((margin >= cut[level].T.ravel()).reshape(slots, owner.size), axis=0)
+    # an entry whose partners all lie in its segment passes on its margin;
+    # the others look the entry of each partner up by its key
+    own = np.repeat(margin, size)
+    seg_lo = np.repeat(level[heads], size)
+    inside = (seg_lo <= lowest[level]) & (highest[level] < seg_lo + np.repeat(size, size))
+    ok = own >= largest[level]
+    out = np.flatnonzero(~inside)
+    per = count[level[out]]
+    begin = np.cumsum(per) - per
+    e = np.repeat(out, per)
+    slot = np.arange(e.size) + np.repeat(np.cumsum(count)[level[out]] - per - begin, per)
+    b = partner[slot]
+    want = key[e] + (b - level[e])
+    j = np.minimum(np.searchsorted(key, want), key.size - 1)
+    held = key[j] == want
+    good = held & (own[j] >= cut[slot])
+    ok[out] = np.logical_and.reduceat(good, begin)
     passed = np.zeros(nc * width, dtype=bool)
-    passed[(x * width + level)[ok]] = True
+    passed[m.indices[ok]] = True
+    # where S_b lacks x, out(x, S_b) counts d(x, x) and is the backend's to
+    # give: it is asked only for entries whose other partners pass and whose
+    # point has not passed through another set
+    retry = out[np.logical_and.reduceat(good | ~held, begin)]
+    retry = retry[~passed[m.indices[retry]]]
+    wanted = np.zeros(key.size, dtype=bool)
+    wanted[retry] = True
+    ask = np.flatnonzero(~held & wanted[e])
+    if ask.size:
+        at = np.searchsorted(starts, owner[e[ask]] * width + b[ask], side="right") - 1
+        pairs, back = np.unique(at * nc + m.indices[e[ask]] // width, return_inverse=True)
+        queries = sparse.csr_matrix((np.ones(pairs.size, dtype=bool), np.divmod(pairs, nc)),
+                                    shape=slices.shape)
+        good[ask] = corona.backend.outside_distances(queries, slices)[back] >= cut[slot[ask]]
+        passed[m.indices[out[np.logical_and.reduceat(good, begin)]]] = True
     return ~passed & (np.arange(nc * width) % width <= depth)
-
-
-def _distinct(m: sparse.csr_matrix) -> tuple[np.ndarray, sparse.csr_matrix]:
-    """(ids, rows): the distinct rows of m in lexicographic order, and for
-    each row of m the index of its copy among them.
-
-    A row equal to the row before it takes that row's id. One comparison
-    of each entry with the entry at its place in the row before finds
-    these runs, and only their first rows are ordered by _lex_order: a
-    band's slices run along the levels of a set, so 709 of the 21,450
-    slice rows of a 244-point band of the corona-band benchmark.
-    """
-    sizes = np.diff(m.indptr)
-    head = _run_heads(sizes)
-    row = np.repeat(np.arange(m.shape[0]), sizes)
-    # in a row as long as the row before, entry e faces entry e - size there
-    # (in row 0 or a row of another length the comparison is moot)
-    faced = np.arange(m.nnz) - sizes[row]
-    head[row[m.indices != m.indices[faced]]] = True
-    heads = np.flatnonzero(head)
-    order, repeat = _lex_order(m[heads])
-    ids = np.empty(heads.size, dtype=np.int64)
-    ids[order] = np.cumsum(~repeat) - 1
-    return ids[np.cumsum(head) - 1], m[heads[order[~repeat]]]
 
 
 def _band_bookkeeping(cover: Cover, schedule: CoronaCoverSchedule, scales,
@@ -588,17 +656,23 @@ def _band_bookkeeping(cover: Cover, schedule: CoronaCoverSchedule, scales,
     which tends to the declared floor.
 
     A spread is the diameter of a set's corona projection, as the backend's
-    mesh counts it (0 for fewer than two points). The sets sharing a bound
-    are checked by one mesh of their distinct projections: the largest
-    spread is within the bound exactly when every spread is.
+    mesh counts it (0 for fewer than two points). A set's entries at one
+    corona point are adjacent in its row and ascend in level, so the first
+    of each such group gives the projection and the last the top levels.
+    The sets sharing a bound are checked by one mesh of their projections:
+    the largest spread is within the bound exactly when every spread is.
     """
     corona = schedule.corona_space
     m = cover.incidence()
     k = m.shape[0]
     owner = np.repeat(np.arange(k), np.diff(m.indptr))
     point, level = np.divmod(m.indices.astype(np.int64), width)
-    proj_id, distinct = _distinct(sparse.csr_matrix(
-        (np.ones(m.nnz, dtype=bool), (owner, point)), shape=(k, corona.n)))
+    new = np.ones(m.nnz + 1, dtype=bool)
+    new[1:-1] = (np.diff(owner) != 0) | (np.diff(point) != 0)
+    first, last = np.flatnonzero(new[:-1]), np.flatnonzero(new[1:])
+    projections = sparse.csr_matrix(
+        (np.ones(first.size, dtype=bool), point[first], np.searchsorted(first, m.indptr)),
+        shape=(k, corona.n))
     diameter = corona.diameter()
     head = max(1.0, diameter)
 
@@ -608,10 +682,10 @@ def _band_bookkeeping(cover: Cover, schedule: CoronaCoverSchedule, scales,
         layer[bands(cuts[i])] = i
     d_m = np.where(layer <= 1, head, 1.0 / np.array(scales)[np.maximum(layer - 2, 0)])
     top = np.full(k, -1)
-    np.maximum.at(top, owner, level)
+    np.maximum.at(top, owner[last], level[last])
     bound = d_m[top]
     # no projection spreads wider than the corona, so a bound of at least
     # its diameter (the head's, at least) holds without a mesh
-    proj_ok = not any(corona.backend.mesh(distinct, np.unique(proj_id[bound == b])) > b + TOL
+    proj_ok = not any(corona.backend.mesh(projections, np.flatnonzero(bound == b)) > b + TOL
                       for b in np.unique(bound).tolist() if not b >= diameter)
     return d_m.tolist(), proj_ok

@@ -30,11 +30,13 @@ every level again, is kept here.
 The corona module works in arrays: a compactification model reads one
 interior x corona distance block, the arc covers of a circle test only
 each arc's window of points, with the arc count found by bisection, and
-the band appetite is decided from set margins, looked up once per run of
-equal keys over slices deduplicated a run at a time. The point-by-point
+the band appetite is decided from one margin per segment, a set's run of
+entries at one point over levels sharing one slice. The point-by-point
 appetite scan, the per-key margin lookup over slices ordered all at once,
-the arc-by-arc cover with its step-by-2 arc count, roundtrip_bounds with
-its distance rows, candidate minima and list.index lookups, and the
+the lookup once per run of equal keys over slices deduplicated a run at a
+time, the band thresholds read from a mask of every prefix set, the
+arc-by-arc cover with its step-by-2 arc count, roundtrip_bounds with its
+distance rows, candidate minima and list.index lookups, and the
 pair-by-pair tail widths of check_cc_entourage are kept here.
 
 Every distance to the outside of a set, for the Lebesgue number and for
@@ -114,7 +116,7 @@ from scipy import sparse
 
 from coarselab.errors import ContractViolationError, InvalidInputError, ResourceLimitError
 from coarselab.jsonio import _integer
-from coarselab.spaces import PAIR_CAP, RADIUS_TOL
+from coarselab.spaces import PAIR_CAP, RADIUS_TOL, _run_heads
 
 TOL = 1e-9
 
@@ -259,6 +261,80 @@ def band_appetite_failures_keys(cover, schedule, deltas, win, width: int, depth:
     return ~passed & (np.arange(nc * width) % width <= depth)
 
 
+def distinct_rows_runs(m):
+    """(ids, rows) as distinct_rows_lex gives them, with only the first row
+    of each run of equal rows ordered: a row equal to the row before it,
+    found by comparing each entry with the entry at its place in the row
+    before, takes that row's id."""
+    from coarselab.covers import _lex_order
+
+    sizes = np.diff(m.indptr)
+    head = _run_heads(sizes)
+    row = np.repeat(np.arange(m.shape[0]), sizes)
+    # in a row as long as the row before, entry e faces entry e - size there
+    # (in row 0 or a row of another length the comparison is moot)
+    faced = np.arange(m.nnz) - sizes[row]
+    head[row[m.indices != m.indices[faced]]] = True
+    heads = np.flatnonzero(head)
+    order, repeat = _lex_order(m[heads])
+    ids = np.empty(heads.size, dtype=np.int64)
+    ids[order] = np.cumsum(~repeat) - 1
+    return ids[np.cumsum(head) - 1], m[heads[order[~repeat]]]
+
+
+def band_appetite_failures_runs(cover, schedule, deltas, win, width: int, depth: int):
+    """The band appetite failures from set margins, the (slice, point) key
+    of every entry and partner slot formed, and only the first key of each
+    run of equal keys sorted and looked up, its margin spread back over the
+    run; the slices deduplicated by distinct_rows_runs."""
+    corona = schedule.corona_space
+    nc = corona.n
+    m = cover.incidence()
+    owner = np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr))
+    x, level = np.divmod(m.indices.astype(np.int64), width)
+    slices = sparse.csr_matrix((np.ones(m.nnz, dtype=bool), (owner * width + level, x)),
+                               shape=(m.shape[0] * width, nc))
+    slice_id, members = distinct_rows_runs(slices)
+    near = sparse.csr_matrix(win.matrix().T)[:depth + 1, :depth + 1]
+    near.sort_indices()
+    count = np.diff(near.indptr)
+    slots = int(count.max(initial=0))
+    partner = np.zeros((depth + 1, slots), dtype=np.int64)
+    cut = np.full((depth + 1, slots), -np.inf)
+    filled = np.arange(slots) < count[:, None]
+    partner[filled] = near.indices
+    top = np.maximum(np.arange(depth + 1)[:, None], partner)
+    deltas = np.asarray(deltas, dtype=float)
+    cut[filled] = np.where(top >= 1, deltas[top - 1], np.inf)[filled] - TOL
+    checked = level <= depth
+    owner, x, level = owner[checked], x[checked], level[checked]
+    keys = np.concatenate([np.empty(0, dtype=np.int64)] + [
+        slice_id[owner * width + partner[level, t]] * nc + x for t in range(slots)])
+    head = _run_heads(keys)
+    firsts = keys[head]
+    pairs = np.sort(firsts)
+    pairs = pairs[_run_heads(pairs)]
+    queries = sparse.csr_matrix((np.ones(pairs.size, dtype=bool), np.divmod(pairs, nc)),
+                                shape=members.shape)
+    margins = corona.backend.outside_distances(queries, members)
+    margin = margins[np.searchsorted(pairs, firsts)][np.cumsum(head) - 1]
+    ok = np.all((margin >= cut[level].T.ravel()).reshape(slots, owner.size), axis=0)
+    passed = np.zeros(nc * width, dtype=bool)
+    passed[(x * width + level)[ok]] = True
+    return ~passed & (np.arange(nc * width) % width <= depth)
+
+
+def k_threshold_masks(deltas, scale, K, depth):
+    """The band threshold of corona_dim_cover from the masks of K(k - 2)
+    for every k in 1..depth+4 at once: the smallest k such that every
+    level outside K(k - 2) has delta below 1/scale, or None. K(k) masks
+    the levels for an int or an array of ints k."""
+    small = np.asarray(deltas[:depth + 1]) < 1.0 / scale - TOL
+    ks = np.arange(1, depth + 5)
+    ok = np.all(small | K(ks - 2)[:, :depth + 1], axis=1)
+    return int(ks[np.argmax(ok)]) if ok.any() else None
+
+
 def window_prefixes_loop(step, depth):
     """The prefix sets K_0, K_1, ... of corona_dim_cover as boolean masks
     over the levels, one sparse mat-vec step @ reach per level until the
@@ -286,8 +362,6 @@ def band_bookkeeping_loop(cover, schedule, scales, cuts, bands, width: int):
     the spread of each distinct projection from member_distances, a member's
     own distance counted, and the whole corona as one more projection whose
     spread is the head value."""
-    from coarselab.corona import _distinct
-
     corona = schedule.corona_space
     m = cover.incidence()
     k = m.shape[0]
@@ -296,7 +370,7 @@ def band_bookkeeping_loop(cover, schedule, scales, cuts, bands, width: int):
     projections = sparse.vstack([
         sparse.csr_matrix((np.ones(m.nnz, dtype=bool), (owner, point)), shape=(k, corona.n)),
         sparse.csr_matrix(np.ones((1, corona.n), dtype=bool))], format="csr")
-    proj_id, distinct = _distinct(projections)
+    proj_id, distinct = distinct_rows_runs(projections)
     reach = np.empty(distinct.nnz)
     for part, d, inside in member_distances(corona, distinct, distinct):
         d[~inside] = -np.inf

@@ -238,6 +238,46 @@ class TestPipelines:
         assert "lower_bound.certificate" in text
 
 
+class TestDeepBands:
+    """Band covers of a 12-point circle at large depths, where a threshold
+    mask over every prefix set, band masks over every set of the finest
+    scales, or the delta list itself once ran out of memory or time: each
+    gives one JSON report and a documented exit code."""
+
+    def report(self, tmp_json, capsys, depth):
+        schedule = tmp_json("s.json", {"kind": "circle_arcs", "points": 12})
+        code = cli.main(["corona", "dimcover", "--schedule", schedule, "--depth", str(depth)])
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        return code, json.loads(lines[0])
+
+    def test_depth_10000_certifies(self, tmp_json, capsys):
+        code, report = self.report(tmp_json, capsys, 10 ** 4)
+        assert code == EXIT_OK and all(g["pass"] for g in report["guarantees"])
+
+    def test_depth_100000_needs_more_arcs_than_the_cap(self, tmp_json, capsys):
+        code, report = self.report(tmp_json, capsys, 10 ** 5)
+        assert code == EXIT_INVALID and report["error"]["kind"] == "resource-limit"
+        assert "more than 10000000 arcs" in report["error"]["message"]
+
+    def test_product_points_are_capped_before_the_deltas(self, tmp_json, capsys):
+        # 12 x (10^11 + 1) product points: nothing of that size is built
+        tracemalloc.start()
+        try:
+            code, report = self.report(tmp_json, capsys, 10 ** 11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_INVALID and report["error"]["kind"] == "resource-limit"
+        assert "1200000000012 product points" in report["error"]["message"]
+        assert peak < 2 ** 20
+
+    def test_pipeline_depth_is_capped_before_the_deltas(self):
+        code, report = run(["pipeline", "corona-full", "--seed", "0", "--depth", str(10 ** 11)])
+        assert code == EXIT_INVALID and report["error"]["kind"] == "resource-limit"
+        assert "72000000000720 product points" in report["error"]["message"]
+
+
 LINE4 = {"kind": "grid", "dim": 1, "min": [0], "max": [3], "step": 1.0}
 
 

@@ -12,18 +12,19 @@ from hypothesis import strategies as st
 from coarselab import corona as corona_module
 from coarselab import fixtures
 from coarselab.corona import (TOL, CompactificationModel, CoronaCoverSchedule,
-                              _band_appetite_failures, _band_appetite_witness, _window_hops,
-                              check_cc_entourage, corona_dim_cover, map_f, map_g,
+                              _band_appetite_failures, _band_appetite_witness, _k_threshold,
+                              _window_hops, check_cc_entourage, corona_dim_cover, map_f, map_g,
                               roundtrip_bounds)
 from coarselab.covers import Cover, multiplicity
 from coarselab.errors import ContractViolationError, InvalidInputError, ResourceLimitError
 from coarselab.fixtures import arc_count, circle_arc_schedule
 from coarselab.spaces import POINT_CAP, Entourage, Space
 from oracles import (arc_count_loop, arc_cover_loop, band_appetite_failures,
-                     band_appetite_failures_keys, band_appetite_scan, band_bookkeeping_loop,
-                     check_cc_entourage_loop, corona_dist_loop, distinct_rows_lex,
-                     filtration_index_loop, filtration_set_loop, map_f_loop, map_g_loop,
-                     roundtrip_bounds_loop, slice_margins_loop, widths_loop,
+                     band_appetite_failures_keys, band_appetite_failures_runs,
+                     band_appetite_scan, band_bookkeeping_loop, check_cc_entourage_loop,
+                     corona_dist_loop, distinct_rows_lex, distinct_rows_runs,
+                     filtration_index_loop, filtration_set_loop, k_threshold_masks, map_f_loop,
+                     map_g_loop, roundtrip_bounds_loop, slice_margins_loop, widths_loop,
                      window_prefixes_loop)
 
 
@@ -384,6 +385,28 @@ class TestDimCover:
         assert walked == len(want) - 1
         assert np.array_equal(hops[None, :] <= np.arange(walked + 1)[:, None], want)
 
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_threshold_matches_the_prefix_masks(self, data):
+        # hop counts up to the walk's length, and n at levels never reached
+        n = data.draw(st.integers(1, 30))
+        depth = data.draw(st.integers(0, n - 1))
+        walked = data.draw(st.integers(0, n - 1))
+        hops = np.array(data.draw(st.lists(st.sampled_from(list(range(walked + 1)) + [n]),
+                                           min_size=n, max_size=n)))
+        values = st.sampled_from([0.0, TOL / 2, 0.1, 0.25, 0.5, 1.0, 3.0])
+        deltas = sorted(data.draw(st.lists(values, min_size=depth + 1, max_size=depth + 1)),
+                        reverse=True)
+        scale = data.draw(st.integers(1, 12))
+
+        def K(k):
+            k = np.asarray(k)
+            return (hops <= np.clip(k, 0, walked)[..., None]) & (k >= 0)[..., None]
+
+        reach = np.where(hops <= walked, hops, np.iinfo(np.int64).max)
+        assert (_k_threshold(np.asarray(deltas), scale, reach, depth)
+                == k_threshold_masks(deltas, scale, K, depth))
+
     def test_circle_corona_depth_200(self):
         space = circle_space(720)
         build, leb = arc_cover_builder(space)
@@ -467,6 +490,57 @@ class TestBandAppetite:
         assert _band_appetite_witness(cover, *args) == band_appetite_scan(cover, *args)
 
 
+def segments_loop(cover, width):
+    """The segments of a band cover, counted set by set: an entry (x, b)
+    of a set starts one unless the set holds (x, b - 1) and its slices at
+    b - 1 and b are equal."""
+    count = 0
+    for s in cover.sets:
+        held = set(s)
+        slices = [frozenset(p // width for p in s if p % width == b) for b in range(width)]
+        count += sum(1 for p in s if not (p % width and p - 1 in held
+                                          and slices[p % width - 1] == slices[p % width]))
+    return count
+
+
+class TestBandSegments:
+    @given(band=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_deep_bands_match_the_references(self, band):
+        cover, args = band.draw(deep_bands())
+        got = _band_appetite_failures(cover, *args)
+        assert np.array_equal(got, band_appetite_failures_keys(cover, *args))
+        assert np.array_equal(got, band_appetite_failures_runs(cover, *args))
+        width = args[3]
+        assert ([divmod(int(p), width) for p in np.flatnonzero(got)]
+                == list(band_appetite_failures(cover, *args)))
+        assert _band_appetite_witness(cover, *args) == band_appetite_scan(cover, *args)
+
+    def test_one_margin_per_segment(self):
+        """The margins are one outside_distances call whose queries are the
+        sets it measures, one member per segment; a point looked up outside
+        its slice takes one more call, which queries no member, and a
+        certified band has none that could decide a point."""
+        cov, args = small_band()
+        backend = args[0].corona_space.backend
+        real, calls = backend.outside_distances, []
+
+        def record(queries, sets):
+            calls.append((queries is sets, queries.nnz, queries.multiply(sets).nnz))
+            return real(queries, sets)
+
+        with mock.patch.object(backend, "outside_distances", record):
+            assert not _band_appetite_failures(cov, *args).any()
+        segments = segments_loop(cov, args[3])
+        assert calls == [(True, segments, segments)]
+        sets = [s[1:] if k == 0 else s for k, s in enumerate(cov.sets)]
+        broken = Cover(cov.space, sets, require_covering=False, canonicalize=False)
+        calls.clear()
+        with mock.patch.object(backend, "outside_distances", record):
+            assert _band_appetite_failures(broken, *args).any()
+        assert calls[0][0] and [(same, members) for same, _, members in calls[1:]] == [(False, 0)]
+
+
 @st.composite
 def csr_with_runs(draw):
     """Boolean CSR matrices whose rows are drawn from a few distinct rows,
@@ -487,7 +561,7 @@ class TestDistinctRows:
     @given(m=csr_with_runs())
     @settings(max_examples=300, deadline=None)
     def test_runs_match_the_full_lex_order(self, m):
-        ids, rows = corona_module._distinct(m)
+        ids, rows = distinct_rows_runs(m)
         want_ids, want_rows = distinct_rows_lex(m)
         assert np.array_equal(ids, want_ids)
         assert np.array_equal(rows.indptr, want_rows.indptr)
@@ -601,4 +675,36 @@ def random_bands(draw):
     sets = [[p for p in range(n) if owner[p] == k] for k in range(4)]
     sets += draw(st.lists(st.lists(st.integers(0, n - 1), max_size=n), max_size=3))
     cover = Cover(Space.discrete(n), sets, require_covering=False, canonicalize=False)
+    return cover, (CoronaCoverSchedule(corona, 1, None, None), deltas, win, width, depth)
+
+
+@st.composite
+def deep_bands(draw):
+    """Band-like covers of small corona x level products to depth 40: each
+    set a union of a few products of a corona set with a level interval,
+    as the band cover's sets are, so that segments span many levels and
+    window partners fall on both sides of their ends. Clouds with duplicate
+    points or distance matrices with a nonzero diagonal; the shift window
+    with random extra pairs; non-increasing deltas; some points dropped."""
+    corona = draw(coronas(("cloud", "matrix"), 6))
+    nc = corona.n
+    depth = draw(st.integers(0, 40))
+    width = depth + 1
+    levels = Space.line(0, depth + 2, 1.0)
+    level = st.integers(0, depth + 2)
+    pairs = [(i, i + 1) for i in range(depth + 2)]
+    pairs += draw(st.lists(st.tuples(level, level), max_size=4))
+    win = Entourage.from_pairs(levels, pairs).union(Entourage.diagonal(levels))
+    win = win.union(win.inverse())
+    deltas = sorted(draw(st.lists(st.sampled_from([0.0, TOL / 2, TOL, 0.25, 0.5, 0.75, 1.0, 3.0]),
+                                  min_size=depth + 1, max_size=depth + 1)), reverse=True)
+    points = st.frozensets(st.integers(0, nc - 1), min_size=1)
+    interval = st.tuples(st.integers(0, depth), st.integers(0, depth)).map(sorted)
+    products = st.lists(st.tuples(points, interval), min_size=1, max_size=3)
+    sets = [sorted({c * width + m for members, (lo, hi) in union for c in members
+                    for m in range(lo, hi + 1)})
+            for union in draw(st.lists(products, min_size=1, max_size=8))]
+    dropped = draw(st.frozensets(st.integers(0, nc * width - 1), max_size=3))
+    sets = [[p for p in s if p not in dropped] for s in sets]
+    cover = Cover(Space.discrete(nc * width), sets, require_covering=False, canonicalize=False)
     return cover, (CoronaCoverSchedule(corona, 1, None, None), deltas, win, width, depth)

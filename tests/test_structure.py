@@ -88,13 +88,13 @@ def _imports_transforms(tree: ast.AST) -> bool:
 def test_one_cover_type_ordered_in_one_place():
     """Every cover is built as a Cover: no module calls the ColoredCover
     name, and the modules below the transforms do not import them. Rows are
-    put in lexicographic order only by covers.py and corona._distinct."""
+    put in lexicographic order only by covers.py."""
     trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
     calls = [(name, scope, call) for name, tree in trees.items() for scope, call in _calls(tree)]
     assert [(name, call.lineno) for name, _, call in calls if _name(call) == "ColoredCover"] == []
     lex = {(name, scope) for name, scope, call in calls
            if _name(call) == "_lex_order" and name != "covers.py"}
-    assert lex == {("corona.py", ("_distinct",))}
+    assert lex == set()
     assert [name for name in ("witnesses.py", "fixtures.py", "jsonio.py")
             if _imports_transforms(trees[name])] == []
 
