@@ -1298,10 +1298,13 @@ class Entourage:
         return Entourage.from_matrix(self.space, prod)
 
     def image(self, indices: Iterable[int]) -> frozenset[int]:
-        """E[A] = {x | (x, a) in E for some a in A}."""
+        """E[A] = {x | (x, a) in E for some a in A}; an index outside the
+        space raises InvalidInputError."""
         a = sorted(set(int(i) for i in indices))
         if not a:
             return frozenset()
+        if a[0] < 0 or a[-1] >= self.space.n:
+            raise InvalidInputError("image index out of range")
         mask = np.zeros(self.space.n, dtype=bool)
         mask[a] = True
         return frozenset(np.flatnonzero(self.matrix() @ mask).tolist())

@@ -26,8 +26,8 @@ gathers the relation's rows at each entry, a spread gathers the sets that
 each entry lies in from the cover's family owners, and each (row, point)
 pair is kept once (_pattern); only an image of more than _PAIR_BLOCK pairs
 is one product. Its attach step grows each B-set by the members of its
-A-sets, and it builds a scipy matrix only for the output cover and the
-container test.
+A-sets, and it builds a scipy matrix only for the output cover and, for a
+set outside the container it grew from, the container search.
 
 No power of L, no cover spread M^T M and no composite relation is formed
 to certify a construction; each hypothesis is an inclusion decided from M
@@ -43,8 +43,10 @@ and L themselves:
                a chain of fattenings by L and of spreads, each row grown by
                every set that it meets
   spreads      M^T M lies inside N^T N when every row of M lies in a row
-               of N, one first_container call; a set that fails it is
-               tested pair by pair against the bound's rows at its points
+               of N: merge_union checks each row against the row of N it
+               grew from, and first_container searches the rest; a set in
+               no row of N is tested pair by pair against the bound's rows
+               at its points
 
 Only a failing family builds the relation's pairs, for its witness.
 """
@@ -84,14 +86,17 @@ def family_disjoint_witness(cover: Cover, entourage: Entourage):
     """None if every family of the cover is entourage-disjoint, else a
     witness (set_index_a, set_index_b, (x, y)): the first pair of the
     relation, in key order and family by family, joining two sets of one
-    family."""
-    owners = cover.family_owners()
-    rows, cols = _pair_arrays(entourage)
-    for owner in owners:
+    family. Only the rows of the family's own points are gathered, in
+    ascending order, so their pairs stay in key order."""
+    m = entourage.matrix()
+    reach = np.diff(m.indptr)
+    for owner in cover.family_owners():
+        members = np.flatnonzero(owner >= 0)
+        rows, cols = np.repeat(members, reach[members]), _row_indices(m, members)
         a, b = owner[rows], owner[cols]
-        bad = (a >= 0) & (b >= 0) & (a != b)
+        bad = (b >= 0) & (a != b)
         if np.any(bad):
-            k = int(np.nonzero(bad)[0][0])
+            k = int(np.argmax(bad))
             return (int(a[k]), int(b[k]), (int(rows[k]), int(cols[k])))
     return None
 
@@ -240,6 +245,13 @@ def _stacked(top, bottom) -> _Rows:
                  np.concatenate([top.indices, bottom.indices]))
 
 
+def _picked(rows, pick: np.ndarray) -> _Rows:
+    """The rows pick of a CSR pattern, in that order."""
+    indptr = np.zeros(pick.size + 1, dtype=np.int64)
+    np.cumsum(np.diff(rows.indptr)[pick], out=indptr[1:])
+    return _Rows(indptr, _row_indices(rows, pick))
+
+
 def _csr(rows, n: int) -> sparse.csr_matrix:
     """The boolean CSR matrix of a CSR pattern over n points, its index
     arrays cast up front to the dtype scipy would pick for them, which
@@ -249,21 +261,32 @@ def _csr(rows, n: int) -> sparse.csr_matrix:
                               rows.indptr.astype(dtype)), shape=(rows.indptr.size - 1, n))
 
 
-def _spread_inside(sets: sparse.csr_matrix, containers: sparse.csr_matrix, bound_image) -> bool:
+def _spread_inside(sets: sparse.csr_matrix, containers, bound_image, pick=None) -> bool:
     """Whether W x W lies inside a relation B for every row W of sets, given
-    rows N of containers with N^T N inside B.
+    rows N of containers (a CSR matrix, or a pattern where pick is given)
+    with N^T N inside B.
 
-    A set inside some row of N passes: its pairs are pairs of N^T N. Any
-    other set W is tested pair by pair: W must lie inside B[x] = {y | (x, y)
-    in B} for every x in W, where bound_image maps ascending points to a
-    CSR pattern of their forward images under B. Only the points of such
-    sets are imaged.
+    A set inside some row of N passes: its pairs are pairs of N^T N. Where
+    pick names the row of N expected to hold each set, a set inside that
+    row passes at once, by one search over keys, and only the others are
+    searched by first_container. Any other set W is tested pair by pair: W
+    must lie inside B[x] = {y | (x, y) in B} for every x in W, where
+    bound_image maps ascending points to a CSR pattern of their forward
+    images under B. Only the points of such sets are imaged.
     """
-    sizes = np.diff(sets.indptr)
-    rest = np.flatnonzero((first_container(sets, containers) < 0) & (sizes > 0))
+    n, sizes = sets.shape[1], np.diff(sets.indptr)
+    if pick is None:
+        rest = np.flatnonzero((first_container(sets, containers) < 0) & (sizes > 0))
+    else:
+        known = _picked(containers, pick)
+        held = _sorted_isin(_row_keys(sets.indptr, n) + sets.indices,
+                            _row_keys(known.indptr, n) + known.indices)
+        rest = np.repeat(np.arange(sizes.size), sizes)[~held]
+        rest = rest[_run_heads(rest)]
+        if rest.size:
+            rest = rest[first_container(sets[rest], _csr(containers, n)) < 0]
     if not rest.size:
         return True
-    n = sets.shape[1]
     members = _row_indices(sets, rest)
     owner = np.repeat(rest, sizes[rest])
     points = np.sort(members)
@@ -465,12 +488,14 @@ def _refines(fine: Cover, coarse: Cover) -> bool:
 
 
 def _attach(cover_a: Cover, cover_b: Cover, L: Entourage,
-            near_b) -> tuple[sparse.csr_matrix, list]:
+            near_b) -> tuple[sparse.csr_matrix, list, np.ndarray]:
     """merge_union's sets and families: per family, each B-set grown by the
     A-sets of that family it touches through L, then the A-sets touched by
-    none. near_b is the CSR pattern of the points x with (x, y) in L for
-    some y in each B-set. Raises ContractViolationError for the first
-    A-set, in order of first contact, that touches two B-sets."""
+    none; and pick, the row of [B-sets; A-sets] that each set grew from,
+    which is also its row of [grown_b; M_A] (see _merge_spread_ok). near_b
+    is the CSR pattern of the points x with (x, y) in L for some y in each
+    B-set. Raises ContractViolationError for the first A-set, in order of
+    first contact, that touches two B-sets."""
     ma, mb = cover_a.incidence(), cover_b.incidence()
     na, nb = ma.shape[0], mb.shape[0]
     family = np.zeros(nb, dtype=np.int64)
@@ -512,9 +537,7 @@ def _attach(cover_a: Cover, cover_b: Cover, L: Entourage,
         count += pick.size
         picks.append(pick)
     pick = np.concatenate(picks)
-    indptr = np.zeros(pick.size + 1, dtype=np.int64)
-    np.cumsum(np.diff(grown.indptr)[pick], out=indptr[1:])
-    return _csr(_Rows(indptr, _row_indices(grown, pick)), n), families
+    return _csr(_picked(grown, pick), n), families, pick
 
 
 def merge_union(cover_a: Cover, cover_b: Cover, entourage: Entourage):
@@ -556,7 +579,7 @@ def merge_union(cover_a: Cover, cover_b: Cover, entourage: Entourage):
             f"cover B families not (L∘D_A∘L∘D_A∘L)-disjoint: {wb}", witness=wb)
 
     # L is symmetric, so the points L-related to a B-set are its L-image
-    sets, families = _attach(cover_a, cover_b, L, near_b)
+    sets, families, pick = _attach(cover_a, cover_b, L, near_b)
     out = Cover(cover_a.space, sets, families, require_covering=False, canonicalize=False)
     covered = np.zeros(cover_a.space.n, dtype=bool)
     covered[out.incidence().indices] = True
@@ -569,7 +592,7 @@ def merge_union(cover_a: Cover, cover_b: Cover, entourage: Entourage):
         claim("merge_union.family_count", max(len(cover_a.families), len(cover_b.families)),
               len(out.families), len(out.families) == len(cover_a.families)),
         holds("merge_union.spread_bound",
-              _merge_spread_ok(cover_a, cover_b, out.incidence(), lm, grown_b)),
+              _merge_spread_ok(cover_a, cover_b, out.incidence(), lm, grown_b, pick)),
     ])
 
 
@@ -581,7 +604,7 @@ def _strong_relation(cover_a: Cover, L: Entourage) -> Entourage:
 
 
 def _merge_spread_ok(cover_a: Cover, cover_b: Cover, out: sparse.csr_matrix,
-                     lm: sparse.csr_matrix, grown_b: _Rows) -> bool:
+                     lm: sparse.csr_matrix, grown_b: _Rows, pick: np.ndarray) -> bool:
     """Whether the spread of the sets out lies inside the bound
     D_A∘L∘D_B∘L∘D_A ∪ M_A^T M_A, D the spreads plus the diagonal.
 
@@ -590,6 +613,11 @@ def _merge_spread_ok(cover_a: Cover, cover_b: Cover, out: sparse.csr_matrix,
     related), and the A-sets hold M_A^T M_A; so these rows stacked on M_A
     are the containers. L and the D hold the diagonal, so the chain
     D_A∘L∘D_B∘L∘D_A already holds M_A^T M_A and is the whole bound.
+
+    Row k of out is expected inside container row pick[k]: a B-set grown by
+    its A-sets lies in its own grown_b row (an attached A-set meets the
+    B-set's L-image, so the spread by D_A takes it in), and an untouched
+    A-set is its own row of M_A. Only rows outside it are searched for.
     """
     ma = cover_a.incidence()
 
@@ -597,7 +625,7 @@ def _merge_spread_ok(cover_a: Cover, cover_b: Cover, out: sparse.csr_matrix,
         unit = _Rows(np.arange(points.size + 1), points)
         return _spread(_image(_spread(_image(_spread(unit, cover_a), lm), cover_b), lm), cover_a)
 
-    return _spread_inside(out, _csr(_stacked(grown_b, ma), ma.shape[1]), bound_image)
+    return _spread_inside(out, _stacked(grown_b, ma), bound_image, pick)
 
 
 # ---------------------------------------------------------------------------

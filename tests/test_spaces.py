@@ -99,6 +99,17 @@ class TestEntourageAlgebra:
         e = Entourage.from_pairs(self.line, [(0, 1)])
         assert e.image([]) == frozenset()
 
+    def test_image_of_a_negative_index_is_invalid(self):
+        # on the 10-point line a negative index used to wrap round to point 9
+        e = Entourage.radius(Space.line(0, 9, 1.0), 1.0, closed=True)
+        with pytest.raises(InvalidInputError):
+            e.image([-1])
+
+    def test_image_of_an_index_past_the_space_is_invalid(self):
+        e = Entourage.radius(Space.line(0, 9, 1.0), 1.0, closed=True)
+        with pytest.raises(InvalidInputError):
+            e.image([10])
+
     def test_radius_ball_and_strictness(self):
         e = Entourage.radius(self.line, 2.0)
         assert e.image([5]) == frozenset({4, 5, 6})

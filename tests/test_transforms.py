@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 from scipy import sparse
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -403,7 +403,7 @@ class TestSparseConstructionsOracle:
                 _attach(ca, cb, rel, near_b)
             assert err.value.witness == want[1]
             return
-        sets, families = _attach(ca, cb, rel, near_b)
+        sets, families, _ = _attach(ca, cb, rel, near_b)
         assert (rows_of(sets), families) == want
 
 
@@ -439,6 +439,19 @@ def fallback_runs(out, containers):
     the spread test decides it pair by pair."""
     m = out.incidence()
     return bool(np.any((first_container(m, containers) < 0) & (np.diff(m.indptr) > 0)))
+
+
+def container_picks(data, sets, containers):
+    """A row of containers for each row of sets, as merge_union names the
+    container each output set grew from: often one that holds the set,
+    else any row, so that the spread test meets both its known-container
+    check and its search. merge_union forms no set without a container, so
+    neither does this."""
+    assume(containers.shape[0] > 0 or sets.shape[0] == 0)
+    holder = first_container(sets, containers)
+    return np.array([data.draw(st.sampled_from(
+        ([int(h)] if h >= 0 else []) + list(range(containers.shape[0])))) for h in holder],
+        dtype=np.int64)
 
 
 @st.composite
@@ -567,7 +580,8 @@ class TestCertificatesAgainstMaterializedForms:
         grown_b = _csr(_spread(_image(cb.incidence(), lm), ca), n)
         out = Cover(sp, data.draw(queries_over(rows_of(grown_b) + rows_of(ma), n)),
                     require_covering=False)
-        got = _merge_spread_ok(ca, cb, out.incidence(), lm, grown_b)
+        pick = container_picks(data, out.incidence(), sparse.vstack([grown_b, ma], format="csr"))
+        got = _merge_spread_ok(ca, cb, out.incidence(), lm, grown_b, pick)
         assert got == oracles.merge_spread_ok(ca, cb, out, L)
         event(f"spread {got}, set by set "
               f"{fallback_runs(out, sparse.vstack([grown_b, ma], format='csr'))}")
@@ -617,10 +631,10 @@ class TestSpreadCertificatesCanFail:
         def grown(*args):
             # the first family's first set is the B-set over [50, 75]; point
             # 100 belongs to the other family's B-set
-            sets, families = attach(*args)
+            sets, families, pick = attach(*args)
             sets = sets.tolil()
             sets[0, 100] = True
-            return sets.tocsr(), families
+            return sets.tocsr(), families, pick
 
         monkeypatch.setattr(transforms, "_attach", grown)
         with pytest.raises(ContractViolationError) as err:
@@ -717,7 +731,8 @@ class TestMergeUnionAgainstProducts:
         grown_b = _csr(_spread(_image(mb, lm), ca), n)
         out = Cover(sp, data.draw(queries_over(rows_of(grown_b) + rows_of(ma), n)),
                     require_covering=False).incidence()
-        got = _merge_spread_ok(ca, cb, out, lm, grown_b)
+        pick = container_picks(data, out, sparse.vstack([grown_b, ma], format="csr"))
+        got = _merge_spread_ok(ca, cb, out, lm, grown_b, pick)
         assert got == oracles.merge_spread_products(ma, mb, out, lm, grown_b)
         rest = fallback_runs(Cover(sp, out, require_covering=False),
                              sparse.vstack([grown_b, ma], format="csr"))
@@ -733,7 +748,10 @@ class TestMergeUnionAgainstProducts:
         grown_b = _csr(_spread(_image(cb.incidence(), lm), ca), 4)
         for sets, want in (([[0, 1, 2]], True), ([[0, 1, 2], [1, 3]], False)):
             out = Cover(sp, sets, require_covering=False).incidence()
-            assert _merge_spread_ok(ca, cb, out, lm, grown_b) is want
+            # each set named with row 6, the A-set {3}, which does not hold
+            # it, so that the search runs and finds no container for {0, 1, 2}
+            pick = np.full(out.shape[0], 6)
+            assert _merge_spread_ok(ca, cb, out, lm, grown_b, pick) is want
             assert oracles.merge_spread_products(ca.incidence(), cb.incidence(), out, lm,
                                                  grown_b) is want
 
