@@ -208,10 +208,10 @@ def check_cc_entourage(model: CompactificationModel, entourage: Entourage,
     on the first half (an honest finite-sample proxy for "tends to zero").
     The raw sequence is always returned.
     """
-    m = entourage.materialize().matrix()
-    pos = np.full(max(model.ambient.n, m.shape[0]), -1, dtype=np.int64)
+    m, n = entourage.csr, entourage.space.n
+    pos = np.full(max(model.ambient.n, n), -1, dtype=np.int64)
     pos[model._interior_arr] = np.arange(len(model.interior))
-    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    rows = np.repeat(np.arange(n), np.diff(m.indptr))
     keep = (pos[rows] >= 0) & (pos[m.indices] >= 0)
     rows, cols = rows[keep], m.indices[keep]
     d = model.ambient.pair_distances(rows, cols)
@@ -324,7 +324,7 @@ def corona_dim_cover(schedule: CoronaCoverSchedule, deltas: Sequence[float],
     # did not reach it
     win = window.union(Entourage.diagonal(levels))
     win = win.union(win.inverse())
-    hops, walked = _window_hops(win.matrix(), depth)
+    hops, walked = _window_hops(win.csr, depth)
     reach = np.where(hops <= walked, hops, np.iinfo(np.int64).max)
 
     # scale chain l_i: strictly increasing, with 1/l_{i+1} below the
@@ -440,15 +440,15 @@ def corona_dim_cover(schedule: CoronaCoverSchedule, deltas: Sequence[float],
     return out, guarantees, certificate
 
 
-def _window_hops(step: sparse.csr_matrix, depth: int) -> tuple[np.ndarray, int]:
+def _window_hops(step, depth: int) -> tuple[np.ndarray, int]:
     """(hops, walked): the prefix set K_k holds the levels v with hops[v] <=
     min(k, walked), the levels within k steps of level 0 under the
-    symmetric relation step (diagonal included), found by one breadth-first
-    walk over its rows. The walk stops at the last level, or where it stops
+    symmetric relation step (diagonal included, as CSR arrays), found by one
+    breadth-first walk over its rows. The walk stops at the last level, or where it stops
     growing, which must be past depth; hops is n at a level never reached.
     A level sample has a few window partners per level, so the walk is a
     Python loop over the rows, one visit per entry."""
-    n = step.shape[0]
+    n = step.indptr.size - 1
     indptr, indices = step.indptr.tolist(), step.indices.tolist()
     hops = [n] * n
     hops[0] = 0
@@ -592,7 +592,8 @@ def _band_appetite_failures(cover: Cover, schedule: CoronaCoverSchedule,
     margin[order] = corona.backend.outside_distances(slices, slices)
 
     # the window partners b <= depth of every level m <= depth, with cuts
-    near = win.matrix().tocsc()
+    # win is symmetric, so its rows are its columns
+    near = win.csr
     span = near.indptr[:depth + 2]
     plevel = np.repeat(np.arange(depth + 1), np.diff(span))
     partner = near.indices[:span[-1]].astype(np.int64)

@@ -42,7 +42,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InvalidInputError, ResourceLimitError
-from .spaces import PAIR_CAP, Entourage, Space, _row_indices
+from .spaces import PAIR_CAP, Entourage, Space, _Rows, _csr, _row_indices, _transposed
 
 
 class Cover:
@@ -197,11 +197,7 @@ def _incidence_matrix(sets, n: int) -> sparse.csr_matrix:
         raise InvalidInputError("cover set index out of range") from None
     if indices.size and (indices.min() < 0 or indices.max() >= n):
         raise InvalidInputError("cover set index out of range")
-    # index arrays cast up front to the dtype scipy would pick for them,
-    # which spares it a scan of their contents
-    dtype = np.int32 if max(n, indices.size) < 2 ** 31 else np.int64
-    m = sparse.csr_matrix((np.ones(indices.size, dtype=bool), indices.astype(dtype),
-                           indptr.astype(dtype)), shape=(len(rows), n))
+    m = _csr(_Rows(indptr, indices), n)
     m.sum_duplicates()
     return m
 
@@ -348,7 +344,7 @@ def appetite_witness(cover: Cover, entourage: Entourage) -> Optional[int]:
     materialized under the pair cap."""
     if entourage.space is not cover.space:
         raise InvalidInputError("entourage must live over the cover's space")
-    balls = entourage.matrix().T.tocsr()
+    balls = _csr(_transposed(entourage.csr, cover.space.n), cover.space.n)
     bad = (first_container(balls, cover.incidence()) < 0) & (np.diff(balls.indptr) > 0)
     return int(np.argmax(bad)) if bad.any() else None
 

@@ -23,12 +23,16 @@ whose cells are ranked on each axis so that empty stretches cost nothing;
 and trees measure sets by kernels of their own (see EuclideanMetric,
 GridMetric and TreeMetric).
 Every backend hands out radius pairs in ascending key order i * n + j, so
-a relation's CSR matrix is assembled as they arrive.
+a relation's CSR arrays are assembled as they arrive.
 
-A pair set is stored as its n x n boolean CSR matrix, so the relation
-algebra is sparse matrix algebra: union is A + B, inverse A^T, composition
-A @ B, inclusion reads A > B, the image of a set is A @ mask, and transport
-along a map with graph matrix G is G^T A G (push) or G A G^T (pull).
+A pair set is stored once as CSR index arrays (a _Rows: indptr and each
+row's ascending, distinct indices), and the set algebra works on them:
+union is a stable sort of the two runs of keys, inclusion a binary search
+of one relation's keys in the other's, the image of a set a mask read at
+the entries, and the inverse scipy's C conversion of the arrays. Only the
+products use scipy matrices, built as views of the arrays: composition is
+A @ B, and transport along a map with graph matrix G is G^T A G (push) or
+G A G^T (pull). Covers and certificates share the same array kernels.
 """
 
 from __future__ import annotations
@@ -36,10 +40,13 @@ from __future__ import annotations
 import functools
 import math
 from types import MappingProxyType
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
+# scipy's C routines behind tocsc(), A + B and A > B, run on the index
+# arrays of relations directly (see _transposed and _binop)
+from scipy.sparse._sparsetools import csr_gt_csr, csr_plus_csr, csr_tocsc
 
 from .errors import InvalidInputError, ResourceLimitError
 
@@ -699,7 +706,7 @@ class GridMetric(EuclideanMetric):
         steps = np.concatenate([-unit, unit[::-1]])
         pairs = (_kept(rows, offsets, inside) for rows, offsets, _, inside
                  in self._stencil(steps.shape[0], lambda lo, hi: steps[lo:hi]))
-        return _key_ordered_csr(pairs, self.n, math.inf, np.int32)
+        return _csr(_key_ordered_csr(pairs, self.n, math.inf), self.n, np.int32)
 
     def _nearest_outside(self, rows, points, sets):
         """A set is a full box when its size is the product of its per-axis
@@ -984,8 +991,114 @@ def _sorted_isin(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
 def _entry_keys(m: sparse.csr_matrix) -> np.ndarray:
     """k * n + x for each stored entry (k, x) of m, n its column count, in
     CSR order: ascending when the indices are sorted."""
-    rows = np.repeat(np.arange(m.shape[0], dtype=np.int64), np.diff(m.indptr))
-    return rows * m.shape[1] + m.indices
+    return _row_keys(m.indptr, m.shape[1]) + m.indices
+
+
+# ---------------------------------------------------------------------------
+# CSR index arrays
+# ---------------------------------------------------------------------------
+
+
+class _Rows(NamedTuple):
+    """A rows x points boolean pattern as CSR index arrays, each row's
+    indices distinct (and ascending, from _pattern); read like a CSR matrix
+    (_row_indices). Relations, covers and certificates share these
+    kernels."""
+    indptr: np.ndarray
+    indices: np.ndarray
+
+
+# _pattern marks its pairs in a rows x points boolean array when that array
+# has at most this many entries a pair, and sorts their keys otherwise
+_MARK_SHARE = 4
+
+
+def _row_keys(indptr: np.ndarray, n: int) -> np.ndarray:
+    """k * n for each entry of row k of a CSR pattern with this indptr."""
+    return np.repeat(np.arange(indptr.size - 1, dtype=np.int64) * n, np.diff(indptr))
+
+
+def _entry_rows(rows) -> np.ndarray:
+    """The row of each entry of a CSR pattern, in order."""
+    return np.repeat(np.arange(rows.indptr.size - 1, dtype=rows.indices.dtype),
+                     np.diff(rows.indptr))
+
+
+def _pattern(keys: np.ndarray, count: int, n: int) -> _Rows:
+    """The count x n pattern holding the pairs with keys row * n + point,
+    each pair once."""
+    if count * n <= _MARK_SHARE * keys.size:
+        mark = np.zeros(count * n, dtype=bool)
+        mark[keys] = True
+        keys = np.flatnonzero(mark)
+    else:
+        keys = np.sort(keys)
+        keys = keys[_run_heads(keys)]
+    return _Rows(np.searchsorted(keys, np.arange(count + 1, dtype=np.int64) * n), keys % n)
+
+
+# A transpose, a union and a difference of relations run scipy's C routines
+# on the CSR arrays directly. Building and converting scipy matrix objects
+# around the arrays costs several times as much on a small relation, and the
+# numpy forms (a stable sort of the keys, a binary search of one relation's
+# keys in the other's) are three to twelve times slower on 5 * 10^6 pairs.
+def _transposed(rows: _Rows, n: int) -> _Rows:
+    """The CSR arrays of the transpose of an n x n pattern whose index
+    arrays share one dtype: scipy's conversion is a counting sort, so each
+    row's indices come out ascending."""
+    count = rows.indices.size
+    indptr, indices = np.empty(n + 1, dtype=rows.indptr.dtype), np.empty_like(rows.indices)
+    csr_tocsc(n, n, rows.indptr, rows.indices, np.ones(count, dtype=bool),
+              indptr, indices, np.empty(count, dtype=bool))
+    return _Rows(indptr, indices)
+
+
+def _binop(kernel, a, b, n: int) -> _Rows:
+    """The pattern kernel(a, b) of two CSR patterns with as many rows over n
+    points, kernel csr_plus_csr (the union) or csr_gt_csr (the entries of a
+    not in b). On canonical inputs scipy's routine merges the rows in
+    order, so the result is canonical too; on others it holds the same
+    entries, each once, in scipy's order."""
+    count = a.indptr.size - 1
+    index = _index_dtype(n, a.indices.size + b.indices.size)
+    room = a.indices.size + (b.indices.size if kernel is csr_plus_csr else 0)
+    indptr, indices = np.empty(count + 1, dtype=index), np.empty(room, dtype=index)
+    kernel(count, n, a.indptr.astype(index, copy=False), a.indices.astype(index, copy=False),
+           np.ones(a.indices.size, dtype=bool), b.indptr.astype(index, copy=False),
+           b.indices.astype(index, copy=False), np.ones(b.indices.size, dtype=bool),
+           indptr, indices, np.empty(room, dtype=bool))
+    return _Rows(indptr, indices[:indptr[-1]])
+
+
+def _stacked(top, bottom) -> _Rows:
+    """The rows of the CSR pattern top followed by those of bottom."""
+    return _Rows(np.concatenate([top.indptr, top.indptr[-1] + bottom.indptr[1:]]),
+                 np.concatenate([top.indices, bottom.indices]))
+
+
+def _picked(rows, pick: np.ndarray) -> _Rows:
+    """The rows pick of a CSR pattern, in that order."""
+    indptr = np.zeros(pick.size + 1, dtype=np.int64)
+    np.cumsum(np.diff(rows.indptr)[pick], out=indptr[1:])
+    return _Rows(indptr, _row_indices(rows, pick))
+
+
+def _index_dtype(n: int, count: int):
+    """The index dtype scipy picks for a CSR matrix over n columns with
+    count entries."""
+    return np.int32 if max(n, count) < 2 ** 31 else np.int64
+
+
+def _csr(rows, n: int, dtype=bool) -> sparse.csr_matrix:
+    """The CSR matrix over n points with a one of dtype at each entry of a
+    CSR pattern, its index arrays cast up front (when they are not already)
+    to the dtype scipy would pick for them, which spares it a scan of their
+    contents."""
+    index = _index_dtype(n, rows.indices.size)
+    return sparse.csr_matrix((np.ones(rows.indices.size, dtype=dtype),
+                              rows.indices.astype(index, copy=False),
+                              rows.indptr.astype(index, copy=False)),
+                             shape=(rows.indptr.size - 1, n))
 
 
 def _outer_boundary(m: sparse.csr_matrix, adj: sparse.csr_matrix) -> sparse.csr_matrix:
@@ -1115,12 +1228,14 @@ class Entourage:
     """A relation on the indices of a Space.
 
     Two kinds:
-      - "pairs": an explicit set of index pairs, stored only as the n x n
-        boolean CSR matrix with a True at (i, j) for each pair, in canonical
-        form (sorted column indices, no duplicates, no explicit zeros).
-        Row-major CSR order is ascending order of the keys i * n + j, so
-        pairs() lists and first_pair_outside() picks pairs in key order, as
-        when the keys themselves were stored. Pair sets handed in by
+      - "pairs": an explicit set of index pairs, stored once as CSR index
+        arrays (a _Rows): indptr, and each row's indices ascending and
+        distinct. Row-major order is ascending order of the keys i * n + j,
+        so pairs() lists and first_pair_outside() picks pairs in key order.
+        The set algebra (union, inclusion, symmetry, the diagonal, images)
+        works on these arrays; matrix() is a scipy view of them, built on
+        first use, for the products (compose, transport, the product
+        relation, interiors) and for transposes. Pair sets handed in by
         users are symmetric-closed by default; operation outputs
         (composition, transport) are raw.
       - "radius": the relation {(x, y) | d(x, y) < r} evaluated lazily,
@@ -1135,15 +1250,21 @@ class Entourage:
         dist_block does, so the relation is bit-identical to a scan of
         every distance; other backends scan blocks of distances. The
         backend yields the pairs in key order and materialize writes the
-        canonical CSR matrix from them directly: indptr from each chunk's
-        row counts, int32 indices where n allows.
+        CSR arrays from them directly: indptr from each chunk's row counts,
+        int32 indices where n allows.
     """
 
-    def __init__(self, space: Space, kind: str, m: Optional[sparse.csr_matrix] = None,
+    def __init__(self, space: Space, kind: str, rows: Optional[_Rows] = None,
                  r: Optional[float] = None, closed: bool = False):
         self.space = space
         self.kind = kind
-        self._m = m
+        if rows is not None:
+            # the dtype scipy picks, so that the matrix() view copies nothing
+            index = _index_dtype(space.n, rows.indices.size)
+            rows = _Rows(rows.indptr.astype(index, copy=False),
+                         rows.indices.astype(index, copy=False))
+        self._rows = rows
+        self._m = None
         self.r = r
         self.closed = closed
         self._symmetric = self._reflexive = None
@@ -1159,7 +1280,7 @@ class Entourage:
             raise InvalidInputError("relation matrix must be n x n over its space")
         m.sum_duplicates()
         m.eliminate_zeros()
-        return cls(space, "pairs", m=m)
+        return cls(space, "pairs", _Rows(m.indptr, m.indices))
 
     @classmethod
     def from_pairs(cls, space: Space, pairs: Iterable[tuple[int, int]],
@@ -1170,7 +1291,17 @@ class Entourage:
             raise InvalidInputError("pair index out of range")
         if symmetrize:
             arr = np.concatenate([arr, arr[:, ::-1]])
-        return cls.from_matrix(space, _bool_matrix(arr[:, 0], arr[:, 1], (n, n)))
+        return cls(space, "pairs", _pattern(arr[:, 0] * n + arr[:, 1], n, n))
+
+    @classmethod
+    def from_keys(cls, space: Space, keys) -> "Entourage":
+        """The pairs relation holding the pair (i, j) for each key i * n + j,
+        in any order, repeats allowed."""
+        n = space.n
+        keys = np.asarray(keys, dtype=np.int64)
+        if keys.size and (keys.min() < 0 or keys.max() >= n * n):
+            raise InvalidInputError("pair key out of range")
+        return cls(space, "pairs", _pattern(keys, n, n))
 
     @classmethod
     def radius(cls, space: Space, r: float, closed: bool = False) -> "Entourage":
@@ -1182,7 +1313,8 @@ class Entourage:
 
     @classmethod
     def diagonal(cls, space: Space) -> "Entourage":
-        return cls.from_matrix(space, sparse.identity(space.n, dtype=bool, format="csr"))
+        n = space.n
+        return cls(space, "pairs", _Rows(np.arange(n + 1), np.arange(n)))
 
     # -- basics ------------------------------------------------------------
 
@@ -1192,17 +1324,30 @@ class Entourage:
             return d <= self.r + RADIUS_TOL
         return d < self.r - RADIUS_TOL
 
+    @property
+    def csr(self) -> _Rows:
+        """The pairs as CSR index arrays (indptr, indices), each row's
+        indices ascending and distinct; shared, so callers must not modify
+        them. A radius relation is materialized first, under the pair cap."""
+        return self.materialize()._rows
+
     def matrix(self) -> sparse.csr_matrix:
         """The n x n boolean CSR matrix with a True at (i, j) for each pair,
-        in canonical form; shared, so callers must not modify it.
+        in canonical form: a view of the index arrays, built once, for the
+        products; shared, so callers must not modify it.
 
         A radius relation is materialized first, under the pair cap.
         """
-        return self.materialize()._m
+        e = self.materialize()
+        if e._m is None:
+            e._m = _csr(e._rows, e.space.n)
+            e._m.has_canonical_format = True
+        return e._m
 
     def keys(self) -> np.ndarray:
         """The pairs as ascending int64 keys i * n + j."""
-        return _entry_keys(self.matrix())
+        rows = self.csr
+        return _row_keys(rows.indptr, self.space.n) + rows.indices
 
     # certbench/tracer.py reads `ret._keys.size` to count the pairs that
     # materialize, compose and cover_entourage return; keep this read-only
@@ -1223,68 +1368,73 @@ class Entourage:
         """This relation as a pairs relation; a radius relation of more than
         cap pairs raises ResourceLimitError, which is checked chunk by chunk
         so the pairs of an over-cap relation are never all held. The
-        backend hands out the pairs in key order, so the canonical CSR
-        matrix is assembled from the chunks as they come."""
+        backend hands out the pairs in key order, so the CSR arrays are
+        assembled from the chunks as they come."""
         if self.kind == "pairs":
             return self
         return Entourage(self.space, "pairs",
-                         m=_key_ordered_csr(self._radius_pairs(cap), self.space.n, cap, bool))
+                         _key_ordered_csr(self._radius_pairs(cap), self.space.n, cap))
 
     def pairs(self) -> list[tuple[int, int]]:
-        m = self.matrix().tocoo()
-        return list(zip(m.row.tolist(), m.col.tolist()))
+        rows = self.csr
+        return list(zip(_entry_rows(rows).tolist(), rows.indices.tolist()))
 
-    def _outside(self, other: "Entourage") -> sparse.csr_matrix:
-        """The pairs of self that other lacks, as a CSR matrix. A radius
-        relation on the right is tested by distance and never materialized."""
-        a = self.matrix()
+    def _outside(self, other: "Entourage") -> _Rows:
+        """The pairs of self that other lacks, as canonical CSR arrays. A
+        radius relation on the right is tested by distance and never
+        materialized."""
+        n, rows = self.space.n, self.csr
+        if other.space.n != n:
+            raise InvalidInputError("entourages live over spaces of different sizes")
         if other.kind == "pairs":
-            return a > other.matrix()
-        d = self.space.pair_distances(*np.divmod(_entry_keys(a), a.shape[1]))
-        out = sparse.csr_matrix((~other._within(d), a.indices, a.indptr),
-                                shape=a.shape, copy=True)
-        out.eliminate_zeros()
-        return out
+            return _binop(csr_gt_csr, rows, other.csr, n)
+        keep = ~other._within(self.space.pair_distances(_entry_rows(rows), rows.indices))
+        return _Rows(np.concatenate(([0], np.cumsum(keep)))[rows.indptr], rows.indices[keep])
 
     def is_subset_of(self, other: "Entourage") -> bool:
         if other.kind == "radius" and self.kind == "radius":
             if self.space is other.space and not self.closed and not other.closed:
                 return self.r <= other.r
-        return self._outside(other).nnz == 0
+        return self._outside(other).indices.size == 0
 
     def first_pair_outside(self, other: "Entourage") -> Optional[tuple[int, int]]:
         """The pair of self with the smallest key i * n + j that other
         lacks, or None."""
         out = self._outside(other)
-        if out.nnz == 0:
+        if not out.indices.size:
             return None
-        i = int(np.flatnonzero(np.diff(out.indptr))[0])
-        return (i, int(out.indices[out.indptr[i]:out.indptr[i + 1]].min()))
+        # the first row with an entry, and its least index
+        i = int(np.searchsorted(out.indptr, 1)) - 1
+        return (i, int(out.indices[out.indptr[i]]))
 
     def is_symmetric(self) -> bool:
-        # kept once found, as a relation never changes; both matrices are
-        # canonical (a transpose comes out with sorted indices), so they hold
-        # the same pairs exactly when their index arrays agree
+        # kept once found, as a relation never changes; both index arrays
+        # are canonical, so they hold the same pairs exactly when they agree
         if self._symmetric is None:
-            m = self.matrix()
-            t = m.T.tocsr()
-            self._symmetric = (np.array_equal(m.indptr, t.indptr)
-                               and np.array_equal(m.indices, t.indices))
+            rows = self.csr
+            t = _transposed(rows, self.space.n)
+            self._symmetric = (np.array_equal(rows.indptr, t.indptr)
+                               and np.array_equal(rows.indices, t.indices))
         return self._symmetric
 
     def contains_diagonal(self) -> bool:
+        # each row holds a column once, so the diagonal is in when n entries
+        # sit on it
         if self._reflexive is None:
-            self._reflexive = bool(self.matrix().diagonal().all())
+            rows = self.csr
+            self._reflexive = (np.count_nonzero(_entry_rows(rows) == rows.indices)
+                               == self.space.n)
         return self._reflexive
 
     # -- algebra -----------------------------------------------------------
 
     def inverse(self) -> "Entourage":
-        return Entourage.from_matrix(self.space, self.matrix().T)
+        return Entourage(self.space, "pairs", _transposed(self.csr, self.space.n))
 
     def union(self, other: "Entourage") -> "Entourage":
         _check_same_space(self, other)
-        return Entourage.from_matrix(self.space, self.matrix() + other.matrix())
+        return Entourage(self.space, "pairs",
+                         _binop(csr_plus_csr, self.csr, other.csr, self.space.n))
 
     def compose(self, other: "Entourage", cap: int = PAIR_CAP) -> "Entourage":
         """The relation {(x, z) | exists y with (x, y) in self, (y, z) in other}.
@@ -1307,27 +1457,29 @@ class Entourage:
             raise InvalidInputError("image index out of range")
         mask = np.zeros(self.space.n, dtype=bool)
         mask[a] = True
-        return frozenset(np.flatnonzero(self.matrix() @ mask).tolist())
+        rows = self.csr
+        hit = _entry_rows(rows)[mask[rows.indices]]
+        return frozenset(hit[_run_heads(hit)].tolist())
 
     def __repr__(self):
         if self.kind == "radius":
             op = "<=" if self.closed else "<"
             return f"Entourage(radius d {op} {self.r}, n={self.space.n})"
-        return f"Entourage(pairs, {self._m.nnz} pairs, n={self.space.n})"
+        return f"Entourage(pairs, {self._rows.indices.size} pairs, n={self.space.n})"
 
 
 def _pair_cap_error(cap) -> ResourceLimitError:
     return ResourceLimitError(f"radius entourage would exceed the {cap} pair cap")
 
 
-def _key_ordered_csr(pairs, n: int, cap: float, dtype) -> sparse.csr_matrix:
-    """The n x n CSR matrix of dtype with a one at each pair of the
-    (rows, cols) chunks that pairs yields in ascending key order rows * n +
-    cols, across chunks too, so its column indices come out sorted and
-    unique: each chunk adds its row counts to indptr and keeps its columns,
-    as int32 where n allows, and no COO form or canonicalizing copy is
-    made. A chunk that brings the count past cap raises the pair cap error
-    before it is kept."""
+def _key_ordered_csr(pairs, n: int, cap: float) -> _Rows:
+    """The CSR arrays of the n x n pattern holding each pair of the (rows,
+    cols) chunks that pairs yields in ascending key order rows * n + cols,
+    across chunks too, so its column indices come out sorted and unique:
+    each chunk adds its row counts to indptr and keeps its columns, as int32
+    where n allows, and no COO form or canonicalizing copy is made. A chunk
+    that brings the count past cap raises the pair cap error before it is
+    kept."""
     index = np.int32 if n < 2 ** 31 else np.int64
     counts = np.zeros(n + 1, dtype=np.int64)
     cols, total = [np.empty(0, dtype=index)], 0
@@ -1340,16 +1492,8 @@ def _key_ordered_csr(pairs, n: int, cap: float, dtype) -> sparse.csr_matrix:
             cols.append(j.astype(index))
     indices = np.concatenate(cols)
     del cols
-    # scipy stores indptr, and indices with it, as int32 when the count fits
-    m = sparse.csr_matrix((np.ones(total, dtype=dtype), indices, np.cumsum(counts, out=counts)),
-                          shape=(n, n))
-    m.has_canonical_format = True
-    return m
+    return _Rows(np.cumsum(counts, out=counts), indices)
 
-
-def _bool_matrix(rows, cols, shape) -> sparse.csr_matrix:
-    """The boolean CSR matrix with a True at each (rows[k], cols[k])."""
-    return sparse.csr_matrix((np.ones(len(rows), dtype=bool), (rows, cols)), shape=shape)
 
 
 class _CellList:
@@ -1525,7 +1669,7 @@ def transport(f: PointMap, e: Entourage, direction: str) -> Entourage:
     source space. Outputs are raw pair sets. With G the source x target
     graph matrix of f, push is G^T E G and pull is G E G^T.
     """
-    graph = _bool_matrix(np.arange(f.source.n), f.table, (f.source.n, f.target.n))
+    graph = _csr(_Rows(np.arange(f.source.n + 1), f.table), f.target.n)
     if direction == "push":
         if e.space is not f.source:
             raise InvalidInputError("push needs an entourage over the source space")

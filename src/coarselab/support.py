@@ -25,7 +25,7 @@ import numpy as np
 
 from .certificates import check
 from .errors import ContractViolationError, InvalidInputError
-from .spaces import Entourage, Space, _bool_matrix
+from .spaces import Entourage, Space
 
 ZERO_THRESHOLD = 1e-12
 
@@ -84,12 +84,12 @@ class Decomposition:
 def _first_block_pair_outside(space: Space, blocks, bound: Entourage):
     """The pair (i, j) with the smallest key i * n + j that lies in some
     block's U x U but not in bound, or None; one block's pairs at a time,
-    so the union over the blocks is never held."""
+    so the union over the blocks is never held. A block is sorted, so the
+    keys i * n + j of its square come out ascending."""
     worst = None
     for block in blocks:
         idx = np.asarray(block, dtype=np.int64)
-        square = Entourage.from_matrix(space, _bool_matrix(
-            np.repeat(idx, idx.size), np.tile(idx, idx.size), (space.n, space.n)))
+        square = Entourage.from_keys(space, (idx[:, None] * space.n + idx).ravel())
         pair = square.first_pair_outside(bound)
         if pair is not None and (worst is None or pair < worst):
             worst = pair
@@ -166,8 +166,8 @@ def _block_norms(op: BlockOperator) -> np.ndarray:
 
 
 def _support_of(op: BlockOperator, norms: np.ndarray, threshold: float) -> Entourage:
-    rows, cols = np.nonzero(norms > threshold)
-    return Entourage.from_matrix(_quotient_of(op), _bool_matrix(rows, cols, norms.shape))
+    # the flat positions of the k x k norms are the keys b1 * k + b2
+    return Entourage.from_keys(_quotient_of(op), np.flatnonzero(norms > threshold))
 
 
 def _quotient_of(op: BlockOperator) -> Space:
@@ -181,7 +181,7 @@ def is_controlled(op: BlockOperator, entourage: Entourage,
     if entourage.space.n != supp.space.n:
         raise InvalidInputError("entourage must live over the block quotient")
     if entourage.space is not supp.space:
-        entourage = Entourage.from_matrix(supp.space, entourage.matrix())
+        entourage = Entourage(supp.space, "pairs", entourage.csr)
     return supp.is_subset_of(entourage)
 
 

@@ -22,12 +22,13 @@ sets indicator with the sets, an erosion one product with the relation,
 fattening one product with it, and products of cuts one Kronecker product.
 merge_union certifies on CSR index arrays (indptr, indices) instead, where
 scipy's fixed cost per call would outweigh the work: a forward image
-gathers the relation's rows at each entry, a spread gathers the sets that
-each entry lies in from the cover's family owners, and each (row, point)
-pair is kept once (_pattern); only an image of more than _PAIR_BLOCK pairs
-is one product. Its attach step grows each B-set by the members of its
-A-sets, and it builds a scipy matrix only for the output cover and, for a
-set outside the container it grew from, the container search.
+gathers the relation's rows (Entourage.csr) at each entry, a spread
+gathers the sets that each entry lies in from the cover's family owners,
+and each (row, point) pair is kept once (_pattern); only an image of more
+than _PAIR_BLOCK pairs is one product. Its attach step grows each B-set by
+the members of its A-sets, and it builds a scipy matrix only for the
+output cover and, for a set outside the container it grew from, the
+container search.
 
 No power of L, no cover spread M^T M and no composite relation is formed
 to certify a construction; each hypothesis is an inclusion decided from M
@@ -43,10 +44,10 @@ and L themselves:
                a chain of fattenings by L and of spreads, each row grown by
                every set that it meets
   spreads      M^T M lies inside N^T N when every row of M lies in a row
-               of N: merge_union checks each row against the row of N it
-               grew from, and first_container searches the rest; a set in
-               no row of N is tested pair by pair against the bound's rows
-               at its points
+               of N: each row is checked against the row of N it grew from
+               (expand's output row k is its fattened row k), and
+               first_container searches the rest; a set in no row of N is
+               tested pair by pair against the bound's rows at its points
 
 Only a failing family builds the relation's pairs, for its witness.
 """
@@ -54,7 +55,6 @@ Only a failing family builds the relation's pairs, for its witness.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -62,8 +62,9 @@ from scipy import sparse
 from .certificates import certify, claim, count_at_most, holds
 from .covers import Cover, appetite_witness, cover_entourage, first_container, multiplicity
 from .errors import ContractViolationError, InvalidInputError, ResourceLimitError
-from .spaces import (_PAIR_BLOCK, PAIR_CAP, Entourage, PointMap, ProductMetric, Space,
-                     _bool_matrix, _row_indices, _run_heads, _sorted_isin, transport)
+from .spaces import (_PAIR_BLOCK, PAIR_CAP, Entourage, PointMap, ProductMetric, Space, _Rows,
+                     _binop, _csr, _entry_rows, _pattern, _picked, _row_indices, _row_keys,
+                     _run_heads, _sorted_isin, _stacked, csr_gt_csr, transport)
 
 
 class ColoredCover(Cover):
@@ -76,25 +77,16 @@ class ColoredCover(Cover):
         super().__init__(space, sets, families, **options)
 
 
-def _pair_arrays(entourage: Entourage) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (rows, cols) of a relation, in key order."""
-    m = entourage.matrix()
-    return np.repeat(np.arange(m.shape[0], dtype=m.indices.dtype), np.diff(m.indptr)), m.indices
-
-
 def family_disjoint_witness(cover: Cover, entourage: Entourage):
     """None if every family of the cover is entourage-disjoint, else a
     witness (set_index_a, set_index_b, (x, y)): the first pair of the
     relation, in key order and family by family, joining two sets of one
-    family. Only the rows of the family's own points are gathered, in
-    ascending order, so their pairs stay in key order."""
-    m = entourage.matrix()
-    reach = np.diff(m.indptr)
+    family."""
+    e = entourage.csr
+    rows, cols = _entry_rows(e), e.indices
     for owner in cover.family_owners():
-        members = np.flatnonzero(owner >= 0)
-        rows, cols = np.repeat(members, reach[members]), _row_indices(m, members)
         a, b = owner[rows], owner[cols]
-        bad = (b >= 0) & (a != b)
+        bad = (a >= 0) & (b >= 0) & (a != b)
         if np.any(bad):
             k = int(np.argmax(bad))
             return (int(a[k]), int(b[k]), (int(rows[k]), int(cols[k])))
@@ -154,8 +146,8 @@ def interior(cuts: sparse.spmatrix, entourage: Entourage, times: int = 1) -> spa
         counts = sparse.csr_matrix(inside, dtype=np.int32) @ e
         inside = _entries(counts, counts.data == degree[counts.indices])
         if free.size:
-            inside = inside + _bool_matrix(np.repeat(np.arange(k), free.size),
-                                           np.tile(free, k), inside.shape)
+            inside = inside + _csr(_Rows(np.arange(k + 1) * free.size, np.tile(free, k)),
+                                   inside.shape[1])
     return inside
 
 
@@ -168,8 +160,8 @@ def _appetite_gap(inner: sparse.csr_matrix, entourage: Entourage, times: int):
     E^times(x) is non-empty when some walk of times steps in E ends at x:
     the points such walks reach, one forward step of E at a time.
     """
-    e = entourage.matrix()
-    reached = np.ones(e.shape[0], dtype=bool)
+    e = entourage.csr
+    reached = np.ones(entourage.space.n, dtype=bool)
     for _ in range(times):
         step = np.zeros_like(reached)
         step[_row_indices(e, np.flatnonzero(reached))] = True
@@ -178,49 +170,19 @@ def _appetite_gap(inner: sparse.csr_matrix, entourage: Entourage, times: int):
     return int(np.argmax(reached)) if reached.any() else None
 
 
-class _Rows(NamedTuple):
-    """A rows x points boolean pattern as CSR index arrays, each row's
-    indices distinct (and ascending, from _pattern); read like a CSR matrix
-    (_row_indices)."""
-    indptr: np.ndarray
-    indices: np.ndarray
-
-
-# _pattern marks its pairs in a rows x points boolean array when that array
-# has at most this many entries a pair, and sorts their keys otherwise
-_MARK_SHARE = 4
-
-
-def _row_keys(indptr: np.ndarray, n: int) -> np.ndarray:
-    """k * n for each entry of row k of a CSR pattern with this indptr."""
-    return np.repeat(np.arange(indptr.size - 1, dtype=np.int64) * n, np.diff(indptr))
-
-
-def _pattern(keys: np.ndarray, count: int, n: int) -> _Rows:
-    """The count x n pattern holding the pairs with keys row * n + point,
-    each pair once."""
-    if count * n <= _MARK_SHARE * keys.size:
-        mark = np.zeros(count * n, dtype=bool)
-        mark[keys] = True
-        keys = np.flatnonzero(mark)
-    else:
-        keys = np.sort(keys)
-        keys = keys[_run_heads(keys)]
-    return _Rows(np.searchsorted(keys, np.arange(count + 1, dtype=np.int64) * n), keys % n)
-
-
-def _image(rows, m: sparse.csr_matrix) -> _Rows:
-    """The forward images of the rows (a CSR pattern) under the relation
-    with matrix m: row k becomes {y | (x, y) in m for some x in row k}.
-    Past _PAIR_BLOCK gathered pairs scipy's product, in C, is the faster;
-    its rows are left in its own order, which no reader of an image needs."""
-    count, n = rows.indptr.size - 1, m.shape[1]
-    reach = np.diff(m.indptr)[rows.indices]
+def _image(rows, relation: Entourage) -> _Rows:
+    """The forward images of the rows (a CSR pattern) under a pairs
+    relation: row k becomes {y | (x, y) in relation for some x in row k},
+    gathered from the relation's CSR arrays. Past _PAIR_BLOCK gathered pairs
+    scipy's product with matrix(), in C, is the faster; its rows are left in
+    its own order, which no reader of an image needs."""
+    e, n = relation.csr, relation.space.n
+    reach = np.diff(e.indptr)[rows.indices]
     if reach.sum() > _PAIR_BLOCK:
-        out = _csr(rows, m.shape[0]) @ m
+        out = _csr(rows, n) @ relation.matrix()
         return _Rows(out.indptr, out.indices)
-    return _pattern(np.repeat(_row_keys(rows.indptr, n), reach) + _row_indices(m, rows.indices),
-                    count, n)
+    return _pattern(np.repeat(_row_keys(rows.indptr, n), reach) + _row_indices(e, rows.indices),
+                    rows.indptr.size - 1, n)
 
 
 def _spread(rows, cover: Cover) -> _Rows:
@@ -239,52 +201,24 @@ def _spread(rows, cover: Cover) -> _Rows:
     return _pattern(np.concatenate([own * n + rows.indices, gathered]), count, n)
 
 
-def _stacked(top, bottom) -> _Rows:
-    """The rows of the CSR pattern top followed by those of bottom."""
-    return _Rows(np.concatenate([top.indptr, top.indptr[-1] + bottom.indptr[1:]]),
-                 np.concatenate([top.indices, bottom.indices]))
-
-
-def _picked(rows, pick: np.ndarray) -> _Rows:
-    """The rows pick of a CSR pattern, in that order."""
-    indptr = np.zeros(pick.size + 1, dtype=np.int64)
-    np.cumsum(np.diff(rows.indptr)[pick], out=indptr[1:])
-    return _Rows(indptr, _row_indices(rows, pick))
-
-
-def _csr(rows, n: int) -> sparse.csr_matrix:
-    """The boolean CSR matrix of a CSR pattern over n points, its index
-    arrays cast up front to the dtype scipy would pick for them, which
-    spares it a scan of their contents."""
-    dtype = np.int32 if max(n, rows.indices.size) < 2 ** 31 else np.int64
-    return sparse.csr_matrix((np.ones(rows.indices.size, dtype=bool), rows.indices.astype(dtype),
-                              rows.indptr.astype(dtype)), shape=(rows.indptr.size - 1, n))
-
-
-def _spread_inside(sets: sparse.csr_matrix, containers, bound_image, pick=None) -> bool:
+def _spread_inside(sets: sparse.csr_matrix, containers, bound_image, pick: np.ndarray) -> bool:
     """Whether W x W lies inside a relation B for every row W of sets, given
-    rows N of containers (a CSR matrix, or a pattern where pick is given)
-    with N^T N inside B.
+    the rows N of containers, a CSR pattern, with N^T N inside B, and pick,
+    the row of N expected to hold each set.
 
-    A set inside some row of N passes: its pairs are pairs of N^T N. Where
-    pick names the row of N expected to hold each set, a set inside that
-    row passes at once, by one search over keys, and only the others are
-    searched by first_container. Any other set W is tested pair by pair: W
-    must lie inside B[x] = {y | (x, y) in B} for every x in W, where
-    bound_image maps ascending points to a CSR pattern of their forward
-    images under B. Only the points of such sets are imaged.
+    A set inside some row of N passes: its pairs are pairs of N^T N. A set
+    inside its picked row passes at once, by one difference of the rows in
+    C (_binop), and only the others are searched by first_container. Any
+    other set W is tested pair by pair: W must lie inside B[x] = {y | (x,
+    y) in B} for every x in W, where bound_image maps ascending points to a
+    CSR pattern of their forward images under B. Only the points of such
+    sets are imaged.
     """
     n, sizes = sets.shape[1], np.diff(sets.indptr)
-    if pick is None:
-        rest = np.flatnonzero((first_container(sets, containers) < 0) & (sizes > 0))
-    else:
-        known = _picked(containers, pick)
-        held = _sorted_isin(_row_keys(sets.indptr, n) + sets.indices,
-                            _row_keys(known.indptr, n) + known.indices)
-        rest = np.repeat(np.arange(sizes.size), sizes)[~held]
-        rest = rest[_run_heads(rest)]
-        if rest.size:
-            rest = rest[first_container(sets[rest], _csr(containers, n)) < 0]
+    outside = _binop(csr_gt_csr, sets, _picked(containers, pick), n)
+    rest = np.flatnonzero(np.diff(outside.indptr))
+    if rest.size:
+        rest = rest[first_container(sets[rest], _csr(containers, n)) < 0]
     if not rest.size:
         return True
     members = _row_indices(sets, rest)
@@ -341,18 +275,21 @@ def expand(cover: Cover, entourage: Entourage):
     return out, certify([
         holds("expand.families_disjoint", overlap is None, overlap),
         holds("expand.appetite", aw is None, aw),
-        holds("expand.spread_bound", _expand_spread_ok(out.incidence(), m, lm, new_sets)),
+        # row k of the output is expected inside the fattened set k
+        holds("expand.spread_bound", _expand_spread_ok(
+            out.incidence(), m, lm, new_sets, np.arange(new_sets.shape[0]))),
     ])
 
 
 def _expand_spread_ok(out: sparse.csr_matrix, m: sparse.csr_matrix, lm: sparse.csr_matrix,
-                      fattened: sparse.csr_matrix) -> bool:
+                      fattened, pick: np.ndarray) -> bool:
     """Whether the spread of the sets out lies inside L ∘ (M^T M) ∘ L^{-1},
     M the input incidence. That bound is N^T N for the fattened input sets
-    N = M L^T = M L (L is symmetric), mapping rows forward to rows L M^T M L."""
+    N = M L^T = M L (L is symmetric), of which row pick[k] is expected to
+    hold row k of out, mapping rows forward to rows L M^T M L."""
     return _spread_inside(out, fattened, lambda points: (
-        (_bool_matrix(np.arange(points.size), points, (points.size, m.shape[1])) @ lm) @ m.T)
-        @ m @ lm)
+        (_csr(_Rows(np.arange(points.size + 1), points), m.shape[1]) @ lm) @ m.T) @ m @ lm,
+        pick)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +449,7 @@ def _attach(cover_a: Cover, cover_b: Cover, L: Entourage,
     if np.any(touches > 1):
         # first contact: the L-pairs from an A-set into a B-set of the same
         # family, family by family, in pair order
-        lrows, lcols = _pair_arrays(L)
+        lrows, lcols = _entry_rows(L.csr), L.csr.indices
         pa, pb = cover_a.family_owners()[:, lrows], cover_b.family_owners()[:, lcols]
         ais, first = np.unique(pa[(pa >= 0) & (pb >= 0)], return_index=True)
         twice = touches[ais] > 1
@@ -566,13 +503,12 @@ def merge_union(cover_a: Cover, cover_b: Cover, entourage: Entourage):
     if wa is not None:
         raise ContractViolationError(
             f"cover A families not L-disjoint: {wa}", witness=wa)
-    lm = L.matrix()
     # the B-sets fattened by L, then by D_A: the containers of the spread
     # bound, and, fattened by L, D_A and L again, the images of the B-sets
     # under L∘D_A∘L∘D_A∘L
-    near_b = _image(cover_b.incidence(), lm)
+    near_b = _image(cover_b.incidence(), L)
     grown_b = _spread(near_b, cover_a)
-    wb = _touching_witness(cover_b, _image(_spread(_image(grown_b, lm), cover_a), lm),
+    wb = _touching_witness(cover_b, _image(_spread(_image(grown_b, L), cover_a), L),
                            lambda: _strong_relation(cover_a, L))
     if wb is not None:
         raise ContractViolationError(
@@ -592,7 +528,7 @@ def merge_union(cover_a: Cover, cover_b: Cover, entourage: Entourage):
         claim("merge_union.family_count", max(len(cover_a.families), len(cover_b.families)),
               len(out.families), len(out.families) == len(cover_a.families)),
         holds("merge_union.spread_bound",
-              _merge_spread_ok(cover_a, cover_b, out.incidence(), lm, grown_b, pick)),
+              _merge_spread_ok(cover_a, cover_b, out.incidence(), L, grown_b, pick)),
     ])
 
 
@@ -604,7 +540,7 @@ def _strong_relation(cover_a: Cover, L: Entourage) -> Entourage:
 
 
 def _merge_spread_ok(cover_a: Cover, cover_b: Cover, out: sparse.csr_matrix,
-                     lm: sparse.csr_matrix, grown_b: _Rows, pick: np.ndarray) -> bool:
+                     L: Entourage, grown_b: _Rows, pick: np.ndarray) -> bool:
     """Whether the spread of the sets out lies inside the bound
     D_A∘L∘D_B∘L∘D_A ∪ M_A^T M_A, D the spreads plus the diagonal.
 
@@ -623,7 +559,7 @@ def _merge_spread_ok(cover_a: Cover, cover_b: Cover, out: sparse.csr_matrix,
 
     def bound_image(points):
         unit = _Rows(np.arange(points.size + 1), points)
-        return _spread(_image(_spread(_image(_spread(unit, cover_a), lm), cover_b), lm), cover_a)
+        return _spread(_image(_spread(_image(_spread(unit, cover_a), L), cover_b), L), cover_a)
 
     return _spread_inside(out, _stacked(grown_b, ma), bound_image, pick)
 

@@ -22,7 +22,7 @@ from .covers import (Cover, first_container, lebesgue_number, mesh,
 from .errors import (ContractViolationError, InternalCheckError, InvalidInputError,
                      ResourceLimitError)
 from .spaces import (POINT_CAP, RADIUS_TOL, Entourage, EuclideanMetric, GridMetric, Space,
-                     TreeMetric, _bool_matrix, _row_indices)
+                     TreeMetric, _Rows, _csr, _row_indices)
 
 FLOAT_TOL = 1e-9
 
@@ -146,7 +146,8 @@ def tree_cover(space: Space, L: float, root: int = 0):
         climbing = climbing[depth[anc[climbing]] > target[climbing]]
     keys, label = np.unique(grade * n + anc, return_inverse=True)
     parity = keys // n % 2
-    balls = _bool_matrix(label, np.arange(n), (keys.size, n))
+    balls = _csr(_Rows(np.concatenate(([0], np.cumsum(np.bincount(label)))),
+                       np.argsort(label, kind="stable")), n)
     step = sparse.identity(n, dtype=bool, format="csr") + sparse.csr_matrix(adj, dtype=bool)
     for _ in range(int(math.ceil(L)) - 1):  # d(x, class) < L on integer distances
         balls = balls @ step
@@ -233,7 +234,7 @@ class IntervalRelation:
         b < x stay below the start hi[x] >= x. lo is the mirror image."""
         n = e.space.n
         idx = np.arange(n)
-        m = e.matrix()
+        m = e.csr
         rows = np.repeat(idx, np.diff(m.indptr))
         a, b = np.minimum(rows, m.indices), np.maximum(rows, m.indices)
         lo = np.maximum(idx - extra_steps, 0)
@@ -262,7 +263,8 @@ class IntervalRelation:
 
     def to_entourage(self, space: Space) -> Entourage:
         """Row i holds the columns lo[i] .. hi[i]."""
-        return Entourage.from_matrix(space, _interval_rows(self.lo, self.hi, space.n))
+        rows = _interval_rows(self.lo, self.hi, space.n)
+        return Entourage(space, "pairs", _Rows(rows.indptr, rows.indices))
 
 
 def ray_cell_cover(n: int, e: Entourage):

@@ -1,11 +1,12 @@
 """Reference loops for the sparse kernels.
 
 `covers.first_container` answers every "is this set inside some covering
-set" question with one sparse product, and a pairs `Entourage` is its
-boolean CSR matrix, so the relation algebra is sparse matrix algebra. Radius
-relations on grids and clouds come from a cell list, and the mesh of a
-simplex subdivision from one vectorized norm. The direct loops and the
-sorted-key algebra they replaced are kept here,
+set" question with one sparse product, and a pairs `Entourage` keeps CSR
+index arrays, so the relation algebra is array algebra with scipy only for
+products. Radius relations on grids and clouds come from a cell list, and
+the mesh of a simplex subdivision from one vectorized norm. The direct
+loops, the sorted-key algebra and the sparse matrix algebra (matrix_union
+and the rest) they replaced are kept here,
 unchanged in their logic, as oracles for differential tests: they are slow,
 but each step is plain to check by eye. A relation over n points is given
 as its sorted unique int64 keys i * n + j.
@@ -485,6 +486,77 @@ def materialize_rows_loop(entourage, cap=PAIR_CAP):
             raise ResourceLimitError(f"radius entourage would exceed the {cap} pair cap")
         rows.append(np.int64(i) * n + hits)
     return np.concatenate(rows)
+
+
+# The scipy forms of the pairs algebra: Entourage ran these when a pairs
+# relation was stored as its n x n boolean CSR matrix in canonical form,
+# before it kept CSR index arrays and built a matrix only for products.
+
+
+def matrix_from_pairs(pairs, n):
+    """The canonical n x n boolean CSR matrix with a True at each pair."""
+    arr = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+    return _canonical(sparse.csr_matrix(
+        (np.ones(len(arr), dtype=bool), (arr[:, 0], arr[:, 1])), shape=(n, n)))
+
+
+def _canonical(m):
+    m = sparse.csr_matrix(m, dtype=bool)
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    return m
+
+
+def matrix_pairs(m):
+    c = m.tocoo()
+    return list(zip(c.row.tolist(), c.col.tolist()))
+
+
+def matrix_union(a, b):
+    return _canonical(a + b)
+
+
+def matrix_inverse(a):
+    return _canonical(a.T)
+
+
+def matrix_compose(a, b):
+    return _canonical(a @ b)
+
+
+def matrix_is_symmetric(m):
+    t = m.T.tocsr()
+    return bool(np.array_equal(m.indptr, t.indptr) and np.array_equal(m.indices, t.indices))
+
+
+def matrix_contains_diagonal(m):
+    return bool(m.diagonal().all())
+
+
+def matrix_image(m, indices):
+    mask = np.zeros(m.shape[0], dtype=bool)
+    mask[sorted(set(indices))] = True
+    return frozenset(np.flatnonzero(m @ mask).tolist())
+
+
+def matrix_outside(a, space, other):
+    """The pairs of a that other lacks, as a CSR matrix: other a matrix, or
+    a radius relation tested by distance."""
+    if sparse.issparse(other):
+        return a > other
+    keys = np.repeat(np.arange(a.shape[0], dtype=np.int64), np.diff(a.indptr)) * a.shape[1]
+    d = space.pair_distances(*np.divmod(keys + a.indices, a.shape[1]))
+    out = sparse.csr_matrix((~other._within(d), a.indices, a.indptr), shape=a.shape, copy=True)
+    out.eliminate_zeros()
+    return out
+
+
+def matrix_first_pair_outside(a, space, other):
+    out = matrix_outside(a, space, other)
+    if out.nnz == 0:
+        return None
+    i = int(np.flatnonzero(np.diff(out.indptr))[0])
+    return (i, int(out.indices[out.indptr[i]:out.indptr[i + 1]].min()))
 
 
 def union_keys(ka, kb):
@@ -1671,7 +1743,6 @@ def _spread_inside_products(sets, containers, bound_image):
     N with N^T N inside B and bound_image mapping unit rows to their B-rows:
     a set in no container is tested by one overlap product."""
     from coarselab.covers import first_container
-    from coarselab.spaces import _bool_matrix
 
     sizes = np.diff(sets.indptr)
     rest = np.flatnonzero((first_container(sets, containers) < 0) & (sizes > 0))
@@ -1679,8 +1750,9 @@ def _spread_inside_products(sets, containers, bound_image):
         return True
     w = sets[rest]
     points = np.unique(w.indices)
-    reach = bound_image(_bool_matrix(np.arange(points.size), points,
-                                     (points.size, sets.shape[1])))
+    reach = bound_image(sparse.csr_matrix(
+        (np.ones(points.size, dtype=bool), (np.arange(points.size), points)),
+        shape=(points.size, sets.shape[1])))
     overlap = (sparse.csr_matrix(reach, dtype=np.int32)
                @ sparse.csr_matrix(w.T, dtype=np.int32)).tocsr()
     keep = overlap.data == sizes[rest][overlap.indices]
@@ -1694,11 +1766,10 @@ def merge_attach_products(cover_a, cover_b, L):
     """merge_union's sets and families through an attach matrix: the grown
     B-sets are attach @ M_A + M_B, stacked on M_A and picked family by
     family."""
-    from coarselab.transforms import _pair_arrays
-
     ma, mb = cover_a.incidence(), cover_b.incidence()
     na, nb = ma.shape[0], mb.shape[0]
-    lrows, lcols = _pair_arrays(L)
+    pairs = L.matrix().tocoo()
+    lrows, lcols = pairs.row, pairs.col
     pa, pb = cover_a.family_owners()[:, lrows], cover_b.family_owners()[:, lcols]
     hit = (pa >= 0) & (pb >= 0)
     pa, pb = pa[hit].astype(np.int64), pb[hit]
@@ -1979,3 +2050,27 @@ def pn_sample_loop(n, xmax, step):
         if x[-1] > TOL and np.all(x[:-1] <= x[-1] + TOL):
             pts.append(x)
     return Space.cloud(np.array(pts))
+
+
+def scipy_matrices_built(monkeypatch, run):
+    """The scipy compressed matrices built while run() runs, each as the
+    names of the coarselab functions on the stack when it was built,
+    innermost first."""
+    import sys
+
+    built = []
+    init = sparse._compressed._cs_matrix.__init__
+
+    def counted(self, *args, **kwargs):
+        frame, names = sys._getframe(1), []
+        while frame is not None:
+            if "coarselab" in frame.f_code.co_filename:
+                names.append(frame.f_code.co_name)
+            frame = frame.f_back
+        built.append(tuple(names))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sparse._compressed._cs_matrix, "__init__", counted)
+    run()
+    monkeypatch.undo()
+    return built

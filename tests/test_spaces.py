@@ -258,6 +258,61 @@ ROUNDING_STRADDLES = [
 ]
 
 
+# sizes from one point up, and past 46,341 points, where the keys i * n + j
+# of the far pairs pass 2^31
+ORACLE_SIZES = st.sampled_from([1, 2, 3, 5, 8, 13, 46_342, 50_000])
+
+
+def far_pairs(n):
+    """Up to 30 pairs over n points, often none, with indices near both
+    ends."""
+    index = st.one_of(st.integers(0, min(n, 12) - 1), st.integers(max(0, n - 12), n - 1))
+    return st.lists(st.tuples(index, index), max_size=30)
+
+
+class TestScipyFormsOracle:
+    """The pairs algebra on CSR index arrays against the sparse matrix
+    algebra it replaced (oracles.matrix_*): empty relations, one point,
+    radius relations on the right and keys past 2^31."""
+
+    @given(data=st.data(), n=ORACLE_SIZES, r=st.floats(0, 14), closed=st.booleans(),
+           sym=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_pair_algebra_matches_the_scipy_forms(self, data, n, r, closed, sym):
+        sp = Space.line(0, n - 1, 1.0)
+        pa, pb = data.draw(far_pairs(n)), data.draw(far_pairs(n))
+        a = Entourage.from_pairs(sp, pa, symmetrize=sym)
+        b = Entourage.from_pairs(sp, pb, symmetrize=False)
+        ma = oracles.matrix_from_pairs(pa + ([(j, i) for i, j in pa] if sym else []), n)
+        mb = oracles.matrix_from_pairs(pb, n)
+        assert a.pairs() == oracles.matrix_pairs(ma)
+        assert Entourage.from_keys(sp, a.keys()[::-1]).pairs() == a.pairs()
+        assert a.union(b).pairs() == oracles.matrix_pairs(oracles.matrix_union(ma, mb))
+        assert a.inverse().pairs() == oracles.matrix_pairs(oracles.matrix_inverse(ma))
+        assert a.compose(b).pairs() == oracles.matrix_pairs(oracles.matrix_compose(ma, mb))
+        md = sparse.identity(n, dtype=bool, format="csr")
+        for x, mx in ((a, ma), (b, mb), (a.union(Entourage.diagonal(sp)),
+                                         oracles.matrix_union(ma, md)),
+                      (a.union(a.inverse()), oracles.matrix_union(ma, oracles.matrix_inverse(ma)))):
+            assert x.pairs() == oracles.matrix_pairs(mx)
+            assert x.is_symmetric() == oracles.matrix_is_symmetric(mx)
+            assert x.contains_diagonal() == oracles.matrix_contains_diagonal(mx)
+        ball = Entourage.radius(sp, r, closed=closed)
+        for x, mx, y, my in ((a, ma, b, mb), (b, mb, a, ma), (a, ma, ball, ball)):
+            want = oracles.matrix_first_pair_outside(mx, sp, my)
+            assert x.first_pair_outside(y) == want
+            assert x.is_subset_of(y) == (want is None)
+        cols = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
+        assert a.image(cols) == oracles.matrix_image(ma, cols)
+
+    def test_keys_past_two_to_the_31(self):
+        n = 50_000
+        e = Entourage.from_pairs(Space.discrete(n), [(n - 1, n - 2)])
+        assert e.keys().tolist() == [(n - 2) * n + n - 1, (n - 1) * n + n - 2]
+        assert e.keys()[-1] > 2 ** 31 and e.is_symmetric() and not e.contains_diagonal()
+        assert e.first_pair_outside(e.inverse()) is None
+
+
 @st.composite
 def lattice_clouds(draw):
     """Offset lattice points, with duplicates and pairs exactly one step

@@ -154,6 +154,17 @@ class TestCalculus:
             report = check_calculus(s, t, u)
             assert report["all_pass"], (trial, report)
 
+    def test_scipy_builds_only_the_composition(self, monkeypatch):
+        # supports, unions, inverses, images and inclusions work on the
+        # relations' index arrays; only supp(S) supp(T) is a sparse product
+        rng = SplitMix64(3)
+        dec = make_decomposition([1] * 5, [2, 1, 3, 2, 1])
+        s, t = random_operator(rng, dec, 0.4), random_operator(rng, dec, 0.4)
+        u = random_vector(rng, dec)
+        built = oracles.scipy_matrices_built(
+            monkeypatch, lambda: check_calculus(s, t, u))
+        assert built and all("compose" in names for names in built), built
+
     def test_near_threshold_blocks_flagged(self):
         dec = make_decomposition([1, 1], [1, 1])
         m = np.zeros((2, 2), dtype=complex)

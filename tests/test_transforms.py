@@ -12,9 +12,9 @@ from coarselab.covers import (Cover, appetite_witness, first_container, has_appe
                               multiplicity)
 from coarselab.errors import ContractViolationError, InvalidInputError
 from coarselab.prng import SplitMix64
-from coarselab.spaces import Entourage, Space
+from coarselab.spaces import Entourage, Space, _csr
 from coarselab import transforms
-from coarselab.transforms import (_appetite_gap, _attach, _csr, _distinct_contents,
+from coarselab.transforms import (_appetite_gap, _attach, _distinct_contents,
                                   _expand_spread_ok, _image, _intersections, _merge_spread_ok,
                                   _shared_point_tuples, _shield_and_trim, _spread,
                                   _touching_witness, colorize, expand,
@@ -397,14 +397,20 @@ class TestSparseConstructionsOracle:
                                    max_size=2 * n))
         rel = Entourage.from_pairs(sp, pairs)
         want = oracles.merge_attach_loop(ca.sets, ca.families, cb.sets, cb.families, n, rel)
-        near_b = _image(cb.incidence(), rel.inverse().matrix())
+        near_b = _image(cb.incidence(), rel.inverse())
         if want[0] == "conflict":
             with pytest.raises(ContractViolationError) as err:
                 _attach(ca, cb, rel, near_b)
             assert err.value.witness == want[1]
             return
-        sets, families, _ = _attach(ca, cb, rel, near_b)
+        sets, families, pick = _attach(ca, cb, rel, near_b)
         assert (rows_of(sets), families) == want
+        # row k lies in row pick[k] of [grown B-sets; A-sets], the B-sets
+        # grown as merge_union grows them, by a relation holding the diagonal
+        closed = rel.union(rel.inverse()).union(Entourage.diagonal(sp))
+        grown = _csr(_spread(_image(cb.incidence(), closed), ca), n)
+        containers = rows_of(sparse.vstack([grown, ca.incidence()], format="csr"))
+        assert all(set(row) <= set(containers[p]) for row, p in zip(rows_of(sets), pick))
 
 
 def symmetric_relation(data, sp, n):
@@ -543,11 +549,13 @@ class TestCertificatesAgainstMaterializedForms:
         cover = small_sets_cover(data, sp, n)
         L = symmetric_relation(data, sp, n)
         m, lm = cover.incidence(), L.matrix()
-        out = Cover(sp, data.draw(queries_over(rows_of(m @ lm.T), n)),
+        fattened = Cover(sp, m @ lm.T, require_covering=False, canonicalize=False).incidence()
+        out = Cover(sp, data.draw(queries_over(rows_of(fattened), n)),
                     require_covering=False)
-        got = _expand_spread_ok(out.incidence(), m, lm, m @ lm.T)
+        pick = container_picks(data, out.incidence(), fattened)
+        got = _expand_spread_ok(out.incidence(), m, lm, fattened, pick)
         assert got == oracles.expand_spread_ok(cover, out, L)
-        event(f"spread {got}, set by set {fallback_runs(out, m @ lm.T)}")
+        event(f"spread {got}, set by set {fallback_runs(out, fattened)}")
 
     @given(data=st.data(), n=st.integers(1, 10))
     @settings(max_examples=200, deadline=None)
@@ -576,12 +584,12 @@ class TestCertificatesAgainstMaterializedForms:
         # each set a family of its own, so that the spreads read family owners
         ca, cb = (singleton_families(small_sets_cover(data, sp, n)) for _ in range(2))
         L = symmetric_relation(data, sp, n)
-        ma, lm = ca.incidence(), L.matrix()
-        grown_b = _csr(_spread(_image(cb.incidence(), lm), ca), n)
+        ma = ca.incidence()
+        grown_b = _csr(_spread(_image(cb.incidence(), L), ca), n)
         out = Cover(sp, data.draw(queries_over(rows_of(grown_b) + rows_of(ma), n)),
                     require_covering=False)
         pick = container_picks(data, out.incidence(), sparse.vstack([grown_b, ma], format="csr"))
-        got = _merge_spread_ok(ca, cb, out.incidence(), lm, grown_b, pick)
+        got = _merge_spread_ok(ca, cb, out.incidence(), L, grown_b, pick)
         assert got == oracles.merge_spread_ok(ca, cb, out, L)
         event(f"spread {got}, set by set "
               f"{fallback_runs(out, sparse.vstack([grown_b, ma], format='csr'))}")
@@ -594,7 +602,10 @@ class TestCertificatesAgainstMaterializedForms:
         m, lm = cover.incidence(), Entourage.diagonal(sp).matrix()
         for sets, want in (([[0, 1, 2]], True), ([[0, 1, 2], [1, 3]], False)):
             out = Cover(sp, sets, require_covering=False)
-            assert _expand_spread_ok(out.incidence(), m, lm, m) is want
+            # each set named with row 3, the set {3}, which does not hold
+            # it, so that the search runs and finds no container for {0, 1, 2}
+            pick = np.full(len(sets), 3)
+            assert _expand_spread_ok(out.incidence(), m, lm, m, pick) is want
             assert oracles.expand_spread_ok(cover, out, Entourage.diagonal(sp)) is want
 
 
@@ -710,7 +721,7 @@ class TestMergeUnionAgainstProducts:
         ca = colored_cover(data, sp, n)
         cb = colored_cover(data, sp, n, len(ca.families))
         L = symmetric_relation(data, sp, n)
-        near_b = _image(cb.incidence(), L.matrix())
+        near_b = _image(cb.incidence(), L)
         got = outcome(lambda: _attach(ca, cb, L, near_b))
         want = outcome(lambda: oracles.merge_attach_products(ca, cb, L))
         if want[0] == "ok":
@@ -728,11 +739,11 @@ class TestMergeUnionAgainstProducts:
         cb = colored_cover(data, sp, n, len(ca.families))
         L = symmetric_relation(data, sp, n)
         ma, mb, lm = ca.incidence(), cb.incidence(), L.matrix()
-        grown_b = _csr(_spread(_image(mb, lm), ca), n)
+        grown_b = _csr(_spread(_image(mb, L), ca), n)
         out = Cover(sp, data.draw(queries_over(rows_of(grown_b) + rows_of(ma), n)),
                     require_covering=False).incidence()
         pick = container_picks(data, out, sparse.vstack([grown_b, ma], format="csr"))
-        got = _merge_spread_ok(ca, cb, out, lm, grown_b, pick)
+        got = _merge_spread_ok(ca, cb, out, L, grown_b, pick)
         assert got == oracles.merge_spread_products(ma, mb, out, lm, grown_b)
         rest = fallback_runs(Cover(sp, out, require_covering=False),
                              sparse.vstack([grown_b, ma], format="csr"))
@@ -744,20 +755,21 @@ class TestMergeUnionAgainstProducts:
         sp = Space.discrete(4)
         ca = Cover(sp, [[0, 1], [1, 2], [0, 2], [3]], [[0, 3], [1], [2]])
         cb = Cover(sp, [[], [], []], [[0], [1], [2]], require_covering=False)
-        lm = Entourage.diagonal(sp).matrix()
-        grown_b = _csr(_spread(_image(cb.incidence(), lm), ca), 4)
+        D = Entourage.diagonal(sp)
+        lm = D.matrix()
+        grown_b = _csr(_spread(_image(cb.incidence(), D), ca), 4)
         for sets, want in (([[0, 1, 2]], True), ([[0, 1, 2], [1, 3]], False)):
             out = Cover(sp, sets, require_covering=False).incidence()
             # each set named with row 6, the A-set {3}, which does not hold
             # it, so that the search runs and finds no container for {0, 1, 2}
             pick = np.full(out.shape[0], 6)
-            assert _merge_spread_ok(ca, cb, out, lm, grown_b, pick) is want
+            assert _merge_spread_ok(ca, cb, out, D, grown_b, pick) is want
             assert oracles.merge_spread_products(ca.incidence(), cb.incidence(), out, lm,
                                                  grown_b) is want
 
-    def test_a_small_union_makes_at_most_one_sparse_product(self, monkeypatch):
-        # the certificate works on index arrays; only first_container, in
-        # the spread bound, multiplies
+    def test_a_small_union_makes_no_sparse_product(self, monkeypatch):
+        # the certificate works on index arrays, and each output set lies in
+        # the container it grew from, so first_container never runs
         sp, a_sets, fam_a, b_sets, fam_b = TestMergeUnion().make_pieces(split=54, hi=107)
         assert sp.n == 108
         ca = Cover(sp, a_sets, fam_a, require_covering=False, canonicalize=False)
@@ -772,7 +784,18 @@ class TestMergeUnionAgainstProducts:
             monkeypatch.setattr(cls, "__matmul__", counted)
         out, cert = merge_union(ca, cb, L)
         assert all(g["pass"] for g in cert) and len(out.families) == 2
-        assert len(products) <= 1, products
+        assert products == []
+
+    def test_a_small_union_builds_scipy_matrices_only_for_its_output(self, monkeypatch):
+        # L's symmetry, diagonal, images and pairs are read from its index
+        # arrays; the only matrices are the output cover's incidence
+        sp, a_sets, fam_a, b_sets, fam_b = TestMergeUnion().make_pieces(split=54, hi=107)
+        ca = Cover(sp, a_sets, fam_a, require_covering=False, canonicalize=False)
+        cb = Cover(sp, b_sets, fam_b, require_covering=False, canonicalize=False)
+        L = Entourage.radius(sp, 1.0, closed=True).materialize()
+        built = oracles.scipy_matrices_built(monkeypatch, lambda: merge_union(ca, cb, L))
+        assert built and all(names[:2] == ("_csr", "_attach")
+                             or names[0] == "_incidence_matrix" for names in built), built
 
 
 @st.composite
