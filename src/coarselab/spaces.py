@@ -27,10 +27,10 @@ a relation's CSR arrays are assembled as they arrive.
 
 A pair set is stored once as CSR index arrays (a _Rows: indptr and each
 row's ascending, distinct indices), and the set algebra works on them:
-union is a stable sort of the two runs of keys, inclusion a binary search
-of one relation's keys in the other's, the image of a set a mask read at
-the entries, and the inverse scipy's C conversion of the arrays. Only the
-products use scipy matrices, built as views of the arrays: composition is
+pairs, keys, images, symmetry and the diagonal are read from the arrays,
+and a transpose, a union and the pairs of one relation outside another
+are scipy's C routines run on the arrays (_transposed, _binop). Only the
+products build scipy matrices, as views of the arrays: composition is
 A @ B, and transport along a map with graph matrix G is G^T A G (push) or
 G A G^T (pull). Covers and certificates share the same array kernels.
 """
@@ -1043,13 +1043,13 @@ def _pattern(keys: np.ndarray, count: int, n: int) -> _Rows:
 # numpy forms (a stable sort of the keys, a binary search of one relation's
 # keys in the other's) are three to twelve times slower on 5 * 10^6 pairs.
 def _transposed(rows: _Rows, n: int) -> _Rows:
-    """The CSR arrays of the transpose of an n x n pattern whose index
-    arrays share one dtype: scipy's conversion is a counting sort, so each
-    row's indices come out ascending."""
-    count = rows.indices.size
-    indptr, indices = np.empty(n + 1, dtype=rows.indptr.dtype), np.empty_like(rows.indices)
-    csr_tocsc(n, n, rows.indptr, rows.indices, np.ones(count, dtype=bool),
-              indptr, indices, np.empty(count, dtype=bool))
+    """The CSR arrays of the transpose of an n x n pattern: scipy's
+    conversion is a counting sort, so each row's indices come out
+    ascending."""
+    count, index = rows.indices.size, _index_dtype(n, rows.indices.size)
+    indptr, indices = np.empty(n + 1, dtype=index), np.empty(count, dtype=index)
+    csr_tocsc(n, n, rows.indptr.astype(index, copy=False), rows.indices.astype(index, copy=False),
+              np.ones(count, dtype=bool), indptr, indices, np.empty(count, dtype=bool))
     return _Rows(indptr, indices)
 
 
@@ -1233,9 +1233,10 @@ class Entourage:
         distinct. Row-major order is ascending order of the keys i * n + j,
         so pairs() lists and first_pair_outside() picks pairs in key order.
         The set algebra (union, inclusion, symmetry, the diagonal, images)
-        works on these arrays; matrix() is a scipy view of them, built on
-        first use, for the products (compose, transport, the product
-        relation, interiors) and for transposes. Pair sets handed in by
+        works on these arrays, a transpose, a union and a difference by
+        scipy's C routines run on them; matrix() is a scipy view of them,
+        built on first use, for the products (compose, transport, the
+        product relation, interiors, large images). Pair sets handed in by
         users are symmetric-closed by default; operation outputs
         (composition, transport) are raw.
       - "radius": the relation {(x, y) | d(x, y) < r} evaluated lazily,

@@ -767,9 +767,10 @@ class TestMergeUnionAgainstProducts:
             assert oracles.merge_spread_products(ca.incidence(), cb.incidence(), out, lm,
                                                  grown_b) is want
 
-    def test_a_small_union_makes_no_sparse_product(self, monkeypatch):
+    def test_a_small_union_makes_at_most_one_sparse_product(self, monkeypatch):
         # the certificate works on index arrays, and each output set lies in
-        # the container it grew from, so first_container never runs
+        # the container it grew from, so first_container, the one product
+        # left, never runs
         sp, a_sets, fam_a, b_sets, fam_b = TestMergeUnion().make_pieces(split=54, hi=107)
         assert sp.n == 108
         ca = Cover(sp, a_sets, fam_a, require_covering=False, canonicalize=False)
