@@ -444,8 +444,9 @@ def _window_hops(step, depth: int) -> tuple[np.ndarray, int]:
     """(hops, walked): the prefix set K_k holds the levels v with hops[v] <=
     min(k, walked), the levels within k steps of level 0 under the
     symmetric relation step (diagonal included, as CSR arrays), found by one
-    breadth-first walk over its rows. The walk stops at the last level, or where it stops
-    growing, which must be past depth; hops is n at a level never reached.
+    breadth-first walk over its rows. The walk stops at the last level, or
+    where it stops growing, which must be past depth; hops is n at a level
+    never reached.
     A level sample has a few window partners per level, so the walk is a
     Python loop over the rows, one visit per entry."""
     n = step.indptr.size - 1

@@ -84,8 +84,7 @@ class Decomposition:
 def _first_block_pair_outside(space: Space, blocks, bound: Entourage):
     """The pair (i, j) with the smallest key i * n + j that lies in some
     block's U x U but not in bound, or None; one block's pairs at a time,
-    so the union over the blocks is never held. A block is sorted, so the
-    keys i * n + j of its square come out ascending."""
+    so the union over the blocks is never held."""
     worst = None
     for block in blocks:
         idx = np.asarray(block, dtype=np.int64)
